@@ -25,6 +25,8 @@ HERE = Path(__file__).resolve().parent
 
 def main(out_path: str | None = None) -> dict:
     """Run the reconciliation and write the artifact; returns the summary."""
+    from bench_multicore import host_record  # sibling script
+
     from repro.experiments.mesh_axes import STEPS
     from repro.experiments.mesh_crossover import (
         PP_TOLERANCE,
@@ -34,6 +36,7 @@ def main(out_path: str | None = None) -> dict:
     rows = run_mesh_reconciliation(STEPS)
     summary = {
         "schema": 1,
+        "host": host_record(),
         "steps": STEPS,
         "pp_tolerance": PP_TOLERANCE,
         "reconciled": all(r.ok for r in rows),

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import platform
 import time
 from pathlib import Path
 
@@ -203,6 +204,26 @@ def _thread_scaling() -> dict:
 # -- driver --------------------------------------------------------------------
 
 
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine() or "unknown"
+
+
+def host_record() -> dict:
+    """Where an artifact was measured (ROADMAP: recorded in every one)."""
+    return {
+        "cpu_count": multiprocessing.cpu_count(),
+        "cpu_model": _cpu_model(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def run_multicore() -> dict:
     """Run all phases; returns the JSON-ready result dict."""
     workers = _worker_scaling()
@@ -211,7 +232,7 @@ def run_multicore() -> dict:
     gate_row = workers[str(GATE_WORKERS)]
     return {
         "schema": 1,
-        "host": {"cpu_count": multiprocessing.cpu_count()},
+        "host": host_record(),
         "config": {
             "model": BENCH_MODEL,
             "micro_batch": MICRO_BATCH,

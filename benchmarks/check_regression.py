@@ -238,6 +238,13 @@ def render_meshperf(fresh: dict, baseline: dict) -> str:
         f"{'meshperf':<12} {len(rows):>9} axis rows over {len(meshes)} meshes"
         f"   ({verdict}, pp tol {fresh.get('pp_tolerance', 0.0):.0%})"
     ]
+    host = fresh.get("host")
+    if host:
+        lines.append(
+            f"{'':<12}   host: {host.get('cpu_count', '?')} x "
+            f"{host.get('cpu_model', '?')}, python {host.get('python', '?')}, "
+            f"numpy {host.get('numpy', '?')}"
+        )
     for r in rows:
         if not r.get("ok", False):
             lines.append(

@@ -25,8 +25,10 @@ composes one parallelism layer per axis:
 gathers reassemble the exact single-GEMM output; the dp reduction
 stack-means the same contributions in the same order as the single-rank
 oracle running ``grad_accum_steps * dp`` accumulation rounds; pipeline
-stages recompute their forward before backward from per-micro context,
-so any valid schedule equals depth-first execution. Composed, a
+stages keep every in-flight microbatch's state apart (a per-micro
+context dict, a stash of the stage's layer caches, and a workspace lane
+under the cached arrays), so any valid schedule equals depth-first
+execution. Composed, a
 ``(pp, dp, tp)`` engine trains fp32 bit-identically to the world-1 DDP
 oracle on the same global batch (differential-tested per axis and
 jointly, on both backends). The engine is therefore fp32-only: bf16
@@ -40,11 +42,27 @@ bytes so wire accounting is honest. Under the process backend, workers
 run microbatches depth-first (numerically identical); the parent books
 the schedule's boundary traffic analytically from
 :func:`~repro.mesh.pipeline.boundary_nbytes`, and tp gather bytes live
-in each worker's own ``SimComm`` ledger — cross-backend tests compare
-numerics and send bytes, not worker-local tp bytes. Inline pipeline
-recompute also books one extra tp gather per flagged GEMM (three
-passes instead of two); that is real traffic the recompute performs,
-not an accounting wrinkle.
+in each worker's own ``SimComm`` ledger, fanned in through the
+telemetry bus. Both backends run one forward and one backward per
+(stage, micro), so per-axis bytes *and* calls agree across them
+(asserted by the cross-backend differential test).
+
+**Pipeline work is done once.** The inline schedule interleaves
+microbatches on one set of layers, whose activation caches (and the
+pooled buffers under them) hold one micro at a time. Rather than
+re-running a stage's forward before each backward, the engine parks the
+stage's caches per in-flight micro (``Module.take_caches`` /
+``put_caches``, skipped when the stage last ran that same micro — every
+backward of the last 1F1B stage) and gives each in-flight
+``(stage, micro)`` its own :class:`~repro.models.workspace.Workspace`
+lane, reused once its backward has drained. Live activations per stage
+are therefore the schedule's in-flight peak — ``min(k, pp - s)`` under
+1F1B, ``k`` under GPipe — which is what
+:mod:`repro.perf.memory_model` prices. Block-level checkpointing
+(``TransformerBlock(checkpoint=True)``) stays the memory lever and
+composes: the stash then holds only each block's input. Each
+stage-backward writes its gradients straight into that micro's outbound
+contribution and re-zeroes just those slices.
 """
 
 from __future__ import annotations
@@ -210,6 +228,21 @@ class MeshEngine(MixedPrecisionMixin):
             self._ops = list(ops_fn())
             self._stage_bounds = partition_stages(len(self._ops), self.pp)
             self._stage_params = self._stage_param_lists()
+            # The cache-bearing layers each stage runs, and the parked
+            # caches of its in-flight micros: _stash[s][j].
+            self._stage_layers = [
+                [
+                    m
+                    for op in self._ops[start:stop]
+                    for top in op.modules()
+                    for m in top.modules()
+                    if m._cache_attrs
+                ]
+                for start, stop in self._stage_bounds
+            ]
+            self._stash: list[dict[int, list[tuple]]] = [
+                {} for _ in range(self.pp)
+            ]
         else:
             self._ops = None
             self._stage_bounds = None
@@ -230,6 +263,8 @@ class MeshEngine(MixedPrecisionMixin):
             self.units = default_wrap_units(model, self.dp)
         else:
             self.params = model.parameters()
+        if self.pp > 1:
+            self._stage_grad_runs = self._stage_grad_run_lists()
         # Backend before optimizer: a process backend re-homes parameter
         # storage into shared memory first (same ordering as DDP/FSDP).
         self._backend = make_backend(self)
@@ -422,6 +457,48 @@ class MeshEngine(MixedPrecisionMixin):
             )
         return stages
 
+    def _stage_grad_run_lists(self) -> list[list[tuple[int, Any]]]:
+        """Where each stage's gradients live in the outbound buffers.
+
+        ``runs[s]`` lists ``(i, index)`` pairs: stage ``s`` owns
+        ``buffer[i][index]`` of both the local gradient storage and a
+        micro's outbound contribution (:meth:`_grad_storage`). Under
+        ``ddp`` that is one whole per-parameter array each; under
+        ``full_shard`` the stage's parameters are merged into
+        contiguous slices of each unit's flat gradient, the dp padding
+        tail riding with the unit's last parameter so the stages'
+        slices cover every unit exactly.
+        """
+        if self.dp_strategy == "ddp":
+            index_of = {id(p): i for i, p in enumerate(self.params)}
+            return [
+                [(index_of[id(p)], Ellipsis) for p in stage]
+                for stage in self._stage_params
+            ]
+        span_of: dict[int, tuple[int, int, int]] = {}
+        for u, unit in enumerate(self.units):
+            for p, (_name, _shape, offset) in zip(unit.params, unit.layout):
+                stop = offset + p.size
+                if stop == unit.plan.numel:
+                    stop = unit.plan.padded_numel
+                span_of[id(p)] = (u, offset, stop)
+        runs: list[list[tuple[int, Any]]] = []
+        for stage in self._stage_params:
+            merged: list[list[int]] = []
+            for u, start, stop in sorted(span_of[id(p)] for p in stage):
+                if merged and merged[-1][0] == u and merged[-1][2] == start:
+                    merged[-1][2] = stop
+                else:
+                    merged.append([u, start, stop])
+            runs.append([(u, slice(start, stop)) for u, start, stop in merged])
+        return runs
+
+    def _grad_storage(self) -> list[np.ndarray]:
+        """Local gradient arrays in outbound order (units / parameters)."""
+        if self.dp_strategy == "full_shard":
+            return [unit.grad_flat for unit in self.units]
+        return [p.grad for p in self.params]
+
     def _run_pipeline(
         self, micros: Sequence[Any], k: int
     ) -> tuple[list[float], list[list[list[np.ndarray]]]]:
@@ -444,12 +521,26 @@ class MeshEngine(MixedPrecisionMixin):
         rows: list[list[list[np.ndarray] | None]] = [
             [None] * k for _ in range(self.dp)
         ]
-        for r in range(self.dp):
-            rank_micros = [
-                self._cast_micro(micros[j * self.dp + r]) for j in range(k)
-            ]
-            with bus.span("compute.fwd_bwd"):
-                self._run_pipeline_rank(r, rank_micros, actions, losses, rows[r])
+        # Every stage-backward moves its gradients out and re-zeroes
+        # them, so one zeroing per step covers all ranks and micros.
+        self._zero_local_grads()
+        ws = self.model.workspace
+        try:
+            for r in range(self.dp):
+                rank_micros = [
+                    self._cast_micro(micros[j * self.dp + r]) for j in range(k)
+                ]
+                with bus.span("compute.fwd_bwd"):
+                    self._run_pipeline_rank(
+                        r, rank_micros, actions, losses, rows[r]
+                    )
+        finally:
+            # A step that failed mid-schedule must not leak parked
+            # activations or leave the pool on an in-flight lane.
+            for parked in self._stash:
+                parked.clear()
+            if ws is not None:
+                ws.use_lane(0)
         micro_grads = [
             [rows[r][j] for r in range(self.dp)] for j in range(k)
         ]
@@ -463,7 +554,16 @@ class MeshEngine(MixedPrecisionMixin):
         losses: list[float],
         out_row: list,
     ) -> None:
-        """Execute the schedule for dp rank ``r``'s ``k`` microbatches."""
+        """Execute the schedule for dp rank ``r``'s ``k`` microbatches.
+
+        Each ``(stage, micro)`` runs its forward once. A stage's layers
+        hold one micro's activation caches at a time (``resident``);
+        before the stage turns to another micro they are parked in
+        ``_stash`` and handed back before that micro's backward. The
+        cached arrays are workspace buffers, so every in-flight
+        ``(stage, micro)`` also owns a workspace lane from its forward
+        until its backward has drained.
+        """
         pp = self.pp
         ops = self._ops
         bounds = self._stage_bounds
@@ -471,47 +571,56 @@ class MeshEngine(MixedPrecisionMixin):
         n_micro = len(rank_micros)
         ctxs: list[dict] = [dict() for _ in range(n_micro)]
         # inbox[s][j]: stage s's forward input for micro j (arrives via
-        # send from stage s-1, kept alive for the recompute-at-backward).
+        # send from stage s-1); grad_inbox mirrors it for backward.
         inbox: list[list] = [[None] * n_micro for _ in range(pp)]
         grad_inbox: list[list] = [[None] * n_micro for _ in range(pp)]
-        partials: list[dict[int, np.ndarray]] = [dict() for _ in range(n_micro)]
+        storage = self._grad_storage()
+        ws = self.model.workspace
         for j, micro in enumerate(rank_micros):
             inbox[0][j] = micro if isinstance(micro, tuple) else (micro, None)
-        self._zero_local_grads()
+            out_row[j] = [np.empty_like(g) for g in storage]
+        lanes: list[dict[int, int]] = [dict() for _ in range(pp)]
+        resident: list[int | None] = [None] * pp
         for kind, s, j in actions:
             start, stop = bounds[s]
             ctx = ctxs[j]
-            x = inbox[s][j]
-            for op in ops[start:stop]:
-                x = op.forward(x, ctx)
+            layers = self._stage_layers[s]
+            parked = self._stash[s]
+            if resident[s] not in (None, j):
+                parked[resident[s]] = [m.take_caches() for m in layers]
+            resident[s] = j
             if kind == "fwd":
+                if ws is not None:
+                    used = lanes[s].values()
+                    lane = next(i for i in range(n_micro) if i not in used)
+                    lanes[s][j] = lane
+                    ws.use_lane(lane)
+                x, inbox[s][j] = inbox[s][j], None
+                for op in ops[start:stop]:
+                    x = op.forward(x, ctx)
                 if s < pp - 1:
                     inbox[s + 1][j] = self._send(x, ranks[s], ranks[s + 1])
                 else:
                     losses[j * self.dp + r] = float(ctx["output"].loss)
                 continue
-            # Backward: the forward above was the recompute (in-flight
-            # micros clobbered the module caches since this micro's
-            # scheduled forward; deterministic via the ctx noise stash).
-            d = grad_inbox[s][j]  # None on the last stage: tail seeds it
+            if j in parked:
+                for m, caches in zip(layers, parked.pop(j)):
+                    m.put_caches(caches)
+            if ws is not None:
+                ws.use_lane(lanes[s].pop(j))
+            d, grad_inbox[s][j] = grad_inbox[s][j], None  # None: tail seeds it
             for op in reversed(ops[start:stop]):
                 d = op.backward(d, ctx)
+            resident[s] = None  # backward consumed the caches
             if s > 0:
                 grad_inbox[s - 1][j] = self._send(d, ranks[s], ranks[s - 1])
-            # Snapshot this stage's freshly accumulated gradients and
-            # zero them, so in-flight micros never mix contributions.
-            for p in self._stage_params[s]:
-                partials[j][id(p)] = p.grad.copy()
-                p.zero_grad()
-            if s == 0:
-                # Micro j fully done: reassemble its full-model gradient
-                # and collect the outbound contribution through the same
-                # path the round loop uses.
-                snap = partials[j]
-                for p in self.model.parameters():
-                    p.grad[...] = snap.pop(id(p))
-                out_row[j] = self._collect_rank_grads()
-                self._zero_local_grads()
+            # Move this stage's gradients into micro j's contribution
+            # and re-zero them, so in-flight micros never mix.
+            out = out_row[j]
+            for i, index in self._stage_grad_runs[s]:
+                src = storage[i][index]
+                out[i][index] = src
+                src[...] = 0.0
 
     def _book_pipeline_transfers(self, micros: Sequence[Any]) -> None:
         """Analytic stage-boundary byte accounting (process backend).

@@ -17,9 +17,11 @@ microbatch count. **1F1B** warms up with ``p-1-s`` forwards on stage
 pipeline with far fewer activations alive at once. Both execute every
 micro's fwd exactly once and every bwd exactly once with per-stage
 backward order ``0..m-1`` — and since the engine isolates microbatch
-state (context dicts plus recompute-before-backward), *any* valid
-schedule is numerically identical to running the microbatches
-depth-first. The schedules differ only in activation liveness and
+state (context dicts plus a per-micro stash of the stage's activation
+caches), *any* valid schedule is numerically identical to running the
+microbatches depth-first. The schedules differ only in activation
+liveness — the engine holds exactly the in-flight micros' activations,
+``min(m, p-s)`` per stage under 1F1B against ``m`` under GPipe — and
 bubble structure, which is exactly what the telemetry layer measures.
 
 Byte accounting: the activation crossing each stage boundary (and its

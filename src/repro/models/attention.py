@@ -38,6 +38,8 @@ __all__ = ["MultiHeadSelfAttention"]
 class MultiHeadSelfAttention(Module):
     """Standard ViT attention: fused qkv projection, softmax, output proj."""
 
+    _cache_attrs = ("_cache",)
+
     def __init__(
         self,
         width: int,
@@ -188,6 +190,3 @@ class MultiHeadSelfAttention(Module):
         self.qkv.weight.accumulate(dwqkv)
         self.qkv.bias.accumulate(dbqkv)
         return dx
-
-    def _clear_cache(self) -> None:
-        self._cache = None

@@ -29,6 +29,11 @@ class TransformerBlock(Module):
     identical either way (tested).
     """
 
+    # release_caches() deliberately does NOT drop _ckpt_input: it is the
+    # one tensor checkpointing keeps. The pipeline stash still moves it.
+    _cache_attrs = ("_ckpt_input",)
+    _kept_on_release = ("_ckpt_input",)
+
     def __init__(
         self,
         width: int,
@@ -74,8 +79,3 @@ class TransformerBlock(Module):
         # First residual.
         dx = dx + self.ln1.backward(self.attn.backward(dx))
         return dx
-
-    def _clear_cache(self) -> None:
-        # Deliberately does NOT drop _ckpt_input: that is the one tensor
-        # checkpointing keeps.
-        pass

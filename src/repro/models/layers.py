@@ -41,6 +41,8 @@ class Linear(Module):
     construction on the tp axis, so no gradient collective is needed.
     """
 
+    _cache_attrs = ("_x2", "_lead")
+
     def __init__(
         self,
         in_features: int,
@@ -116,13 +118,11 @@ class Linear(Module):
         self._lead = None
         return dx
 
-    def _clear_cache(self) -> None:
-        self._x2 = None
-        self._lead = None
-
 
 class LayerNorm(Module):
     """LayerNorm over the trailing axis with learned affine."""
+
+    _cache_attrs = ("_cache",)
 
     def __init__(self, dim: int, eps: float = 1e-6, dtype=DEFAULT_DTYPE):
         super().__init__()
@@ -158,12 +158,11 @@ class LayerNorm(Module):
         self._cache = None
         return dx
 
-    def _clear_cache(self) -> None:
-        self._cache = None
-
 
 class GELU(Module):
     """Tanh-approximated GELU activation."""
+
+    _cache_attrs = ("_cache",)
 
     def __init__(self):
         super().__init__()
@@ -187,9 +186,6 @@ class GELU(Module):
         scratch = self._buf("scratch", x.shape, x.dtype)
         return F.gelu_backward(dout, x, t, out=dx, scratch=scratch)
 
-    def _clear_cache(self) -> None:
-        self._cache = None
-
 
 class Dropout(Module):
     """Inverted dropout. Identity when ``p == 0`` or in eval mode.
@@ -198,6 +194,8 @@ class Dropout(Module):
     engines can make dropout a function of the *sample*, keeping sharded
     and unsharded training bit-identical.
     """
+
+    _cache_attrs = ("_mask",)
 
     def __init__(self, p: float = 0.0, rng: np.random.Generator | None = None):
         super().__init__()
@@ -227,9 +225,6 @@ class Dropout(Module):
             return dout
         mask, self._mask = self._mask, None
         return dout * mask
-
-    def _clear_cache(self) -> None:
-        self._mask = None
 
 
 class MLP(Module):

@@ -23,7 +23,9 @@ engine (:mod:`repro.mesh.pipeline`) running contiguous op chunks as
 stages is bit-identical to the monolithic pass *by construction*.
 Per-microbatch state (masking indices, patch targets, the loss
 residual) lives in an explicit ``ctx`` dict threaded through the ops,
-never in module attributes, so multiple microbatches can be in flight.
+never in module attributes; each op also names the layers it runs
+(``modules()``), whose activation caches the pipeline engine stashes
+per microbatch, so multiple microbatches can be in flight.
 """
 
 from __future__ import annotations
@@ -66,13 +68,7 @@ class _HeadOp:
         enc = m.cfg.encoder
         b = imgs.shape[0]
         if noise is None:
-            # Reuse the noise a previous forward of this micro drew (the
-            # pipeline engine recomputes stage forwards before backward);
-            # only draw fresh noise on the first pass.
-            noise = ctx.get("noise")
-        if noise is None:
             noise = m.rng.random((b, enc.n_patches))
-        ctx["noise"] = noise
         ids_keep, ids_shuffle, ids_restore, mask = m.random_masking_indices(noise)
 
         patches = patchify(imgs, enc.patch)  # (B, N, D)
@@ -112,6 +108,9 @@ class _HeadOp:
     def params(self) -> list[Parameter]:
         return self.m.patch_proj.parameters() + [self.m.cls_token]
 
+    def modules(self) -> list[Module]:
+        return [self.m.patch_proj]
+
 
 class _BlockOp:
     """One transformer block (encoder or decoder)."""
@@ -135,6 +134,9 @@ class _BlockOp:
 
     def params(self) -> list[Parameter]:
         return self.blk.parameters()
+
+    def modules(self) -> list[Module]:
+        return [self.blk]
 
 
 class _BridgeOp:
@@ -189,6 +191,9 @@ class _BridgeOp:
             + [m.mask_token]
         )
 
+    def modules(self) -> list[Module]:
+        return [self.m.enc_norm, self.m.dec_embed]
+
 
 class _TailOp:
     """Decoder norm, pixel prediction, masked per-patch-normalized MSE."""
@@ -239,8 +244,13 @@ class _TailOp:
     def params(self) -> list[Parameter]:
         return self.m.dec_norm.parameters() + self.m.pred.parameters()
 
+    def modules(self) -> list[Module]:
+        return [self.m.dec_norm, self.m.pred]
+
 
 class MaskedAutoencoder(Module):
+    _cache_attrs = ("_cache",)
+
     def __init__(
         self,
         cfg: MAEConfig,
@@ -363,9 +373,6 @@ class MaskedAutoencoder(Module):
         for op in reversed(self._ops):
             d = op.backward(d, ctx)
         return d
-
-    def _clear_cache(self) -> None:
-        self._cache = None
 
     # -- feature extraction (for linear probing) ----------------------------
 

@@ -235,13 +235,38 @@ class Module:
 
     # -- activation caches ---------------------------------------------------
 
-    def _clear_cache(self) -> None:
-        """Drop this module's own cached activations (subclass hook)."""
+    #: Attributes holding this layer's forward->backward activation
+    #: cache. Declared once per class; :meth:`release_caches` and the
+    #: pipeline stash (:meth:`take_caches`/:meth:`put_caches`) both
+    #: derive from it.
+    _cache_attrs: tuple[str, ...] = ()
+    #: The subset :meth:`release_caches` keeps: a checkpointed block's
+    #: input is the one tensor checkpointing holds on to.
+    _kept_on_release: tuple[str, ...] = ()
 
     def release_caches(self) -> None:
         """Recursively drop cached activations (activation checkpointing)."""
         for m in self.modules():
-            m._clear_cache()
+            for name in m._cache_attrs:
+                if name not in m._kept_on_release:
+                    object.__setattr__(m, name, None)
+
+    def take_caches(self) -> tuple:
+        """Detach and return this module's own cached activations.
+
+        The pipeline engine parks one in-flight microbatch's caches
+        here while the stage runs another; :meth:`put_caches` hands
+        them back before that micro's backward. Not recursive.
+        """
+        vals = tuple(getattr(self, name) for name in self._cache_attrs)
+        for name in self._cache_attrs:
+            object.__setattr__(self, name, None)
+        return vals
+
+    def put_caches(self, vals: tuple) -> None:
+        """Reinstall caches detached by :meth:`take_caches`."""
+        for name, val in zip(self._cache_attrs, vals):
+            object.__setattr__(self, name, val)
 
     # -- call protocol -----------------------------------------------------
 

@@ -21,8 +21,9 @@ tensor parallel
     GEMM's *output* through an all-gather. For a block of width ``W``,
     mlp ``M`` and ``R = batch * seq`` rows, one forward pass reassembles
     ``R * (3W + W + M + W)`` values and one backward (the ``dx`` of the
-    same GEMMs) ``R * (W + W + W + M)``; with inline-backend pipeline
-    recompute (``pp > 1``) the forward runs twice per backward.
+    same GEMMs) ``R * (W + W + W + M)``. Every microbatch runs each
+    pass once on either backend and at every ``pp`` (pipeline stages
+    stash their activations rather than recompute them).
 
 pipeline parallel
     Boundary ``s`` carries the output activation of the last op of stage
@@ -152,15 +153,13 @@ def tp_traffic_per_micro(
     model: ViTConfig | MAEConfig,
     batch: int,
     itemsize: int = ENGINE_ITEMSIZE,
-    fwd_passes: int = 1,
 ) -> AxisTraffic:
     """Tensor-parallel reassembly traffic of one microbatch.
 
     Each flagged GEMM's full (post-gather) output crosses the tp group
     once per pass: qkv ``R x 3W``, proj ``R x W``, fc1 ``R x M``, fc2
     ``R x W`` forward; each ``dx`` (``R x W`` except fc1's input grad
-    fc2-side ``R x M``) backward. ``fwd_passes=2`` models the inline
-    backend's recompute-before-backward when ``pp > 1``.
+    fc2-side ``R x M``) backward — eight gathers per block.
     """
     total_values = 0
     calls = 0
@@ -168,8 +167,8 @@ def tp_traffic_per_micro(
         rows = batch * st.seq
         fwd = rows * (5 * st.width + st.mlp)
         bwd = rows * (3 * st.width + st.mlp)
-        total_values += st.depth * (fwd * fwd_passes + bwd)
-        calls += st.depth * 4 * (fwd_passes + 1)
+        total_values += st.depth * (fwd + bwd)
+        calls += st.depth * 8
     return AxisTraffic(bytes=float(total_values * itemsize), calls=calls)
 
 
@@ -276,9 +275,9 @@ def predict_mesh_traffic(
     k = micro_slots // spec.dp
     tp = AxisTraffic()
     if spec.tp > 1:
-        tp = tp_traffic_per_micro(
-            model, batch, itemsize, fwd_passes=2 if spec.pp > 1 else 1
-        ).scaled(micro_slots * steps)
+        tp = tp_traffic_per_micro(model, batch, itemsize).scaled(
+            micro_slots * steps
+        )
     pp = AxisTraffic()
     if spec.pp > 1:
         pp = pp_traffic_per_micro(model, spec.pp, batch, itemsize).scaled(

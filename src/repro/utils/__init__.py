@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic RNG management, unit formatting, timers."""
+"""Shared utilities: deterministic RNG management and unit formatting."""
 
 from repro.utils.rng import RngPool, spawn_rng
 from repro.utils.units import (

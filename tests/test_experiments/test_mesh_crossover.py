@@ -144,6 +144,16 @@ class TestRegressionGate:
         assert "DRIFTED" in out
         assert "m0/dp" in out
 
+    def test_render_prints_the_host_record_when_present(self):
+        cr = _load_check_regression()
+        art = _artifact(True)
+        assert "host:" not in cr.render_meshperf(art, art)  # older artifacts
+        art["host"] = {
+            "cpu_count": 2, "cpu_model": "TestCPU", "python": "3.11", "numpy": "2.0"
+        }
+        out = cr.render_meshperf(art, art)
+        assert "host: 2 x TestCPU, python 3.11, numpy 2.0" in out
+
     def test_meshperf_registered_as_optional_artifact(self):
         cr = _load_check_regression()
         fresh, baseline, cmd = cr.OPTIONAL_ARTIFACTS["meshperf"]
@@ -157,6 +167,7 @@ def test_committed_meshperf_baseline_is_reconciled():
     data = json.loads(path.read_text())
     assert data["reconciled"] is True
     assert len(data["axes"]) == 3 * len(mesh_axes.CONFIGS)
+    assert {"cpu_count", "cpu_model", "python", "numpy"} <= set(data["host"])
 
 
 def test_repro_facade_exports_mesh_prediction():

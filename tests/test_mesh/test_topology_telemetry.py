@@ -9,7 +9,7 @@ from repro.core.trainer import MAEPretrainer
 from repro.elastic.errors import ElasticCompatibilityError
 from repro.elastic.reshard import TopologySpec
 from repro.mesh.spec import MeshSpec
-from repro.telemetry import RecordingSink, TelemetryBus
+from repro.telemetry import RecordingSink, RunReport, TelemetryBus
 
 from .helpers import (
     TINY,
@@ -160,6 +160,29 @@ def test_send_accounting_matches_across_backends():
             eng.close()
     assert ledgers["inline"] == ledgers["process"]
     assert ledgers["inline"][0] > 0
+
+
+def test_per_axis_bytes_and_calls_match_across_backends():
+    # Inline stages run each micro's forward once, like the depth-first
+    # workers, so the tp gathers a worker books on its own SimComm (and
+    # fans in through the bus) equal the inline ledger's, call for call.
+    spec = MeshSpec(pp=2, dp=2, tp=2, schedule="1f1b")
+    axes = {}
+    for backend in ("inline", "process"):
+        bus = TelemetryBus(RecordingSink())
+        eng = mesh_engine(spec, "full_shard", k=2, backend=backend, telemetry=bus)
+        try:
+            eng.train_step(tiny_micros(4, seed=50), mae_step)
+        finally:
+            eng.close()
+        report = RunReport.from_events(bus.sink.events)
+        axes[backend] = {
+            axis: (report.axis_bytes(axis), report.axis_calls(axis))
+            for axis in ("tp", "pp", "dp")
+        }
+    assert axes["inline"] == axes["process"]
+    # 4 micros x 4 blocks x 8 gathers: one forward + one backward each.
+    assert axes["inline"]["tp"][1] == 4 * 4 * 8
 
 
 # -- trainer integration -----------------------------------------------------

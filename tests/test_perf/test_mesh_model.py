@@ -47,7 +47,7 @@ MEASURED = [
         "pp2xdp2xtp2",
         MeshSpec(pp=2, dp=2, tp=2, schedule="1f1b"),
         "full_shard",
-        {"tp": (1490944, 384), "pp": (40960, 16), "dp": (4500480, 50)},
+        {"tp": (950272, 256), "pp": (40960, 16), "dp": (4500480, 50)},
     ),
 ]
 
