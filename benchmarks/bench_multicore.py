@@ -33,11 +33,18 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import platform
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread per process, unless the caller chose otherwise: the
+# inline twin and each worker then do equal work on one core each. Must
+# precede the NumPy import, which sizes the pool when it loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 
 from repro.core.config import get_mae_config
 from repro.core.engine import EngineConfig, make_engine

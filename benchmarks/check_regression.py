@@ -15,6 +15,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_meshperf.py     # fresh run
     python benchmarks/check_regression.py                  # diff vs baselines
     python benchmarks/check_regression.py --update         # bless current runs
+    python benchmarks/check_regression.py --update meshperf  # bless only that one
 
 Exits nonzero when any proxy model's measured images/second fell more
 than ``--threshold`` (default 15%) below the baseline, so CI can gate
@@ -318,18 +319,22 @@ def render(fresh: dict, baseline: dict) -> str:
     return "\n".join(lines)
 
 
-def update_baselines() -> list[str]:
-    """Bless every present fresh artifact atomically; returns messages.
+def update_baselines(names: list[str] | tuple[str, ...] = ()) -> list[str]:
+    """Bless fresh artifacts atomically; returns messages.
 
-    All staging copies are written first; the renames happen only after
-    every copy succeeded, so a failure mid-update leaves the committed
-    baselines exactly as they were (rename within a directory is atomic
-    on POSIX).
+    With no ``names``, every present fresh artifact is blessed (hotpath
+    always); otherwise only the named ones (``"hotpath"`` or a key of
+    :data:`OPTIONAL_ARTIFACTS`), each of which must exist. All staging
+    copies are written first; the renames happen only after every copy
+    succeeded, so a failure mid-update leaves the committed baselines
+    exactly as they were (rename within a directory is atomic on POSIX).
     """
-    pending: list[tuple[Path, Path]] = [(FRESH, BASELINE)]
-    for _, (fresh_path, baseline_path, _cmd) in OPTIONAL_ARTIFACTS.items():
-        if fresh_path.exists():
-            pending.append((fresh_path, baseline_path))
+    table = {"hotpath": (FRESH, BASELINE, "bench_hotpath.py"), **OPTIONAL_ARTIFACTS}
+    names = names or [
+        name for name, (fresh_path, *_) in table.items()
+        if name == "hotpath" or fresh_path.exists()
+    ]
+    pending = [table[name][:2] for name in names]
     staged: list[tuple[Path, Path]] = []
     try:
         for fresh_path, baseline_path in pending:
@@ -361,20 +366,28 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--update",
-        action="store_true",
-        help="bless all present fresh artifacts as the baselines and exit 0",
+        nargs="*",
+        choices=["hotpath", *OPTIONAL_ARTIFACTS],
+        metavar="ARTIFACT",
+        help="bless the named fresh artifacts (hotpath, "
+        + ", ".join(OPTIONAL_ARTIFACTS)
+        + ") as their baselines and exit 0; with no name, every present one",
     )
     args = parser.parse_args(argv)
+
+    if args.update is not None:
+        try:
+            for line in update_baselines(args.update):
+                print(line)
+        except FileNotFoundError as err:
+            print(f"no fresh artifact at {err.filename}; run its bench first")
+            return 2
+        return 0
 
     if not args.fresh.exists():
         print(f"no fresh artifact at {args.fresh}; run bench_hotpath.py first")
         return 2
     fresh = json.loads(args.fresh.read_text())
-
-    if args.update:
-        for line in update_baselines():
-            print(line)
-        return 0
 
     if not args.baseline.exists():
         print(f"no baseline at {args.baseline}; run with --update to create it")

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import pickle
 import time
 import traceback
@@ -61,6 +62,10 @@ EVENT_BUFFER_BYTES = 128 * 1024
 
 #: Seconds the parent waits on a worker before declaring it dead.
 WORKER_TIMEOUT_S = 300.0
+
+#: Pool sizes a worker reads when it loads NumPy; unset, every rank would
+#: start a pool as wide as the host and the ranks oversubscribe it.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class WorkerCrashError(RuntimeError):
@@ -438,23 +443,31 @@ class ProcessBackend(ExecutionBackend):
             ),
             "model": blob,
         }
-        for r in range(self.world_size):
-            parent_conn, child_conn = ctx.Pipe()
-            spec = dict(
-                spec_common,
-                rank=r,
-                events=(self._event_offsets[r], EVENT_BUFFER_BYTES),
-            )
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(spec, child_conn),
-                name=f"repro-rank{r}",
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+        # Spawned children inherit os.environ as it is at start(): pin the
+        # pools the user left unset for exactly that long.
+        pinned = [name for name in BLAS_THREAD_VARS if name not in os.environ]
+        os.environ.update(dict.fromkeys(pinned, "1"))
+        try:
+            for r in range(self.world_size):
+                parent_conn, child_conn = ctx.Pipe()
+                spec = dict(
+                    spec_common,
+                    rank=r,
+                    events=(self._event_offsets[r], EVENT_BUFFER_BYTES),
+                )
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(spec, child_conn),
+                    name=f"repro-rank{r}",
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                self._procs.append(proc)
+                self._conns.append(parent_conn)
+        finally:
+            for name in pinned:
+                del os.environ[name]
         for r in range(self.world_size):
             msg = self._recv(r)
             if msg != ("ready", r):

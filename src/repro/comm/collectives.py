@@ -37,13 +37,24 @@ call at full precision, split out per dtype in
 
 Gradient accumulation: reduce-type collectives accept
 ``parts_per_rank=k``: ``k * g`` buffers (round-major — all of round 0's
-contributions, then round 1's, ...) are reduced in **one**
-``np.stack(...).mean`` and ``g`` outputs are returned. Because NumPy's
-axis-0 reduction is sequential, this makes a ``k``-round accumulated
-step bit-identical to the same reduction in a ``k * g``-rank world.
+contributions, then round 1's, ...) are reduced in **one** sequential
+pass in contribution order (bit-identical to ``np.stack(...).mean(0)``,
+whose axis-0 reduction is sequential too) and ``g`` outputs are
+returned. This makes a ``k``-round accumulated step bit-identical to
+the same reduction in a ``k * g``-rank world.
 Wire accounting stays at one buffer's payload over ``g`` ranks — the
 accumulated contributions are combined locally before hitting the wire
 (PyTorch ``no_sync`` semantics), not retransmitted per round.
+
+Receive buffers: ``all_gather`` / ``reduce_scatter`` take NumPy's ``out=``.
+``out=None`` allocates fresh receive buffers (aliasing no input and not
+each other) and then runs the same fill that ``out=`` runs on the
+caller's — after the call is on the ledger and the fault plan has been
+consulted, so a failed attempt never writes to ``out`` and a retry may
+target live memory. A gather shard that *is* its own slot of ``out`` is
+the in-place case and moves nothing (NCCL/RCCL's ``sendbuff == recvbuff
++ rank * count``, how PyTorch FSDP gathers into its flat parameter); any
+other overlap of an input with ``out`` is undefined and not checked.
 """
 
 from __future__ import annotations
@@ -174,6 +185,20 @@ def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
     raise ValueError(f"unknown reduce op {op!r}; expected one of {ReduceOp}")
 
 
+def _reduce_to(dst: np.ndarray, parts: list[np.ndarray], op: str) -> None:
+    """``dst[:] = np.stack(parts).<op>(0)`` bit for bit, with no stack:
+    ``parts`` are combined in order, then a mean divides once."""
+    combine = np.maximum if op == "max" else np.add
+    if len(parts) == 1:
+        np.copyto(dst, parts[0])
+    else:
+        combine(parts[0], parts[1], out=dst)
+        for part in parts[2:]:
+            combine(dst, part, out=dst)
+    if op == "mean":
+        np.true_divide(dst, len(parts), out=dst)
+
+
 class SimComm:
     """Collective engine over per-rank buffers.
 
@@ -181,7 +206,8 @@ class SimComm:
     ``group``, ordered by group rank. They return new arrays (never
     aliasing inputs across ranks) so that rank-local mutation afterwards
     cannot leak between ranks — the in-process equivalent of separate
-    address spaces.
+    address spaces — unless handed receive buffers (``out=``, module
+    docstring), where the caller owns aliasing as with NCCL in place.
 
     Parameters
     ----------
@@ -194,10 +220,10 @@ class SimComm:
         Optional :class:`~repro.comm.faults.FaultPlan` consulted on every
         collective call. Injected failures surface as
         :class:`~repro.comm.faults.CollectiveError` *before* any output
-        is produced (the attempt's wire traffic is still recorded), so a
-        retry re-runs a pure function of unchanged inputs and is
-        bit-identical to an unfaulted call. May be (re)assigned between
-        steps.
+        is produced or any byte of ``out=`` is written (the attempt's
+        wire traffic is still recorded), so a retry re-runs a pure
+        function of unchanged inputs and is bit-identical to an
+        unfaulted call. May be (re)assigned between steps.
     """
 
     def __init__(self, use_ring: bool = False, fault_plan: FaultPlan | None = None):
@@ -211,7 +237,8 @@ class SimComm:
         """Consult the fault plan; raise CollectiveError for failing specs.
 
         Called after stats recording: a failed attempt has already moved
-        (some of) its data, so its traffic stays on the books.
+        (some of) its data, so its traffic stays on the books — and
+        before the first write to any receive buffer.
         """
         if self.fault_plan is None:
             return
@@ -310,22 +337,41 @@ class SimComm:
         shards: list[np.ndarray],
         group: Group,
         *,
+        out: np.ndarray | None = None,
         wire_dtype: str | None = None,
     ) -> list[np.ndarray]:
-        """Concatenate every rank's 1-D shard; every rank gets the whole."""
+        """Concatenate every rank's 1-D shard; every rank gets the whole.
+
+        ``out`` is one 1-D receive buffer of the gathered length, which
+        every rank then receives (the simulated ranks share it).
+        """
         self._check(shards, group, same_shape=False)
         for s in shards:
             if s.ndim != 1:
                 raise ValueError("all_gather operates on 1-D shards")
+        g = group.size
+        total = sum(s.size for s in shards)
+        if out is not None and out.shape != (total,):
+            raise ValueError(f"out must be 1-D of the gathered length {total}")
         full, dtype = self._wire_bytes(sum(s.nbytes for s in shards), wire_dtype)
-        self.stats.record("all_gather", group.size, full, dtype=dtype)
+        self.stats.record("all_gather", g, full, dtype=dtype)
         self._inject_faults("all_gather", group, shards)
-        if self.use_ring and group.size > 1:
-            shapes = {s.shape for s in shards}
-            if len(shapes) == 1:
-                return self._ring_all_gather(shards)
-        full_buf = np.concatenate(shards)
-        return [full_buf.copy() for _ in range(group.size)]
+        if self.use_ring and g > 1 and len({s.shape for s in shards}) == 1:
+            gathered = self._ring_all_gather(shards)
+            if out is None:
+                return gathered
+            np.copyto(out, gathered[0])
+            return [out] * g
+        recv = out if out is not None else np.empty(total, np.result_type(*shards))
+        start = 0
+        for s in shards:
+            slot = recv[start : start + s.size]
+            start += s.size
+            if not np.shares_memory(s, slot):  # in place: already there
+                slot[...] = s
+        if out is not None:
+            return [out] * g
+        return [recv] + [recv.copy() for _ in range(g - 1)]
 
     def reduce_scatter(
         self,
@@ -334,6 +380,7 @@ class SimComm:
         op: str = "sum",
         *,
         parts_per_rank: int = 1,
+        out: list[np.ndarray] | None = None,
         wire_dtype: str | None = None,
     ) -> list[np.ndarray]:
         """Reduce across the group, then shard the result: rank i gets chunk i.
@@ -341,7 +388,9 @@ class SimComm:
         Buffers must be 1-D with length divisible by the group size (the
         FSDP flat-parameter layer guarantees this by padding). With
         ``parts_per_rank=k``, ``k * group.size`` round-major accumulation
-        contributions enter one stack reduction (see module docstring).
+        contributions are combined in order (see module docstring).
+        ``out`` lists one 1-D receive buffer of the chunk length per
+        rank; chunk ``i`` is reduced straight into ``out[i]``.
         """
         self._check(buffers, group, parts_per_rank=parts_per_rank)
         g = group.size
@@ -350,14 +399,24 @@ class SimComm:
             raise ValueError("reduce_scatter operates on 1-D buffers")
         if n % g != 0:
             raise ValueError(f"buffer length {n} not divisible by group size {g}")
+        if op not in ReduceOp:
+            raise ValueError(f"unknown reduce op {op!r}; expected one of {ReduceOp}")
+        chunk = n // g
+        if out is not None and [o.shape for o in out] != [(chunk,)] * g:
+            raise ValueError(f"out must list {g} 1-D buffers of chunk length {chunk}")
         full, dtype = self._wire_bytes(buffers[0].nbytes, wire_dtype)
         self.stats.record("reduce_scatter", g, full, dtype=dtype)
         self._inject_faults("reduce_scatter", group, buffers)
+        if out is None:
+            out = [np.empty(chunk, buffers[0].dtype) for _ in range(g)]
         if self.use_ring and parts_per_rank == 1 and g > 1:
-            return self._ring_reduce_scatter(buffers, op)
-        reduced = _reduce(np.stack(buffers), op)
-        chunk = n // g
-        return [reduced[i * chunk : (i + 1) * chunk].copy() for i in range(g)]
+            for dst, src in zip(out, self._ring_reduce_scatter(buffers, op)):
+                np.copyto(dst, src)
+            return list(out)
+        for i, dst in enumerate(out):
+            lo = i * chunk
+            _reduce_to(dst, [b[lo : lo + chunk] for b in buffers], op)
+        return list(out)
 
     def send(
         self,

@@ -329,24 +329,23 @@ class FSDPEngine(MixedPrecisionMixin):
     def _issue_param_allgathers(self) -> None:
         """All-gather every unit's shards within each shard group.
 
-        With a single materialized flat buffer the gather is a fixed point
-        (the shards are views of the buffer); issuing it still exercises
-        the collective layer's data path and accounting, which is the
-        point.
+        The shards are views of ``unit.flat``, which is also the receive
+        buffer (``out=``): the in-place gather of NCCL and PyTorch FSDP,
+        which moves no bytes here. Issuing it still runs the collective
+        layer's accounting and fault path, which is the point.
         """
         if self.shard_size == 1:
             return
         for unit in self.units:
             for group in self.mesh.shard_groups:
                 shards = [unit.shard_view(j) for j in range(self.shard_size)]
-                gathered = self._collective(
+                self._collective(
                     lambda: self.comm.all_gather(
-                        shards, group, wire_dtype=self._wire_dtype
+                        shards, group, out=unit.flat, wire_dtype=self._wire_dtype
                     ),
                     op="all_gather",
                     nbytes=self._wire_nbytes(unit.flat.nbytes),
                 )
-                np.copyto(unit.flat, gathered[0])
 
     def _reduce_gradients(
         self, micro_grads: list[list[list[np.ndarray]]]

@@ -63,6 +63,14 @@ are therefore the schedule's in-flight peak — ``min(k, pp - s)`` under
 composes: the stash then holds only each block's input. Each
 stage-backward writes its gradients straight into that micro's outbound
 contribution and re-zeroes just those slices.
+
+**What stays resident.** The outbound contributions live as long as the
+engine: ``k * dp`` sets (one unsharded gradient per round and dp rank),
+allocated by the first inline pipeline step and rewritten in full by
+every later one, so nothing a failed step left behind is ever read. The
+dp collectives write in place: parameter gathers into ``unit.flat``
+(whose shards are views of it — nothing moves), reduce-scatter chunks
+into each shard's ``grad``.
 """
 
 from __future__ import annotations
@@ -265,6 +273,8 @@ class MeshEngine(MixedPrecisionMixin):
             self.params = model.parameters()
         if self.pp > 1:
             self._stage_grad_runs = self._stage_grad_run_lists()
+            # _outbound[j][r]: dp rank r's round-j contribution.
+            self._outbound: list[list[list[np.ndarray]]] | None = None
         # Backend before optimizer: a process backend re-homes parameter
         # storage into shared memory first (same ordering as DDP/FSDP).
         self._backend = make_backend(self)
@@ -406,19 +416,18 @@ class MeshEngine(MixedPrecisionMixin):
             return
         for unit in self.units:
             shards = [unit.shard_view(j) for j in range(self.dp)]
-            gathered = self._collective(
-                lambda shards=shards: self.comm.all_gather(
-                    shards, self._dp_group, wire_dtype=None
+            self._collective(
+                lambda shards=shards, flat=unit.flat: self.comm.all_gather(
+                    shards, self._dp_group, out=flat, wire_dtype=None
                 ),
                 op="all_gather",
                 nbytes=float(unit.flat.nbytes),
                 axis="dp",
             )
-            np.copyto(unit.flat, gathered[0])
 
     def _send(self, arr: np.ndarray, src: int, dst: int) -> np.ndarray:
-        """Move a stage-boundary tensor through ``SimComm.send``."""
-        arr = np.ascontiguousarray(arr)
+        """Move a stage-boundary tensor through ``SimComm.send`` (whose
+        one copy also makes a strided view contiguous)."""
         bus = self.telemetry
         if bus.enabled:
             with bus.span("comm.send", bytes=float(arr.nbytes), axis="pp"):
@@ -518,9 +527,13 @@ class MeshEngine(MixedPrecisionMixin):
             self._issue_param_allgathers()
             self._issue_param_allgathers()
         losses = [0.0] * (k * self.dp)
-        rows: list[list[list[np.ndarray] | None]] = [
-            [None] * k for _ in range(self.dp)
-        ]
+        if self._outbound is None:
+            storage = self._grad_storage()
+            self._outbound = [
+                [[np.empty_like(g) for g in storage] for _ in range(self.dp)]
+                for _ in range(k)
+            ]
+        micro_grads = self._outbound
         # Every stage-backward moves its gradients out and re-zeroes
         # them, so one zeroing per step covers all ranks and micros.
         self._zero_local_grads()
@@ -531,9 +544,8 @@ class MeshEngine(MixedPrecisionMixin):
                     self._cast_micro(micros[j * self.dp + r]) for j in range(k)
                 ]
                 with bus.span("compute.fwd_bwd"):
-                    self._run_pipeline_rank(
-                        r, rank_micros, actions, losses, rows[r]
-                    )
+                    out_row = [row[r] for row in micro_grads]
+                    self._run_pipeline_rank(r, rank_micros, actions, losses, out_row)
         finally:
             # A step that failed mid-schedule must not leak parked
             # activations or leave the pool on an in-flight lane.
@@ -541,9 +553,6 @@ class MeshEngine(MixedPrecisionMixin):
                 parked.clear()
             if ws is not None:
                 ws.use_lane(0)
-        micro_grads = [
-            [rows[r][j] for r in range(self.dp)] for j in range(k)
-        ]
         return losses, micro_grads
 
     def _run_pipeline_rank(
@@ -578,7 +587,6 @@ class MeshEngine(MixedPrecisionMixin):
         ws = self.model.workspace
         for j, micro in enumerate(rank_micros):
             inbox[0][j] = micro if isinstance(micro, tuple) else (micro, None)
-            out_row[j] = [np.empty_like(g) for g in storage]
         lanes: list[dict[int, int]] = [dict() for _ in range(pp)]
         resident: list[int | None] = [None] * pp
         for kind, s, j in actions:
@@ -650,33 +658,36 @@ class MeshEngine(MixedPrecisionMixin):
 
     def _reduce_gradients(
         self, micro_grads: list[list[list[np.ndarray]]]
-    ) -> list[list[np.ndarray]] | np.ndarray:
-        """Reduce all rounds' contributions over the dp group at once."""
+    ) -> list[np.ndarray] | np.ndarray:
+        """Reduce all rounds' contributions over the dp group at once.
+
+        ``full_shard`` reduces every chunk straight into its shard's
+        ``grad`` and returns those arrays; ``ddp`` returns the one
+        concatenated mean."""
         k = len(micro_grads)
         group = self._dp_group
         if self.dp_strategy == "full_shard":
-            reduced = []
-            for u in range(len(self.units)):
+            for u, shards in enumerate(self._shards):
                 bufs = [
                     micro_grads[j][r][u]
                     for j in range(k)
                     for r in range(self.dp)
                 ]
-                reduced.append(
-                    self._collective(
-                        lambda bufs=bufs: self.comm.reduce_scatter(
-                            bufs,
-                            group,
-                            op="mean",
-                            parts_per_rank=k,
-                            wire_dtype=self._wire_dtype,
-                        ),
-                        op="reduce_scatter",
-                        nbytes=self._wire_nbytes(bufs[0].nbytes),
-                        axis="dp",
-                    )
+                out = [shard.grad for shard in shards]
+                self._collective(
+                    lambda bufs=bufs, out=out: self.comm.reduce_scatter(
+                        bufs,
+                        group,
+                        op="mean",
+                        parts_per_rank=k,
+                        out=out,
+                        wire_dtype=self._wire_dtype,
+                    ),
+                    op="reduce_scatter",
+                    nbytes=self._wire_nbytes(bufs[0].nbytes),
+                    axis="dp",
                 )
-            return reduced
+            return [shard.grad for shards in self._shards for shard in shards]
         # ddp: one concatenated full-model contribution per (round, rank),
         # stacked-mean in micro order j * dp + r — elementwise, so it is
         # bit-identical to the oracle's bucketed reduction of the same
@@ -749,11 +760,7 @@ class MeshEngine(MixedPrecisionMixin):
             raise
 
         if self.dp_strategy == "full_shard":
-            flat = [g for unit in reduced for g in unit]
-            apply_update = self._grad_postprocess(flat)
-            for u, shards in enumerate(self._shards):
-                for s, shard in enumerate(shards):
-                    shard.grad[...] = reduced[u][s]
+            apply_update = self._grad_postprocess(reduced)
         else:
             apply_update = self._grad_postprocess([reduced])
             offset = 0

@@ -72,11 +72,15 @@ class TPContext:
         self.group = group
         self.comm = comm
         self.bus = bus
+        # Send/receive staging rows, grown to the largest activation seen
+        # and reused by every gather after it.
+        self._staging: np.ndarray | None = None
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state["comm"] = None
         state["bus"] = None
+        state["_staging"] = None
         return state
 
     def rewire(self, comm: SimComm, bus=None) -> "TPContext":
@@ -93,7 +97,9 @@ class TPContext:
         ``size`` contiguous per-rank shards, gathered over the tp
         group, and written back reassembled — a bitwise identity on the
         values, but the array the caller keeps using is now the
-        *received* data, making the collective load-bearing.
+        *received* data, making the collective load-bearing. The shards
+        are staged in, and received into, two buffers the context keeps
+        (the send and receive buffers a real tp rank would hold).
         """
         t = self.size
         if t == 1:
@@ -108,17 +114,22 @@ class TPContext:
                 f"feature dim {feat} not divisible by tp size {t}"
             )
         c = feat // t
-        shards = [
-            np.ascontiguousarray(arr2[:, r * c : (r + 1) * c]).ravel()
-            for r in range(t)
-        ]
+        n = arr2.size
+        staging = self._staging
+        if staging is None or staging.dtype != arr2.dtype or staging.shape[1] < n:
+            staging = self._staging = np.empty((2, n), arr2.dtype)
+        send = staging[0, :n].reshape(t, rows, c)
+        recv = staging[1, :n].reshape(t, rows, c)
+        cols = [slice(r * c, (r + 1) * c) for r in range(t)]
+        for r, col in enumerate(cols):
+            send[r] = arr2[:, col]
+        shards = list(send.reshape(t, rows * c))
         if self.bus is not None:
             with self.bus.span(
                 "comm.all_gather", bytes=float(arr2.nbytes), axis="tp"
             ):
-                flat = self.comm.all_gather(shards, self.group)[0]
+                self.comm.all_gather(shards, self.group, out=recv.reshape(n))
         else:
-            flat = self.comm.all_gather(shards, self.group)[0]
-        arr2[...] = (
-            flat.reshape(t, rows, c).transpose(1, 0, 2).reshape(rows, feat)
-        )
+            self.comm.all_gather(shards, self.group, out=recv.reshape(n))
+        for r, col in enumerate(cols):
+            arr2[:, col] = recv[r]

@@ -29,6 +29,11 @@ def crash_step(model, micro):
     os._exit(3)
 
 
+def blas_threads_step(model, micro):
+    """Reports, as the loss, the BLAS pool size the worker started with."""
+    return float(os.environ.get("OPENBLAS_NUM_THREADS", "0"))
+
+
 def failing_step(model, micro):
     """A step_fn that raises after starting the forward pass."""
     imgs, noise = micro

@@ -10,12 +10,15 @@ never strand node-local resources that the next incarnation needs).
 from __future__ import annotations
 
 import multiprocessing
+import os
 
 import pytest
 
 from repro.backend import WorkerCrashError
+from repro.backend.process import BLAS_THREAD_VARS
 
 from tests.test_backend.helpers import (
+    blas_threads_step,
     build_engine,
     crash_step,
     mae_micros,
@@ -42,6 +45,23 @@ def test_clean_shutdown_reclaims_everything():
     assert repro_shm_segments() != []  # segments live while training
     eng.close()
     # The fixture asserts /dev/shm and the child list are clean.
+
+
+@pytest.mark.parametrize("preset,seen", [(None, 1.0), ("2", 2.0)])
+def test_workers_start_with_one_blas_thread_unless_the_caller_chose(
+    monkeypatch, preset, seen
+):
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    if preset is not None:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    eng = build_engine("process", world=1)
+    try:
+        assert os.environ.get("OPENBLAS_NUM_THREADS") == preset  # parent untouched
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert eng.train_step(mae_micros(1), blas_threads_step) == seen
+    finally:
+        eng.close()
 
 
 def test_close_is_idempotent_and_engine_stays_usable():

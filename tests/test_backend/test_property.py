@@ -31,7 +31,7 @@ CONFIGS = st.fixed_dictionaries(
 
 
 @given(cfg=CONFIGS)
-@settings(max_examples=5, deadline=None, derandomize=True)
+@settings(max_examples=5, deadline=None)
 def test_process_backend_matches_inline_everywhere(cfg):
     results = []
     for backend in ("inline", "process"):

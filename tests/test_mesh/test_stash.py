@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.comm.collectives import SimComm
-from repro.comm.faults import CollectiveError, FaultPlan, FaultSpec
+from repro.comm.faults import CollectiveError, FaultPlan, FaultSpec, RetryPolicy
 from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
 from repro.mesh.spec import MeshSpec
@@ -170,6 +170,13 @@ def _two_steps_with_a_failure(eng, ws, exc_type):
             eng.train_step(tiny_micros(4, seed=51), mae_step)
         _assert_clean(eng, ws)
         assert eng.step_count == 1
+        # The outbound sets and (full_shard) the reduce's in-place targets
+        # persist across steps: whatever the failed attempt left in them —
+        # here made as bad as possible — must be rewritten, never read.
+        stale = [b for row in eng._outbound for bufs in row for b in bufs]
+        stale += [s.grad for shards in getattr(eng, "_shards", []) for s in shards]
+        for buf in stale:
+            buf.fill(np.nan)
         losses.append(eng.train_step(tiny_micros(4, seed=51), mae_step))
         state = {n: np.array(v) for n, v in eng.model.state_dict().items()}
     finally:
@@ -184,16 +191,27 @@ def _never_failed(strategy: str):
 
 
 @pytest.mark.parametrize(
-    "strategy,op", [("ddp", "all_reduce"), ("full_shard", "reduce_scatter")]
+    "strategy,spec,policy",
+    [
+        ("ddp", FaultSpec("all_reduce", "transient", call_index=1), None),
+        ("full_shard", FaultSpec("reduce_scatter", "transient", call_index=5), None),
+        # Mid-phase with the retry budget exhausted: units 0-1 of step 1
+        # are already reduced in place, units 2-4 still hold step 0's.
+        (
+            "full_shard",
+            FaultSpec("reduce_scatter", "corrupt", call_index=7, times=2),
+            RetryPolicy(max_retries=1),
+        ),
+    ],
 )
-def test_dp_collective_failure_leaves_no_stash(strategy, op):
-    plan = FaultPlan([FaultSpec(op, "transient", call_index=1 if op == "all_reduce" else 5)])
+def test_dp_collective_failure_leaves_no_stash(strategy, spec, policy):
+    plan = FaultPlan([spec])
     eng = mesh_engine(
         MeshSpec(pp=2, dp=2, schedule="1f1b"),
         strategy,
         k=2,
         comm=SimComm(fault_plan=plan),
-        retry_policy=None,
+        retry_policy=policy,
     )
     ws = Workspace()
     eng.model.use_workspace(ws)
