@@ -1,12 +1,21 @@
 """The inline execution backend: all ranks run in the calling process.
 
 This is the historical behavior of the engines, factored behind the
-:class:`ExecutionBackend` seam so :class:`~repro.core.ddp.DDPEngine` and
-:class:`~repro.core.fsdp.FSDPEngine` share one compute loop regardless
-of where rank compute actually runs. The engine owns everything outside
+:class:`ExecutionBackend` seam so every engine shares one compute loop
+(:meth:`EngineCore._forward_backward
+<repro.core.engine_core.EngineCore._forward_backward>`) regardless of
+where rank compute actually runs. The engine owns everything outside
 the loop (casting, collectives, optimizer, telemetry); a backend owns
 exactly one thing — running ``step_fn`` for every rank of one
 accumulation round and handing back the per-rank outbound gradients.
+
+What the seam reads of an engine is what
+:class:`~repro.core.engine_core.EngineCore` declares: this backend
+``model``, ``_zero_local_grads()`` and ``_collect_rank_grads()``; the
+process backend ``config``, ``model``, ``data_parallel_size`` (its
+worker count), ``params`` or — when ``units is not None`` — ``units``,
+``shard_size`` and ``_shards``, and per round ``scaler`` and
+``telemetry``.
 
 The contract both backends honor (the differential suite in
 ``tests/test_backend`` asserts it bit-for-bit under fp32):

@@ -235,7 +235,7 @@ def _worker_main(spec: dict, conn) -> None:
             flat = g.reshape(-1)
             dst = row[offset : offset + flat.size]
             if precision == "bf16":
-                # Mirror MixedPrecisionMixin._outbound_grad bit-for-bit.
+                # Mirror EngineCore._outbound_grad bit-for-bit.
                 np.copyto(dst, bf16_round(flat * scale if scale != 1.0 else flat))
             else:
                 np.copyto(dst, flat)
@@ -312,10 +312,13 @@ class ProcessBackend(ExecutionBackend):
     """One spawned OS process per rank over a shared-memory arena.
 
     Constructed by the engine *before* its optimizer: construction
-    re-homes the engine's parameter storage (``p.data`` for DDP, each
-    unit's ``flat`` for FSDP) into the shared segment, so optimizer
-    state and flat-shard views built afterwards alias shared storage and
-    every parent-side update is immediately visible to workers.
+    re-homes the engine's parameter storage (``p.data`` of
+    ``engine.params``, or each unit's ``flat`` when ``engine.units`` is
+    set) into the shared segment, so optimizer state and flat-shard
+    views built afterwards alias shared storage and every parent-side
+    update is immediately visible to workers. One worker is spawned per
+    ``engine.data_parallel_size`` rank; :mod:`repro.backend.inline`
+    lists every engine attribute the seam reads.
     """
 
     name = "process"
@@ -324,10 +327,10 @@ class ProcessBackend(ExecutionBackend):
         super().__init__(engine)
         cfg = engine.config
         self.k = cfg.grad_accum_steps
-        # Mesh engines compute only on the dp axis (tp/pp are folded
-        # into each rank's step); plain engines compute on every rank.
-        self.world_size = getattr(engine, "compute_world_size", engine.world.size)
-        self.mode = "fsdp" if hasattr(engine, "units") else "ddp"
+        # One worker per rank that runs distinct microbatches: a mesh
+        # engine's tp/pp axes are folded into each dp rank's step.
+        self.world_size = engine.data_parallel_size
+        self.mode = "ddp" if engine.units is None else "fsdp"
         if self.mode == "fsdp":
             self._targets = engine.units
             arrays = [u.flat for u in self._targets]
@@ -430,7 +433,7 @@ class ProcessBackend(ExecutionBackend):
         blob = self._model_blob()
         spec_common = {
             "mode": self.mode,
-            "shard_size": getattr(self.engine, "shard_size", 1),
+            "shard_size": self.engine.shard_size,
             "precision": self.engine.config.precision,
             "arena": self._arena.name,
             "dtype": self._dtype.str,
@@ -509,7 +512,7 @@ class ProcessBackend(ExecutionBackend):
             for unit in self._targets:
                 unit.flat = np.array(unit.flat)
                 unit._install_views()
-            for unit, shards in zip(engine.units, getattr(engine, "_shards", [])):
+            for unit, shards in zip(engine.units, engine._shards):
                 for j, shard in enumerate(shards):
                     shard.data = unit.shard_view(j)
         else:

@@ -5,13 +5,19 @@
   family used for executable training.
 - :mod:`repro.core.sharding` — sharding strategies and flat-parameter
   shard plans.
-- :mod:`repro.core.fsdp` — the executable mini-FSDP engine (NO_SHARD,
+- :mod:`repro.core.engine_core` — :class:`EngineCore`, what every
+  engine does identically (lifecycle, retried/telemetered collectives,
+  precision, checkpoint state, the ``train_step`` skeleton) and the
+  contract a layout over it meets.
+- :mod:`repro.core.fsdp` — the executable mini-FSDP layout (NO_SHARD,
   FULL_SHARD, SHARD_GRAD_OP, HYBRID_SHARD) over simulated collectives.
-- :mod:`repro.core.ddp` — bucketed distributed data parallel.
+- :mod:`repro.core.ddp` — the bucketed distributed-data-parallel layout
+  (the third layout, the mesh engine, lives in :mod:`repro.mesh.engine`).
 - :mod:`repro.core.engine` — :func:`make_engine` /
   :class:`EngineConfig`, the one-call construction path for every
   strategy.
-- :mod:`repro.core.trainer` — MAE pretraining loop.
+- :mod:`repro.core.trainer` / :mod:`repro.core.simclr_trainer` — the MAE
+  and SimCLR pretraining loops over any engine.
 - :mod:`repro.core.scaling` — weak-scaling experiment driver producing
   images-per-second, memory, and communication-share reports.
 """

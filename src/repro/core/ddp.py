@@ -9,48 +9,31 @@ layer (byte/call accounting matches PyTorch DDP's), which is what the
 performance model keys off when explaining the paper's observation that
 DDP falls behind FSDP as the model grows.
 
-Construction routes through the shared
-:class:`~repro.core.engine.EngineConfig` (one signature for every engine
-kind; see :func:`~repro.core.engine.make_engine`), and every step
-publishes spans/counters to the engine's telemetry bus: one
-``comm.all_reduce`` span per bucket (bytes attached), a
-``compute.fwd_bwd`` span, an ``optim.step`` span, and retry/backoff
-counters attributed to the step that incurred them.
+This module is that layout only — per-parameter storage, the buckets
+and one ``comm.all_reduce`` per bucket; everything else an engine does
+is :class:`~repro.core.engine_core.EngineCore`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import GemmPool, make_backend
 from repro.comm.bucketing import bucket_gradients
 from repro.comm.collectives import SimComm
-from repro.comm.faults import CollectiveError, RetryPolicy, call_with_retry
+from repro.comm.faults import RetryPolicy
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
-from repro.core.mixed_precision import MixedPrecisionMixin
+from repro.core.engine_core import EngineCore
 from repro.elastic.layout import validate_layout
 from repro.models.module import Module
-from repro.optim.adamw import AdamW
 from repro.optim.base import Optimizer
-from repro.telemetry import NULL_BUS
 
 __all__ = ["DDPEngine"]
 
-StepFn = Callable[[Module, Any], float]
 
-#: Removed legacy kwarg -> canonical EngineConfig field (migration hint).
-#: The one-shot DeprecationWarning shims completed their cycle; passing
-#: one of these is now a hard TypeError.
-_REMOVED_KWARGS = {
-    "bucket_cap_mb": "bucket_cap_bytes",
-    "retries": "retry_policy",
-}
-
-
-class DDPEngine(MixedPrecisionMixin):
+class DDPEngine(EngineCore):
     """Data-parallel training with bucketed gradient all-reduce.
 
     Prefer :func:`repro.core.engine.make_engine` for construction; the
@@ -59,6 +42,10 @@ class DDPEngine(MixedPrecisionMixin):
     ``self.config``). When ``config`` is passed explicitly it wins over
     the individual kwargs.
     """
+
+    kind = "ddp"
+    strategy_name = "DDP"
+    _REMOVED_KWARGS = {"bucket_cap_mb": "bucket_cap_bytes", "retries": "retry_policy"}
 
     def __init__(
         self,
@@ -74,14 +61,7 @@ class DDPEngine(MixedPrecisionMixin):
         telemetry=None,
         **legacy,
     ):
-        for old, new in _REMOVED_KWARGS.items():
-            if old in legacy:
-                raise TypeError(
-                    f"DDPEngine({old}=...) was removed; pass {new} through "
-                    f"EngineConfig ({new}=...) or make_engine(..., {new}=...)"
-                )
-        if legacy:
-            raise TypeError(f"unknown DDPEngine kwargs: {sorted(legacy)}")
+        self._reject_kwargs(legacy)
         if config is None:
             config = EngineConfig(
                 optimizer_factory=optimizer_factory,
@@ -95,233 +75,51 @@ class DDPEngine(MixedPrecisionMixin):
                 retry_policy=retry_policy,
                 telemetry=telemetry,
             )
-        self.config = config
-        self.model = model
-        self.world = world
+        super().__init__(model, world, config)
         # DDP's bucketed all-reduce is always single-stage; an explicit
         # chunked layout (only HYBRID_SHARD can realize one) is rejected
         # here rather than silently changing the trajectory.
         self.layout = validate_layout(
             "DDP", world.size, None, config.grad_accum_steps, config.reduction_layout
         )
-        self.comm = config.comm if config.comm is not None else SimComm()
-        self.retry_policy = config.retry_policy
-        self.telemetry = config.telemetry if config.telemetry is not None else NULL_BUS
         self.params = model.parameters()
         self.buckets = bucket_gradients(
             [p.grad.nbytes for p in self.params],
             cap_bytes=config.bucket_cap_bytes,
             first_bucket_cap_bytes=config.first_bucket_cap_bytes,
         )
-        self.gemm_pool = (
-            GemmPool(config.intra_op_threads)
-            if config.intra_op_threads > 1
-            else None
-        )
-        if self.gemm_pool is not None:
-            model.use_gemm_pool(self.gemm_pool)
-        # The backend is built before the optimizer: a process backend
-        # re-homes p.data into shared memory, and optimizer state (bf16
-        # masters included) must be laid down against that storage.
-        self._backend = make_backend(self)
-        factory = (
-            config.optimizer_factory
-            if config.optimizer_factory is not None
-            else AdamW
-        )
-        self.optimizer = factory(self.params)
-        self._init_precision()
-        self._backend.start()
-        self.step_count = 0
-
-    # -- execution backend hooks -------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        """Name of the active execution backend (``inline``/``process``)."""
-        return self._backend.name
-
-    def _zero_local_grads(self) -> None:
-        """Zero one rank's local gradients before its microbatch."""
-        self.model.zero_grad()
-
-    def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One rank's outbound (wire-ready) gradient contributions."""
-        return [self._outbound_grad(p.grad) for p in self.params]
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, shared memory,
-        GEMM threads). Idempotent. Parameter storage is re-homed to
-        private arrays, so checkpointing and evaluation keep working;
-        further ``train_step`` calls need a fresh engine."""
-        self._backend.shutdown()
-        if self.gemm_pool is not None:
-            self.gemm_pool.close()
-
-    @property
-    def lr(self) -> float:
-        """Current learning rate (delegates to the optimizer)."""
-        return self.optimizer.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        """Current learning rate (delegates to the optimizer)."""
-        self.optimizer.lr = value
+        self._launch()
 
     @property
     def n_buckets(self) -> int:
         """Number of gradient buckets (all-reduce calls per step)."""
         return len(self.buckets)
 
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Engine snapshot: model params, optimizer state (master weights
-        included under bf16), loss-scaler state, step count."""
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "scaler": self.scaler.state_dict(),
-            "step_count": self.step_count,
-        }
-
-    def load_state_dict(self, sd: dict) -> None:
-        """Restore a snapshot taken from a same-architecture DDP engine."""
-        self.model.load_state_dict(sd["model"])
-        self.optimizer.load_state_dict(sd["optimizer"])
-        if "scaler" in sd:
-            self.scaler.load_state_dict(sd["scaler"])
-        self.step_count = int(sd["step_count"])
-
-    def topology(self) -> dict:
-        """The world shape a snapshot of this engine assumes (see
-        :meth:`repro.core.fsdp.FSDPEngine.topology`)."""
-        return {
-            "kind": "ddp",
-            "strategy": "DDP",
-            "world_size": self.world.size,
-            "ranks_per_node": self.world.ranks_per_node,
-            "shard_size": None,
-            "grad_accum_steps": self.grad_accum_steps,
-            "layout": {"total": self.layout.total, "chunk": self.layout.chunk},
-            "precision": self.precision,
-            "backend": self.backend,
-        }
-
-    # -- the step ----------------------------------------------------------
-
-    def _collective(self, fn, op: str = "collective", nbytes: float = 0.0):
-        """Issue one collective, retrying transient failures per policy.
-
-        With telemetry enabled the call is wrapped in a ``comm.<op>``
-        span (bytes attached) and any retries/backoff incurred are
-        emitted as step-attributed counters — including when the retry
-        budget is exhausted and the error propagates, so backoff time is
-        never silently dropped from the step's account.
-        """
-        bus = self.telemetry
-        if not bus.enabled:
-            return call_with_retry(fn, self.retry_policy, stats=self.comm.stats)
-        stats = self.comm.stats
-        retries0 = stats.total_retries
-        backoff0 = stats.backoff_seconds
-        try:
-            with bus.span(f"comm.{op}", bytes=float(nbytes)):
-                return call_with_retry(fn, self.retry_policy, stats=stats)
-        finally:
-            if stats.total_retries != retries0:
-                bus.counter("comm.retries", stats.total_retries - retries0, op=op)
-                bus.counter(
-                    "comm.backoff_s", stats.backoff_seconds - backoff0, op=op
-                )
-
-    def train_step(self, micros: Sequence[Any], step_fn: StepFn) -> float:
-        """One optimizer step; same contract as ``FSDPEngine.train_step``.
-
-        Takes ``grad_accum_steps * world.size`` microbatches, round-major
-        (round 0's per-rank micros, then round 1's, ...). All rounds'
-        gradient contributions enter one all-reduce per bucket
-        (``parts_per_rank``), so an fp32 ``k``-round step is bit-identical
-        to the same global batch on a ``k``-times-larger world. Under
-        bf16, inputs and outbound gradients are rounded onto the bf16
-        grid and the all-reduce books half the wire bytes.
-        """
-        self._check_micros(micros)
-        k = self.grad_accum_steps
-        bus = self.telemetry
-        bus.set_step(self.step_count)
-        self._emit_precision_gauges()
-        losses = []
-        # round_grads[j][r][i]: round j, rank r's gradient of parameter i,
-        # already loss-scaled/quantized for the wire.
-        round_grads: list[list[list[np.ndarray]]] = []
-        try:
-            for j in range(k):
-                with bus.span("compute.fwd_bwd"):
-                    cast = [
-                        self._cast_micro(micros[j * self.world.size + r])
-                        for r in range(self.world.size)
-                    ]
-                    round_losses, per_rank = self._backend.run_round(
-                        j, cast, step_fn
-                    )
-                    losses.extend(round_losses)
-                    round_grads.append(per_rank)
-        except Exception:
-            # A step_fn that raises mid-chain (e.g. backward on a bad
-            # gradient shape) would otherwise leave every module holding
-            # its activation cache — a whole model's worth of arrays
-            # pinned until the next successful step.
-            self.model.release_caches()
-            raise
-
+    def _reduce_gradients(
+        self, grads: list[list[list[np.ndarray]]]
+    ) -> list[np.ndarray]:
+        """One all-reduce per bucket over all ``k * W`` contributions
+        (``parts_per_rank``), so an fp32 ``k``-round step is
+        bit-identical to the same global batch on a ``k``-times-larger
+        world. Returns one flat reduced array per bucket."""
+        k = len(grads)
         group = self.world.world_group()
-        try:
-            reduced_flat: list[np.ndarray] = []
-            for bucket in self.buckets:
-                # Coalesce this bucket's gradients per (round, rank),
-                # all-reduce once over all k * W contributions. A transient
-                # collective failure is retried from the same (immutable)
-                # buffers, so a retried step is bit-identical to an
-                # uninterrupted one.
-                per_contrib = [
-                    np.concatenate(
-                        [round_grads[j][r][i].reshape(-1) for i in bucket.param_indices]
-                    )
-                    for j in range(k)
-                    for r in range(self.world.size)
-                ]
-                reduced_flat.append(
-                    self._collective(
-                        lambda: self.comm.all_reduce(
-                            per_contrib,
-                            group,
-                            op="mean",
-                            parts_per_rank=k,
-                            wire_dtype=self._wire_dtype,
-                        ),
-                        op="all_reduce",
-                        nbytes=self._wire_nbytes(per_contrib[0].nbytes),
-                    )[0]
+        reduced: list[np.ndarray] = []
+        for bucket in self.buckets:
+            # Coalesce this bucket's gradients per (round, rank). The
+            # coalesced buffers are never written again, so a retried
+            # all-reduce sees the same inputs.
+            per_contrib = [
+                np.concatenate(
+                    [grads[j][r][i].reshape(-1) for i in bucket.param_indices]
                 )
-        except CollectiveError:
-            # Retry budget exhausted: same cleanup contract as a failed
-            # step_fn — don't pin a model's worth of activations while
-            # the caller decides whether to re-drive the step.
-            self.model.release_caches()
-            raise
+                for j in range(k)
+                for r in range(self.world.size)
+            ]
+            reduced.append(self._mean_reduce("all_reduce", per_contrib, group, k)[0])
+        return reduced
 
-        apply_update = self._grad_postprocess(reduced_flat)
-        for bucket, reduced in zip(self.buckets, reduced_flat):
-            offset = 0
-            for i in bucket.param_indices:
-                p = self.params[i]
-                n = p.grad.size
-                p.grad[...] = reduced[offset : offset + n].reshape(p.grad.shape)
-                offset += n
-
-        if apply_update:
-            with bus.span("optim.step"):
-                self.optimizer.step()
-        self.step_count += 1
-        return float(np.mean(losses))
+    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
+        """Unpack each reduced bucket into its parameters' ``grad``."""
+        for bucket, flat in zip(self.buckets, reduced):
+            self._scatter_grads(flat, (self.params[i] for i in bucket.param_indices))

@@ -11,9 +11,11 @@ trainers' kwargs). Now every engine is built one way::
                          config=EngineConfig(shard_size=2, telemetry=bus))
     engine = make_engine(model, "HYBRID_2GPUs", world=world)  # paper label
 
-``DDPEngine(...)`` / ``FSDPEngine(...)`` keep working — their
-``__init__`` kwargs are normalized into the same :class:`EngineConfig`
-internally. The pre-``EngineConfig`` legacy kwargs (``bucket_cap_mb``,
+``DDPEngine(...)`` / ``FSDPEngine(...)`` / ``MeshEngine(...)`` keep
+working — their ``__init__`` kwargs are normalized into the same
+:class:`EngineConfig` internally, and all three are layouts over one
+:class:`~repro.core.engine_core.EngineCore`. The pre-``EngineConfig``
+legacy kwargs (``bucket_cap_mb``,
 ``retries``, ``sharding_strategy``, ``prefetch``) have completed their
 deprecation cycle and now raise :class:`TypeError` with the migration
 spelled out.
@@ -48,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.ddp import DDPEngine
     from repro.core.fsdp import FSDPEngine
     from repro.comm.world import World
+    from repro.mesh.engine import MeshEngine
     from repro.models.module import Module
 
 __all__ = [
@@ -67,12 +70,16 @@ STRATEGY_CHOICES = ("ddp", "no_shard", "full_shard", "shard_grad_op", "hybrid_sh
 class EngineConfig:
     """One config shared by every engine kind.
 
-    Fields common to both engines: ``optimizer_factory``, ``comm``,
-    ``retry_policy``, ``telemetry``. DDP-only: ``bucket_cap_bytes``,
-    ``first_bucket_cap_bytes``. FSDP-only: ``shard_size``,
-    ``backward_prefetch``, ``check_replicas``. Engines ignore the fields
-    that do not apply to them, so one config can build a whole strategy
-    sweep.
+    Fields common to all three engines (resolved once, by
+    :class:`~repro.core.engine_core.EngineCore`): ``optimizer_factory``,
+    ``comm``, ``retry_policy``, ``telemetry``, the precision /
+    accumulation fields, ``backend``, ``intra_op_threads``,
+    ``reduction_layout``. DDP-only: ``bucket_cap_bytes``,
+    ``first_bucket_cap_bytes``. FSDP-only: ``backward_prefetch``,
+    ``check_replicas``; ``shard_size`` is FSDP's and, on a mesh, must
+    agree with ``mesh.dp``. Mesh-only: ``mesh``. Engines ignore the
+    fields that do not apply to them, so one config can build a whole
+    strategy sweep.
 
     Attributes
     ----------
@@ -87,7 +94,11 @@ class EngineConfig:
         disables retries.
     telemetry:
         Instrumentation bus; ``None`` means the shared disabled bus
-        (:data:`repro.telemetry.NULL_BUS`).
+        (:data:`repro.telemetry.NULL_BUS`). Every collective becomes a
+        ``comm.<op>`` span with bytes attached (tagged ``axis=`` on a
+        mesh), forward/backward a ``compute.fwd_bwd`` span, the update
+        an ``optim.step`` span, and retry backoff is attributed to the
+        step that incurred it.
     bucket_cap_bytes / first_bucket_cap_bytes:
         DDP gradient-bucket sizing (PyTorch DDP's 25 MB / 1 MB scheme).
     shard_size:
@@ -104,7 +115,8 @@ class EngineConfig:
         (:mod:`repro.precision`). Logical gradient wire bytes halve.
     grad_accum_steps:
         Microbatch rounds per optimizer step; ``train_step`` then takes
-        ``grad_accum_steps * world.size`` microbatches and fires the
+        ``grad_accum_steps * data_parallel_size`` microbatches
+        (``world.size`` off a mesh, ``mesh.dp`` on one) and fires the
         optimizer once. In fp32 a ``k``-round step is bit-identical to
         the same global batch on a ``k``-times-larger world (tested).
     loss_scale / dynamic_loss_scale:
@@ -141,15 +153,15 @@ class EngineConfig:
     comm: SimComm | None = None
     retry_policy: RetryPolicy | None = field(default_factory=RetryPolicy)
     telemetry: TelemetryBus | None = None
-    # Mixed precision / accumulation (both engine kinds)
+    # Mixed precision / accumulation (every engine kind)
     precision: str = "fp32"
     grad_accum_steps: int = 1
     loss_scale: float = 1.0
     dynamic_loss_scale: bool = False
-    # Execution (both engine kinds)
+    # Execution (every engine kind)
     backend: str = "inline"
     intra_op_threads: int = 1
-    # Elastic resharding (both engine kinds)
+    # Elastic resharding (every engine kind)
     reduction_layout: ReductionLayout | None = None
     # DDP-only
     bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES
@@ -214,7 +226,7 @@ def make_engine(
     world: "World",
     config: EngineConfig | None = None,
     **overrides,
-) -> "DDPEngine | FSDPEngine":
+) -> "DDPEngine | FSDPEngine | MeshEngine":
     """Build a training engine for any strategy with one call.
 
     Parameters

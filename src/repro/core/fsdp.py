@@ -1,8 +1,12 @@
-"""Executable mini-FSDP engine.
+"""Executable mini-FSDP engine: the flat-unit layout over the core.
 
 Runs real training of a NumPy model under the paper's sharding
 strategies, with all ranks of the job simulated SPMD-style inside one
-process. The engine is *numerically faithful*:
+process. This module holds only what is FSDP's own — flat units and
+their shards, which collectives gather and reduce them per strategy;
+lifecycle, retries, telemetry, precision, checkpoint state and the step
+skeleton are :class:`~repro.core.engine_core.EngineCore`. The engine is
+*numerically faithful*:
 
 - each rank computes gradients on its own microbatch;
 - gradients are combined with the exact collective sequence of the
@@ -30,16 +34,15 @@ single-process large-batch reference.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.backend import GemmPool, make_backend
 from repro.comm.collectives import SimComm
-from repro.comm.faults import CollectiveError, RetryPolicy, call_with_retry
+from repro.comm.faults import RetryPolicy
 from repro.comm.world import World, make_hybrid_mesh
 from repro.core.engine import EngineConfig
-from repro.core.mixed_precision import MixedPrecisionMixin
+from repro.core.engine_core import EngineCore
 from repro.core.sharding import (
     BackwardPrefetch,
     FlatUnit,
@@ -48,22 +51,11 @@ from repro.core.sharding import (
 )
 from repro.elastic.layout import validate_layout
 from repro.models.module import Module
-from repro.optim.adamw import AdamW
 from repro.optim.base import Optimizer
-from repro.telemetry import NULL_BUS
 
 __all__ = ["FSDPEngine"]
 
-StepFn = Callable[[Module, Any], float]
 OptimizerFactory = Callable[[Sequence], Optimizer]
-
-#: Removed legacy kwarg -> canonical parameter it renamed (migration
-#: hint). The one-shot DeprecationWarning shims completed their cycle;
-#: passing one of these is now a hard TypeError.
-_REMOVED_KWARGS = {
-    "sharding_strategy": "strategy",
-    "prefetch": "backward_prefetch",
-}
 
 
 def _resolve_shard_size(
@@ -88,7 +80,7 @@ def _resolve_shard_size(
     raise ValueError(f"unsupported strategy for FSDPEngine: {strategy}")
 
 
-class FSDPEngine(MixedPrecisionMixin):
+class FSDPEngine(EngineCore):
     """Sharded data-parallel training of one model over a simulated world.
 
     Parameters
@@ -112,19 +104,18 @@ class FSDPEngine(MixedPrecisionMixin):
         Assert replica-group gradient shards agree after all-reduce.
     retry_policy:
         Bounded backoff for transient collective failures
-        (:class:`~repro.comm.faults.CollectiveError`). Collectives are
-        pure functions of immutable per-rank buffers, so a retried step
-        is bit-identical to an uninterrupted one. ``None`` disables
+        (:class:`~repro.comm.faults.CollectiveError`); ``None`` disables
         retries.
     config:
         Shared :class:`~repro.core.engine.EngineConfig`; when given it
         wins over the individual kwargs (which are kept for
         compatibility — prefer :func:`~repro.core.engine.make_engine`).
     telemetry:
-        Instrumentation bus; every collective becomes a ``comm.<op>``
-        span with bytes attached, forward/backward a ``compute.fwd_bwd``
-        span, and retry backoff is attributed to the current step.
+        Instrumentation bus (see :class:`~repro.core.engine.EngineConfig`).
     """
+
+    kind = "fsdp"
+    _REMOVED_KWARGS = {"sharding_strategy": "strategy", "prefetch": "backward_prefetch"}
 
     def __init__(
         self,
@@ -142,14 +133,7 @@ class FSDPEngine(MixedPrecisionMixin):
         telemetry=None,
         **legacy,
     ):
-        for old, new in _REMOVED_KWARGS.items():
-            if old in legacy:
-                raise TypeError(
-                    f"FSDPEngine({old}=...) was removed; pass {new}= "
-                    "directly (or through EngineConfig / make_engine)"
-                )
-        if legacy:
-            raise TypeError(f"unknown FSDPEngine kwargs: {sorted(legacy)}")
+        self._reject_kwargs(legacy)
         if config is None:
             config = EngineConfig(
                 optimizer_factory=optimizer_factory,
@@ -160,17 +144,12 @@ class FSDPEngine(MixedPrecisionMixin):
                 retry_policy=retry_policy,
                 telemetry=telemetry,
             )
-        self.config = config
-        self.model = model
-        self.world = world
+        super().__init__(model, world, config)
         self.strategy = strategy
         self.shard_size = _resolve_shard_size(strategy, config.shard_size, world)
-        self.comm = config.comm if config.comm is not None else SimComm()
+        self.strategy_name = strategy.value
         self.backward_prefetch = config.backward_prefetch
         self.check_replicas = config.check_replicas
-        self.retry_policy = config.retry_policy
-        self.telemetry = config.telemetry if config.telemetry is not None else NULL_BUS
-
         self.mesh = make_hybrid_mesh(world, self.shard_size)
         # The logical reduction layout this engine realizes. With the
         # default (None) this is the strategy's natural layout and the
@@ -191,170 +170,33 @@ class FSDPEngine(MixedPrecisionMixin):
             and self.mesh.n_replicas == 1
         )
         self.units: list[FlatUnit] = default_wrap_units(model, self.shard_size)
-        self.gemm_pool = (
-            GemmPool(config.intra_op_threads)
-            if config.intra_op_threads > 1
-            else None
-        )
-        if self.gemm_pool is not None:
-            model.use_gemm_pool(self.gemm_pool)
-        # Backend before shards/optimizer: a process backend re-homes each
-        # unit's flat buffer into shared memory, and the flat-shard views
-        # (and optimizer state against them) must alias that storage.
-        self._backend = make_backend(self)
-        self._shards = [u.make_shards() for u in self.units]
-        flat_shard_params = [s for shards in self._shards for s in shards]
-        factory = (
-            config.optimizer_factory
-            if config.optimizer_factory is not None
-            else AdamW
-        )
-        self.optimizer = factory(flat_shard_params)
-        self._init_precision()
-        self._backend.start()
-        self.step_count = 0
-
-    # -- execution backend hooks -------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        """Name of the active execution backend (``inline``/``process``)."""
-        return self._backend.name
-
-    def _zero_local_grads(self) -> None:
-        """Zero one rank's local gradients before its microbatch."""
-        for u in self.units:
-            u.zero_grad()
-
-    def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One rank's outbound (wire-ready) flat gradient per unit."""
-        return [self._outbound_grad(u.read_grad(), owned=True) for u in self.units]
-
-    def close(self) -> None:
-        """Release backend resources (worker processes, shared memory,
-        GEMM threads). Idempotent. Parameter storage is re-homed to
-        private arrays, so checkpointing and evaluation keep working;
-        further ``train_step`` calls need a fresh engine."""
-        self._backend.shutdown()
-        if self.gemm_pool is not None:
-            self.gemm_pool.close()
-
-    # -- properties --------------------------------------------------------
-
-    @property
-    def lr(self) -> float:
-        """Current learning rate (delegates to the optimizer)."""
-        return self.optimizer.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        """Current learning rate (delegates to the optimizer)."""
-        self.optimizer.lr = value
+        self._launch()
 
     def n_params(self) -> int:
         """Total (unpadded) parameters across units."""
         return sum(u.plan.numel for u in self.units)
 
-    # -- checkpointing -------------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Engine snapshot: model params, optimizer state, step count.
-
-        Because replica-group optimizer state is deduplicated, this is a
-        *global* checkpoint: any world size / strategy can restore it
-        (the flat layout depends only on the model and shard count, and
-        the loader re-flattens through the model's state dict).
-        """
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "scaler": self.scaler.state_dict(),
-            "step_count": self.step_count,
-        }
-
-    def load_state_dict(self, sd: dict) -> None:
-        """Restore a snapshot taken from an engine with the same model
-        architecture and shard count."""
-        self.model.load_state_dict(sd["model"])
-        self.optimizer.load_state_dict(sd["optimizer"])
-        if "scaler" in sd:
-            self.scaler.load_state_dict(sd["scaler"])
-        self.step_count = int(sd["step_count"])
-
-    def topology(self) -> dict:
-        """The world/sharding shape a snapshot of this engine assumes.
-
-        Recorded in checkpoint metadata so a resume into a *different*
-        shape fails with a typed error (or reshards through
-        :mod:`repro.elastic`) instead of silently diverging.
-        """
-        return {
-            "kind": "fsdp",
-            "strategy": self.strategy.value,
-            "world_size": self.world.size,
-            "ranks_per_node": self.world.ranks_per_node,
-            "shard_size": self.shard_size,
-            "grad_accum_steps": self.grad_accum_steps,
-            "layout": {"total": self.layout.total, "chunk": self.layout.chunk},
-            "precision": self.precision,
-            "backend": self.backend,
-        }
-
     # -- collective phases ---------------------------------------------------
 
-    def _collective(self, fn, op: str = "collective", nbytes: float = 0.0):
-        """Issue one collective, retrying transient failures per policy.
-
-        With telemetry enabled the call is wrapped in a ``comm.<op>``
-        span (bytes attached) and retries/backoff are emitted as
-        step-attributed counters even when the retry budget is exhausted
-        — backoff time is never silently dropped from the step account.
-        """
-        bus = self.telemetry
-        if not bus.enabled:
-            return call_with_retry(fn, self.retry_policy, stats=self.comm.stats)
-        stats = self.comm.stats
-        retries0 = stats.total_retries
-        backoff0 = stats.backoff_seconds
-        try:
-            with bus.span(f"comm.{op}", bytes=float(nbytes)):
-                return call_with_retry(fn, self.retry_policy, stats=stats)
-        finally:
-            if stats.total_retries != retries0:
-                bus.counter("comm.retries", stats.total_retries - retries0, op=op)
-                bus.counter(
-                    "comm.backoff_s", stats.backoff_seconds - backoff0, op=op
-                )
-
-    def _issue_param_allgathers(self) -> None:
-        """All-gather every unit's shards within each shard group.
-
-        The shards are views of ``unit.flat``, which is also the receive
-        buffer (``out=``): the in-place gather of NCCL and PyTorch FSDP,
-        which moves no bytes here. Issuing it still runs the collective
-        layer's accounting and fault path, which is the point.
-        """
-        if self.shard_size == 1:
-            return
-        for unit in self.units:
-            for group in self.mesh.shard_groups:
-                shards = [unit.shard_view(j) for j in range(self.shard_size)]
-                self._collective(
-                    lambda: self.comm.all_gather(
-                        shards, group, out=unit.flat, wire_dtype=self._wire_dtype
-                    ),
-                    op="all_gather",
-                    nbytes=self._wire_nbytes(unit.flat.nbytes),
-                )
+    def _materialize_params(self, backward: bool = False) -> None:
+        """All-gather every unit within each shard group: before every
+        round's forward (FSDP re-gathers parameters per microbatch even
+        when the gradient sync is deferred) and, under ``FULL_SHARD``,
+        again for its backward."""
+        if self.shard_size > 1 and (
+            not backward or self.strategy is ShardingStrategy.FULL_SHARD
+        ):
+            self._gather_units(self.mesh.shard_groups)
 
     def _reduce_gradients(
         self, micro_grads: list[list[list[np.ndarray]]]
-    ) -> list[list[np.ndarray]]:
+    ) -> list[np.ndarray]:
         """Combine per-round per-rank flat gradients into shard gradients.
 
         ``micro_grads[j][r][u]`` is accumulation round j, rank r's flat
-        gradient of unit u. Returns ``shard_grads[u][s]``: the reduced
-        gradient of shard s of unit u (identical across replica groups).
+        gradient of unit u. Returns the reduced gradient of every shard
+        (identical across replica groups), unit-major — the order of the
+        optimizer's flat shards.
 
         Accumulation structure per strategy (chosen so an fp32 ``k``-round
         step stays bit-identical to the same global batch on a
@@ -384,8 +226,7 @@ class FSDPEngine(MixedPrecisionMixin):
         """
         k = len(micro_grads)
         world_group = self.world.world_group()
-        wire = self._wire_dtype
-        out: list[list[np.ndarray]] = []
+        out: list[np.ndarray] = []
         for u in range(len(self.units)):
             if self.strategy is ShardingStrategy.NO_SHARD:
                 bufs = [
@@ -393,18 +234,7 @@ class FSDPEngine(MixedPrecisionMixin):
                     for j in range(k)
                     for r in range(self.world.size)
                 ]
-                reduced = self._collective(
-                    lambda: self.comm.all_reduce(
-                        bufs,
-                        world_group,
-                        op="mean",
-                        parts_per_rank=k,
-                        wire_dtype=wire,
-                    ),
-                    op="all_reduce",
-                    nbytes=self._wire_nbytes(bufs[0].nbytes),
-                )
-                out.append([reduced[0]])
+                out.append(self._mean_reduce("all_reduce", bufs, world_group, k)[0])
                 continue
             if self.strategy is not ShardingStrategy.HYBRID_SHARD or self._fold_hybrid:
                 # One shard group spans the world: a single deferred
@@ -415,19 +245,7 @@ class FSDPEngine(MixedPrecisionMixin):
                     for j in range(k)
                     for r in group.ranks
                 ]
-                out.append(
-                    self._collective(
-                        lambda: self.comm.reduce_scatter(
-                            bufs,
-                            group,
-                            op="mean",
-                            parts_per_rank=k,
-                            wire_dtype=wire,
-                        ),
-                        op="reduce_scatter",
-                        nbytes=self._wire_nbytes(bufs[0].nbytes),
-                    )
-                )
+                out.extend(self._mean_reduce("reduce_scatter", bufs, group, k))
                 continue
             # HYBRID: reduce-scatter inside every shard group, per round.
             per_round: list[list[list[np.ndarray]]] = []
@@ -435,22 +253,13 @@ class FSDPEngine(MixedPrecisionMixin):
                 per_group: list[list[np.ndarray]] = []
                 for group in self.mesh.shard_groups:
                     bufs = [micro_grads[j][r][u] for r in group.ranks]
-                    per_group.append(
-                        self._collective(
-                            lambda: self.comm.reduce_scatter(
-                                bufs, group, op="mean", wire_dtype=wire
-                            ),
-                            op="reduce_scatter",
-                            nbytes=self._wire_nbytes(bufs[0].nbytes),
-                        )
-                    )
+                    per_group.append(self._mean_reduce("reduce_scatter", bufs, group))
                 per_round.append(per_group)
             if k == 1 and self.mesh.n_replicas == 1:
-                out.append(per_round[0][0])
+                out.extend(per_round[0][0])
                 continue
             # Stage 2: all-reduce each shard index across replica groups,
             # folding all rounds' partials in (parts_per_rank=k).
-            shard_grads: list[np.ndarray] = []
             for s in range(self.shard_size):
                 replica_group = self.mesh.replica_groups[s]
                 bufs = [
@@ -458,92 +267,16 @@ class FSDPEngine(MixedPrecisionMixin):
                     for j in range(k)
                     for g in range(self.mesh.n_replicas)
                 ]
-                reduced = self._collective(
-                    lambda: self.comm.all_reduce(
-                        bufs,
-                        replica_group,
-                        op="mean",
-                        parts_per_rank=k,
-                        wire_dtype=wire,
-                    ),
-                    op="all_reduce",
-                    nbytes=self._wire_nbytes(bufs[0].nbytes),
-                )
+                reduced = self._mean_reduce("all_reduce", bufs, replica_group, k)
                 if self.check_replicas:
                     for r in reduced[1:]:
                         np.testing.assert_allclose(r, reduced[0], rtol=0, atol=1e-12)
-                shard_grads.append(reduced[0])
-            out.append(shard_grads)
+                out.append(reduced[0])
         return out
 
-    # -- the step ------------------------------------------------------------
-
-    def train_step(self, micros: Sequence[Any], step_fn: StepFn) -> float:
-        """One optimizer step over ``grad_accum_steps * world.size`` micros.
-
-        ``step_fn(model, micro)`` must run forward *and* backward for one
-        microbatch (accumulating into the model's gradients) and return
-        the scalar loss. Microbatches are consumed round-major (round 0's
-        per-rank micros, then round 1's, ...); the optimizer fires once
-        per call. Returns the mean loss across all microbatches. Under
-        bf16, inputs and outbound gradients are rounded onto the bf16
-        grid and reductions book half the wire bytes.
-        """
-        self._check_micros(micros)
-        k = self.grad_accum_steps
-        bus = self.telemetry
-        bus.set_step(self.step_count)
-        self._emit_precision_gauges()
-
-        # Per-round materialization + per-rank forward/backward.
-        losses = []
-        # micro_grads[j][r][u]: round j, rank r's flat gradient of unit u,
-        # already loss-scaled/quantized for the wire.
-        micro_grads: list[list[list[np.ndarray]]] = []
-        try:
-            for j in range(k):
-                # Forward parameter materialization (every round: FSDP
-                # re-gathers parameters per microbatch even when the
-                # gradient sync is deferred).
-                self._issue_param_allgathers()
-                with bus.span("compute.fwd_bwd"):
-                    cast = [
-                        self._cast_micro(micros[j * self.world.size + r])
-                        for r in range(self.world.size)
-                    ]
-                    round_losses, per_rank = self._backend.run_round(
-                        j, cast, step_fn
-                    )
-                    losses.extend(round_losses)
-                    micro_grads.append(per_rank)
-                # FULL_SHARD re-gathers parameters during backward.
-                if self.strategy is ShardingStrategy.FULL_SHARD:
-                    self._issue_param_allgathers()
-        except Exception:
-            # Don't pin a model's worth of activations when a microbatch
-            # (or a materialization collective) fails mid-step — same
-            # cleanup contract as DDPEngine.
-            self.model.release_caches()
-            raise
-
-        try:
-            shard_grads = self._reduce_gradients(micro_grads)
-        except CollectiveError:
-            # Retry budget exhausted mid-collective-phase: extend the
-            # failed-step cleanup to the comm path too, so re-driving the
-            # step starts from a clean cache state.
-            self.model.release_caches()
-            raise
-
-        flat = [g for unit_grads in shard_grads for g in unit_grads]
-        apply_update = self._grad_postprocess(flat)
-
-        # Optimizer on the flat shards (views -> model updated in place).
-        if apply_update:
-            with bus.span("optim.step"):
-                for u, shards in enumerate(self._shards):
-                    for s, shard in enumerate(shards):
-                        shard.grad[...] = shard_grads[u][s]
-                self.optimizer.step()
-        self.step_count += 1
-        return float(np.mean(losses))
+    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
+        """Copy each reduced gradient into its flat shard (views of the
+        unit's buffer, so the optimizer updates the model in place)."""
+        shards = (s for unit_shards in self._shards for s in unit_shards)
+        for shard, grad in zip(shards, reduced):
+            shard.grad[...] = grad

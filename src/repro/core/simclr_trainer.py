@@ -13,8 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine_core import EngineCore
 from repro.core.trainer import CheckpointingTrainer, TrainResult
 from repro.data.transforms import augment_view
 from repro.models.simclr import SimCLRModel
@@ -22,8 +21,6 @@ from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry import StepStats, TelemetryBus
 
 __all__ = ["SimCLRPretrainer"]
-
-Engine = FSDPEngine | DDPEngine
 
 
 def _simclr_step_fn(model: SimCLRModel, micro) -> float:
@@ -45,7 +42,7 @@ class SimCLRPretrainer(CheckpointingTrainer):
 
     def __init__(
         self,
-        engine: Engine,
+        engine: EngineCore,
         images: np.ndarray,
         global_batch: int,
         schedule: Callable[[int], float] | None = None,
@@ -58,11 +55,11 @@ class SimCLRPretrainer(CheckpointingTrainer):
     ):
         if images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got {images.shape}")
-        n_micros = engine.world.size * getattr(engine, "grad_accum_steps", 1)
+        n_micros = engine.data_parallel_size * engine.grad_accum_steps
         if global_batch % n_micros != 0:
             raise ValueError(
-                f"global batch {global_batch} not divisible by world size x "
-                f"grad_accum_steps = {n_micros}"
+                f"global batch {global_batch} not divisible by data-parallel "
+                f"size x grad_accum_steps = {n_micros}"
             )
         if global_batch // n_micros < 2:
             raise ValueError(
@@ -110,9 +107,9 @@ class SimCLRPretrainer(CheckpointingTrainer):
                 total_steps=start_step + n_steps,
                 warmup_steps=max(1, (start_step + n_steps) // 10),
             )
-        # One micro slot per (accumulation round, rank), round-major —
-        # same convention as MAEPretrainer.
-        n_micros = self.engine.world.size * getattr(self.engine, "grad_accum_steps", 1)
+        # One micro slot per (accumulation round, data-parallel rank),
+        # round-major — same convention as MAEPretrainer.
+        n_micros = self.engine.data_parallel_size * self.engine.grad_accum_steps
         micro = self.global_batch // n_micros
         result = TrainResult(steps_per_epoch=self.steps_per_epoch)
         order = self._epoch_order(start_step // self.steps_per_epoch)

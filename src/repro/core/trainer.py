@@ -16,18 +16,15 @@ from typing import Callable
 import numpy as np
 
 from repro.core.checkpoints import CheckpointManager
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine_core import EngineCore
 from repro.elastic.errors import ElasticCompatibilityError, PreemptedError
 from repro.elastic.preemption import PreemptionToken
 from repro.models.mae import MaskedAutoencoder
 from repro.models.workspace import Workspace
 from repro.optim.schedules import CosineWithWarmup
-from repro.telemetry import NULL_BUS, StepStats, TelemetryBus
+from repro.telemetry import StepStats, TelemetryBus
 
 __all__ = ["MAEPretrainer", "TrainResult", "CheckpointingTrainer"]
-
-Engine = FSDPEngine | DDPEngine
 
 
 @dataclass
@@ -101,7 +98,7 @@ class CheckpointingTrainer:
         """Resolve the trainer's bus: an explicit one wins (and is shared
         down into the engine unless the engine already has a live bus);
         otherwise the trainer inherits the engine's."""
-        engine_bus = getattr(self.engine, "telemetry", NULL_BUS)
+        engine_bus = self.engine.telemetry
         if telemetry is not None:
             self.telemetry = telemetry
             if not engine_bus.enabled:
@@ -272,12 +269,13 @@ class MAEPretrainer(CheckpointingTrainer):
     Parameters
     ----------
     engine:
-        An :class:`FSDPEngine` or :class:`DDPEngine` wrapping a
-        :class:`MaskedAutoencoder`.
+        Any :class:`~repro.core.engine_core.EngineCore` engine (DDP,
+        FSDP or mesh) wrapping a :class:`MaskedAutoencoder`.
     images:
         Pretraining corpus, ``(N, C, H, W)``.
     global_batch:
-        Global batch size; must be divisible by the world size.
+        Global batch size; must be divisible by the engine's
+        ``data_parallel_size * grad_accum_steps``.
     schedule:
         Step -> learning rate. Defaults to the paper's recipe scaled to
         the run length (cosine, 10% warmup).
@@ -314,7 +312,7 @@ class MAEPretrainer(CheckpointingTrainer):
 
     def __init__(
         self,
-        engine: Engine,
+        engine: EngineCore,
         images: np.ndarray,
         global_batch: int,
         schedule: Callable[[int], float] | None = None,
@@ -328,13 +326,11 @@ class MAEPretrainer(CheckpointingTrainer):
     ):
         if images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got {images.shape}")
-        n_micros = getattr(engine, "data_parallel_size", engine.world.size) * getattr(
-            engine, "grad_accum_steps", 1
-        )
+        n_micros = engine.data_parallel_size * engine.grad_accum_steps
         if global_batch % n_micros != 0:
             raise ValueError(
-                f"global batch {global_batch} not divisible by world size x "
-                f"grad_accum_steps = {n_micros}"
+                f"global batch {global_batch} not divisible by data-parallel "
+                f"size x grad_accum_steps = {n_micros}"
             )
         if global_batch > len(images):
             raise ValueError(
@@ -391,9 +387,7 @@ class MAEPretrainer(CheckpointingTrainer):
         # rank-major, which is what keeps fp32 accumulation bit-identical
         # across layouts. Mesh engines consume micros only along dp (tp
         # ranks share each micro; pp ranks split the model, not the data).
-        n_micros = getattr(
-            self.engine, "data_parallel_size", self.engine.world.size
-        ) * getattr(self.engine, "grad_accum_steps", 1)
+        n_micros = self.engine.data_parallel_size * self.engine.grad_accum_steps
         micro = self.global_batch // n_micros
         result = TrainResult(steps_per_epoch=self.steps_per_epoch)
         order = self._epoch_order(start_step // self.steps_per_epoch)

@@ -1,8 +1,13 @@
 """MeshEngine: tensor/pipeline/data parallelism over one named-axis mesh.
 
 The engine realizes an ``EngineConfig(mesh=MeshSpec(pp, dp, tp))`` as a
-3-D :class:`~repro.mesh.device_mesh.DeviceMesh` over the world and
-composes one parallelism layer per axis:
+3-D :class:`~repro.mesh.device_mesh.DeviceMesh` over the world. It is a
+layout over :class:`~repro.core.engine_core.EngineCore` — which owns
+lifecycle, retried/telemetered collectives, checkpoint state and the
+step skeleton — and keeps what is the mesh's own: per-axis groups, stage
+runs and the stash, the dp collectives, and the pipeline schedule that
+replaces the core's round loop for inline ``pp > 1``. One parallelism
+layer per axis:
 
 ``tp`` (innermost)
     Megatron-style GEMM sharding via :class:`~repro.mesh.tp.TPContext`:
@@ -76,16 +81,13 @@ into each shard's ``grad``.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backend import GemmPool, make_backend
-from repro.comm.collectives import SimComm
-from repro.comm.faults import CollectiveError, call_with_retry
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
-from repro.core.mixed_precision import MixedPrecisionMixin
+from repro.core.engine_core import EngineCore, StepFn
 from repro.core.sharding import default_wrap_units
 from repro.elastic.layout import validate_mesh_layout
 from repro.mesh.device_mesh import DeviceMesh
@@ -93,12 +95,8 @@ from repro.mesh.pipeline import boundary_nbytes, partition_stages, schedule_acti
 from repro.mesh.spec import MESH_AXIS_NAMES, MeshSpec
 from repro.mesh.tp import TPContext
 from repro.models.module import Module
-from repro.optim.adamw import AdamW
-from repro.telemetry import NULL_BUS
 
 __all__ = ["MeshEngine", "DP_STRATEGIES"]
-
-StepFn = Callable[[Module, Any], float]
 
 #: Data-parallel strategies the dp axis can run.
 DP_STRATEGIES = ("ddp", "full_shard")
@@ -127,7 +125,7 @@ def _validate_tp(model: Module, tp: int) -> None:
                     )
 
 
-class MeshEngine(MixedPrecisionMixin):
+class MeshEngine(EngineCore):
     """Training engine over a ``(pp, dp, tp)`` device mesh.
 
     Prefer :func:`repro.core.engine.make_engine` with
@@ -147,6 +145,8 @@ class MeshEngine(MixedPrecisionMixin):
     shards flagged weights, so summing per-(pp, tp)-group gathers of
     parameter slices equals one gather of the whole.
     """
+
+    kind = "mesh"
 
     def __init__(
         self,
@@ -193,17 +193,15 @@ class MeshEngine(MixedPrecisionMixin):
                 f"config.shard_size={config.shard_size} conflicts with the "
                 f"mesh dp axis; full_shard shards over dp={spec.dp}"
             )
-        self.config = config
-        self.model = model
-        self.world = world
+        super().__init__(model, world, config)
         self.mesh_spec = spec
-        self.dp_strategy = dp_strategy
+        self.dp_strategy = self.strategy_name = dp_strategy
         self.pp, self.dp, self.tp = spec.shape
+        # tp and pp are data-movement axes over the one shared model:
+        # only the dp axis runs distinct microbatches (and workers).
+        self.data_parallel_size = self.dp
         self.schedule = spec.schedule
         self.device_mesh = DeviceMesh(world, spec.shape, MESH_AXIS_NAMES)
-        self.comm = config.comm if config.comm is not None else SimComm()
-        self.retry_policy = config.retry_policy
-        self.telemetry = config.telemetry if config.telemetry is not None else NULL_BUS
         self.layout = validate_mesh_layout(
             self.dp, config.grad_accum_steps, config.reduction_layout
         )
@@ -215,15 +213,13 @@ class MeshEngine(MixedPrecisionMixin):
         # -- tp axis ------------------------------------------------------
         if self.tp > 1:
             _validate_tp(model, self.tp)
-            self.tp_context: TPContext | None = TPContext(
+            self.tp_context = TPContext(
                 self.tp,
                 self._tp_group,
                 self.comm,
                 bus=self.telemetry if self.telemetry.enabled else None,
             )
             model.use_tensor_parallel(self.tp_context)
-        else:
-            self.tp_context = None
 
         # -- pp axis ------------------------------------------------------
         if self.pp > 1:
@@ -257,16 +253,7 @@ class MeshEngine(MixedPrecisionMixin):
             self._stage_params = None
 
         # -- dp axis ------------------------------------------------------
-        self.gemm_pool = (
-            GemmPool(config.intra_op_threads)
-            if config.intra_op_threads > 1
-            else None
-        )
-        if self.gemm_pool is not None:
-            model.use_gemm_pool(self.gemm_pool)
         if dp_strategy == "full_shard":
-            # ``units``/``shard_size`` double as the process backend's
-            # fsdp-mode markers; the ddp branch must define neither.
             self.shard_size = self.dp
             self.units = default_wrap_units(model, self.dp)
         else:
@@ -275,113 +262,12 @@ class MeshEngine(MixedPrecisionMixin):
             self._stage_grad_runs = self._stage_grad_run_lists()
             # _outbound[j][r]: dp rank r's round-j contribution.
             self._outbound: list[list[list[np.ndarray]]] | None = None
-        # Backend before optimizer: a process backend re-homes parameter
-        # storage into shared memory first (same ordering as DDP/FSDP).
-        self._backend = make_backend(self)
-        if dp_strategy == "full_shard":
-            self._shards = [u.make_shards() for u in self.units]
-            opt_params = [s for shards in self._shards for s in shards]
-        else:
-            opt_params = self.params
-        factory = (
-            config.optimizer_factory
-            if config.optimizer_factory is not None
-            else AdamW
-        )
-        self.optimizer = factory(opt_params)
-        self._init_precision()
-        self._backend.start()
-        self.step_count = 0
-
-    # -- execution backend hooks -------------------------------------------
-
-    @property
-    def backend(self) -> str:
-        """Name of the active execution backend (``inline``/``process``)."""
-        return self._backend.name
-
-    @property
-    def data_parallel_size(self) -> int:
-        """Ranks along the dp axis (microbatches per accumulation round)."""
-        return self.dp
-
-    @property
-    def compute_world_size(self) -> int:
-        """Ranks that run distinct compute: the dp axis only.
-
-        The tp and pp axes are data-movement axes over the one shared
-        model; the process backend sizes its worker pool from this."""
-        return self.dp
-
-    def _microbatch_count(self) -> int:
-        """Microbatches one ``train_step`` consumes (rounds x dp ranks)."""
-        return self.grad_accum_steps * self.dp
-
-    def _zero_local_grads(self) -> None:
-        """Zero one dp rank's local gradients before its microbatch."""
-        if self.dp_strategy == "full_shard":
-            for unit in self.units:
-                unit.zero_grad()
-        else:
-            self.model.zero_grad()
-
-    def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One dp rank's outbound (wire-ready) gradient contributions."""
-        if self.dp_strategy == "full_shard":
-            return [
-                self._outbound_grad(unit.read_grad(), owned=True)
-                for unit in self.units
-            ]
-        return [self._outbound_grad(p.grad) for p in self.params]
-
-    def close(self) -> None:
-        """Release backend resources (workers, shared memory, GEMM
-        threads). Idempotent; see :meth:`DDPEngine.close`."""
-        self._backend.shutdown()
-        if self.gemm_pool is not None:
-            self.gemm_pool.close()
-
-    @property
-    def lr(self) -> float:
-        """Current learning rate (delegates to the optimizer)."""
-        return self.optimizer.lr
-
-    @lr.setter
-    def lr(self, value: float) -> None:
-        """Current learning rate (delegates to the optimizer)."""
-        self.optimizer.lr = value
-
-    # -- checkpointing -----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """Engine snapshot: model params, optimizer state, scaler, step."""
-        return {
-            "model": self.model.state_dict(),
-            "optimizer": self.optimizer.state_dict(),
-            "scaler": self.scaler.state_dict(),
-            "step_count": self.step_count,
-        }
-
-    def load_state_dict(self, sd: dict) -> None:
-        """Restore a snapshot from a same-architecture mesh engine."""
-        self.model.load_state_dict(sd["model"])
-        self.optimizer.load_state_dict(sd["optimizer"])
-        if "scaler" in sd:
-            self.scaler.load_state_dict(sd["scaler"])
-        self.step_count = int(sd["step_count"])
+        self._launch()
 
     def topology(self) -> dict:
-        """The world/mesh shape a snapshot of this engine assumes."""
+        """The core's record plus the mesh shape and schedule."""
         return {
-            "kind": "mesh",
-            "strategy": self.dp_strategy,
-            "world_size": self.world.size,
-            "ranks_per_node": self.world.ranks_per_node,
-            "shard_size": self.dp if self.dp_strategy == "full_shard" else None,
-            "grad_accum_steps": self.grad_accum_steps,
-            "layout": {"total": self.layout.total, "chunk": self.layout.chunk},
-            "precision": self.precision,
-            "backend": self.backend,
+            **super().topology(),
             "mesh": {
                 "pp": self.pp,
                 "dp": self.dp,
@@ -392,38 +278,10 @@ class MeshEngine(MixedPrecisionMixin):
 
     # -- collectives -------------------------------------------------------
 
-    def _collective(self, fn, op: str = "collective", nbytes: float = 0.0, axis: str = "dp"):
-        """Issue one collective with retries; span tagged by mesh axis."""
-        bus = self.telemetry
-        if not bus.enabled:
-            return call_with_retry(fn, self.retry_policy, stats=self.comm.stats)
-        stats = self.comm.stats
-        retries0 = stats.total_retries
-        backoff0 = stats.backoff_seconds
-        try:
-            with bus.span(f"comm.{op}", bytes=float(nbytes), axis=axis):
-                return call_with_retry(fn, self.retry_policy, stats=stats)
-        finally:
-            if stats.total_retries != retries0:
-                bus.counter("comm.retries", stats.total_retries - retries0, op=op)
-                bus.counter(
-                    "comm.backoff_s", stats.backoff_seconds - backoff0, op=op
-                )
-
-    def _issue_param_allgathers(self) -> None:
-        """Materialize full parameters from dp shards (full_shard only)."""
-        if self.dp_strategy != "full_shard" or self.dp == 1:
-            return
-        for unit in self.units:
-            shards = [unit.shard_view(j) for j in range(self.dp)]
-            self._collective(
-                lambda shards=shards, flat=unit.flat: self.comm.all_gather(
-                    shards, self._dp_group, out=flat, wire_dtype=None
-                ),
-                op="all_gather",
-                nbytes=float(unit.flat.nbytes),
-                axis="dp",
-            )
+    def _materialize_params(self, backward: bool = False) -> None:
+        """full_shard gathers the dp shards for forward and for backward."""
+        if self.units is not None and self.dp > 1:
+            self._gather_units((self._dp_group,), axis="dp")
 
     def _send(self, arr: np.ndarray, src: int, dst: int) -> np.ndarray:
         """Move a stage-boundary tensor through ``SimComm.send`` (whose
@@ -504,7 +362,7 @@ class MeshEngine(MixedPrecisionMixin):
 
     def _grad_storage(self) -> list[np.ndarray]:
         """Local gradient arrays in outbound order (units / parameters)."""
-        if self.dp_strategy == "full_shard":
+        if self.units is not None:
             return [unit.grad_flat for unit in self.units]
         return [p.grad for p in self.params]
 
@@ -524,8 +382,8 @@ class MeshEngine(MixedPrecisionMixin):
         # materialization traffic is booked with the round loop's
         # cadence: one gather set per round plus the backward regather.
         for _ in range(k):
-            self._issue_param_allgathers()
-            self._issue_param_allgathers()
+            self._materialize_params()
+            self._materialize_params(backward=True)
         losses = [0.0] * (k * self.dp)
         if self._outbound is None:
             storage = self._grad_storage()
@@ -656,35 +514,39 @@ class MeshEngine(MixedPrecisionMixin):
 
     # -- the step ----------------------------------------------------------
 
+    def _forward_backward(self, micros: Sequence[Any], step_fn: StepFn):
+        """The core's round loop, except that inline pipeline stages run
+        their schedule in its place (and process workers, which run each
+        micro depth-first, have the boundary traffic booked for them)."""
+        if self.pp > 1 and self.backend == "inline":
+            return self._run_pipeline(micros, self.grad_accum_steps)
+        out = super()._forward_backward(micros, step_fn)
+        if self.pp > 1:
+            self._book_pipeline_transfers(micros)
+        return out
+
     def _reduce_gradients(
         self, micro_grads: list[list[list[np.ndarray]]]
-    ) -> list[np.ndarray] | np.ndarray:
+    ) -> list[np.ndarray]:
         """Reduce all rounds' contributions over the dp group at once.
 
         ``full_shard`` reduces every chunk straight into its shard's
         ``grad`` and returns those arrays; ``ddp`` returns the one
         concatenated mean."""
         k = len(micro_grads)
-        group = self._dp_group
-        if self.dp_strategy == "full_shard":
+        if self.units is not None:
             for u, shards in enumerate(self._shards):
                 bufs = [
                     micro_grads[j][r][u]
                     for j in range(k)
                     for r in range(self.dp)
                 ]
-                out = [shard.grad for shard in shards]
-                self._collective(
-                    lambda bufs=bufs, out=out: self.comm.reduce_scatter(
-                        bufs,
-                        group,
-                        op="mean",
-                        parts_per_rank=k,
-                        out=out,
-                        wire_dtype=self._wire_dtype,
-                    ),
-                    op="reduce_scatter",
-                    nbytes=self._wire_nbytes(bufs[0].nbytes),
+                self._mean_reduce(
+                    "reduce_scatter",
+                    bufs,
+                    self._dp_group,
+                    k,
+                    out=[shard.grad for shard in shards],
                     axis="dp",
                 )
             return [shard.grad for shards in self._shards for shard in shards]
@@ -700,76 +562,12 @@ class MeshEngine(MixedPrecisionMixin):
             for j in range(k)
             for r in range(self.dp)
         ]
-        return self._collective(
-            lambda: self.comm.all_reduce(
-                per_contrib,
-                group,
-                op="mean",
-                parts_per_rank=k,
-                wire_dtype=self._wire_dtype,
-            ),
-            op="all_reduce",
-            nbytes=self._wire_nbytes(per_contrib[0].nbytes),
-            axis="dp",
-        )[0]
+        return [
+            self._mean_reduce("all_reduce", per_contrib, self._dp_group, k, axis="dp")[0]
+        ]
 
-    def train_step(self, micros: Sequence[Any], step_fn: StepFn) -> float:
-        """One optimizer step over ``grad_accum_steps * dp`` microbatches.
-
-        Micro ``(round j, dp-rank r)`` sits at index ``j * dp + r``. In
-        fp32 the result is bit-identical to the world-1 DDP oracle
-        consuming the same micros with ``grad_accum_steps * dp``
-        accumulation rounds, for every mesh shape and schedule (tested).
-        """
-        self._check_micros(micros)
-        k = self.grad_accum_steps
-        bus = self.telemetry
-        bus.set_step(self.step_count)
-        self._emit_precision_gauges()
-        losses: list[float] = []
-        micro_grads: list[list[list[np.ndarray]]] = []
-        pipeline_inline = self.pp > 1 and self._backend.name == "inline"
-        try:
-            if pipeline_inline:
-                losses, micro_grads = self._run_pipeline(micros, k)
-            else:
-                for j in range(k):
-                    self._issue_param_allgathers()
-                    with bus.span("compute.fwd_bwd"):
-                        cast = [
-                            self._cast_micro(micros[j * self.dp + r])
-                            for r in range(self.dp)
-                        ]
-                        round_losses, per_rank = self._backend.run_round(
-                            j, cast, step_fn
-                        )
-                        losses.extend(round_losses)
-                        micro_grads.append(per_rank)
-                    # FULL_SHARD-style backward regather (no-op for ddp).
-                    self._issue_param_allgathers()
-                if self.pp > 1:
-                    self._book_pipeline_transfers(micros)
-        except Exception:
-            self.model.release_caches()
-            raise
-
-        try:
-            reduced = self._reduce_gradients(micro_grads)
-        except CollectiveError:
-            self.model.release_caches()
-            raise
-
-        if self.dp_strategy == "full_shard":
-            apply_update = self._grad_postprocess(reduced)
-        else:
-            apply_update = self._grad_postprocess([reduced])
-            offset = 0
-            for p in self.params:
-                n = p.grad.size
-                p.grad[...] = reduced[offset : offset + n].reshape(p.grad.shape)
-                offset += n
-        if apply_update:
-            with bus.span("optim.step"):
-                self.optimizer.step()
-        self.step_count += 1
-        return float(np.mean(losses))
+    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
+        """ddp: unpack the concatenated mean into every ``p.grad``
+        (full_shard already reduced into the shards' ``grad``)."""
+        if self.units is None:
+            self._scatter_grads(reduced[0], self.params)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,22 @@ def test_frozen_config_replace_round_trips_through_make_engine():
         assert eng.config.mesh == MeshSpec(dp=2)
         assert eng.grad_accum_steps == 2
         assert eng.data_parallel_size == 2
-        assert eng.compute_world_size == 2
     finally:
         eng.close()
+
+
+def test_wrong_microbatch_count_message_states_its_own_arithmetic():
+    # world=4 but dp=2: the requirement is rounds x dp, and the message
+    # multiplies by the same number the check uses.
+    eng = make_engine(
+        build_model(), "ddp", world=World(4),
+        config=EngineConfig(mesh=MeshSpec(dp=2, tp=2)),
+    )
+    try:
+        with pytest.raises(ValueError, match="microbatches") as err:
+            eng.train_step([None] * 4, lambda m, b: 0.0)
+    finally:
+        eng.close()
+    need, rounds, ranks, got = map(int, re.findall(r"\d+", str(err.value)))
+    assert "x 2 rank(s)" in str(err.value)
+    assert (need, rounds * ranks, got) == (2, 2, 4)

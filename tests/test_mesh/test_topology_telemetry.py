@@ -185,6 +185,43 @@ def test_per_axis_bytes_and_calls_match_across_backends():
     assert axes["inline"]["tp"][1] == 4 * 4 * 8
 
 
+def test_bus_shared_down_by_the_trainer_reaches_the_tp_axis():
+    # _init_telemetry promises an explicit trainer bus "is shared down
+    # into the engine": the tp context must see it too, whichever route
+    # supplied the bus.
+    images = np.random.default_rng(13).standard_normal((8, 3, 16, 16))
+    axes = {}
+    for route in ("config", "trainer"):
+        bus = TelemetryBus(RecordingSink())
+        eng = mesh_engine(
+            MeshSpec(dp=2, tp=2), "ddp",
+            telemetry=bus if route == "config" else None,
+        )
+        try:
+            MAEPretrainer(
+                eng, images, global_batch=4, seed=0,
+                telemetry=bus if route == "trainer" else None,
+            ).run(1)
+        finally:
+            eng.close()
+        assert eng.telemetry is bus
+        report = RunReport.from_events(bus.sink.events)
+        axes[route] = {
+            axis: (report.axis_bytes(axis), report.axis_calls(axis))
+            for axis in ("tp", "dp")
+        }
+        untagged = sum(
+            e.attrs.get("bytes", 0.0)
+            for e in bus.sink.events
+            if e.kind == "span" and e.name.startswith("comm.")
+            and "axis" not in e.attrs
+        )
+        tagged = sum(report.axis_bytes(axis) for axis in ("tp", "pp", "dp"))
+        assert tagged + untagged == report.span_bytes("comm.")
+    assert axes["trainer"] == axes["config"]
+    assert axes["config"]["tp"][0] > 0 and axes["config"]["dp"][0] > 0
+
+
 # -- trainer integration -----------------------------------------------------
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from repro.comm.world import World
 from repro.core.config import ViTConfig
+from repro.core.engine import make_engine
 from repro.core.fsdp import FSDPEngine
 from repro.core.sharding import ShardingStrategy
 from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.data.transforms import augment_view
+from repro.mesh.spec import MeshSpec
 from repro.models.simclr import SimCLRModel, nt_xent
 
 
@@ -158,6 +160,25 @@ class TestSimCLRTrainer:
         np.testing.assert_allclose(l1, l2, atol=1e-12)
         for k in s1:
             np.testing.assert_allclose(s1[k], s2[k], atol=1e-10)
+
+    def test_mesh_engine_slices_the_batch_by_dp_not_world(self):
+        # tp ranks share each micro: a dp2 x tp2 mesh on World(4) consumes
+        # the global batch like a 2-rank world, and trains bit-identically.
+        images = np.random.default_rng(9).standard_normal((32, 3, 16, 16))
+
+        def run(world, **config):
+            model = SimCLRModel(_cfg(), proj_dim=8, rng=np.random.default_rng(1))
+            engine = make_engine(model, "ddp", world=world, **config)
+            try:
+                trainer = SimCLRPretrainer(engine, images, global_batch=16, seed=3)
+                return trainer.run(2).losses
+            finally:
+                engine.close()
+
+        assert run(World(4), mesh=MeshSpec(dp=2, tp=2)) == run(World(2))
+        # SimCLR models expose no pipeline ops: typed, and at construction.
+        with pytest.raises(TypeError, match="pipeline_ops"):
+            run(World(4), mesh=MeshSpec(pp=2, dp=2))
 
     def test_validation(self, rng):
         model = SimCLRModel(_cfg(), rng=np.random.default_rng(1))

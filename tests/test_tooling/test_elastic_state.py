@@ -32,14 +32,11 @@ def _planted_tree(tmp_path: Path) -> Path:
     root = tmp_path / "repro"
     (root / "core").mkdir(parents=True)
     (root / "elastic").mkdir()
-    (root / "mesh").mkdir()
     for rel in (
-        "core/ddp.py",
-        "core/fsdp.py",
+        "core/engine_core.py",
         "core/trainer.py",
         "core/simclr_trainer.py",
         "elastic/reshard.py",
-        "mesh/engine.py",
     ):
         shutil.copy(SRC / rel, root / rel)
     return root
@@ -52,14 +49,14 @@ def test_library_tree_state_dicts_all_reshard():
 
 def test_linter_catches_unmapped_engine_key(tmp_path):
     root = _planted_tree(tmp_path)
-    ddp = root / "core" / "ddp.py"
-    src = ddp.read_text()
+    core = root / "core" / "engine_core.py"
+    src = core.read_text()
     planted = src.replace(
         '"step_count": self.step_count,',
         '"step_count": self.step_count,\n            "ema": self.ema,',
     )
     assert planted != src, "plant site moved; update the test"
-    ddp.write_text(planted)
+    core.write_text(planted)
     proc = _lint(root)
     assert proc.returncode == 1
     assert "'ema'" in proc.stderr
@@ -84,8 +81,8 @@ def test_linter_catches_unmapped_trainer_key(tmp_path):
 
 def test_linter_sees_through_assigned_then_returned_dicts(tmp_path):
     root = _planted_tree(tmp_path)
-    fsdp = root / "core" / "fsdp.py"
-    src = fsdp.read_text()
+    core = root / "core" / "engine_core.py"
+    src = core.read_text()
     # Rewrite the literal-return style into the sd = {...}; sd[k] = v;
     # return sd shape with an unmapped key, which the linter must still
     # resolve as top-level.
@@ -106,7 +103,7 @@ def test_linter_sees_through_assigned_then_returned_dicts(tmp_path):
         return sd""",
     )
     assert planted != src, "plant site moved; update the test"
-    fsdp.write_text(planted)
+    core.write_text(planted)
     proc = _lint(root)
     assert proc.returncode == 1
     assert "'sneaky'" in proc.stderr

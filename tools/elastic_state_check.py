@@ -29,8 +29,10 @@ import sys
 from pathlib import Path
 
 #: Files whose ``state_dict`` methods feed engine snapshots, and the
-#: frozenset in reshard.py that must enumerate their keys.
-ENGINE_FILES = ("core/ddp.py", "core/fsdp.py", "mesh/engine.py")
+#: frozenset in reshard.py that must enumerate their keys. Every engine
+#: inherits the one ``EngineCore.state_dict``; a subclass that extends
+#: it adds its file here.
+ENGINE_FILES = ("core/engine_core.py",)
 TRAINER_FILES = ("core/trainer.py", "core/simclr_trainer.py")
 RESHARD_FILE = "elastic/reshard.py"
 

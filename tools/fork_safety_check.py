@@ -42,9 +42,6 @@ HOT_PATH_DIRS = ("core", "comm", "models", "backend")
 #: (relative path, name) pairs allowed to keep mutated module state.
 MUTABLE_WHITELIST: frozenset[tuple[str, str]] = frozenset(
     {
-        # Deduplication set for deprecation warnings; divergence between
-        # processes only means a warning may print once per process.
-        ("core/engine.py", "_WARNED"),
         # The shm segment registry is *meant* to be per-process: each
         # process sweeps exactly the segments it created or attached.
         ("backend/shm.py", "_LIVE_SEGMENTS"),
