@@ -18,9 +18,22 @@ Run directly (``python benchmarks/bench_hotpath.py``) or through pytest.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose otherwise, as in
+# bench_multicore.py: unpinned, OpenBLAS oversubscribes a small host and
+# the step timings swing with it. Must precede the NumPy import, which
+# sizes the pool when it loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+
+try:  # a sibling module when run as a script, a package module under pytest
+    from bench_multicore import host_record
+except ImportError:
+    from benchmarks.bench_multicore import host_record
 
 from repro.comm.world import World
 from repro.core.config import get_mae_config
@@ -199,6 +212,7 @@ def run_hotpath() -> dict:
     steps = {name: _step_timing(name).to_dict() for name in STEP_MODELS}
     return {
         "schema": 1,
+        "host": host_record(),
         "gate": {
             "shape": GATE_SHAPE,
             "threshold": GATE_THRESHOLD,

@@ -36,10 +36,24 @@ Run directly (``python benchmarks/bench_serving.py``) or through pytest.
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread unless the caller chose otherwise, as in
+# bench_multicore.py: unpinned, OpenBLAS oversubscribes a small host and
+# the saturation phase read 373-2238 img/s back to back on untouched
+# code (2132-2387 pinned). Must precede the NumPy import, which sizes
+# the pool when it loads.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
+
+try:  # a sibling module when run as a script, a package module under pytest
+    from bench_multicore import host_record
+except ImportError:
+    from benchmarks.bench_multicore import host_record
 
 from repro.core.config import get_mae_config
 from repro.eval.features import extract_features
@@ -301,6 +315,7 @@ def run_serving() -> dict:
     open_loop = _open_loop()
     return {
         "schema": 1,
+        "host": host_record(),
         "gate": {
             "threshold": GATE_THRESHOLD,
             "saturation_ratio": sat["saturation_ratio"],

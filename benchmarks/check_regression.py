@@ -230,6 +230,18 @@ def compare_meshperf(
     return problems
 
 
+def _host_lines(fresh: dict) -> list[str]:
+    """Where the fresh artifact was measured, when it records that."""
+    host = fresh.get("host")
+    if not host:
+        return []
+    return [
+        f"{'':<12}   host: {host.get('cpu_count', '?')} x "
+        f"{host.get('cpu_model', '?')}, python {host.get('python', '?')}, "
+        f"numpy {host.get('numpy', '?')}"
+    ]
+
+
 def render_meshperf(fresh: dict, baseline: dict) -> str:
     """One-line mesh reconciliation verdict plus any drifting axes."""
     verdict = "reconciled" if fresh.get("reconciled") else "DRIFTED"
@@ -239,13 +251,7 @@ def render_meshperf(fresh: dict, baseline: dict) -> str:
         f"{'meshperf':<12} {len(rows):>9} axis rows over {len(meshes)} meshes"
         f"   ({verdict}, pp tol {fresh.get('pp_tolerance', 0.0):.0%})"
     ]
-    host = fresh.get("host")
-    if host:
-        lines.append(
-            f"{'':<12}   host: {host.get('cpu_count', '?')} x "
-            f"{host.get('cpu_model', '?')}, python {host.get('python', '?')}, "
-            f"numpy {host.get('numpy', '?')}"
-        )
+    lines += _host_lines(fresh)
     for r in rows:
         if not r.get("ok", False):
             lines.append(
@@ -279,6 +285,7 @@ def render_serving(fresh: dict, baseline: dict) -> str:
         f"{'serving':<12} {w:>10.1f} {g:>10.1f} {change:>+7.1%}   "
         f"(saturation {fresh.get('gate', {}).get('saturation_ratio', 0.0):.3f}x)"
     ]
+    lines += _host_lines(fresh)
     planned = fresh.get("open_loop", {}).get("planned", {})
     if planned:
         verdict = "reconciled" if planned.get("reconciled") else "DRIFTED"
@@ -316,7 +323,7 @@ def render(fresh: dict, baseline: dict) -> str:
             f"{name:<12} {base['images_per_sec']:>10.1f} "
             f"{got['images_per_sec']:>10.1f} {change:>+7.1%}"
         )
-    return "\n".join(lines)
+    return "\n".join(lines + _host_lines(fresh))
 
 
 def update_baselines(names: list[str] | tuple[str, ...] = ()) -> list[str]:

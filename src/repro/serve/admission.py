@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.serve.queue import Request
+from repro.serve.queue import DeadlineIndex, Request
 
 __all__ = [
     "TenantSpec",
@@ -159,6 +159,7 @@ class FairRequestQueue:
             self._lanes[spec.name] = _TenantLane(spec)
         self._virtual = 0.0
         self._n = 0
+        self._deadlines = DeadlineIndex()
 
     def spec_for(self, tenant: str) -> TenantSpec:
         """The tenant's spec; unknown tenants get a default lane
@@ -192,6 +193,7 @@ class FairRequestQueue:
         lane.last_finish = tag
         lane.items.append((tag, request))
         self._n += 1
+        self._deadlines.add(request)
         return True
 
     def push_front(self, request: Request) -> None:
@@ -205,6 +207,7 @@ class FairRequestQueue:
         head_tag = lane.items[0][0] if lane.items else lane.last_finish
         lane.items.appendleft((min(self._virtual, head_tag), request))
         self._n += 1
+        self._deadlines.add(request)
 
     def _head_lane(self) -> _TenantLane | None:
         """The lane whose head request the scheduler picks next."""
@@ -237,38 +240,33 @@ class FairRequestQueue:
         tag, request = lane.items.popleft()
         self._virtual = max(self._virtual, tag)
         self._n -= 1
+        self._deadlines.discard(request)
         return request
 
     def min_deadline_s(self) -> float | None:
-        """Earliest deadline among waiting requests (any tenant)."""
-        deadlines = [
-            r.deadline_s
-            for lane in self._lanes.values()
-            for _, r in lane.items
-            if r.deadline_s is not None
-        ]
-        return min(deadlines) if deadlines else None
+        """Earliest deadline among waiting requests (any tenant); O(1)
+        amortised, read off the shared :class:`DeadlineIndex`."""
+        return self._deadlines.min_s()
 
     def remove_expired(self, now_s: float) -> list[Request]:
         """Remove every request whose deadline is ``<= now_s`` (all lanes).
 
         Returned in req_id order so the server's timeout responses are
-        emitted deterministically.
+        emitted deterministically. No lane is walked unless the index
+        says something is due.
         """
+        dead = self._deadlines.pop_due(now_s)
+        if not dead:
+            return []
         expired: list[Request] = []
         for lane in self._lanes.values():
-            dead = [
-                (t, r)
-                for t, r in lane.items
-                if r.deadline_s is not None and r.deadline_s <= now_s
-            ]
-            if dead:
-                gone = {r.req_id for _, r in dead}
+            gone = [r for _, r in lane.items if r.req_id in dead]
+            if gone:
                 lane.items = deque(
-                    (t, r) for t, r in lane.items if r.req_id not in gone
+                    (t, r) for t, r in lane.items if r.req_id not in dead
                 )
-                expired.extend(r for _, r in dead)
-                self._n -= len(dead)
+                expired.extend(gone)
+        self._n -= len(expired)
         return sorted(expired, key=lambda r: r.req_id)
 
     def depth_by_tenant(self) -> dict[str, int]:

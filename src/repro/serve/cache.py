@@ -18,10 +18,18 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
+from functools import cache
 
 import numpy as np
 
 __all__ = ["image_digest", "LRUFeatureCache"]
+
+
+@cache
+def _dtype_tag(dtype: np.dtype) -> bytes:
+    """``str(dtype)`` encoded; NumPy formats the name in Python on every
+    call, which cost as much per request as hashing a small image."""
+    return str(dtype).encode()
 
 
 def image_digest(image: np.ndarray) -> str:
@@ -29,12 +37,14 @@ def image_digest(image: np.ndarray) -> str:
 
     Dtype and shape are folded in so e.g. a float32 and float64 encoding
     of the same pixels — which produce different features — never
-    collide on one key.
+    collide on one key. The pixels are hashed from the array's own
+    buffer (copied first only when it is not C-contiguous).
     """
-    h = hashlib.sha256()
-    h.update(str(image.dtype).encode())
+    h = hashlib.sha256(_dtype_tag(image.dtype))
     h.update(str(image.shape).encode())
-    h.update(np.ascontiguousarray(image).tobytes())
+    # Through a throwaway view: NumPy keeps ~100 B of buffer-export info
+    # on the exporting array object until that object dies.
+    h.update(np.ascontiguousarray(image).view())
     return h.hexdigest()
 
 

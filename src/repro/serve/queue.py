@@ -8,11 +8,14 @@ between (cache hit, batching, replica fault, timeout). The
 replica pool: it is bounded, and a full queue *rejects at submit time*
 (backpressure) rather than growing without limit — the load-shedding
 behaviour a saturated service needs so queueing delay cannot grow
-unboundedly past every deadline.
+unboundedly past every deadline. Every queue class keeps a
+:class:`DeadlineIndex` beside its storage, so the serving loop reads the
+earliest waiting deadline, and sweeps what is due, without scanning.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -23,6 +26,7 @@ __all__ = [
     "REJECT_REASONS",
     "Request",
     "Response",
+    "DeadlineIndex",
     "RequestQueue",
 ]
 
@@ -73,10 +77,6 @@ class Request:
     tenant: str = ""
     priority: int = 0
 
-    def expired(self, now_s: float) -> bool:
-        """True when the deadline has passed at virtual time ``now_s``."""
-        return self.deadline_s is not None and now_s > self.deadline_s
-
 
 @dataclass(frozen=True)
 class Response:
@@ -118,6 +118,56 @@ class Response:
         return self.done_s - self.arrival_s
 
 
+class DeadlineIndex:
+    """Which waiting requests carry a deadline, earliest first.
+
+    A heap of ``(deadline_s, req_id)`` with lazy deletion: ``_live``
+    holds the ids waiting right now, and an entry whose id is not live
+    is stale — dropped when it surfaces, or wholesale once stale entries
+    outnumber live ones two to one. The owning queue calls :meth:`add`
+    where a request enters (``push`` / ``push_front``) and
+    :meth:`discard` where one leaves (``pop``); :meth:`pop_due` is the
+    only other site that changes membership. Ids are unique and a
+    request's deadline never changes, so a requeued request's new entry
+    equals the stale twin of its first admission: whichever surfaces
+    first expires it, and the other finds the id no longer live.
+    """
+
+    def __init__(self):
+        self._heap: list[tuple[float, int]] = []
+        self._live: set[int] = set()
+
+    def add(self, request: Request) -> None:
+        """``request`` starts waiting (no-op without a deadline)."""
+        if request.deadline_s is not None:
+            heapq.heappush(self._heap, (request.deadline_s, request.req_id))
+            self._live.add(request.req_id)
+
+    def discard(self, request: Request) -> None:
+        """``request`` stops waiting (no-op without a deadline)."""
+        if request.deadline_s is not None:
+            self._live.discard(request.req_id)
+            if len(self._heap) > 2 * len(self._live) + 64:
+                self._heap = sorted({e for e in self._heap if e[1] in self._live})
+
+    def min_s(self) -> float | None:
+        """Earliest deadline among waiting requests; None when none carry one."""
+        heap = self._heap
+        while heap and heap[0][1] not in self._live:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
+
+    def pop_due(self, now_s: float) -> set[int]:
+        """Ids of waiting requests whose deadline is ``<= now_s``; they
+        stop waiting (the caller removes them from its own storage)."""
+        due: set[int] = set()
+        while self._heap and self._heap[0][0] <= now_s:
+            due.add(heapq.heappop(self._heap)[1])
+        due &= self._live
+        self._live -= due
+        return due
+
+
 class RequestQueue:
     """Bounded FIFO of admitted requests (the backpressure point).
 
@@ -133,6 +183,7 @@ class RequestQueue:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._items: deque[Request] = deque()
+        self._deadlines = DeadlineIndex()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -147,24 +198,28 @@ class RequestQueue:
         if self.full:
             return False
         self._items.append(request)
+        self._deadlines.add(request)
         return True
 
     def push_front(self, request: Request) -> None:
         """Requeue a faulted request at the head (exempt from the bound)."""
         self._items.appendleft(request)
+        self._deadlines.add(request)
 
     def pop(self) -> Request:
         """Remove and return the oldest request."""
-        return self._items.popleft()
+        request = self._items.popleft()
+        self._deadlines.discard(request)
+        return request
 
     def peek(self) -> Request:
         """The oldest request, without removing it."""
         return self._items[0]
 
     def min_deadline_s(self) -> float | None:
-        """Earliest deadline among waiting requests; None when none carry one."""
-        deadlines = [r.deadline_s for r in self._items if r.deadline_s is not None]
-        return min(deadlines) if deadlines else None
+        """Earliest deadline among waiting requests; None when none carry
+        one. O(1) amortised: read off the :class:`DeadlineIndex`."""
+        return self._deadlines.min_s()
 
     def remove_expired(self, now_s: float) -> list[Request]:
         """Remove and return every request whose deadline is ``<= now_s``.
@@ -172,11 +227,12 @@ class RequestQueue:
         Requests at exactly their deadline are removed too: with strictly
         positive service times they could only ever be delivered late, so
         dispatching them would burn replica time on a guaranteed timeout.
+        Returned in queue order; the queue itself is only walked when the
+        index says something is due.
         """
-        expired = [
-            r for r in self._items if r.deadline_s is not None and r.deadline_s <= now_s
-        ]
-        if expired:
-            dead = {r.req_id for r in expired}
-            self._items = deque(r for r in self._items if r.req_id not in dead)
+        dead = self._deadlines.pop_due(now_s)
+        if not dead:
+            return []
+        expired = [r for r in self._items if r.req_id in dead]
+        self._items = deque(r for r in self._items if r.req_id not in dead)
         return expired

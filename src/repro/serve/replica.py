@@ -335,12 +335,15 @@ class ReplicaPool:
 
         ``inf`` when every replica is draining (transient state the
         autoscaler resolves at its next tick; the min-replicas bound
-        keeps it from persisting).
+        keeps it from persisting). One pass: ``max(now, min busy_until)``
+        only selects among its inputs, so it equals the minimum of every
+        replica's :meth:`Replica.free_at` exactly.
         """
-        candidates = self._dispatchable()
-        if not candidates:
-            return float("inf")
-        return min(r.free_at(now_s) for r in candidates)
+        earliest = float("inf")
+        for r in self.replicas:
+            if not r.retiring and r.busy_until_s < earliest:
+                earliest = r.busy_until_s
+        return max(now_s, earliest)
 
     def select(self, now_s: float, batch_size: int) -> Replica:
         """The replica with the smallest estimated completion time.

@@ -23,7 +23,17 @@ The loop processes one event per iteration in a fixed priority order
 (completions, then arrivals, then autoscale ticks, then dispatch, then
 expiry sweeps), so the entire schedule — every batch composition, every
 latency, every verdict — is a pure function of (workload,
-configuration). Numerics are schedule-independent by construction:
+configuration). Finding the next event costs O(log n) in what is
+waiting, not a rescan of it: ``_inflight`` is a heap ordered
+``(finish_s, batch_id)`` (pushed at dispatch, popped at delivery — heap
+order *is* delivery order), each queue owns a
+:class:`~repro.serve.queue.DeadlineIndex` (kept at ``push`` /
+``push_front`` / ``pop`` / expiry; its docstring says why lazy deletion
+survives a requeue), and ``_next_event_s`` keeps a running minimum over
+their tops and the pool's one-pass ``earliest_free_s``, asking batcher,
+pool and deadlines only while something is queued. Equal instants still
+resolve in the handler order above (DESIGN.md §9 has the table).
+Numerics are schedule-independent by construction:
 whatever batches the policy forms, the delivered features are
 bit-identical to :func:`repro.eval.features.extract_features` on the
 same images (tested in ``tests/test_serve``).
@@ -48,6 +58,7 @@ via the ``tenant=`` attribute, per tenant.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,19 +177,19 @@ class ServerStats:
         return out
 
 
-@dataclass
+@dataclass(order=True)
 class _Inflight:
-    """One dispatched batch awaiting its virtual completion instant."""
+    """One dispatched batch awaiting its virtual completion instant;
+    orders by ``(finish_s, batch_id)``, the delivery order."""
 
     finish_s: float
     batch_id: int
-    replica: Replica
-    requests: list[Request]
-    dispatch_s: float
-    service_s: float
-    features: np.ndarray | None = None
-    error: ReplicaError | None = None
-    attrs: dict = field(default_factory=dict)
+    replica: Replica = field(compare=False)
+    requests: list[Request] = field(compare=False)
+    dispatch_s: float = field(compare=False)
+    service_s: float = field(compare=False)
+    features: np.ndarray | None = field(default=None, compare=False)
+    error: ReplicaError | None = field(default=None, compare=False)
 
 
 class InferenceServer:
@@ -312,7 +323,7 @@ class InferenceServer:
         self.stats = ServerStats()
         self.responses: list[Response] = []
         self._by_id: dict[int, Response] = {}
-        self._inflight: list[_Inflight] = []
+        self._inflight: list[_Inflight] = []  # heap, earliest finish first
         self._next_req_id = 0
         self._next_batch_id = 0
 
@@ -354,8 +365,11 @@ class InferenceServer:
         self._next_req_id += 1
         self.stats.submitted += 1
         self.stats.tenant(tenant).submitted += 1
-        tattrs = self._tenant_attrs(tenant)
-        self.telemetry.counter("serve.submitted", **tattrs)
+        # The default, disabled bus is not called at all on this path.
+        bus = self.telemetry if self.telemetry.enabled else None
+        tattrs = self._tenant_attrs(tenant) if bus else None
+        if bus:
+            bus.counter("serve.submitted", **tattrs)
         priority = 0
         if self.admission is not None:
             priority = self.admission.priority_of(tenant)
@@ -363,7 +377,8 @@ class InferenceServer:
             if reason is not None:
                 self.stats.rejected_rate_limited += 1
                 self.stats.tenant(tenant).rejected += 1
-                self.telemetry.counter("serve.rejected", reason=reason, **tattrs)
+                if bus:
+                    bus.counter("serve.rejected", reason=reason, **tattrs)
                 self._finish(
                     Response(
                         req_id=req_id,
@@ -381,10 +396,11 @@ class InferenceServer:
             row = self.cache.get(digest)
             if row is not None:
                 self.stats.cache_hits += 1
-                self.telemetry.counter("serve.cache_hit", **tattrs)
                 self.stats.served += 1
                 self.stats.tenant(tenant).served += 1
-                self.telemetry.counter("serve.served", **tattrs)
+                if bus:
+                    bus.counter("serve.cache_hit", **tattrs)
+                    bus.counter("serve.served", **tattrs)
                 self._finish(
                     Response(
                         req_id=req_id,
@@ -398,7 +414,8 @@ class InferenceServer:
                 )
                 return req_id
             self.stats.cache_misses += 1
-            self.telemetry.counter("serve.cache_miss", **tattrs)
+            if bus:
+                bus.counter("serve.cache_miss", **tattrs)
         request = Request(
             req_id=req_id,
             image=image,
@@ -411,7 +428,8 @@ class InferenceServer:
         if not self.queue.push(request):
             self.stats.rejected_queue_full += 1
             self.stats.tenant(tenant).rejected += 1
-            self.telemetry.counter("serve.rejected", reason="queue_full", **tattrs)
+            if bus:
+                bus.counter("serve.rejected", reason="queue_full", **tattrs)
             self._finish(
                 Response(
                     req_id=req_id,
@@ -423,7 +441,8 @@ class InferenceServer:
                 )
             )
             return req_id
-        self.telemetry.gauge("serve.queue_depth", len(self.queue))
+        if bus:
+            bus.gauge("serve.queue_depth", len(self.queue))
         return req_id
 
     # -- the event loop ------------------------------------------------------
@@ -448,7 +467,8 @@ class InferenceServer:
             else:
                 t, image, deadline, tenant = item
             arrivals.append((float(t), image, deadline, tenant))
-        for (t0, *_), (t1, *_) in zip(arrivals, arrivals[1:]):
+        times = [a[0] for a in arrivals]
+        for t0, t1 in zip(times, times[1:]):
             if t1 < t0:
                 raise ValueError(f"arrival times must be non-decreasing ({t1} < {t0})")
         if arrivals and arrivals[0][0] < self.clock.now():
@@ -509,24 +529,24 @@ class InferenceServer:
                 )
 
     def _next_event_s(self, next_arrival_s: float | None, now: float) -> float:
-        """Earliest instant any event category can fire."""
-        candidates = []
-        if next_arrival_s is not None:
-            candidates.append(next_arrival_s)
+        """Earliest instant any event category can fire: a running
+        minimum over the indexes' tops (the loop runs only while an
+        arrival, a queued request or an in-flight batch exists)."""
+        t = float("inf") if next_arrival_s is None else next_arrival_s
         if self._inflight:
-            candidates.append(min(b.finish_s for b in self._inflight))
-        ready = self.batcher.ready_at(self.queue, now)
-        if ready is not None:
-            candidates.append(max(ready, self.pool.earliest_free_s(now)))
-        deadline = self.queue.min_deadline_s()
-        if deadline is not None:
-            candidates.append(max(deadline, now))
+            t = min(t, self._inflight[0].finish_s)
+        if len(self.queue):
+            ready = self.batcher.ready_at(self.queue, now)
+            t = min(t, max(ready, self.pool.earliest_free_s(now)))
+            deadline = self.queue.min_deadline_s()
+            if deadline is not None:
+                t = min(t, max(deadline, now))
         if self.autoscaler is not None:
             # Ticks only matter while the loop is live; the loop exits
             # (and ticking stops) once queue, arrivals and flight are
             # all drained.
-            candidates.append(max(self.autoscaler.next_eval_s(), now))
-        return min(candidates)
+            t = min(t, max(self.autoscaler.next_eval_s(), now))
+        return t
 
     # -- event handlers ------------------------------------------------------
 
@@ -565,7 +585,8 @@ class InferenceServer:
             self.telemetry.counter(
                 "serve.replica_fault", kind=err.kind, replica=err.replica_id
             )
-            self._inflight.append(
+            heapq.heappush(
+                self._inflight,
                 _Inflight(
                     finish_s=now + err.detect_delay_s,
                     batch_id=batch_id,
@@ -574,10 +595,11 @@ class InferenceServer:
                     dispatch_s=now,
                     service_s=err.detect_delay_s,
                     error=err,
-                )
+                ),
             )
             return True
-        self._inflight.append(
+        heapq.heappush(
+            self._inflight,
             _Inflight(
                 finish_s=now + service_s,
                 batch_id=batch_id,
@@ -586,56 +608,56 @@ class InferenceServer:
                 dispatch_s=now,
                 service_s=service_s,
                 features=features,
-            )
+            ),
         )
         return True
 
     def _deliver_due(self, now: float) -> bool:
-        """Deliver every in-flight batch whose completion instant arrived."""
-        due = sorted(
-            (b for b in self._inflight if b.finish_s <= now),
-            key=lambda b: (b.finish_s, b.batch_id),
-        )
-        if not due:
-            return False
-        self._inflight = [b for b in self._inflight if b.finish_s > now]
-        for batch in due:
+        """Deliver every in-flight batch whose completion instant arrived,
+        in ``(finish_s, batch_id)`` order — the order the heap pops."""
+        delivered = False
+        while self._inflight and self._inflight[0].finish_s <= now:
+            batch = heapq.heappop(self._inflight)
             if batch.error is not None:
                 self._deliver_failed(batch)
             else:
                 self._deliver_ok(batch)
-        return True
+            delivered = True
+        return delivered
 
     def _deliver_ok(self, batch: _Inflight) -> None:
         done = batch.finish_s
-        self.telemetry.record_span(
-            "serve.infer",
-            batch.dispatch_s,
-            batch.service_s,
-            replica=batch.replica.replica_id,
-            batch=len(batch.requests),
-        )
-        oldest = min(r.arrival_s for r in batch.requests)
-        self.telemetry.record_span(
-            "serve.batch",
-            oldest,
-            done - oldest,
-            batch_id=batch.batch_id,
-            replica=batch.replica.replica_id,
-            batch=len(batch.requests),
-        )
+        bus = self.telemetry if self.telemetry.enabled else None
+        if bus:
+            bus.record_span(
+                "serve.infer",
+                batch.dispatch_s,
+                batch.service_s,
+                replica=batch.replica.replica_id,
+                batch=len(batch.requests),
+            )
+            oldest = min(r.arrival_s for r in batch.requests)
+            bus.record_span(
+                "serve.batch",
+                oldest,
+                done - oldest,
+                batch_id=batch.batch_id,
+                replica=batch.replica.replica_id,
+                batch=len(batch.requests),
+            )
         for i, req in enumerate(batch.requests):
             row = batch.features[i]
             if self.cache is not None and req.digest:
                 self.cache.put(req.digest, row)
-            tattrs = self._tenant_attrs(req.tenant)
+            tattrs = self._tenant_attrs(req.tenant) if bus else None
             # A positive service window means finish > dispatch, so only
             # requests dispatched strictly before their deadline can
             # still make it; late completions are honest timeouts.
             if req.deadline_s is not None and done > req.deadline_s:
                 self.stats.timed_out += 1
                 self.stats.tenant(req.tenant).timed_out += 1
-                self.telemetry.counter("serve.timeout", where="inflight", **tattrs)
+                if bus:
+                    bus.counter("serve.timeout", where="inflight", **tattrs)
                 self._finish(
                     Response(
                         req_id=req.req_id,
@@ -650,7 +672,8 @@ class InferenceServer:
                 continue
             self.stats.served += 1
             self.stats.tenant(req.tenant).served += 1
-            self.telemetry.counter("serve.served", **tattrs)
+            if bus:
+                bus.counter("serve.served", **tattrs)
             self._finish(
                 Response(
                     req_id=req.req_id,
@@ -702,9 +725,10 @@ class InferenceServer:
         for req in expired:
             self.stats.timed_out += 1
             self.stats.tenant(req.tenant).timed_out += 1
-            self.telemetry.counter(
-                "serve.timeout", where="queued", **self._tenant_attrs(req.tenant)
-            )
+            if self.telemetry.enabled:
+                self.telemetry.counter(
+                    "serve.timeout", where="queued", **self._tenant_attrs(req.tenant)
+                )
             self._finish(
                 Response(
                     req_id=req.req_id,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,44 @@ class TestFeatureCache:
         a = np.arange(16.0).reshape(4, 4)
         view = a[:, ::2]
         assert image_digest(view) == image_digest(np.ascontiguousarray(view))
+
+    def test_digest_values_are_pinned(self):
+        # Literals from commit 06e820a (str(dtype) + tobytes() copy): a
+        # cache persisted or shared across versions must keep hitting.
+        a = np.arange(3 * 4 * 4, dtype=np.float64).reshape(3, 4, 4) / 7.0
+        assert image_digest(a) == (
+            "1ea37153393b8824e6bceba5dd049724e9bf9398ade5f2eb265784dedb544e44"
+        )
+        assert image_digest(a.astype(np.float32)) == (
+            "5ed2776bb2a15495f909adf8a65de781e402af82f21d252fd677c3db9e91da0e"
+        )
+        assert image_digest(a[:, ::2, 1:]) == (  # non-contiguous view
+            "8a3c5b0a4e2c043cec48fdd3f59335f1ad63c8ea58323801fbadc036959f965a"
+        )
+        assert image_digest(a.astype(">f8")) == (  # big-endian copy
+            "0d1467094d2ba42a1c166119b1d45c942fd1a0fdd78bd807dacff019414ea1ed"
+        )
+        frozen = a.copy()
+        frozen.setflags(write=False)  # hashed in place, never written
+        assert image_digest(frozen) == image_digest(a)
+
+    def test_digest_leaves_nothing_attached_to_the_image(self):
+        # Exporting an array's buffer makes NumPy cache ~100 B of export
+        # info on that array object for its lifetime; requests hold their
+        # image views for a whole episode, so hashing must not do that.
+        pool = np.zeros((8, 1, 2, 2))
+        views = [pool[i % 8] for i in range(400)]
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for view in views:
+                image_digest(view)
+            grew = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert grew < 400 * 16
 
     def test_hit_returns_copy_and_counts(self):
         c = LRUFeatureCache(capacity=4)
