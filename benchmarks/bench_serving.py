@@ -2,7 +2,7 @@
 
 Drives :class:`repro.serve.InferenceServer` with deterministic load and
 writes ``BENCH_serving.json`` for ``benchmarks/check_regression.py``.
-Three phases:
+Four phases:
 
 - **throughput / saturation gate** — a closed burst (every request
   present at t=0) keeps the batcher forming full batches back to back,
@@ -17,12 +17,6 @@ Three phases:
   machine-independent.
 - **cache** — repeat-heavy traffic over a small working set; reports
   the steady-state hit rate.
-- **threaded encoder** — the saturation burst again with
-  ``intra_op_threads=THREADED_ENCODER_THREADS``; reports threaded
-  serving images/s and asserts delivered features are bit-identical to
-  direct ``extract_features`` on a model threaded with the *same* pool
-  size (thread count is part of the numerical configuration — see
-  ``repro.backend.threads``).
 - **open loop** — the seeded multi-tenant diurnal+flash scenario from
   ``repro.experiments.traffic_exp``, served twice: on the fleet the
   capacity planner priced (then reconciled predicted vs measured
@@ -80,8 +74,6 @@ LATENCY_REPLICAS = (1, 4)
 
 CACHE_REQUESTS = 240
 CACHE_WORKING_SET = 16
-
-THREADED_ENCODER_THREADS = 4
 
 
 def _model_and_images(n: int):
@@ -211,50 +203,7 @@ def _cache(model, images) -> dict:
     }
 
 
-# -- phase 4: threaded encoder -------------------------------------------------
-
-
-def _threaded(model, images) -> dict:
-    """Saturation burst with a threaded encoder; bit-identity checked
-    against direct extract_features at the same pool size."""
-    n = len(images)
-    server = InferenceServer(
-        model,
-        services=[FixedServiceModel(1e6)],
-        max_batch_size=GATE_BATCH,
-        max_wait_s=0.0,
-        queue_capacity=n,
-        intra_op_threads=THREADED_ENCODER_THREADS,
-    )
-    try:
-        workload = [(0.0, images[i]) for i in range(n)]
-        t0 = time.perf_counter()
-        responses = server.run(workload)
-        serving = n / (time.perf_counter() - t0)
-        assert all(r.status == "ok" for r in responses)
-        assert server.stats.reconciles()
-        # The server attached its pool to the (shared) model, so this
-        # direct pass is threaded with the same count — the comparison
-        # the numerics contract actually guarantees.
-        direct = extract_features(model, images, batch_size=GATE_BATCH)
-        by_id = {r.req_id: r.features for r in responses}
-        ids = sorted(by_id)
-        bit_identical = all(
-            np.array_equal(by_id[req_id], direct[i])
-            for i, req_id in enumerate(ids)
-        )
-    finally:
-        server.close()
-        model.use_gemm_pool(None)
-    return {
-        "threads": THREADED_ENCODER_THREADS,
-        "n_images": n,
-        "serving_images_per_s": serving,
-        "bit_identical_to_direct": bool(bit_identical),
-    }
-
-
-# -- phase 5: open-loop traffic, planned fleet, autoscale ----------------------
+# -- phase 4: open-loop traffic, planned fleet, autoscale ----------------------
 
 
 OPEN_LOOP_COST_TOLERANCE = 0.10
@@ -311,7 +260,6 @@ def run_serving() -> dict:
     sat = _saturation(model, images)
     lat = _latency(model, images)
     cache = _cache(model, images)
-    threaded = _threaded(model, images)
     open_loop = _open_loop()
     return {
         "schema": 1,
@@ -325,7 +273,6 @@ def run_serving() -> dict:
         "throughput": sat,
         "latency": lat,
         "cache": cache,
-        "threaded": threaded,
         "open_loop": open_loop,
     }
 
@@ -356,13 +303,6 @@ def render_serving(result: dict) -> str:
         f"({c['hit_rate']:.1%}) over a working set of {c['working_set']}; "
         f"encoder ran on {c['encoded_images']} images"
     )
-    th = result.get("threaded")
-    if th:
-        lines.append(
-            f"threaded encoder ({th['threads']} threads): "
-            f"{th['serving_images_per_s']:.0f} img/s serving, "
-            f"bit-identical to direct: {th['bit_identical_to_direct']}"
-        )
     ol = result.get("open_loop")
     if ol:
         p, a = ol["planned"], ol["autoscale"]
@@ -408,11 +348,6 @@ def _assert_gates(result: dict) -> None:
     c = result["cache"]
     assert c["hit_rate"] > 0.5
     assert c["encoded_images"] < c["requests"]
-    th = result["threaded"]
-    assert th["bit_identical_to_direct"], (
-        "threaded serving features diverged from direct extract_features "
-        f"at {th['threads']} threads"
-    )
     p = result["open_loop"]["planned"]
     assert p["reconciled"], "planned fleet failed to reconcile"
     assert p["admitted_attainment"] >= p["attainment_target"]

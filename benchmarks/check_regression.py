@@ -2,7 +2,8 @@
 
 Covers ``BENCH_hotpath.json`` (substrate training throughput),
 ``BENCH_serving.json`` (online serving throughput/saturation),
-``BENCH_multicore.json`` (process-backend speedup and bit-identity),
+``BENCH_multicore.json`` (process-backend wall-clock speedup and
+bit-identity),
 ``ELASTIC_campaign.json`` (resize chaos campaign bit-identity), and
 ``MESHPERF.json`` (mesh perf-model predicted-vs-measured reconciliation).
 
@@ -14,8 +15,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_elastic.py      # fresh run
     PYTHONPATH=src python benchmarks/bench_meshperf.py     # fresh run
     python benchmarks/check_regression.py                  # diff vs baselines
-    python benchmarks/check_regression.py --update         # bless current runs
-    python benchmarks/check_regression.py --update meshperf  # bless only that one
+    python benchmarks/check_regression.py --update meshperf  # bless that one
 
 Exits nonzero when any proxy model's measured images/second fell more
 than ``--threshold`` (default 15%) below the baseline, so CI can gate
@@ -27,14 +27,14 @@ meaningful when fresh run and baseline come from the same machine class.
 Several gates are machine-*relative* and checked against the artifact's
 own threshold rather than the baseline: the attention fused-vs-naive
 speedup (1.3x), the serving saturation ratio (serving >= 0.9x offline
-inference on the same replica set), and the multicore critical-path
-speedup (process backend >= 2.5x inline at 4 workers) plus its fp32
-bit-identity flag. The hotpath artifact is required; serving and
-multicore artifacts are optional — missing ones are reported with the
-command that produces them, never a traceback. ``--update`` blesses
-every baseline whose fresh artifact exists in one atomic batch
-(stage-then-rename, so an interrupted update never leaves a half-new
-baseline set).
+inference on the same replica set), and the multicore wall-clock
+speedup (process backend >= 1.2x inline at 4 workers, interleaved pairs;
+skipped on a host with fewer than 2 CPUs) plus its fp32 bit-identity
+flag. The hotpath artifact is required; serving and multicore artifacts
+are optional — missing ones are reported with the command that produces
+them, never a traceback. ``--update NAME...`` blesses the named
+baselines in one atomic batch (stage-then-rename, so an interrupted
+update never leaves a half-new baseline set).
 """
 
 from __future__ import annotations
@@ -148,34 +148,33 @@ def compare_serving(
     return problems
 
 
+def _multicore_skip(fresh: dict) -> str | None:
+    """Why the wall-clock gate does not apply to this artifact's host."""
+    cpus = fresh.get("host", {}).get("cpu_count", 0)
+    if cpus < 2:
+        return f"speedup gate skipped: {cpus} CPU, workers can only take turns"
+    return None
+
+
 def compare_multicore(
     fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
 ) -> list[str]:
     """Regressions in the multicore artifact (empty = pass).
 
-    Both gates are machine-relative (CPU-clock ratios), so they are read
-    from the fresh artifact's own gate block; the baseline additionally
-    catches a speedup that silently eroded more than ``threshold`` below
-    the last blessed run.
+    Both gates are machine-relative, so they are read from the fresh
+    artifact's own gate block and never diffed against the baseline: a
+    wall-clock ratio from another host class is not a baseline.
     """
     problems: list[str] = []
     gate = fresh.get("gate", {})
     if not gate.get("bit_identical", False):
         problems.append("multicore: process backend no longer fp32 bit-identical")
-    got = gate.get("speedup", 0.0)
-    if got < gate.get("threshold", 0.0):
+    got = gate.get("speedup_wall", 0.0)
+    if _multicore_skip(fresh) is None and got < gate.get("floor", 0.0):
         problems.append(
-            f"multicore speedup {got:.2f}x at {gate.get('workers')} workers "
-            f"below its own {gate.get('threshold')}x gate"
+            f"multicore wall-clock speedup {got:.2f}x at {gate.get('workers')} "
+            f"workers below its own {gate.get('floor')}x floor"
         )
-    want = baseline.get("gate", {}).get("speedup", 0.0)
-    if want > 0:
-        change = (got - want) / want
-        if change < -threshold:
-            problems.append(
-                f"multicore: {got:.2f}x speedup vs baseline {want:.2f}x "
-                f"({change:+.1%}, allowed -{threshold:.0%})"
-            )
     return problems
 
 
@@ -299,15 +298,15 @@ def render_serving(fresh: dict, baseline: dict) -> str:
 
 
 def render_multicore(fresh: dict, baseline: dict) -> str:
-    """One-line multicore speedup comparison."""
-    g = fresh.get("gate", {}).get("speedup", 0.0)
-    w = baseline.get("gate", {}).get("speedup", 0.0)
-    change = g / w - 1.0 if w > 0 else 0.0
-    identical = fresh.get("gate", {}).get("bit_identical", False)
-    return (
-        f"{'multicore':<12} {w:>9.2f}x {g:>9.2f}x {change:>+7.1%}   "
-        f"(bit-identical {identical})"
-    )
+    """One-line multicore wall-clock verdict."""
+    gate = fresh.get("gate", {})
+    verdict = _multicore_skip(fresh) or f"floor {gate.get('floor', 0.0)}x"
+    lines = [
+        f"{'multicore':<12} {gate.get('speedup_wall', 0.0):>9.2f}x wall at "
+        f"{gate.get('workers', '?')} workers   ({verdict}, bit-identical "
+        f"{gate.get('bit_identical', False)})"
+    ]
+    return "\n".join(lines + _host_lines(fresh))
 
 
 def render(fresh: dict, baseline: dict) -> str:
@@ -326,21 +325,16 @@ def render(fresh: dict, baseline: dict) -> str:
     return "\n".join(lines + _host_lines(fresh))
 
 
-def update_baselines(names: list[str] | tuple[str, ...] = ()) -> list[str]:
-    """Bless fresh artifacts atomically; returns messages.
+def update_baselines(names: list[str]) -> list[str]:
+    """Bless the named fresh artifacts atomically; returns messages.
 
-    With no ``names``, every present fresh artifact is blessed (hotpath
-    always); otherwise only the named ones (``"hotpath"`` or a key of
-    :data:`OPTIONAL_ARTIFACTS`), each of which must exist. All staging
-    copies are written first; the renames happen only after every copy
-    succeeded, so a failure mid-update leaves the committed baselines
-    exactly as they were (rename within a directory is atomic on POSIX).
+    Each name is ``"hotpath"`` or a key of :data:`OPTIONAL_ARTIFACTS`,
+    and its fresh artifact must exist. All staging copies are written
+    first; the renames happen only after every copy succeeded, so a
+    failure mid-update leaves the committed baselines exactly as they
+    were (rename within a directory is atomic on POSIX).
     """
     table = {"hotpath": (FRESH, BASELINE, "bench_hotpath.py"), **OPTIONAL_ARTIFACTS}
-    names = names or [
-        name for name, (fresh_path, *_) in table.items()
-        if name == "hotpath" or fresh_path.exists()
-    ]
     pending = [table[name][:2] for name in names]
     staged: list[tuple[Path, Path]] = []
     try:
@@ -373,12 +367,12 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--update",
-        nargs="*",
+        nargs="+",
         choices=["hotpath", *OPTIONAL_ARTIFACTS],
         metavar="ARTIFACT",
         help="bless the named fresh artifacts (hotpath, "
         + ", ".join(OPTIONAL_ARTIFACTS)
-        + ") as their baselines and exit 0; with no name, every present one",
+        + ") as their baselines and exit 0",
     )
     args = parser.parse_args(argv)
 
@@ -397,7 +391,7 @@ def main(argv: list[str] | None = None) -> int:
     fresh = json.loads(args.fresh.read_text())
 
     if not args.baseline.exists():
-        print(f"no baseline at {args.baseline}; run with --update to create it")
+        print(f"no baseline at {args.baseline}; run with --update hotpath to create it")
         return 2
     baseline = json.loads(args.baseline.read_text())
 
@@ -427,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         elif fresh_path.exists() or baseline_path.exists():
             print(
                 f"{name}: fresh artifact and baseline incomplete; skipping "
-                f"(run {cmd} first, then --update)"
+                f"(run {cmd} first, then --update {name})"
             )
 
     if problems:

@@ -36,7 +36,6 @@ here (engines, trainers, telemetry, data, eval).
 
 from repro.backend import (
     BACKEND_CHOICES,
-    GemmPool,
     WorkerCrashError,
     WorkerStepError,
 )
@@ -141,7 +140,6 @@ __all__ = [
     "make_engine",
     "STRATEGY_CHOICES",
     "BACKEND_CHOICES",
-    "GemmPool",
     "WorkerCrashError",
     "WorkerStepError",
     "FSDPEngine",

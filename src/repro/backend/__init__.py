@@ -12,16 +12,14 @@ decides what executes a rank's forward/backward:
     (:mod:`repro.backend.process`). fp32 steps are bit-identical to
     inline (tested); multi-core hosts get real step-level parallelism.
 
-Orthogonally, :class:`~repro.backend.threads.GemmPool` adds intra-op
-thread parallelism to the fused GEMM kernels (blocked tiles over
-released-GIL ``np.matmul``), sized by ``EngineConfig.intra_op_threads``
-and shareable with :mod:`repro.serve` replica inference.
+Threading *inside* a rank is the BLAS's job: export
+``OPENBLAS_NUM_THREADS`` (``ProcessBackend.start()`` pins it to 1 in the
+workers only when the caller left it unset).
 
 Select via config — engines call :func:`make_backend` internally::
 
     engine = make_engine(model, "full_shard", world=World(4),
-                         config=EngineConfig(backend="process",
-                                             intra_op_threads=4))
+                         config=EngineConfig(backend="process"))
     ...
     engine.close()   # join workers, unlink /dev/shm segments
 """
@@ -29,12 +27,10 @@ Select via config — engines call :func:`make_backend` internally::
 from repro.backend.inline import ExecutionBackend, InlineBackend
 from repro.backend.process import ProcessBackend, WorkerCrashError, WorkerStepError
 from repro.backend.shm import ShmArena, sweep_segments
-from repro.backend.threads import GemmPool
 
 __all__ = [
     "BACKEND_CHOICES",
     "ExecutionBackend",
-    "GemmPool",
     "InlineBackend",
     "ProcessBackend",
     "ShmArena",

@@ -281,24 +281,23 @@ def _worker_main(spec: dict, conn) -> None:
             else:
                 loss = float(step_fn(model, micro))
             write_grads(round_index, scale)
-            cpu_s = time.process_time() - t0
             if telemetry_on:
-                bus.gauge("worker.cpu_s", cpu_s, rank=rank, round=round_index)
+                bus.gauge(
+                    "worker.cpu_s", time.process_time() - t0,
+                    rank=rank, round=round_index,
+                )
                 _flush_events(sink, events)
             else:
                 # TP spans record unconditionally; don't let them pile up
                 # across steps when the parent isn't draining events.
                 sink.events.clear()
-            conn.send(("ok", seq, loss, cpu_s))
+            conn.send(("ok", seq, loss))
         except Exception:
             # Same cleanup contract as the inline engines: never leave a
             # model's worth of activations pinned behind a failed micro.
             model.release_caches()
             sink.events.clear()
             conn.send(("err", seq, traceback.format_exc()))
-    pool = getattr(model, "_gemm_pool", None)
-    if pool is not None:
-        pool.close()
     if data_arena is not None:
         data_arena.close()
     arena.close()
@@ -403,7 +402,6 @@ class ProcessBackend(ExecutionBackend):
         self._conns: list = []
         self._data: ShmArena | None = None
         self._seq = 0
-        self._cpu_s = [0.0] * self.world_size
         self._started = False
         self._broken: str | None = None
         self._shut = False
@@ -595,11 +593,10 @@ class ProcessBackend(ExecutionBackend):
         for r in range(self.world_size):
             msg = self._recv(r)
             if msg[0] == "ok":
-                _, seq, loss, cpu_s = msg
+                _, seq, loss = msg
                 if seq != self._seq:  # pragma: no cover - protocol guard
                     raise WorkerCrashError(r, f"out-of-order reply {seq}")
                 losses.append(loss)
-                self._cpu_s[r] += cpu_s
             else:
                 failures.append((r, msg[2]))
         if telemetry_on:
@@ -612,17 +609,3 @@ class ProcessBackend(ExecutionBackend):
             rank, tb = failures[0]
             raise WorkerStepError(rank, tb)
         return losses, self._grad_views[round_index]
-
-    # -- instrumentation ---------------------------------------------------
-
-    def pop_worker_cpu_s(self) -> list[float]:
-        """Per-rank worker CPU seconds since the last call (then reset).
-
-        The critical-path metric ``bench_multicore`` gates on: the
-        slowest rank's CPU time bounds the step on a host with enough
-        cores, independent of how this host's scheduler interleaved the
-        workers (see DESIGN §12).
-        """
-        out = list(self._cpu_s)
-        self._cpu_s = [0.0] * self.world_size
-        return out

@@ -73,13 +73,12 @@ class EngineConfig:
     Fields common to all three engines (resolved once, by
     :class:`~repro.core.engine_core.EngineCore`): ``optimizer_factory``,
     ``comm``, ``retry_policy``, ``telemetry``, the precision /
-    accumulation fields, ``backend``, ``intra_op_threads``,
-    ``reduction_layout``. DDP-only: ``bucket_cap_bytes``,
-    ``first_bucket_cap_bytes``. FSDP-only: ``backward_prefetch``,
-    ``check_replicas``; ``shard_size`` is FSDP's and, on a mesh, must
-    agree with ``mesh.dp``. Mesh-only: ``mesh``. Engines ignore the
-    fields that do not apply to them, so one config can build a whole
-    strategy sweep.
+    accumulation fields, ``backend``, ``reduction_layout``. DDP-only:
+    ``bucket_cap_bytes``, ``first_bucket_cap_bytes``. FSDP-only:
+    ``backward_prefetch``, ``check_replicas``; ``shard_size`` is FSDP's
+    and, on a mesh, must agree with ``mesh.dp``. Mesh-only: ``mesh``.
+    Engines ignore the fields that do not apply to them, so one config
+    can build a whole strategy sweep.
 
     Attributes
     ----------
@@ -131,12 +130,6 @@ class EngineConfig:
         :mod:`repro.backend`). fp32 training is bit-identical across
         backends; call ``engine.close()`` when done with a process
         backend to join workers and unlink the segments.
-    intra_op_threads:
-        Threads in the shared :class:`~repro.backend.threads.GemmPool`
-        the fused Linear/attention matmuls tile over (``1`` disables the
-        pool). Blocked GEMMs are bit-identical to fused ones, so this is
-        purely a speed knob. Composes with ``backend="process"`` (each
-        worker gets its own pool).
     reduction_layout:
         The logical :class:`~repro.elastic.layout.ReductionLayout` the
         gradient reduction must realize (``None`` — the default — keeps
@@ -160,7 +153,6 @@ class EngineConfig:
     dynamic_loss_scale: bool = False
     # Execution (every engine kind)
     backend: str = "inline"
-    intra_op_threads: int = 1
     # Elastic resharding (every engine kind)
     reduction_layout: ReductionLayout | None = None
     # DDP-only
@@ -187,10 +179,6 @@ class EngineConfig:
         if self.backend not in BACKEND_CHOICES:
             raise ValueError(
                 f"backend must be one of {BACKEND_CHOICES}, got {self.backend!r}"
-            )
-        if self.intra_op_threads < 1:
-            raise ValueError(
-                f"intra_op_threads must be >= 1, got {self.intra_op_threads}"
             )
         if self.bucket_cap_bytes <= 0:
             raise ValueError(

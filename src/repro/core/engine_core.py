@@ -73,7 +73,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.backend import GemmPool, make_backend
+from repro.backend import make_backend
 from repro.comm.collectives import SimComm
 from repro.comm.faults import call_with_retry
 from repro.comm.world import World
@@ -139,11 +139,6 @@ class EngineCore:
     def _launch(self) -> None:
         """Finish construction once the layout's storage is declared."""
         cfg = self.config
-        self.gemm_pool = (
-            GemmPool(cfg.intra_op_threads) if cfg.intra_op_threads > 1 else None
-        )
-        if self.gemm_pool is not None:
-            self.model.use_gemm_pool(self.gemm_pool)
         # Backend before shards and optimizer: a process backend re-homes
         # p.data / each unit's flat buffer into shared memory, and the
         # flat-shard views and optimizer state (bf16 masters included)
@@ -190,13 +185,11 @@ class EngineCore:
         self.optimizer.lr = value
 
     def close(self) -> None:
-        """Release backend resources (worker processes, shared memory,
-        GEMM threads). Idempotent. Parameter storage is re-homed to
+        """Release backend resources (worker processes, shared
+        memory). Idempotent. Parameter storage is re-homed to
         private arrays, so checkpointing and evaluation keep working;
         further ``train_step`` calls need a fresh engine."""
         self._backend.shutdown()
-        if self.gemm_pool is not None:
-            self.gemm_pool.close()
 
     # -- checkpointing -----------------------------------------------------
 

@@ -102,7 +102,7 @@ class MultiHeadSelfAttention(Module):
         # instead of scaling the (B, H, N, N) score matrix.
         qkv.reshape(b, n, 3, w)[:, :, 0] *= self.scale
         scores = self._buf("scores", (b, h, n, n), qkv.dtype)
-        self._matmul(q, k.transpose(0, 1, 3, 2), scores)
+        np.matmul(q, k.transpose(0, 1, 3, 2), out=scores)
         # In-place softmax over the last axis.
         red = self._buf("red", (b, h, n, 1), qkv.dtype)
         np.max(scores, axis=-1, keepdims=True, out=red)
@@ -114,7 +114,7 @@ class MultiHeadSelfAttention(Module):
         # Context lands pre-merged: matmul writes through the transposed
         # view so ctx is (B, N, W) without a merge copy.
         ctx = self._buf("ctx", (b, n, h, self.head_dim), qkv.dtype)
-        self._matmul(attn, v, ctx.transpose(0, 2, 1, 3))
+        np.matmul(attn, v, out=ctx.transpose(0, 2, 1, 3))
         out = self.proj(ctx.reshape(b, n, w))
         self._cache = (qkv, attn, b, n)
         return out
@@ -147,14 +147,14 @@ class MultiHeadSelfAttention(Module):
         dctx = self.proj.backward(dout)  # (B, N, W)
         dctx4 = dctx.reshape(b, n, h, d).transpose(0, 2, 1, 3)
         dattn = self._buf("dattn", (b, h, n, n), dout.dtype)
-        self._matmul(dctx4, v.transpose(0, 1, 3, 2), dattn)
+        np.matmul(dctx4, v.transpose(0, 1, 3, 2), out=dattn)
         # dq/dk/dv are written straight into one (B, N, 3W) buffer via
         # transposed views — no per-head concatenation.
         dqkv = self._buf("dqkv", (b, n, 3 * w), dout.dtype)
         dq5 = dqkv.reshape(b, n, 3, h, d)
-        self._matmul(
+        np.matmul(
             attn.transpose(0, 1, 3, 2), dctx4,
-            dq5[:, :, 2].transpose(0, 2, 1, 3),
+            out=dq5[:, :, 2].transpose(0, 2, 1, 3),
         )
         # In-place softmax backward: dscores = attn * (dattn - rowsum).
         red = self._buf("dred", (b, h, n, 1), dout.dtype)
@@ -162,11 +162,11 @@ class MultiHeadSelfAttention(Module):
         np.subtract(dattn, red, out=dattn)
         np.multiply(dattn, attn, out=dattn)
         # dq picks up the folded scale explicitly; dk inherits it from qs.
-        self._matmul(dattn, k, dq5[:, :, 0].transpose(0, 2, 1, 3))
+        np.matmul(dattn, k, out=dq5[:, :, 0].transpose(0, 2, 1, 3))
         dqkv.reshape(b, n, 3, w)[:, :, 0] *= self.scale
-        self._matmul(
+        np.matmul(
             dattn.transpose(0, 1, 3, 2), qs,
-            dq5[:, :, 1].transpose(0, 2, 1, 3),
+            out=dq5[:, :, 1].transpose(0, 2, 1, 3),
         )
         return self.qkv.backward(dqkv)
 

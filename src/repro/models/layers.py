@@ -81,7 +81,7 @@ class Linear(Module):
         res_dtype = np.result_type(x.dtype, self.weight.data.dtype)
         y = self._buf("y", x.shape[:-1] + (self.out_features,), res_dtype)
         y2 = y.reshape(-1, self.out_features)
-        self._matmul(x2, self.weight.data, y2)
+        np.matmul(x2, self.weight.data, out=y2)
         ctx = self._tp_ctx
         if ctx is not None and self.tp_shard:
             # Column-parallel output: each tp rank owns a column block;
@@ -98,7 +98,7 @@ class Linear(Module):
         x2 = self._x2
         d2 = dout.reshape(-1, self.out_features)
         gw = self._buf("gw", self.weight.shape, self.weight.dtype)
-        self._matmul(x2.T, d2, gw)
+        np.matmul(x2.T, d2, out=gw)
         self.weight.accumulate(gw)
         if self.has_bias:
             gb = self._buf("gb", self.bias.shape, self.bias.dtype)
@@ -108,7 +108,7 @@ class Linear(Module):
             "dx", self._lead + (self.in_features,), np.result_type(d2, x2)
         )
         dx2 = dx.reshape(-1, self.in_features)
-        self._matmul(d2, self.weight.data.T, dx2)
+        np.matmul(d2, self.weight.data.T, out=dx2)
         ctx = self._tp_ctx
         if ctx is not None and self.tp_shard:
             # Row-parallel backward: each tp rank contributes a column

@@ -79,7 +79,6 @@ class Module:
         object.__setattr__(self, "_modules", {})
         object.__setattr__(self, "training", True)
         object.__setattr__(self, "_workspace", None)
-        object.__setattr__(self, "_gemm_pool", None)
         object.__setattr__(self, "_tp_ctx", None)
 
     def __setattr__(self, name: str, value) -> None:
@@ -203,35 +202,6 @@ class Module:
     def tensor_parallel(self):
         """The attached :class:`~repro.mesh.tp.TPContext`, or ``None``."""
         return self._tp_ctx
-
-    # -- intra-op threading --------------------------------------------------
-
-    def use_gemm_pool(self, pool) -> "Module":
-        """Attach (or detach, with ``None``) an intra-op GEMM thread pool.
-
-        Propagates recursively, like :meth:`use_workspace`, so every
-        layer's large matmuls tile over the same
-        :class:`~repro.backend.threads.GemmPool`. Thread count is part
-        of the numerical configuration: a fixed count is deterministic
-        and backend-independent, but different counts may differ at the
-        ulp level (see the determinism contract in
-        :mod:`repro.backend.threads`). Returns self.
-        """
-        for m in self.modules():
-            object.__setattr__(m, "_gemm_pool", pool)
-        return self
-
-    @property
-    def gemm_pool(self):
-        """The attached :class:`GemmPool`, or ``None``."""
-        return self._gemm_pool
-
-    def _matmul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``np.matmul(a, b, out=out)``, tiled over the pool when attached."""
-        pool = self._gemm_pool
-        if pool is None:
-            return np.matmul(a, b, out=out)
-        return pool.matmul(a, b, out)
 
     # -- activation caches ---------------------------------------------------
 

@@ -63,7 +63,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.backend import GemmPool
 from repro.hardware.gpu import GpuSpec
 from repro.serve.admission import AdmissionController
 from repro.serve.autoscale import Autoscaler
@@ -241,13 +240,6 @@ class InferenceServer:
         capacity planner's :meth:`~repro.serve.planner.CapacityPlan.prices`),
         feeding the pool's measured-cost ledger. ``None`` prices the
         initial fleet at zero.
-    intra_op_threads:
-        Threads for the encoder's blocked GEMMs (shared across replicas
-        via one :class:`~repro.backend.GemmPool`). ``1`` (default) keeps
-        the serial kernels. Thread count is part of the numerical
-        configuration: delivered features are bit-identical to
-        ``extract_features`` on a model threaded with the same count.
-        Call :meth:`close` when done to release the pool's threads.
     """
 
     def __init__(
@@ -265,17 +257,12 @@ class InferenceServer:
         clock: VirtualClock | None = None,
         telemetry: TelemetryBus | None = None,
         fault_plan: ReplicaFaultPlan | None = None,
-        intra_op_threads: int = 1,
         admission: AdmissionController | None = None,
         autoscaler: Autoscaler | None = None,
         replica_prices: list | None = None,
     ):
         if n_replicas < 1:
             raise ValueError(f"n_replicas must be >= 1, got {n_replicas}")
-        if intra_op_threads < 1:
-            raise ValueError(
-                f"intra_op_threads must be >= 1, got {intra_op_threads}"
-            )
         if stall_timeout_s <= 0:
             raise ValueError(
                 f"stall_timeout_s must be positive, got {stall_timeout_s}"
@@ -300,23 +287,6 @@ class InferenceServer:
         )
         self.autoscaler = autoscaler
         self.pool = ReplicaPool(model, services, prices=replica_prices)
-        # All replicas share the model object and the event loop is
-        # single-threaded, so one GEMM pool threads every replica's
-        # encoder. Thread count is part of the numerical configuration
-        # (see repro.backend.threads): features stay bit-identical to
-        # extract_features on a model using the same pool size.
-        self.gemm_pool = (
-            GemmPool(intra_op_threads) if intra_op_threads > 1 else None
-        )
-        if self.gemm_pool is not None:
-            try:
-                model.use_gemm_pool(self.gemm_pool)
-            except AttributeError as err:
-                raise ValueError(
-                    "intra_op_threads > 1 needs a model with use_gemm_pool "
-                    "(a repro Module encoder); got "
-                    f"{type(model).__name__}"
-                ) from err
         self.cache = LRUFeatureCache(cache_capacity) if cache_capacity else None
         self.stall_timeout_s = stall_timeout_s
         self.fault_plan = fault_plan
@@ -326,12 +296,6 @@ class InferenceServer:
         self._inflight: list[_Inflight] = []  # heap, earliest finish first
         self._next_req_id = 0
         self._next_batch_id = 0
-
-    def close(self) -> None:
-        """Release the GEMM thread pool (if any). Idempotent; the server
-        keeps working afterwards — the pool lazily restarts on use."""
-        if self.gemm_pool is not None:
-            self.gemm_pool.close()
 
     # -- admission -----------------------------------------------------------
 

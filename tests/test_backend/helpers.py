@@ -59,7 +59,6 @@ def build_engine(
     world: int = 2,
     k: int = 1,
     precision: str = "fp32",
-    threads: int = 1,
     seed: int = 7,
     **config_kwargs,
 ):
@@ -70,7 +69,6 @@ def build_engine(
         backend=backend,
         grad_accum_steps=k,
         precision=precision,
-        intra_op_threads=threads,
         **config_kwargs,
     )
     return make_engine(model, strategy, world=World(world), config=cfg)

@@ -48,19 +48,6 @@ class TestDifferentialIdentity:
         assert losses_i == losses_p
         assert_states_equal(state_i, state_p)
 
-    def test_threaded_gemm_identical_across_backends(self):
-        # Thread count is part of the numerical configuration (BLAS
-        # kernel choice per tile); at a *fixed* count the two backends
-        # must still agree bit-for-bit.
-        eng_i = build_engine("inline", world=2, threads=4)
-        losses_i, state_i = run_steps(eng_i, 2, 1)
-        eng_i.close()
-        eng_p = build_engine("process", world=2, threads=4)
-        losses_p, state_p = run_steps(eng_p, 2, 1)
-        eng_p.close()
-        assert losses_i == losses_p
-        assert_states_equal(state_i, state_p)
-
 
 class TestWorkerStepFailure:
     def test_step_fn_error_surfaces_with_worker_traceback(self):

@@ -9,8 +9,12 @@ stand-alone engines returned before they shared a core.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import repro
+from repro.backend import ProcessBackend
 from repro.comm.world import World
 from repro.core.ddp import DDPEngine
 from repro.core.engine import EngineConfig, make_engine
@@ -18,6 +22,7 @@ from repro.core.engine_core import EngineCore
 from repro.core.fsdp import FSDPEngine
 from repro.mesh.engine import MeshEngine
 from repro.mesh.spec import MeshSpec
+from repro.models.module import Module
 
 from tests.test_mesh.helpers import build_model
 
@@ -110,3 +115,16 @@ def test_topology_records_are_what_the_stand_alone_engines_returned(
         eng.close()
     assert topo == expected
     assert list(topo) == list(expected)
+
+
+def test_one_way_to_run_a_gemm():
+    """Intra-op threading is the BLAS's job (``OPENBLAS_NUM_THREADS``):
+    no pool, no knob, no second account of worker CPU."""
+    fields = {f.name for f in dataclasses.fields(EngineConfig)}
+    assert len(fields) == 16 and "intra_op_threads" not in fields
+    with pytest.raises(TypeError):
+        make_engine(build_model(), "ddp", world=World(1), intra_op_threads=2)
+    for name in ("use_gemm_pool", "gemm_pool", "_matmul"):
+        assert not hasattr(Module, name)
+    assert not hasattr(ProcessBackend, "pop_worker_cpu_s")
+    assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 87

@@ -3,6 +3,8 @@ caching, telemetry, and schedule determinism."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,15 @@ def _server(model, **kw):
     bus = TelemetryBus(RecordingSink(), clock=clock.now)
     kw.setdefault("services", [FixedServiceModel(100.0)])
     return InferenceServer(model, clock=clock, telemetry=bus, **kw), bus
+
+
+def test_server_owns_no_thread_pool():
+    """Encoder threading is ``OPENBLAS_NUM_THREADS``'s job: the server
+    takes no thread count and holds nothing that needs closing."""
+    assert "intra_op_threads" not in inspect.signature(
+        InferenceServer.__init__
+    ).parameters
+    assert not hasattr(InferenceServer, "close")
 
 
 class TestDifferentialBitIdentity:

@@ -1,10 +1,11 @@
-"""The serve-metrics lint: every emitted name is documented, and the
+"""The telemetry-name lint: every emitted name is documented, and the
 linter actually bites.
 
-Wires ``tools/serve_metrics_check.py`` into tier-1: every ``serve.*``
-counter/gauge/span name emitted under ``src/repro/serve`` must appear
-in DESIGN.md, and the checker must catch a planted undocumented name
-(self-test against silent-pass regressions).
+Wires ``tools/serve_metrics_check.py`` into tier-1: every
+counter/gauge/span name emitted under ``src/repro`` — every namespace,
+not only ``serve.*`` — must appear in DESIGN.md, and the checker must
+catch a planted undocumented name (self-test against silent-pass
+regressions).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
 TOOL = REPO / "tools" / "serve_metrics_check.py"
-SERVE = REPO / "src" / "repro" / "serve"
+SRC = REPO / "src" / "repro"
 DESIGN = REPO / "DESIGN.md"
 
 
@@ -26,7 +27,7 @@ def _run(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_every_emitted_serve_metric_is_documented():
-    proc = _run(str(SERVE), str(DESIGN))
+    proc = _run(str(SRC), str(DESIGN))
     assert proc.returncode == 0, proc.stderr
 
 
@@ -37,21 +38,23 @@ def test_linter_catches_a_planted_undocumented_metric(tmp_path):
         "def f(bus):\n"
         '    bus.counter("serve.bogus_counter", 1)\n'
         '    bus.gauge("serve.queue_depth", 0)\n'
+        '    with bus.span("worker.bogus_span", rank=0):\n'
+        "        pass\n"
     )
     design = tmp_path / "DESIGN.md"
     design.write_text("Documented: `serve.queue_depth`.\n")
     proc = _run(str(pkg), str(design))
     assert proc.returncode == 1
     assert "serve.bogus_counter" in proc.stderr
+    assert "worker.bogus_span" in proc.stderr
     assert "serve.queue_depth" not in proc.stderr
 
 
-def test_linter_ignores_non_serve_and_dynamic_names(tmp_path):
+def test_linter_ignores_dynamic_names_and_non_emits(tmp_path):
     pkg = tmp_path / "serve"
     pkg.mkdir()
     (pkg / "mod.py").write_text(
         "def f(bus, name):\n"
-        '    bus.counter("train.step", 1)\n'  # other subsystem's prefix
         "    bus.counter(name, 1)\n"  # dynamic: not collectable
         '    helper("serve.not_an_emit")\n'  # not a bus method
     )
@@ -63,4 +66,4 @@ def test_linter_ignores_non_serve_and_dynamic_names(tmp_path):
 
 def test_missing_inputs_are_usage_errors(tmp_path):
     assert _run(str(tmp_path / "missing"), str(DESIGN)).returncode == 2
-    assert _run(str(SERVE), str(tmp_path / "missing.md")).returncode == 2
+    assert _run(str(SRC), str(tmp_path / "missing.md")).returncode == 2

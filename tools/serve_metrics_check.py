@@ -1,16 +1,15 @@
-"""Lint: every ``serve.*`` telemetry name must be documented in DESIGN.md.
+"""Lint: every telemetry name must be documented in DESIGN.md.
 
-The serving subsystem narrates itself through the telemetry bus; a
-counter that CI gates on but DESIGN.md never mentions is an undocumented
-contract. This walks every module under ``src/repro/serve`` with the
-AST, collects the first-argument string literal of every
-``counter(...)`` / ``gauge(...)`` / ``record_span(...)`` call that
-starts with ``serve.``, and requires each collected name to appear
-verbatim in DESIGN.md.
+The telemetry bus is the only account of what ran; a counter that CI
+gates on but DESIGN.md never mentions is an undocumented contract. This
+walks every module under ``src/repro`` with the AST, collects the
+first-argument string literal of every ``counter(...)`` /
+``gauge(...)`` / ``span(...)`` / ``record_span(...)`` call, and requires
+each collected name to appear verbatim in DESIGN.md.
 
 Usage::
 
-    python tools/serve_metrics_check.py [serve_root] [design_md]
+    python tools/serve_metrics_check.py [src_root] [design_md]
 
 Exits 0 when every emitted name is documented, 1 with one
 ``path:line: message`` per undocumented name, 2 on usage errors.
@@ -24,12 +23,11 @@ import sys
 from pathlib import Path
 
 #: Telemetry-bus methods whose first argument is a metric/span name.
-EMIT_METHODS = frozenset({"counter", "gauge", "record_span"})
-PREFIX = "serve."
+EMIT_METHODS = frozenset({"counter", "gauge", "span", "record_span"})
 
 
 def emitted_names(source: str, path: str) -> list[tuple[str, str, int]]:
-    """Return ``(name, path, lineno)`` for every ``serve.*`` emission.
+    """Return ``(name, path, lineno)`` for every telemetry emission.
 
     Only string-literal first arguments are collectable; a dynamically
     built name cannot be linted and is ignored.
@@ -44,16 +42,15 @@ def emitted_names(source: str, path: str) -> list[tuple[str, str, int]]:
             continue
         first = node.args[0]
         if isinstance(first, ast.Constant) and isinstance(first.value, str):
-            if first.value.startswith(PREFIX):
-                hits.append((first.value, path, first.lineno))
+            hits.append((first.value, path, first.lineno))
     return hits
 
 
-def undocumented(serve_root: Path, design_md: Path) -> list[str]:
+def undocumented(src_root: Path, design_md: Path) -> list[str]:
     """Violation messages for emitted names DESIGN.md never mentions."""
     design = design_md.read_text(encoding="utf-8")
     violations = []
-    for py in sorted(serve_root.rglob("*.py")):
+    for py in sorted(src_root.rglob("*.py")):
         for name, path, lineno in emitted_names(
             py.read_text(encoding="utf-8"), str(py)
         ):
@@ -68,15 +65,15 @@ def undocumented(serve_root: Path, design_md: Path) -> list[str]:
 def main(argv: list[str]) -> int:
     """CLI entry point; returns the process exit code."""
     here = Path(__file__).parent.parent
-    serve_root = Path(argv[0]) if argv else here / "src" / "repro" / "serve"
+    src_root = Path(argv[0]) if argv else here / "src" / "repro"
     design_md = Path(argv[1]) if len(argv) > 1 else here / "DESIGN.md"
-    if not serve_root.is_dir():
-        sys.stderr.write(f"not a directory: {serve_root}\n")
+    if not src_root.is_dir():
+        sys.stderr.write(f"not a directory: {src_root}\n")
         return 2
     if not design_md.is_file():
         sys.stderr.write(f"not a file: {design_md}\n")
         return 2
-    violations = undocumented(serve_root, design_md)
+    violations = undocumented(src_root, design_md)
     for v in violations:
         sys.stderr.write(v + "\n")
     if violations:
