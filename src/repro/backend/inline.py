@@ -13,8 +13,9 @@ What the seam reads of an engine is what
 :class:`~repro.core.engine_core.EngineCore` declares: this backend
 ``model``, ``_zero_local_grads()`` and ``_collect_rank_grads()``; the
 process backend ``config``, ``model``, ``data_parallel_size`` (its
-worker count), ``params`` or — when ``units is not None`` — ``units``,
-``shard_size`` and ``_shards``, and per round ``scaler`` and
+worker count), ``grad_buffers`` (how a staging row is laid out),
+``params`` and ``grad_groups`` or — when ``units is not None`` —
+``units``, ``shard_size`` and ``_shards``, and per round ``scaler`` and
 ``telemetry``.
 
 The contract both backends honor (the differential suite in
@@ -23,8 +24,10 @@ The contract both backends honor (the differential suite in
 - ranks run in ascending order within a round, each against the rank's
   already-cast microbatch, with local gradients zeroed first;
 - ``per_rank[r]`` holds rank ``r``'s outbound contributions (already
-  loss-scaled/quantized for the wire) in the engine's parameter/unit
-  order, ready for the engine's unchanged deterministic reduction.
+  loss-scaled/quantized for the wire), one flat array per entry of the
+  engine's ``grad_buffers`` and never aliasing them, ready for the
+  engine's unchanged deterministic reduction — which writes its result
+  into the gradient arrays the optimizer reads.
 """
 
 from __future__ import annotations

@@ -9,10 +9,13 @@ the inline engines intact:
   whose parameters are zero-copy views into one shared flat-parameter
   block, runs ``step_fn`` for its rank's microbatch, and writes its
   outbound (loss-scaled/quantized) gradient contribution into its
-  ``(round, rank)`` row of a shared gradient staging block.
+  ``(round, rank)`` row of a shared gradient staging block. A row is
+  the engine's ``grad_buffers`` laid end to end (DDP: bucket order;
+  FSDP: unit order); the worker's ``p.grad`` are views of the same
+  flat buffers, installed from the ``grad_groups`` its spec ships.
 - **The parent owns everything else.** Reduction consumes the staged
   rows *through the engine's unchanged deterministic schedule* (the
-  same ``np.stack`` direct reduction / ring decomposition over the same
+  same sequential direct reduction / ring decomposition over the same
   contribution order — see DESIGN §12 for the determinism argument), so
   an fp32 process-backend step is bit-identical to the inline backend.
   Optimizer, collectives accounting, retry/fault machinery, loss
@@ -187,6 +190,7 @@ def _flush_events(sink: RecordingSink, buffer: EventBuffer) -> None:
 
 def _worker_main(spec: dict, conn) -> None:
     """Entry point of one rank process (spawn target; module-level for pickle)."""
+    from repro.core.sharding import default_wrap_units, install_grad_views
     from repro.models.workspace import Workspace
     from repro.precision.bf16 import bf16_round
 
@@ -198,31 +202,21 @@ def _worker_main(spec: dict, conn) -> None:
     model.use_workspace(Workspace())
     dtype = np.dtype(spec["dtype"])
     layout = spec["param_layout"]
+    # grad_bufs mirrors the engine's grad_buffers: every p.grad a view.
     if spec["mode"] == "fsdp":
-        from repro.core.sharding import default_wrap_units
-
         units = default_wrap_units(model, spec["shard_size"])
         for u, (offset, numel) in zip(units, layout):
             u.flat = arena.view(offset, (numel,), dtype)
             u._install_views()
-
-        def zero_grads() -> None:
-            for u in units:
-                u.zero_grad()
-
-        def local_grads() -> list[np.ndarray]:
-            return [u.grad_flat for u in units]
-
+        grad_bufs = [u.grad_flat for u in units]
     else:
         params = model.parameters()
         for p, (offset, numel) in zip(params, layout):
             p.data = arena.view(offset, (numel,), dtype).reshape(p.data.shape)
-
-        def zero_grads() -> None:
-            model.zero_grad()
-
-        def local_grads() -> list[np.ndarray]:
-            return [p.grad for p in params]
+        grad_bufs = [
+            install_grad_views([params[i] for i in group])
+            for group in spec["grad_groups"]
+        ]
 
     grads_offset, k, world, grad_numel = spec["grads"]
     grads = arena.view(grads_offset, (k, world, grad_numel), dtype)
@@ -231,8 +225,7 @@ def _worker_main(spec: dict, conn) -> None:
     def write_grads(round_index: int, scale: float) -> None:
         row = grads[round_index, rank]
         offset = 0
-        for g in local_grads():
-            flat = g.reshape(-1)
+        for flat in grad_bufs:
             dst = row[offset : offset + flat.size]
             if precision == "bf16":
                 # Mirror EngineCore._outbound_grad bit-for-bit.
@@ -274,7 +267,8 @@ def _worker_main(spec: dict, conn) -> None:
                 data_arena = ShmArena.attach(data_name)
             micro = _decode_micro(skeleton, data_arena)
             step_fn = pickle.loads(step_blob)
-            zero_grads()
+            for flat in grad_bufs:
+                flat[...] = 0.0
             if telemetry_on:
                 with bus.span("worker.fwd_bwd", rank=rank, round=round_index):
                     loss = float(step_fn(model, micro))
@@ -343,9 +337,10 @@ class ProcessBackend(ExecutionBackend):
                 f"{sorted(str(d) for d in dtypes)}; use backend='inline'"
             )
         self._dtype = arrays[0].dtype
-        self._shapes = [a.shape for a in arrays]
         sizes = [a.size for a in arrays]
-        self.grad_numel = sum(sizes)
+        # A staging row is the engine's gradient buffers laid end to end.
+        bounds = np.cumsum([0] + [buf.size for buf in engine.grad_buffers])
+        self.grad_numel = int(bounds[-1])
 
         blocks = {f"p{i}": n * self._dtype.itemsize for i, n in enumerate(sizes)}
         blocks["grads"] = (
@@ -378,21 +373,16 @@ class ProcessBackend(ExecutionBackend):
             (self.k, self.world_size, self.grad_numel),
             self._dtype,
         )
-        # per_rank[r][i] views for every round, shaped like the inline
-        # contributions (parameter-shaped for DDP, flat for FSDP) — the
-        # engine's reduction consumes them with zero staging copies.
-        self._grad_views: list[list[list[np.ndarray]]] | None = []
-        for j in range(self.k):
-            per_rank = []
-            for r in range(self.world_size):
-                row = grads[j, r]
-                views, offset = [], 0
-                for shape, numel in zip(self._shapes, sizes):
-                    chunk = row[offset : offset + numel]
-                    views.append(chunk if self.mode == "fsdp" else chunk.reshape(shape))
-                    offset += numel
-                per_rank.append(views)
-            self._grad_views.append(per_rank)
+        # per_rank[r][i] flat views for every round, one per gradient
+        # buffer like the inline contributions — the engine's reduction
+        # consumes them with zero staging copies.
+        self._grad_views: list[list[list[np.ndarray]]] | None = [
+            [
+                [grads[j, r, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+                for r in range(self.world_size)
+            ]
+            for j in range(self.k)
+        ]
         self._event_buffers = [
             EventBuffer(self._arena, off, EVENT_BUFFER_BYTES)
             for off in self._event_offsets
@@ -436,6 +426,7 @@ class ProcessBackend(ExecutionBackend):
             "arena": self._arena.name,
             "dtype": self._dtype.str,
             "param_layout": self._param_layout,
+            "grad_groups": self.engine.grad_groups,
             "grads": (
                 self._grads_offset,
                 self.k,

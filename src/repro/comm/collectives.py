@@ -46,15 +46,16 @@ Wire accounting stays at one buffer's payload over ``g`` ranks — the
 accumulated contributions are combined locally before hitting the wire
 (PyTorch ``no_sync`` semantics), not retransmitted per round.
 
-Receive buffers: ``all_gather`` / ``reduce_scatter`` take NumPy's ``out=``.
-``out=None`` allocates fresh receive buffers (aliasing no input and not
-each other) and then runs the same fill that ``out=`` runs on the
-caller's — after the call is on the ledger and the fault plan has been
-consulted, so a failed attempt never writes to ``out`` and a retry may
-target live memory. A gather shard that *is* its own slot of ``out`` is
-the in-place case and moves nothing (NCCL/RCCL's ``sendbuff == recvbuff
-+ rank * count``, how PyTorch FSDP gathers into its flat parameter); any
-other overlap of an input with ``out`` is undefined and not checked.
+Receive buffers: ``all_gather`` / ``reduce_scatter`` / ``all_reduce`` take
+NumPy's ``out=``. ``out=None`` allocates fresh receive buffers (aliasing
+no input and not each other) and then runs the same fill that ``out=``
+runs on the caller's — after the call is on the ledger and the fault
+plan has been consulted, so a failed attempt never writes to ``out`` and
+a retry may target live memory. A gather shard that *is* its own slot of
+``out`` is the in-place case and moves nothing (NCCL/RCCL's ``sendbuff ==
+recvbuff + rank * count``, how PyTorch FSDP gathers into its flat
+parameter); any other overlap of an input with ``out`` — a reduce's
+included — is undefined and not checked.
 """
 
 from __future__ import annotations
@@ -175,19 +176,11 @@ class CommStats:
         self.straggler_seconds_by_rank.clear()
 
 
-def _reduce(stack: np.ndarray, op: str) -> np.ndarray:
-    if op == "sum":
-        return stack.sum(axis=0)
-    if op == "mean":
-        return stack.mean(axis=0)
-    if op == "max":
-        return stack.max(axis=0)
-    raise ValueError(f"unknown reduce op {op!r}; expected one of {ReduceOp}")
-
-
 def _reduce_to(dst: np.ndarray, parts: list[np.ndarray], op: str) -> None:
-    """``dst[:] = np.stack(parts).<op>(0)`` bit for bit, with no stack:
-    ``parts`` are combined in order, then a mean divides once."""
+    """``dst[...] = np.stack(parts).<op>(0)`` bit for bit, with no stack:
+    ``parts`` are combined in order, then a mean divides once. (One
+    exception: NumPy sums a stack of eight or more *one-element* parts
+    pairwise; this stays sequential at every size.)"""
     combine = np.maximum if op == "max" else np.add
     if len(parts) == 1:
         np.copyto(dst, parts[0])
@@ -306,31 +299,42 @@ class SimComm:
         op: str = "sum",
         *,
         parts_per_rank: int = 1,
+        out: np.ndarray | None = None,
         wire_dtype: str | None = None,
     ) -> list[np.ndarray]:
         """Reduce across the group; every rank receives the full result.
 
         With ``parts_per_rank=k`` the call reduces ``k * group.size``
-        round-major accumulation contributions in one stack reduction
+        round-major accumulation contributions in contribution order
         and still returns one output per rank (see module docstring);
         the ring path only applies to the plain ``k == 1`` case.
+        ``out`` is one receive buffer of the buffers' shape, which every
+        rank then receives (the simulated ranks share it).
         """
         self._check(buffers, group, parts_per_rank=parts_per_rank)
+        if op not in ReduceOp:
+            raise ValueError(f"unknown reduce op {op!r}; expected one of {ReduceOp}")
+        if out is not None and out.shape != buffers[0].shape:
+            raise ValueError(f"out must have the buffers' shape {buffers[0].shape}")
+        g = group.size
         full, dtype = self._wire_bytes(buffers[0].nbytes, wire_dtype)
-        self.stats.record("all_reduce", group.size, full, dtype=dtype)
+        self.stats.record("all_reduce", g, full, dtype=dtype)
         self._inject_faults("all_reduce", group, buffers)
-        if (
-            self.use_ring
-            and parts_per_rank == 1
-            and group.size > 1
-            and buffers[0].size >= group.size
-        ):
+        if self.use_ring and parts_per_rank == 1 and g > 1 and buffers[0].size >= g:
             shards = self._ring_reduce_scatter(buffers, op)
-            gathered = self._ring_all_gather(shards)
             n = buffers[0].size
-            return [g[:n].reshape(buffers[0].shape) for g in gathered]
-        result = _reduce(np.stack(buffers), op)
-        return [result.copy() for _ in range(group.size)]
+            gathered = [
+                r[:n].reshape(buffers[0].shape) for r in self._ring_all_gather(shards)
+            ]
+            if out is None:
+                return gathered
+            np.copyto(out, gathered[0])
+            return [out] * g
+        recv = out if out is not None else np.empty_like(buffers[0])
+        _reduce_to(recv, buffers, op)
+        if out is not None:
+            return [out] * g
+        return [recv] + [recv.copy() for _ in range(g - 1)]
 
     def all_gather(
         self,

@@ -9,9 +9,12 @@ layer (byte/call accounting matches PyTorch DDP's), which is what the
 performance model keys off when explaining the paper's observation that
 DDP falls behind FSDP as the model grows.
 
-This module is that layout only — per-parameter storage, the buckets
-and one ``comm.all_reduce`` per bucket; everything else an engine does
-is :class:`~repro.core.engine_core.EngineCore`.
+This module is that layout only — per-parameter data and optimizer
+slots, one flat gradient buffer per bucket that every ``p.grad`` views
+(PyTorch DDP's ``gradient_as_bucket_view``: backward writes where the
+all-reduce reads, and the mean lands where the optimizer reads) and one
+``comm.all_reduce`` per bucket; everything else an engine does is
+:class:`~repro.core.engine_core.EngineCore`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.comm.faults import RetryPolicy
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore
+from repro.core.sharding import install_grad_views
 from repro.elastic.layout import validate_layout
 from repro.models.module import Module
 from repro.optim.base import Optimizer
@@ -88,6 +92,11 @@ class DDPEngine(EngineCore):
             cap_bytes=config.bucket_cap_bytes,
             first_bucket_cap_bytes=config.first_bucket_cap_bytes,
         )
+        self.grad_groups = [b.param_indices for b in self.buckets]
+        self.grad_buffers = [
+            install_grad_views([self.params[i] for i in group])
+            for group in self.grad_groups
+        ]
         self._launch()
 
     @property
@@ -101,25 +110,12 @@ class DDPEngine(EngineCore):
         """One all-reduce per bucket over all ``k * W`` contributions
         (``parts_per_rank``), so an fp32 ``k``-round step is
         bit-identical to the same global batch on a ``k``-times-larger
-        world. Returns one flat reduced array per bucket."""
+        world. Each mean lands in its bucket's buffer — the ``p.grad``
+        views the optimizer reads; the inputs are outbound copies, so a
+        retried all-reduce sees them unchanged."""
         k = len(grads)
         group = self.world.world_group()
-        reduced: list[np.ndarray] = []
-        for bucket in self.buckets:
-            # Coalesce this bucket's gradients per (round, rank). The
-            # coalesced buffers are never written again, so a retried
-            # all-reduce sees the same inputs.
-            per_contrib = [
-                np.concatenate(
-                    [grads[j][r][i].reshape(-1) for i in bucket.param_indices]
-                )
-                for j in range(k)
-                for r in range(self.world.size)
-            ]
-            reduced.append(self._mean_reduce("all_reduce", per_contrib, group, k)[0])
-        return reduced
-
-    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
-        """Unpack each reduced bucket into its parameters' ``grad``."""
-        for bucket, flat in zip(self.buckets, reduced):
-            self._scatter_grads(flat, (self.params[i] for i in bucket.param_indices))
+        for b, out in enumerate(self.grad_buffers):
+            bufs = [grads[j][r][b] for j in range(k) for r in range(self.world.size)]
+            self._mean_reduce("all_reduce", bufs, group, k, out=out)
+        return self.grad_buffers

@@ -24,6 +24,14 @@ arguments, calls ``EngineCore.__init__(model, world, config)``, sets
     ``shard_size`` ways. The execution backend re-homes whichever is
     set, and the seam (:mod:`repro.backend`) reads ``units is None`` to
     tell them apart;
+``grad_buffers`` (+ ``grad_groups`` beside ``params``)
+    gradient storage, one contract for every layout: a rank's flat
+    gradient buffers in outbound order, every ``p.grad`` a view into one
+    of them (:func:`~repro.core.sharding.install_grad_views`), so
+    backward writes where the collective reads. A unit layout lists its
+    units' ``grad_flat``; a ``params`` layout builds one buffer per
+    index group of ``params`` and names the groups in ``grad_groups``
+    (process workers install the same views from them);
 ``data_parallel_size`` (only if narrower than ``world.size``)
     ranks that run distinct microbatches — the microbatches of one
     accumulation round and the process backend's worker count;
@@ -33,10 +41,9 @@ arguments, calls ``EngineCore.__init__(model, world, config)``, sets
 and then calls :meth:`EngineCore._launch`. It implements
 
 ``_reduce_gradients(grads)`` (required)
-    combine ``grads[j][r][i]`` (round, rank, parameter or unit; already
-    wire-ready) and return the reduced arrays as one flat list;
-``_install_gradients(reduced)`` (default: nothing, reduced in place)
-    put the reduced arrays where the optimizer reads gradients;
+    combine ``grads[j][r][i]`` (round, rank, gradient buffer; outbound
+    copies, already wire-ready) *into the arrays the optimizer reads*
+    (``out=``) and return those arrays as one flat list;
 ``_materialize_params(backward)`` (default: nothing)
     gather sharded parameters before a round's forward and again
     before its backward;
@@ -55,7 +62,8 @@ and then calls :meth:`EngineCore._launch`. It implements
    (``wire_dtype="bf16"``).
 3. **Reduced gradients** are unscaled in full precision; under a
    dynamic scaler a non-finite gradient skips the optimizer step (the
-   reduced arrays are then never installed) and backs the scale off.
+   non-finite mean stays in the gradient arrays, unread, until the next
+   step's reduce overwrites it) and backs the scale off.
 4. **Master weights** in the optimizer apply the update at full
    precision and re-quantize the working parameters
    (:meth:`~repro.optim.base.Optimizer.use_master_weights`).
@@ -107,6 +115,8 @@ class EngineCore:
     params: list | None = None
     units: list[FlatUnit] | None = None
     shard_size: int | None = None
+    grad_buffers: list[np.ndarray]
+    grad_groups: list[list[int]] | None = None
     tp_context = None
 
     def __init__(self, model: Module, world: World, config: EngineConfig):
@@ -291,16 +301,16 @@ class EngineCore:
         """Mean ``bufs`` over ``group`` through ``comm.<op>``
         (``all_reduce`` / ``reduce_scatter``): ``parts`` round-major
         accumulation contributions per rank enter the one call, and
-        ``out`` (reduce-scatter only) receives the chunks in place."""
-        extra = {} if out is None else {"out": out}
+        ``out`` receives the result in place (one buffer for an
+        all-reduce, the chunk list for a reduce-scatter)."""
         return self._collective(
             lambda: getattr(self.comm, op)(
                 bufs,
                 group,
                 op="mean",
                 parts_per_rank=parts,
+                out=out,
                 wire_dtype=self._wire_dtype,
-                **extra,
             ),
             op=op,
             nbytes=self._wire_nbytes(bufs[0].nbytes),
@@ -317,39 +327,25 @@ class EngineCore:
 
     def _zero_local_grads(self) -> None:
         """Zero one rank's local gradients before its microbatch."""
-        if self.units is None:
-            self.model.zero_grad()
-        else:
-            for unit in self.units:
-                unit.zero_grad()
+        for buf in self.grad_buffers:
+            buf[...] = 0.0
 
     def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One rank's outbound (wire-ready) gradient per parameter/unit."""
-        if self.units is None:
-            return [self._outbound_grad(p.grad) for p in self.params]
-        return [self._outbound_grad(u.read_grad(), owned=True) for u in self.units]
+        """One rank's outbound (wire-ready) copy of each gradient buffer."""
+        return [self._outbound_grad(buf) for buf in self.grad_buffers]
 
-    def _outbound_grad(self, g: np.ndarray, owned: bool = False) -> np.ndarray:
-        """One rank's gradient contribution as it enters the collective.
+    def _outbound_grad(self, g: np.ndarray) -> np.ndarray:
+        """One rank's gradient contribution as it enters the collective:
+        a copy, so the reduce may write where ``g`` lives.
 
         Under bf16 this is where the loss scale is applied and the
-        payload drops to bf16 resolution. ``owned=True`` marks a buffer
-        the caller already copied (skips the defensive fp32 copy).
+        payload drops to bf16 resolution.
         """
         if self.precision != "bf16":
-            return g if owned else g.copy()
+            return g.copy()
         if self.scaler.scale != 1.0:
             return bf16_round(g * self.scaler.scale)
         return bf16_round(g)
-
-    @staticmethod
-    def _scatter_grads(flat: np.ndarray, params: Iterable) -> None:
-        """Copy consecutive runs of ``flat`` into each parameter's grad."""
-        offset = 0
-        for p in params:
-            n = p.grad.size
-            p.grad[...] = flat[offset : offset + n].reshape(p.grad.shape)
-            offset += n
 
     # -- the step ----------------------------------------------------------
 
@@ -393,7 +389,6 @@ class EngineCore:
             raise
         if self._grad_postprocess(reduced):
             with bus.span("optim.step"):
-                self._install_gradients(reduced)
                 self.optimizer.step()
         self.step_count += 1
         return float(np.mean(losses))
@@ -404,8 +399,8 @@ class EngineCore:
         """Run every round on the execution backend.
 
         Returns ``(losses, grads)``: losses in micro order and
-        ``grads[j][r][i]``, round j, rank r's gradient of parameter (or
-        unit) i, already loss-scaled/quantized for the wire.
+        ``grads[j][r][i]``, round j, rank r's outbound copy of gradient
+        buffer i, already loss-scaled/quantized for the wire.
         """
         dp = self.data_parallel_size
         losses: list[float] = []
@@ -424,11 +419,9 @@ class EngineCore:
         """Gather sharded parameters for a round's forward / backward."""
 
     def _reduce_gradients(self, grads: list[list[list[np.ndarray]]]) -> list[np.ndarray]:
-        """Combine all rounds' per-rank contributions (layout hook)."""
+        """Reduce all rounds' per-rank contributions into the arrays the
+        optimizer reads, and return those arrays (layout hook)."""
         raise NotImplementedError
-
-    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
-        """Put the reduced gradients where the optimizer reads them."""
 
     def _cast_micro(self, micro: Any) -> Any:
         """Round a microbatch's floating arrays onto the bf16 grid.
@@ -442,16 +435,15 @@ class EngineCore:
         return _cast_tree(micro)
 
     def _grad_postprocess(self, reduced: list[np.ndarray]) -> bool:
-        """Unscale reduced gradients in place; decide whether to step.
+        """Unscale reduced gradients in place (bf16 only: fp32 never
+        scaled them on the way out); decide whether to step.
 
         Returns False — and advances the dynamic scaler's backoff —
         when a non-finite gradient means this optimizer step must be
         skipped. On the fp32 default path this touches nothing.
         """
-        if self.precision != "bf16" and not self.scaler.enabled:
-            return True
         s = self.scaler.scale
-        if s != 1.0:
+        if self.precision == "bf16" and s != 1.0:
             for a in reduced:
                 np.divide(a, s, out=a)
         if not self.scaler.dynamic:

@@ -170,6 +170,7 @@ class FSDPEngine(EngineCore):
             and self.mesh.n_replicas == 1
         )
         self.units: list[FlatUnit] = default_wrap_units(model, self.shard_size)
+        self.grad_buffers = [unit.grad_flat for unit in self.units]
         self._launch()
 
     def n_params(self) -> int:
@@ -194,29 +195,31 @@ class FSDPEngine(EngineCore):
         """Combine per-round per-rank flat gradients into shard gradients.
 
         ``micro_grads[j][r][u]`` is accumulation round j, rank r's flat
-        gradient of unit u. Returns the reduced gradient of every shard
-        (identical across replica groups), unit-major — the order of the
-        optimizer's flat shards.
+        gradient of unit u (an outbound copy). Every final reduce writes
+        into the flat shards' ``grad`` (``out=``) — identical across
+        replica groups, and what the optimizer reads; those arrays are
+        returned unit-major, the order of the optimizer's flat shards.
 
         Accumulation structure per strategy (chosen so an fp32 ``k``-round
         step stays bit-identical to the same global batch on a
-        ``k``-times-larger world — NumPy's axis-0 stack reduction must see
-        the same grouping of contributions):
+        ``k``-times-larger world — the sequential reduction must see the
+        same grouping of contributions):
 
         - ``NO_SHARD``: one deferred all-reduce over all ``k * W``
           contributions (``parts_per_rank=k``).
         - ``FULL_SHARD`` / ``SHARD_GRAD_OP``: one deferred reduce-scatter
           over all ``k * W`` contributions. The larger world also reduces
-          everything in one stack; only the shard boundaries differ, and
+          everything in one pass; only the shard boundaries differ, and
           the optimizer update is elementwise.
         - ``HYBRID_SHARD`` with ``k > 1``: per-round reduce-scatters
           inside each shard group, then per-shard-index all-reduce across
           replica groups with ``parts_per_rank=k`` — the larger world (at
           the same shard size) has ``k``-times the replica groups and
           computes this exact mean-of-round-partials, so a deferred
-          single-stage reduction would *not* match. ``k == 1`` keeps the
-          pre-accumulation call pattern exactly (including skipping stage
-          2 when there is a single replica group).
+          single-stage reduction would *not* match. The stage-1 partials
+          are a later collective's inputs and stay allocated. ``k == 1``
+          keeps the pre-accumulation call pattern exactly (including
+          skipping stage 2 when there is a single replica group).
         - ``HYBRID_SHARD`` *folded* (``self._fold_hybrid``: an explicit
           single-stage :class:`~repro.elastic.layout.ReductionLayout`
           with one replica group): the shard group spans the world, so
@@ -226,15 +229,15 @@ class FSDPEngine(EngineCore):
         """
         k = len(micro_grads)
         world_group = self.world.world_group()
-        out: list[np.ndarray] = []
-        for u in range(len(self.units)):
+        for u, shards in enumerate(self._shards):
+            dest = [shard.grad for shard in shards]
             if self.strategy is ShardingStrategy.NO_SHARD:
                 bufs = [
                     micro_grads[j][r][u]
                     for j in range(k)
                     for r in range(self.world.size)
                 ]
-                out.append(self._mean_reduce("all_reduce", bufs, world_group, k)[0])
+                self._mean_reduce("all_reduce", bufs, world_group, k, out=dest[0])
                 continue
             if self.strategy is not ShardingStrategy.HYBRID_SHARD or self._fold_hybrid:
                 # One shard group spans the world: a single deferred
@@ -245,18 +248,25 @@ class FSDPEngine(EngineCore):
                     for j in range(k)
                     for r in group.ranks
                 ]
-                out.extend(self._mean_reduce("reduce_scatter", bufs, group, k))
+                self._mean_reduce("reduce_scatter", bufs, group, k, out=dest)
                 continue
             # HYBRID: reduce-scatter inside every shard group, per round.
-            per_round: list[list[list[np.ndarray]]] = []
-            for j in range(k):
-                per_group: list[list[np.ndarray]] = []
-                for group in self.mesh.shard_groups:
-                    bufs = [micro_grads[j][r][u] for r in group.ranks]
-                    per_group.append(self._mean_reduce("reduce_scatter", bufs, group))
-                per_round.append(per_group)
-            if k == 1 and self.mesh.n_replicas == 1:
-                out.extend(per_round[0][0])
+            # With one round and one replica group that is the whole
+            # reduction; otherwise its partials feed stage 2.
+            final = k == 1 and self.mesh.n_replicas == 1
+            per_round = [
+                [
+                    self._mean_reduce(
+                        "reduce_scatter",
+                        [micro_grads[j][r][u] for r in group.ranks],
+                        group,
+                        out=dest if final else None,
+                    )
+                    for group in self.mesh.shard_groups
+                ]
+                for j in range(k)
+            ]
+            if final:
                 continue
             # Stage 2: all-reduce each shard index across replica groups,
             # folding all rounds' partials in (parts_per_rank=k).
@@ -267,16 +277,10 @@ class FSDPEngine(EngineCore):
                     for j in range(k)
                     for g in range(self.mesh.n_replicas)
                 ]
-                reduced = self._mean_reduce("all_reduce", bufs, replica_group, k)
+                reduced = self._mean_reduce(
+                    "all_reduce", bufs, replica_group, k, out=dest[s]
+                )
                 if self.check_replicas:
                     for r in reduced[1:]:
                         np.testing.assert_allclose(r, reduced[0], rtol=0, atol=1e-12)
-                out.append(reduced[0])
-        return out
-
-    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
-        """Copy each reduced gradient into its flat shard (views of the
-        unit's buffer, so the optimizer updates the model in place)."""
-        shards = (s for unit_shards in self._shards for s in unit_shards)
-        for shard, grad in zip(shards, reduced):
-            shard.grad[...] = grad
+        return [shard.grad for shards in self._shards for shard in shards]

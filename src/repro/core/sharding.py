@@ -34,6 +34,7 @@ __all__ = [
     "UnitSpec",
     "flatten_params",
     "unflatten_params",
+    "install_grad_views",
     "default_wrap_units",
     "unit_param_specs",
 ]
@@ -137,6 +138,23 @@ def unflatten_params(flat: np.ndarray, layout) -> list[np.ndarray]:
     return out
 
 
+def install_grad_views(
+    params: list[Parameter], flat: np.ndarray | None = None
+) -> np.ndarray:
+    """Re-point every ``p.grad`` at its reshaped run of ``flat``, runs
+    laid end to end in ``params`` order; returns ``flat`` (allocated
+    zeroed at the parameters' total size when not given). Backward then
+    writes gradients straight into the buffer a collective reduces."""
+    if flat is None:
+        dtype = np.result_type(*(p.dtype for p in params))
+        flat = np.zeros(sum(p.size for p in params), dtype)
+    offset = 0
+    for p in params:
+        p.grad = flat[offset : offset + p.size].reshape(p.shape)
+        offset += p.size
+    return flat
+
+
 class FlatShard:
     """One rank's shard of a flat parameter, as an optimizer target.
 
@@ -170,10 +188,7 @@ class FlatUnit:
     def _install_views(self) -> None:
         for p, data_view in zip(self.params, unflatten_params(self.flat, self.layout)):
             p.data = data_view
-        for p, grad_view in zip(
-            self.params, unflatten_params(self.grad_flat, self.layout)
-        ):
-            p.grad = grad_view
+        install_grad_views(self.params, self.grad_flat)
 
     @property
     def nbytes(self) -> int:

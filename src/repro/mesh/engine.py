@@ -17,8 +17,9 @@ layer per axis:
     gradient collective.
 ``dp``
     The existing data-parallel strategies, re-expressed over the dp
-    group: ``"ddp"`` all-reduces one concatenated full-model gradient
-    per (round, dp-rank) contribution; ``"full_shard"`` keeps flat
+    group: ``"ddp"`` keeps one flat full-model gradient buffer (every
+    ``p.grad`` a view of it) and all-reduces it once over the (round,
+    dp-rank) contributions; ``"full_shard"`` keeps flat
     parameters sharded ``dp`` ways, all-gathering them each round and
     reduce-scattering gradients (the FSDP ``FULL_SHARD`` call pattern).
 ``pp`` (outermost)
@@ -75,7 +76,7 @@ allocated by the first inline pipeline step and rewritten in full by
 every later one, so nothing a failed step left behind is ever read. The
 dp collectives write in place: parameter gathers into ``unit.flat``
 (whose shards are views of it — nothing moves), reduce-scatter chunks
-into each shard's ``grad``.
+into each shard's ``grad``, the ddp all-reduce into the gradient buffer.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ import numpy as np
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore, StepFn
-from repro.core.sharding import default_wrap_units
+from repro.core.sharding import default_wrap_units, install_grad_views
 from repro.elastic.layout import validate_mesh_layout
 from repro.mesh.device_mesh import DeviceMesh
 from repro.mesh.pipeline import boundary_nbytes, partition_stages, schedule_actions
@@ -256,8 +257,11 @@ class MeshEngine(EngineCore):
         if dp_strategy == "full_shard":
             self.shard_size = self.dp
             self.units = default_wrap_units(model, self.dp)
+            self.grad_buffers = [unit.grad_flat for unit in self.units]
         else:
             self.params = model.parameters()
+            self.grad_groups = [list(range(len(self.params)))]
+            self.grad_buffers = [install_grad_views(self.params)]
         if self.pp > 1:
             self._stage_grad_runs = self._stage_grad_run_lists()
             # _outbound[j][r]: dp rank r's round-j contribution.
@@ -324,47 +328,36 @@ class MeshEngine(EngineCore):
             )
         return stages
 
-    def _stage_grad_run_lists(self) -> list[list[tuple[int, Any]]]:
+    def _stage_grad_run_lists(self) -> list[list[tuple[int, slice]]]:
         """Where each stage's gradients live in the outbound buffers.
 
-        ``runs[s]`` lists ``(i, index)`` pairs: stage ``s`` owns
-        ``buffer[i][index]`` of both the local gradient storage and a
-        micro's outbound contribution (:meth:`_grad_storage`). Under
-        ``ddp`` that is one whole per-parameter array each; under
-        ``full_shard`` the stage's parameters are merged into
-        contiguous slices of each unit's flat gradient, the dp padding
-        tail riding with the unit's last parameter so the stages'
-        slices cover every unit exactly.
+        ``runs[s]`` lists ``(i, slice)`` pairs: stage ``s`` owns
+        ``buffer[i][slice]`` of both ``grad_buffers`` and a micro's
+        outbound contribution. The stage's parameters are merged into
+        contiguous slices of each buffer (a unit's flat gradient under
+        ``full_shard``, the one full-model buffer under ``ddp``), the dp
+        padding tail riding with the buffer's last parameter so the
+        stages' slices cover every buffer exactly.
         """
-        if self.dp_strategy == "ddp":
-            index_of = {id(p): i for i, p in enumerate(self.params)}
-            return [
-                [(index_of[id(p)], Ellipsis) for p in stage]
-                for stage in self._stage_params
-            ]
+        groups = [self.params] if self.units is None else [u.params for u in self.units]
         span_of: dict[int, tuple[int, int, int]] = {}
-        for u, unit in enumerate(self.units):
-            for p, (_name, _shape, offset) in zip(unit.params, unit.layout):
+        for i, params in enumerate(groups):
+            offset = 0
+            for p in params:
                 stop = offset + p.size
-                if stop == unit.plan.numel:
-                    stop = unit.plan.padded_numel
-                span_of[id(p)] = (u, offset, stop)
-        runs: list[list[tuple[int, Any]]] = []
+                padded = self.grad_buffers[i].size if p is params[-1] else stop
+                span_of[id(p)] = (i, offset, padded)
+                offset = stop
+        runs: list[list[tuple[int, slice]]] = []
         for stage in self._stage_params:
             merged: list[list[int]] = []
-            for u, start, stop in sorted(span_of[id(p)] for p in stage):
-                if merged and merged[-1][0] == u and merged[-1][2] == start:
+            for i, start, stop in sorted(span_of[id(p)] for p in stage):
+                if merged and merged[-1][0] == i and merged[-1][2] == start:
                     merged[-1][2] = stop
                 else:
-                    merged.append([u, start, stop])
-            runs.append([(u, slice(start, stop)) for u, start, stop in merged])
+                    merged.append([i, start, stop])
+            runs.append([(i, slice(start, stop)) for i, start, stop in merged])
         return runs
-
-    def _grad_storage(self) -> list[np.ndarray]:
-        """Local gradient arrays in outbound order (units / parameters)."""
-        if self.units is not None:
-            return [unit.grad_flat for unit in self.units]
-        return [p.grad for p in self.params]
 
     def _run_pipeline(
         self, micros: Sequence[Any], k: int
@@ -386,9 +379,8 @@ class MeshEngine(EngineCore):
             self._materialize_params(backward=True)
         losses = [0.0] * (k * self.dp)
         if self._outbound is None:
-            storage = self._grad_storage()
             self._outbound = [
-                [[np.empty_like(g) for g in storage] for _ in range(self.dp)]
+                [[np.empty_like(g) for g in self.grad_buffers] for _ in range(self.dp)]
                 for _ in range(k)
             ]
         micro_grads = self._outbound
@@ -441,7 +433,7 @@ class MeshEngine(EngineCore):
         # send from stage s-1); grad_inbox mirrors it for backward.
         inbox: list[list] = [[None] * n_micro for _ in range(pp)]
         grad_inbox: list[list] = [[None] * n_micro for _ in range(pp)]
-        storage = self._grad_storage()
+        storage = self.grad_buffers
         ws = self.model.workspace
         for j, micro in enumerate(rank_micros):
             inbox[0][j] = micro if isinstance(micro, tuple) else (micro, None)
@@ -528,46 +520,19 @@ class MeshEngine(EngineCore):
     def _reduce_gradients(
         self, micro_grads: list[list[list[np.ndarray]]]
     ) -> list[np.ndarray]:
-        """Reduce all rounds' contributions over the dp group at once.
-
-        ``full_shard`` reduces every chunk straight into its shard's
-        ``grad`` and returns those arrays; ``ddp`` returns the one
-        concatenated mean."""
+        """Reduce all rounds' contributions over the dp group at once,
+        in place: ``full_shard`` reduces every chunk straight into its
+        shard's ``grad``; ``ddp`` all-reduces the one full-model buffer
+        into ``grad_buffers[0]`` (elementwise in micro order ``j * dp +
+        r``, so bit-identical to the oracle's bucketed reduction of the
+        same contributions). Returns the arrays reduced into."""
         k = len(micro_grads)
-        if self.units is not None:
-            for u, shards in enumerate(self._shards):
-                bufs = [
-                    micro_grads[j][r][u]
-                    for j in range(k)
-                    for r in range(self.dp)
-                ]
-                self._mean_reduce(
-                    "reduce_scatter",
-                    bufs,
-                    self._dp_group,
-                    k,
-                    out=[shard.grad for shard in shards],
-                    axis="dp",
-                )
-            return [shard.grad for shards in self._shards for shard in shards]
-        # ddp: one concatenated full-model contribution per (round, rank),
-        # stacked-mean in micro order j * dp + r — elementwise, so it is
-        # bit-identical to the oracle's bucketed reduction of the same
-        # contributions (concatenation commutes with a stacked mean).
-        n_items = len(self.params)
-        per_contrib = [
-            np.concatenate(
-                [micro_grads[j][r][i].reshape(-1) for i in range(n_items)]
-            )
-            for j in range(k)
-            for r in range(self.dp)
-        ]
-        return [
-            self._mean_reduce("all_reduce", per_contrib, self._dp_group, k, axis="dp")[0]
-        ]
-
-    def _install_gradients(self, reduced: list[np.ndarray]) -> None:
-        """ddp: unpack the concatenated mean into every ``p.grad``
-        (full_shard already reduced into the shards' ``grad``)."""
         if self.units is None:
-            self._scatter_grads(reduced[0], self.params)
+            op, dests = "all_reduce", self.grad_buffers
+        else:
+            op = "reduce_scatter"
+            dests = [[shard.grad for shard in shards] for shards in self._shards]
+        for i, dest in enumerate(dests):
+            bufs = [micro_grads[j][r][i] for j in range(k) for r in range(self.dp)]
+            self._mean_reduce(op, bufs, self._dp_group, k, out=dest, axis="dp")
+        return dests if self.units is None else [g for dest in dests for g in dest]

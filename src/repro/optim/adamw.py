@@ -35,6 +35,10 @@ class AdamW(Optimizer):
         self.b1, self.b2 = b1, b2
         self.eps = eps
         self.weight_decay = weight_decay
+        # Two rows of scratch for _update's temporaries, grown to the
+        # largest slot on first use. Not optimizer state: excluded from
+        # state_bytes() and state_dict().
+        self._scratch = np.empty((2, 0), dtype=np.float64)
 
     def _update(self, p: ParamLike, state: dict[str, np.ndarray]) -> None:
         if "m" not in state:
@@ -42,14 +46,27 @@ class AdamW(Optimizer):
             state["v"] = np.zeros_like(p.data)
         m, v = state["m"], state["v"]
         g = p.grad
+        if self._scratch.shape[1] < g.size or self._scratch.dtype != g.dtype:
+            self._scratch = np.empty((2, g.size), g.dtype)
+        t1, t2 = (row[: g.size].reshape(g.shape) for row in self._scratch)
         # Decoupled weight decay (multiplicative shrink, as in PyTorch).
         if self.weight_decay:
             p.data *= 1.0 - self.lr * self.weight_decay
+        # The textbook expressions, each temporary written into scratch:
+        # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        # p -= (lr/bc1)*m / (sqrt(v/bc2) + eps)
         m *= self.b1
-        m += (1.0 - self.b1) * g
+        np.multiply(g, 1.0 - self.b1, out=t1)
+        m += t1
         v *= self.b2
-        v += (1.0 - self.b2) * g * g
+        np.multiply(g, 1.0 - self.b2, out=t1)
+        t1 *= g
+        v += t1
         bc1 = 1.0 - self.b1**self.t
         bc2 = 1.0 - self.b2**self.t
-        step = self.lr / bc1
-        p.data -= step * m / (np.sqrt(v / bc2) + self.eps)
+        np.divide(v, bc2, out=t1)
+        np.sqrt(t1, out=t1)
+        t1 += self.eps
+        np.multiply(m, self.lr / bc1, out=t2)
+        t2 /= t1
+        p.data -= t2

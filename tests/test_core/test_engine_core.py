@@ -4,16 +4,21 @@ What every engine does identically (lifecycle, retried/telemetered
 collectives, checkpoint state, the step skeleton) lives once in
 ``repro.core.engine_core``; a copy growing back in a subclass fails
 here. The topology records are pinned to the literals the three
-stand-alone engines returned before they shared a core.
+stand-alone engines returned before they shared a core. One
+gradient-storage contract holds for every layout: backward writes into
+flat buffers, the reduce lands where the optimizer reads, and a skipped
+dynamic-scale step leaves the trajectory untouched.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 import repro
+import repro.comm.collectives
 from repro.backend import ProcessBackend
 from repro.comm.world import World
 from repro.core.ddp import DDPEngine
@@ -23,8 +28,9 @@ from repro.core.fsdp import FSDPEngine
 from repro.mesh.engine import MeshEngine
 from repro.mesh.spec import MeshSpec
 from repro.models.module import Module
+from repro.telemetry import RecordingSink, TelemetryBus
 
-from tests.test_mesh.helpers import build_model
+from tests.test_mesh.helpers import build_model, mae_step, tiny_micros
 
 ENGINES = (DDPEngine, FSDPEngine, MeshEngine)
 
@@ -128,3 +134,117 @@ def test_one_way_to_run_a_gemm():
         assert not hasattr(Module, name)
     assert not hasattr(ProcessBackend, "pop_worker_cpu_s")
     assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 87
+
+
+# -- one gradient-storage contract ---------------------------------------------
+
+LAYOUTS = [
+    ("ddp", World(2), EngineConfig(bucket_cap_bytes=16 * 1024)),
+    ("NO_SHARD", World(2), EngineConfig()),
+    ("full_shard", World(2), EngineConfig()),
+    ("HYBRID_2GPUs", World(4), EngineConfig(grad_accum_steps=2)),
+    ("ddp", World(4), EngineConfig(mesh=MeshSpec(pp=2, dp=2, tp=1))),
+]
+LAYOUT_IDS = ["ddp", "no_shard", "full_shard", "hybrid", "mesh-ddp"]
+
+
+@pytest.mark.parametrize("strategy, world, config", LAYOUTS, ids=LAYOUT_IDS)
+def test_gradients_are_views_of_the_flat_buffers_the_reduce_fills(
+    strategy, world, config
+):
+    eng = make_engine(build_model(), strategy, world=world, config=config)
+    try:
+        params = eng.model.parameters()
+        if eng.units is None:
+            groups = [[params[i] for i in g] for g in eng.grad_groups]
+        else:
+            groups = [unit.params for unit in eng.units]
+        if isinstance(eng, DDPEngine):
+            assert len(eng.buckets) > 1
+            assert eng.grad_groups == [b.param_indices for b in eng.buckets]
+        # Every p.grad views exactly one buffer, and each buffer's
+        # members tile it once, end to end, in the declared order.
+        assert sorted(id(p) for g in groups for p in g) == sorted(map(id, params))
+        for buf, members in zip(eng.grad_buffers, groups, strict=True):
+            buf[...] = np.arange(buf.size)
+            offset = 0
+            for p in members:
+                shared = [b for b in eng.grad_buffers if np.shares_memory(p.grad, b)]
+                assert len(shared) == 1 and shared[0] is buf
+                assert p.grad.shape == p.data.shape
+                run = np.arange(offset, offset + p.size)
+                np.testing.assert_array_equal(p.grad.reshape(-1), run)
+                offset += p.size
+            assert offset <= buf.size  # only a unit's dp padding may trail
+        # The arrays the reduce returns are the ones the optimizer reads:
+        # nothing is installed, scattered or re-pointed afterwards.
+        returned = []
+        reduce = eng._reduce_gradients
+        eng._reduce_gradients = lambda grads: returned.extend(reduce(grads)) or returned
+        before = [p.grad for p in params]
+        eng.train_step(tiny_micros(eng.grad_accum_steps * eng.data_parallel_size), mae_step)
+        assert all(p.grad is g for p, g in zip(params, before))
+        slots = eng.optimizer.params
+        assert sum(r.size for r in returned) >= sum(q.grad.size for q in slots)
+        for q in slots:
+            assert sum(np.shares_memory(q.grad, r) for r in returned) == 1
+        if eng.units is None:
+            assert all(r is b for r, b in zip(returned, eng.grad_buffers, strict=True))
+        else:
+            assert all(r is q.grad for r, q in zip(returned, slots, strict=True))
+    finally:
+        eng.close()
+
+
+def test_the_copying_paths_are_gone():
+    for cls in (EngineCore, *ENGINES):
+        for name in ("_install_gradients", "_scatter_grads", "_grad_storage"):
+            assert not hasattr(cls, name), f"{cls.__name__}.{name} grew back"
+    assert "_reduce" not in vars(repro.comm.collectives)
+
+
+def _trajectory_state(eng) -> list[np.ndarray]:
+    opt = eng.optimizer
+    arrays = [a for slot in opt.state for a in slot.values()] + list(opt.master or ())
+    return [a.copy() for a in arrays] + [p.data.copy() for p in eng.model.parameters()]
+
+
+@pytest.mark.parametrize("precision", ["fp32", "bf16"])
+@pytest.mark.parametrize("strategy", ["ddp", "full_shard"])
+def test_a_skipped_dynamic_scale_step_leaves_the_trajectory_untouched(
+    strategy, precision
+):
+    def engine(bus=None):
+        cfg = EngineConfig(
+            precision=precision, loss_scale=256.0, dynamic_loss_scale=True, telemetry=bus
+        )
+        return make_engine(build_model(), strategy, world=World(2), config=cfg)
+
+    sink = RecordingSink()
+    eng, clean = engine(TelemetryBus(sink)), engine()
+    try:
+        good = [tiny_micros(2, seed=s) for s in (1, 2)]
+        eng.train_step(good[0], mae_step)
+        clean.train_step(good[0], mae_step)
+        bad = tiny_micros(2, seed=9)
+        bad[1][0][0, 0, 0, 0] = np.inf  # one non-finite micro, on rank 1
+        before, t = _trajectory_state(eng), eng.optimizer.t
+        with np.errstate(all="ignore"):
+            eng.train_step(bad, mae_step)
+        # Skipped: nothing the optimizer owns moved, the scale backed off.
+        for got, want in zip(_trajectory_state(eng), before, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert eng.optimizer.t == t and eng.step_count == 2
+        assert eng.scaler.scale == 128.0 and clean.scaler.scale == 256.0
+        skipped = [e for e in sink.events if e.name == "precision.skipped_steps"]
+        assert [e.value for e in skipped] == [1]
+        # The non-finite mean left in the gradient arrays is overwritten,
+        # never read: the next step equals an engine that never saw it.
+        eng.train_step(good[1], mae_step)
+        clean.train_step(good[1], mae_step)
+        pairs = zip(_trajectory_state(eng), _trajectory_state(clean), strict=True)
+        for got, want in pairs:
+            assert got.tobytes() == want.tobytes()
+    finally:
+        eng.close()
+        clean.close()

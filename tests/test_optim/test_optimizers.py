@@ -1,5 +1,7 @@
 """Tests for AdamW, LARS, SGD, schedules, and gradient clipping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,59 @@ class TestAdamW:
             vhat = v / (1 - b2**t)
             ref -= lr * mhat / (np.sqrt(vhat) + eps)
             np.testing.assert_allclose(p.data, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scratch_update_equals_the_allocating_expression(
+        self, rng, dtype, weight_decay
+    ):
+        """``_update`` runs its temporaries through two scratch rows; the
+        operations and their order are the textbook expression's, so the
+        bits are too — slots of every rank, mixed sizes, 5 steps."""
+        shapes = [(), (1,), (7,), (3, 5), (2, 3, 4), (1, 1)]
+        ps = [Parameter(rng.standard_normal(sh).astype(dtype)) for sh in shapes]
+        refs = [p.data.copy() for p in ps]
+        ms = [np.zeros_like(r) for r in refs]
+        vs = [np.zeros_like(r) for r in refs]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.95, 1e-8
+        opt = AdamW(ps, lr=lr, betas=(b1, b2), eps=eps, weight_decay=weight_decay)
+        for t in range(1, 6):
+            for p, ref, m, v in zip(ps, refs, ms, vs):
+                g = rng.standard_normal(p.shape).astype(dtype)
+                p.grad[...] = g
+                if weight_decay:
+                    ref *= 1.0 - lr * weight_decay
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                step = lr / (1.0 - b1**t)
+                ref -= step * m / (np.sqrt(v / (1.0 - b2**t)) + eps)
+            opt.step()
+            for p, ref, slot, m, v in zip(ps, refs, opt.state, ms, vs):
+                assert p.data.dtype == dtype
+                np.testing.assert_array_equal(p.data, ref)
+                np.testing.assert_array_equal(slot["m"], m)
+                np.testing.assert_array_equal(slot["v"], v)
+
+    def test_warmed_step_allocates_no_slot_sized_temporaries(self, rng):
+        ps = [_param(rng, shape) for shape in [(64, 64), (4096,), (32, 16)]]
+        opt = AdamW(ps)
+        opt.step()  # moments and scratch are laid down here
+        nbytes = opt.state_bytes()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # the smallest slot alone is 4 KiB
+        # Scratch is not optimizer state.
+        assert opt.state_bytes() == nbytes == 2 * sum(p.data.nbytes for p in ps)
+        assert set(opt.state_dict()) == {"t", "lr", "slots"}
+        assert all(set(slot) == {"m", "v"} for slot in opt.state_dict()["slots"])
 
     def test_validation(self, rng):
         with pytest.raises(ValueError):

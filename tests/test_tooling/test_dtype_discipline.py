@@ -25,7 +25,8 @@ def _run(*args):
 
 
 def test_hot_path_packages_are_clean():
-    # No args = the tool's own default roots (models/optim/core/precision).
+    # No args = the tool's own default roots
+    # (models/optim/core/precision/comm/backend/mesh).
     proc = _run()
     assert proc.returncode == 0, proc.stderr
 

@@ -15,8 +15,9 @@ Usage::
     python tools/dtype_discipline_check.py [root ...]
 
 With no arguments, checks the hot-path packages
-(``src/repro/{models,optim,core,precision}``). Exits 0 when clean, 1
-with one ``path:line: message`` per violation, 2 on a bad root.
+(``src/repro/{models,optim,core,precision,comm,backend,mesh}``). Exits
+0 when clean, 1 with one ``path:line: message`` per violation, 2 on a
+bad root.
 Wired into tier-1 via ``tests/test_tooling/test_dtype_discipline.py``.
 """
 
@@ -33,7 +34,7 @@ CHECKED_CALLS: frozenset[str] = frozenset({"empty", "zeros", "ones", "full"})
 NUMPY_ALIASES: frozenset[str] = frozenset({"np", "numpy"})
 
 #: Hot-path subpackages checked by default (relative to src/repro).
-HOT_PACKAGES = ("models", "optim", "core", "precision")
+HOT_PACKAGES = ("models", "optim", "core", "precision", "comm", "backend", "mesh")
 
 
 def find_unpinned_allocs(source: str, path: str) -> list[tuple[str, int, str]]:
