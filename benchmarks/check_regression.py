@@ -1,11 +1,11 @@
-"""Compare fresh bench artifacts against the committed baselines.
+"""Check fresh bench artifacts against their own gates and baselines.
 
-Covers ``BENCH_hotpath.json`` (substrate training throughput),
-``BENCH_serving.json`` (online serving throughput/saturation),
-``BENCH_multicore.json`` (process-backend wall-clock speedup and
-bit-identity),
-``ELASTIC_campaign.json`` (resize chaos campaign bit-identity), and
-``MESHPERF.json`` (mesh perf-model predicted-vs-measured reconciliation).
+Covers ``BENCH_hotpath.json`` (fused-vs-naive kernels),
+``BENCH_serving.json`` (online serving saturation and virtual-time
+schedule), ``BENCH_multicore.json`` (process-backend wall-clock speedup
+and bit-identity), ``ELASTIC_campaign.json`` (resize chaos campaign
+bit-identity), and ``MESHPERF.json`` (mesh perf-model
+predicted-vs-measured reconciliation).
 
 Usage::
 
@@ -14,27 +14,26 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_multicore.py    # fresh run
     PYTHONPATH=src python benchmarks/bench_elastic.py      # fresh run
     PYTHONPATH=src python benchmarks/bench_meshperf.py     # fresh run
-    python benchmarks/check_regression.py                  # diff vs baselines
+    python benchmarks/check_regression.py                  # judge them
     python benchmarks/check_regression.py --update meshperf  # bless that one
 
-Exits nonzero when any proxy model's measured images/second fell more
-than ``--threshold`` (default 15%) below the baseline, so CI can gate
-merges on substrate throughput. Improvements are reported but never
-fail; bless them into the baseline with ``--update`` to tighten the bar.
+No row diffs a wall-clock number against a committed one: a figure from
+another host is not a baseline, and absolute throughput is what
+``benchmarks/e2e`` judges against a parent run on the same machine.
+*Machine-relative* gates are read from the fresh artifact's own gate
+block: fused-vs-naive equivalence (< 1e-6) and attention speedup
+(>= 1.3x), serving saturation (>= 0.9x offline inference on the same
+replica set), multicore wall-clock speedup (>= 1.2x inline at 4
+workers; skipped on a host with fewer than 2 CPUs). *Correctness* gates
+hold on any host: bit-identity and ``reconciled`` flags, open-loop SLO
+attainment and cost, coverage no smaller than the baseline's, and the
+serving artifact's virtual-time ``latency`` / ``cache`` / ``open_loop``
+blocks **equal** to the baseline's.
 
-Absolute throughput is machine-dependent: the committed baseline is only
-meaningful when fresh run and baseline come from the same machine class.
-Several gates are machine-*relative* and checked against the artifact's
-own threshold rather than the baseline: the attention fused-vs-naive
-speedup (1.3x), the serving saturation ratio (serving >= 0.9x offline
-inference on the same replica set), and the multicore wall-clock
-speedup (process backend >= 1.2x inline at 4 workers, interleaved pairs;
-skipped on a host with fewer than 2 CPUs) plus its fp32 bit-identity
-flag. The hotpath artifact is required; serving and multicore artifacts
-are optional — missing ones are reported with the command that produces
-them, never a traceback. ``--update NAME...`` blesses the named
-baselines in one atomic batch (stage-then-rename, so an interrupted
-update never leaves a half-new baseline set).
+Every artifact is optional — a missing one is reported with the command
+that produces it, never a traceback. ``--update NAME...`` blesses the
+named baselines in one atomic batch (stage-then-rename, so an
+interrupted update never leaves a half-new baseline set).
 """
 
 from __future__ import annotations
@@ -44,50 +43,23 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 HERE = Path(__file__).resolve().parent
-FRESH = HERE / "BENCH_hotpath.json"
-BASELINE = HERE / "BENCH_hotpath.baseline.json"
-SERVING_FRESH = HERE / "BENCH_serving.json"
-SERVING_BASELINE = HERE / "BENCH_serving.baseline.json"
-MULTICORE_FRESH = HERE / "BENCH_multicore.json"
-MULTICORE_BASELINE = HERE / "BENCH_multicore.baseline.json"
-ELASTIC_FRESH = HERE / "ELASTIC_campaign.json"
-ELASTIC_BASELINE = HERE / "ELASTIC_campaign.baseline.json"
-MESHPERF_FRESH = HERE / "MESHPERF.json"
-MESHPERF_BASELINE = HERE / "MESHPERF.baseline.json"
-DEFAULT_THRESHOLD = 0.15
 
-#: Optional artifact -> (baseline path, producing command). The hotpath
-#: artifact is handled separately because it is required.
-OPTIONAL_ARTIFACTS = {
-    "serving": (SERVING_FRESH, SERVING_BASELINE, "bench_serving.py"),
-    "multicore": (MULTICORE_FRESH, MULTICORE_BASELINE, "bench_multicore.py"),
-    "elastic": (ELASTIC_FRESH, ELASTIC_BASELINE, "bench_elastic.py"),
-    "meshperf": (MESHPERF_FRESH, MESHPERF_BASELINE, "bench_meshperf.py"),
-}
+#: Serving blocks that are pure functions of (workload, configuration)
+#: on the virtual clock: equal to the baseline's on every host.
+SERVING_VIRTUAL_BLOCKS = ("latency", "cache", "open_loop")
 
 
-def compare(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Return a list of regression messages (empty = pass)."""
+def compare_hotpath(fresh: dict, baseline: dict) -> list[str]:
+    """Failed gates of the hotpath artifact (empty = pass); both are
+    ratios and differences taken inside one run on one host."""
     problems: list[str] = []
-    base_steps = baseline.get("steps", {})
-    fresh_steps = fresh.get("steps", {})
-    for name, base in base_steps.items():
-        if name not in fresh_steps:
-            problems.append(f"{name}: missing from fresh run")
-            continue
-        got = fresh_steps[name]["images_per_sec"]
-        want = base["images_per_sec"]
-        change = (got - want) / want
-        if change < -threshold:
-            problems.append(
-                f"{name}: {got:.1f} images/s vs baseline {want:.1f} "
-                f"({change:+.1%}, allowed -{threshold:.0%})"
-            )
     gate = fresh.get("gate", {})
+    diff = gate.get("equivalence_max_abs_diff", float("inf"))
+    if not diff < 1e-6:
+        problems.append(f"hotpath: fused-vs-naive max |diff| {diff:.2e} not < 1e-6")
     if gate.get("attention_speedup_median", 0.0) < gate.get("threshold", 0.0):
         problems.append(
             f"attention speedup {gate['attention_speedup_median']:.2f}x "
@@ -96,28 +68,27 @@ def compare(
     return problems
 
 
-def compare_serving(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
-    """Regressions in the serving artifact (empty = pass)."""
+def compare_serving(fresh: dict, baseline: dict) -> list[str]:
+    """Failed gates of the serving artifact (empty = pass)."""
     problems: list[str] = []
-    got = fresh.get("throughput", {}).get("serving_images_per_s", 0.0)
-    want = baseline.get("throughput", {}).get("serving_images_per_s", 0.0)
-    if want > 0:
-        change = (got - want) / want
-        if change < -threshold:
-            problems.append(
-                f"serving: {got:.1f} images/s vs baseline {want:.1f} "
-                f"({change:+.1%}, allowed -{threshold:.0%})"
-            )
     gate = fresh.get("gate", {})
     if gate.get("saturation_ratio", 0.0) < gate.get("threshold", 0.0):
         problems.append(
             f"serving saturation {gate['saturation_ratio']:.3f}x below its "
             f"own {gate['threshold']}x gate"
         )
-    # Open-loop gates are virtual-time quantities judged against the
-    # artifact's own recorded targets — machine-independent by design.
+    # The schedule is virtual-time: any difference is a behaviour change
+    # (bless it with --update serving when it is the intended one).
+    for block in SERVING_VIRTUAL_BLOCKS:
+        got, want = fresh.get(block, {}), baseline.get(block, {})
+        if got != want:
+            keys = sorted(k for k in {*got, *want} if got.get(k) != want.get(k))
+            problems.append(
+                f"serving: virtual-time {block!r} block differs from the "
+                f"baseline at {', '.join(map(str, keys))}"
+            )
+    # Open-loop gates are judged against the artifact's own recorded
+    # targets — machine-independent by design.
     planned = fresh.get("open_loop", {}).get("planned", {})
     if planned:
         att = planned.get("admitted_attainment", 0.0)
@@ -156,9 +127,7 @@ def _multicore_skip(fresh: dict) -> str | None:
     return None
 
 
-def compare_multicore(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
+def compare_multicore(fresh: dict, baseline: dict) -> list[str]:
     """Regressions in the multicore artifact (empty = pass).
 
     Both gates are machine-relative, so they are read from the fresh
@@ -178,9 +147,7 @@ def compare_multicore(
     return problems
 
 
-def compare_elastic(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
+def compare_elastic(fresh: dict, baseline: dict) -> list[str]:
     """Regressions in the resize-campaign artifact (empty = pass).
 
     Correctness gates, not throughput: the campaign must stay bit-exact
@@ -202,9 +169,7 @@ def compare_elastic(
     return problems
 
 
-def compare_meshperf(
-    fresh: dict, baseline: dict, threshold: float = DEFAULT_THRESHOLD
-) -> list[str]:
+def compare_meshperf(fresh: dict, baseline: dict) -> list[str]:
     """Regressions in the mesh perf-model artifact (empty = pass).
 
     Correctness gate, not throughput: the analytic model's per-axis
@@ -275,14 +240,14 @@ def render_elastic(fresh: dict, baseline: dict) -> str:
 
 
 def render_serving(fresh: dict, baseline: dict) -> str:
-    """One-line serving throughput comparison."""
-    got = fresh.get("throughput", {})
-    want = baseline.get("throughput", {})
-    g, w = got.get("serving_images_per_s", 0.0), want.get("serving_images_per_s", 0.0)
-    change = g / w - 1.0 if w > 0 else 0.0
+    """Serving saturation on this host plus the virtual-time verdicts."""
+    moved = [b for b in SERVING_VIRTUAL_BLOCKS if fresh.get(b) != baseline.get(b)]
+    verdict = "DIFFER: " + ", ".join(moved) if moved else "equal"
     lines = [
-        f"{'serving':<12} {w:>10.1f} {g:>10.1f} {change:>+7.1%}   "
-        f"(saturation {fresh.get('gate', {}).get('saturation_ratio', 0.0):.3f}x)"
+        f"{'serving':<12} "
+        f"{fresh.get('throughput', {}).get('serving_images_per_s', 0.0):>9.1f} img/s, "
+        f"saturation {fresh.get('gate', {}).get('saturation_ratio', 0.0):.3f}x offline"
+        f"   (virtual-time blocks {verdict})"
     ]
     lines += _host_lines(fresh)
     planned = fresh.get("open_loop", {}).get("planned", {})
@@ -309,33 +274,63 @@ def render_multicore(fresh: dict, baseline: dict) -> str:
     return "\n".join(lines + _host_lines(fresh))
 
 
-def render(fresh: dict, baseline: dict) -> str:
-    """Side-by-side throughput table."""
-    lines = [f"{'model':<12} {'baseline':>10} {'fresh':>10} {'change':>8}"]
-    for name, base in baseline.get("steps", {}).items():
-        got = fresh.get("steps", {}).get(name)
-        if got is None:
-            lines.append(f"{name:<12} {base['images_per_sec']:>10.1f} {'—':>10}")
-            continue
-        change = got["images_per_sec"] / base["images_per_sec"] - 1.0
-        lines.append(
-            f"{name:<12} {base['images_per_sec']:>10.1f} "
-            f"{got['images_per_sec']:>10.1f} {change:>+7.1%}"
-        )
+def render_hotpath(fresh: dict, baseline: dict) -> str:
+    """One-line fused-vs-naive verdict."""
+    gate = fresh.get("gate", {})
+    lines = [
+        f"{'hotpath':<12} {gate.get('attention_speedup_median', 0.0):>9.2f}x fused "
+        f"attention vs naive   (gate {gate.get('threshold', 0.0)}x, max |diff| "
+        f"{gate.get('equivalence_max_abs_diff', float('nan')):.1e})"
+    ]
     return "\n".join(lines + _host_lines(fresh))
+
+
+class Artifact(NamedTuple):
+    """One gated artifact. ``baseline`` is None when every gate is read
+    from the fresh file alone; ``compare(fresh, baseline)`` returns
+    problem messages, ``render(fresh, baseline)`` its report lines."""
+
+    fresh: Path
+    baseline: Path | None
+    producer: str
+    compare: Callable[[dict, dict], list[str]]
+    render: Callable[[dict, dict], str]
+
+
+ARTIFACTS = {
+    "hotpath": Artifact(
+        HERE / "BENCH_hotpath.json", None, "bench_hotpath.py",
+        compare_hotpath, render_hotpath,
+    ),
+    "serving": Artifact(
+        HERE / "BENCH_serving.json", HERE / "BENCH_serving.baseline.json",
+        "bench_serving.py", compare_serving, render_serving,
+    ),
+    "multicore": Artifact(
+        HERE / "BENCH_multicore.json", HERE / "BENCH_multicore.baseline.json",
+        "bench_multicore.py", compare_multicore, render_multicore,
+    ),
+    "elastic": Artifact(
+        HERE / "ELASTIC_campaign.json", HERE / "ELASTIC_campaign.baseline.json",
+        "bench_elastic.py", compare_elastic, render_elastic,
+    ),
+    "meshperf": Artifact(
+        HERE / "MESHPERF.json", HERE / "MESHPERF.baseline.json",
+        "bench_meshperf.py", compare_meshperf, render_meshperf,
+    ),
+}
 
 
 def update_baselines(names: list[str]) -> list[str]:
     """Bless the named fresh artifacts atomically; returns messages.
 
-    Each name is ``"hotpath"`` or a key of :data:`OPTIONAL_ARTIFACTS`,
-    and its fresh artifact must exist. All staging copies are written
-    first; the renames happen only after every copy succeeded, so a
-    failure mid-update leaves the committed baselines exactly as they
-    were (rename within a directory is atomic on POSIX).
+    Each name is a key of :data:`ARTIFACTS` that has a baseline, and its
+    fresh artifact must exist. All staging copies are written first; the
+    renames happen only after every copy succeeded, so a failure
+    mid-update leaves the committed baselines exactly as they were
+    (rename within a directory is atomic on POSIX).
     """
-    table = {"hotpath": (FRESH, BASELINE, "bench_hotpath.py"), **OPTIONAL_ARTIFACTS}
-    pending = [table[name][:2] for name in names]
+    pending = [(ARTIFACTS[name].fresh, ARTIFACTS[name].baseline) for name in names]
     staged: list[tuple[Path, Path]] = []
     try:
         for fresh_path, baseline_path in pending:
@@ -353,25 +348,14 @@ def update_baselines(names: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--fresh", type=Path, default=FRESH, help="fresh bench artifact"
-    )
-    parser.add_argument(
-        "--baseline", type=Path, default=BASELINE, help="committed baseline"
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=DEFAULT_THRESHOLD,
-        help="allowed fractional throughput drop (default 0.15)",
-    )
+    blessable = [name for name, art in ARTIFACTS.items() if art.baseline is not None]
     parser.add_argument(
         "--update",
         nargs="+",
-        choices=["hotpath", *OPTIONAL_ARTIFACTS],
+        choices=blessable,
         metavar="ARTIFACT",
-        help="bless the named fresh artifacts (hotpath, "
-        + ", ".join(OPTIONAL_ARTIFACTS)
+        help="bless the named fresh artifacts ("
+        + ", ".join(blessable)
         + ") as their baselines and exit 0",
     )
     args = parser.parse_args(argv)
@@ -385,51 +369,24 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         return 0
 
-    if not args.fresh.exists():
-        print(f"no fresh artifact at {args.fresh}; run bench_hotpath.py first")
-        return 2
-    fresh = json.loads(args.fresh.read_text())
-
-    if not args.baseline.exists():
-        print(f"no baseline at {args.baseline}; run with --update hotpath to create it")
-        return 2
-    baseline = json.loads(args.baseline.read_text())
-
-    print(render(fresh, baseline))
-    problems = compare(fresh, baseline, threshold=args.threshold)
-
-    renderers = {
-        "serving": render_serving,
-        "multicore": render_multicore,
-        "elastic": render_elastic,
-        "meshperf": render_meshperf,
-    }
-    comparers = {
-        "serving": compare_serving,
-        "multicore": compare_multicore,
-        "elastic": compare_elastic,
-        "meshperf": compare_meshperf,
-    }
-    for name, (fresh_path, baseline_path, cmd) in OPTIONAL_ARTIFACTS.items():
-        if fresh_path.exists() and baseline_path.exists():
-            opt_fresh = json.loads(fresh_path.read_text())
-            opt_baseline = json.loads(baseline_path.read_text())
-            print(renderers[name](opt_fresh, opt_baseline))
-            problems += comparers[name](
-                opt_fresh, opt_baseline, threshold=args.threshold
-            )
-        elif fresh_path.exists() or baseline_path.exists():
-            print(
-                f"{name}: fresh artifact and baseline incomplete; skipping "
-                f"(run {cmd} first, then --update {name})"
-            )
+    problems: list[str] = []
+    for name, art in ARTIFACTS.items():
+        if not art.fresh.exists():
+            print(f"{name}: no fresh artifact; skipping (run {art.producer} first)")
+        elif art.baseline is not None and not art.baseline.exists():
+            print(f"{name}: no baseline; skipping (bless one with --update {name})")
+        else:
+            fresh = json.loads(art.fresh.read_text())
+            baseline = json.loads(art.baseline.read_text()) if art.baseline else {}
+            print(art.render(fresh, baseline))
+            problems += art.compare(fresh, baseline)
 
     if problems:
         print("\nREGRESSION:")
         for p in problems:
             print(f"  - {p}")
         return 1
-    print("\nno throughput regression")
+    print("\nevery gate green")
     return 0
 
 

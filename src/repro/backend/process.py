@@ -15,8 +15,8 @@ the inline engines intact:
   flat buffers, installed from the ``grad_groups`` its spec ships.
 - **The parent owns everything else.** Reduction consumes the staged
   rows *through the engine's unchanged deterministic schedule* (the
-  same sequential direct reduction / ring decomposition over the same
-  contribution order — see DESIGN §12 for the determinism argument), so
+  same sequential direct reduction over the same contribution order —
+  see DESIGN §12 for the determinism argument), so
   an fp32 process-backend step is bit-identical to the inline backend.
   Optimizer, collectives accounting, retry/fault machinery, loss
   scaling, and checkpointing all run unchanged in the parent; optimizer

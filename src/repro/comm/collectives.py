@@ -4,18 +4,15 @@ The mini-FSDP engine runs all ranks of a job inside one process (SPMD
 simulation): each rank owns its own NumPy buffers, and a collective is a
 function of the per-rank buffers of one :class:`~repro.comm.world.Group`.
 
-Two implementations are provided per collective:
-
-- a *direct* one (single vectorized NumPy expression), used by default for
-  speed — following the optimization guides, these avoid Python loops over
-  elements and work on contiguous arrays;
-- a *ring* one that moves data chunk-by-chunk exactly like the
-  bandwidth-optimal ring algorithms in NCCL/RCCL. Tests assert the two
-  agree, and the ring path is what validates the closed-form byte
-  formulas used by the performance model.
+Each collective is executed *directly*: vectorized NumPy over contiguous
+arrays, contributions combined sequentially in group order. What a
+bandwidth-optimal NCCL/RCCL ring would move for the same call is priced,
+not run — the chunk-by-chunk ring algorithms live beside the tests
+(``tests/test_comm/ring.py``) as the oracle the direct forms and the
+closed-form byte formulas are checked against.
 
 Byte accounting: every call records, per participating rank, the number of
-bytes *sent on the wire* by the ring algorithm:
+bytes a ring algorithm would *send on the wire*:
 
 ====================  =========================================
 collective            bytes sent per rank (S = full data size)
@@ -204,11 +201,6 @@ class SimComm:
 
     Parameters
     ----------
-    use_ring:
-        When True, run the chunked ring algorithms instead of the direct
-        vectorized forms. Results are identical (up to float associativity
-        in reductions, which tests bound); ring mode is slower and meant
-        for validation.
     fault_plan:
         Optional :class:`~repro.comm.faults.FaultPlan` consulted on every
         collective call. Injected failures surface as
@@ -219,9 +211,8 @@ class SimComm:
         unfaulted call. May be (re)assigned between steps.
     """
 
-    def __init__(self, use_ring: bool = False, fault_plan: FaultPlan | None = None):
+    def __init__(self, fault_plan: FaultPlan | None = None):
         self.stats = CommStats()
-        self.use_ring = use_ring
         self.fault_plan = fault_plan
 
     # -- helpers ---------------------------------------------------------
@@ -306,8 +297,7 @@ class SimComm:
 
         With ``parts_per_rank=k`` the call reduces ``k * group.size``
         round-major accumulation contributions in contribution order
-        and still returns one output per rank (see module docstring);
-        the ring path only applies to the plain ``k == 1`` case.
+        and still returns one output per rank (see module docstring).
         ``out`` is one receive buffer of the buffers' shape, which every
         rank then receives (the simulated ranks share it).
         """
@@ -320,16 +310,6 @@ class SimComm:
         full, dtype = self._wire_bytes(buffers[0].nbytes, wire_dtype)
         self.stats.record("all_reduce", g, full, dtype=dtype)
         self._inject_faults("all_reduce", group, buffers)
-        if self.use_ring and parts_per_rank == 1 and g > 1 and buffers[0].size >= g:
-            shards = self._ring_reduce_scatter(buffers, op)
-            n = buffers[0].size
-            gathered = [
-                r[:n].reshape(buffers[0].shape) for r in self._ring_all_gather(shards)
-            ]
-            if out is None:
-                return gathered
-            np.copyto(out, gathered[0])
-            return [out] * g
         recv = out if out is not None else np.empty_like(buffers[0])
         _reduce_to(recv, buffers, op)
         if out is not None:
@@ -360,12 +340,6 @@ class SimComm:
         full, dtype = self._wire_bytes(sum(s.nbytes for s in shards), wire_dtype)
         self.stats.record("all_gather", g, full, dtype=dtype)
         self._inject_faults("all_gather", group, shards)
-        if self.use_ring and g > 1 and len({s.shape for s in shards}) == 1:
-            gathered = self._ring_all_gather(shards)
-            if out is None:
-                return gathered
-            np.copyto(out, gathered[0])
-            return [out] * g
         recv = out if out is not None else np.empty(total, np.result_type(*shards))
         start = 0
         for s in shards:
@@ -413,10 +387,6 @@ class SimComm:
         self._inject_faults("reduce_scatter", group, buffers)
         if out is None:
             out = [np.empty(chunk, buffers[0].dtype) for _ in range(g)]
-        if self.use_ring and parts_per_rank == 1 and g > 1:
-            for dst, src in zip(out, self._ring_reduce_scatter(buffers, op)):
-                np.copyto(dst, src)
-            return list(out)
         for i, dst in enumerate(out):
             lo = i * chunk
             _reduce_to(dst, [b[lo : lo + chunk] for b in buffers], op)
@@ -461,76 +431,3 @@ class SimComm:
         self._inject_faults("broadcast", group, buffers)
         src = buffers[root_index]
         return [src.copy() for _ in range(group.size)]
-
-    # -- ring algorithms ---------------------------------------------------
-
-    @staticmethod
-    def _ring_chunks(n: int, g: int) -> list[slice]:
-        """Split ``n`` elements into ``g`` near-equal contiguous chunks."""
-        base, extra = divmod(n, g)
-        slices, start = [], 0
-        for i in range(g):
-            size = base + (1 if i < extra else 0)
-            slices.append(slice(start, start + size))
-            start += size
-        return slices
-
-    def _ring_reduce_scatter(
-        self, buffers: list[np.ndarray], op: str
-    ) -> list[np.ndarray]:
-        """Chunked ring reduce-scatter: g-1 steps, each rank sends one chunk."""
-        g = len(buffers)
-        n = buffers[0].size
-        chunks = self._ring_chunks(n, g)
-        # acc[r][c] is rank r's current partial for chunk c.
-        acc = [[buffers[r][chunks[c]].astype(np.float64, copy=True) for c in range(g)] for r in range(g)]
-        counts = [[1] * g for _ in range(g)]
-        for step in range(g - 1):
-            moving = []
-            for r in range(g):
-                c = (r - step) % g
-                moving.append((r, (r + 1) % g, c, acc[r][c], counts[r][c]))
-            for _, dst, c, data, cnt in moving:
-                if op == "max":
-                    np.maximum(acc[dst][c], data, out=acc[dst][c])
-                else:
-                    acc[dst][c] += data
-                    counts[dst][c] += cnt
-        out = []
-        for r in range(g):
-            c = (r + 1) % g
-            val = acc[r][c]
-            if op == "mean":
-                val = val / counts[r][c]
-            out.append(val.astype(buffers[0].dtype))
-        # Reorder so rank i owns chunk i (the direct form's convention).
-        ordered = [None] * g
-        for r in range(g):
-            ordered[(r + 1) % g] = out[r]
-        # Map chunk index back to rank index: rank i should hold chunk i.
-        result = []
-        for i in range(g):
-            result.append(ordered[i])
-        return result
-
-    def _ring_all_gather(self, shards: list[np.ndarray]) -> list[np.ndarray]:
-        """Chunked ring all-gather: g-1 steps of passing shards around."""
-        g = len(shards)
-        sizes = [s.size for s in shards]
-        offsets = np.cumsum([0] + sizes)
-        total = offsets[-1]
-        have = [{r: shards[r].copy()} for r in range(g)]
-        for step in range(g - 1):
-            moving = []
-            for r in range(g):
-                c = (r - step) % g
-                moving.append(((r + 1) % g, c, have[r][c]))
-            for dst, c, data in moving:
-                have[dst][c] = data.copy()
-        out = []
-        for r in range(g):
-            full = np.empty(total, dtype=shards[0].dtype)
-            for c in range(g):
-                full[offsets[c] : offsets[c + 1]] = have[r][c]
-            out.append(full)
-        return out

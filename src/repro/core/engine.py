@@ -39,7 +39,7 @@ from repro.backend import BACKEND_CHOICES
 from repro.comm.bucketing import DEFAULT_BUCKET_CAP_BYTES
 from repro.comm.collectives import SimComm
 from repro.comm.faults import RetryPolicy
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy, parse_strategy
+from repro.core.sharding import ShardingStrategy, parse_strategy
 from repro.elastic.layout import ReductionLayout
 from repro.mesh.spec import MeshSpec
 from repro.optim.base import Optimizer
@@ -74,9 +74,8 @@ class EngineConfig:
     :class:`~repro.core.engine_core.EngineCore`): ``optimizer_factory``,
     ``comm``, ``retry_policy``, ``telemetry``, the precision /
     accumulation fields, ``backend``, ``reduction_layout``. DDP-only:
-    ``bucket_cap_bytes``, ``first_bucket_cap_bytes``. FSDP-only:
-    ``backward_prefetch``, ``check_replicas``; ``shard_size`` is FSDP's
-    and, on a mesh, must agree with ``mesh.dp``. Mesh-only: ``mesh``.
+    ``bucket_cap_bytes``, ``first_bucket_cap_bytes``. ``shard_size`` is
+    FSDP's and, on a mesh, must agree with ``mesh.dp``. Mesh-only: ``mesh``.
     Engines ignore the fields that do not apply to them, so one config
     can build a whole strategy sweep.
 
@@ -103,10 +102,6 @@ class EngineConfig:
     shard_size:
         FSDP sharding-group size; required for ``hybrid_shard``, implied
         otherwise.
-    backward_prefetch:
-        FSDP backward prefetch policy (recorded for the perf model).
-    check_replicas:
-        Assert replica-group gradient shards agree after all-reduce.
     precision:
         ``"fp32"`` (default; the paper's runs) or ``"bf16"`` — emulated
         bf16 parameters/gradients/collective payloads with
@@ -160,8 +155,6 @@ class EngineConfig:
     first_bucket_cap_bytes: int | None = 1024 * 1024
     # FSDP-only
     shard_size: int | None = None
-    backward_prefetch: BackwardPrefetch = BackwardPrefetch.BACKWARD_PRE
-    check_replicas: bool = False
     # Mesh engine (tensor/pipeline parallelism composed with dp)
     mesh: MeshSpec | None = None
 

@@ -23,9 +23,8 @@ One deliberate economy (documented, not a shortcut in numerics): because
 all ranks hold identical parameters after every step, the engine keeps a
 single model instance and a single materialized flat buffer per unit, and
 deduplicates the optimizer state across replica groups (replica shards
-are provably identical after the all-reduce; ``check_replicas=True``
-asserts it). Per-rank activation and gradient data are genuinely
-per-rank.
+are provably identical after the all-reduce). Per-rank activation and
+gradient data are genuinely per-rank.
 
 The tests in ``tests/test_core`` assert bit-level (<=1e-9) equivalence of
 parameters after multi-step training across every strategy and against a
@@ -44,7 +43,6 @@ from repro.comm.world import World, make_hybrid_mesh
 from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore
 from repro.core.sharding import (
-    BackwardPrefetch,
     FlatUnit,
     ShardingStrategy,
     default_wrap_units,
@@ -97,11 +95,6 @@ class FSDPEngine(EngineCore):
         ``HYBRID_<n>GPUs``), implied otherwise.
     optimizer_factory:
         ``params -> Optimizer``; defaults to the paper's AdamW recipe.
-    backward_prefetch:
-        Recorded for parity with the performance model; has no numeric
-        effect (prefetch changes *when* data moves, not *what* moves).
-    check_replicas:
-        Assert replica-group gradient shards agree after all-reduce.
     retry_policy:
         Bounded backoff for transient collective failures
         (:class:`~repro.comm.faults.CollectiveError`); ``None`` disables
@@ -115,7 +108,7 @@ class FSDPEngine(EngineCore):
     """
 
     kind = "fsdp"
-    _REMOVED_KWARGS = {"sharding_strategy": "strategy", "prefetch": "backward_prefetch"}
+    _REMOVED_KWARGS = {"sharding_strategy": "strategy"}
 
     def __init__(
         self,
@@ -125,8 +118,6 @@ class FSDPEngine(EngineCore):
         shard_size: int | None = None,
         optimizer_factory: OptimizerFactory | None = None,
         comm: SimComm | None = None,
-        backward_prefetch: BackwardPrefetch = BackwardPrefetch.BACKWARD_PRE,
-        check_replicas: bool = False,
         retry_policy: RetryPolicy | None = RetryPolicy(),
         *,
         config: EngineConfig | None = None,
@@ -139,8 +130,6 @@ class FSDPEngine(EngineCore):
                 optimizer_factory=optimizer_factory,
                 comm=comm,
                 shard_size=shard_size,
-                backward_prefetch=backward_prefetch,
-                check_replicas=check_replicas,
                 retry_policy=retry_policy,
                 telemetry=telemetry,
             )
@@ -148,8 +137,6 @@ class FSDPEngine(EngineCore):
         self.strategy = strategy
         self.shard_size = _resolve_shard_size(strategy, config.shard_size, world)
         self.strategy_name = strategy.value
-        self.backward_prefetch = config.backward_prefetch
-        self.check_replicas = config.check_replicas
         self.mesh = make_hybrid_mesh(world, self.shard_size)
         # The logical reduction layout this engine realizes. With the
         # default (None) this is the strategy's natural layout and the
@@ -277,10 +264,5 @@ class FSDPEngine(EngineCore):
                     for j in range(k)
                     for g in range(self.mesh.n_replicas)
                 ]
-                reduced = self._mean_reduce(
-                    "all_reduce", bufs, replica_group, k, out=dest[s]
-                )
-                if self.check_replicas:
-                    for r in reduced[1:]:
-                        np.testing.assert_allclose(r, reduced[0], rtol=0, atol=1e-12)
+                self._mean_reduce("all_reduce", bufs, replica_group, k, out=dest[s])
         return [shard.grad for shards in self._shards for shard in shards]

@@ -199,14 +199,6 @@ class FlatUnit:
         """View of shard ``shard_index`` inside the flat buffer."""
         return self.flat[self.plan.shard_slice(shard_index)]
 
-    def read_grad(self) -> np.ndarray:
-        """Copy of the current flat gradient (one rank's contribution)."""
-        return self.grad_flat.copy()
-
-    def zero_grad(self) -> None:
-        """Zero the unit's flat gradient (and thus every view)."""
-        self.grad_flat[...] = 0.0
-
     def make_shards(self) -> list[FlatShard]:
         """Optimizer targets: one per shard index, viewing the flat buffer."""
         return [

@@ -19,7 +19,7 @@ power/utilization traces.
 - :mod:`repro.perf.simulator` — end-to-end step timing and reports.
 - :mod:`repro.perf.tracing` — Chrome-trace export of simulated steps.
 - :mod:`repro.perf.hotpath` — *measured* (not modeled) wall-clock
-  microbenchmarks of the NumPy substrate itself.
+  kernel microbenchmarks of the NumPy substrate itself.
 """
 
 from repro.perf.compute_model import UnitCost, mae_workload_units, vit_workload_units
@@ -27,11 +27,8 @@ from repro.perf.events import Task, Timeline
 from repro.perf.hotpath import (
     KernelTiming,
     PairTiming,
-    StepTiming,
-    rss_peak_mb,
     time_kernel,
     time_pair,
-    time_train_step,
 )
 from repro.perf.io_model import IoModel
 from repro.perf.memory_model import MemoryBreakdown, memory_breakdown
@@ -52,11 +49,8 @@ __all__ = [
     "pipeline_bubble_fraction",
     "KernelTiming",
     "PairTiming",
-    "StepTiming",
-    "rss_peak_mb",
     "time_kernel",
     "time_pair",
-    "time_train_step",
     "Task",
     "Timeline",
     "UnitCost",

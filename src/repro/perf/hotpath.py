@@ -2,11 +2,13 @@
 
 Unlike the rest of :mod:`repro.perf` — which *models* Frontier-scale
 performance analytically — this module measures the substrate itself:
-wall-clock per kernel, images/second per proxy training step, and peak
-resident memory. It is the measurement side of the fused-kernel work in
+wall-clock per kernel, and one kernel against another. It is the
+measurement side of the fused-kernel work in
 :mod:`repro.models.functional` / :mod:`repro.models.layers` /
 :mod:`repro.models.attention`; ``benchmarks/bench_hotpath.py`` drives it
-and ``benchmarks/check_regression.py`` gates on its output.
+and ``benchmarks/check_regression.py`` gates on its machine-relative
+output. Whole training steps are timed by ``benchmarks/e2e``
+(``train_dense``), not here.
 
 Methodology notes (the host running CI is small and shared):
 
@@ -15,15 +17,11 @@ Methodology notes (the host running CI is small and shared):
   (robust to scheduler noise) plus min/max;
 - A/B comparisons use :func:`time_pair`, which *interleaves* the two
   sides sample-by-sample and reports the median of per-pair ratios, so
-  slow drift in machine load cancels instead of biasing one side;
-- peak RSS comes from ``resource.getrusage`` (ru_maxrss is a
-  high-water mark, in KiB on Linux).
+  slow drift in machine load cancels instead of biasing one side.
 """
 
 from __future__ import annotations
 
-import resource
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -31,21 +29,9 @@ from typing import Any, Callable
 __all__ = [
     "KernelTiming",
     "PairTiming",
-    "StepTiming",
-    "rss_peak_mb",
     "time_kernel",
     "time_pair",
-    "time_train_step",
 ]
-
-
-def rss_peak_mb() -> float:
-    """Process peak resident set size in MiB (high-water mark, monotone)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
 
 
 @dataclass
@@ -178,60 +164,4 @@ def time_pair(
         b=_summary(name_b, samples_b),
         median_ratio=_median(ratios),
         min_ratio=min(ratios),
-    )
-
-
-@dataclass
-class StepTiming:
-    """Throughput summary for a full training step."""
-
-    name: str
-    images_per_step: int
-    median_step_ms: float
-    min_step_ms: float
-    images_per_sec: float
-    repeats: int
-    peak_rss_mb: float
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary."""
-        return {
-            "name": self.name,
-            "images_per_step": self.images_per_step,
-            "median_step_ms": self.median_step_ms,
-            "min_step_ms": self.min_step_ms,
-            "images_per_sec": self.images_per_sec,
-            "repeats": self.repeats,
-            "peak_rss_mb": self.peak_rss_mb,
-        }
-
-
-def time_train_step(
-    step_fn: Callable[[], Any],
-    images_per_step: int,
-    name: str = "train_step",
-    warmup: int = 1,
-    repeats: int = 5,
-) -> StepTiming:
-    """Time a full training step closure and convert to images/second.
-
-    ``step_fn`` should run one complete optimizer step (forward,
-    backward, gradient reduction, update). Throughput uses the median
-    step time; ``peak_rss_mb`` is the process high-water mark *after*
-    the measured steps, which by then includes the step's working set.
-    """
-    if images_per_step <= 0:
-        raise ValueError("images_per_step must be positive")
-    timing = time_kernel(
-        step_fn, name=name, warmup=warmup, repeats=repeats, number=1
-    )
-    median_ms = timing.median_us / 1e3
-    return StepTiming(
-        name=name,
-        images_per_step=images_per_step,
-        median_step_ms=median_ms,
-        min_step_ms=timing.min_us / 1e3,
-        images_per_sec=images_per_step / (median_ms / 1e3),
-        repeats=repeats,
-        peak_rss_mb=rss_peak_mb(),
     )

@@ -3,21 +3,24 @@
 The paper's downstream artifact (Section V) — a frozen MAE/ViT encoder
 whose class-token features drive scene classification — is exactly what
 a production geospatial service puts behind an endpoint. This package
-makes that endpoint real *and testable*: a dynamic micro-batching queue
-(:mod:`~repro.serve.batcher`), a bounded admission queue with
-backpressure (:mod:`~repro.serve.queue`), a replica pool balanced by the
-hardware cost model (:mod:`~repro.serve.replica`), a content-addressed
-LRU feature cache (:mod:`~repro.serve.cache`), and the deterministic
-event loop that runs them (:mod:`~repro.serve.server`) — all on virtual
-time (:mod:`~repro.serve.clock`), so every concurrency behaviour is a
+makes that endpoint real *and testable*: a dynamic micro-batching policy
+(:mod:`~repro.serve.batcher`), request / response records and the
+deadline index (:mod:`~repro.serve.queue`), a replica pool balanced by
+the hardware cost model (:mod:`~repro.serve.replica`), a
+content-addressed LRU feature cache (:mod:`~repro.serve.cache`), the
+deterministic event loop that runs them (:mod:`~repro.serve.server`)
+and the conservation ledger it books every verdict in
+(:mod:`~repro.serve.ledger`) — all on virtual time
+(:mod:`~repro.serve.clock`), so every concurrency behaviour is a
 replayable function of the workload and seeds.
 
 The open-loop production layer (PR 10) sits on top: seeded multi-tenant
-traffic generation (:mod:`~repro.serve.traffic`), tenant-aware
-admission with priorities, weighted fair queueing and token buckets
-(:mod:`~repro.serve.admission`), SLO-driven fleet autoscaling
-(:mod:`~repro.serve.autoscale`), and cost-aware capacity planning with
-predicted-vs-measured reconciliation (:mod:`~repro.serve.planner`).
+traffic generation (:mod:`~repro.serve.traffic`), the one bounded
+queue — priorities, weighted fair lanes, global backpressure — with
+per-tenant token buckets in front (:mod:`~repro.serve.admission`),
+SLO-driven fleet autoscaling (:mod:`~repro.serve.autoscale`), and
+cost-aware capacity planning with predicted-vs-measured reconciliation
+(:mod:`~repro.serve.planner`).
 
 Quick start::
 
@@ -40,6 +43,7 @@ from repro.serve.autoscale import Autoscaler, AutoscalePolicy, ScaleEvent
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LRUFeatureCache, image_digest
 from repro.serve.clock import VirtualClock
+from repro.serve.ledger import ServerStats, TenantCounts, latency_stats
 from repro.serve.planner import (
     CapacityPlan,
     PlanReconciliation,
@@ -48,7 +52,7 @@ from repro.serve.planner import (
     plan_capacity,
     reconcile_plan,
 )
-from repro.serve.queue import Request, RequestQueue, Response
+from repro.serve.queue import Request, Response
 from repro.serve.replica import (
     FixedServiceModel,
     Replica,
@@ -58,12 +62,7 @@ from repro.serve.replica import (
     ReplicaPool,
     ServiceTimeModel,
 )
-from repro.serve.server import (
-    InferenceServer,
-    ServerStats,
-    TenantCounts,
-    latency_stats,
-)
+from repro.serve.server import InferenceServer
 from repro.serve.traffic import (
     OpenLoopResult,
     RateProfile,
@@ -79,7 +78,6 @@ __all__ = [
     "VirtualClock",
     "Request",
     "Response",
-    "RequestQueue",
     "MicroBatcher",
     "LRUFeatureCache",
     "image_digest",

@@ -1,12 +1,13 @@
-"""Tenant-aware admission: priority classes, weighted fair queueing,
-and per-tenant token-bucket rate limits.
+"""The serving queue and tenant-aware admission: priority classes,
+weighted fair queueing, and per-tenant token-bucket rate limits.
 
 A production endpoint serving millions of users is always multi-tenant:
 an interactive product surface, batch analytics jobs, and free-tier
 traffic all share one replica fleet, and the front door must keep one
 tenant's burst from starving the others. This module is that front
-door, layered *in front of* the bounded queue of
-:mod:`repro.serve.queue`:
+door: :class:`FairRequestQueue`, the one bounded queue every server
+runs on, and the :class:`AdmissionController` that hands it tenant
+specs and rate-limits in front of it:
 
 - **priority classes** — every :class:`TenantSpec` carries a priority
   (0 = highest). The scheduler is strict across classes: as long as a
@@ -28,14 +29,17 @@ Everything runs on virtual time and is a pure function of the workload
 and the specs — scheduling decisions replay bit-identically, which is
 what lets the property campaign assert fairness on exact counts.
 
-The default single-tenant path (no :class:`AdmissionController`) is the
-plain bounded FIFO from PR 5, byte-identical schedules included — the
-differential suite pins that no-behaviour-change contract.
+Who decides the lane: the constructor, once. A queue built from specs
+(the controller's) has a lane per tenant; a queue built without — what
+a server with no :class:`AdmissionController` gets — has one shared
+lane, where SFQ degenerates to arrival order: the plain bounded FIFO of
+PR 5 for any mix of tenant labels, byte-identical schedules included
+(the differential suite pins that no-behaviour-change contract).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from repro.serve.queue import DeadlineIndex, Request
@@ -134,13 +138,21 @@ class _TenantLane:
 
 
 class FairRequestQueue:
-    """Bounded multi-tenant queue: strict priority, then weighted fair.
+    """The bounded serving queue: strict priority, then weighted fair.
 
-    Duck-types :class:`repro.serve.queue.RequestQueue` (``push`` /
-    ``push_front`` / ``pop`` / ``peek`` / ``min_deadline_s`` /
-    ``remove_expired`` / ``len`` / ``full``), so the micro-batcher and
-    the serving loop run unchanged on top of it — only the *order*
-    requests leave the queue differs from the plain FIFO.
+    Lanes of ``(finish_tag, request)``, one SFQ virtual clock, one
+    :class:`~repro.serve.queue.DeadlineIndex` and one capacity bound —
+    the only buffer between admission and the replica pool. ``push``
+    refuses work once ``capacity`` requests are waiting (the caller
+    turns that into a ``rejected(queue_full)`` response); ``push_front``
+    is reserved for fault requeues and bypasses the bound, so a request
+    the service already admitted is never dropped by its own recovery
+    path.
+
+    With ``specs`` every tenant has its own lane (unknown tenants a
+    default one on first sight) and requests leave in SFQ order; with
+    ``specs=None`` every label shares one lane and arrival, rejection,
+    requeue and expiry order ignore the tenant label entirely.
 
     The capacity bound is global across tenants (it models the shared
     admission buffer); per-tenant protection against a hog filling it
@@ -148,12 +160,13 @@ class FairRequestQueue:
     :class:`AdmissionController`.
     """
 
-    def __init__(self, capacity: int, specs: list[TenantSpec] | tuple = ()):
+    def __init__(self, capacity: int, specs: list[TenantSpec] | tuple | None = None):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self._shared = specs is None
         self._lanes: dict[str, _TenantLane] = {}
-        for spec in specs:
+        for spec in specs or ():
             if spec.name in self._lanes:
                 raise ValueError(f"duplicate tenant spec {spec.name!r}")
             self._lanes[spec.name] = _TenantLane(spec)
@@ -161,16 +174,19 @@ class FairRequestQueue:
         self._n = 0
         self._deadlines = DeadlineIndex()
 
-    def spec_for(self, tenant: str) -> TenantSpec:
-        """The tenant's spec; unknown tenants get a default lane
-        (weight 1, priority 0, unlimited) created on first sight."""
-        lane = self._lanes.get(tenant)
+    def _lane(self, tenant: str) -> _TenantLane:
+        key = "" if self._shared else tenant
+        lane = self._lanes.get(key)
         if lane is None:
-            # Spec names must be non-empty; the anonymous tenant's lane
-            # is keyed "" but carries the placeholder name "-".
-            lane = _TenantLane(TenantSpec(tenant or "-"))
-            self._lanes[tenant] = lane
-        return lane.spec
+            # Spec names must be non-empty; the anonymous (and the
+            # shared) lane is keyed "" but carries the placeholder "-".
+            lane = self._lanes[key] = _TenantLane(TenantSpec(key or "-"))
+        return lane
+
+    def spec_for(self, tenant: str) -> TenantSpec:
+        """The spec of the lane ``tenant`` queues in; unknown tenants
+        get a default one (weight 1, priority 0, unlimited)."""
+        return self._lane(tenant).spec
 
     def __len__(self) -> int:
         return self._n
@@ -179,10 +195,6 @@ class FairRequestQueue:
     def full(self) -> bool:
         """True when a ``push`` would be refused."""
         return self._n >= self.capacity
-
-    def _lane(self, tenant: str) -> _TenantLane:
-        self.spec_for(tenant)
-        return self._lanes[tenant]
 
     def push(self, request: Request) -> bool:
         """Admit at the tenant's tail with a fresh SFQ finish tag."""
@@ -251,9 +263,12 @@ class FairRequestQueue:
     def remove_expired(self, now_s: float) -> list[Request]:
         """Remove every request whose deadline is ``<= now_s`` (all lanes).
 
-        Returned in req_id order so the server's timeout responses are
-        emitted deterministically. No lane is walked unless the index
-        says something is due.
+        Requests at exactly their deadline go too: with strictly
+        positive service times they could only be delivered late.
+        Returned in req_id order across tenant lanes, in queue order
+        from the shared lane (a requeue can put a younger id ahead), so
+        timeout responses are emitted deterministically. No lane is
+        walked unless the index says something is due.
         """
         dead = self._deadlines.pop_due(now_s)
         if not dead:
@@ -267,15 +282,15 @@ class FairRequestQueue:
                 )
                 expired.extend(gone)
         self._n -= len(expired)
-        return sorted(expired, key=lambda r: r.req_id)
+        if not self._shared:
+            expired.sort(key=lambda r: r.req_id)
+        return expired
 
     def depth_by_tenant(self) -> dict[str, int]:
-        """Waiting requests per tenant (observability hook)."""
-        return {
-            tenant: len(lane.items)
-            for tenant, lane in self._lanes.items()
-            if lane.items
-        }
+        """Waiting requests per tenant label (observability hook)."""
+        return dict(
+            Counter(r.tenant for lane in self._lanes.values() for _, r in lane.items)
+        )
 
 
 class AdmissionController:
@@ -302,11 +317,6 @@ class AdmissionController:
                     1.0, spec.rate_limit
                 )
                 self._buckets[spec.name] = TokenBucket(spec.rate_limit, burst)
-
-    def priority_of(self, tenant: str) -> int:
-        """The tenant's priority class (default lane when unknown)."""
-        spec = self.specs.get(tenant)
-        return spec.priority if spec is not None else 0
 
     def admit_reason(self, tenant: str, now_s: float) -> str | None:
         """``None`` to admit, else the reject reason (``rate_limited``)."""

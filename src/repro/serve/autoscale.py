@@ -150,7 +150,7 @@ class Autoscaler:
         """p99 latency over the observation window (0 when empty).
 
         ``method="higher"`` keeps the statistic an observed latency
-        (same rationale as :func:`repro.serve.server.latency_stats`).
+        (same rationale as :func:`repro.serve.ledger.latency_stats`).
         """
         if not self._latencies:
             return 0.0

@@ -17,21 +17,25 @@ Whichever trips first wins. The policy itself is a pure function of the
 queue state and the virtual clock: :meth:`MicroBatcher.ready_at` reports
 the earliest virtual time a batch could close, which is exactly the
 event the serving loop schedules; :meth:`MicroBatcher.take` pops the
-batch. Nothing here sleeps or reads wall time, so every schedule the
-batcher produces is replayable.
+batch. "Oldest" is whatever the one queue
+(:class:`~repro.serve.admission.FairRequestQueue`) would pop next, so
+the batcher never learns whether its lanes are per tenant or shared.
+Nothing here sleeps or reads wall time, so every schedule the batcher
+produces is replayable.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.serve.queue import Request, RequestQueue
+from repro.serve.admission import FairRequestQueue
+from repro.serve.queue import Request
 
 __all__ = ["MicroBatcher"]
 
 
 class MicroBatcher:
-    """Close-on-size-or-age batching policy over a :class:`RequestQueue`."""
+    """Close-on-size-or-age batching policy over the serving queue."""
 
     def __init__(self, max_batch_size: int = 8, max_wait_s: float = 0.0):
         if max_batch_size < 1:
@@ -41,7 +45,7 @@ class MicroBatcher:
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
 
-    def ready_at(self, queue: RequestQueue, now_s: float) -> float | None:
+    def ready_at(self, queue: FairRequestQueue, now_s: float) -> float | None:
         """Earliest virtual time a batch could close; None when queue empty.
 
         ``now_s`` when the size trigger has already tripped (or the
@@ -54,7 +58,7 @@ class MicroBatcher:
             return now_s
         return max(now_s, queue.peek().arrival_s + self.max_wait_s)
 
-    def take(self, queue: RequestQueue) -> list[Request]:
+    def take(self, queue: FairRequestQueue) -> list[Request]:
         """Pop the closing batch: up to ``max_batch_size`` oldest requests.
 
         The caller decides *when* (via :meth:`ready_at`); ``take`` only

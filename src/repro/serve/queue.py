@@ -1,23 +1,20 @@
-"""Requests, responses, and the bounded admission queue.
+"""Requests, responses, and the deadline index.
 
-The serving front door. A :class:`Request` is one image with an arrival
-time and an optional absolute deadline; a :class:`Response` is its single
-terminal record — exactly one per submitted request, whatever happens in
-between (cache hit, batching, replica fault, timeout). The
-:class:`RequestQueue` is the only buffer between admission and the
-replica pool: it is bounded, and a full queue *rejects at submit time*
-(backpressure) rather than growing without limit — the load-shedding
-behaviour a saturated service needs so queueing delay cannot grow
-unboundedly past every deadline. Every queue class keeps a
-:class:`DeadlineIndex` beside its storage, so the serving loop reads the
+The records of the serving front door. A :class:`Request` is one image
+with an arrival time and an optional absolute deadline; a
+:class:`Response` is its single terminal record — exactly one per
+submitted request, whatever happens in between (cache hit, batching,
+replica fault, timeout). Between admission and the replica pool a
+request waits in the package's one bounded queue,
+:class:`~repro.serve.admission.FairRequestQueue`, which keeps a
+:class:`DeadlineIndex` beside its lanes so the serving loop reads the
 earliest waiting deadline, and sweeps what is due, without scanning.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +24,6 @@ __all__ = [
     "Request",
     "Response",
     "DeadlineIndex",
-    "RequestQueue",
 ]
 
 #: Terminal statuses a request can end in.
@@ -62,10 +58,6 @@ class Request:
     tenant:
         Admission tenant the request belongs to (``""`` = the default,
         anonymous tenant — the single-tenant path of PR 5).
-    priority:
-        Admission priority class (0 = highest). Only meaningful under a
-        :class:`~repro.serve.admission.FairRequestQueue`; the plain FIFO
-        ignores it.
     """
 
     req_id: int
@@ -75,7 +67,6 @@ class Request:
     digest: str = ""
     retries: int = 0
     tenant: str = ""
-    priority: int = 0
 
 
 @dataclass(frozen=True)
@@ -99,7 +90,6 @@ class Response:
     replica_id: int | None = None
     batch_id: int | None = None
     tenant: str = ""
-    attrs: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in REQUEST_STATUSES:
@@ -166,73 +156,3 @@ class DeadlineIndex:
         due &= self._live
         self._live -= due
         return due
-
-
-class RequestQueue:
-    """Bounded FIFO of admitted requests (the backpressure point).
-
-    ``push`` refuses work once ``capacity`` requests are waiting —
-    the caller turns that refusal into a ``rejected(queue_full)``
-    response. ``push_front`` is reserved for fault requeues and
-    deliberately bypasses the bound: a request the service already
-    admitted is never silently dropped by its own recovery path.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._items: deque[Request] = deque()
-        self._deadlines = DeadlineIndex()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    @property
-    def full(self) -> bool:
-        """True when a ``push`` would be refused."""
-        return len(self._items) >= self.capacity
-
-    def push(self, request: Request) -> bool:
-        """Admit ``request`` at the tail; False (refused) when full."""
-        if self.full:
-            return False
-        self._items.append(request)
-        self._deadlines.add(request)
-        return True
-
-    def push_front(self, request: Request) -> None:
-        """Requeue a faulted request at the head (exempt from the bound)."""
-        self._items.appendleft(request)
-        self._deadlines.add(request)
-
-    def pop(self) -> Request:
-        """Remove and return the oldest request."""
-        request = self._items.popleft()
-        self._deadlines.discard(request)
-        return request
-
-    def peek(self) -> Request:
-        """The oldest request, without removing it."""
-        return self._items[0]
-
-    def min_deadline_s(self) -> float | None:
-        """Earliest deadline among waiting requests; None when none carry
-        one. O(1) amortised: read off the :class:`DeadlineIndex`."""
-        return self._deadlines.min_s()
-
-    def remove_expired(self, now_s: float) -> list[Request]:
-        """Remove and return every request whose deadline is ``<= now_s``.
-
-        Requests at exactly their deadline are removed too: with strictly
-        positive service times they could only ever be delivered late, so
-        dispatching them would burn replica time on a guaranteed timeout.
-        Returned in queue order; the queue itself is only walked when the
-        index says something is due.
-        """
-        dead = self._deadlines.pop_due(now_s)
-        if not dead:
-            return []
-        expired = [r for r in self._items if r.req_id in dead]
-        self._items = deque(r for r in self._items if r.req_id not in dead)
-        return expired

@@ -7,8 +7,8 @@ loop on virtual time:
 - **admission** — :meth:`InferenceServer.submit` stamps the request with
   the clock, consults the :class:`~repro.serve.cache.LRUFeatureCache`
   (a hit is served instantly, skipping the encoder entirely), and pushes
-  into the bounded :class:`~repro.serve.queue.RequestQueue`; a full
-  queue rejects at the door (backpressure);
+  into the bounded :class:`~repro.serve.admission.FairRequestQueue`; a
+  full queue rejects at the door (backpressure);
 - **batching** — the :class:`~repro.serve.batcher.MicroBatcher` closes a
   batch at ``max_batch_size`` requests or ``max_wait_s`` of head-of-line
   age, whichever first;
@@ -19,6 +19,12 @@ loop on virtual time:
   deadline passed get ``timeout`` verdicts, replica faults trigger
   requeue-once-then-fail.
 
+This module is the event kernel only. Every handler that ends a request
+builds its :class:`~repro.serve.queue.Response` and hands it to
+``_finish``, the single site where a verdict is booked; which ledger
+field, tenant slice and counter that moves is
+:meth:`repro.serve.ledger.ServerStats.book`'s rule, not the loop's.
+
 The loop processes one event per iteration in a fixed priority order
 (completions, then arrivals, then autoscale ticks, then dispatch, then
 expiry sweeps), so the entire schedule — every batch composition, every
@@ -26,7 +32,7 @@ latency, every verdict — is a pure function of (workload,
 configuration). Finding the next event costs O(log n) in what is
 waiting, not a rescan of it: ``_inflight`` is a heap ordered
 ``(finish_s, batch_id)`` (pushed at dispatch, popped at delivery — heap
-order *is* delivery order), each queue owns a
+order *is* delivery order), the queue owns a
 :class:`~repro.serve.queue.DeadlineIndex` (kept at ``push`` /
 ``push_front`` / ``pop`` / expiry; its docstring says why lazy deletion
 survives a requeue), and ``_next_event_s`` keeps a running minimum over
@@ -39,12 +45,10 @@ bit-identical to :func:`repro.eval.features.extract_features` on the
 same images (tested in ``tests/test_serve``).
 
 Multi-tenant serving (PR 10): an optional
-:class:`~repro.serve.admission.AdmissionController` puts per-tenant
-token buckets and a priority/weighted-fair queue in front of the
-batcher, and an optional :class:`~repro.serve.autoscale.Autoscaler`
-resizes the replica pool from queue-depth/p99 telemetry between
-events. Without either, behaviour is byte-identical to the PR 5
-single-tenant server (pinned by the differential suite).
+:class:`~repro.serve.admission.AdmissionController` (token buckets, a
+lane per tenant) and an optional
+:class:`~repro.serve.autoscale.Autoscaler` (resizes the pool between
+events); see the constructor for what their absence means.
 
 Telemetry: with a bus attached (ideally sharing the server's virtual
 clock), the loop publishes ``serve.queue_depth``/``serve.batch_size``
@@ -59,17 +63,19 @@ via the ``tenant=`` attribute, per tenant.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.hardware.gpu import GpuSpec
-from repro.serve.admission import AdmissionController
+from repro.serve.admission import AdmissionController, FairRequestQueue
 from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LRUFeatureCache, image_digest
 from repro.serve.clock import VirtualClock
-from repro.serve.queue import Request, RequestQueue, Response
+from repro.serve.ledger import ServerStats, tenant_attrs
+from repro.serve.queue import Request, Response
 from repro.serve.replica import (
     Replica,
     ReplicaError,
@@ -79,101 +85,7 @@ from repro.serve.replica import (
 )
 from repro.telemetry import NULL_BUS, TelemetryBus
 
-__all__ = ["TenantCounts", "ServerStats", "InferenceServer", "latency_stats"]
-
-
-@dataclass
-class TenantCounts:
-    """Per-tenant slice of the conservation ledger."""
-
-    submitted: int = 0
-    served: int = 0
-    rejected: int = 0
-    timed_out: int = 0
-
-    def reconciles(self) -> bool:
-        """True iff submitted == served + rejected + timed_out."""
-        return self.submitted == self.served + self.rejected + self.timed_out
-
-    def to_json(self) -> dict:
-        """The counters as one flat JSON-ready dict."""
-        return {
-            "submitted": self.submitted,
-            "served": self.served,
-            "rejected": self.rejected,
-            "timed_out": self.timed_out,
-        }
-
-
-@dataclass
-class ServerStats:
-    """Authoritative serving counters (telemetry mirrors these).
-
-    Every admitted request ends in exactly one of ``served``,
-    ``rejected_queue_full``, ``rejected_replica_failure``, or
-    ``timed_out`` — :meth:`reconciles` is the conservation law the chaos
-    suite asserts under fault injection.
-    """
-
-    submitted: int = 0
-    served: int = 0
-    rejected_queue_full: int = 0
-    rejected_replica_failure: int = 0
-    rejected_rate_limited: int = 0
-    timed_out: int = 0
-    requeued: int = 0
-    replica_faults: int = 0
-    batches: int = 0
-    batched_images: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    tenants: dict = field(default_factory=dict)
-
-    @property
-    def rejected(self) -> int:
-        """Total rejections (backpressure + rate limits + post-retry
-        replica failures)."""
-        return (
-            self.rejected_queue_full
-            + self.rejected_replica_failure
-            + self.rejected_rate_limited
-        )
-
-    def tenant(self, name: str) -> TenantCounts:
-        """The (auto-created) per-tenant ledger slice for ``name``."""
-        counts = self.tenants.get(name)
-        if counts is None:
-            counts = self.tenants[name] = TenantCounts()
-        return counts
-
-    def reconciles(self) -> bool:
-        """True iff submitted == served + rejected + timed_out, both in
-        aggregate and within every tenant's slice."""
-        return self.submitted == self.served + self.rejected + self.timed_out and all(
-            t.reconciles() for t in self.tenants.values()
-        )
-
-    def to_json(self) -> dict:
-        """All counters as one flat JSON-ready dict (plus tenant slices)."""
-        out = {
-            "submitted": self.submitted,
-            "served": self.served,
-            "rejected_queue_full": self.rejected_queue_full,
-            "rejected_replica_failure": self.rejected_replica_failure,
-            "rejected_rate_limited": self.rejected_rate_limited,
-            "timed_out": self.timed_out,
-            "requeued": self.requeued,
-            "replica_faults": self.replica_faults,
-            "batches": self.batches,
-            "batched_images": self.batched_images,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-        if self.tenants:
-            out["tenants"] = {
-                name: t.to_json() for name, t in sorted(self.tenants.items())
-            }
-        return out
+__all__ = ["InferenceServer"]
 
 
 @dataclass(order=True)
@@ -225,11 +137,12 @@ class InferenceServer:
         Deterministic replica-fault schedule for chaos testing.
     admission:
         Optional :class:`~repro.serve.admission.AdmissionController`:
-        per-tenant token buckets in front of a priority/weighted-fair
-        queue. When given, the server runs on the controller's
+        per-tenant token buckets in front of per-tenant lanes. When
+        given, the server runs on the controller's
         :class:`~repro.serve.admission.FairRequestQueue` (its capacity
-        wins; ``queue_capacity`` is ignored). ``None`` keeps the plain
-        single-tenant FIFO — byte-identical to the pre-admission
+        wins; ``queue_capacity`` is ignored). ``None`` builds the same
+        queue with one shared lane: a bounded FIFO in which the tenant
+        label is bookkeeping only — byte-identical to the pre-admission
         server.
     autoscaler:
         Optional :class:`~repro.serve.autoscale.Autoscaler` that
@@ -282,8 +195,10 @@ class InferenceServer:
         self.telemetry = telemetry if telemetry is not None else NULL_BUS
         self.batcher = MicroBatcher(max_batch_size, max_wait_s)
         self.admission = admission
+        # The controller's queue has a lane per tenant; without one,
+        # every label shares a single lane (a bounded FIFO).
         self.queue = (
-            admission.queue if admission is not None else RequestQueue(queue_capacity)
+            FairRequestQueue(queue_capacity) if admission is None else admission.queue
         )
         self.autoscaler = autoscaler
         self.pool = ReplicaPool(model, services, prices=replica_prices)
@@ -292,17 +207,13 @@ class InferenceServer:
         self.fault_plan = fault_plan
         self.stats = ServerStats()
         self.responses: list[Response] = []
-        self._by_id: dict[int, Response] = {}
+        # One flag per req_id (ids are dense from 0): set once it holds
+        # its verdict. A byte a request, where a set cost ~90.
+        self._decided = bytearray()
         self._inflight: list[_Inflight] = []  # heap, earliest finish first
-        self._next_req_id = 0
         self._next_batch_id = 0
 
     # -- admission -----------------------------------------------------------
-
-    def _tenant_attrs(self, tenant: str) -> dict:
-        """Counter attrs for one tenant (empty on the anonymous path,
-        keeping single-tenant event streams byte-stable)."""
-        return {"tenant": tenant} if tenant else {}
 
     def submit(
         self,
@@ -316,42 +227,36 @@ class InferenceServer:
         ``rejected``; cache hit -> ``ok``); otherwise the request waits
         for the batcher. ``deadline_s`` is an *absolute* virtual time;
         ``tenant`` selects the admission lane (priority, weight, rate
-        limit) when an :class:`AdmissionController` is attached.
+        limit) when an :class:`AdmissionController` is attached. A NaN
+        deadline is refused with a ``ValueError`` before anything is
+        counted; ``+inf`` is accepted and served best-effort, like
+        ``None``.
         """
         if image.ndim != 3:
             raise ValueError(f"image must be (C, H, W), got {image.shape}")
         now = self.clock.now()
-        if deadline_s is not None and deadline_s < now:
+        # ``not >=`` rather than ``<``: NaN fails every comparison, and
+        # would otherwise be admitted and poison the deadline heap.
+        if deadline_s is not None and not deadline_s >= now:
+            if deadline_s != deadline_s:
+                raise ValueError("deadline_s must not be NaN")
             raise ValueError(
                 f"deadline {deadline_s} is already past (now={now})"
             )
-        req_id = self._next_req_id
-        self._next_req_id += 1
+        req_id = len(self._decided)
+        self._decided.append(0)
         self.stats.submitted += 1
         self.stats.tenant(tenant).submitted += 1
         # The default, disabled bus is not called at all on this path.
         bus = self.telemetry if self.telemetry.enabled else None
-        tattrs = self._tenant_attrs(tenant) if bus else None
+        tattrs = tenant_attrs(tenant) if bus else None
         if bus:
             bus.counter("serve.submitted", **tattrs)
-        priority = 0
         if self.admission is not None:
-            priority = self.admission.priority_of(tenant)
             reason = self.admission.admit_reason(tenant, now)
             if reason is not None:
-                self.stats.rejected_rate_limited += 1
-                self.stats.tenant(tenant).rejected += 1
-                if bus:
-                    bus.counter("serve.rejected", reason=reason, **tattrs)
                 self._finish(
-                    Response(
-                        req_id=req_id,
-                        status="rejected",
-                        arrival_s=now,
-                        done_s=now,
-                        reason=reason,
-                        tenant=tenant,
-                    )
+                    Response(req_id, "rejected", now, now, reason=reason, tenant=tenant)
                 )
                 return req_id
         digest = ""
@@ -360,19 +265,11 @@ class InferenceServer:
             row = self.cache.get(digest)
             if row is not None:
                 self.stats.cache_hits += 1
-                self.stats.served += 1
-                self.stats.tenant(tenant).served += 1
                 if bus:
                     bus.counter("serve.cache_hit", **tattrs)
-                    bus.counter("serve.served", **tattrs)
                 self._finish(
                     Response(
-                        req_id=req_id,
-                        status="ok",
-                        arrival_s=now,
-                        done_s=now,
-                        features=row,
-                        cache_hit=True,
+                        req_id, "ok", now, now, features=row, cache_hit=True,
                         tenant=tenant,
                     )
                 )
@@ -387,21 +284,11 @@ class InferenceServer:
             deadline_s=deadline_s,
             digest=digest,
             tenant=tenant,
-            priority=priority,
         )
         if not self.queue.push(request):
-            self.stats.rejected_queue_full += 1
-            self.stats.tenant(tenant).rejected += 1
-            if bus:
-                bus.counter("serve.rejected", reason="queue_full", **tattrs)
             self._finish(
                 Response(
-                    req_id=req_id,
-                    status="rejected",
-                    arrival_s=now,
-                    done_s=now,
-                    reason="queue_full",
-                    tenant=tenant,
+                    req_id, "rejected", now, now, reason="queue_full", tenant=tenant
                 )
             )
             return req_id
@@ -417,8 +304,10 @@ class InferenceServer:
         ``workload`` is a sequence of ``(arrival_s, image)``,
         ``(arrival_s, image, deadline_s)``, or
         ``(arrival_s, image, deadline_s, tenant)`` tuples with
-        non-decreasing arrival times (absolute virtual seconds, not
-        before the clock's current time). The loop drains everything —
+        non-decreasing finite arrival times (absolute virtual seconds,
+        not before the clock's current time). A non-finite arrival or a
+        NaN deadline is refused with a ``ValueError`` before the clock
+        moves or anything is admitted. The loop drains everything —
         queue and in-flight batches included — and returns this
         workload's responses sorted by request id.
         """
@@ -430,6 +319,10 @@ class InferenceServer:
                 t, image, deadline, tenant = *item, ""
             else:
                 t, image, deadline, tenant = item
+            if not math.isfinite(t):
+                raise ValueError(f"arrival time must be finite, got {t}")
+            if deadline is not None and deadline != deadline:
+                raise ValueError("deadline_s must not be NaN")
             arrivals.append((float(t), image, deadline, tenant))
         times = [a[0] for a in arrivals]
         for t0, t1 in zip(times, times[1:]):
@@ -458,13 +351,7 @@ class InferenceServer:
 
     def drain(self) -> list[Response]:
         """Run the loop with no new arrivals until queue and replicas are idle."""
-        first_new = len(self.responses)
-        self._loop([])
-        return sorted(self.responses[first_new:], key=lambda r: r.req_id)
-
-    def response_for(self, req_id: int) -> Response | None:
-        """The terminal response of ``req_id``, or None while undecided."""
-        return self._by_id.get(req_id)
+        return self.run([])
 
     def _loop(self, arrivals: list[tuple]) -> None:
         i = 0
@@ -540,6 +427,7 @@ class InferenceServer:
         if self.fault_plan is not None:
             fault = self.fault_plan.consult(replica.replica_id, replica.dispatches)
         images = np.stack([r.image for r in batch])
+        features = error = None
         try:
             features, service_s = replica.run_batch(
                 images, now, fault=fault, stall_timeout_s=self.stall_timeout_s
@@ -549,19 +437,7 @@ class InferenceServer:
             self.telemetry.counter(
                 "serve.replica_fault", kind=err.kind, replica=err.replica_id
             )
-            heapq.heappush(
-                self._inflight,
-                _Inflight(
-                    finish_s=now + err.detect_delay_s,
-                    batch_id=batch_id,
-                    replica=replica,
-                    requests=batch,
-                    dispatch_s=now,
-                    service_s=err.detect_delay_s,
-                    error=err,
-                ),
-            )
-            return True
+            error, service_s = err, err.detect_delay_s
         heapq.heappush(
             self._inflight,
             _Inflight(
@@ -572,6 +448,7 @@ class InferenceServer:
                 dispatch_s=now,
                 service_s=service_s,
                 features=features,
+                error=error,
             ),
         )
         return True
@@ -613,38 +490,17 @@ class InferenceServer:
             row = batch.features[i]
             if self.cache is not None and req.digest:
                 self.cache.put(req.digest, row)
-            tattrs = self._tenant_attrs(req.tenant) if bus else None
             # A positive service window means finish > dispatch, so only
             # requests dispatched strictly before their deadline can
             # still make it; late completions are honest timeouts.
-            if req.deadline_s is not None and done > req.deadline_s:
-                self.stats.timed_out += 1
-                self.stats.tenant(req.tenant).timed_out += 1
-                if bus:
-                    bus.counter("serve.timeout", where="inflight", **tattrs)
-                self._finish(
-                    Response(
-                        req_id=req.req_id,
-                        status="timeout",
-                        arrival_s=req.arrival_s,
-                        done_s=done,
-                        replica_id=batch.replica.replica_id,
-                        batch_id=batch.batch_id,
-                        tenant=req.tenant,
-                    )
-                )
-                continue
-            self.stats.served += 1
-            self.stats.tenant(req.tenant).served += 1
-            if bus:
-                bus.counter("serve.served", **tattrs)
+            late = req.deadline_s is not None and done > req.deadline_s
             self._finish(
                 Response(
-                    req_id=req.req_id,
-                    status="ok",
-                    arrival_s=req.arrival_s,
-                    done_s=done,
-                    features=row.copy(),
+                    req.req_id,
+                    "timeout" if late else "ok",
+                    req.arrival_s,
+                    done,
+                    features=None if late else row.copy(),
                     replica_id=batch.replica.replica_id,
                     batch_id=batch.batch_id,
                     tenant=req.tenant,
@@ -657,24 +513,18 @@ class InferenceServer:
         # keep their place in the FIFO; a request that already burned
         # its retry is rejected (requeue-once-then-fail).
         for req in reversed(batch.requests):
-            tattrs = self._tenant_attrs(req.tenant)
             if req.retries == 0:
                 req.retries = 1
                 self.queue.push_front(req)
                 self.stats.requeued += 1
-                self.telemetry.counter("serve.requeued", **tattrs)
+                self.telemetry.counter("serve.requeued", **tenant_attrs(req.tenant))
             else:
-                self.stats.rejected_replica_failure += 1
-                self.stats.tenant(req.tenant).rejected += 1
-                self.telemetry.counter(
-                    "serve.rejected", reason="replica_failure", **tattrs
-                )
                 self._finish(
                     Response(
-                        req_id=req.req_id,
-                        status="rejected",
-                        arrival_s=req.arrival_s,
-                        done_s=done,
+                        req.req_id,
+                        "rejected",
+                        req.arrival_s,
+                        done,
                         reason="replica_failure",
                         replica_id=batch.replica.replica_id,
                         batch_id=batch.batch_id,
@@ -687,84 +537,28 @@ class InferenceServer:
         """Time out every queued request whose deadline has arrived."""
         expired = self.queue.remove_expired(now)
         for req in expired:
-            self.stats.timed_out += 1
-            self.stats.tenant(req.tenant).timed_out += 1
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "serve.timeout", where="queued", **self._tenant_attrs(req.tenant)
-                )
+            done = max(now, req.deadline_s)
             self._finish(
-                Response(
-                    req_id=req.req_id,
-                    status="timeout",
-                    arrival_s=req.arrival_s,
-                    done_s=max(now, req.deadline_s),
-                    tenant=req.tenant,
-                )
+                Response(req.req_id, "timeout", req.arrival_s, done, tenant=req.tenant)
             )
         if expired:
             self.telemetry.gauge("serve.queue_depth", len(self.queue))
         return bool(expired)
 
     def _finish(self, response: Response) -> None:
-        if response.req_id in self._by_id:
+        """The one place a verdict is booked: every handler above only
+        builds the :class:`Response`; ledger, tenant slice and counter
+        follow from it (:meth:`ServerStats.book`)."""
+        if self._decided[response.req_id]:
             raise RuntimeError(
                 f"request {response.req_id} already has a terminal response"
             )
-        self._by_id[response.req_id] = response
+        self._decided[response.req_id] = 1
         self.responses.append(response)
+        # The default, disabled bus is not called at all per request.
+        self.stats.book(response, self.telemetry if self.telemetry.enabled else None)
         # Feed the autoscaler's p99 window: serves and timeouts carry a
         # real time-to-verdict; instant door rejections would read as
         # zero latency and mask the very overload that caused them.
         if self.autoscaler is not None and response.status in ("ok", "timeout"):
             self.autoscaler.observe(response.latency_s)
-
-
-def _latency_block(lat: np.ndarray) -> dict:
-    """The aggregate latency keys over one set of ok-latencies."""
-    if lat.size == 0:
-        return {
-            "n_ok": 0,
-            "p50_ms": None,
-            "p99_ms": None,
-            "mean_ms": None,
-            "max_ms": None,
-        }
-    return {
-        "n_ok": int(lat.size),
-        "p50_ms": float(np.percentile(lat, 50) * 1e3),
-        # method="higher" keeps the tail statistic an actually-observed
-        # latency: linear interpolation would report a p99 *below* the
-        # worst response whenever fewer than ~100 samples are in hand.
-        "p99_ms": float(np.percentile(lat, 99, method="higher") * 1e3),
-        "mean_ms": float(lat.mean() * 1e3),
-        "max_ms": float(lat.max() * 1e3),
-    }
-
-
-def latency_stats(responses: list[Response]) -> dict:
-    """p50/p99/mean/max latency (ms, virtual) over the ``ok`` responses.
-
-    The aggregate keys are unchanged from the single-tenant server; when
-    any response carries a tenant, a ``"tenants"`` key is added mapping
-    each tenant name to the same block computed over that tenant's ok
-    responses (sorted by name, so the dict renders deterministically).
-    """
-    lat = np.array([r.latency_s for r in responses if r.status == "ok"], dtype=float)
-    out = _latency_block(lat)
-    tenants = sorted({r.tenant for r in responses if r.tenant})
-    if tenants:
-        out["tenants"] = {
-            name: _latency_block(
-                np.array(
-                    [
-                        r.latency_s
-                        for r in responses
-                        if r.status == "ok" and r.tenant == name
-                    ],
-                    dtype=float,
-                )
-            )
-            for name in tenants
-        }
-    return out

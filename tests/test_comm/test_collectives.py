@@ -1,4 +1,4 @@
-"""Tests for the executable collectives (direct and ring implementations)."""
+"""Tests for the executable collectives (direct forms, ring oracle beside)."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.comm.collectives import SimComm
 from repro.comm.world import Group
+from tests.test_comm.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
 
 
 def _group(n: int) -> Group:
@@ -108,42 +109,29 @@ class TestBroadcast:
 
 
 class TestRingEquivalence:
-    """The chunked ring algorithms must agree with the direct forms."""
+    """The direct forms must agree with the chunked ring oracle."""
 
     @pytest.mark.parametrize("g", [2, 3, 4, 7])
     @pytest.mark.parametrize("n", [8, 21, 64])
     def test_ring_all_gather(self, rng, g, n):
         shards = [rng.standard_normal(n) for _ in range(g)]
-        direct = SimComm(use_ring=False).all_gather(
-            [s.copy() for s in shards], _group(g)
-        )
-        ring = SimComm(use_ring=True).all_gather([s.copy() for s in shards], _group(g))
-        for d, r in zip(direct, ring):
+        direct = SimComm().all_gather([s.copy() for s in shards], _group(g))
+        for d, r in zip(direct, ring_all_gather(shards)):
             np.testing.assert_array_equal(d, r)
 
     @pytest.mark.parametrize("op", ["sum", "mean"])
     @pytest.mark.parametrize("g", [2, 3, 4, 6])
     def test_ring_reduce_scatter(self, rng, op, g):
         bufs = [rng.standard_normal(g * 5) for _ in range(g)]
-        direct = SimComm(use_ring=False).reduce_scatter(
-            [b.copy() for b in bufs], _group(g), op=op
-        )
-        ring = SimComm(use_ring=True).reduce_scatter(
-            [b.copy() for b in bufs], _group(g), op=op
-        )
-        for d, r in zip(direct, ring):
+        direct = SimComm().reduce_scatter([b.copy() for b in bufs], _group(g), op=op)
+        for d, r in zip(direct, ring_reduce_scatter(bufs, op)):
             np.testing.assert_allclose(d, r, atol=1e-12)
 
     @pytest.mark.parametrize("g", [2, 3, 5])
     def test_ring_all_reduce(self, rng, g):
         bufs = [rng.standard_normal(17) for _ in range(g)]
-        direct = SimComm(use_ring=False).all_reduce(
-            [b.copy() for b in bufs], _group(g), op="mean"
-        )
-        ring = SimComm(use_ring=True).all_reduce(
-            [b.copy() for b in bufs], _group(g), op="mean"
-        )
-        for d, r in zip(direct, ring):
+        direct = SimComm().all_reduce([b.copy() for b in bufs], _group(g), op="mean")
+        for d, r in zip(direct, ring_all_reduce(bufs, "mean")):
             np.testing.assert_allclose(d, r, atol=1e-12)
 
 

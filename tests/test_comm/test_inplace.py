@@ -23,6 +23,7 @@ from repro.core.engine import make_engine
 from repro.mesh.spec import MeshSpec
 from repro.models.mae import MaskedAutoencoder
 from repro.models.workspace import Workspace
+from tests.test_comm.ring import ring_all_gather, ring_all_reduce, ring_reduce_scatter
 from tests.test_mesh.helpers import mae_step, mesh_engine, tiny_micros
 
 DTYPES = (np.float64, np.float32)
@@ -53,14 +54,15 @@ def test_all_gather_out_matches_allocating_and_ring(sizes, dtype, seed):
     shards = [rng.standard_normal(n).astype(dtype) for n in sizes]
     plain = SimComm()
     want = plain.all_gather(shards, _group(g))
-    for use_ring in (False, True):  # unequal shards fall back to the direct fill
-        comm = SimComm(use_ring=use_ring)
-        out = np.full(sum(sizes), np.nan, dtype)
-        got = comm.all_gather(shards, _group(g), out=out)
-        assert len(got) == g and all(r is out for r in got)
-        _same_bytes(out, want[0])
-        _same_bytes(out, np.concatenate(shards))
-        assert _ledger(comm) == _ledger(plain)
+    comm = SimComm()
+    out = np.full(sum(sizes), np.nan, dtype)
+    got = comm.all_gather(shards, _group(g), out=out)
+    assert len(got) == g and all(r is out for r in got)
+    _same_bytes(out, want[0])
+    _same_bytes(out, np.concatenate(shards))
+    for r in ring_all_gather(shards):
+        _same_bytes(out, r)
+    assert _ledger(comm) == _ledger(plain)
 
 
 @given(
@@ -108,16 +110,11 @@ def test_reduce_scatter_out_matches_allocating_ring_and_stack(
         assert got[i] is out[i]
         _same_bytes(out[i], want[i])
         _same_bytes(out[i], stacked[i * chunk : (i + 1) * chunk])
-    # The ring accumulates in its own order: ``out=`` must not change
-    # what it returns, and it stays within rounding of the direct form.
-    ring_want = SimComm(use_ring=True).reduce_scatter(bufs, _group(g), **kwargs)
-    ring_out = [np.full(chunk, np.nan, dtype) for _ in range(g)]
-    ring = SimComm(use_ring=True)
-    ring.reduce_scatter(bufs, _group(g), out=ring_out, **kwargs)
-    assert _ledger(ring) == _ledger(plain)
-    for i in range(g):
-        _same_bytes(ring_out[i], ring_want[i])
-        np.testing.assert_allclose(ring_out[i], want[i], rtol=1e-5, atol=1e-6)
+    # The ring oracle accumulates in its own order (one part per rank):
+    # the fill stays within rounding of it.
+    if parts == 1:
+        for i, ring in enumerate(ring_reduce_scatter(bufs, op)):
+            np.testing.assert_allclose(ring, out[i], rtol=1e-5, atol=1e-6)
 
 
 @given(
@@ -149,16 +146,10 @@ def test_all_reduce_out_matches_allocating_ring_and_stack(
     # else the sequential fill *is* the stacked reduction.
     if out.size != 1 or len(bufs) < 8:
         _same_bytes(out, getattr(np.stack(bufs), op)(axis=0))
-    if len(shape) != 1:  # the ring algorithms move 1-D chunks
-        return
-    ring_want = SimComm(use_ring=True).all_reduce(bufs, _group(g), **kwargs)
-    ring_out = np.full(shape, np.nan, dtype)
-    ring = SimComm(use_ring=True)
-    ring.all_reduce(bufs, _group(g), out=ring_out, **kwargs)
-    assert _ledger(ring) == _ledger(plain)
-    for w in ring_want:
-        _same_bytes(ring_out, w)
-    np.testing.assert_allclose(ring_out, out, rtol=1e-5, atol=1e-6)
+    # The ring oracle moves 1-D chunks, one part per rank.
+    if len(shape) == 1 and parts == 1:
+        for ring in ring_all_reduce(bufs, op):
+            np.testing.assert_allclose(ring, out, rtol=1e-5, atol=1e-6)
 
 
 def test_out_of_the_wrong_shape_is_refused_before_the_ledger_moves():
@@ -180,13 +171,12 @@ def test_out_of_the_wrong_shape_is_refused_before_the_ledger_moves():
         comm.all_reduce([np.ones(4)] * 2, _group(2))
 
 
-@pytest.mark.parametrize("use_ring", [False, True])
 @pytest.mark.parametrize("kind", ["transient", "drop", "corrupt"])
-def test_a_failed_attempt_writes_nothing_to_out(kind, use_ring):
+def test_a_failed_attempt_writes_nothing_to_out(kind):
     rng = np.random.default_rng(0)
     ops = ("all_gather", "reduce_scatter", "all_reduce")
     plan = FaultPlan([FaultSpec(op, kind, rank=1) for op in ops])
-    comm = SimComm(use_ring=use_ring, fault_plan=plan)
+    comm = SimComm(fault_plan=plan)
     shards = [rng.standard_normal(4) for _ in range(2)]
     bufs = [rng.standard_normal(8) for _ in range(2)]
     gathered = np.full(8, 7.0)

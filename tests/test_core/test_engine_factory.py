@@ -153,7 +153,9 @@ def test_fsdp_removed_kwargs_raise_with_migration_hint():
         FSDPEngine(
             _tiny_model(), world, sharding_strategy=ShardingStrategy.SHARD_GRAD_OP
         )
-    with pytest.raises(TypeError, match=r"prefetch.*removed.*backward_prefetch"):
+    # ``prefetch`` / ``backward_prefetch`` configured nothing and are gone:
+    # an ordinary unknown kwarg now, no migration hint.
+    with pytest.raises(TypeError, match="unknown FSDPEngine kwargs"):
         FSDPEngine(_tiny_model(), world, prefetch=BackwardPrefetch.NONE)
 
 

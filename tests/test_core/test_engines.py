@@ -77,7 +77,7 @@ class TestEquivalence:
     def test_hybrid_all_shard_sizes(self, reference, shard_size):
         losses, state, _ = _run(
             "fsdp", 8, ShardingStrategy.HYBRID_SHARD, shard_size=shard_size,
-            ranks_per_node=4, check_replicas=True,
+            ranks_per_node=4,
         )
         _assert_equivalent(losses, state, reference)
 

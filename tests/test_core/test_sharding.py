@@ -107,8 +107,8 @@ class TestFlatUnit:
         p = Parameter(rng.standard_normal(4), name="w")
         unit = FlatUnit("u", [p], shard_size=2)
         p.accumulate(np.ones(4))
-        np.testing.assert_array_equal(unit.read_grad(), np.ones(4))
-        unit.zero_grad()
+        np.testing.assert_array_equal(unit.grad_flat, np.ones(4))
+        unit.grad_flat[...] = 0.0
         assert np.all(p.grad == 0)
 
     def test_padding_preserved(self, rng):

@@ -156,10 +156,11 @@ class TestRegressionGate:
 
     def test_meshperf_registered_as_optional_artifact(self):
         cr = _load_check_regression()
-        fresh, baseline, cmd = cr.OPTIONAL_ARTIFACTS["meshperf"]
-        assert fresh.name == "MESHPERF.json"
-        assert baseline.name == "MESHPERF.baseline.json"
-        assert cmd == "bench_meshperf.py"
+        art = cr.ARTIFACTS["meshperf"]
+        assert art.fresh.name == "MESHPERF.json"
+        assert art.baseline.name == "MESHPERF.baseline.json"
+        assert art.producer == "bench_meshperf.py"
+        assert (art.compare, art.render) == (cr.compare_meshperf, cr.render_meshperf)
 
 
 def test_committed_meshperf_baseline_is_reconciled():

@@ -4,16 +4,9 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
-from repro.perf.hotpath import (
-    KernelTiming,
-    rss_peak_mb,
-    time_kernel,
-    time_pair,
-    time_train_step,
-)
+from repro.perf.hotpath import KernelTiming, time_kernel, time_pair
 
 
 class TestTimeKernel:
@@ -74,34 +67,3 @@ class TestTimePair:
         pair = time_pair(lambda: None, lambda: None, warmup=0, repeats=3)
         d = pair.to_dict()
         assert set(d) == {"a", "b", "median_ratio", "min_ratio"}
-
-
-class TestTimeTrainStep:
-    def test_throughput_conversion(self):
-        s = time_train_step(
-            lambda: time.sleep(0.002), images_per_step=8, warmup=0, repeats=3
-        )
-        assert s.images_per_step == 8
-        # 8 images / ~2 ms -> a few thousand images/s, certainly < 8/0.001.
-        assert 0 < s.images_per_sec < 8 / 0.001
-        assert s.median_step_ms == pytest.approx(
-            8 / s.images_per_sec * 1e3, rel=1e-9
-        )
-        assert s.peak_rss_mb > 0
-
-    def test_validates_images(self):
-        with pytest.raises(ValueError):
-            time_train_step(lambda: None, images_per_step=0)
-
-
-class TestRssPeak:
-    def test_positive_and_monotone(self):
-        before = rss_peak_mb()
-        assert before > 0
-        ballast = np.ones((4 * 1024 * 1024,))  # 32 MB of float64
-        ballast[::4096] = 2.0
-        after = rss_peak_mb()
-        assert after >= before
-        del ballast
-        # ru_maxrss is a high-water mark: it never goes back down.
-        assert rss_peak_mb() >= after

@@ -162,11 +162,6 @@ class TestAdmissionController:
         assert all(ctrl.admit_reason("vip", 0.0) is None for _ in range(100))
         assert ctrl.admit_reason("never-seen", 0.0) is None
 
-    def test_priority_of(self):
-        ctrl = AdmissionController([TenantSpec("b", priority=2)], capacity=8)
-        assert ctrl.priority_of("b") == 2
-        assert ctrl.priority_of("unknown") == 0
-
 
 class TestServerIntegration:
     def _server(self, specs, **kw):

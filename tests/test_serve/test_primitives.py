@@ -7,10 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.serve.admission import FairRequestQueue
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LRUFeatureCache, image_digest
 from repro.serve.clock import VirtualClock
-from repro.serve.queue import Request, RequestQueue, Response
+from repro.serve.queue import Request, Response
 
 
 class TestVirtualClock:
@@ -45,8 +46,10 @@ def _req(req_id, arrival=0.0, deadline=None):
 
 
 class TestRequestQueue:
+    """The one queue without specs: a bounded FIFO."""
+
     def test_fifo_and_bound(self):
-        q = RequestQueue(capacity=2)
+        q = FairRequestQueue(capacity=2)
         assert q.push(_req(0)) and q.push(_req(1))
         assert q.full
         assert not q.push(_req(2))  # backpressure
@@ -55,14 +58,14 @@ class TestRequestQueue:
         assert [q.pop().req_id, q.pop().req_id] == [1, 3]
 
     def test_push_front_bypasses_bound(self):
-        q = RequestQueue(capacity=1)
+        q = FairRequestQueue(capacity=1)
         q.push(_req(0))
         q.push_front(_req(1))  # fault requeue must never drop
         assert len(q) == 2
         assert q.pop().req_id == 1
 
     def test_remove_expired_is_deadline_inclusive(self):
-        q = RequestQueue(capacity=8)
+        q = FairRequestQueue(capacity=8)
         q.push(_req(0, deadline=1.0))
         q.push(_req(1, deadline=5.0))
         q.push(_req(2))  # no deadline: never expires
@@ -75,13 +78,13 @@ class TestRequestQueue:
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError, match="capacity"):
-            RequestQueue(0)
+            FairRequestQueue(0)
 
 
 class TestMicroBatcher:
     def test_closes_on_size(self):
         b = MicroBatcher(max_batch_size=2, max_wait_s=10.0)
-        q = RequestQueue(8)
+        q = FairRequestQueue(8)
         q.push(_req(0, arrival=0.0))
         assert b.ready_at(q, now_s=0.0) == 10.0  # age trigger, far out
         q.push(_req(1, arrival=1.0))
@@ -89,18 +92,18 @@ class TestMicroBatcher:
 
     def test_closes_on_age_of_oldest(self):
         b = MicroBatcher(max_batch_size=100, max_wait_s=0.5)
-        q = RequestQueue(8)
+        q = FairRequestQueue(8)
         q.push(_req(0, arrival=2.0))
         q.push(_req(1, arrival=2.4))
         assert b.ready_at(q, now_s=2.4) == 2.5  # oldest + max_wait
         assert b.ready_at(q, now_s=3.0) == 3.0  # already overdue: now
 
     def test_empty_queue_never_ready(self):
-        assert MicroBatcher().ready_at(RequestQueue(4), 0.0) is None
+        assert MicroBatcher().ready_at(FairRequestQueue(4), 0.0) is None
 
     def test_take_caps_at_max_batch_size(self):
         b = MicroBatcher(max_batch_size=3)
-        q = RequestQueue(8)
+        q = FairRequestQueue(8)
         for i in range(5):
             q.push(_req(i))
         assert [r.req_id for r in b.take(q)] == [0, 1, 2]

@@ -12,10 +12,13 @@ For any workload and any batcher/queue/pool configuration:
   overlap;
 - **counter reconciliation** — ``submitted == served + rejected +
   timed out`` on the server's own books and on the telemetry bus;
-- **indexes equal brute force** — the queues' deadline index and the
+- **indexes equal brute force** — the queue's deadline index and the
   in-flight heap answer exactly what a scan / a sort of the same
   contents would (the scanning implementations they replaced are kept
-  here as the reference).
+  here as the reference);
+- **no specs, one lane** — the queue built without tenant specs is the
+  bounded deque FIFO it replaced, whatever labels the requests carry
+  (that FIFO survives here, standalone, as the twin).
 
 Everything runs on virtual time, so hundreds of schedules execute in
 milliseconds and every failing example shrinks to a replayable seed.
@@ -38,7 +41,6 @@ from repro.serve import (
     ReplicaFaultPlan,
     ReplicaFaultSpec,
     Request,
-    RequestQueue,
     TenantSpec,
     VirtualClock,
 )
@@ -173,8 +175,36 @@ def test_schedules_replay_bit_identically(requests, cfg):
 # -- the indexes against brute force ------------------------------------------
 
 
-class ScanningFIFO(RequestQueue):
-    """``RequestQueue``'s deadline methods as they were before the index."""
+class DequeFIFO:
+    """The bounded deque FIFO the admission-less server ran on before
+    the one queue, deadline methods as they were before the index:
+    label-blind, standalone, sharing no code with ``src``."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._items = deque()
+
+    def __len__(self):
+        return len(self._items)
+
+    @property
+    def full(self):
+        return len(self._items) >= self.capacity
+
+    def push(self, request):
+        if self.full:
+            return False
+        self._items.append(request)
+        return True
+
+    def push_front(self, request):
+        self._items.appendleft(request)
+
+    def pop(self):
+        return self._items.popleft()
+
+    def peek(self):
+        return self._items[0]
 
     def min_deadline_s(self):
         deadlines = [r.deadline_s for r in self._items if r.deadline_s is not None]
@@ -235,7 +265,7 @@ queue_op_st = st.one_of(
 
 QUEUE_PAIRS = pytest.mark.parametrize(
     "new_cls, ref_cls, args",
-    [(RequestQueue, ScanningFIFO, (6,)), (FairRequestQueue, ScanningFair, (6, TENANTS))],
+    [(FairRequestQueue, DequeFIFO, (6,)), (FairRequestQueue, ScanningFair, (6, TENANTS))],
     ids=["fifo", "fair"],
 )
 

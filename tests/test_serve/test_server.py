@@ -1,24 +1,36 @@
 """Server integration: differential bit-identity, backpressure, timeouts,
-caching, telemetry, and schedule determinism."""
+caching, telemetry, schedule determinism, and the one-of-each pins (one
+queue class, one site that books a verdict)."""
 
 from __future__ import annotations
 
+import ast
 import inspect
+from dataclasses import fields as dataclass_fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.eval.features import extract_features
 from repro.models.mae import MaskedAutoencoder
+import repro.serve
 from repro.serve import (
+    AdmissionController,
     FixedServiceModel,
     InferenceServer,
+    Request,
+    Response,
+    ServerStats,
+    TenantCounts,
     VirtualClock,
     latency_stats,
 )
 from repro.telemetry import RecordingSink, TelemetryBus
 
 from tests.test_serve.conftest import stub_images
+
+SERVE_SRC = Path(repro.serve.__file__).parent
 
 
 def _server(model, **kw):
@@ -186,6 +198,49 @@ class TestDeadlines:
         server.clock.advance(1.0)
         with pytest.raises(ValueError, match="past"):
             server.submit(stub_images(1)[0], deadline_s=0.5)
+
+
+class TestNonFiniteTimesAreRefusedAtTheDoor:
+    """NaN compares false with everything, so it used to pass every
+    ordering check and fail late (a dead loop, a poisoned heap)."""
+
+    @staticmethod
+    def _untouched(server):
+        assert server.clock.now() == 0.0
+        assert server.stats == ServerStats() and server.responses == []
+        assert len(server.queue) == 0 and server.queue.min_deadline_s() is None
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_run_refuses_a_non_finite_arrival_before_the_clock_moves(
+        self, stub_model, bad
+    ):
+        server, bus = _server(stub_model)
+        imgs = stub_images(2)
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            server.run([(0.0, imgs[0]), (bad, imgs[1])])
+        self._untouched(server)
+        assert bus.sink.events == []
+
+    def test_run_refuses_a_nan_deadline_before_anything_is_admitted(self, stub_model):
+        server, _ = _server(stub_model)
+        imgs = stub_images(2)
+        with pytest.raises(ValueError, match="deadline_s must not be NaN"):
+            server.run([(0.0, imgs[0], 1.0), (0.1, imgs[1], float("nan"))])
+        self._untouched(server)
+
+    def test_submit_refuses_a_nan_deadline_before_the_ledger_moves(self, stub_model):
+        server, bus = _server(stub_model)
+        with pytest.raises(ValueError, match="deadline_s must not be NaN"):
+            server.submit(stub_images(1)[0], deadline_s=float("nan"))
+        self._untouched(server)
+        assert bus.sink.events == []
+        # The refusal consumed no req_id.
+        assert server.submit(stub_images(1)[0], deadline_s=None) == 0
+
+    def test_an_infinite_deadline_is_best_effort(self, stub_model):
+        server, _ = _server(stub_model)
+        [r] = server.run([(0.0, stub_images(1)[0], float("inf"))])
+        assert r.status == "ok" and server.stats.reconciles()
 
 
 class TestCache:
@@ -375,3 +430,192 @@ class TestLatencyStats:
         assert stats["tenants"]["b"]["p99_ms"] == pytest.approx(20.0)
         # Anonymous responses appear only in the aggregate.
         assert "" not in stats["tenants"]
+
+
+# -- one of each ---------------------------------------------------------------
+
+
+def _in_functions(node_type):
+    """``(file, function, node)`` for every ``node_type`` node inside a
+    function anywhere under ``src/repro/serve``."""
+    for py in sorted(SERVE_SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(py.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                for node in ast.walk(fn):
+                    if isinstance(node, node_type):
+                        yield py.name, fn.name, node
+
+
+def _method_calls(attr):
+    for file, fn, call in _in_functions(ast.Call):
+        if isinstance(call.func, ast.Attribute) and call.func.attr == attr:
+            yield file, fn, call
+
+
+#: Ledger fields a terminal verdict moves (``rejected`` is the tenant slice's).
+OUTCOME_FIELDS = {
+    "served",
+    "timed_out",
+    "rejected",
+    "rejected_queue_full",
+    "rejected_replica_failure",
+    "rejected_rate_limited",
+}
+
+
+class TestOneBookingSite:
+    def test_outcome_fields_are_incremented_in_exactly_one_function(self):
+        sites = {
+            (file, fn)
+            for file, fn, node in _in_functions(ast.AugAssign)
+            if isinstance(node.target, ast.Attribute)
+            and node.target.attr in OUTCOME_FIELDS
+        }
+        assert sites == {("ledger.py", "book")}
+        assert {(f, fn) for f, fn, _ in _method_calls("book")} == {
+            ("server.py", "_finish")
+        }
+
+    def test_each_verdict_counter_is_one_literal_in_one_counter_call(self):
+        names = [
+            call.args[0].value
+            for _, _, call in _method_calls("counter")
+            if call.args and isinstance(call.args[0], ast.Constant)
+        ]
+        for verdict in ("serve.served", "serve.timeout", "serve.rejected"):
+            assert names.count(verdict) == 1, verdict
+
+    def test_a_second_verdict_for_one_request_still_raises(self, stub_model):
+        server, _ = _server(stub_model)
+        [r] = server.run([(0.0, stub_images(1)[0])])
+        before = server.stats.to_json()
+        with pytest.raises(RuntimeError, match="already has a terminal response"):
+            server._finish(r)
+        assert server.stats.to_json() == before and len(server.responses) == 1
+
+    @pytest.mark.parametrize(
+        "fields, aggregate, tenant_field, counter, attrs",
+        [
+            (dict(status="ok"), "served", "served", "serve.served", {}),
+            (
+                dict(status="timeout"),
+                "timed_out",
+                "timed_out",
+                "serve.timeout",
+                {"where": "queued"},
+            ),
+            (
+                dict(status="timeout", batch_id=3),
+                "timed_out",
+                "timed_out",
+                "serve.timeout",
+                {"where": "inflight"},
+            ),
+        ]
+        + [
+            (
+                dict(status="rejected", reason=reason),
+                f"rejected_{reason}",
+                "rejected",
+                "serve.rejected",
+                {"reason": reason},
+            )
+            for reason in ("queue_full", "replica_failure", "rate_limited")
+        ],
+    )
+    def test_book_reads_field_slice_and_counter_off_the_response(
+        self, fields, aggregate, tenant_field, counter, attrs
+    ):
+        bus = TelemetryBus(RecordingSink(), clock=VirtualClock().now)
+        response = Response(req_id=0, arrival_s=0.0, done_s=1.0, tenant="t", **fields)
+        stats = ServerStats()
+        stats.book(response, bus)
+        assert stats.to_json() == {
+            **ServerStats().to_json(),
+            aggregate: 1,
+            "tenants": {"t": {**TenantCounts().to_json(), tenant_field: 1}},
+        }
+        [event] = bus.sink.events
+        assert (event.name, list(event.attrs.items())) == (
+            counter,
+            [*attrs.items(), ("tenant", "t")],
+        )
+        # Without a bus the ledger moves the same way and nothing is emitted.
+        quiet = ServerStats()
+        quiet.book(response)
+        assert quiet == stats and len(bus.sink.events) == 1
+
+
+class TestOneQueueAndNoDeadSurface:
+    def test_exactly_one_class_defines_push_front(self):
+        owners = [
+            (py.name, cls.name)
+            for py in sorted(SERVE_SRC.glob("*.py"))
+            for cls in ast.walk(ast.parse(py.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            and any(
+                isinstance(fn, ast.FunctionDef) and fn.name == "push_front"
+                for fn in cls.body
+            )
+        ]
+        assert owners == [("admission.py", "FairRequestQueue")]
+        assert not hasattr(repro.serve, "RequestQueue")
+        assert "RequestQueue" not in repro.serve.__all__
+
+    def test_the_server_runs_on_that_class_with_or_without_admission(self, stub_model):
+        plain = InferenceServer(stub_model, services=[FixedServiceModel(1.0)])
+        ctrl = AdmissionController([], capacity=4)
+        fair = InferenceServer(
+            stub_model, services=[FixedServiceModel(1.0)], admission=ctrl
+        )
+        assert type(plain.queue) is type(fair.queue) is repro.serve.FairRequestQueue
+        assert fair.queue is ctrl.queue
+        # Lanes are decided at construction: shared without a controller,
+        # per tenant (default lanes included) with one — even an empty one.
+        assert plain.queue.spec_for("a") is plain.queue.spec_for("b")
+        assert fair.queue.spec_for("a") is not fair.queue.spec_for("b")
+
+    def test_fields_and_methods_nobody_read_are_gone(self):
+        assert "priority" not in {f.name for f in dataclass_fields(Request)}
+        assert "attrs" not in {f.name for f in dataclass_fields(Response)}
+        assert not hasattr(AdmissionController, "priority_of")
+        assert not hasattr(InferenceServer, "response_for")
+
+
+class TestLedgerJson:
+    def test_key_order_is_the_declared_field_order(self):
+        assert tuple(TenantCounts().to_json()) == (
+            "submitted",
+            "served",
+            "rejected",
+            "timed_out",
+        )
+        assert tuple(ServerStats().to_json()) == (
+            "submitted",
+            "served",
+            "rejected_queue_full",
+            "rejected_replica_failure",
+            "rejected_rate_limited",
+            "timed_out",
+            "requeued",
+            "replica_faults",
+            "batches",
+            "batched_images",
+            "cache_hits",
+            "cache_misses",
+        )
+
+    def test_tenants_appear_only_when_present_sorted_and_last(self):
+        stats = ServerStats(submitted=3, served=2)
+        assert "tenants" not in stats.to_json()
+        stats.tenant("zeta").submitted = 2
+        stats.tenant("alpha").served = 1
+        out = stats.to_json()
+        assert list(out)[-1] == "tenants" and out["submitted"] == 3
+        assert list(out["tenants"]) == ["alpha", "zeta"]
+        assert out["tenants"]["zeta"] == {
+            "submitted": 2,
+            "served": 0,
+            "rejected": 0,
+            "timed_out": 0,
+        }

@@ -67,3 +67,38 @@ def test_linter_ignores_dynamic_names_and_non_emits(tmp_path):
 def test_missing_inputs_are_usage_errors(tmp_path):
     assert _run(str(tmp_path / "missing"), str(DESIGN)).returncode == 2
     assert _run(str(SRC), str(tmp_path / "missing.md")).returncode == 2
+
+
+def test_serving_emits_exactly_its_eighteen_documented_names():
+    """Moving the verdict counters into the ledger must neither lose a
+    name nor hide one from the linter behind a dynamic argument."""
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location("serve_metrics_check", TOOL)
+    lint = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lint)
+    names = {
+        name
+        for py in sorted((SRC / "serve").rglob("*.py"))
+        for name, _, _ in lint.emitted_names(py.read_text(encoding="utf-8"), str(py))
+    }
+    assert names == {
+        "serve.autoscale_backlog",
+        "serve.autoscale_p99_ms",
+        "serve.batch",
+        "serve.batch_size",
+        "serve.cache_hit",
+        "serve.cache_miss",
+        "serve.desired_replicas",
+        "serve.infer",
+        "serve.queue_depth",
+        "serve.rejected",
+        "serve.replica_fault",
+        "serve.replicas",
+        "serve.requeued",
+        "serve.scale_down",
+        "serve.scale_up",
+        "serve.served",
+        "serve.submitted",
+        "serve.timeout",
+    }
