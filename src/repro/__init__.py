@@ -50,13 +50,11 @@ from repro.core.config import (
     get_mae_config,
     get_vit_config,
 )
-from repro.core.ddp import DDPEngine
 from repro.core.engine import (
     STRATEGY_CHOICES,
     EngineConfig,
     make_engine,
 )
-from repro.core.fsdp import FSDPEngine
 from repro.core.sharding import BackwardPrefetch, ShardingStrategy, parse_strategy
 from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.core.trainer import MAEPretrainer, TrainResult
@@ -79,7 +77,7 @@ from repro.elastic import (
 )
 from repro.eval.linear_probe import linear_probe
 from repro.hardware.frontier import FRONTIER, frontier_machine
-from repro.mesh import DeviceMesh, MeshEngine, MeshSpec, TPContext
+from repro.mesh import DeviceMesh, MeshSpec, TPContext
 from repro.models.mae import MaskedAutoencoder
 from repro.models.vit import VisionTransformer
 from repro.optim.adamw import AdamW
@@ -142,11 +140,8 @@ __all__ = [
     "BACKEND_CHOICES",
     "WorkerCrashError",
     "WorkerStepError",
-    "FSDPEngine",
-    "DDPEngine",
     "DeviceMesh",
     "MeshSpec",
-    "MeshEngine",
     "TPContext",
     "MAEPretrainer",
     "SimCLRPretrainer",

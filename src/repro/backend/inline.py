@@ -14,9 +14,10 @@ What the seam reads of an engine is what
 ``model``, ``_zero_local_grads()`` and ``_collect_rank_grads()``; the
 process backend ``config``, ``model``, ``data_parallel_size`` (its
 worker count), ``grad_buffers`` (how a staging row is laid out),
-``params`` and ``grad_groups`` or — when ``units is not None`` —
-``units``, ``shard_size`` and ``_shards``, and per round ``scaler`` and
-``telemetry``.
+``storage`` (the parameter arrays it re-homes, and re-homes back at
+shutdown), ``strategy``, ``shard_size`` and ``grad_groups`` (what a
+worker hands :func:`~repro.core.sharding.declare_storage` to lay out
+its replica the same way), and per round ``scaler`` and ``telemetry``.
 
 The contract both backends honor (the differential suite in
 ``tests/test_backend`` asserts it bit-for-bit under fp32):

@@ -11,8 +11,11 @@ the inline engines intact:
   outbound (loss-scaled/quantized) gradient contribution into its
   ``(round, rank)`` row of a shared gradient staging block. A row is
   the engine's ``grad_buffers`` laid end to end (DDP: bucket order;
-  FSDP: unit order); the worker's ``p.grad`` are views of the same
-  flat buffers, installed from the ``grad_groups`` its spec ships.
+  FSDP: unit order); the worker lays its replica out by calling the
+  function the engine called —
+  :func:`~repro.core.sharding.declare_storage`, with the strategy,
+  shard size and ``grad_groups`` its spec ships — so its gradient
+  buffers are the parent's by construction.
 - **The parent owns everything else.** Reduction consumes the staged
   rows *through the engine's unchanged deterministic schedule* (the
   same sequential direct reduction over the same contribution order —
@@ -190,9 +193,9 @@ def _flush_events(sink: RecordingSink, buffer: EventBuffer) -> None:
 
 def _worker_main(spec: dict, conn) -> None:
     """Entry point of one rank process (spawn target; module-level for pickle)."""
-    from repro.core.sharding import default_wrap_units, install_grad_views
+    from repro.core.sharding import declare_storage
     from repro.models.workspace import Workspace
-    from repro.precision.bf16 import bf16_round
+    from repro.precision.bf16 import bf16_outbound
 
     rank = spec["rank"]
     arena = ShmArena.attach(spec["arena"])
@@ -201,22 +204,13 @@ def _worker_main(spec: dict, conn) -> None:
     # allocation-free, like the parent trainer's; numerics are unchanged.
     model.use_workspace(Workspace())
     dtype = np.dtype(spec["dtype"])
-    layout = spec["param_layout"]
-    # grad_bufs mirrors the engine's grad_buffers: every p.grad a view.
-    if spec["mode"] == "fsdp":
-        units = default_wrap_units(model, spec["shard_size"])
-        for u, (offset, numel) in zip(units, layout):
-            u.flat = arena.view(offset, (numel,), dtype)
-            u._install_views()
-        grad_bufs = [u.grad_flat for u in units]
-    else:
-        params = model.parameters()
-        for p, (offset, numel) in zip(params, layout):
-            p.data = arena.view(offset, (numel,), dtype).reshape(p.data.shape)
-        grad_bufs = [
-            install_grad_views([params[i] for i in group])
-            for group in spec["grad_groups"]
-        ]
+    storage = declare_storage(
+        model, spec["strategy"], spec["shard_size"], spec["grad_groups"]
+    )
+    storage.rehome(
+        [arena.view(offset, (numel,), dtype) for offset, numel in spec["param_layout"]]
+    )
+    grad_bufs = storage.grad_buffers
 
     grads_offset, k, world, grad_numel = spec["grads"]
     grads = arena.view(grads_offset, (k, world, grad_numel), dtype)
@@ -227,11 +221,7 @@ def _worker_main(spec: dict, conn) -> None:
         offset = 0
         for flat in grad_bufs:
             dst = row[offset : offset + flat.size]
-            if precision == "bf16":
-                # Mirror EngineCore._outbound_grad bit-for-bit.
-                np.copyto(dst, bf16_round(flat * scale if scale != 1.0 else flat))
-            else:
-                np.copyto(dst, flat)
+            np.copyto(dst, bf16_outbound(flat, scale) if precision == "bf16" else flat)
             offset += flat.size
 
     bus = TelemetryBus(RecordingSink())
@@ -305,11 +295,11 @@ class ProcessBackend(ExecutionBackend):
     """One spawned OS process per rank over a shared-memory arena.
 
     Constructed by the engine *before* its optimizer: construction
-    re-homes the engine's parameter storage (``p.data`` of
-    ``engine.params``, or each unit's ``flat`` when ``engine.units`` is
-    set) into the shared segment, so optimizer state and flat-shard
-    views built afterwards alias shared storage and every parent-side
-    update is immediately visible to workers. One worker is spawned per
+    re-homes the engine's parameter storage (``engine.storage``: each
+    parameter's data, or each unit's flat buffer) into the shared
+    segment, so optimizer state and flat-shard views built afterwards
+    alias shared storage and every parent-side update is immediately
+    visible to workers. One worker is spawned per
     ``engine.data_parallel_size`` rank; :mod:`repro.backend.inline`
     lists every engine attribute the seam reads.
     """
@@ -323,13 +313,8 @@ class ProcessBackend(ExecutionBackend):
         # One worker per rank that runs distinct microbatches: a mesh
         # engine's tp/pp axes are folded into each dp rank's step.
         self.world_size = engine.data_parallel_size
-        self.mode = "ddp" if engine.units is None else "fsdp"
-        if self.mode == "fsdp":
-            self._targets = engine.units
-            arrays = [u.flat for u in self._targets]
-        else:
-            self._targets = engine.params
-            arrays = [p.data for p in self._targets]
+        self._storage = engine.storage
+        arrays = self._storage.arrays()
         dtypes = {a.dtype for a in arrays}
         if len(dtypes) != 1:
             raise ValueError(
@@ -357,16 +342,13 @@ class ProcessBackend(ExecutionBackend):
         self._event_offsets = [offsets[f"ev{r}"] for r in range(self.world_size)]
 
         # Re-home parameter storage into the arena (values preserved).
-        for target, array, (offset, numel) in zip(
-            self._targets, arrays, self._param_layout
-        ):
-            view = self._arena.view(offset, (numel,), self._dtype)
+        views = [
+            self._arena.view(offset, (numel,), self._dtype)
+            for offset, numel in self._param_layout
+        ]
+        for view, array in zip(views, arrays):
             np.copyto(view, array.reshape(-1))
-            if self.mode == "fsdp":
-                target.flat = view
-                target._install_views()
-            else:
-                target.data = view.reshape(array.shape)
+        self._storage.rehome(views)
 
         grads = self._arena.view(
             self._grads_offset,
@@ -420,7 +402,7 @@ class ProcessBackend(ExecutionBackend):
         ctx = multiprocessing.get_context("spawn")
         blob = self._model_blob()
         spec_common = {
-            "mode": self.mode,
+            "strategy": self.engine.strategy,
             "shard_size": self.engine.shard_size,
             "precision": self.engine.config.precision,
             "arena": self._arena.name,
@@ -496,17 +478,9 @@ class ProcessBackend(ExecutionBackend):
         self._procs = []
         self._conns = []
         # Re-home parameters to private storage so arena views can die.
-        engine = self.engine
-        if self.mode == "fsdp":
-            for unit in self._targets:
-                unit.flat = np.array(unit.flat)
-                unit._install_views()
-            for unit, shards in zip(engine.units, engine._shards):
-                for j, shard in enumerate(shards):
-                    shard.data = unit.shard_view(j)
-        else:
-            for p in self._targets:
-                p.data = np.array(p.data)
+        self._storage.rehome(
+            [np.array(a).reshape(-1) for a in self._storage.arrays()]
+        )
         self._grad_views = None
         self._event_buffers = []
         if self._data is not None:

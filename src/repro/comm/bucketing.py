@@ -10,7 +10,7 @@ The paper attributes DDP's growing disadvantage at larger model sizes to
 exactly this constant bucket size: the number of all-reduce calls grows
 linearly with parameter bytes, so per-call latency eventually dominates.
 This module reproduces the bucket-assignment logic; both the executable
-DDP engine (:mod:`repro.core.ddp`) and the performance model consume it.
+DDP row (:mod:`repro.core.engine_core`) and the performance model consume it.
 """
 
 from __future__ import annotations

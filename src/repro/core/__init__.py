@@ -3,19 +3,15 @@
 - :mod:`repro.core.config` — the Table I ViT variant registry, MAE
   configurations, exact parameter counting, and the scaled-down proxy
   family used for executable training.
-- :mod:`repro.core.sharding` — sharding strategies and flat-parameter
-  shard plans.
-- :mod:`repro.core.engine_core` — :class:`EngineCore`, what every
-  engine does identically (lifecycle, retried/telemetered collectives,
-  precision, checkpoint state, the ``train_step`` skeleton) and the
-  contract a layout over it meets.
-- :mod:`repro.core.fsdp` — the executable mini-FSDP layout (NO_SHARD,
-  FULL_SHARD, SHARD_GRAD_OP, HYBRID_SHARD) over simulated collectives.
-- :mod:`repro.core.ddp` — the bucketed distributed-data-parallel layout
-  (the third layout, the mesh engine, lives in :mod:`repro.mesh.engine`).
+- :mod:`repro.core.sharding` — sharding strategies, the strategy table
+  (one row per strategy: storage, shard size, gathers, reduce,
+  divisors) and flat-parameter shard plans.
+- :mod:`repro.core.engine_core` — :class:`EngineCore`, the one
+  executable engine: DDP and the four FSDP strategies run from their
+  table rows over simulated collectives (the mesh engine in
+  :mod:`repro.mesh.engine` adds the tp / pp axes around it).
 - :mod:`repro.core.engine` — :func:`make_engine` /
-  :class:`EngineConfig`, the one-call construction path for every
-  strategy.
+  :class:`EngineConfig`, the only construction path.
 - :mod:`repro.core.trainer` / :mod:`repro.core.simclr_trainer` — the MAE
   and SimCLR pretraining loops over any engine.
 - :mod:`repro.core.scaling` — weak-scaling experiment driver producing
@@ -32,9 +28,7 @@ from repro.core.config import (
     get_mae_config,
     get_vit_config,
 )
-from repro.core.ddp import DDPEngine
 from repro.core.engine import STRATEGY_CHOICES, EngineConfig, make_engine
-from repro.core.fsdp import FSDPEngine
 from repro.core.sharding import (
     BackwardPrefetch,
     ShardingStrategy,
@@ -63,8 +57,6 @@ __all__ = [
     "EngineConfig",
     "make_engine",
     "STRATEGY_CHOICES",
-    "FSDPEngine",
-    "DDPEngine",
     "MAEPretrainer",
     "SimCLRPretrainer",
     "TrainResult",

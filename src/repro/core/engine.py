@@ -1,8 +1,6 @@
-"""Unified engine construction: one factory, one config, five strategies.
+"""Engine construction: one factory, one config, five strategies.
 
-Before this module, instrumenting a run meant knowing three
-differently-shaped constructors (``DDPEngine``, ``FSDPEngine``, and the
-trainers' kwargs). Now every engine is built one way::
+Every engine is built one way::
 
     from repro import EngineConfig, make_engine
 
@@ -11,20 +9,14 @@ trainers' kwargs). Now every engine is built one way::
                          config=EngineConfig(shard_size=2, telemetry=bus))
     engine = make_engine(model, "HYBRID_2GPUs", world=world)  # paper label
 
-``DDPEngine(...)`` / ``FSDPEngine(...)`` / ``MeshEngine(...)`` keep
-working — their ``__init__`` kwargs are normalized into the same
-:class:`EngineConfig` internally, and all three are layouts over one
-:class:`~repro.core.engine_core.EngineCore`. The pre-``EngineConfig``
-legacy kwargs (``bucket_cap_mb``,
-``retries``, ``sharding_strategy``, ``prefetch``) have completed their
-deprecation cycle and now raise :class:`TypeError` with the migration
-spelled out.
-
-Mesh-first construction: setting ``EngineConfig(mesh=MeshSpec(...))``
-routes :func:`make_engine` to :class:`~repro.mesh.engine.MeshEngine`,
-which composes tensor/pipeline parallelism with the ``"ddp"`` or
-``"full_shard"`` data-parallel strategy over a
-:class:`~repro.mesh.device_mesh.DeviceMesh`::
+The strategy picks a row of
+:data:`~repro.core.sharding.STRATEGY_TABLE`, which one class —
+:class:`~repro.core.engine_core.EngineCore` — runs over the world.
+Setting ``EngineConfig(mesh=MeshSpec(...))`` instead builds a
+:class:`~repro.mesh.engine.MeshEngine`: the same class running the
+``"ddp"`` or ``"full_shard"`` row over the dp group of a
+:class:`~repro.mesh.device_mesh.DeviceMesh`, with tensor / pipeline
+parallelism composed around it::
 
     engine = make_engine(model, "full_shard", world=World(8),
                          mesh=MeshSpec(pp=2, dp=2, tp=2))
@@ -47,10 +39,8 @@ from repro.precision.bf16 import PRECISIONS
 from repro.telemetry import TelemetryBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.core.ddp import DDPEngine
-    from repro.core.fsdp import FSDPEngine
     from repro.comm.world import World
-    from repro.mesh.engine import MeshEngine
+    from repro.core.engine_core import EngineCore
     from repro.models.module import Module
 
 __all__ = [
@@ -70,13 +60,12 @@ STRATEGY_CHOICES = ("ddp", "no_shard", "full_shard", "shard_grad_op", "hybrid_sh
 class EngineConfig:
     """One config shared by every engine kind.
 
-    Fields common to all three engines (resolved once, by
-    :class:`~repro.core.engine_core.EngineCore`): ``optimizer_factory``,
-    ``comm``, ``retry_policy``, ``telemetry``, the precision /
-    accumulation fields, ``backend``, ``reduction_layout``. DDP-only:
+    Fields every strategy reads: ``optimizer_factory``, ``comm``,
+    ``retry_policy``, ``telemetry``, the precision / accumulation
+    fields, ``backend``, ``reduction_layout``. DDP-only:
     ``bucket_cap_bytes``, ``first_bucket_cap_bytes``. ``shard_size`` is
     FSDP's and, on a mesh, must agree with ``mesh.dp``. Mesh-only: ``mesh``.
-    Engines ignore the fields that do not apply to them, so one config
+    A strategy ignores the fields that do not apply to it, so one config
     can build a whole strategy sweep.
 
     Attributes
@@ -207,8 +196,8 @@ def make_engine(
     world: "World",
     config: EngineConfig | None = None,
     **overrides,
-) -> "DDPEngine | FSDPEngine | MeshEngine":
-    """Build a training engine for any strategy with one call.
+) -> "EngineCore":
+    """Build a training engine for any strategy — the only way to.
 
     Parameters
     ----------
@@ -220,8 +209,7 @@ def make_engine(
         ``"HYBRID_2GPUs"`` (which also implies ``shard_size``), or a
         :class:`~repro.core.sharding.ShardingStrategy` member. With
         ``config.mesh`` set, only ``"ddp"`` and ``"full_shard"`` are
-        valid (the dp-axis strategy of the
-        :class:`~repro.mesh.engine.MeshEngine`).
+        valid (the strategy of the mesh's dp axis).
     world:
         Rank layout.
     config:
@@ -231,30 +219,20 @@ def make_engine(
         ``config`` for one-off tweaks
         (``make_engine(..., shard_size=2)``).
 
-    Dispatches to :class:`~repro.core.ddp.DDPEngine`,
-    :class:`~repro.core.fsdp.FSDPEngine`, or (when ``config.mesh`` is
-    set) :class:`~repro.mesh.engine.MeshEngine`; either way the engine
-    trains bit-identically to direct construction with the same
-    settings (tested per strategy).
+    Returns an :class:`~repro.core.engine_core.EngineCore` (a
+    :class:`~repro.mesh.engine.MeshEngine` when ``config.mesh`` is set);
+    every strategy trains fp32 bit-identically to the single-rank
+    oracle on the same global batch (tested per strategy).
     """
     cfg = config if config is not None else EngineConfig()
     if overrides:
         cfg = replace(cfg, **overrides)
     strat, implied_shard = _normalize_strategy(strategy)
+    # Imported lazily: both engine modules import this one back.
     if cfg.mesh is not None:
-        if strat is ShardingStrategy.DDP:
-            dp_strategy = "ddp"
-        elif strat is ShardingStrategy.FULL_SHARD:
-            dp_strategy = "full_shard"
-        else:
-            raise ValueError(
-                f"strategy {strategy!r} cannot run on a mesh; the dp axis "
-                "composes with 'ddp' or 'full_shard'"
-            )
-        # Imported lazily: mesh.engine imports this module back.
         from repro.mesh.engine import MeshEngine
 
-        return MeshEngine(model, world, dp_strategy=dp_strategy, config=cfg)
+        return MeshEngine(model, world, strat, cfg)
     if implied_shard is not None:
         if cfg.shard_size is not None and cfg.shard_size != implied_shard:
             raise ValueError(
@@ -262,10 +240,6 @@ def make_engine(
                 f"but config.shard_size={cfg.shard_size}"
             )
         cfg = replace(cfg, shard_size=implied_shard)
-    if strat is ShardingStrategy.DDP:
-        from repro.core.ddp import DDPEngine
+    from repro.core.engine_core import EngineCore
 
-        return DDPEngine(model, world, config=cfg)
-    from repro.core.fsdp import FSDPEngine
-
-    return FSDPEngine(model, world, strategy=strat, config=cfg)
+    return EngineCore(model, world, strat, cfg)

@@ -1,54 +1,57 @@
-"""EngineCore: what every training engine does, written once.
+"""EngineCore: the one training engine, run from a strategy row.
 
 The paper swaps parallelism by a setting on one training program; here
-:class:`~repro.core.ddp.DDPEngine`, :class:`~repro.core.fsdp.FSDPEngine`
-and :class:`~repro.mesh.engine.MeshEngine` are *layouts* over this core.
-The core owns config resolution, the construction order, the execution
-backend, retried and telemetered collectives, precision, checkpoint
-state, the topology record and the ``train_step`` skeleton. A layout
-says where parameters and gradients live and which collectives gather
-and reduce them.
+that program is :class:`EngineCore` and the setting is a row of
+:data:`~repro.core.sharding.STRATEGY_TABLE`. DDP, ``NO_SHARD``,
+``FULL_SHARD``, ``SHARD_GRAD_OP`` and ``HYBRID_SHARD`` are the same
+class over *a data-parallel group* — the world off a mesh, the mesh's dp
+group on one (:class:`~repro.mesh.engine.MeshEngine`, which adds only
+the tp / pp axes). :func:`~repro.core.engine.make_engine` is the only
+way to build one.
 
-**The contract a layout meets.** The class names its ``kind`` (the
-engine kind of the topology record). Its ``__init__`` validates its own
-arguments, calls ``EngineCore.__init__(model, world, config)``, sets
+**What the row decides** (nothing else in this module asks which
+strategy it is running):
 
-``layout``
-    the :class:`~repro.elastic.layout.ReductionLayout` its reduction
-    realizes (recorded in :meth:`EngineCore.topology`);
-``strategy_name``
-    the strategy label of the topology record;
-``params`` *or* ``units`` + ``shard_size``
-    parameter storage: per-parameter arrays, or
-    :class:`~repro.core.sharding.FlatUnit` buffers sharded
-    ``shard_size`` ways. The execution backend re-homes whichever is
-    set, and the seam (:mod:`repro.backend`) reads ``units is None`` to
-    tell them apart;
-``grad_buffers`` (+ ``grad_groups`` beside ``params``)
-    gradient storage, one contract for every layout: a rank's flat
-    gradient buffers in outbound order, every ``p.grad`` a view into one
-    of them (:func:`~repro.core.sharding.install_grad_views`), so
-    backward writes where the collective reads. A unit layout lists its
-    units' ``grad_flat``; a ``params`` layout builds one buffer per
-    index group of ``params`` and names the groups in ``grad_groups``
-    (process workers install the same views from them);
-``data_parallel_size`` (only if narrower than ``world.size``)
-    ranks that run distinct microbatches — the microbatches of one
-    accumulation round and the process backend's worker count;
-``tp_context`` (optional)
-    a tensor-parallel context, which holds a copy of the telemetry bus
+storage
+    :func:`~repro.core.sharding.declare_storage` — also called, with
+    the same arguments, by every process-backend worker — lays the model
+    out as ``params`` + ``grad_groups`` (per-parameter data and
+    optimizer slots; one flat gradient buffer per bucket, PyTorch DDP's
+    ``gradient_as_bucket_view``) or as ``units`` (flat parameters
+    sharded ``shard_size`` ways, one optimizer slot per shard). Either
+    way ``grad_buffers`` are a rank's flat gradient buffers in outbound
+    order and every ``p.grad`` is a view into one of them, so backward
+    writes where the collective reads. The seam (:mod:`repro.backend`)
+    re-homes ``storage.arrays()``.
+shard size
+    :func:`~repro.core.sharding.resolve_shard_size` over the dp group.
+gathers
+    :meth:`_materialize_params` all-gathers every unit inside each shard
+    group before a round's forward (FSDP re-gathers per microbatch even
+    when the gradient sync is deferred) and — ``FULL_SHARD``, and
+    ``HYBRID_SHARD`` above shard size 1 — again before its backward.
+reduce
+    :meth:`_reduce_gradients` combines ``grads[j][r][i]`` (round, dp
+    rank, gradient buffer; outbound copies, already wire-ready) *into
+    the arrays the optimizer reads* (``out=``) and returns those arrays.
+    A single-stage row hands all ``k * dp`` contributions to one
+    deferred ``all_reduce`` / ``reduce_scatter`` (``parts_per_rank``),
+    which keeps an fp32 ``k``-round step bit-identical to the same
+    global batch on a ``k``-times-larger world. ``HYBRID_SHARD`` is the
+    one special case: per-round reduce-scatters inside each shard group,
+    then a per-shard-index all-reduce across replica groups folding the
+    rounds' partials in — the larger world (at the same shard size) has
+    ``k``-times the replica groups and computes this exact
+    mean-of-round-partials, so a deferred single stage would *not*
+    match. An explicit single-stage
+    :class:`~repro.elastic.layout.ReductionLayout` with one replica
+    group folds it back to the single-stage path.
 
-and then calls :meth:`EngineCore._launch`. It implements
-
-``_reduce_gradients(grads)`` (required)
-    combine ``grads[j][r][i]`` (round, rank, gradient buffer; outbound
-    copies, already wire-ready) *into the arrays the optimizer reads*
-    (``out=``) and return those arrays as one flat list;
-``_materialize_params(backward)`` (default: nothing)
-    gather sharded parameters before a round's forward and again
-    before its backward;
-``_forward_backward(micros, step_fn)`` (default: the round loop)
-    overridden only to run a pipeline schedule in its place.
+One deliberate economy (documented, not a shortcut in numerics): all
+ranks hold identical parameters after every step, so the engine keeps a
+single model instance and one materialized flat buffer per unit, and
+deduplicates optimizer state across replica groups. Per-rank activation
+and gradient data are genuinely per-rank.
 
 **Precision cast points**, in step order
 (``EngineConfig(precision="bf16")``):
@@ -57,9 +60,10 @@ and then calls :meth:`EngineCore._launch`. It implements
    (:func:`~repro.precision.bf16_round`) before the forward — the cast
    point real mixed-precision autocast applies at the model boundary.
 2. **Outbound gradients** (what a rank contributes to the collective)
-   are loss-scaled and rounded to bf16: reduction payloads carry only
-   bf16 information, and the collective layer books half the wire bytes
-   (``wire_dtype="bf16"``).
+   are loss-scaled and rounded to bf16
+   (:func:`~repro.precision.bf16.bf16_outbound`, shared with the process
+   workers): reduction payloads carry only bf16 information, and the
+   collective layer books half the wire bytes (``wire_dtype="bf16"``).
 3. **Reduced gradients** are unscaled in full precision; under a
    dynamic scaler a non-finite gradient skips the optimizer step (the
    non-finite mean stays in the gradient arrays, unread, until the next
@@ -69,10 +73,7 @@ and then calls :meth:`EngineCore._launch`. It implements
    (:meth:`~repro.optim.base.Optimizer.use_master_weights`).
 
 Accumulation blocks ``micros`` into ``grad_accum_steps`` rounds of
-``data_parallel_size`` microbatches; layouts hand all rounds'
-contributions to one collective call (``parts_per_rank``), which keeps
-fp32 ``k``-round training bit-identical to the same global batch on a
-``k``-times-larger world.
+``data_parallel_size`` microbatches.
 """
 
 from __future__ import annotations
@@ -82,15 +83,21 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from repro.backend import make_backend
+from repro.comm.bucketing import bucket_gradients
 from repro.comm.collectives import SimComm
 from repro.comm.faults import call_with_retry
-from repro.comm.world import World
+from repro.comm.world import Group, World, make_hybrid_mesh
 from repro.core.engine import EngineConfig
-from repro.core.sharding import FlatUnit
-from repro.elastic.layout import ReductionLayout
+from repro.core.sharding import (
+    STRATEGY_TABLE,
+    ShardingStrategy,
+    declare_storage,
+    resolve_shard_size,
+)
+from repro.elastic.layout import validate_layout
 from repro.models.module import Module
 from repro.optim.adamw import AdamW
-from repro.precision.bf16 import bf16_round, wire_fraction
+from repro.precision.bf16 import bf16_outbound, bf16_round, wire_fraction
 from repro.precision.scaler import LossScaler
 from repro.telemetry import NULL_BUS, TelemetryBus
 
@@ -100,30 +107,44 @@ StepFn = Callable[[Module, Any], float]
 
 
 class EngineCore:
-    """Lifecycle, collectives, precision, state and the step skeleton
-    shared by every engine; see the module docstring for what a
-    subclass adds."""
+    """Data-parallel training of one model under any strategy row.
 
-    #: Removed constructor kwarg -> the parameter that replaced it. The
-    #: one-shot DeprecationWarning shims completed their cycle; passing
-    #: one of these is a hard TypeError.
-    _REMOVED_KWARGS: dict[str, str] = {}
+    Parameters
+    ----------
+    model:
+        The NumPy model; its parameters are re-pointed into the row's
+        storage at construction.
+    world:
+        Rank layout (size and ranks-per-node).
+    strategy:
+        The :class:`~repro.core.sharding.ShardingStrategy` whose row of
+        the strategy table this engine runs.
+    config:
+        The resolved :class:`~repro.core.engine.EngineConfig`.
+    dp_group / axis:
+        A mesh passes the group its dp axis reduces over and the
+        ``axis=`` tag its collectives' spans carry; off a mesh the group
+        is the world and the spans are untagged.
+    """
 
-    kind: str
-    layout: ReductionLayout
-    strategy_name: str
-    params: list | None = None
-    units: list[FlatUnit] | None = None
-    shard_size: int | None = None
-    grad_buffers: list[np.ndarray]
-    grad_groups: list[list[int]] | None = None
     tp_context = None
+    #: A mesh coalesces the DDP row's gradient buckets into one buffer
+    #: (its dp axis then books one all-reduce per step).
+    one_bucket = False
 
-    def __init__(self, model: Module, world: World, config: EngineConfig):
+    def __init__(
+        self,
+        model: Module,
+        world: World,
+        strategy: ShardingStrategy,
+        config: EngineConfig,
+        *,
+        dp_group: Group | None = None,
+        axis: str | None = None,
+    ):
         self.config = config
         self.model = model
         self.world = world
-        self.data_parallel_size = world.size
         self.comm = config.comm if config.comm is not None else SimComm()
         self.retry_policy = config.retry_policy
         self.telemetry = config.telemetry if config.telemetry is not None else NULL_BUS
@@ -134,33 +155,80 @@ class EngineCore:
         )
         self._wire_dtype = "bf16" if self.precision == "bf16" else None
 
-    @classmethod
-    def _reject_kwargs(cls, kwargs: dict) -> None:
-        """Refuse a constructor's leftover keyword arguments."""
-        for old, new in cls._REMOVED_KWARGS.items():
-            if old in kwargs:
-                raise TypeError(
-                    f"{cls.__name__}({old}=...) was removed; pass {new}=... "
-                    "(directly, through EngineConfig or through make_engine)"
-                )
-        if kwargs:
-            raise TypeError(f"unknown {cls.__name__} kwargs: {sorted(kwargs)}")
+        self.strategy = strategy
+        self.row = row = STRATEGY_TABLE[strategy]
+        self.kind = row.kind
+        self.strategy_name = strategy.value
+        self.dp_group = dp_group if dp_group is not None else world.world_group()
+        #: Ranks that run distinct microbatches: the microbatches of one
+        #: accumulation round and the process backend's worker count.
+        self.data_parallel_size = dp = self.dp_group.size
+        self._dp_tags = {} if axis is None else {"axis": axis}
+        shards = resolve_shard_size(strategy, config.shard_size, dp)
+        self.shard_size = shards if row.storage == "units" else None
+        # The logical reduction layout this engine realizes: the row's
+        # natural one, or an explicit layout from the elastic machinery,
+        # which can *fold* a two-stage reduce into one when there is a
+        # single replica group (preserving a larger world's grouping).
+        self.layout = validate_layout(
+            strategy.value,
+            dp,
+            self.shard_size,
+            config.grad_accum_steps,
+            config.reduction_layout,
+        )
+        # Shard groups gather and reduce-scatter; replica groups
+        # all-reduce across them. Only a two-stage row splits the dp
+        # group (and no mesh runs one, so that group is the world).
+        self._two_stage = len(row.reduce) == 2 and not (
+            self.layout.single_stage and shards == dp
+        )
+        if len(row.reduce) == 2:
+            hybrid = make_hybrid_mesh(world, shards)
+            self._shard_groups = hybrid.shard_groups
+            self._replica_groups = hybrid.replica_groups
+        else:
+            self._shard_groups, self._replica_groups = (self.dp_group,), ()
+
+        self.storage = declare_storage(
+            model,
+            strategy,
+            shards,
+            self._bucket_groups() if row.storage == "params" else None,
+        )
+        self.params = self.storage.params
+        self.units = self.storage.units
+        self.grad_groups = self.storage.grad_groups
+        self.grad_buffers = self.storage.grad_buffers
+        self._launch()
+
+    def _bucket_groups(self) -> list[list[int]]:
+        """The DDP row's gradient buckets (fixed-capacity, filled in
+        reverse parameter order) as index groups of the parameters."""
+        params = self.model.parameters()
+        if self.one_bucket:
+            return [list(range(len(params)))]
+        buckets = bucket_gradients(
+            [p.grad.nbytes for p in params],
+            cap_bytes=self.config.bucket_cap_bytes,
+            first_bucket_cap_bytes=self.config.first_bucket_cap_bytes,
+        )
+        return [b.param_indices for b in buckets]
 
     def _launch(self) -> None:
-        """Finish construction once the layout's storage is declared."""
+        """Finish construction once the row's storage is declared."""
         cfg = self.config
         # Backend before shards and optimizer: a process backend re-homes
         # p.data / each unit's flat buffer into shared memory, and the
         # flat-shard views and optimizer state (bf16 masters included)
         # must be laid down against that storage.
         self._backend = make_backend(self)
-        self._shards = [u.make_shards() for u in self.units or ()]
+        # Where each gradient buffer's reduce lands is what the
+        # optimizer reads.
+        slots, self._reduce_dests = self.storage.make_slots()
+        self._shards = self.storage.shards
         factory = cfg.optimizer_factory if cfg.optimizer_factory is not None else AdamW
-        self.optimizer = factory(
-            self.params
-            if self.units is None
-            else [s for shards in self._shards for s in shards]
-        )
+        self.optimizer = factory(slots)
         if self.precision == "bf16":
             self.optimizer.use_master_weights(quantize=bf16_round)
         self._backend.start()
@@ -331,21 +399,12 @@ class EngineCore:
             buf[...] = 0.0
 
     def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One rank's outbound (wire-ready) copy of each gradient buffer."""
-        return [self._outbound_grad(buf) for buf in self.grad_buffers]
-
-    def _outbound_grad(self, g: np.ndarray) -> np.ndarray:
-        """One rank's gradient contribution as it enters the collective:
-        a copy, so the reduce may write where ``g`` lives.
-
-        Under bf16 this is where the loss scale is applied and the
-        payload drops to bf16 resolution.
-        """
+        """One rank's contribution to the collective: a copy of each
+        gradient buffer (so the reduce may write where the buffer
+        lives), loss-scaled and rounded to bf16 under ``bf16``."""
         if self.precision != "bf16":
-            return g.copy()
-        if self.scaler.scale != 1.0:
-            return bf16_round(g * self.scaler.scale)
-        return bf16_round(g)
+            return [buf.copy() for buf in self.grad_buffers]
+        return [bf16_outbound(buf, self.scaler.scale) for buf in self.grad_buffers]
 
     # -- the step ----------------------------------------------------------
 
@@ -416,12 +475,55 @@ class EngineCore:
         return losses, grads
 
     def _materialize_params(self, backward: bool = False) -> None:
-        """Gather sharded parameters for a round's forward / backward."""
+        """All-gather every unit inside each shard group when the row
+        gathers for a round's forward / regathers for its backward."""
+        if self.units is not None and self.row.gathers(self.shard_size, backward):
+            self._gather_units(self._shard_groups, **self._dp_tags)
+
+    def _reduce_stage(self, op, rounds, i, group, out) -> list[np.ndarray] | np.ndarray:
+        """One collective of the reduce: gradient buffer ``i`` of every
+        (round, rank of ``group``) contribution in ``rounds``,
+        round-major, meaned into ``out`` (fresh partials when ``None``)."""
+        at = self.dp_group.index_of
+        bufs = [per_rank[at(r)][i] for per_rank in rounds for r in group.ranks]
+        return self._mean_reduce(op, bufs, group, len(rounds), out=out, **self._dp_tags)
 
     def _reduce_gradients(self, grads: list[list[list[np.ndarray]]]) -> list[np.ndarray]:
         """Reduce all rounds' per-rank contributions into the arrays the
-        optimizer reads, and return those arrays (layout hook)."""
-        raise NotImplementedError
+        optimizer reads, by the row's reduce sequence, and return those
+        arrays (buffer-major: the order of the optimizer's flat shards).
+        The inputs are outbound copies, so a retried collective sees
+        them unchanged; see the module docstring for why each row's
+        grouping keeps accumulation bit-exact."""
+        k = len(grads)
+        op = self.row.reduce[0]
+        # Two-stage only: with one round and one replica group, stage 1
+        # is the whole reduction and lands in the optimizer's arrays.
+        final = k == 1 and len(self._shard_groups) == 1
+        for i, dest in enumerate(self._reduce_dests):
+            if not self._two_stage:
+                out = dest if op == "reduce_scatter" else dest[0]
+                self._reduce_stage(op, grads, i, self.dp_group, out)
+                continue
+            # Stage 1 inside every shard group, per round; its partials
+            # are a later collective's inputs, so they stay allocated.
+            partials = [
+                [
+                    self._reduce_stage(op, [round_], i, group, dest if final else None)
+                    for group in self._shard_groups
+                ]
+                for round_ in grads
+            ]
+            if final:
+                continue
+            # Stage 2: each shard index across replica groups, folding
+            # all rounds' partials in (parts_per_rank=k).
+            for s, group in enumerate(self._replica_groups):
+                bufs = [chunks[s] for per_group in partials for chunks in per_group]
+                self._mean_reduce(
+                    self.row.reduce[1], bufs, group, k, out=dest[s], **self._dp_tags
+                )
+        return [g for dest in self._reduce_dests for g in dest]
 
     def _cast_micro(self, micro: Any) -> Any:
         """Round a microbatch's floating arrays onto the bf16 grid.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.config import MAEConfig, ViTConfig
-from repro.core.sharding import ShardingStrategy, parse_strategy
+from repro.core.sharding import parse_strategy
 from repro.hardware.frontier import FRONTIER, FrontierSpec, frontier_machine
 from repro.perf.io_model import IoModel
 from repro.perf.memory_model import MemoryBreakdown
@@ -107,8 +107,6 @@ def _make_simulator(
 ) -> TrainStepSimulator:
     strategy, shard_size = parse_strategy(strategy_label)
     machine = frontier_machine(n_nodes, spec=spec)
-    if strategy is ShardingStrategy.DDP:
-        pass
     return TrainStepSimulator(
         model,
         machine,

@@ -1,4 +1,17 @@
-"""Sharding strategies and flat-parameter machinery.
+"""Sharding strategies, the strategy table, and flat-parameter machinery.
+
+**A strategy is a row.** :data:`STRATEGY_TABLE` holds one frozen
+:class:`StrategyRow` per :class:`ShardingStrategy` member saying what is
+true of it: where parameters and gradients live, how the shard size
+follows from the data-parallel group, when parameters are gathered, how
+gradients are reduced, and which model state the shard size divides.
+The executable engine (:mod:`repro.core.engine_core`), the process
+worker, the step schedule, the simulator, the memory model and the
+closed-form traffic model all read these rows, so a strategy cannot be
+one thing when executed and another when priced. ``HYBRID_SHARD`` is
+"full shard inside the shard group, replicate across groups": it
+regathers parameters for backward exactly as ``FULL_SHARD`` does;
+``SHARD_GRAD_OP`` is the one sharded row that keeps them gathered.
 
 FSDP's unit of sharding is the *flat parameter*: all tensors of one
 wrapped module (here: one transformer block, matching the paper's
@@ -17,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +41,11 @@ __all__ = [
     "ShardingStrategy",
     "BackwardPrefetch",
     "parse_strategy",
+    "StrategyRow",
+    "STRATEGY_TABLE",
+    "resolve_shard_size",
+    "Storage",
+    "declare_storage",
     "ShardPlan",
     "FlatUnit",
     "FlatShard",
@@ -76,6 +94,133 @@ def parse_strategy(name: str) -> tuple[ShardingStrategy, int | None]:
         return ShardingStrategy[label.upper()], None
     except KeyError:
         raise ValueError(f"unknown sharding strategy {name!r}") from None
+
+
+@dataclass(frozen=True)
+class StrategyRow:
+    """What is true of one sharding strategy.
+
+    ``kind``
+        The engine kind of the topology record (``"ddp"`` / ``"fsdp"``).
+    ``storage``
+        ``"params"``: per-parameter data and optimizer slots over
+        bucketed flat gradient buffers (PyTorch DDP's
+        ``gradient_as_bucket_view``). ``"units"``: :class:`FlatUnit`
+        buffers with one optimizer slot per shard.
+    ``shards``
+        How the shard size follows from the data-parallel group:
+        ``"one"`` (unsharded), ``"group"`` (the whole group) or
+        ``"requested"`` (the caller's ``shard_size``, which must divide
+        the group) — see :func:`resolve_shard_size`.
+    ``regather_in_backward``
+        Sharded parameters are gathered before every round's forward;
+        this says whether they are freed afterwards and gathered again
+        for its backward. Read through :meth:`gathers`.
+    ``reduce``
+        The gradient reduce sequence: one ``all_reduce``, one
+        ``reduce_scatter``, or a ``reduce_scatter`` inside each shard
+        group then an ``all_reduce`` across replica groups (which an
+        explicit single-stage :class:`~repro.elastic.layout
+        .ReductionLayout` folds into its first stage when there is one
+        replica group).
+    ``shards_params``
+        Whether the shard size divides parameter bytes as well as
+        gradients, master weights and optimizer moments (which it always
+        divides).
+    """
+
+    kind: str
+    storage: str
+    shards: str
+    regather_in_backward: bool
+    reduce: tuple[str, ...]
+    shards_params: bool
+
+    def gathers(self, shard_size: int, backward: bool = False) -> bool:
+        """Whether a round all-gathers the parameters before its forward
+        (``backward=False``) / again before its backward."""
+        return shard_size > 1 and (self.regather_in_backward or not backward)
+
+    def materializes(self, shard_size: int) -> bool:
+        """Whether the memory model and the allocator-churn penalty price
+        unit materialization. A whole-group row is priced even over a
+        one-rank group (a ``dp=1`` mesh), where :meth:`gathers` is false
+        and the engine gathers nothing — kept from the ladders this
+        table replaced so that no published table moves; reconciling it
+        is ROADMAP item 2(iii)'s."""
+        return self.shards == "group" or shard_size > 1
+
+
+#: The one account of what each strategy is (see the module docstring).
+STRATEGY_TABLE: dict[ShardingStrategy, StrategyRow] = {
+    ShardingStrategy.DDP: StrategyRow(
+        kind="ddp",
+        storage="params",
+        shards="one",
+        regather_in_backward=False,
+        reduce=("all_reduce",),
+        shards_params=False,
+    ),
+    ShardingStrategy.NO_SHARD: StrategyRow(
+        kind="fsdp",
+        storage="units",
+        shards="one",
+        regather_in_backward=False,
+        reduce=("all_reduce",),
+        shards_params=True,
+    ),
+    ShardingStrategy.FULL_SHARD: StrategyRow(
+        kind="fsdp",
+        storage="units",
+        shards="group",
+        regather_in_backward=True,
+        reduce=("reduce_scatter",),
+        shards_params=True,
+    ),
+    ShardingStrategy.SHARD_GRAD_OP: StrategyRow(
+        kind="fsdp",
+        storage="units",
+        shards="group",
+        regather_in_backward=False,
+        reduce=("reduce_scatter",),
+        shards_params=False,
+    ),
+    ShardingStrategy.HYBRID_SHARD: StrategyRow(
+        kind="fsdp",
+        storage="units",
+        shards="requested",
+        regather_in_backward=True,
+        reduce=("reduce_scatter", "all_reduce"),
+        shards_params=True,
+    ),
+}
+
+
+def resolve_shard_size(
+    strategy: ShardingStrategy, requested: int | None, group_size: int
+) -> int:
+    """The shard size ``strategy`` runs at over a data-parallel group of
+    ``group_size`` ranks, refusing a ``requested`` size the row cannot
+    honour. ``"params"`` storage has no shards and ignores the request
+    (one config builds a whole strategy sweep)."""
+    row = STRATEGY_TABLE[strategy]
+    if row.storage == "params":
+        return 1
+    if row.shards == "one":
+        if requested not in (None, 1):
+            raise ValueError(f"{strategy.value} implies shard_size=1")
+        return 1
+    if row.shards == "group":
+        if requested not in (None, group_size):
+            raise ValueError(f"{strategy.value} shards across the whole world")
+        return group_size
+    if requested is None:
+        raise ValueError(f"{strategy.value} requires an explicit shard_size")
+    if requested < 1 or group_size % requested != 0:
+        raise ValueError(
+            f"world size {group_size} not divisible by shard size {requested}"
+        )
+    return requested
 
 
 @dataclass(frozen=True)
@@ -242,6 +387,81 @@ def default_wrap_units(model: Module, shard_size: int) -> list[FlatUnit]:
     return [
         FlatUnit(name, params, shard_size) for name, params in _wrap_groups(model)
     ]
+
+
+@dataclass
+class Storage:
+    """One rank's parameter and gradient storage, as a row lays it out.
+
+    Exactly one of ``params`` (per-parameter slots, with ``grad_groups``
+    naming the index group of ``params`` behind each gradient buffer)
+    and ``units`` is set — this class is where that fork lives.
+    ``grad_buffers`` are the rank's flat gradient buffers in outbound
+    order; every ``p.grad`` is a view into one of them, so backward
+    writes where the collective reads. ``shards`` are each unit's
+    optimizer targets once :meth:`make_slots` has laid them down.
+    """
+
+    params: list[Parameter] | None
+    units: list[FlatUnit] | None
+    grad_groups: list[list[int]] | None
+    grad_buffers: list[np.ndarray]
+    shards: list[list[FlatShard]] = field(default_factory=list)
+
+    def arrays(self) -> list[np.ndarray]:
+        """The parameter arrays an execution backend re-homes: each
+        unit's flat buffer, or each parameter's data."""
+        if self.units is not None:
+            return [u.flat for u in self.units]
+        return [p.data for p in self.params]
+
+    def rehome(self, arrays: list[np.ndarray]) -> None:
+        """Point every slot of :meth:`arrays` (and the flat shards
+        viewing it) at its flat replacement; the values are the caller's
+        to carry over."""
+        if self.units is None:
+            for p, flat in zip(self.params, arrays, strict=True):
+                p.data = flat.reshape(p.shape)
+            return
+        for unit, flat in zip(self.units, arrays, strict=True):
+            unit.flat = flat
+            unit._install_views()
+        for unit, shards in zip(self.units, self.shards):
+            for j, shard in enumerate(shards):
+                shard.data = unit.shard_view(j)
+
+    def make_slots(self) -> tuple[list, list[list[np.ndarray]]]:
+        """``(slots, dests)``: what the optimizer steps — every
+        parameter, or every unit's flat shards (views of the flat
+        buffers as they are homed *now*) — and, per gradient buffer, the
+        arrays its reduce lands in, which the optimizer reads: the
+        bucket itself, or the unit's per-shard gradients."""
+        if self.units is None:
+            return self.params, [[buf] for buf in self.grad_buffers]
+        self.shards = [u.make_shards() for u in self.units]
+        slots = [s for shards in self.shards for s in shards]
+        return slots, [[s.grad for s in shards] for shards in self.shards]
+
+
+def declare_storage(
+    model: Module,
+    strategy: ShardingStrategy,
+    shard_size: int,
+    grad_groups: list[list[int]] | None = None,
+) -> Storage:
+    """Lay ``model`` out the way ``strategy``'s row stores it.
+
+    The engine and every process-backend worker call this with the same
+    arguments, so a worker's gradient buffers are the parent's by
+    construction. ``grad_groups`` (``"params"`` storage only) are the
+    gradient buckets as index groups of ``model.parameters()``.
+    """
+    if STRATEGY_TABLE[strategy].storage == "units":
+        units = default_wrap_units(model, shard_size)
+        return Storage(None, units, None, [u.grad_flat for u in units])
+    params = model.parameters()
+    buffers = [install_grad_views([params[i] for i in g]) for g in grad_groups]
+    return Storage(params, None, grad_groups, buffers)
 
 
 @dataclass(frozen=True)

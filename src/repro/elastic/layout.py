@@ -38,8 +38,6 @@ __all__ = [
     "ReductionLayout",
     "natural_layout",
     "validate_layout",
-    "mesh_layout",
-    "validate_mesh_layout",
     "SINGLE_STAGE_STRATEGIES",
 ]
 
@@ -130,6 +128,12 @@ def validate_layout(
       reduce-scatter — which requires a single replica group
       (``shard_size == world_size``).
 
+    ``world_size`` is the size of the data-parallel group: on a
+    ``(pp, dp, tp)`` mesh that is ``dp`` — gradients reduce only along
+    the dp axis (tp weight gradients are sharded by construction, pp
+    partitions the parameters across stages), so a mesh with ``dp=4,
+    k=1`` shares a trajectory with plain DDP on a world of 4.
+
     Raises ``ValueError`` with the allocation fix spelled out.
     """
     name = _norm_strategy(strategy)
@@ -169,51 +173,3 @@ def validate_layout(
         f"{shard_size} (natural {natural.describe()}) or the folded "
         f"single-stage chunk={total}; cannot realize {layout.describe()}"
     )
-
-
-def mesh_layout(dp: int, grad_accum_steps: int = 1) -> ReductionLayout:
-    """The per-axis reduction tree of a mesh engine, projected to 1-D.
-
-    A ``(pp, dp, tp)`` mesh reduces gradients only along the dp axis
-    (tp weight gradients are sharded by construction; pp partitions the
-    parameters across stages) — the per-axis tree degenerates to dp's
-    single stacked mean over ``grad_accum_steps * dp`` contributions,
-    regardless of pp/tp sizes or the dp strategy (ddp all-reduce and
-    full-shard reduce-scatter are elementwise-identical means). The
-    layout therefore ignores pp and tp: a mesh with ``dp=4, k=1``
-    shares a trajectory with plain DDP on a world of 4.
-    """
-    total = dp * grad_accum_steps
-    return ReductionLayout(total=total, chunk=total)
-
-
-def validate_mesh_layout(
-    dp: int,
-    grad_accum_steps: int,
-    layout: ReductionLayout | None,
-) -> ReductionLayout:
-    """Resolve the layout a mesh engine will run (natural or explicit).
-
-    Mirrors :func:`validate_layout` for the mesh engine's single-stage
-    dp reduction: an explicit layout must match
-    :func:`mesh_layout` exactly — the mesh cannot realize chunked
-    layouts (there is no second reduction stage to chunk with).
-    """
-    natural = mesh_layout(dp, grad_accum_steps)
-    if layout is None:
-        return natural
-    if layout.total != natural.total:
-        raise ValueError(
-            f"reduction layout {layout.describe()} needs {layout.total} "
-            f"microbatches per step, but dp={dp} x "
-            f"grad_accum_steps={grad_accum_steps} supplies {natural.total}; "
-            "adjust grad_accum_steps so their product matches the layout "
-            "total"
-        )
-    if not layout.single_stage:
-        raise ValueError(
-            f"a mesh engine reduces along dp in a single stage and cannot "
-            f"realize the chunked layout {layout.describe()}; use "
-            f"HYBRID_SHARD with shard_size={layout.chunk} instead"
-        )
-    return layout

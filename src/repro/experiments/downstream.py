@@ -27,8 +27,7 @@ import numpy as np
 from repro.comm.world import World
 from repro.core.checkpoints import checkpoint_exists, load_checkpoint, save_checkpoint
 from repro.core.config import PROXY_VARIANTS, get_mae_config
-from repro.core.fsdp import FSDPEngine
-from repro.core.sharding import ShardingStrategy
+from repro.core.engine import make_engine
 from repro.core.trainer import MAEPretrainer
 from repro.data.datasets import build_pretraining_corpus
 from repro.data.transforms import normalize_images
@@ -95,10 +94,10 @@ def _pretrain_one(
     model = MaskedAutoencoder(
         cfg, rng=np.random.default_rng(recipe.seed + 1)
     )
-    engine = FSDPEngine(
+    engine = make_engine(
         model,
-        World(1, ranks_per_node=1),
-        ShardingStrategy.NO_SHARD,
+        "no_shard",
+        world=World(1, ranks_per_node=1),
         optimizer_factory=lambda params: AdamW(params, lr=recipe.base_lr),
     )
     trainer = MAEPretrainer(

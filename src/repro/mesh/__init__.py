@@ -15,15 +15,13 @@ The mesh package generalizes the hard-coded 2-D replica x shard mesh of
 - :mod:`repro.mesh.pipeline` — GPipe / 1F1B schedules over
   layer-partitioned op stages, plus closed-form boundary byte
   accounting.
-- :mod:`repro.mesh.engine` — :class:`MeshEngine`, the engine that
-  composes all three axes with the existing ddp / full-shard
-  data-parallel strategies (built via
-  ``make_engine(model, strategy, world=..., mesh=MeshSpec(...))``).
-
-``MeshEngine`` is exposed lazily (PEP 562): ``repro.core.engine``
-imports this package for :class:`MeshSpec`, while ``mesh/engine.py``
-imports ``repro.core.engine`` back — the deferred attribute breaks the
-cycle.
+- :mod:`repro.mesh.engine` — ``MeshEngine``, the core engine running
+  the ddp / full-shard row over the dp axis with the tp and pp axes
+  composed around it; built only via
+  ``make_engine(model, strategy, world=..., mesh=MeshSpec(...))`` and
+  not re-exported here (``repro.core.engine`` imports this package for
+  :class:`MeshSpec`, while ``mesh/engine.py`` imports ``repro.core``
+  back).
 """
 
 from repro.mesh.device_mesh import DeviceMesh
@@ -40,7 +38,6 @@ from repro.mesh.tp import TPContext
 __all__ = [
     "DeviceMesh",
     "MESH_AXIS_NAMES",
-    "MeshEngine",
     "MeshSpec",
     "PIPELINE_SCHEDULES",
     "TPContext",
@@ -51,10 +48,3 @@ __all__ = [
     "schedule_actions",
 ]
 
-
-def __getattr__(name: str):
-    if name == "MeshEngine":
-        from repro.mesh.engine import MeshEngine
-
-        return MeshEngine
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

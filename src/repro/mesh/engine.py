@@ -1,13 +1,14 @@
 """MeshEngine: tensor/pipeline/data parallelism over one named-axis mesh.
 
 The engine realizes an ``EngineConfig(mesh=MeshSpec(pp, dp, tp))`` as a
-3-D :class:`~repro.mesh.device_mesh.DeviceMesh` over the world. It is a
-layout over :class:`~repro.core.engine_core.EngineCore` — which owns
-lifecycle, retried/telemetered collectives, checkpoint state and the
-step skeleton — and keeps what is the mesh's own: per-axis groups, stage
-runs and the stash, the dp collectives, and the pipeline schedule that
-replaces the core's round loop for inline ``pp > 1``. One parallelism
-layer per axis:
+3-D :class:`~repro.mesh.device_mesh.DeviceMesh` over the world. It *is*
+:class:`~repro.core.engine_core.EngineCore` — lifecycle,
+retried/telemetered collectives, checkpoint state, the step skeleton
+and the whole dp axis (storage, gathers, reduce: the strategy's row run
+over the mesh's dp group, spans tagged ``axis="dp"``) — plus what is the
+mesh's own: tp wiring, stage runs and the stash, and the pipeline
+schedule that replaces the core's round loop for inline ``pp > 1``. One
+parallelism layer per axis:
 
 ``tp`` (innermost)
     Megatron-style GEMM sharding via :class:`~repro.mesh.tp.TPContext`:
@@ -16,12 +17,12 @@ layer per axis:
     gradients are sharded by construction, so the axis needs no
     gradient collective.
 ``dp``
-    The existing data-parallel strategies, re-expressed over the dp
-    group: ``"ddp"`` keeps one flat full-model gradient buffer (every
-    ``p.grad`` a view of it) and all-reduces it once over the (round,
-    dp-rank) contributions; ``"full_shard"`` keeps flat
+    A row of the strategy table over the dp group, executed by the
+    core: ``"ddp"`` is the DDP row with its buckets coalesced into one
+    full-model gradient buffer (one all-reduce per step over the
+    (round, dp-rank) contributions); ``"full_shard"`` keeps flat
     parameters sharded ``dp`` ways, all-gathering them each round and
-    reduce-scattering gradients (the FSDP ``FULL_SHARD`` call pattern).
+    reduce-scattering gradients.
 ``pp`` (outermost)
     Layer-partitioned pipeline stages running a GPipe or 1F1B schedule
     (:mod:`repro.mesh.pipeline`); stage-boundary activations and
@@ -81,7 +82,6 @@ into each shard's ``grad``, the ddp all-reduce into the gradient buffer.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -89,18 +89,14 @@ import numpy as np
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore, StepFn
-from repro.core.sharding import default_wrap_units, install_grad_views
-from repro.elastic.layout import validate_mesh_layout
+from repro.core.sharding import ShardingStrategy
 from repro.mesh.device_mesh import DeviceMesh
 from repro.mesh.pipeline import boundary_nbytes, partition_stages, schedule_actions
 from repro.mesh.spec import MESH_AXIS_NAMES, MeshSpec
 from repro.mesh.tp import TPContext
 from repro.models.module import Module
 
-__all__ = ["MeshEngine", "DP_STRATEGIES"]
-
-#: Data-parallel strategies the dp axis can run.
-DP_STRATEGIES = ("ddp", "full_shard")
+__all__ = ["MeshEngine"]
 
 
 def _validate_tp(model: Module, tp: int) -> None:
@@ -129,9 +125,9 @@ def _validate_tp(model: Module, tp: int) -> None:
 class MeshEngine(EngineCore):
     """Training engine over a ``(pp, dp, tp)`` device mesh.
 
-    Prefer :func:`repro.core.engine.make_engine` with
+    Built by :func:`repro.core.engine.make_engine` with
     ``EngineConfig(mesh=MeshSpec(...))`` and strategy ``"ddp"`` or
-    ``"full_shard"`` (the dp-axis strategy). ``train_step`` consumes
+    ``"full_shard"`` (the dp-axis row). ``train_step`` consumes
     ``grad_accum_steps * dp`` microbatches, round-major over the dp
     axis — micro ``(round j, dp-rank r)`` sits at index ``j * dp + r``
     — matching the ordering of the equivalent single-rank oracle.
@@ -147,36 +143,20 @@ class MeshEngine(EngineCore):
     parameter slices equals one gather of the whole.
     """
 
-    kind = "mesh"
+    one_bucket = True
 
     def __init__(
         self,
         model: Module,
         world: World,
-        mesh: MeshSpec | None = None,
-        dp_strategy: str = "ddp",
-        *,
-        config: EngineConfig | None = None,
-        telemetry=None,
+        strategy: ShardingStrategy,
+        config: EngineConfig,
     ):
-        if config is None:
-            config = EngineConfig(mesh=mesh, telemetry=telemetry)
-        if mesh is not None and config.mesh is not None and mesh != config.mesh:
+        spec = config.mesh
+        if strategy not in (ShardingStrategy.DDP, ShardingStrategy.FULL_SHARD):
             raise ValueError(
-                f"mesh argument {mesh.describe()} disagrees with "
-                f"config.mesh {config.mesh.describe()}"
-            )
-        spec = mesh if mesh is not None else config.mesh
-        if spec is None:
-            raise ValueError(
-                "MeshEngine needs a MeshSpec: pass mesh=MeshSpec(...) or "
-                "EngineConfig(mesh=...)"
-            )
-        if config.mesh is None:
-            config = replace(config, mesh=spec)
-        if dp_strategy not in DP_STRATEGIES:
-            raise ValueError(
-                f"dp_strategy must be one of {DP_STRATEGIES}, got {dp_strategy!r}"
+                f"strategy {strategy.value!r} cannot run on a mesh; the dp "
+                "axis composes with 'ddp' or 'full_shard'"
             )
         if config.precision != "fp32":
             raise ValueError(
@@ -194,24 +174,30 @@ class MeshEngine(EngineCore):
                 f"config.shard_size={config.shard_size} conflicts with the "
                 f"mesh dp axis; full_shard shards over dp={spec.dp}"
             )
-        super().__init__(model, world, config)
         self.mesh_spec = spec
-        self.dp_strategy = self.strategy_name = dp_strategy
         self.pp, self.dp, self.tp = spec.shape
-        # tp and pp are data-movement axes over the one shared model:
-        # only the dp axis runs distinct microbatches (and workers).
-        self.data_parallel_size = self.dp
         self.schedule = spec.schedule
         self.device_mesh = DeviceMesh(world, spec.shape, MESH_AXIS_NAMES)
-        self.layout = validate_mesh_layout(
-            self.dp, config.grad_accum_steps, config.reduction_layout
-        )
-        self._dp_group = self.device_mesh.groups("dp")[0]
         self._tp_group = self.device_mesh.groups("tp")[0]
         self._pp_group = self.device_mesh.groups("pp")[0]
         self._param_dtype = model.parameters()[0].dtype
+        # tp and pp are data-movement axes over the one shared model:
+        # only the dp axis runs distinct microbatches (and workers).
+        super().__init__(
+            model,
+            world,
+            strategy,
+            config,
+            dp_group=self.device_mesh.groups("dp")[0],
+            axis="dp",
+        )
+        self.kind = "mesh"
+        self.strategy_name = strategy.value.lower()
 
-        # -- tp axis ------------------------------------------------------
+    def _launch(self) -> None:
+        """Wire the tp and pp axes — which need the core's comm, bus
+        and declared storage — before the backend copies the model."""
+        model = self.model
         if self.tp > 1:
             _validate_tp(model, self.tp)
             self.tp_context = TPContext(
@@ -221,8 +207,6 @@ class MeshEngine(EngineCore):
                 bus=self.telemetry if self.telemetry.enabled else None,
             )
             model.use_tensor_parallel(self.tp_context)
-
-        # -- pp axis ------------------------------------------------------
         if self.pp > 1:
             ops_fn = getattr(model, "pipeline_ops", None)
             if ops_fn is None:
@@ -248,25 +232,10 @@ class MeshEngine(EngineCore):
             self._stash: list[dict[int, list[tuple]]] = [
                 {} for _ in range(self.pp)
             ]
-        else:
-            self._ops = None
-            self._stage_bounds = None
-            self._stage_params = None
-
-        # -- dp axis ------------------------------------------------------
-        if dp_strategy == "full_shard":
-            self.shard_size = self.dp
-            self.units = default_wrap_units(model, self.dp)
-            self.grad_buffers = [unit.grad_flat for unit in self.units]
-        else:
-            self.params = model.parameters()
-            self.grad_groups = [list(range(len(self.params)))]
-            self.grad_buffers = [install_grad_views(self.params)]
-        if self.pp > 1:
             self._stage_grad_runs = self._stage_grad_run_lists()
             # _outbound[j][r]: dp rank r's round-j contribution.
             self._outbound: list[list[list[np.ndarray]]] | None = None
-        self._launch()
+        super()._launch()
 
     def topology(self) -> dict:
         """The core's record plus the mesh shape and schedule."""
@@ -281,11 +250,6 @@ class MeshEngine(EngineCore):
         }
 
     # -- collectives -------------------------------------------------------
-
-    def _materialize_params(self, backward: bool = False) -> None:
-        """full_shard gathers the dp shards for forward and for backward."""
-        if self.units is not None and self.dp > 1:
-            self._gather_units((self._dp_group,), axis="dp")
 
     def _send(self, arr: np.ndarray, src: int, dst: int) -> np.ndarray:
         """Move a stage-boundary tensor through ``SimComm.send`` (whose
@@ -516,23 +480,3 @@ class MeshEngine(EngineCore):
         if self.pp > 1:
             self._book_pipeline_transfers(micros)
         return out
-
-    def _reduce_gradients(
-        self, micro_grads: list[list[list[np.ndarray]]]
-    ) -> list[np.ndarray]:
-        """Reduce all rounds' contributions over the dp group at once,
-        in place: ``full_shard`` reduces every chunk straight into its
-        shard's ``grad``; ``ddp`` all-reduces the one full-model buffer
-        into ``grad_buffers[0]`` (elementwise in micro order ``j * dp +
-        r``, so bit-identical to the oracle's bucketed reduction of the
-        same contributions). Returns the arrays reduced into."""
-        k = len(micro_grads)
-        if self.units is None:
-            op, dests = "all_reduce", self.grad_buffers
-        else:
-            op = "reduce_scatter"
-            dests = [[shard.grad for shard in shards] for shards in self._shards]
-        for i, dest in enumerate(dests):
-            bufs = [micro_grads[j][r][i] for j in range(k) for r in range(self.dp)]
-            self._mean_reduce(op, bufs, self._dp_group, k, out=dest, axis="dp")
-        return dests if self.units is None else [g for dest in dests for g in dest]

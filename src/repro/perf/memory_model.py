@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.config import MAEConfig, ViTConfig, count_mae_params, count_vit_params
-from repro.core.sharding import ShardingStrategy
+from repro.core.sharding import STRATEGY_TABLE, ShardingStrategy, resolve_shard_size
 from repro.mesh.spec import MeshSpec
 from repro.perf.compute_model import BYTES_PER_PARAM
 from repro.perf.mesh_model import tp_shardable_fraction
@@ -219,24 +219,18 @@ def memory_breakdown(
             min(pipeline_micros, pp) if mesh.schedule == "1f1b" else pipeline_micros
         )
 
-    # Sharding divisors: parameters vs everything else (grads, masters,
-    # moments). SHARD_GRAD_OP is the only strategy where they differ.
-    if strategy in (ShardingStrategy.NO_SHARD, ShardingStrategy.DDP):
-        param_div, other_div = 1.0, 1.0
-        transient_components = 0
-    elif strategy is ShardingStrategy.FULL_SHARD:
-        param_div = other_div = float(world_size)
-        transient_components = 2  # params + grads of materialized units
-    elif strategy is ShardingStrategy.SHARD_GRAD_OP:
-        param_div, other_div = 1.0, float(world_size)
-        transient_components = 1  # params stay resident; grads reshard
-    elif strategy is ShardingStrategy.HYBRID_SHARD:
-        if shard_size is None or shard_size < 1:
-            raise ValueError("HYBRID_SHARD needs a positive shard_size")
-        param_div = other_div = float(shard_size)
-        transient_components = 0 if shard_size == 1 else 2
-    else:
-        raise ValueError(f"unknown strategy {strategy}")
+    # Sharding divisors, from the strategy's row: the shard size always
+    # divides grads, masters and moments; parameters only where the row
+    # shards them too (SHARD_GRAD_OP keeps them resident). Transients of
+    # the materialized units: their gradients, plus their parameters
+    # when the row frees and regathers them for backward.
+    row = STRATEGY_TABLE[strategy]
+    s = resolve_shard_size(strategy, shard_size, world_size)
+    other_div = float(s)
+    param_div = other_div if row.shards_params else 1.0
+    transient_components = (
+        1 + row.regather_in_backward if row.materializes(s) else 0
+    )
 
     by_dtype: dict[str, float] = {}
     states = 0.0

@@ -31,11 +31,14 @@ pipeline parallel
     ``2 * sum(boundary bytes)`` and makes ``2 * (pp - 1)`` transfers.
 
 data parallel
-    ``ddp`` reduces one concatenated full-model gradient per optimizer
-    step (booked even at ``dp == 1``, matching the engine). ``full_shard``
-    all-gathers every FSDP unit's padded flat twice per microbatch round
-    (forward + backward regather, only when ``dp > 1``) and
-    reduce-scatters each unit once per step.
+    Derived from the strategy's row of
+    :data:`~repro.core.sharding.STRATEGY_TABLE` — the row the engine
+    executes — for any strategy over any group
+    (:func:`dp_traffic_by_op`): per round, every unit's padded flat is
+    all-gathered inside each shard group as often as the row gathers;
+    per step, every gradient buffer goes through the row's reduce
+    sequence (booked even at ``dp == 1``, matching the engine). On a
+    mesh, ``ddp`` reduces one concatenated full-model gradient.
 
 The second half of the module feeds the *analytic* simulator
 (:class:`repro.perf.TrainStepSimulator` with ``PerfParams.mesh``): per
@@ -58,6 +61,12 @@ from repro.core.config import (
     count_vit_params,
     vit_block_params,
 )
+from repro.core.sharding import (
+    STRATEGY_TABLE,
+    ShardingStrategy,
+    parse_strategy,
+    resolve_shard_size,
+)
 from repro.mesh.pipeline import partition_stages
 from repro.mesh.spec import MeshSpec
 from repro.perf.compute_model import BYTES_PER_PARAM
@@ -69,6 +78,7 @@ __all__ = [
     "predict_mesh_traffic",
     "tp_traffic_per_micro",
     "pp_traffic_per_micro",
+    "dp_traffic_by_op",
     "dp_traffic_per_step",
     "dp_unit_numels",
     "unit_mesh_profiles",
@@ -221,6 +231,52 @@ def dp_unit_numels(model: ViTConfig | MAEConfig) -> list[int]:
     return [total - sum(blocks)] + blocks
 
 
+def dp_traffic_by_op(
+    numels: list[int],
+    strategy: ShardingStrategy,
+    group_size: int,
+    grad_accum_steps: int = 1,
+    shard_size: int | None = None,
+    itemsize: int = ENGINE_ITEMSIZE,
+) -> dict[str, AxisTraffic]:
+    """Per-collective calls and logical payload bytes of one optimizer
+    step of ``strategy`` over a data-parallel group, read off its row.
+
+    ``numels`` are the sizes of the gradient buffers the row reduces:
+    the wrap units (:func:`dp_unit_numels`) for a ``"units"`` row, the
+    gradient buckets for DDP. Payloads are what the engine's ``comm.*``
+    spans carry at full precision (the whole padded flat for a gather
+    or reduce-scatter, one shard for the cross-replica all-reduce);
+    calls are what ``comm.stats.calls_by_op`` counts. The reduce follows
+    the row's natural layout (no elastic fold).
+    """
+    row = STRATEGY_TABLE[strategy]
+    k = grad_accum_steps
+    s = resolve_shard_size(strategy, shard_size, group_size)
+    n_groups = group_size // s
+    n = len(numels)
+    flat_bytes = float(sum(-(-m // s) * s for m in numels) * itemsize)
+
+    def whole_flats(repeats: int) -> AxisTraffic:
+        """``repeats`` collectives over every buffer's whole padded flat."""
+        return AxisTraffic(bytes=repeats * flat_bytes, calls=repeats * n)
+
+    out: dict[str, AxisTraffic] = {}
+    gathers = row.gathers(s) + row.gathers(s, backward=True)
+    if gathers:
+        out["all_gather"] = whole_flats(gathers * k * n_groups)
+    if len(row.reduce) == 1:
+        out[row.reduce[0]] = whole_flats(1)
+    else:
+        # Per round inside every shard group; then, unless one round in
+        # one group was already the whole reduction, each of the ``s``
+        # shard indices (a 1/s payload) across the replica groups.
+        out[row.reduce[0]] = whole_flats(k * n_groups)
+        if k > 1 or n_groups > 1:
+            out[row.reduce[1]] = AxisTraffic(bytes=flat_bytes, calls=s * n)
+    return out
+
+
 def dp_traffic_per_step(
     model: ViTConfig | MAEConfig,
     spec: MeshSpec,
@@ -228,26 +284,20 @@ def dp_traffic_per_step(
     grad_accum_steps: int,
     itemsize: int = ENGINE_ITEMSIZE,
 ) -> AxisTraffic:
-    """Data-parallel traffic of one optimizer step.
-
-    ``ddp``: one all-reduce of the concatenated full-model gradient,
-    booked even at ``dp == 1`` (SimComm still performs the stacked-mean
-    copy). ``full_shard``: per microbatch round, every unit's padded
-    flat is all-gathered in forward and regathered in backward (skipped
-    entirely at ``dp == 1``); per step, every unit's gradient is
-    reduce-scattered once — fp32 wire, so payloads are the raw flats.
-    """
+    """Data-parallel traffic of one optimizer step on a mesh: the
+    strategy's row over the ``dp`` group (:func:`dp_traffic_by_op`),
+    with the DDP row's buckets coalesced into one full-model buffer as
+    the mesh engine coalesces them."""
+    strategy, shard_size = parse_strategy(dp_strategy)
     numels = dp_unit_numels(model)
-    if dp_strategy == "ddp":
-        return AxisTraffic(bytes=float(sum(numels) * itemsize), calls=1)
-    if dp_strategy != "full_shard":
-        raise ValueError(f"unknown dp strategy {dp_strategy!r}")
-    padded = [-(-n // spec.dp) * spec.dp for n in numels]
-    padded_bytes = float(sum(padded) * itemsize)
-    gathers = 2 * grad_accum_steps * len(numels) if spec.dp > 1 else 0
-    gather_bytes = 2 * grad_accum_steps * padded_bytes if spec.dp > 1 else 0.0
+    if STRATEGY_TABLE[strategy].storage == "params":
+        numels = [sum(numels)]
+    by_op = dp_traffic_by_op(
+        numels, strategy, spec.dp, grad_accum_steps, shard_size, itemsize
+    )
     return AxisTraffic(
-        bytes=gather_bytes + padded_bytes, calls=gathers + len(numels)
+        bytes=sum(t.bytes for t in by_op.values()),
+        calls=sum(t.calls for t in by_op.values()),
     )
 
 

@@ -58,7 +58,12 @@ from dataclasses import dataclass, field, replace
 from repro.comm.bucketing import DEFAULT_BUCKET_CAP_BYTES, bucket_gradients
 from repro.comm.cost_model import CollectiveCostModel, GroupPlacement
 from repro.comm.world import World
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy
+from repro.core.sharding import (
+    STRATEGY_TABLE,
+    BackwardPrefetch,
+    ShardingStrategy,
+    resolve_shard_size,
+)
 from repro.perf.compute_model import UnitCost
 from repro.perf.events import Timeline
 
@@ -367,7 +372,10 @@ def build_step_schedule(
     """Assemble the task graph of one training step.
 
     ``units`` come from :mod:`repro.perf.compute_model`; ``shard_size`` is
-    required for ``HYBRID_SHARD`` and ignored (implied) otherwise. With a
+    required for ``HYBRID_SHARD`` and implied otherwise. Shard size,
+    gathers, backward regathers and the reduce sequence are read from
+    the strategy's row of :data:`~repro.core.sharding.STRATEGY_TABLE` —
+    the row the executable engine runs. With a
     ``mesh`` plan the graph describes one *microbatch round* of one
     pipeline stage (``units`` are that stage's slice; ``world`` is the
     dp axis), carrying the injected tp/pp communication; compose it into
@@ -379,33 +387,14 @@ def build_step_schedule(
             f"mesh plan has {len(mesh.tp_units)} tp unit entries for "
             f"{len(units)} units"
         )
-    if strategy in (ShardingStrategy.NO_SHARD, ShardingStrategy.DDP):
-        s = 1
-    elif strategy in (ShardingStrategy.FULL_SHARD, ShardingStrategy.SHARD_GRAD_OP):
-        s = world.size
-    elif strategy is ShardingStrategy.HYBRID_SHARD:
-        if shard_size is None:
-            raise ValueError("HYBRID_SHARD requires shard_size")
-        if world.size % shard_size != 0:
-            raise ValueError(
-                f"world size {world.size} not divisible by shard size {shard_size}"
-            )
-        s = shard_size
-    else:
-        raise ValueError(f"unknown strategy {strategy}")
+    row = STRATEGY_TABLE[strategy]
+    s = resolve_shard_size(strategy, shard_size, world.size)
 
     b = _StepBuilder(world, cost_model, p)
     sharded = s > 1
-    regather_in_backward = sharded and strategy in (
-        ShardingStrategy.FULL_SHARD,
-        ShardingStrategy.HYBRID_SHARD,
-    )
+    regather_in_backward = row.gathers(s, backward=True)
     shard_pl = shard_group_placement(world, s) if sharded else None
-    replica_pl = (
-        replica_group_placement(world, s)
-        if strategy in (ShardingStrategy.HYBRID_SHARD,)
-        else None
-    )
+    replica_pl = replica_group_placement(world, s) if len(row.reduce) == 2 else None
     world_pl = world_placement(world)
     if mesh is not None and mesh.dp_nic_share > 1:
         # Sibling dp rings (one per inner-axis index) share every NIC.

@@ -12,7 +12,12 @@ from dataclasses import dataclass, field, replace
 
 from repro.comm.world import World
 from repro.core.config import MAEConfig, ViTConfig
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy
+from repro.core.sharding import (
+    STRATEGY_TABLE,
+    BackwardPrefetch,
+    ShardingStrategy,
+    resolve_shard_size,
+)
 from repro.hardware.frontier import Machine
 from repro.hardware.power import PowerModel, PowerTrace
 from repro.mesh.pipeline import partition_stages
@@ -259,11 +264,12 @@ class TrainStepSimulator:
 
     def _realloc_multiplier(self) -> float:
         """Compute-time inflation from allocator churn under HBM pressure."""
-        reallocating = self.strategy is ShardingStrategy.FULL_SHARD or (
-            self.strategy is ShardingStrategy.HYBRID_SHARD
-            and (self.shard_size or 1) > 1
-        )
-        if not reallocating:
+        # Churn comes from freeing and regathering parameters each step.
+        row = STRATEGY_TABLE[self.strategy]
+        if not (
+            row.regather_in_backward
+            and row.materializes(self._shard_size(self.world.size))
+        ):
             return 1.0
         pressure = self.memory().total / self.machine.gpu.hbm_bytes
         thresh = self.params.realloc_pressure_threshold
@@ -289,18 +295,11 @@ class TrainStepSimulator:
         else:
             total = self.total_param_bytes() / BYTES_PER_PARAM
             dp_size = self.world.size
-        if self.strategy in (ShardingStrategy.NO_SHARD, ShardingStrategy.DDP):
-            return total
-        if self.strategy in (
-            ShardingStrategy.FULL_SHARD,
-            ShardingStrategy.SHARD_GRAD_OP,
-        ):
-            return total / dp_size
-        if self.strategy is ShardingStrategy.HYBRID_SHARD:
-            if self.shard_size is None:
-                raise ValueError("HYBRID_SHARD requires shard_size")
-            return total / self.shard_size
-        raise ValueError(f"unknown strategy {self.strategy}")
+        return total / self._shard_size(dp_size)
+
+    def _shard_size(self, dp_size: int) -> int:
+        """The strategy row's shard size over ``dp_size`` ranks."""
+        return resolve_shard_size(self.strategy, self.shard_size, dp_size)
 
     def optimizer_seconds(self) -> float:
         """HBM-bound AdamW step time on this rank's parameter shard."""

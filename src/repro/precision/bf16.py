@@ -34,6 +34,7 @@ __all__ = [
     "PRECISIONS",
     "WIRE_FRACTION",
     "bf16_round",
+    "bf16_outbound",
     "from_bf16",
     "to_bf16",
     "wire_fraction",
@@ -113,3 +114,10 @@ def bf16_round(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     dtype = x.dtype if x.dtype.kind == "f" else np.dtype(np.float32)
     return from_bf16(to_bf16(x)).astype(dtype, copy=False).reshape(x.shape)
+
+
+def bf16_outbound(g: np.ndarray, scale: float) -> np.ndarray:
+    """A gradient as it enters a bf16 collective: loss-scaled, then
+    rounded onto the bf16 grid (a fresh array). The one cast point the
+    inline engine and the process workers share."""
+    return bf16_round(g * scale if scale != 1.0 else g)

@@ -23,8 +23,7 @@ from repro.comm.faults import (
     call_with_retry,
 )
 from repro.comm.world import Group, World
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
@@ -39,8 +38,8 @@ def _engine(tiny_mae_cfg, kind, fault_plan=None, init_seed=7):
     world = World(size=2, ranks_per_node=2)
     comm = SimComm(fault_plan=fault_plan)
     if kind == "ddp":
-        return DDPEngine(model, world, comm=comm)
-    return FSDPEngine(model, world, strategy=ShardingStrategy.FULL_SHARD, comm=comm)
+        return make_engine(model, "ddp", world=world, comm=comm)
+    return make_engine(model, ShardingStrategy.FULL_SHARD, world=world, comm=comm)
 
 
 def _train(engine, n_steps=N_STEPS, **kw):

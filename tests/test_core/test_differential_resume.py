@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from repro.comm.world import World
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
@@ -39,8 +38,8 @@ def _make_engine(kind, kwargs, tiny_mae_cfg, init_seed):
     model = MaskedAutoencoder(tiny_mae_cfg, rng=np.random.default_rng(init_seed))
     world = World(**WORLD)
     if kind == "ddp":
-        return DDPEngine(model, world)
-    return FSDPEngine(model, world, **kwargs)
+        return make_engine(model, "ddp", world=world)
+    return make_engine(model, world=world, **kwargs)
 
 
 def _images():

@@ -1,30 +1,38 @@
-"""One EngineCore: the engines are layouts over it, and stay that way.
+"""One EngineCore: a strategy is a row, the engine is one class.
 
-What every engine does identically (lifecycle, retried/telemetered
-collectives, checkpoint state, the step skeleton) lives once in
-``repro.core.engine_core``; a copy growing back in a subclass fails
+Lifecycle, retried/telemetered collectives, checkpoint state, the step
+skeleton *and the whole data-parallel axis* (storage, gathers, reduce)
+live once in ``repro.core.engine_core`` and run from the strategy table
+in ``repro.core.sharding``; a copy growing back — in the mesh subclass,
+in the process worker, or as a strategy ladder in a perf model — fails
 here. The topology records are pinned to the literals the three
 stand-alone engines returned before they shared a core. One
-gradient-storage contract holds for every layout: backward writes into
+gradient-storage contract holds for every row: backward writes into
 flat buffers, the reduce lands where the optimizer reads, and a skipped
 dynamic-scale step leaves the trajectory untouched.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib
+import inspect
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
 import repro.comm.collectives
+import repro.core.engine_core
 from repro.backend import ProcessBackend
+from repro.backend.process import _worker_main
 from repro.comm.world import World
-from repro.core.ddp import DDPEngine
 from repro.core.engine import EngineConfig, make_engine
 from repro.core.engine_core import EngineCore
-from repro.core.fsdp import FSDPEngine
+from repro.core.sharding import declare_storage
 from repro.mesh.engine import MeshEngine
 from repro.mesh.spec import MeshSpec
 from repro.models.module import Module
@@ -32,7 +40,8 @@ from repro.telemetry import RecordingSink, TelemetryBus
 
 from tests.test_mesh.helpers import build_model, mae_step, tiny_micros
 
-ENGINES = (DDPEngine, FSDPEngine, MeshEngine)
+SRC = Path(repro.__file__).parent
+ENGINES = (MeshEngine,)
 
 #: Written once, in the core.
 CORE_OWNED = (
@@ -43,6 +52,11 @@ CORE_OWNED = (
     "state_dict",
     "load_state_dict",
     "train_step",
+    "_materialize_params",
+    "_reduce_gradients",
+    "_reduce_stage",
+    "_gather_units",
+    "_mean_reduce",
 )
 
 
@@ -53,6 +67,109 @@ def test_engines_are_layouts_over_the_core(cls):
     assert not regrown, f"{cls.__name__} re-defines core-owned {regrown}"
     for name in CORE_OWNED:
         assert name in vars(EngineCore)
+
+
+def _trees():
+    for path in sorted(SRC.rglob("*.py")):
+        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+
+
+def test_one_engine_class_one_reduce_one_materialize():
+    """DDP and the four FSDP strategies are ``EngineCore`` itself; the
+    dp axis is written once under ``src/repro``."""
+    for gone in ("ddp", "fsdp"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"repro.core.{gone}")
+    for name in ("DDPEngine", "FSDPEngine"):
+        assert not hasattr(repro, name) and not hasattr(repro.core, name)
+    defined = [
+        (rel, node.name)
+        for rel, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("_reduce_gradients", "_materialize_params")
+    ]
+    assert sorted(defined) == [
+        ("core/engine_core.py", "_materialize_params"),
+        ("core/engine_core.py", "_reduce_gradients"),
+    ]
+    for strategy in ("ddp", "no_shard", "full_shard", "shard_grad_op", "HYBRID_2GPUs"):
+        assert type(make_engine(build_model(), strategy, world=World(4))) is EngineCore
+    assert inspect.signature(make_engine).parameters.keys() == {
+        "model", "strategy", "world", "config", "overrides",
+    }
+
+
+#: Every comparison against a ``ShardingStrategy`` member outside the
+#: strategy table, and why its *code* (not a fact about the strategy)
+#: differs. Anything else is a ladder growing back: read the row.
+STRATEGY_COMPARISONS = {
+    # The dp axis of a mesh runs two rows; its refusal names them.
+    ("mesh/engine.py", "DDP", "FULL_SHARD"),
+    # The simulator's DDP bucket-readiness graph: buckets attach to the
+    # backward's readiness order, a different task graph, not a flag.
+    ("perf/schedule.py", "DDP"),
+    # The fitted ``noshard_comm_inflation`` constant (EXPERIMENTS.md).
+    ("perf/schedule.py", "NO_SHARD"),
+}
+
+
+def test_strategy_comparisons_outside_the_table_are_the_documented_ones():
+    members = set(repro.ShardingStrategy.__members__)
+    found = []
+    for rel, tree in _trees():
+        if rel == "core/sharding.py":
+            continue
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare):
+                continue
+            names = sorted(
+                sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute)
+                and sub.attr in members
+                and isinstance(sub.value, ast.Name)
+                and sub.value.id == "ShardingStrategy"
+            )
+            if names:
+                found.append((rel, *names))
+    assert len(found) <= 6
+    assert sorted(found) == sorted(STRATEGY_COMPARISONS)
+
+
+def test_worker_and_parent_declare_storage_through_one_function():
+    assert repro.core.engine_core.declare_storage is declare_storage
+    # The worker imports lazily (backend <-> core import cycle), so pin
+    # the name it calls and the absence of a hand-rolled layout.
+    names = set(_worker_main.__code__.co_names)
+    assert "declare_storage" in names
+    assert not names & {"default_wrap_units", "install_grad_views", "FlatUnit"}
+    source = (SRC / "backend" / "process.py").read_text()
+    assert 'spec["mode"]' not in source and "self.mode" not in source
+
+
+@pytest.mark.parametrize(
+    "strategy", ["ddp", "no_shard", "full_shard", "shard_grad_op", "HYBRID_2GPUs"]
+)
+def test_a_worker_lays_its_replica_out_as_the_parent_did(strategy):
+    """What the spec ships (strategy, shard size, gradient groups) makes
+    ``declare_storage`` rebuild the parent's buffers on the replica a
+    worker unpickles, and a process step equals the inline step."""
+    micros = tiny_micros(2)
+    eng = make_engine(build_model(), strategy, world=World(2), backend="process")
+    try:
+        replica = pickle.loads(eng._backend._model_blob())
+        twin = declare_storage(replica, eng.strategy, eng.shard_size, eng.grad_groups)
+        sizes = [buf.size for buf in eng.grad_buffers]
+        assert [buf.size for buf in twin.grad_buffers] == sizes
+        assert [a.size for a in twin.arrays()] == [a.size for a in eng.storage.arrays()]
+        loss = eng.train_step(micros, mae_step)
+    finally:
+        eng.close()
+    inline = make_engine(build_model(), strategy, world=World(2))
+    assert inline.train_step(micros, mae_step) == loss
+    for got, want in zip(eng.model.parameters(), inline.model.parameters(), strict=True):
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 TOPOLOGIES = [
@@ -135,7 +252,7 @@ def test_one_way_to_run_a_gemm():
     for name in ("use_gemm_pool", "gemm_pool", "_matmul"):
         assert not hasattr(Module, name)
     assert not hasattr(ProcessBackend, "pop_worker_cpu_s")
-    assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 87
+    assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 84
 
 
 # -- one gradient-storage contract ---------------------------------------------
@@ -161,9 +278,8 @@ def test_gradients_are_views_of_the_flat_buffers_the_reduce_fills(
             groups = [[params[i] for i in g] for g in eng.grad_groups]
         else:
             groups = [unit.params for unit in eng.units]
-        if isinstance(eng, DDPEngine):
-            assert len(eng.buckets) > 1
-            assert eng.grad_groups == [b.param_indices for b in eng.buckets]
+        if eng.kind == "ddp":
+            assert len(eng.grad_groups) > 1
         # Every p.grad views exactly one buffer, and each buffer's
         # members tile it once, end to end, in the declared order.
         assert sorted(id(p) for g in groups for p in g) == sorted(map(id, params))

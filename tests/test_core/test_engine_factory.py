@@ -1,10 +1,8 @@
-"""make_engine / EngineConfig: dispatch, equivalence, removed kwargs.
+"""make_engine / EngineConfig: dispatch, equivalence, validation.
 
-The unified construction path must be a pure re-plumbing: an engine
-built by the factory trains bit-identically to one built by direct
-constructor calls, for DDP and all four FSDP strategies. The
-pre-EngineConfig legacy kwargs finished their deprecation cycle and now
-raise TypeError with the migration spelled out.
+``make_engine`` is the only construction path: for DDP and all four
+FSDP strategies the engine it builds trains fp32 bit-identically to the
+single-rank oracle accumulating the same microbatches.
 """
 
 from __future__ import annotations
@@ -12,12 +10,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.comm.faults import RetryPolicy
 from repro.comm.world import World
-from repro.core.ddp import DDPEngine
 from repro.core.engine import STRATEGY_CHOICES, EngineConfig, make_engine
-from repro.core.fsdp import FSDPEngine
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy
+from repro.core.engine_core import EngineCore
+from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
 from repro.telemetry import NULL_BUS
@@ -32,42 +28,43 @@ def _train(engine_factory, tiny_mae_cfg, n_steps=2):
     return result.losses, model.state_dict()
 
 
-DIRECT = {
-    "ddp": lambda m, w: DDPEngine(m, w),
-    "no_shard": lambda m, w: FSDPEngine(m, w, ShardingStrategy.NO_SHARD),
-    "full_shard": lambda m, w: FSDPEngine(m, w, ShardingStrategy.FULL_SHARD),
-    "shard_grad_op": lambda m, w: FSDPEngine(m, w, ShardingStrategy.SHARD_GRAD_OP),
-    "hybrid_shard": lambda m, w: FSDPEngine(
-        m, w, ShardingStrategy.HYBRID_SHARD, shard_size=2
-    ),
-}
-
-
 @pytest.mark.parametrize("strategy", STRATEGY_CHOICES)
 def test_factory_matches_direct_construction_bit_identically(
     tiny_mae_cfg, strategy
 ):
+    """Factory vs oracle (the name dates from when the reference was a
+    direct constructor call): every strategy on ``World(4)`` equals the
+    world-1 DDP engine accumulating the same four microbatches — the
+    layout ``(total=4, chunk=4)``. HYBRID at shard size 2 realizes
+    ``chunk=2``, which no single-stage row can; its oracle is one shard
+    group accumulating the other's microbatches as a second round."""
     world = World(4, ranks_per_node=2)
     kwargs = {"shard_size": 2} if strategy == "hybrid_shard" else {}
     losses_f, state_f = _train(
         lambda m: make_engine(m, strategy, world=world, **kwargs), tiny_mae_cfg
     )
-    losses_d, state_d = _train(
-        lambda m: DIRECT[strategy](m, world), tiny_mae_cfg
-    )
-    assert losses_f == losses_d
+    if strategy == "hybrid_shard":
+        oracle = lambda m: make_engine(  # noqa: E731
+            m, "HYBRID_2GPUs", world=World(2), grad_accum_steps=2
+        )
+    else:
+        oracle = lambda m: make_engine(  # noqa: E731
+            m, "ddp", world=World(1), grad_accum_steps=4
+        )
+    losses_o, state_o = _train(oracle, tiny_mae_cfg)
+    assert losses_f == losses_o
     for k in state_f:
-        np.testing.assert_array_equal(state_f[k], state_d[k])
+        np.testing.assert_array_equal(state_f[k], state_o[k])
 
 
 def test_factory_dispatches_to_the_right_engine_kind():
     world = World(4, ranks_per_node=2)
-    assert isinstance(
-        make_engine(_tiny_model(), "ddp", world=world), DDPEngine
-    )
+    ddp = make_engine(_tiny_model(), "ddp", world=world)
+    assert type(ddp) is EngineCore and ddp.kind == "ddp"
+    assert ddp.units is None and ddp.shard_size is None
     for s in ("no_shard", "full_shard", "shard_grad_op"):
         eng = make_engine(_tiny_model(), s, world=world)
-        assert isinstance(eng, FSDPEngine)
+        assert type(eng) is EngineCore and eng.kind == "fsdp"
         assert eng.strategy.value.lower() == s
     hybrid = make_engine(_tiny_model(), "hybrid_shard", world=world, shard_size=2)
     assert hybrid.strategy is ShardingStrategy.HYBRID_SHARD
@@ -139,40 +136,14 @@ def test_engines_default_to_the_shared_null_bus():
     assert not eng.telemetry.enabled
 
 
-def test_ddp_removed_kwargs_raise_with_migration_hint():
-    world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match=r"bucket_cap_mb.*removed.*bucket_cap_bytes"):
-        DDPEngine(_tiny_model(), world, bucket_cap_mb=1)
-    with pytest.raises(TypeError, match=r"retries.*removed.*retry_policy"):
-        DDPEngine(_tiny_model(), world, retries=5)
-
-
-def test_fsdp_removed_kwargs_raise_with_migration_hint():
-    world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match=r"sharding_strategy.*removed.*strategy"):
-        FSDPEngine(
-            _tiny_model(), world, sharding_strategy=ShardingStrategy.SHARD_GRAD_OP
-        )
-    # ``prefetch`` / ``backward_prefetch`` configured nothing and are gone:
-    # an ordinary unknown kwarg now, no migration hint.
-    with pytest.raises(TypeError, match="unknown FSDPEngine kwargs"):
-        FSDPEngine(_tiny_model(), world, prefetch=BackwardPrefetch.NONE)
-
-
 def test_unknown_kwargs_still_raise_type_error():
     world = World(2, ranks_per_node=2)
-    with pytest.raises(TypeError, match="unknown DDPEngine kwargs"):
-        DDPEngine(_tiny_model(), world, bukcet_cap_mb=1)
-    with pytest.raises(TypeError, match="unknown FSDPEngine kwargs"):
-        FSDPEngine(_tiny_model(), world, shrading_strategy=None)
-
-
-def test_explicit_config_wins_over_kwargs():
-    world = World(2, ranks_per_node=2)
-    cfg = EngineConfig(retry_policy=RetryPolicy(max_retries=9))
-    eng = DDPEngine(_tiny_model(), world, retry_policy=RetryPolicy(), config=cfg)
-    assert eng.retry_policy.max_retries == 9
-    assert eng.config is cfg
+    with pytest.raises(TypeError, match="bukcet_cap_mb"):
+        make_engine(_tiny_model(), "ddp", world=world, bukcet_cap_mb=1)
+    with pytest.raises(TypeError, match="sharding_strategy"):
+        make_engine(
+            _tiny_model(), world=world, sharding_strategy=ShardingStrategy.FULL_SHARD
+        )
 
 
 def test_trainer_lifecycle_names_align(tiny_mae_cfg, tmp_path):

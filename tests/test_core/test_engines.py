@@ -14,8 +14,7 @@ import pytest
 
 from repro.comm.world import World
 from repro.core.config import get_mae_config
-from repro.core.ddp import DDPEngine
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
@@ -35,11 +34,11 @@ def _run(engine_kind, world_size, strategy=None, shard_size=None, steps=3,
     model = MaskedAutoencoder(CFG, rng=np.random.default_rng(7))
     world = World(world_size, ranks_per_node=ranks_per_node)
     if engine_kind == "fsdp":
-        engine = FSDPEngine(
-            model, world, strategy, shard_size=shard_size, **engine_kwargs
+        engine = make_engine(
+            model, strategy, world=world, shard_size=shard_size, **engine_kwargs
         )
     else:
-        engine = DDPEngine(model, world, **engine_kwargs)
+        engine = make_engine(model, "ddp", world=world, **engine_kwargs)
     trainer = MAEPretrainer(engine, _images(), global_batch=16, seed=5)
     result = trainer.run(steps)
     return result.losses, model.state_dict(), engine
@@ -97,29 +96,33 @@ class TestEquivalence:
 class TestEngineBehaviour:
     def test_fsdp_requires_matching_microbatches(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine = FSDPEngine(model, World(4), ShardingStrategy.FULL_SHARD)
+        engine = make_engine(model, ShardingStrategy.FULL_SHARD, world=World(4))
         with pytest.raises(ValueError, match="microbatches"):
             engine.train_step([None, None], lambda m, b: 0.0)
 
     def test_hybrid_requires_shard_size(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="shard_size"):
-            FSDPEngine(model, World(4), ShardingStrategy.HYBRID_SHARD)
+            make_engine(model, ShardingStrategy.HYBRID_SHARD, world=World(4))
 
     def test_no_shard_rejects_shard_size(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="shard_size=1"):
-            FSDPEngine(model, World(4), ShardingStrategy.NO_SHARD, shard_size=2)
+            make_engine(
+                model, ShardingStrategy.NO_SHARD, world=World(4), shard_size=2
+            )
 
     def test_indivisible_hybrid_rejected(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="divisible"):
-            FSDPEngine(model, World(6), ShardingStrategy.HYBRID_SHARD, shard_size=4)
+            make_engine(
+                model, ShardingStrategy.HYBRID_SHARD, world=World(6), shard_size=4
+            )
 
     def test_lr_passthrough(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine = FSDPEngine(
-            model, World(2), ShardingStrategy.FULL_SHARD,
+        engine = make_engine(
+            model, ShardingStrategy.FULL_SHARD, world=World(2),
             optimizer_factory=lambda p: AdamW(p, lr=0.5),
         )
         assert engine.lr == 0.5
@@ -130,7 +133,7 @@ class TestEngineBehaviour:
         """FULL_SHARD issues AGs + reduce-scatters; NO_SHARD only ARs."""
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
         world = World(4)
-        engine = FSDPEngine(model, world, ShardingStrategy.FULL_SHARD)
+        engine = make_engine(model, ShardingStrategy.FULL_SHARD, world=world)
         trainer = MAEPretrainer(engine, _images(), global_batch=8, seed=1)
         trainer.run(1)
         ops = engine.comm.stats.calls_by_op
@@ -141,7 +144,7 @@ class TestEngineBehaviour:
         assert "all_reduce" not in ops
 
         model2 = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine2 = FSDPEngine(model2, world, ShardingStrategy.NO_SHARD)
+        engine2 = make_engine(model2, ShardingStrategy.NO_SHARD, world=world)
         trainer2 = MAEPretrainer(engine2, _images(), global_batch=8, seed=1)
         trainer2.run(1)
         ops2 = engine2.comm.stats.calls_by_op
@@ -150,16 +153,37 @@ class TestEngineBehaviour:
 
     def test_sgo_gathers_once_per_step(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine = FSDPEngine(model, World(4), ShardingStrategy.SHARD_GRAD_OP)
+        engine = make_engine(model, ShardingStrategy.SHARD_GRAD_OP, world=World(4))
         trainer = MAEPretrainer(engine, _images(), global_batch=8, seed=1)
         trainer.run(1)
         ops = engine.comm.stats.calls_by_op
         assert ops["all_gather"] == len(engine.units)  # forward only
 
+    def test_hybrid_regathers_for_backward_inside_each_shard_group(self):
+        """HYBRID is "full shard inside the group": forward gather plus
+        backward regather, per unit, in every shard group — the call
+        pattern ``perf/schedule.py`` prices."""
+        model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
+        engine = make_engine(model, "HYBRID_2GPUs", world=World(4))
+        MAEPretrainer(engine, _images(), global_batch=8, seed=1).run(1)
+        stats = engine.comm.stats
+        n_groups, g = 2, 2
+        assert stats.calls_by_op["all_gather"] == 2 * len(engine.units) * n_groups
+        flat_bytes = sum(u.nbytes for u in engine.units)
+        assert stats.bytes_by_op["all_gather"] == pytest.approx(
+            2 * n_groups * (g - 1) / g * flat_bytes * g
+        )
+
+    def test_hybrid_1gpu_gathers_nothing(self):
+        model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
+        engine = make_engine(model, "HYBRID_1GPU", world=World(4))
+        MAEPretrainer(engine, _images(), global_batch=8, seed=1).run(1)
+        assert "all_gather" not in engine.comm.stats.calls_by_op
+
     def test_hybrid_issues_replica_allreduce(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine = FSDPEngine(
-            model, World(4, ranks_per_node=2), ShardingStrategy.HYBRID_SHARD,
+        engine = make_engine(
+            model, ShardingStrategy.HYBRID_SHARD, world=World(4, ranks_per_node=2),
             shard_size=2,
         )
         trainer = MAEPretrainer(engine, _images(), global_batch=8, seed=1)
@@ -171,14 +195,16 @@ class TestEngineBehaviour:
 
     def test_ddp_bucket_count(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        small = DDPEngine(model, World(2), bucket_cap_bytes=8 * 1024)
+        small = make_engine(model, "ddp", world=World(2), bucket_cap_bytes=8 * 1024)
         model2 = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        large = DDPEngine(model2, World(2), bucket_cap_bytes=64 * 1024 * 1024)
-        assert small.n_buckets > large.n_buckets
+        large = make_engine(
+            model2, "ddp", world=World(2), bucket_cap_bytes=64 * 1024 * 1024
+        )
+        assert len(small.grad_buffers) > len(large.grad_buffers)
 
     def test_step_count_advances(self):
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
-        engine = FSDPEngine(model, World(2), ShardingStrategy.FULL_SHARD)
+        engine = make_engine(model, ShardingStrategy.FULL_SHARD, world=World(2))
         trainer = MAEPretrainer(engine, _images(), global_batch=8, seed=1)
         trainer.run(3)
         assert engine.step_count == 3
@@ -189,9 +215,9 @@ class TestEngineBehaviour:
         model = MaskedAutoencoder(CFG, rng=np.random.default_rng(0))
         world = World(2)
         if kind == "fsdp":
-            engine = FSDPEngine(model, world, ShardingStrategy.NO_SHARD)
+            engine = make_engine(model, ShardingStrategy.NO_SHARD, world=world)
         else:
-            engine = DDPEngine(model, world)
+            engine = make_engine(model, "ddp", world=world)
         imgs = _images(8)
 
         def exploding_step(m, micro):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.comm.world import World
 from repro.core.config import get_mae_config
-from repro.core.fsdp import FSDPEngine
+from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
@@ -15,7 +15,7 @@ CFG = get_mae_config("proxy-base")
 
 def _fresh_engine(strategy=ShardingStrategy.FULL_SHARD, world_size=2):
     model = MaskedAutoencoder(CFG, rng=np.random.default_rng(7))
-    return FSDPEngine(model, World(world_size, ranks_per_node=2), strategy)
+    return make_engine(model, strategy, world=World(world_size, ranks_per_node=2))
 
 
 def _images():

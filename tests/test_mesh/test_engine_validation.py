@@ -10,8 +10,7 @@ import pytest
 
 from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
-from repro.elastic.layout import ReductionLayout, mesh_layout, validate_mesh_layout
-from repro.mesh.engine import MeshEngine
+from repro.elastic.layout import ReductionLayout, natural_layout
 from repro.mesh.spec import MeshSpec
 from repro.models.vit import VisionTransformer
 
@@ -93,30 +92,18 @@ def test_shard_size_conflicting_with_dp_rejected():
         )
 
 
-def test_mesh_vs_config_mesh_disagreement_rejected():
-    with pytest.raises(ValueError, match="disagrees with"):
-        MeshEngine(
-            build_model(), World(2), mesh=MeshSpec(tp=2),
+def test_unknown_dp_strategy_rejected():
+    with pytest.raises(ValueError, match="cannot run on a mesh"):
+        make_engine(
+            build_model(), "shard_grad_op", world=World(2),
             config=EngineConfig(mesh=MeshSpec(dp=2)),
         )
 
 
-def test_mesh_engine_requires_a_spec():
-    with pytest.raises(ValueError, match="needs a MeshSpec"):
-        MeshEngine(build_model(), World(1))
-
-
-def test_unknown_dp_strategy_rejected():
-    with pytest.raises(ValueError, match="dp_strategy must be one of"):
-        MeshEngine(
-            build_model(), World(2), mesh=MeshSpec(dp=2),
-            dp_strategy="shard_grad_op",
-        )
-
-
 def test_mesh_layout_is_single_stage_over_dp_times_k():
-    assert mesh_layout(4, 2) == ReductionLayout(total=8, chunk=8)
-    assert validate_mesh_layout(4, 2, None) == mesh_layout(4, 2)
+    # The mesh's layout is the dp row's over the dp group.
+    for strategy in ("DDP", "FULL_SHARD"):
+        assert natural_layout(strategy, 4, None, 2) == ReductionLayout(total=8, chunk=8)
     # pp/tp do not enter the layout at all.
     eng = None
     try:
@@ -157,7 +144,13 @@ def test_reduction_layout_total_mismatch_rejected():
 
 def test_chunked_reduction_layout_rejected_on_a_mesh():
     with pytest.raises(ValueError, match="single stage"):
-        validate_mesh_layout(2, 2, ReductionLayout(total=4, chunk=2))
+        make_engine(
+            build_model(), "full_shard", world=World(2),
+            config=EngineConfig(
+                mesh=MeshSpec(dp=2), grad_accum_steps=2,
+                reduction_layout=ReductionLayout(total=4, chunk=2),
+            ),
+        )
 
 
 def test_frozen_config_replace_round_trips_through_make_engine():

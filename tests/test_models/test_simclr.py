@@ -6,7 +6,6 @@ import pytest
 from repro.comm.world import World
 from repro.core.config import ViTConfig
 from repro.core.engine import make_engine
-from repro.core.fsdp import FSDPEngine
 from repro.core.sharding import ShardingStrategy
 from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.data.transforms import augment_view
@@ -136,8 +135,8 @@ class TestAugmentView:
 class TestSimCLRTrainer:
     def test_loss_decreases(self, rng):
         model = SimCLRModel(_cfg(), proj_dim=8, rng=np.random.default_rng(1))
-        engine = FSDPEngine(
-            model, World(1, ranks_per_node=1), ShardingStrategy.NO_SHARD
+        engine = make_engine(
+            model, ShardingStrategy.NO_SHARD, world=World(1, ranks_per_node=1)
         )
         engine.lr = 1e-3
         images = rng.standard_normal((64, 3, 16, 16))
@@ -150,7 +149,7 @@ class TestSimCLRTrainer:
 
         def run(strategy):
             model = SimCLRModel(_cfg(), proj_dim=8, rng=np.random.default_rng(1))
-            engine = FSDPEngine(model, World(4, ranks_per_node=2), strategy)
+            engine = make_engine(model, strategy, world=World(4, ranks_per_node=2))
             trainer = SimCLRPretrainer(engine, images, global_batch=16, seed=3)
             losses = trainer.run(2).losses
             return losses, model.state_dict()
@@ -182,8 +181,8 @@ class TestSimCLRTrainer:
 
     def test_validation(self, rng):
         model = SimCLRModel(_cfg(), rng=np.random.default_rng(1))
-        engine = FSDPEngine(
-            model, World(8, ranks_per_node=8), ShardingStrategy.NO_SHARD
+        engine = make_engine(
+            model, ShardingStrategy.NO_SHARD, world=World(8, ranks_per_node=8)
         )
         images = rng.standard_normal((32, 3, 16, 16))
         with pytest.raises(ValueError, match="negatives"):
@@ -194,8 +193,8 @@ class TestSimCLRTrainer:
         mae = MaskedAutoencoder(
             get_mae_config("proxy-base"), rng=np.random.default_rng(0)
         )
-        eng2 = FSDPEngine(
-            mae, World(1, ranks_per_node=1), ShardingStrategy.NO_SHARD
+        eng2 = make_engine(
+            mae, ShardingStrategy.NO_SHARD, world=World(1, ranks_per_node=1)
         )
         with pytest.raises(TypeError, match="SimCLRModel"):
             SimCLRPretrainer(eng2, rng.standard_normal((8, 3, 32, 32)), 4)
