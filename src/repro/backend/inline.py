@@ -1,34 +1,35 @@
 """The inline execution backend: all ranks run in the calling process.
 
-This is the historical behavior of the engines, factored behind the
-:class:`ExecutionBackend` seam so every engine shares one compute loop
-(:meth:`EngineCore._forward_backward
-<repro.core.engine_core.EngineCore._forward_backward>`) regardless of
-where rank compute actually runs. The engine owns everything outside
-the loop (casting, collectives, optimizer, telemetry); a backend owns
-exactly one thing — running ``step_fn`` for every rank of one
-accumulation round and handing back the per-rank outbound gradients.
+Every engine shares one compute loop (:meth:`EngineCore._forward_backward
+<repro.core.engine_core.EngineCore._forward_backward>`) wherever rank
+compute runs. The engine owns everything outside it (casting,
+collectives, optimizer, telemetry); a backend owns two things — the
+storage of the outbound rows it hands the engine once
+(:meth:`ExecutionBackend.outbound_rows`), and running every rank of one
+accumulation round through the one rank body,
+:meth:`Storage.run_rank <repro.core.sharding.Storage.run_rank>`.
 
 What the seam reads of an engine is what
-:class:`~repro.core.engine_core.EngineCore` declares: this backend
-``model``, ``_zero_local_grads()`` and ``_collect_rank_grads()``; the
-process backend ``config``, ``model``, ``data_parallel_size`` (its
-worker count), ``grad_buffers`` (how a staging row is laid out),
-``storage`` (the parameter arrays it re-homes, and re-homes back at
-shutdown), ``strategy``, ``shard_size`` and ``grad_groups`` (what a
-worker hands :func:`~repro.core.sharding.declare_storage` to lay out
-its replica the same way), and per round ``scaler`` and ``telemetry``.
+:class:`~repro.core.engine_core.EngineCore` declares. Both backends:
+``model``, ``storage``, ``grad_buffers``, ``grad_accum_steps``,
+``data_parallel_size`` (the process backend's worker count) and, per
+round, ``_wire_scale()``; this one also ``_outbound``; the process
+backend also ``strategy``, ``shard_size`` and ``grad_groups`` (what a
+worker hands :func:`~repro.core.sharding.declare_storage` to lay out its
+replica the same way) and, per round, ``telemetry``.
 
-The contract both backends honor (the differential suite in
-``tests/test_backend`` asserts it bit-for-bit under fp32):
+The contract both backends honor (``tests/test_backend`` asserts it
+bit-for-bit under fp32):
 
+- ``outbound_rows()[j][r][i]`` is (round ``j``, rank ``r``)'s outbound
+  copy of ``grad_buffers[i]`` — same size and dtype, never aliasing it,
+  the same array for the engine's life;
 - ranks run in ascending order within a round, each against the rank's
   already-cast microbatch, with local gradients zeroed first;
-- ``per_rank[r]`` holds rank ``r``'s outbound contributions (already
-  loss-scaled/quantized for the wire), one flat array per entry of the
-  engine's ``grad_buffers`` and never aliasing them, ready for the
-  engine's unchanged deterministic reduction — which writes its result
-  into the gradient arrays the optimizer reads.
+- when ``run_round(j, ...)`` returns, row ``[j][r]`` holds rank ``r``'s
+  contribution (already loss-scaled/quantized for the wire), ready for
+  the engine's deterministic reduction — which writes its result into
+  the gradient arrays the optimizer reads.
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ class ExecutionBackend:
     """Where rank forward/backward compute runs (subclass hook).
 
     Engines construct a backend before the optimizer (a backend may
-    re-home parameter storage), then call :meth:`start` once the model
-    is fully wired, :meth:`run_round` once per accumulation round, and
-    :meth:`shutdown` from ``engine.close()``.
+    re-home parameter storage), take its :meth:`outbound_rows`, then
+    call :meth:`start` once the model is fully wired, :meth:`run_round`
+    once per accumulation round, and :meth:`shutdown` from
+    ``engine.close()``.
     """
 
     #: Name reported in telemetry/benchmarks.
@@ -55,13 +57,18 @@ class ExecutionBackend:
     def __init__(self, engine):
         self.engine = engine
 
+    def outbound_rows(self) -> list[list[list[np.ndarray]]]:
+        """The ``rows[j][r][i]`` every round writes and the reduce reads."""
+        raise NotImplementedError
+
     def start(self) -> None:
         """Bring up workers (no-op for inline)."""
 
     def run_round(
         self, round_index: int, micros: Sequence[Any], step_fn: Callable
-    ) -> tuple[list[float], list[list[np.ndarray]]]:
-        """Run one accumulation round; returns ``(losses, per_rank_grads)``."""
+    ) -> list[float]:
+        """Run one accumulation round into its outbound rows; returns
+        the ranks' losses."""
         raise NotImplementedError
 
     def shutdown(self) -> None:
@@ -73,12 +80,17 @@ class InlineBackend(ExecutionBackend):
 
     name = "inline"
 
+    def outbound_rows(self):
+        eng = self.engine
+        return [
+            [[np.empty_like(g) for g in eng.grad_buffers] for _ in range(eng.data_parallel_size)]
+            for _ in range(eng.grad_accum_steps)
+        ]
+
     def run_round(self, round_index, micros, step_fn):
         eng = self.engine
+        scale = eng._wire_scale()
         losses: list[float] = []
-        per_rank: list[list[np.ndarray]] = []
-        for micro in micros:
-            eng._zero_local_grads()
-            losses.append(float(step_fn(eng.model, micro)))
-            per_rank.append(eng._collect_rank_grads())
-        return losses, per_rank
+        for micro, row in zip(micros, eng._outbound[round_index], strict=True):
+            losses.append(eng.storage.run_rank(eng.model, micro, step_fn, row, scale))
+        return losses

@@ -7,17 +7,22 @@ the inline engines intact:
 
 - **Workers own rank compute.** Each worker holds a full model replica
   whose parameters are zero-copy views into one shared flat-parameter
-  block, runs ``step_fn`` for its rank's microbatch, and writes its
-  outbound (loss-scaled/quantized) gradient contribution into its
+  block and runs its rank's microbatch through the rank body the inline
+  backend runs (:meth:`Storage.run_rank
+  <repro.core.sharding.Storage.run_rank>`), which writes the outbound
+  (loss-scaled/quantized) gradient contribution into the rank's
   ``(round, rank)`` row of a shared gradient staging block. A row is
   the engine's ``grad_buffers`` laid end to end (DDP: bucket order;
-  FSDP: unit order); the worker lays its replica out by calling the
-  function the engine called —
+  FSDP: unit order), cut into per-buffer views by
+  :func:`_staging_rows` on both sides; the worker lays its replica out
+  by calling the function the engine called —
   :func:`~repro.core.sharding.declare_storage`, with the strategy,
   shard size and ``grad_groups`` its spec ships — so its gradient
   buffers are the parent's by construction.
-- **The parent owns everything else.** Reduction consumes the staged
-  rows *through the engine's unchanged deterministic schedule* (the
+- **The parent owns everything else.** The staged rows *are* the
+  engine's ``_outbound`` (:meth:`ProcessBackend.outbound_rows`), so
+  reduction consumes them with no copy
+  *through the engine's unchanged deterministic schedule* (the
   same sequential direct reduction over the same contribution order —
   see DESIGN §12 for the determinism argument), so
   an fp32 process-backend step is bit-identical to the inline backend.
@@ -26,16 +31,22 @@ the inline engines intact:
   writes land in the shared parameter block, so workers see the new
   weights with no broadcast copy.
 
-Synchronization is event-style over per-worker pipes: one round command
-fans out, one completion event per rank fans in; the shared blocks are
-written and read in strictly alternating phases, so no locks are needed.
-Microbatch payloads travel through a separate data segment (ndarray
-leaves land in shared memory; the structural skeleton rides the pipe).
+Synchronization is event-style over per-worker pipes. The round
+protocol: the parent sends every rank ``("round", seq, round_index,
+scale, telemetry_on, data_name, skeleton, step_blob)``; each worker
+answers ``("ok", seq, loss, events)`` or ``("err", seq, traceback)``.
+The shared blocks are written and read in strictly alternating phases,
+so no locks are needed. Microbatch payloads travel through a separate
+data segment (ndarray leaves land in shared memory; the structural
+skeleton rides the pipe).
 
-Telemetry fans in per round: workers record spans/counters on a local
-bus, serialize them into a per-worker shared event buffer, and the
-parent replays them onto the rank-0 bus (:meth:`TelemetryBus.merge`)
-tagged with the originating rank.
+Telemetry fans in on that reply: workers record spans/counters on a
+local bus, ``events`` carries the round's recorded
+:class:`~repro.telemetry.bus.TelemetryEvent` tuple (``()`` when the
+parent's bus is disabled; the worker's sink is empty after every round
+either way), and once every reply is in the parent replays them onto
+its bus in rank order (:meth:`TelemetryBus.merge`) tagged with the
+originating rank. Nothing is sized in advance, so nothing is dropped.
 
 Failure semantics: a ``step_fn`` exception inside a worker surfaces as
 :class:`WorkerStepError` (traceback attached) after the worker has
@@ -47,7 +58,6 @@ process and ``/dev/shm`` segment either way.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import pickle
@@ -59,12 +69,9 @@ import numpy as np
 
 from repro.backend.inline import ExecutionBackend
 from repro.backend.shm import ALIGN, ShmArena, plan_blocks
-from repro.telemetry.bus import RecordingSink, TelemetryBus, TelemetryEvent
+from repro.telemetry.bus import RecordingSink, TelemetryBus
 
 __all__ = ["ProcessBackend", "WorkerCrashError", "WorkerStepError"]
-
-#: Bytes reserved per worker for one round's serialized telemetry events.
-EVENT_BUFFER_BYTES = 128 * 1024
 
 #: Seconds the parent waits on a worker before declaring it dead.
 WORKER_TIMEOUT_S = 300.0
@@ -139,53 +146,20 @@ def _decode_micro(skeleton, arena: ShmArena | None):
     return skeleton[1]
 
 
-# -- telemetry fan-in --------------------------------------------------------
+# -- gradient staging ---------------------------------------------------------
 
 
-class EventBuffer:
-    """Single-writer/single-reader event block inside an arena.
-
-    Layout: ``[used: u64][dropped: u64][payload bytes...]``. The worker
-    appends serialized events while it owns the round; the parent drains
-    and resets between rounds. Phases strictly alternate (the round
-    protocol is the barrier), so no further synchronization is needed.
-    """
-
-    HEADER = 16
-
-    def __init__(self, arena: ShmArena, offset: int, capacity: int):
-        self._head = arena.view(offset, (2,), np.uint64)
-        self._data = arena.view(offset + self.HEADER, (capacity,), np.uint8)
-        self.capacity = capacity
-
-    def append(self, payload: bytes) -> bool:
-        """Append one serialized event; count it dropped when full."""
-        used = int(self._head[0])
-        if used + len(payload) > self.capacity:
-            self._head[1] += 1
-            return False
-        self._data[used : used + len(payload)] = np.frombuffer(payload, np.uint8)
-        self._head[0] = used + len(payload)
-        return True
-
-    def drain(self) -> tuple[list[TelemetryEvent], int]:
-        """Decode and reset the buffer; returns (events, dropped count)."""
-        used = int(self._head[0])
-        dropped = int(self._head[1])
-        raw = self._data[:used].tobytes()
-        self._head[:] = 0
-        events = [
-            TelemetryEvent.from_json(json.loads(line))
-            for line in raw.decode("utf-8").splitlines()
-            if line
-        ]
-        return events, dropped
-
-
-def _flush_events(sink: RecordingSink, buffer: EventBuffer) -> None:
-    for ev in sink.events:
-        buffer.append((json.dumps(ev.to_json()) + "\n").encode("utf-8"))
-    sink.events.clear()
+def _staging_rows(arena: ShmArena, offset: int, k: int, dp: int, sizes, dtype):
+    """``rows[j][r][i]``: gradient buffer ``i``'s run of the (round
+    ``j``, rank ``r``) row of the shared ``(k, dp, sum(sizes))`` staging
+    block. The parent (whose reduce reads them) and every worker (whose
+    ``run_rank`` writes its own) cut the block with this one function."""
+    bounds = np.cumsum([0, *sizes])
+    block = arena.view(offset, (k, dp, int(bounds[-1])), dtype)
+    return [
+        [[block[j, r, lo:hi] for lo, hi in zip(bounds, bounds[1:])] for r in range(dp)]
+        for j in range(k)
+    ]
 
 
 # -- the worker --------------------------------------------------------------
@@ -195,7 +169,6 @@ def _worker_main(spec: dict, conn) -> None:
     """Entry point of one rank process (spawn target; module-level for pickle)."""
     from repro.core.sharding import declare_storage
     from repro.models.workspace import Workspace
-    from repro.precision.bf16 import bf16_outbound
 
     rank = spec["rank"]
     arena = ShmArena.attach(spec["arena"])
@@ -210,19 +183,9 @@ def _worker_main(spec: dict, conn) -> None:
     storage.rehome(
         [arena.view(offset, (numel,), dtype) for offset, numel in spec["param_layout"]]
     )
-    grad_bufs = storage.grad_buffers
-
-    grads_offset, k, world, grad_numel = spec["grads"]
-    grads = arena.view(grads_offset, (k, world, grad_numel), dtype)
-    precision = spec["precision"]
-
-    def write_grads(round_index: int, scale: float) -> None:
-        row = grads[round_index, rank]
-        offset = 0
-        for flat in grad_bufs:
-            dst = row[offset : offset + flat.size]
-            np.copyto(dst, bf16_outbound(flat, scale) if precision == "bf16" else flat)
-            offset += flat.size
+    sizes = [buf.size for buf in storage.grad_buffers]
+    # This rank's row of every round.
+    rows = [round_[rank] for round_ in _staging_rows(arena, *spec["grads"], sizes, dtype)]
 
     bus = TelemetryBus(RecordingSink())
     sink = bus.sink
@@ -235,8 +198,6 @@ def _worker_main(spec: dict, conn) -> None:
         from repro.comm.collectives import SimComm
 
         tp.rewire(SimComm(), bus)
-    events_offset, events_capacity = spec["events"]
-    events = EventBuffer(arena, events_offset, events_capacity)
     data_arena: ShmArena | None = None
     conn.send(("ready", rank))
     while True:
@@ -257,25 +218,19 @@ def _worker_main(spec: dict, conn) -> None:
                 data_arena = ShmArena.attach(data_name)
             micro = _decode_micro(skeleton, data_arena)
             step_fn = pickle.loads(step_blob)
-            for flat in grad_bufs:
-                flat[...] = 0.0
-            if telemetry_on:
-                with bus.span("worker.fwd_bwd", rank=rank, round=round_index):
-                    loss = float(step_fn(model, micro))
-            else:
-                loss = float(step_fn(model, micro))
-            write_grads(round_index, scale)
-            if telemetry_on:
-                bus.gauge(
-                    "worker.cpu_s", time.process_time() - t0,
-                    rank=rank, round=round_index,
-                )
-                _flush_events(sink, events)
-            else:
-                # TP spans record unconditionally; don't let them pile up
-                # across steps when the parent isn't draining events.
-                sink.events.clear()
-            conn.send(("ok", seq, loss))
+            row = rows[round_index]
+            with bus.span("worker.fwd_bwd", rank=rank, round=round_index):
+                loss = storage.run_rank(model, micro, step_fn, row, scale)
+            bus.gauge(
+                "worker.cpu_s", time.process_time() - t0,
+                rank=rank, round=round_index,
+            )
+            # The worker's bus always records (its tp context holds it
+            # too); the parent says whether the round's events are wanted,
+            # and the sink is emptied every round either way.
+            events = tuple(sink.events) if telemetry_on else ()
+            sink.events.clear()
+            conn.send(("ok", seq, loss, events))
         except Exception:
             # Same cleanup contract as the inline engines: never leave a
             # model's worth of activations pinned behind a failed micro.
@@ -308,8 +263,6 @@ class ProcessBackend(ExecutionBackend):
 
     def __init__(self, engine):
         super().__init__(engine)
-        cfg = engine.config
-        self.k = cfg.grad_accum_steps
         # One worker per rank that runs distinct microbatches: a mesh
         # engine's tp/pp axes are folded into each dp rank's step.
         self.world_size = engine.data_parallel_size
@@ -324,22 +277,19 @@ class ProcessBackend(ExecutionBackend):
         self._dtype = arrays[0].dtype
         sizes = [a.size for a in arrays]
         # A staging row is the engine's gradient buffers laid end to end.
-        bounds = np.cumsum([0] + [buf.size for buf in engine.grad_buffers])
-        self.grad_numel = int(bounds[-1])
+        grad_sizes = [buf.size for buf in engine.grad_buffers]
 
         blocks = {f"p{i}": n * self._dtype.itemsize for i, n in enumerate(sizes)}
-        blocks["grads"] = (
-            self.k * self.world_size * self.grad_numel * self._dtype.itemsize
-        )
-        for r in range(self.world_size):
-            blocks[f"ev{r}"] = EventBuffer.HEADER + EVENT_BUFFER_BYTES
+        k = engine.grad_accum_steps
+        blocks["grads"] = k * self.world_size * sum(grad_sizes) * self._dtype.itemsize
         offsets, total = plan_blocks(blocks)
         self._arena = ShmArena.create(total)
         self._param_layout = [
             (offsets[f"p{i}"], n) for i, n in enumerate(sizes)
         ]
-        self._grads_offset = offsets["grads"]
-        self._event_offsets = [offsets[f"ev{r}"] for r in range(self.world_size)]
+        #: What a worker needs, besides its own buffer sizes, to cut the
+        #: staging block as the parent does.
+        self._grads = (offsets["grads"], k, self.world_size)
 
         # Re-home parameter storage into the arena (values preserved).
         views = [
@@ -350,25 +300,7 @@ class ProcessBackend(ExecutionBackend):
             np.copyto(view, array.reshape(-1))
         self._storage.rehome(views)
 
-        grads = self._arena.view(
-            self._grads_offset,
-            (self.k, self.world_size, self.grad_numel),
-            self._dtype,
-        )
-        # per_rank[r][i] flat views for every round, one per gradient
-        # buffer like the inline contributions — the engine's reduction
-        # consumes them with zero staging copies.
-        self._grad_views: list[list[list[np.ndarray]]] | None = [
-            [
-                [grads[j, r, lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-                for r in range(self.world_size)
-            ]
-            for j in range(self.k)
-        ]
-        self._event_buffers = [
-            EventBuffer(self._arena, off, EVENT_BUFFER_BYTES)
-            for off in self._event_offsets
-        ]
+        self._rows = _staging_rows(self._arena, *self._grads, grad_sizes, self._dtype)
 
         self._procs: list = []
         self._conns: list = []
@@ -377,6 +309,12 @@ class ProcessBackend(ExecutionBackend):
         self._started = False
         self._broken: str | None = None
         self._shut = False
+
+    def outbound_rows(self):
+        """Views of the staging block: the workers write them, the
+        engine's reduce reads them in place. :meth:`shutdown` empties
+        this very list, so the engine's views go with the arena."""
+        return self._rows
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -404,17 +342,11 @@ class ProcessBackend(ExecutionBackend):
         spec_common = {
             "strategy": self.engine.strategy,
             "shard_size": self.engine.shard_size,
-            "precision": self.engine.config.precision,
             "arena": self._arena.name,
             "dtype": self._dtype.str,
             "param_layout": self._param_layout,
             "grad_groups": self.engine.grad_groups,
-            "grads": (
-                self._grads_offset,
-                self.k,
-                self.world_size,
-                self.grad_numel,
-            ),
+            "grads": self._grads,
             "model": blob,
         }
         # Spawned children inherit os.environ as it is at start(): pin the
@@ -424,14 +356,9 @@ class ProcessBackend(ExecutionBackend):
         try:
             for r in range(self.world_size):
                 parent_conn, child_conn = ctx.Pipe()
-                spec = dict(
-                    spec_common,
-                    rank=r,
-                    events=(self._event_offsets[r], EVENT_BUFFER_BYTES),
-                )
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(spec, child_conn),
+                    args=(dict(spec_common, rank=r), child_conn),
                     name=f"repro-rank{r}",
                     daemon=True,
                 )
@@ -481,8 +408,7 @@ class ProcessBackend(ExecutionBackend):
         self._storage.rehome(
             [np.array(a).reshape(-1) for a in self._storage.arrays()]
         )
-        self._grad_views = None
-        self._event_buffers = []
+        self._rows.clear()
         if self._data is not None:
             self._data.destroy()
             self._data = None
@@ -536,7 +462,7 @@ class ProcessBackend(ExecutionBackend):
                 f"module-level function, not a closure/lambda): {err}"
             ) from err
         data_name, skeletons = self._stage_micros(micros)
-        scale = self.engine.scaler.scale
+        scale = self.engine._wire_scale()
         bus = self.engine.telemetry
         telemetry_on = bus.enabled
         self._seq += 1
@@ -553,24 +479,20 @@ class ProcessBackend(ExecutionBackend):
                     step_blob,
                 )
             )
+        # Every reply is in before any is read: the workers' events merge
+        # after the round, in rank order.
+        replies = [self._recv(r) for r in range(self.world_size)]
         losses: list[float] = []
-        failures: list[tuple[int, str]] = []
-        for r in range(self.world_size):
-            msg = self._recv(r)
-            if msg[0] == "ok":
-                _, seq, loss = msg
-                if seq != self._seq:  # pragma: no cover - protocol guard
-                    raise WorkerCrashError(r, f"out-of-order reply {seq}")
-                losses.append(loss)
-            else:
-                failures.append((r, msg[2]))
-        if telemetry_on:
-            for r, buffer in enumerate(self._event_buffers):
-                events, dropped = buffer.drain()
-                bus.merge(events, rank=r)
-                if dropped:
-                    bus.counter("telemetry.dropped_events", dropped, rank=r)
-        if failures:
-            rank, tb = failures[0]
-            raise WorkerStepError(rank, tb)
-        return losses, self._grad_views[round_index]
+        failed: WorkerStepError | None = None
+        for r, (tag, seq, *rest) in enumerate(replies):
+            if tag != "ok":
+                failed = failed or WorkerStepError(r, rest[0])
+                continue
+            if seq != self._seq:  # pragma: no cover - protocol guard
+                raise WorkerCrashError(r, f"out-of-order reply {seq}")
+            loss, events = rest
+            losses.append(loss)
+            bus.merge(events, rank=r)
+        if failed is not None:
+            raise failed
+        return losses

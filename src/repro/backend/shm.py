@@ -1,10 +1,12 @@
 """Shared-memory arenas: named segments, aligned views, leak-proof lifecycle.
 
-The process backend keeps *all* cross-process state — flat parameters,
-the ``(rounds, ranks, grad_numel)`` gradient staging block, per-worker
-telemetry event buffers, and the microbatch data block — in POSIX shared
-memory (``multiprocessing.shared_memory``), exposed to both sides as
-zero-copy NumPy views. This module owns the lifecycle discipline:
+The process backend keeps *all* cross-process arrays — flat parameters,
+the ``(rounds, ranks, grad_numel)`` gradient staging block and the
+microbatch data block — in POSIX shared memory
+(``multiprocessing.shared_memory``), exposed to both sides as zero-copy
+NumPy views; everything else (commands, losses, a round's telemetry
+events) rides the per-worker pipe. This module owns the lifecycle
+discipline:
 
 - **Creation registers.** Every segment created through
   :meth:`ShmArena.create` lands in a module-level registry

@@ -111,7 +111,7 @@ def pair_group(src: int, dst: int) -> Group:
     """The 2-rank group of a point-to-point transfer (``SimComm.send``).
 
     Lives here because ``Group`` construction is confined to this module
-    and :mod:`repro.mesh` (see ``tools/mesh_discipline_check.py``).
+    and :mod:`repro.mesh` (``tools/lint.py``'s ``group_discipline`` rule).
     """
     if src == dst:
         raise ValueError(f"a point-to-point pair needs distinct ranks, got {src}")
@@ -161,14 +161,10 @@ def make_hybrid_mesh(world: World, shard_size: int) -> HybridMesh:
 
     ``shard_size=1`` degenerates to pure data parallelism (the paper's
     ``HYBRID_1GPU``); ``shard_size == world.size`` degenerates to
-    ``FULL_SHARD`` over the whole world.
-
-    .. deprecated::
-        This is now a thin wrapper over the general N-D
-        :class:`repro.mesh.DeviceMesh` — a 2-D ``("replica", "shard")``
-        mesh whose inner (contiguous) axis is the shard axis. New code
-        should build a :class:`~repro.mesh.DeviceMesh` directly; this
-        wrapper stays for the HYBRID_SHARD engine and existing callers.
+    ``FULL_SHARD`` over the whole world. The groups are those of a 2-D
+    ``("replica", "shard")`` :class:`repro.mesh.DeviceMesh` whose inner
+    (contiguous) axis is the shard axis; this is how a two-stage
+    strategy row gets them.
     """
     if shard_size <= 0:
         raise ValueError(f"shard_size must be positive, got {shard_size}")

@@ -24,8 +24,8 @@ Both layers share the same durability contract:
     :class:`CheckpointCorruptError` instead of returning garbage.
 **Versioned**
     Metadata records ``CHECKPOINT_VERSION``. Archives from a newer
-    format than this reader understands are refused loudly; legacy
-    (pre-versioning) model checkpoints are still readable.
+    format than this reader understands, or carrying no version at all
+    (which would otherwise load with no checksum), are refused loudly.
 
 :meth:`CheckpointManager.latest_valid` walks snapshots newest-first and
 silently skips corrupt ones, so a run killed mid-save resumes from the
@@ -187,18 +187,22 @@ def _read_archive(path: str) -> tuple[dict[str, np.ndarray], dict]:
     except (zipfile.BadZipFile, OSError, EOFError, KeyError, ValueError) as e:
         raise CheckpointCorruptError(f"unreadable checkpoint {path}: {e}") from e
     version = meta.get(_VERSION_FIELD)
-    if version is not None:
-        if version > CHECKPOINT_VERSION:
-            raise CheckpointCorruptError(
-                f"checkpoint {path} has format version {version}, newer than "
-                f"supported version {CHECKPOINT_VERSION}"
-            )
-        digest = _state_checksum(arrays)
-        if digest != meta.get("checksum"):
-            raise CheckpointCorruptError(
-                f"checksum mismatch in {path}: stored {meta.get('checksum')!r}, "
-                f"recomputed {digest!r}"
-            )
+    if version is None:
+        raise CheckpointCorruptError(
+            f"checkpoint {path} has no {_VERSION_FIELD} field in its metadata; "
+            "every writer records one, so its checksum cannot be trusted"
+        )
+    if version > CHECKPOINT_VERSION:
+        raise CheckpointCorruptError(
+            f"checkpoint {path} has format version {version}, newer than "
+            f"supported version {CHECKPOINT_VERSION}"
+        )
+    digest = _state_checksum(arrays)
+    if digest != meta.get("checksum"):
+        raise CheckpointCorruptError(
+            f"checksum mismatch in {path}: stored {meta.get('checksum')!r}, "
+            f"recomputed {digest!r}"
+        )
     return arrays, meta
 
 
@@ -217,16 +221,11 @@ def save_checkpoint(model: Module, path: str, meta: dict | None = None) -> None:
 
 
 def load_checkpoint(model: Module, path: str) -> dict:
-    """Load a checkpoint into ``model``; returns the stored metadata.
-
-    Verifies the checksum of versioned archives; legacy archives (written
-    before versioning) are loaded as-is.
-    """
+    """Load a checkpoint into ``model`` (checksum verified); returns the
+    stored metadata."""
     arrays, meta = _read_archive(_norm_path(path))
     model.load_state_dict(arrays)
-    if _VERSION_FIELD in meta:
-        return meta["meta"]
-    return meta  # legacy: the whole meta blob was the user's dict
+    return meta["meta"]
 
 
 def checkpoint_exists(path: str) -> bool:

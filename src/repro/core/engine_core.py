@@ -32,8 +32,10 @@ gathers
     ``HYBRID_SHARD`` above shard size 1 — again before its backward.
 reduce
     :meth:`_reduce_gradients` combines ``grads[j][r][i]`` (round, dp
-    rank, gradient buffer; outbound copies, already wire-ready) *into
-    the arrays the optimizer reads* (``out=``) and returns those arrays.
+    rank, gradient buffer: the engine's resident ``_outbound`` rows,
+    which :meth:`~repro.core.sharding.Storage.run_rank` filled
+    wire-ready) *into the arrays the optimizer reads* (``out=``) and
+    returns those arrays.
     A single-stage row hands all ``k * dp`` contributions to one
     deferred ``all_reduce`` / ``reduce_scatter`` (``parts_per_rank``),
     which keeps an fp32 ``k``-round step bit-identical to the same
@@ -60,9 +62,9 @@ and gradient data are genuinely per-rank.
    (:func:`~repro.precision.bf16_round`) before the forward — the cast
    point real mixed-precision autocast applies at the model boundary.
 2. **Outbound gradients** (what a rank contributes to the collective)
-   are loss-scaled and rounded to bf16
-   (:func:`~repro.precision.bf16.bf16_outbound`, shared with the process
-   workers): reduction payloads carry only bf16 information, and the
+   are loss-scaled and rounded to bf16 as ``run_rank`` copies them out
+   (:func:`~repro.precision.bf16.bf16_outbound`, inline and in a process
+   worker alike): reduction payloads carry only bf16 information, and the
    collective layer books half the wire bytes (``wire_dtype="bf16"``).
 3. **Reduced gradients** are unscaled in full precision; under a
    dynamic scaler a non-finite gradient skips the optimizer step (the
@@ -74,6 +76,13 @@ and gradient data are genuinely per-rank.
 
 Accumulation blocks ``micros`` into ``grad_accum_steps`` rounds of
 ``data_parallel_size`` microbatches.
+
+**What stays resident.** ``_outbound[j][r][i]`` — one unsharded
+gradient set per (round, dp rank), ``k * dp`` in all — is handed over
+once by the execution backend (private arrays inline, views of the
+shared staging block under ``process``) and lives as long as the engine.
+Every step rewrites every row in full before the reduce reads it, so
+nothing a failed step left behind is ever read.
 """
 
 from __future__ import annotations
@@ -97,7 +106,7 @@ from repro.core.sharding import (
 from repro.elastic.layout import validate_layout
 from repro.models.module import Module
 from repro.optim.adamw import AdamW
-from repro.precision.bf16 import bf16_outbound, bf16_round, wire_fraction
+from repro.precision.bf16 import bf16_round, wire_fraction
 from repro.precision.scaler import LossScaler
 from repro.telemetry import NULL_BUS, TelemetryBus
 
@@ -223,6 +232,7 @@ class EngineCore:
         # flat-shard views and optimizer state (bf16 masters included)
         # must be laid down against that storage.
         self._backend = make_backend(self)
+        self._outbound = self._backend.outbound_rows()
         # Where each gradient buffer's reduce lands is what the
         # optimizer reads.
         slots, self._reduce_dests = self.storage.make_slots()
@@ -263,10 +273,12 @@ class EngineCore:
         self.optimizer.lr = value
 
     def close(self) -> None:
-        """Release backend resources (worker processes, shared
-        memory). Idempotent. Parameter storage is re-homed to
-        private arrays, so checkpointing and evaluation keep working;
-        further ``train_step`` calls need a fresh engine."""
+        """Release backend resources. Idempotent. An inline engine
+        holds none and stays trainable. A process engine joins its
+        workers and unlinks its shared memory: parameter storage is
+        re-homed to private arrays, so checkpointing and evaluation keep
+        working, but the outbound rows went with the arena and further
+        ``train_step`` calls need a fresh engine."""
         self._backend.shutdown()
 
     # -- checkpointing -----------------------------------------------------
@@ -391,20 +403,10 @@ class EngineCore:
             return float(nbytes)
         return nbytes * wire_fraction(self._wire_dtype)
 
-    # -- one rank's gradients (execution-backend hooks) ----------------------
-
-    def _zero_local_grads(self) -> None:
-        """Zero one rank's local gradients before its microbatch."""
-        for buf in self.grad_buffers:
-            buf[...] = 0.0
-
-    def _collect_rank_grads(self) -> list[np.ndarray]:
-        """One rank's contribution to the collective: a copy of each
-        gradient buffer (so the reduce may write where the buffer
-        lives), loss-scaled and rounded to bf16 under ``bf16``."""
-        if self.precision != "bf16":
-            return [buf.copy() for buf in self.grad_buffers]
-        return [bf16_outbound(buf, self.scaler.scale) for buf in self.grad_buffers]
+    def _wire_scale(self) -> float | None:
+        """What a backend hands ``Storage.run_rank`` as ``scale``: the
+        loss scale on the bf16 wire, ``None`` on the fp32 one."""
+        return self.scaler.scale if self.precision == "bf16" else None
 
     # -- the step ----------------------------------------------------------
 
@@ -457,22 +459,20 @@ class EngineCore:
     ) -> tuple[list[float], list[list[list[np.ndarray]]]]:
         """Run every round on the execution backend.
 
-        Returns ``(losses, grads)``: losses in micro order and
+        Returns ``(losses, grads)``: losses in micro order and the
+        resident ``_outbound`` rows every rank just rewrote —
         ``grads[j][r][i]``, round j, rank r's outbound copy of gradient
         buffer i, already loss-scaled/quantized for the wire.
         """
         dp = self.data_parallel_size
         losses: list[float] = []
-        grads: list[list[list[np.ndarray]]] = []
         for j in range(self.grad_accum_steps):
             self._materialize_params()
             with self.telemetry.span("compute.fwd_bwd"):
                 cast = [self._cast_micro(micros[j * dp + r]) for r in range(dp)]
-                round_losses, per_rank = self._backend.run_round(j, cast, step_fn)
-                losses.extend(round_losses)
-                grads.append(per_rank)
+                losses.extend(self._backend.run_round(j, cast, step_fn))
             self._materialize_params(backward=True)
-        return losses, grads
+        return losses, self._outbound
 
     def _materialize_params(self, backward: bool = False) -> None:
         """All-gather every unit inside each shard group when the row
@@ -492,9 +492,10 @@ class EngineCore:
         """Reduce all rounds' per-rank contributions into the arrays the
         optimizer reads, by the row's reduce sequence, and return those
         arrays (buffer-major: the order of the optimizer's flat shards).
-        The inputs are outbound copies, so a retried collective sees
-        them unchanged; see the module docstring for why each row's
-        grouping keeps accumulation bit-exact."""
+        The inputs are the outbound rows, never the buffers backward
+        writes, so a retried collective sees them unchanged; see the
+        module docstring for why each row's grouping keeps accumulation
+        bit-exact."""
         k = len(grads)
         op = self.row.reduce[0]
         # Two-stage only: with one round and one replica group, stage 1

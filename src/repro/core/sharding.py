@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.models.blocks import TransformerBlock
 from repro.models.module import Module, Parameter
+from repro.precision.bf16 import bf16_outbound
 
 __all__ = [
     "ShardingStrategy",
@@ -407,6 +408,26 @@ class Storage:
     grad_groups: list[list[int]] | None
     grad_buffers: list[np.ndarray]
     shards: list[list[FlatShard]] = field(default_factory=list)
+
+    def zero_grads(self) -> None:
+        """Zero the rank's gradient buffers (every ``p.grad`` with them)."""
+        for buf in self.grad_buffers:
+            buf[...] = 0.0
+
+    def run_rank(self, model: Module, micro, step_fn, row, scale: float | None) -> float:
+        """One rank's share of an accumulation round, wherever it runs
+        (the inline backend's loop, a process worker): zero the gradient
+        buffers, run ``step_fn(model, micro)`` — forward and backward —
+        and copy each buffer into ``row[i]``, the rank's outbound
+        contribution (never the buffer itself: the reduce writes where
+        the buffer lives). ``scale`` is ``None`` on the fp32 wire, else
+        the loss scale of the bf16 one
+        (:func:`~repro.precision.bf16.bf16_outbound`). Returns the loss."""
+        self.zero_grads()
+        loss = float(step_fn(model, micro))
+        for out, buf in zip(row, self.grad_buffers, strict=True):
+            np.copyto(out, buf if scale is None else bf16_outbound(buf, scale))
+        return loss
 
     def arrays(self) -> list[np.ndarray]:
         """The parameter arrays an execution backend re-homes: each

@@ -1,10 +1,13 @@
-"""MAE pretraining loop (paper Section V-B recipe, proxy scale).
+"""The pretraining loop, and the MAE objective that runs on it.
 
-The trainer owns the data order and the MAE masking noise, both derived
-deterministically from the seed and the global step — *not* from the rank
-— so the same run under any world size / sharding strategy sees identical
-samples and masks. This is what makes the engine-equivalence guarantees
-testable end-to-end.
+:class:`Pretrainer` owns the data order and the per-step noise, both
+derived deterministically from the seed and the global step — *not* from
+the rank — so the same run under any world size / sharding strategy sees
+identical samples and masks. This is what makes the engine-equivalence
+guarantees testable end-to-end. :class:`MAEPretrainer` (paper Section
+V-B recipe, proxy scale) and
+:class:`~repro.core.simclr_trainer.SimCLRPretrainer` are objectives on
+that one loop.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ from typing import Callable
 import numpy as np
 
 from repro.core.checkpoints import CheckpointManager
-from repro.core.engine_core import EngineCore
+from repro.core.engine_core import EngineCore, StepFn
 from repro.elastic.errors import ElasticCompatibilityError, PreemptedError
 from repro.elastic.preemption import PreemptionToken
 from repro.models.mae import MaskedAutoencoder
+from repro.models.module import Module
 from repro.models.workspace import Workspace
 from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry import StepStats, TelemetryBus
 
-__all__ = ["MAEPretrainer", "TrainResult", "CheckpointingTrainer"]
+__all__ = ["Pretrainer", "MAEPretrainer", "TrainResult", "CheckpointingTrainer"]
 
 
 @dataclass
@@ -66,45 +70,17 @@ class CheckpointingTrainer:
     so restoring the snapshot and replaying from its step is bit-identical
     to never having stopped (the ``chaos`` test campaign asserts this).
 
-    Host classes must provide ``engine``, ``seed``, ``global_batch``,
-    ``steps_per_epoch`` and a ``run(n_steps, start_step)`` that calls
+    The host (:class:`Pretrainer`) provides ``engine``, ``seed``,
+    ``global_batch``, ``steps_per_epoch``, ``telemetry``, the attributes
+    below, and a ``run(n_steps, start_step)`` that calls
     :meth:`_record_step` once per optimizer step.
     """
 
     checkpoints: CheckpointManager | None
     save_every: int
     preemption: PreemptionToken | None
-
-    def _init_checkpointing(
-        self,
-        checkpoint_dir: str | None,
-        save_every: int,
-        keep: int,
-        preemption: PreemptionToken | None = None,
-    ) -> None:
-        if save_every < 0:
-            raise ValueError(f"save_every must be non-negative, got {save_every}")
-        if save_every and checkpoint_dir is None:
-            raise ValueError("save_every requires a checkpoint_dir")
-        self.checkpoints = (
-            CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
-        )
-        self.save_every = save_every
-        self.preemption = preemption
-        self._hist_losses: list[float] = []
-        self._hist_lrs: list[float] = []
-
-    def _init_telemetry(self, telemetry: TelemetryBus | None) -> None:
-        """Resolve the trainer's bus: an explicit one wins (and is shared
-        down into the engine unless the engine already has a live bus);
-        otherwise the trainer inherits the engine's."""
-        engine_bus = self.engine.telemetry
-        if telemetry is not None:
-            self.telemetry = telemetry
-            if not engine_bus.enabled:
-                self.engine.telemetry = telemetry
-        else:
-            self.telemetry = engine_bus
+    _hist_losses: list[float]
+    _hist_lrs: list[float]
 
     def state_dict(self) -> dict:
         """Everything the trajectory depends on: engine + loss/LR history."""
@@ -256,21 +232,21 @@ class CheckpointingTrainer:
             )
 
 
-def _mae_step_fn(model: MaskedAutoencoder, micro) -> float:
-    imgs, noise = micro
-    out = model.forward(imgs, noise=noise)
-    model.backward()
-    return out.loss
+class Pretrainer(CheckpointingTrainer):
+    """The pretraining loop: drives an engine over an image corpus.
 
-
-class MAEPretrainer(CheckpointingTrainer):
-    """Drives an engine through MAE pretraining on an image array.
+    Data order, augmentation / masking noise and the default schedule
+    are pure functions of (seed, absolute step), never of the rank, so
+    the same run under any world size or strategy row sees the same
+    samples. An objective is a subclass supplying ``model_type``,
+    ``step_fn`` (module-level: the process backend pickles it by
+    reference) and :meth:`_batch`.
 
     Parameters
     ----------
     engine:
         Any :class:`~repro.core.engine_core.EngineCore` engine (DDP,
-        FSDP or mesh) wrapping a :class:`MaskedAutoencoder`.
+        FSDP or mesh) wrapping a ``model_type`` model.
     images:
         Pretraining corpus, ``(N, C, H, W)``.
     global_batch:
@@ -280,13 +256,13 @@ class MAEPretrainer(CheckpointingTrainer):
         Step -> learning rate. Defaults to the paper's recipe scaled to
         the run length (cosine, 10% warmup).
     seed:
-        Controls shuffling and masking noise only (weights were seeded at
-        model construction).
+        Controls shuffling and per-step noise only (weights were seeded
+        at model construction).
     workspace:
         Attach a :class:`~repro.models.workspace.Workspace` to the model
         so steady-state steps reuse scratch buffers instead of
-        allocating (on by default; numerics are unchanged). Skipped when
-        the model already has one attached.
+        allocating (numerics are unchanged). ``None`` takes the
+        objective's default; skipped when the model already has one.
     checkpoint_dir:
         Directory for atomic training snapshots; enables
         :meth:`~CheckpointingTrainer.resume` and ``save_every``.
@@ -310,6 +286,13 @@ class MAEPretrainer(CheckpointingTrainer):
         engine's bus.
     """
 
+    model_type: type[Module]
+    step_fn: StepFn
+    #: Fewest samples a micro-batch may hold.
+    min_micro = 1
+    #: What ``workspace=None`` means for this objective.
+    workspace_default = True
+
     def __init__(
         self,
         engine: EngineCore,
@@ -317,13 +300,14 @@ class MAEPretrainer(CheckpointingTrainer):
         global_batch: int,
         schedule: Callable[[int], float] | None = None,
         seed: int = 0,
-        workspace: bool = True,
+        workspace: bool | None = None,
         checkpoint_dir: str | None = None,
         save_every: int = 0,
         keep: int = 3,
         preemption: PreemptionToken | None = None,
         telemetry: TelemetryBus | None = None,
     ):
+        name = type(self).__name__
         if images.ndim != 4:
             raise ValueError(f"images must be (N, C, H, W), got {images.shape}")
         n_micros = engine.data_parallel_size * engine.grad_accum_steps
@@ -332,53 +316,76 @@ class MAEPretrainer(CheckpointingTrainer):
                 f"global batch {global_batch} not divisible by data-parallel "
                 f"size x grad_accum_steps = {n_micros}"
             )
+        if global_batch // n_micros < self.min_micro:
+            raise ValueError(
+                f"{name} needs >= {self.min_micro} samples per micro-batch "
+                "(in-batch negatives)"
+            )
         if global_batch > len(images):
             raise ValueError(
                 f"global batch {global_batch} exceeds corpus size {len(images)}"
             )
-        if not isinstance(engine.model, MaskedAutoencoder):
-            raise TypeError("MAEPretrainer requires a MaskedAutoencoder model")
+        if not isinstance(engine.model, self.model_type):
+            raise TypeError(f"{name} requires a {self.model_type.__name__} model")
+        if save_every < 0:
+            raise ValueError(f"save_every must be non-negative, got {save_every}")
+        if save_every and checkpoint_dir is None:
+            raise ValueError("save_every requires a checkpoint_dir")
         self.engine = engine
         self.images = images
         self.global_batch = global_batch
         self.schedule = schedule
         self.seed = seed
         self.steps_per_epoch = len(images) // global_batch
-        self._init_checkpointing(checkpoint_dir, save_every, keep, preemption)
-        self._init_telemetry(telemetry)
+        self.checkpoints = (
+            CheckpointManager(checkpoint_dir, keep=keep) if checkpoint_dir else None
+        )
+        self.save_every = save_every
+        self.preemption = preemption
+        self._hist_losses, self._hist_lrs = [], []
+        # An explicit bus wins, and is shared down into the engine unless
+        # the engine already has a live one; otherwise inherit the engine's.
+        if telemetry is not None and not engine.telemetry.enabled:
+            engine.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None else engine.telemetry
+        if workspace is None:
+            workspace = self.workspace_default
         if workspace and engine.model.workspace is None:
             engine.model.use_workspace(Workspace())
 
-    def _epoch_order(self, epoch: int) -> np.ndarray:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, 7919, epoch]))
+    def _rng(self, salt: int, index: int) -> np.random.Generator:
+        """The generator of ``(seed, salt, index)``: one per purpose
+        (``salt``) and per epoch or absolute step (``index``)."""
+        return np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence([self.seed, salt, index]))
         )
-        return rng.permutation(len(self.images))
 
-    def _step_noise(self, step: int, batch: int, n_patches: int) -> np.ndarray:
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([self.seed, 104729, step]))
-        )
-        return rng.random((batch, n_patches))
+    def _epoch_order(self, epoch: int) -> np.ndarray:
+        return self._rng(7919, epoch).permutation(len(self.images))
+
+    def _batch(self, imgs: np.ndarray, step: int) -> tuple[np.ndarray, ...]:
+        """What ``step_fn`` consumes for the global batch ``imgs``:
+        arrays whose equal row-slices are the micro-batches."""
+        raise NotImplementedError
 
     def run(self, n_steps: int, start_step: int = 0) -> TrainResult:
         """Train for steps ``[start_step, start_step + n_steps)``.
 
-        ``start_step`` resumes an interrupted run: the data order,
-        masking noise, and schedule are pure functions of the absolute
-        step, so restoring an engine snapshot and passing the saved step
-        count continues the original trajectory exactly (tested).
+        ``start_step`` resumes an interrupted run: the data order, the
+        per-step noise and the schedule are pure functions of the
+        absolute step, so restoring an engine snapshot and passing the
+        saved step count continues the original trajectory exactly
+        (tested).
         """
         if n_steps <= 0:
             raise ValueError(f"n_steps must be positive, got {n_steps}")
         if start_step < 0:
             raise ValueError(f"start_step must be non-negative, got {start_step}")
-        model: MaskedAutoencoder = self.engine.model
-        n_patches = model.cfg.encoder.n_patches
+        engine = self.engine
         schedule = self.schedule
         if schedule is None:
             schedule = CosineWithWarmup(
-                base_lr=self.engine.lr,
+                base_lr=engine.lr,
                 total_steps=start_step + n_steps,
                 warmup_steps=max(1, (start_step + n_steps) // 10),
             )
@@ -387,24 +394,22 @@ class MAEPretrainer(CheckpointingTrainer):
         # rank-major, which is what keeps fp32 accumulation bit-identical
         # across layouts. Mesh engines consume micros only along dp (tp
         # ranks share each micro; pp ranks split the model, not the data).
-        n_micros = self.engine.data_parallel_size * self.engine.grad_accum_steps
+        n_micros = engine.data_parallel_size * engine.grad_accum_steps
         micro = self.global_batch // n_micros
         result = TrainResult(steps_per_epoch=self.steps_per_epoch)
-        order = self._epoch_order(start_step // self.steps_per_epoch)
         for step in range(start_step, start_step + n_steps):
             epoch, pos = divmod(step, self.steps_per_epoch)
-            if pos == 0 and step > 0:
+            if pos == 0 or step == start_step:
                 order = self._epoch_order(epoch)
             idx = order[pos * self.global_batch : (pos + 1) * self.global_batch]
-            imgs = self.images[idx]
-            noise = self._step_noise(step, self.global_batch, n_patches)
+            batch = self._batch(self.images[idx], step)
             micros = [
-                (imgs[m * micro : (m + 1) * micro], noise[m * micro : (m + 1) * micro])
+                tuple(a[m * micro : (m + 1) * micro] for a in batch)
                 for m in range(n_micros)
             ]
-            self.engine.lr = schedule(step)
+            engine.lr = schedule(step)
             t0 = perf_counter()
-            loss = self.engine.train_step(micros, _mae_step_fn)
+            loss = engine.train_step(micros, self.step_fn)
             if self.telemetry.enabled:
                 wall = perf_counter() - t0
                 StepStats(
@@ -412,9 +417,28 @@ class MAEPretrainer(CheckpointingTrainer):
                     wall_s=wall,
                     images_per_s=self.global_batch / wall if wall > 0 else 0.0,
                     loss=loss,
-                    lr=self.engine.lr,
+                    lr=engine.lr,
                 ).emit(self.telemetry)
             result.losses.append(loss)
-            result.lrs.append(self.engine.lr)
-            self._record_step(step, loss, self.engine.lr)
+            result.lrs.append(engine.lr)
+            self._record_step(step, loss, engine.lr)
         return result
+
+
+def _mae_step_fn(model: MaskedAutoencoder, micro) -> float:
+    imgs, noise = micro
+    out = model.forward(imgs, noise=noise)
+    model.backward()
+    return out.loss
+
+
+class MAEPretrainer(Pretrainer):
+    """MAE pretraining (paper Section V-B recipe, proxy scale): a micro
+    is ``(images, masking noise)``, the noise drawn per absolute step."""
+
+    model_type = MaskedAutoencoder
+    step_fn = staticmethod(_mae_step_fn)
+
+    def _batch(self, imgs: np.ndarray, step: int) -> tuple[np.ndarray, ...]:
+        n_patches = self.engine.model.cfg.encoder.n_patches
+        return imgs, self._rng(104729, step).random((len(imgs), n_patches))

@@ -28,7 +28,7 @@ silently diverging.
 
 The module-level ``ENGINE_STATE_KEYS`` / ``TRAINER_STATE_KEYS``
 frozensets declare exactly which state-dict fields the mapping
-understands; ``tools/elastic_state_check.py`` lints the engine and
+understands; ``tools/lint.py``'s ``elastic_state`` rule lints the engine and
 trainer ``state_dict`` implementations against them so a new field can
 never bypass resharding unnoticed.
 """
@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 #: Every key an engine ``state_dict`` may contain. A key outside this set
-#: has no reshard mapping and fails loudly (and the elastic_state_check
+#: has no reshard mapping and fails loudly (and the ``elastic_state``
 #: lint catches it at development time).
 ENGINE_STATE_KEYS = frozenset({"model", "optimizer", "scaler", "step_count"})
 

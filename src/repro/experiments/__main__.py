@@ -10,17 +10,39 @@ Regenerate any paper artifact directly::
 
 from __future__ import annotations
 
+import importlib
 import sys
 import time
 
-_FAST = [
-    "table1", "table2", "fig1", "fig2", "fig3", "fig4", "ablations",
-    "mesh", "mesh-crossover", "traffic",
-]
-_SLOW = [
-    "fig5", "table3", "fig6",
-    "fewshot", "adaptation", "ssl", "segmentation",
-]
+#: The one experiment table, in listing order: ``name -> (module under
+#: repro.experiments, render chains, in the fast set?)``. A chain is
+#: applied left to right — ``("render_x",)`` is ``render_x()``,
+#: ``("run_x", "render_x")`` is ``render_x(run_x())`` — and a row's
+#: chains print blank-line separated.
+EXPERIMENTS: dict[str, tuple[str, tuple[tuple[str, ...], ...], bool]] = {
+    "table1": ("table1", (("render_table1",),), True),
+    "table2": ("table2", (("render_table2",),), True),
+    "fig1": ("fig1", (("render_fig1",),), True),
+    "fig2": ("fig2", (("render_fig2",),), True),
+    "fig3": ("fig3", (("render_fig3",),), True),
+    "fig4": ("fig4", (("render_fig4",),), True),
+    "ablations": (
+        "ablations",
+        (("render_bucket_sweep",), ("render_shard_group_sweep",), ("render_contention_sweep",)),
+        True,
+    ),
+    "mesh": ("mesh_axes", (("render_mesh_axes",),), True),
+    "mesh-crossover": ("mesh_crossover", (("render_mesh_crossover",),), True),
+    "traffic": ("traffic_exp", (("render_traffic",),), True),
+    "fig5": ("fig5", (("render_fig5",),), False),
+    "table3": ("table3", (("render_table3",),), False),
+    "fig6": ("fig6", (("render_fig6",),), False),
+    "fewshot": ("fewshot", (("run_fewshot", "render_fewshot"),), False),
+    "adaptation": ("adaptation", (("run_adaptation", "render_adaptation"),), False),
+    "ssl": ("ssl_compare", (("run_ssl_compare", "render_ssl_compare"),), False),
+    "segmentation": ("segmentation_exp", (("run_segmentation", "render_segmentation"),), False),
+}
+_FAST = [name for name, row in EXPERIMENTS.items() if row[2]]
 
 
 def _echo(text: str) -> None:
@@ -29,97 +51,21 @@ def _echo(text: str) -> None:
 
 
 def _render(name: str) -> str:
-    # Imports deferred so `--help` stays instant.
-    if name == "table1":
-        from repro.experiments.table1 import render_table1
-
-        return render_table1()
-    if name == "table2":
-        from repro.experiments.table2 import render_table2
-
-        return render_table2()
-    if name == "fig1":
-        from repro.experiments.fig1 import render_fig1
-
-        return render_fig1()
-    if name == "fig2":
-        from repro.experiments.fig2 import render_fig2
-
-        return render_fig2()
-    if name == "fig3":
-        from repro.experiments.fig3 import render_fig3
-
-        return render_fig3()
-    if name == "fig4":
-        from repro.experiments.fig4 import render_fig4
-
-        return render_fig4()
-    if name == "fig5":
-        from repro.experiments.fig5 import render_fig5
-
-        return render_fig5()
-    if name == "table3":
-        from repro.experiments.table3 import render_table3
-
-        return render_table3()
-    if name == "fig6":
-        from repro.experiments.fig6 import render_fig6
-
-        return render_fig6()
-    if name == "ablations":
-        from repro.experiments.ablations import (
-            render_bucket_sweep,
-            render_contention_sweep,
-            render_shard_group_sweep,
-        )
-
-        return "\n\n".join(
-            [
-                render_bucket_sweep(),
-                render_shard_group_sweep(),
-                render_contention_sweep(),
-            ]
-        )
-    if name == "mesh":
-        from repro.experiments.mesh_axes import render_mesh_axes
-
-        return render_mesh_axes()
-    if name == "mesh-crossover":
-        from repro.experiments.mesh_crossover import render_mesh_crossover
-
-        return render_mesh_crossover()
-    if name == "traffic":
-        from repro.experiments.traffic_exp import render_traffic
-
-        return render_traffic()
-    if name == "fewshot":
-        from repro.experiments.fewshot import render_fewshot, run_fewshot
-
-        return render_fewshot(run_fewshot())
-    if name == "adaptation":
-        from repro.experiments.adaptation import render_adaptation, run_adaptation
-
-        return render_adaptation(run_adaptation())
-    if name == "ssl":
-        from repro.experiments.ssl_compare import (
-            render_ssl_compare,
-            run_ssl_compare,
-        )
-
-        return render_ssl_compare(run_ssl_compare())
-    if name == "segmentation":
-        from repro.experiments.segmentation_exp import (
-            render_segmentation,
-            run_segmentation,
-        )
-
-        return render_segmentation(run_segmentation())
-    raise KeyError(name)
+    module, chains, _ = EXPERIMENTS[name]
+    # Imported here so `--help` stays instant.
+    mod = importlib.import_module(f"repro.experiments.{module}")
+    parts = []
+    for first, *rest in chains:
+        value = getattr(mod, first)()
+        for fn in rest:
+            value = getattr(mod, fn)(value)
+        parts.append(value)
+    return "\n\n".join(parts)
 
 
 def main(argv: list[str]) -> int:
     """Run the named experiments; returns a process exit code."""
-    known = _FAST + _SLOW
+    known = list(EXPERIMENTS)
     if not argv or argv[0] in ("-h", "--help"):
         _echo(__doc__)
         _echo(f"experiments: {', '.join(known)}, all (= fast set)")

@@ -8,8 +8,8 @@ The mesh package generalizes the hard-coded 2-D replica x shard mesh of
   axes (dependency leaf; importable from the config layer).
 - :mod:`repro.mesh.device_mesh` — :class:`DeviceMesh`, named-axis rank
   grids with per-axis process-group extraction (the only place besides
-  ``comm/world.py`` allowed to construct ``Group`` objects; see
-  ``tools/mesh_discipline_check.py``).
+  ``comm/world.py`` allowed to construct ``Group`` objects; see the
+  ``group_discipline`` rule of ``tools/lint.py``).
 - :mod:`repro.mesh.tp` — :class:`TPContext`, megatron-style tensor
   parallelism as load-bearing column-shard all-gathers.
 - :mod:`repro.mesh.pipeline` — GPipe / 1F1B schedules over

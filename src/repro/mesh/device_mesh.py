@@ -10,9 +10,9 @@ per coordinate of the *other* axes, each connecting the ranks that vary
 only along ``"dp"``.
 
 This module (together with ``comm/world.py`` itself) is the only place
-allowed to construct :class:`Group` objects — enforced by
-``tools/mesh_discipline_check.py`` — so every collective in the tree
-runs over a group that provably came from a mesh.
+allowed to construct :class:`Group` objects — enforced by the
+``group_discipline`` rule of ``tools/lint.py`` — so every collective in
+the tree runs over a group that provably came from a mesh.
 """
 
 from __future__ import annotations

@@ -71,13 +71,15 @@ composes: the stash then holds only each block's input. Each
 stage-backward writes its gradients straight into that micro's outbound
 contribution and re-zeroes just those slices.
 
-**What stays resident.** The outbound contributions live as long as the
-engine: ``k * dp`` sets (one unsharded gradient per round and dp rank),
-allocated by the first inline pipeline step and rewritten in full by
-every later one, so nothing a failed step left behind is ever read. The
-dp collectives write in place: parameter gathers into ``unit.flat``
-(whose shards are views of it — nothing moves), reduce-scatter chunks
-into each shard's ``grad``, the ddp all-reduce into the gradient buffer.
+**What stays resident.** The outbound contributions are the core's
+``_outbound`` rows, as for every engine (:mod:`repro.core.engine_core`):
+``k * dp`` sets (one unsharded gradient per round and dp rank), handed
+over by the backend at construction and rewritten in full by every step
+— here by the stage-backwards — so nothing a failed step left behind is
+ever read. The dp collectives write in place: parameter gathers into
+``unit.flat`` (whose shards are views of it — nothing moves),
+reduce-scatter chunks into each shard's ``grad``, the ddp all-reduce
+into the gradient buffer.
 """
 
 from __future__ import annotations
@@ -233,8 +235,6 @@ class MeshEngine(EngineCore):
                 {} for _ in range(self.pp)
             ]
             self._stage_grad_runs = self._stage_grad_run_lists()
-            # _outbound[j][r]: dp rank r's round-j contribution.
-            self._outbound: list[list[list[np.ndarray]]] | None = None
         super()._launch()
 
     def topology(self) -> dict:
@@ -328,10 +328,10 @@ class MeshEngine(EngineCore):
     ) -> tuple[list[float], list[list[list[np.ndarray]]]]:
         """Drive the pipeline schedule for each dp rank's microbatches.
 
-        Returns ``(losses, micro_grads)`` with losses indexed
-        ``j * dp + r`` and ``micro_grads[j][r]`` the rank's outbound
-        contribution for round ``j`` — the same shapes the round loop
-        produces, so the reduction path downstream is shared.
+        Returns ``(losses, grads)`` with losses indexed ``j * dp + r``
+        and ``grads`` the core's ``_outbound`` rows, ``[j][r]`` rewritten
+        with the rank's contribution for round ``j`` — what the round
+        loop returns, so the reduction path downstream is shared.
         """
         bus = self.telemetry
         actions = schedule_actions(self.schedule, k, self.pp)
@@ -342,15 +342,9 @@ class MeshEngine(EngineCore):
             self._materialize_params()
             self._materialize_params(backward=True)
         losses = [0.0] * (k * self.dp)
-        if self._outbound is None:
-            self._outbound = [
-                [[np.empty_like(g) for g in self.grad_buffers] for _ in range(self.dp)]
-                for _ in range(k)
-            ]
-        micro_grads = self._outbound
         # Every stage-backward moves its gradients out and re-zeroes
         # them, so one zeroing per step covers all ranks and micros.
-        self._zero_local_grads()
+        self.storage.zero_grads()
         ws = self.model.workspace
         try:
             for r in range(self.dp):
@@ -358,8 +352,7 @@ class MeshEngine(EngineCore):
                     self._cast_micro(micros[j * self.dp + r]) for j in range(k)
                 ]
                 with bus.span("compute.fwd_bwd"):
-                    out_row = [row[r] for row in micro_grads]
-                    self._run_pipeline_rank(r, rank_micros, actions, losses, out_row)
+                    self._run_pipeline_rank(r, rank_micros, actions, losses)
         finally:
             # A step that failed mid-schedule must not leak parked
             # activations or leave the pool on an in-flight lane.
@@ -367,7 +360,7 @@ class MeshEngine(EngineCore):
                 parked.clear()
             if ws is not None:
                 ws.use_lane(0)
-        return losses, micro_grads
+        return losses, self._outbound
 
     def _run_pipeline_rank(
         self,
@@ -375,7 +368,6 @@ class MeshEngine(EngineCore):
         rank_micros: list,
         actions: list,
         losses: list[float],
-        out_row: list,
     ) -> None:
         """Execute the schedule for dp rank ``r``'s ``k`` microbatches.
 
@@ -438,7 +430,7 @@ class MeshEngine(EngineCore):
                 grad_inbox[s - 1][j] = self._send(d, ranks[s], ranks[s - 1])
             # Move this stage's gradients into micro j's contribution
             # and re-zero them, so in-flight micros never mix.
-            out = out_row[j]
+            out = self._outbound[j][r]
             for i, index in self._stage_grad_runs[s]:
                 src = storage[i][index]
                 out[i][index] = src

@@ -340,8 +340,8 @@ class TelemetryBus:
         """Replay events recorded on another bus (e.g. a worker rank's).
 
         The process execution backend fans in per-worker telemetry each
-        round: workers record on a local bus, serialize into a shared
-        event buffer, and the parent replays them here. Kind, name,
+        round: workers record on a local bus, ship the round's events
+        with their reply, and the parent replays them here. Kind, name,
         value (a span's *duration* survives intact), depth and original
         attributes are preserved; ``attrs`` (typically ``rank=r``) are
         merged on top. ``t_s`` is re-stamped on this bus's clock and

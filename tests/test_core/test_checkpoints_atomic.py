@@ -129,19 +129,22 @@ class TestModelCheckpointFormat:
         with pytest.raises(CheckpointCorruptError, match="checksum mismatch"):
             load_checkpoint(_model(0), path)
 
-    def test_legacy_unversioned_archive_still_loads(self, tmp_path):
-        # Pre-versioning format: raw state dict + user meta blob.
+    def test_versionless_archive_refused(self, tmp_path):
+        # An archive whose metadata lost its version field used to load
+        # with its checksum unread: strip the field from a saved archive.
         import json
 
-        path = str(tmp_path / "legacy.npz")
-        model = _model(3)
-        payload = dict(model.state_dict())
-        payload["__meta__"] = np.frombuffer(
-            json.dumps({"era": "v1"}).encode("utf-8"), dtype=np.uint8
-        )
+        path = str(tmp_path / "m.npz")
+        save_checkpoint(_model(3), path, meta={"k": 1})
+        assert load_checkpoint(_model(4), path) == {"k": 1}  # v2 round-trips
+        with np.load(path) as ar:
+            payload = {k: ar[k] for k in ar.files}
+        meta = json.loads(bytes(payload["__meta__"]).decode("utf-8"))
+        del meta["__ckpt_version__"]
+        payload["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
         np.savez_compressed(path, **payload)
-        fresh = _model(9)
-        assert load_checkpoint(fresh, path) == {"era": "v1"}
+        with pytest.raises(CheckpointCorruptError, match="__ckpt_version__"):
+            load_checkpoint(_model(0), path)
 
     def test_future_version_refused(self, tmp_path):
         import json

@@ -9,7 +9,9 @@ here. The topology records are pinned to the literals the three
 stand-alone engines returned before they shared a core. One
 gradient-storage contract holds for every row: backward writes into
 flat buffers, the reduce lands where the optimizer reads, and a skipped
-dynamic-scale step leaves the trajectory untouched.
+dynamic-scale step leaves the trajectory untouched. The path *through*
+the engine is written once too: one pretraining loop above it, one rank
+body at the backend seam, one resident set of outbound rows below it.
 """
 
 from __future__ import annotations
@@ -27,12 +29,14 @@ import pytest
 import repro
 import repro.comm.collectives
 import repro.core.engine_core
-from repro.backend import ProcessBackend
+from repro.backend import InlineBackend, ProcessBackend
 from repro.backend.process import _worker_main
 from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
 from repro.core.engine_core import EngineCore
 from repro.core.sharding import declare_storage
+from repro.core.simclr_trainer import SimCLRPretrainer
+from repro.core.trainer import MAEPretrainer, Pretrainer
 from repro.mesh.engine import MeshEngine
 from repro.mesh.spec import MeshSpec
 from repro.models.module import Module
@@ -366,3 +370,65 @@ def test_a_skipped_dynamic_scale_step_leaves_the_trajectory_untouched(
     finally:
         eng.close()
         clean.close()
+
+
+# -- the step path is written once ---------------------------------------------
+
+
+def _functions():
+    for rel, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                yield rel, node
+
+
+def test_one_pretraining_loop():
+    loops = [
+        rel
+        for rel, fn in _functions()
+        if rel.startswith("core/")
+        and fn.name == "run"
+        and any(getattr(n, "attr", None) == "train_step" for n in ast.walk(fn))
+    ]
+    assert loops == ["core/trainer.py"]
+    for objective in (MAEPretrainer, SimCLRPretrainer):
+        assert issubclass(objective, Pretrainer)
+        assert not {"run", "__init__"} & vars(objective).keys()
+
+
+def test_one_rank_body():
+    assert "run_rank" in _worker_main.__code__.co_names
+    assert "run_rank" in InlineBackend.run_round.__code__.co_names
+    gone = {"_collect_rank_grads", "write_grads", "_zero_local_grads"}
+    assert not [(rel, fn.name) for rel, fn in _functions() if fn.name in gone]
+
+
+RESIDENT = [
+    ("ddp", World(1), EngineConfig()),
+    ("ddp", World(2), EngineConfig(grad_accum_steps=2)),
+    ("full_shard", World(2), EngineConfig(grad_accum_steps=2)),
+    ("HYBRID_2GPUs", World(4), EngineConfig()),
+    ("full_shard", World(4), EngineConfig(mesh=MeshSpec(pp=2, dp=2), grad_accum_steps=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, world, config", RESIDENT, ids=["ddp1", "ddp2k2", "fs2k2", "hybrid", "mesh"]
+)
+def test_the_reduce_reads_the_same_resident_rows_every_step(strategy, world, config):
+    eng = make_engine(build_model(), strategy, world=world, config=config)
+    k, dp = eng.grad_accum_steps, eng.data_parallel_size
+    rows = eng._outbound
+    flat = [a for round_ in rows for row in round_ for a in row]
+    assert len(flat) == k * dp * len(eng.grad_buffers)
+    assert not any(np.shares_memory(a, g) for a in flat for g in eng.grad_buffers)
+    where = [a.__array_interface__["data"][0] for a in flat]
+    handed = []
+    reduce = eng._reduce_gradients
+    eng._reduce_gradients = lambda grads: handed.append(grads) or reduce(grads)
+    for step in range(3):
+        eng.train_step(tiny_micros(k * dp, seed=step), mae_step)
+        now = [a for round_ in eng._outbound for row in round_ for a in row]
+        assert eng._outbound is rows and handed[step] is rows
+        assert all(a is b for a, b in zip(now, flat, strict=True))
+        assert [a.__array_interface__["data"][0] for a in now] == where

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from repro.comm.world import World
-from repro.core.config import get_mae_config
+from repro.core.config import ViTConfig, get_mae_config
 from repro.core.engine import make_engine
 from repro.core.sharding import ShardingStrategy
+from repro.core.simclr_trainer import SimCLRPretrainer
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
+from repro.models.simclr import SimCLRModel
+from repro.optim.schedules import CosineWithWarmup
 
 CFG = get_mae_config("proxy-base")
 
@@ -20,6 +23,23 @@ def _fresh_engine(strategy=ShardingStrategy.FULL_SHARD, world_size=2):
 
 def _images():
     return np.random.default_rng(42).standard_normal((32, 3, 32, 32))
+
+
+def _mae(seed=5):
+    return MAEPretrainer(_fresh_engine(), _images(), global_batch=8, seed=seed)
+
+
+def _simclr(seed=5):
+    cfg = ViTConfig("t", 16, 2, 32, 4, patch=8, img_size=16)
+    model = SimCLRModel(cfg, proj_dim=8, rng=np.random.default_rng(7))
+    engine = make_engine(model, "full_shard", world=World(2, ranks_per_node=2))
+    images = np.random.default_rng(42).standard_normal((32, 3, 16, 16))
+    return SimCLRPretrainer(engine, images, global_batch=8, seed=seed)
+
+
+#: Both objectives run the one loop; 32 images / batch 8 = 4 steps an
+#: epoch, so a run resumed at step 3 reshuffles at step 4.
+both_trainers = pytest.mark.parametrize("make_trainer", [_mae, _simclr], ids=["mae", "simclr"])
 
 
 class TestEngineCheckpoint:
@@ -38,33 +58,29 @@ class TestEngineCheckpoint:
         ):
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_resume_reproduces_uninterrupted_run(self):
+    @both_trainers
+    def test_resume_reproduces_uninterrupted_run(self, make_trainer):
         # Uninterrupted: 6 steps.
-        full = _fresh_engine()
-        t_full = MAEPretrainer(full, _images(), global_batch=8, seed=5)
+        t_full = make_trainer()
         losses_full = t_full.run(6).losses
 
         # Interrupted: 3 steps, checkpoint, restore into a new engine,
-        # resume for 3 more.
-        first = _fresh_engine()
-        t1 = MAEPretrainer(first, _images(), global_batch=8, seed=5)
+        # resume for 3 more (across the epoch boundary at step 4).
+        t1 = make_trainer()
         # Match the uninterrupted run's schedule horizon.
-        from repro.optim.schedules import CosineWithWarmup
-
-        sched = CosineWithWarmup(base_lr=first.lr, total_steps=6, warmup_steps=1)
+        sched = CosineWithWarmup(base_lr=t1.engine.lr, total_steps=6, warmup_steps=1)
         t1.schedule = sched
         losses_a = t1.run(3).losses
-        snapshot = first.state_dict()
+        snapshot = t1.engine.state_dict()
 
-        second = _fresh_engine()
-        second.load_state_dict(snapshot)
-        t2 = MAEPretrainer(second, _images(), global_batch=8, seed=5)
+        t2 = make_trainer()
+        t2.engine.load_state_dict(snapshot)
         t2.schedule = sched
-        losses_b = t2.run(3, start_step=second.step_count).losses
+        losses_b = t2.run(3, start_step=t2.engine.step_count).losses
 
         np.testing.assert_allclose(losses_a + losses_b, losses_full, atol=1e-12)
         for (_, a), (_, b) in zip(
-            full.model.named_parameters(), second.model.named_parameters()
+            t_full.engine.model.named_parameters(), t2.engine.model.named_parameters()
         ):
             np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
@@ -81,8 +97,11 @@ class TestEngineCheckpoint:
         ):
             np.testing.assert_array_equal(a.data, b.data)
 
-    def test_start_step_validation(self):
-        engine = _fresh_engine()
-        trainer = MAEPretrainer(engine, _images(), global_batch=8)
-        with pytest.raises(ValueError, match="start_step"):
-            trainer.run(2, start_step=-1)
+    @both_trainers
+    def test_start_step_validation(self, make_trainer):
+        trainer = make_trainer(seed=0)
+        # Whatever n_steps: the argument is named, not a schedule or
+        # SeedSequence accident further down.
+        for n_steps in (1, 2):
+            with pytest.raises(ValueError, match="start_step must be non-negative"):
+                trainer.run(n_steps, start_step=-1)

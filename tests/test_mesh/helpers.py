@@ -33,6 +33,27 @@ TINY = MAEConfig(
 mae_step = _mae_step_fn
 
 
+def marked_step(model, micro):
+    """``mae_step``, except that a micro whose mask noise starts negative
+    (real noise never does) raises after its forward: fails one chosen
+    rank of a round, on either backend."""
+    imgs, noise = micro
+    out = model.forward(imgs, noise=noise)
+    if noise[0, 0] < 0:
+        raise ValueError("injected step failure")
+    model.backward()
+    return out.loss
+
+
+def sink_probe_step(model, micro):
+    """Process workers only: reports, as the loss, how many events the
+    worker's sink held when the round began (read through the tp
+    context, which holds the worker's bus), then records some more."""
+    held = len(model.tensor_parallel.bus.sink.events)
+    mae_step(model, micro)
+    return float(held)
+
+
 def build_model(seed: int = 7) -> MaskedAutoencoder:
     """A fresh tiny MAE with deterministic weights."""
     return MaskedAutoencoder(TINY, rng=np.random.default_rng(seed))

@@ -186,7 +186,7 @@ def test_per_axis_bytes_and_calls_match_across_backends():
 
 
 def test_bus_shared_down_by_the_trainer_reaches_the_tp_axis():
-    # _init_telemetry promises an explicit trainer bus "is shared down
+    # The trainer promises an explicit bus "is shared down
     # into the engine": the tp context must see it too, whichever route
     # supplied the bus.
     images = np.random.default_rng(13).standard_normal((8, 3, 16, 16))

@@ -1,6 +1,6 @@
 """The dtype-discipline lint: hot path clean, and the linter bites.
 
-Wires ``tools/dtype_discipline_check.py`` into tier-1: allocation
+Wires ``tools/lint.py``'s ``dtype`` rule into tier-1: allocation
 constructors on the training hot path must pin ``dtype=`` explicitly,
 and the checker must catch a planted violation (self-test against
 silent-pass regressions).
@@ -13,26 +13,28 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
-TOOL = REPO / "tools" / "dtype_discipline_check.py"
+TOOL = REPO / "tools" / "lint.py"
 
 
 def _run(*args):
+    # The rule's scope is the hot-path packages under --root, so planted
+    # files live in a directory named like one (``models``).
     return subprocess.run(
-        [sys.executable, str(TOOL), *map(str, args)],
+        [sys.executable, str(TOOL), "dtype", *map(str, args)],
         capture_output=True,
         text=True,
     )
 
 
 def test_hot_path_packages_are_clean():
-    # No args = the tool's own default roots
-    # (models/optim/core/precision/comm/backend/mesh).
+    # No --root = src/repro, where the rule's scope is
+    # models/optim/core/precision/comm/backend/mesh.
     proc = _run()
     assert proc.returncode == 0, proc.stderr
 
 
 def test_linter_catches_a_planted_unpinned_alloc(tmp_path):
-    pkg = tmp_path / "pkg"
+    pkg = tmp_path / "models"
     pkg.mkdir()
     (pkg / "clean.py").write_text(
         "import numpy as np\n"
@@ -44,27 +46,31 @@ def test_linter_catches_a_planted_unpinned_alloc(tmp_path):
         "import numpy as np\n"
         "buf = np.empty((4, 4))\n"
     )
-    proc = _run(pkg)
+    cold = tmp_path / "experiments"  # same call off the hot path: allowed
+    cold.mkdir()
+    (cold / "cold.py").write_text("import numpy as np\nbuf = np.empty((4, 4))\n")
+    proc = _run("--root", tmp_path)
     assert proc.returncode == 1
+    assert "cold.py" not in proc.stderr
     assert "dirty.py:2" in proc.stderr
     assert "np.empty" in proc.stderr
     assert "clean.py" not in proc.stderr
 
 
 def test_positional_dtype_accepted(tmp_path):
-    pkg = tmp_path / "pkg"
+    pkg = tmp_path / "models"
     pkg.mkdir()
     (pkg / "mod.py").write_text(
         "import numpy as np\n"
         "a = np.zeros(3, np.float32)\n"
         "b = np.full((2,), 1.0, np.float64)\n"
     )
-    proc = _run(pkg)
+    proc = _run("--root", tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_non_numpy_namesakes_ignored(tmp_path):
-    pkg = tmp_path / "pkg"
+    pkg = tmp_path / "models"
     pkg.mkdir()
     (pkg / "mod.py").write_text(
         "class Pool:\n"
@@ -75,10 +81,10 @@ def test_non_numpy_namesakes_ignored(tmp_path):
         "pool = Pool()\n"
         "x = pool.empty()\n"
     )
-    proc = _run(pkg)
+    proc = _run("--root", tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_nonexistent_root_is_a_usage_error(tmp_path):
-    proc = _run(tmp_path / "missing")
+    proc = _run("--root", tmp_path / "missing")
     assert proc.returncode == 2

@@ -1,6 +1,6 @@
 """The elastic-state lint: the tree is clean, and the linter bites.
 
-Wires ``tools/elastic_state_check.py`` into tier-1: every key an engine
+Wires ``tools/lint.py``'s ``elastic_state`` rule into tier-1: every key an engine
 or trainer ``state_dict`` emits must be enumerated in the reshard
 mapping's ``ENGINE_STATE_KEYS`` / ``TRAINER_STATE_KEYS``, and the
 checker must catch a planted unmapped key (self-test against
@@ -15,13 +15,13 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
-TOOL = REPO / "tools" / "elastic_state_check.py"
+TOOL = REPO / "tools" / "lint.py"
 SRC = REPO / "src" / "repro"
 
 
 def _lint(root: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), str(root)],
+        [sys.executable, str(TOOL), "elastic_state", "--root", str(root)],
         capture_output=True,
         text=True,
     )
@@ -35,7 +35,6 @@ def _planted_tree(tmp_path: Path) -> Path:
     for rel in (
         "core/engine_core.py",
         "core/trainer.py",
-        "core/simclr_trainer.py",
         "elastic/reshard.py",
     ):
         shutil.copy(SRC / rel, root / rel)
@@ -107,6 +106,18 @@ def test_linter_sees_through_assigned_then_returned_dicts(tmp_path):
     proc = _lint(root)
     assert proc.returncode == 1
     assert "'sneaky'" in proc.stderr
+
+
+def test_a_listed_file_without_a_state_dict_is_a_violation(tmp_path):
+    # A state_dict that moved out of a listed file used to pass silently.
+    root = _planted_tree(tmp_path)
+    trainer = root / "core" / "trainer.py"
+    trainer.write_text(trainer.read_text().replace("def state_dict(", "def snapshot("))
+    proc = _lint(root)
+    assert proc.returncode == 1
+    assert "core/trainer.py:1" in proc.stderr and "defines none" in proc.stderr
+    (root / "core" / "engine_core.py").unlink()
+    assert "core/engine_core.py:1" in _lint(root).stderr
 
 
 def test_nested_history_keys_are_not_flagged():

@@ -1,6 +1,6 @@
 """The fork-safety lint: the tree is clean, and the linter actually bites.
 
-Wires ``tools/fork_safety_check.py`` into tier-1: the library tree must
+Wires ``tools/lint.py``'s ``fork_safety`` rule into tier-1: the library tree must
 stay safe for the spawn-based process backend (explicit spawn contexts,
 no wall-clock sleeps, no mutated module-level state on the engine hot
 path), and the checker must catch planted instances of each violation
@@ -14,13 +14,13 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
-TOOL = REPO / "tools" / "fork_safety_check.py"
+TOOL = REPO / "tools" / "lint.py"
 SRC = REPO / "src" / "repro"
 
 
 def _lint(root: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), str(root)],
+        [sys.executable, str(TOOL), "fork_safety", "--root", str(root)],
         capture_output=True,
         text=True,
     )

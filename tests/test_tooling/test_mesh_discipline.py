@@ -1,6 +1,7 @@
 """The mesh-discipline lint: the tree is clean, and the linter bites.
 
-Wires ``tools/mesh_discipline_check.py`` into tier-1: collective
+Wires ``tools/lint.py``'s ``group_discipline`` and ``facade`` rules
+into tier-1: collective
 ``Group`` construction stays confined to ``repro.mesh`` and
 ``repro.comm.world``, and every ``repro.__all__`` name resolves and is
 documented in the README. Both directions are self-tested against
@@ -15,13 +16,13 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
-TOOL = REPO / "tools" / "mesh_discipline_check.py"
+TOOL = REPO / "tools" / "lint.py"
 SRC = REPO / "src" / "repro"
 
 
-def _lint(root: Path, *flags: str) -> subprocess.CompletedProcess:
+def _lint(root: Path, *rules: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(TOOL), str(root), *flags],
+        [sys.executable, str(TOOL), *rules, "--root", str(root)],
         capture_output=True,
         text=True,
     )
@@ -39,7 +40,7 @@ def _planted_tree(tmp_path: Path) -> Path:
 
 
 def test_library_tree_is_clean():
-    proc = _lint(SRC)
+    proc = _lint(SRC, "group_discipline", "facade")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -50,7 +51,7 @@ def test_linter_catches_group_construction_outside_mesh(tmp_path):
         core.read_text()
         + "\n\ndef _rogue(ranks):\n    return Group(tuple(ranks))\n"
     )
-    proc = _lint(root, "--no-facade")
+    proc = _lint(root, "group_discipline")
     assert proc.returncode == 1
     assert "core/engine_core.py" in proc.stderr
     assert "Group(...)" in proc.stderr
@@ -64,7 +65,7 @@ def test_attribute_group_calls_are_caught_too(tmp_path):
         + "\n\ndef _rogue2(world, ranks):\n    import repro.comm.world as w\n"
         "    return w.Group(tuple(ranks))\n"
     )
-    proc = _lint(root, "--no-facade")
+    proc = _lint(root, "group_discipline")
     assert proc.returncode == 1
     assert "core/engine_core.py" in proc.stderr
 
@@ -72,15 +73,14 @@ def test_attribute_group_calls_are_caught_too(tmp_path):
 def test_allowed_sites_do_not_trip(tmp_path):
     # comm/world.py and mesh/ construct Group legitimately; the planted
     # tree contains both untouched and must lint clean.
-    proc = _lint(_planted_tree(tmp_path), "--no-facade")
+    proc = _lint(_planted_tree(tmp_path), "group_discipline")
     assert proc.returncode == 0, proc.stderr
 
 
 def test_facade_names_resolve_and_are_documented():
-    proc = _lint(SRC)
+    proc = _lint(SRC, "facade")
     assert proc.returncode == 0, proc.stderr
-    # Guard the premise: the real run does exercise the facade audit
-    # (a --no-facade run can't distinguish clean from skipped).
+    # Guard the premise: the facade the rule audits is the real one.
     sys.path.insert(0, str(REPO / "src"))
     try:
         import repro
@@ -96,5 +96,5 @@ def test_unknown_flag_is_a_usage_error():
 
 
 def test_nonexistent_root_is_a_usage_error(tmp_path):
-    proc = _lint(tmp_path / "missing", "--no-facade")
+    proc = _lint(tmp_path / "missing", "group_discipline")
     assert proc.returncode == 2

@@ -1,6 +1,6 @@
 """The no-print lint: the tree is clean, and the linter actually bites.
 
-Wires ``tools/no_print_check.py`` into tier-1: the library tree must
+Wires ``tools/lint.py``'s ``no_print`` rule into tier-1: the library tree must
 stay free of bare ``print()`` calls, and the checker must catch a
 planted one (self-test against silent-pass regressions).
 """
@@ -12,13 +12,13 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).parent.parent.parent
-TOOL = REPO / "tools" / "no_print_check.py"
+TOOL = REPO / "tools" / "lint.py"
 SRC = REPO / "src" / "repro"
 
 
 def test_library_tree_has_no_bare_prints():
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(SRC)],
+        [sys.executable, str(TOOL), "no_print", "--root", str(SRC)],
         capture_output=True,
         text=True,
     )
@@ -31,7 +31,7 @@ def test_linter_catches_a_planted_print(tmp_path):
     (bad / "clean.py").write_text('"""Docstring print() only."""\nx = 1\n')
     (bad / "dirty.py").write_text("def f():\n    print('hello')\n")
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(bad)],
+        [sys.executable, str(TOOL), "no_print", "--root", str(bad)],
         capture_output=True,
         text=True,
     )
@@ -47,7 +47,7 @@ def test_linter_ignores_docstrings_and_comments(tmp_path):
         '"""Example::\n\n    print(report.render())\n"""\n# print(x)\ny = "print(z)"\n'
     )
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(tree)],
+        [sys.executable, str(TOOL), "no_print", "--root", str(tree)],
         capture_output=True,
         text=True,
     )
@@ -56,7 +56,7 @@ def test_linter_ignores_docstrings_and_comments(tmp_path):
 
 def test_nonexistent_root_is_a_usage_error(tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(TOOL), str(tmp_path / "missing")],
+        [sys.executable, str(TOOL), "no_print", "--root", str(tmp_path / "missing")],
         capture_output=True,
         text=True,
     )
