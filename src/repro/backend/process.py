@@ -173,8 +173,9 @@ def _worker_main(spec: dict, conn) -> None:
     rank = spec["rank"]
     arena = ShmArena.attach(spec["arena"])
     model = pickle.loads(spec["model"])
-    # A private workspace makes the worker's steady-state step
-    # allocation-free, like the parent trainer's; numerics are unchanged.
+    # A private workspace: the worker's steady-state step then allocates
+    # nothing activation-sized and takes no page faults, like an inline
+    # one (tests/test_models/test_steady_state.py); numerics are unchanged.
     model.use_workspace(Workspace())
     dtype = np.dtype(spec["dtype"])
     storage = declare_storage(

@@ -82,7 +82,8 @@ gradient set per (round, dp rank), ``k * dp`` in all — is handed over
 once by the execution backend (private arrays inline, views of the
 shared staging block under ``process``) and lives as long as the engine.
 Every step rewrites every row in full before the reduce reads it, so
-nothing a failed step left behind is ever read.
+nothing a failed step left behind is ever read. ``HYBRID_SHARD``'s
+stage-1 partials live as long, so no row of the table allocates to reduce.
 """
 
 from __future__ import annotations
@@ -233,6 +234,15 @@ class EngineCore:
         # must be laid down against that storage.
         self._backend = make_backend(self)
         self._outbound = self._backend.outbound_rows()
+        # A two-stage reduce's stage-1 partials ([buffer][round][shard
+        # group]: one chunk per shard) are stage 2's inputs, resident like
+        # the rows — unless stage 1 is the whole reduce (one round, one group).
+        k, groups = self.grad_accum_steps, self._shard_groups
+        self._partials = [
+            [[list(np.empty_like(buf).reshape(self.shard_size, -1)) for _ in groups]
+             for _ in range(k)]
+            for buf in self.grad_buffers
+        ] if self._two_stage and (k > 1 or len(groups) > 1) else None
         # Where each gradient buffer's reduce lands is what the
         # optimizer reads.
         slots, self._reduce_dests = self.storage.make_slots()
@@ -480,13 +490,13 @@ class EngineCore:
         if self.units is not None and self.row.gathers(self.shard_size, backward):
             self._gather_units(self._shard_groups, **self._dp_tags)
 
-    def _reduce_stage(self, op, rounds, i, group, out) -> list[np.ndarray] | np.ndarray:
+    def _reduce_stage(self, op, rounds, i, group, out) -> None:
         """One collective of the reduce: gradient buffer ``i`` of every
         (round, rank of ``group``) contribution in ``rounds``,
-        round-major, meaned into ``out`` (fresh partials when ``None``)."""
+        round-major, meaned into ``out``."""
         at = self.dp_group.index_of
         bufs = [per_rank[at(r)][i] for per_rank in rounds for r in group.ranks]
-        return self._mean_reduce(op, bufs, group, len(rounds), out=out, **self._dp_tags)
+        self._mean_reduce(op, bufs, group, len(rounds), out=out, **self._dp_tags)
 
     def _reduce_gradients(self, grads: list[list[list[np.ndarray]]]) -> list[np.ndarray]:
         """Reduce all rounds' per-rank contributions into the arrays the
@@ -498,24 +508,18 @@ class EngineCore:
         bit-exact."""
         k = len(grads)
         op = self.row.reduce[0]
-        # Two-stage only: with one round and one replica group, stage 1
-        # is the whole reduction and lands in the optimizer's arrays.
-        final = k == 1 and len(self._shard_groups) == 1
         for i, dest in enumerate(self._reduce_dests):
             if not self._two_stage:
                 out = dest if op == "reduce_scatter" else dest[0]
                 self._reduce_stage(op, grads, i, self.dp_group, out)
                 continue
-            # Stage 1 inside every shard group, per round; its partials
-            # are a later collective's inputs, so they stay allocated.
-            partials = [
-                [
-                    self._reduce_stage(op, [round_], i, group, dest if final else None)
-                    for group in self._shard_groups
-                ]
-                for round_ in grads
-            ]
-            if final:
+            # Stage 1 inside every shard group, per round: into the
+            # partials, or the optimizer's arrays when it is the reduce.
+            partials = self._partials[i] if self._partials is not None else [[dest]]
+            for round_, per_group in zip(grads, partials, strict=True):
+                for group, out in zip(self._shard_groups, per_group, strict=True):
+                    self._reduce_stage(op, [round_], i, group, out)
+            if self._partials is None:
                 continue
             # Stage 2: each shard index across replica groups, folding
             # all rounds' partials in (parts_per_rank=k).

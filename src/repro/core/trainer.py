@@ -13,6 +13,7 @@ that one loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from time import perf_counter
 from typing import Callable
 
@@ -334,6 +335,8 @@ class Pretrainer(CheckpointingTrainer):
         self.engine = engine
         self.images = images
         self.global_batch = global_batch
+        # Each step's batch, gathered in place (its micros are views).
+        self._batch_images = np.empty((global_batch, *images.shape[1:]), images.dtype)
         self.schedule = schedule
         self.seed = seed
         self.steps_per_epoch = len(images) // global_batch
@@ -402,7 +405,9 @@ class Pretrainer(CheckpointingTrainer):
             if pos == 0 or step == start_step:
                 order = self._epoch_order(epoch)
             idx = order[pos * self.global_batch : (pos + 1) * self.global_batch]
-            batch = self._batch(self.images[idx], step)
+            # images[idx] in place; "clip" never fires on a permutation.
+            imgs = np.take(self.images, idx, axis=0, out=self._batch_images, mode="clip")
+            batch = self._batch(imgs, step)
             micros = [
                 tuple(a[m * micro : (m + 1) * micro] for a in batch)
                 for m in range(n_micros)
@@ -439,6 +444,11 @@ class MAEPretrainer(Pretrainer):
     model_type = MaskedAutoencoder
     step_fn = staticmethod(_mae_step_fn)
 
-    def _batch(self, imgs: np.ndarray, step: int) -> tuple[np.ndarray, ...]:
+    @cached_property
+    def _noise(self) -> np.ndarray:
+        """The resident array each step's masking noise is drawn into."""
         n_patches = self.engine.model.cfg.encoder.n_patches
-        return imgs, self._rng(104729, step).random((len(imgs), n_patches))
+        return np.empty((self.global_batch, n_patches), dtype=np.float64)
+
+    def _batch(self, imgs: np.ndarray, step: int) -> tuple[np.ndarray, ...]:
+        return imgs, self._rng(104729, step).random(out=self._noise)

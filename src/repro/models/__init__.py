@@ -10,8 +10,8 @@ per transformer block without copies.
 Modules:
 
 - :mod:`repro.models.module` — Parameter / Module base machinery.
-- :mod:`repro.models.workspace` — scratch-buffer pool for allocation-free
-  steady-state training steps (see :meth:`Module.use_workspace`).
+- :mod:`repro.models.workspace` — scratch-buffer pool: attached, a steady
+  step allocates nothing activation-sized (``test_steady_state.py``).
 - :mod:`repro.models.functional` — fused gelu / softmax / layernorm
   primitives with paired backward functions (``out=``-aware).
 - :mod:`repro.models.reference` — the original allocating kernels, kept

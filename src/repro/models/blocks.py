@@ -52,10 +52,15 @@ class TransformerBlock(Module):
         self.checkpoint = checkpoint
         self._ckpt_input: np.ndarray | None = None
 
+    def _add(self, tag: str, x: np.ndarray, branch: np.ndarray) -> np.ndarray:
+        """``x + branch`` into this block's ``tag`` buffer (both adds of a
+        direction share it: nothing caches the first sum)."""
+        out = self._buf(tag, branch.shape, np.result_type(x, branch))
+        return np.add(x, branch, out=out)
+
     def _forward_impl(self, x: np.ndarray) -> np.ndarray:
-        x = x + self.attn(self.ln1(x))
-        x = x + self.mlp(self.ln2(x))
-        return x
+        h = self._add("h", x, self.attn(self.ln1(x)))
+        return self._add("h", h, self.mlp(self.ln2(h)))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Pre-norm block forward (checkpointing-aware)."""
@@ -75,7 +80,6 @@ class TransformerBlock(Module):
             self._forward_impl(self._ckpt_input)
             self._ckpt_input = None
         # Second residual: dout flows both directly and through mlp(ln2(.)).
-        dx = dout + self.ln2.backward(self.mlp.backward(dout))
+        dx = self._add("dx", dout, self.ln2.backward(self.mlp.backward(dout)))
         # First residual.
-        dx = dx + self.ln1.backward(self.attn.backward(dx))
-        return dx
+        return self._add("dx", dx, self.ln1.backward(self.attn.backward(dx)))

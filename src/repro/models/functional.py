@@ -2,10 +2,10 @@
 
 Every kernel here is *fused and buffer-aware*: it computes through
 in-place ufunc chains (one pass per logical term, no expression-tree
-temporaries) and accepts optional ``out=`` buffers so callers holding a
-:class:`~repro.models.workspace.Workspace` can make the steady-state
-training step allocation-free. With the ``out`` arguments omitted the
-kernels allocate their results and behave like plain functions.
+temporaries) and accepts optional ``out=`` buffers, which is how a layer
+holding a :class:`~repro.models.workspace.Workspace` keeps a steady-state
+step free of activation-sized allocations (``test_steady_state.py``).
+Without ``out`` the kernels allocate their results like plain functions.
 
 The original allocating implementations live on as the oracle in
 :mod:`repro.models.reference`; the equivalence tests assert these fused

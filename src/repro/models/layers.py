@@ -6,9 +6,9 @@ gradient. Batch (leading) dimensions are arbitrary: every layer operates
 on the trailing feature axis.
 
 Hot-path discipline: all large results are produced with ``out=`` into
-buffers from :meth:`Module._buf`, so attaching a
-:class:`~repro.models.workspace.Workspace` (see
-:meth:`Module.use_workspace`) makes the steady-state step allocation-free.
+buffers from :meth:`Module._buf`, so with a
+:class:`~repro.models.workspace.Workspace` attached a steady-state step
+allocates nothing activation-sized (``test_models/test_steady_state.py``).
 Matmuls flatten leading axes first: one ``(B·N, in) @ (in, out)`` GEMM is
 substantially faster than a stacked batch of ``(N, in)`` GEMMs. The
 original allocating implementations survive as the oracle in

@@ -26,6 +26,12 @@ residual) lives in an explicit ``ctx`` dict threaded through the ops,
 never in module attributes; each op also names the layers it runs
 (``modules()``), whose activation caches the pipeline engine stashes
 per microbatch, so multiple microbatches can be in flight.
+
+Every ``(B, ·, ·)``-sized result of the ops lands in a ``_buf`` buffer (in
+the current workspace lane) or an ``out=`` ufunc, and reductions keep
+their operands' layout, so no bit moves (``test_steady_state.py``). With a
+workspace attached, :attr:`MAEOutput.pred` is pooled until the next
+forward and the image gradient ``backward`` returns until the next backward.
 """
 
 from __future__ import annotations
@@ -54,6 +60,28 @@ class MAEOutput:
     mask: np.ndarray  # (B, N) 1 where the patch was masked
 
 
+def _flat(ids: np.ndarray, n: int) -> np.ndarray:
+    """Rows ``ids`` of a ``(B, n, ·)`` array as rows of its ``(B*n, ·)`` reshape."""
+    return ids + np.arange(0, ids.shape[0] * n, n)[:, None]
+
+
+def _gather_rows(src: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[b, -L:] = src[b, ids[b]]`` (``L = ids.shape[1]``; earlier slots
+    get placeholder rows) by one flat-index take into contiguous ``out``;
+    ``mode="raise"`` would stage ``out`` through a copy."""
+    b, n, w = src.shape
+    ids = np.pad(ids, ((0, 0), (out.shape[1] - ids.shape[1], 0)))
+    return np.take(src.reshape(b * n, w), _flat(ids, n), axis=0, out=out, mode="clip")
+
+
+def _centered_var(x: np.ndarray, xc: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """``x.var(axis=-1, keepdims=True)`` bit for bit by ``np.var``'s own
+    steps, leaving ``x - mean`` in ``xc`` (``sq`` is scratch)."""
+    np.subtract(x, x.mean(axis=-1, keepdims=True), out=xc)
+    np.square(xc, out=sq)
+    return sq.mean(axis=-1, keepdims=True)
+
+
 class _HeadOp:
     """Patchify, embed, mask, prepend cls: ``(imgs, noise) -> (B, 1+Lv, W)``."""
 
@@ -65,19 +93,11 @@ class _HeadOp:
     def forward(self, x, ctx: dict):
         imgs, noise = x
         m = self.m
-        enc = m.cfg.encoder
-        b = imgs.shape[0]
+        b = len(imgs)
         if noise is None:
-            noise = m.rng.random((b, enc.n_patches))
+            noise = m.rng.random((b, m.cfg.encoder.n_patches))
         ids_keep, ids_shuffle, ids_restore, mask = m.random_masking_indices(noise)
-
-        patches = patchify(imgs, enc.patch)  # (B, N, D)
-        tok = m.patch_proj(patches) + m.enc_pos[None, 1:, :]
-        x_vis = np.take_along_axis(tok, ids_keep[:, :, None], axis=1)
-
-        cls = np.broadcast_to(
-            m.cls_token.data + m.enc_pos[None, :1, :], (b, 1, enc.width)
-        )
+        patches, out = m._embed(imgs, ids_keep)
         ctx.update(
             b=b,
             ids_keep=ids_keep,
@@ -85,21 +105,23 @@ class _HeadOp:
             ids_restore=ids_restore,
             mask=mask,
             patches=patches,
-            tok_shape=tok.shape,
             n_vis=m.cfg.n_visible,
         )
-        return np.concatenate([cls, x_vis], axis=1)  # (B, 1+Lv, W)
+        return out  # (B, 1+Lv, W)
 
     def backward(self, d, ctx: dict):
         m = self.m
         enc = m.cfg.encoder
+        (b, _, w), n = d.shape, enc.n_patches
         dcls = d[:, :1, :]
         m.cls_token.accumulate(dcls.sum(axis=0, keepdims=True))
-        dvis = d[:, 1:, :]
-        dtok = np.zeros(ctx["tok_shape"], dtype=dvis.dtype)
-        np.put_along_axis(dtok, ctx["ids_keep"][:, :, None], dvis, axis=1)
+        dtok = m._buf("dtok", (b, n, w), d.dtype)
+        dtok[...] = 0
+        dtok.reshape(b * n, w)[_flat(ctx["ids_keep"], n)] = d[:, 1:, :]
         dpatches = m.patch_proj.backward(dtok)
-        return unpatchify(dpatches, enc.patch, enc.in_chans)
+        shape = (b, enc.in_chans, enc.img_size, enc.img_size)
+        dimgs = m._buf("dimgs", shape, dpatches.dtype)
+        return unpatchify(dpatches, enc.patch, enc.in_chans, out=dimgs)
 
     def out_shape(self, batch: int) -> tuple[int, ...]:
         enc = self.m.cfg.encoder
@@ -149,33 +171,34 @@ class _BridgeOp:
 
     def forward(self, x, ctx: dict):
         m = self.m
-        b = ctx["b"]
+        n_vis, ids_restore = ctx["n_vis"], ctx["ids_restore"]
         x = m.enc_norm(x)
         y = m.dec_embed(x)  # (B, 1+Lv, Wd)
-        n_masked = m.cfg.n_masked
-        mask_tokens = np.broadcast_to(
-            m.mask_token.data, (b, n_masked, m.cfg.dec_width)
-        )
-        y_shuffled = np.concatenate([y[:, 1:, :], mask_tokens], axis=1)  # (B, N, Wd)
-        y_unshuf = np.take_along_axis(
-            y_shuffled, ctx["ids_restore"][:, :, None], axis=1
-        )
-        return np.concatenate([y[:, :1, :], y_unshuf], axis=1) + m.dec_pos[None]
+        (b, n), wd = ids_restore.shape, y.shape[-1]
+        # The shuffled order (encoded visibles, then a mask token per
+        # masked patch), un-shuffled by ids_restore behind the cls slot.
+        shuffled = m._buf("shuffled", (b, n, wd), y.dtype)
+        shuffled[:, :n_vis] = y[:, 1:]
+        shuffled[:, n_vis:] = m.mask_token.data
+        out = m._buf("dec_in", (b, 1 + n, wd), y.dtype)
+        _gather_rows(shuffled, ids_restore, out)
+        out[:, 0] = y[:, 0]
+        out += m.dec_pos
+        return out
 
     def backward(self, d, ctx: dict):
         m = self.m
         # dec_pos is a constant buffer: no gradient.
-        dcls_dec = d[:, :1, :]
-        dy_unshuf = d[:, 1:, :]
-        # Inverse of the gather-with-ids_restore is gather-with-ids_shuffle.
-        dy_shuffled = np.take_along_axis(
-            dy_unshuf, ctx["ids_shuffle"][:, :, None], axis=1
-        )
-        n_vis = ctx["n_vis"]
-        dy_vis = dy_shuffled[:, :n_vis, :]
+        (b, t, wd), n_vis = d.shape, ctx["n_vis"]
+        # Inverse of the gather-with-ids_restore is gather-with-ids_shuffle
+        # (of d's rows past its cls row).
+        dy_shuffled = m._buf("dshuffled", (b, t - 1, wd), d.dtype)
+        _gather_rows(d, ctx["ids_shuffle"] + 1, dy_shuffled)
         dmask_tok = dy_shuffled[:, n_vis:, :]
         m.mask_token.accumulate(dmask_tok.sum(axis=(0, 1))[None, None, :])
-        dy_enc_out = np.concatenate([dcls_dec, dy_vis], axis=1)
+        dy_enc_out = m._buf("denc_out", (b, 1 + n_vis, wd), d.dtype)
+        dy_enc_out[:, 0] = d[:, 0]
+        dy_enc_out[:, 1:] = dy_shuffled[:, :n_vis]
         dx = m.dec_embed.backward(dy_enc_out)
         return m.enc_norm.backward(dx)
 
@@ -206,18 +229,26 @@ class _TailOp:
     def forward(self, x, ctx: dict):
         m = self.m
         y_full = m.dec_norm(x)
-        pred = m.pred(y_full[:, 1:, :])  # (B, N, D)
+        b, t, wd = y_full.shape
+        # The patch rows, contiguous (Linear's reshape would copy them).
+        y_tail = m._buf("y_tail", (b, t - 1, wd), y_full.dtype)
+        y_tail[...] = y_full[:, 1:, :]
+        pred = m.pred(y_tail)  # (B, N, D)
 
         # Reconstruction target, optionally per-patch normalized.
         target = ctx["patches"]
+        sq = m._buf("sq", target.shape, target.dtype)
         if m.cfg.norm_pix_loss:
-            mu = target.mean(axis=-1, keepdims=True)
-            var = target.var(axis=-1, keepdims=True)
-            target = (target - mu) / np.sqrt(var + 1e-6)
+            xc = m._buf("target", target.shape, target.dtype)
+            var = _centered_var(target, xc, sq)
+            target = np.divide(xc, np.sqrt(var + 1e-6), out=xc)
 
         mask = ctx["mask"]
-        diff = pred - target
-        per_patch = (diff * diff).mean(axis=-1)  # (B, N)
+        dtype = np.result_type(pred, target)
+        diff = np.subtract(pred, target, out=m._buf("diff", pred.shape, dtype))
+        if sq.dtype != dtype:  # images of a narrower dtype than the model's
+            sq = m._buf("sq_diff", pred.shape, dtype)
+        per_patch = np.multiply(diff, diff, out=sq).mean(axis=-1)  # (B, N)
         mask_sum = mask.sum()
         loss = float((per_patch * mask).sum() / mask_sum)
         ctx["diff"] = diff
@@ -229,13 +260,18 @@ class _TailOp:
     def backward(self, d, ctx: dict):
         # ``d`` is ignored: this op owns the loss, so backward seeds it.
         m = self.m
-        d_patch = m.cfg.encoder.patch_dim
-        dpred = (2.0 / d_patch) * ctx["diff"] * ctx["mask"][:, :, None] / ctx["mask_sum"]
+        # (2 / D) * diff * mask / mask_sum, left to right; in diff unless
+        # the mask widens its dtype.
+        diff, dtype = ctx["diff"], np.result_type(ctx["diff"], ctx["mask"])
+        dpred = diff if diff.dtype == dtype else m._buf("dpred", diff.shape, dtype)
+        np.multiply(2.0 / m.cfg.encoder.patch_dim, diff, out=dpred)
+        np.multiply(dpred, ctx["mask"][:, :, None], out=dpred)
+        np.divide(dpred, ctx["mask_sum"], out=dpred)
         dy_tail = m.pred.backward(dpred)  # (B, N, Wd)
-        dy_full = np.concatenate(
-            [np.zeros((ctx["b"], 1, m.cfg.dec_width), dtype=dy_tail.dtype), dy_tail],
-            axis=1,
-        )
+        b, n, wd = dy_tail.shape
+        dy_full = m._buf("dy_full", (b, 1 + n, wd), dy_tail.dtype)
+        dy_full[:, 0] = 0.0
+        dy_full[:, 1:] = dy_tail
         return m.dec_norm.backward(dy_full)
 
     def out_shape(self, batch: int) -> None:
@@ -374,28 +410,44 @@ class MaskedAutoencoder(Module):
             d = op.backward(d, ctx)
         return d
 
-    # -- feature extraction (for linear probing) ----------------------------
+    # -- embedding and the unmasked encoder ---------------------------------
+
+    def _embed(self, imgs: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Patchify, embed and position ``imgs``, then gather the patches
+        ``keep`` (``(B, L)`` ids) behind the cls token: ``(patches (B, N,
+        D), tokens (B, 1+L, W))``."""
+        enc = self.cfg.encoder
+        want = (enc.in_chans, enc.img_size, enc.img_size)
+        if imgs.ndim != 4 or imgs.shape[1:] != want:
+            raise ValueError(
+                f"images must be (B, {', '.join(map(str, want))}), got {imgs.shape}"
+            )
+        (b, n), w = keep.shape, enc.width
+        shape = (b, enc.n_patches, enc.patch_dim)
+        patches = patchify(imgs, enc.patch, out=self._buf("patches", shape, imgs.dtype))
+        tok = self.patch_proj(patches)
+        np.add(tok, self.enc_pos[1:], out=tok)
+        x = _gather_rows(tok, keep, self._buf(f"tokens{n}", (b, 1 + n, w), tok.dtype))
+        np.add(self.cls_token.data[0], self.enc_pos[:1], out=x[:, 0])
+        return patches, x
+
+    def _encode_unmasked(self, imgs: np.ndarray) -> np.ndarray:
+        """The encoder over every patch, masking disabled: ``(B, 1+N, W)``
+        after the final norm, pooled like any layer output."""
+        n = self.cfg.encoder.n_patches
+        _, x = self._embed(imgs, np.broadcast_to(np.arange(n), (len(imgs), n)))
+        for blk in self.enc_blocks:
+            x = blk(x)
+        return self.enc_norm(x)
 
     def encode_features(self, imgs: np.ndarray) -> np.ndarray:
         """Class-token features from the *unmasked* encoder: ``(B, W)``.
 
         This is the representation the paper linear-probes (the MAE
-        encoder applied to the full image, masking disabled).
+        encoder applied to the full image, masking disabled). A copy,
+        because feature extraction batches calls.
         """
-        enc = self.cfg.encoder
-        b = imgs.shape[0]
-        patches = patchify(imgs, enc.patch)
-        x = self.patch_proj(patches) + self.enc_pos[None, 1:, :]
-        cls = np.broadcast_to(
-            self.cls_token.data + self.enc_pos[None, :1, :], (b, 1, enc.width)
-        )
-        x = np.concatenate([cls, x], axis=1)
-        for blk in self.enc_blocks:
-            x = blk(x)
-        x = self.enc_norm(x)
-        # Copy: with a workspace attached, x is a pooled buffer that the
-        # next forward overwrites, and feature extraction batches calls.
-        return x[:, 0, :].copy()
+        return self._encode_unmasked(imgs)[:, 0, :].copy()
 
     def encode_patch_tokens(self, imgs: np.ndarray) -> np.ndarray:
         """Per-patch features from the unmasked encoder: ``(B, N, W)``.
@@ -403,16 +455,4 @@ class MaskedAutoencoder(Module):
         The dense counterpart of :meth:`encode_features` — used for
         patch-level downstream tasks (semantic segmentation probing).
         """
-        enc = self.cfg.encoder
-        b = imgs.shape[0]
-        patches = patchify(imgs, enc.patch)
-        x = self.patch_proj(patches) + self.enc_pos[None, 1:, :]
-        cls = np.broadcast_to(
-            self.cls_token.data + self.enc_pos[None, :1, :], (b, 1, enc.width)
-        )
-        x = np.concatenate([cls, x], axis=1)
-        for blk in self.enc_blocks:
-            x = blk(x)
-        x = self.enc_norm(x)
-        # Copy for the same buffer-reuse reason as encode_features.
-        return x[:, 1:, :].copy()
+        return self._encode_unmasked(imgs)[:, 1:, :].copy()

@@ -3,7 +3,8 @@
 ``patchify`` turns ``(B, C, H, W)`` images into ``(B, N, p*p*C)`` flattened
 patch rows (row-major patch order, channel-last inside each patch exactly
 like the MAE reference's einops rearrange). Both directions are pure
-reshape/transpose — views plus one final copy, no Python loops.
+reshape/transpose — views plus one final copy (into a C-contiguous
+``out=`` when given), no Python loops.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from repro.models.module import DEFAULT_DTYPE, Module
 __all__ = ["patchify", "unpatchify", "PatchEmbed"]
 
 
-def patchify(imgs: np.ndarray, patch: int) -> np.ndarray:
+def patchify(imgs: np.ndarray, patch: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, C, H, W) -> (B, N, patch*patch*C)."""
     b, c, h, w = imgs.shape
     if h % patch or w % patch:
@@ -25,10 +26,15 @@ def patchify(imgs: np.ndarray, patch: int) -> np.ndarray:
     x = imgs.reshape(b, c, gh, patch, gw, patch)
     # -> (B, gh, gw, patch, patch, C), then flatten patches.
     x = x.transpose(0, 2, 4, 3, 5, 1)
-    return x.reshape(b, gh * gw, patch * patch * c)
+    if out is None:
+        return x.reshape(b, gh * gw, patch * patch * c)
+    np.copyto(out.reshape(x.shape), x)
+    return out
 
 
-def unpatchify(patches: np.ndarray, patch: int, in_chans: int = 3) -> np.ndarray:
+def unpatchify(
+    patches: np.ndarray, patch: int, in_chans: int = 3, out: np.ndarray | None = None
+) -> np.ndarray:
     """(B, N, patch*patch*C) -> (B, C, H, W); inverse of :func:`patchify`."""
     b, n, d = patches.shape
     if d != patch * patch * in_chans:
@@ -40,7 +46,10 @@ def unpatchify(patches: np.ndarray, patch: int, in_chans: int = 3) -> np.ndarray
         raise ValueError(f"patch count {n} is not a perfect square")
     x = patches.reshape(b, g, g, patch, patch, in_chans)
     x = x.transpose(0, 5, 1, 3, 2, 4)
-    return x.reshape(b, in_chans, g * patch, g * patch)
+    if out is None:
+        return x.reshape(b, in_chans, g * patch, g * patch)
+    np.copyto(out.reshape(x.shape), x)
+    return out
 
 
 class PatchEmbed(Module):

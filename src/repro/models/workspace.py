@@ -2,11 +2,11 @@
 
 A :class:`Workspace` hands out reusable ndarray buffers keyed by
 ``(owner, tag)``. The first request for a key allocates; subsequent
-requests with the same shape/dtype return the *same* array, so a
-training loop that runs the same model step after step stops allocating
-its large temporaries (qkv projections, attention matrices, layer
-outputs) after the first step — the CPU-substrate analogue of the
-memory discipline the paper applies on Frontier.
+requests with the same shape/dtype return the *same* array, so after
+its first step a training loop misses no buffer and allocates nothing
+activation-sized — no layer output, gather or residual sum
+(``tests/test_models/test_steady_state.py``): the CPU-substrate analogue
+of the memory discipline the paper applies on Frontier.
 
 Safety contract (why reuse is sound here):
 

@@ -1,10 +1,13 @@
 """Tests for the masked autoencoder."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.core.config import MAEConfig, count_mae_params, get_mae_config
-from repro.models.mae import MaskedAutoencoder
+from repro.models.mae import MaskedAutoencoder, _centered_var
+from repro.models.workspace import Workspace
 from tests.conftest import central_difference_check
 
 
@@ -138,6 +141,55 @@ class TestBackward:
             mae.backward()
             opt.step()
         assert mae.forward(imgs, noise=noise).loss < first
+
+
+class TestPooledBuffers:
+    """The allocation-free rewrite of the head / bridge / tail ops moves
+    values into different memory and nothing else: pinned bit for bit."""
+
+    @pytest.mark.parametrize("img_dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("model_dtype", [np.float64, np.float32])
+    def test_workspace_is_bit_identical(self, img_dtype, model_dtype):
+        cfg = get_mae_config("proxy-base")
+        plain, pooled = (
+            MaskedAutoencoder(cfg, rng=np.random.default_rng(3), dtype=model_dtype)
+            for _ in range(2)
+        )
+        pooled.use_workspace(Workspace())
+        for step in range(3):
+            r = np.random.default_rng(step)
+            imgs = r.standard_normal((8, 3, 32, 32)).astype(img_dtype)
+            noise = r.random((8, cfg.encoder.n_patches))
+            got = []
+            for m in (plain, pooled):
+                m.zero_grad()
+                out = m.forward(imgs, noise=noise)
+                dimgs = m.backward()
+                grads = [p.grad.copy() for p in m.parameters()]
+                got.append((out.loss.hex(), out.pred.copy(), dimgs.copy(), grads))
+            (la, pa, da, ga), (lb, pb, db, gb) = got
+            assert la == lb
+            for a, b in [(pa, pb), (da, db), *zip(ga, gb)]:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_spelled_out_variance_is_np_var(self, offset):
+        x = np.random.default_rng(0).standard_normal((4, 16, 192)) + offset
+        x[0, :3] = 2.5  # constant patches
+        var = _centered_var(x, np.empty_like(x), np.empty_like(x))
+        assert var.tobytes() == x.var(axis=-1, keepdims=True).tobytes()
+
+    def test_batch_gather_is_fancy_indexing(self):
+        images = np.random.default_rng(0).standard_normal((20, 3, 8, 8))
+        idx = np.random.default_rng(1).permutation(20)[:8]
+        out = np.empty((8, 3, 8, 8))
+        np.take(images, idx, axis=0, out=out, mode="clip")
+        assert out.tobytes() == images[idx].tobytes()
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8, 8), (2, 1, 16, 16)])
+    def test_misshaped_images_are_refused(self, mae, shape):
+        with pytest.raises(ValueError, match=r"\(B, 3, 16, 16\).*" + re.escape(str(shape))):
+            mae.forward(np.zeros(shape))
 
 
 class TestFeatures:
