@@ -70,7 +70,6 @@ from repro.elastic import (
     ResizeScheduler,
     TopologySpec,
     compatible_allocations,
-    elastic_resume,
     reshard_engine_state,
     reshard_trainer_state,
     run_resize_campaign,
@@ -159,7 +158,6 @@ __all__ = [
     "compatible_allocations",
     "ResizeScheduler",
     "RequeueDriver",
-    "elastic_resume",
     "run_resize_campaign",
     "AdamW",
     "VisionTransformer",

@@ -321,9 +321,10 @@ class EngineCore:
     def topology(self) -> dict:
         """The world/sharding shape a snapshot of this engine assumes.
 
-        Recorded in checkpoint metadata so a resume into a *different*
-        shape fails with a typed error (or reshards through
-        :mod:`repro.elastic`) instead of silently diverging.
+        Recorded in checkpoint metadata so
+        :meth:`~repro.core.trainer.Pretrainer.resume` reshards a snapshot
+        into a *different* shape — or refuses it, typed, when the
+        trajectory would change — instead of silently diverging.
         """
         return {
             "kind": self.kind,

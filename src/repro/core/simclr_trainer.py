@@ -29,10 +29,13 @@ class SimCLRPretrainer(Pretrainer):
     augmented views of the same images.
 
     Distributed note: like real SimCLR without an embedding all-gather,
-    each rank contrasts only against its *local* negatives, so runs at
-    different world sizes optimize slightly different objectives (unlike
-    the MAE trainer, whose loss is sample-separable). Sharding-strategy
-    equivalence at a fixed world size still holds exactly.
+    each micro-batch contrasts only against its *own* negatives, so runs
+    with different micro counts (``data_parallel_size *
+    grad_accum_steps``) optimize slightly different objectives (unlike
+    the MAE trainer, whose loss is sample-separable). Runs with the same
+    micro count — any strategy, and any world size that keeps the
+    :class:`~repro.elastic.layout.ReductionLayout`, as a resumed resize
+    does — are bit-identical.
     """
 
     model_type = SimCLRModel

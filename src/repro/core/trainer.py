@@ -29,7 +29,7 @@ from repro.models.workspace import Workspace
 from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry import StepStats, TelemetryBus
 
-__all__ = ["Pretrainer", "MAEPretrainer", "TrainResult", "CheckpointingTrainer"]
+__all__ = ["Pretrainer", "MAEPretrainer", "TrainResult"]
 
 
 @dataclass
@@ -60,180 +60,7 @@ class TrainResult:
         return np.asarray(means)
 
 
-class CheckpointingTrainer:
-    """Elastic-recovery mixin shared by the pretraining loops.
-
-    Gives a trainer periodic atomic snapshots (``save_every``) and
-    :meth:`resume`. A snapshot captures everything the trajectory depends
-    on — engine state (model params, optimizer moments, step count) plus
-    the loss/LR history — while the data order, augmentation/masking
-    noise, and LR schedule are pure functions of (seed, absolute step),
-    so restoring the snapshot and replaying from its step is bit-identical
-    to never having stopped (the ``chaos`` test campaign asserts this).
-
-    The host (:class:`Pretrainer`) provides ``engine``, ``seed``,
-    ``global_batch``, ``steps_per_epoch``, ``telemetry``, the attributes
-    below, and a ``run(n_steps, start_step)`` that calls
-    :meth:`_record_step` once per optimizer step.
-    """
-
-    checkpoints: CheckpointManager | None
-    save_every: int
-    preemption: PreemptionToken | None
-    _hist_losses: list[float]
-    _hist_lrs: list[float]
-
-    def state_dict(self) -> dict:
-        """Everything the trajectory depends on: engine + loss/LR history."""
-        return {
-            "engine": self.engine.state_dict(),
-            "history": {
-                "losses": np.asarray(self._hist_losses, dtype=np.float64),
-                "lrs": np.asarray(self._hist_lrs, dtype=np.float64),
-            },
-        }
-
-    def load_state_dict(self, sd: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot (engine + history)."""
-        self.engine.load_state_dict(sd["engine"])
-        self._hist_losses = [float(x) for x in sd["history"]["losses"]]
-        self._hist_lrs = [float(x) for x in sd["history"]["lrs"]]
-
-    def _record_step(self, step: int, loss: float, lr: float) -> None:
-        """Append one step to the history; snapshot on the save cadence.
-
-        This is also the preemption drain point: when the trainer's
-        :class:`~repro.elastic.preemption.PreemptionToken` has tripped
-        (signal) or armed (scheduler), the step that just completed is
-        snapshotted — exactly once — and
-        :class:`~repro.elastic.errors.PreemptedError` unwinds the run so
-        a requeue driver can rebuild the next allocation.
-        """
-        self._hist_losses.append(loss)
-        self._hist_lrs.append(lr)
-        saved: str | None = None
-        if self.checkpoints is not None and self.save_every:
-            if (step + 1) % self.save_every == 0:
-                saved = self.save_snapshot()
-        tok = self.preemption
-        if tok is not None and tok.should_preempt(step):
-            if saved is None and self.checkpoints is not None:
-                saved = self.save_snapshot()
-            if self.telemetry.enabled:
-                self.telemetry.counter(
-                    "elastic.preemptions", 1, reason=tok.reason or "unknown"
-                )
-            raise PreemptedError(step=step, checkpoint=saved)
-
-    def save_snapshot(self) -> str:
-        """Atomically snapshot the engine + history at the current step.
-
-        The metadata records the engine topology (world size, strategy,
-        shard size, reduction layout) so :meth:`resume` can refuse — and
-        :func:`repro.elastic.elastic_resume` can reshard — a restore
-        into a differently-shaped world.
-        """
-        if self.checkpoints is None:
-            raise ValueError("trainer was constructed without a checkpoint_dir")
-        state = self.state_dict()
-        meta = {
-            "seed": self.seed,
-            "global_batch": self.global_batch,
-            "elastic": self.engine.topology(),
-        }
-        return self.checkpoints.save(state, step=self.engine.step_count, meta=meta)
-
-    def resume(self, total_steps: int) -> TrainResult:
-        """Train through absolute step ``total_steps``, restoring the
-        latest valid snapshot first (corrupt ones are skipped).
-
-        Starts from scratch when no valid snapshot exists. Returns the
-        *full* history (restored + newly trained), so the result of an
-        interrupted-and-resumed run compares 1:1 against an
-        uninterrupted ``run(total_steps)``.
-        """
-        if self.checkpoints is None:
-            raise ValueError("resume() requires a checkpoint_dir")
-        if total_steps <= 0:
-            raise ValueError(f"total_steps must be positive, got {total_steps}")
-        start = 0
-        loaded = self.checkpoints.latest_valid()
-        if loaded is not None:
-            state, meta, _ = loaded
-            if meta.get("seed") != self.seed or meta.get("global_batch") != self.global_batch:
-                raise ValueError(
-                    f"snapshot was taken with seed={meta.get('seed')}, "
-                    f"global_batch={meta.get('global_batch')}; trainer has "
-                    f"seed={self.seed}, global_batch={self.global_batch}"
-                )
-            self._check_snapshot_topology(meta)
-            try:
-                self.load_state_dict(state)
-            except (ValueError, KeyError) as e:
-                # A legacy (pre-topology) snapshot from a different world
-                # can fail structurally deep in the optimizer; surface it
-                # as the typed elastic error with the way out.
-                raise ElasticCompatibilityError(
-                    f"snapshot does not fit this engine ({e}); it was "
-                    "likely saved under a different world size or sharding "
-                    "strategy. Resume it through "
-                    "repro.elastic.elastic_resume(trainer, total_steps), "
-                    "which reshards the state."
-                ) from e
-            start = self.engine.step_count
-        if total_steps < start:
-            raise ValueError(
-                f"snapshot is already at step {start}, beyond total_steps {total_steps}"
-            )
-        if total_steps > start:
-            self.run(total_steps - start, start_step=start)
-        return TrainResult(
-            losses=list(self._hist_losses),
-            lrs=list(self._hist_lrs),
-            steps_per_epoch=self.steps_per_epoch,
-        )
-
-    def _check_snapshot_topology(self, meta: dict) -> None:
-        """Refuse a plain resume across a world/sharding change.
-
-        Snapshots record the engine topology under ``meta["elastic"]``;
-        restoring one into a differently-shaped engine would either fail
-        structurally (FSDP shard counts) or — worse — load cleanly and
-        silently follow a different trajectory (a DDP world change
-        re-slices every global batch). Both cases get the typed error;
-        legacy snapshots without the record are loaded as before (the
-        structural failure path still catches cross-shard loads).
-        """
-        recorded = meta.get("elastic")
-        if recorded is None:
-            return
-        current = self.engine.topology()
-        compare = (
-            "strategy",
-            "world_size",
-            "shard_size",
-            "grad_accum_steps",
-            "layout",
-            "precision",
-            "mesh",
-        )
-        diffs = [
-            f"{k}: snapshot {recorded.get(k)!r} != engine {current.get(k)!r}"
-            for k in compare
-            if recorded.get(k) != current.get(k)
-        ]
-        if diffs:
-            raise ElasticCompatibilityError(
-                "snapshot topology does not match this engine ("
-                + "; ".join(diffs)
-                + "). A direct resume would not continue the same "
-                "trajectory; use repro.elastic.elastic_resume(trainer, "
-                "total_steps) to reshard into this world, or rebuild the "
-                "engine with the snapshot's topology."
-            )
-
-
-class Pretrainer(CheckpointingTrainer):
+class Pretrainer:
     """The pretraining loop: drives an engine over an image corpus.
 
     Data order, augmentation / masking noise and the default schedule
@@ -242,6 +69,11 @@ class Pretrainer(CheckpointingTrainer):
     samples. An objective is a subclass supplying ``model_type``,
     ``step_fn`` (module-level: the process backend pickles it by
     reference) and :meth:`_batch`.
+
+    A snapshot (``save_every``, :meth:`save_snapshot`) captures the rest
+    of what the trajectory depends on — the engine state and the loss /
+    LR history — so :meth:`resume` continues a preempted run exactly as
+    if it had never stopped, in this world or in a resized one.
 
     Parameters
     ----------
@@ -266,10 +98,10 @@ class Pretrainer(CheckpointingTrainer):
         objective's default; skipped when the model already has one.
     checkpoint_dir:
         Directory for atomic training snapshots; enables
-        :meth:`~CheckpointingTrainer.resume` and ``save_every``.
+        :meth:`resume` and ``save_every``.
     save_every:
         Snapshot every this many optimizer steps (0 disables the
-        cadence; explicit :meth:`~CheckpointingTrainer.save_snapshot`
+        cadence; explicit :meth:`save_snapshot`
         still works when a directory is set).
     keep:
         How many snapshots to retain (older ones are pruned).
@@ -338,6 +170,8 @@ class Pretrainer(CheckpointingTrainer):
         # Each step's batch, gathered in place (its micros are views).
         self._batch_images = np.empty((global_batch, *images.shape[1:]), images.dtype)
         self.schedule = schedule
+        # The default schedule's peak, read before any restore moves it.
+        self._peak_lr = engine.lr
         self.seed = seed
         self.steps_per_epoch = len(images) // global_batch
         self.checkpoints = (
@@ -388,7 +222,7 @@ class Pretrainer(CheckpointingTrainer):
         schedule = self.schedule
         if schedule is None:
             schedule = CosineWithWarmup(
-                base_lr=engine.lr,
+                base_lr=self._peak_lr,
                 total_steps=start_step + n_steps,
                 warmup_steps=max(1, (start_step + n_steps) // 10),
             )
@@ -428,6 +262,126 @@ class Pretrainer(CheckpointingTrainer):
             result.lrs.append(engine.lr)
             self._record_step(step, loss, engine.lr)
         return result
+
+    def state_dict(self) -> dict:
+        """Everything the trajectory depends on: engine + loss/LR history."""
+        return {
+            "engine": self.engine.state_dict(),
+            "history": {
+                "losses": np.asarray(self._hist_losses, dtype=np.float64),
+                "lrs": np.asarray(self._hist_lrs, dtype=np.float64),
+            },
+        }
+
+    def load_state_dict(self, sd: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot (engine + history)."""
+        self.engine.load_state_dict(sd["engine"])
+        self._hist_losses = [float(x) for x in sd["history"]["losses"]]
+        self._hist_lrs = [float(x) for x in sd["history"]["lrs"]]
+
+    def _record_step(self, step: int, loss: float, lr: float) -> None:
+        """Append one step to the history; snapshot on the save cadence.
+
+        This is also the preemption drain point: when the trainer's
+        :class:`~repro.elastic.preemption.PreemptionToken` has tripped
+        (signal) or armed (scheduler), the step that just completed is
+        snapshotted — exactly once — and
+        :class:`~repro.elastic.errors.PreemptedError` unwinds the run so
+        a requeue driver can rebuild the next allocation.
+        """
+        self._hist_losses.append(loss)
+        self._hist_lrs.append(lr)
+        saved: str | None = None
+        if self.checkpoints is not None and self.save_every:
+            if (step + 1) % self.save_every == 0:
+                saved = self.save_snapshot()
+        tok = self.preemption
+        if tok is not None and tok.should_preempt(step):
+            if saved is None and self.checkpoints is not None:
+                saved = self.save_snapshot()
+            if self.telemetry.enabled:
+                self.telemetry.counter(
+                    "elastic.preemptions", 1, reason=tok.reason or "unknown"
+                )
+            raise PreemptedError(step=step, checkpoint=saved)
+
+    def save_snapshot(self) -> str:
+        """Atomically snapshot the engine + history at the current step.
+
+        The metadata records the engine topology (world size, strategy,
+        shard size, reduction layout) so :meth:`resume` can reshard the
+        snapshot into a differently-shaped world.
+        """
+        if self.checkpoints is None:
+            raise ValueError("trainer was constructed without a checkpoint_dir")
+        state = self.state_dict()
+        meta = {
+            "seed": self.seed,
+            "global_batch": self.global_batch,
+            "elastic": self.engine.topology(),
+        }
+        return self.checkpoints.save(state, step=self.engine.step_count, meta=meta)
+
+    def resume(self, total_steps: int) -> TrainResult:
+        """Train through absolute step ``total_steps``, restoring the
+        latest valid snapshot first (corrupt ones are skipped).
+
+        Every restore goes through
+        :func:`~repro.elastic.reshard.reshard_trainer_state`: the
+        identity when the snapshot has this engine's shape, a reshard
+        when only the shape differs (same reduction layout and
+        precision, so the fp32 trajectory continues bit-exact), and a
+        typed :class:`~repro.elastic.errors.ElasticCompatibilityError`
+        otherwise — as for a snapshot of another data stream or one
+        without a topology record. Starts from scratch when no valid
+        snapshot exists. Returns the *full* history (restored + newly
+        trained), so an interrupted-and-resumed run compares 1:1 against
+        an uninterrupted ``run(total_steps)``.
+        """
+        # Lazy: repro.elastic.reshard imports repro.core.
+        from repro.elastic.reshard import (
+            TopologySpec,
+            engine_topology,
+            reshard_trainer_state,
+        )
+
+        if self.checkpoints is None:
+            raise ValueError("resume() requires a checkpoint_dir")
+        if total_steps <= 0:
+            raise ValueError(f"total_steps must be positive, got {total_steps}")
+        start = 0
+        loaded = self.checkpoints.latest_valid()
+        if loaded is not None:
+            state, meta, _ = loaded
+            if meta.get("seed") != self.seed or meta.get("global_batch") != self.global_batch:
+                raise ElasticCompatibilityError(
+                    f"snapshot was taken with seed={meta.get('seed')}, "
+                    f"global_batch={meta.get('global_batch')}; trainer has "
+                    f"seed={self.seed}, global_batch={self.global_batch} — "
+                    "no resume can reconcile a different data stream"
+                )
+            if "elastic" not in meta:
+                raise ElasticCompatibilityError(
+                    "snapshot predates topology records, so its sharding "
+                    "shape is unknown and it cannot be restored safely"
+                )
+            src = TopologySpec.from_dict(meta["elastic"])
+            dst = engine_topology(self.engine)
+            self.load_state_dict(
+                reshard_trainer_state(state, self.engine.model, src, dst)
+            )
+            start = self.engine.step_count
+        if total_steps < start:
+            raise ValueError(
+                f"snapshot is already at step {start}, beyond total_steps {total_steps}"
+            )
+        if total_steps > start:
+            self.run(total_steps - start, start_step=start)
+        return TrainResult(
+            losses=list(self._hist_losses),
+            lrs=list(self._hist_lrs),
+            steps_per_epoch=self.steps_per_epoch,
+        )
 
 
 def _mae_step_fn(model: MaskedAutoencoder, micro) -> float:

@@ -11,7 +11,8 @@ allocations. This package makes that survivable — and bit-exact:
   sizes and sharding strategies (FULL_SHARD 16 → HYBRID 8, DDP → FSDP,
   ...) through a world-neutral canonical form;
 - :mod:`repro.elastic.requeue` — the scheduler/driver loop that restarts
-  a preempted run into its next allocation via :func:`elastic_resume`;
+  a preempted run into its next allocation via
+  :meth:`~repro.core.trainer.Pretrainer.resume`, which reshards;
 - :mod:`repro.elastic.campaign` — the resize chaos campaign asserting
   trajectory identity against an uninterrupted oracle run.
 
@@ -46,7 +47,6 @@ __all__ = [
     "ResizeScheduler",
     "RequeueDriver",
     "RequeueReport",
-    "elastic_resume",
     "run_resize_campaign",
 ]
 
@@ -60,7 +60,6 @@ _LAZY = {
     "ResizeScheduler": "repro.elastic.requeue",
     "RequeueDriver": "repro.elastic.requeue",
     "RequeueReport": "repro.elastic.requeue",
-    "elastic_resume": "repro.elastic.requeue",
     "run_resize_campaign": "repro.elastic.campaign",
 }
 

@@ -104,25 +104,12 @@ def run_resize_campaign(
 
     t0 = perf_counter()
 
-    # Oracle: uninterrupted FULL_SHARD 16, inline. The schedule is shared
-    # explicitly by every incarnation: the default one derives base_lr
-    # from the engine's *current* lr, which a restored snapshot has
-    # already advanced.
+    # Oracle: uninterrupted FULL_SHARD 16, inline.
     from repro.core.trainer import MAEPretrainer
-    from repro.optim.schedules import CosineWithWarmup
 
     oracle_engine = ORACLE_ALLOCATION.build(_tiny_mae_model(init_seed), layout)
-    schedule = CosineWithWarmup(
-        base_lr=oracle_engine.lr,
-        total_steps=total_steps,
-        warmup_steps=max(1, total_steps // 10),
-    )
     oracle = MAEPretrainer(
-        oracle_engine,
-        images,
-        global_batch=global_batch,
-        schedule=schedule,
-        seed=data_seed,
+        oracle_engine, images, global_batch=global_batch, seed=data_seed
     )
     oracle_result = oracle.run(total_steps)
     oracle_params = {
@@ -148,7 +135,6 @@ def run_resize_campaign(
             engine,
             images,
             global_batch=global_batch,
-            schedule=schedule,
             seed=data_seed,
             checkpoint_dir=checkpoint_dir,
             save_every=1,
@@ -168,16 +154,13 @@ def run_resize_campaign(
         verify_engine,
         images,
         global_batch=global_batch,
-        schedule=schedule,
         seed=data_seed,
         checkpoint_dir=checkpoint_dir,
     )
-    from repro.elastic.requeue import elastic_resume
-
     # The final segment snapshotted at total_steps (save_every=1), so this
     # pure-reshard load recovers the lifecycle's *final* state on the
     # oracle topology without retraining a single step.
-    elastic_resume(verify, total_steps)
+    verify.resume(total_steps)
     max_diff = 0.0
     params_equal = True
     for name, p in verify_engine.model.named_parameters():

@@ -16,9 +16,11 @@ class ElasticCompatibilityError(ValueError):
     Raised instead of letting a structurally-plausible load proceed and
     silently diverge (e.g. a sampler cursor striding over a different
     world size, or an optimizer slot count from a different shard
-    layout). The message always says what mismatched and what to do
-    about it — usually "reshard through ``repro.elastic.elastic_resume``"
-    or "restart from an epoch boundary".
+    layout). The message always says what mismatched and, where there
+    is one, the way out — "pick a target from
+    ``repro.elastic.compatible_allocations``" or "restart from an epoch
+    boundary". :meth:`~repro.core.trainer.Pretrainer.resume` raises it
+    for every snapshot it will not restore.
     """
 
 

@@ -15,9 +15,8 @@ allocation. This module simulates that lifecycle end to end:
   for the current allocation, train until
   :class:`~repro.elastic.errors.PreemptedError` unwinds it (the drained
   step's snapshot is already on disk), then rebuild under the next
-  allocation and resume — resharding the checkpoint on the way in.
-- :func:`elastic_resume` — :meth:`resume` that reshards instead of
-  refusing when the snapshot topology differs from the engine.
+  allocation and :meth:`~repro.core.trainer.Pretrainer.resume`, which
+  reshards the checkpoint on the way in.
 
 The invariant all of this preserves: the concatenated loss history and
 final parameters of a preempted/resized run are **bit-identical** to the
@@ -37,11 +36,6 @@ from repro.elastic.layout import (
     ReductionLayout,
 )
 from repro.elastic.preemption import PreemptionToken
-from repro.elastic.reshard import (
-    TopologySpec,
-    engine_topology,
-    reshard_trainer_state,
-)
 
 __all__ = [
     "Allocation",
@@ -49,7 +43,6 @@ __all__ = [
     "ResizeScheduler",
     "RequeueDriver",
     "RequeueReport",
-    "elastic_resume",
 ]
 
 
@@ -298,7 +291,7 @@ class RequeueDriver:
                 )
                 span.__enter__()
             try:
-                result = elastic_resume(trainer, total_steps)
+                result = trainer.resume(total_steps)
                 return RequeueReport(
                     losses=list(result.losses),
                     lrs=list(result.lrs),
@@ -329,62 +322,3 @@ class RequeueDriver:
                     span.__exit__(None, None, None)
                 trainer.engine.close()
 
-
-def elastic_resume(trainer, total_steps: int):
-    """Resume the latest snapshot into ``trainer``'s world, resharding.
-
-    The elastic counterpart of
-    :meth:`repro.core.trainer.CheckpointingTrainer.resume`: where a
-    plain resume *refuses* a snapshot whose recorded topology differs
-    from the engine, this remaps the state through
-    :func:`repro.elastic.reshard.reshard_trainer_state` — provided the
-    reduction layouts match, so the fp32 trajectory continues bit-exact.
-    Legacy snapshots without a topology record are refused (there is no
-    safe way to reshard state of unknown shape).
-    """
-    ckpts = trainer.checkpoints
-    if ckpts is None:
-        raise ValueError("elastic_resume() requires a checkpoint_dir")
-    if total_steps <= 0:
-        raise ValueError(f"total_steps must be positive, got {total_steps}")
-    loaded = ckpts.latest_valid()
-    if loaded is None:
-        return trainer.resume(total_steps)
-    state, meta, _ = loaded
-    if (
-        meta.get("seed") != trainer.seed
-        or meta.get("global_batch") != trainer.global_batch
-    ):
-        raise ElasticCompatibilityError(
-            f"snapshot was taken with seed={meta.get('seed')}, "
-            f"global_batch={meta.get('global_batch')}; trainer has "
-            f"seed={trainer.seed}, global_batch={trainer.global_batch} — "
-            "resharding cannot reconcile a different data stream"
-        )
-    recorded = meta.get("elastic")
-    if recorded is None:
-        raise ElasticCompatibilityError(
-            "snapshot predates topology records, so its sharding shape is "
-            "unknown and cannot be resharded safely; resume it with the "
-            "original engine configuration via trainer.resume(), then "
-            "re-save"
-        )
-    src = TopologySpec.from_dict(recorded)
-    dst = engine_topology(trainer.engine)
-    trainer.load_state_dict(
-        reshard_trainer_state(state, trainer.engine.model, src, dst)
-    )
-    start = trainer.engine.step_count
-    if total_steps < start:
-        raise ValueError(
-            f"snapshot is already at step {start}, beyond total_steps {total_steps}"
-        )
-    if total_steps > start:
-        trainer.run(total_steps - start, start_step=start)
-    from repro.core.trainer import TrainResult
-
-    return TrainResult(
-        losses=list(trainer._hist_losses),
-        lrs=list(trainer._hist_lrs),
-        steps_per_epoch=trainer.steps_per_epoch,
-    )

@@ -256,7 +256,7 @@ def test_one_way_to_run_a_gemm():
     for name in ("use_gemm_pool", "gemm_pool", "_matmul"):
         assert not hasattr(Module, name)
     assert not hasattr(ProcessBackend, "pop_worker_cpu_s")
-    assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 84
+    assert "GemmPool" not in repro.__all__ and len(repro.__all__) == 83
 
 
 # -- one gradient-storage contract ---------------------------------------------

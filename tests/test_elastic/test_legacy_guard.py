@@ -1,9 +1,9 @@
 """Legacy checkpoints and cursors meet a resized world: typed refusals.
 
-The regression this suite pins (ISSUE satellite): a pre-elastic
-checkpoint or sampler cursor loaded into a differently-sized world must
-fail with an actionable :class:`ElasticCompatibilityError` instead of
-silently mis-striding the data stream or following a shifted trajectory.
+The regression this suite pins: a pre-elastic checkpoint or sampler
+cursor must fail with an actionable :class:`ElasticCompatibilityError`
+instead of silently mis-striding the data stream or following a shifted
+trajectory, while a snapshot that records its topology reshards.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.core.trainer import MAEPretrainer
 from repro.data.sampler import DistributedSampler
 from repro.elastic.errors import ElasticCompatibilityError
 from repro.elastic.layout import ReductionLayout
-from repro.elastic.requeue import elastic_resume
 from repro.models.mae import MaskedAutoencoder
 from repro.optim.schedules import CosineWithWarmup
 
@@ -113,13 +112,18 @@ class TestLegacyCheckpointGuards:
             base_lr=1e-3, total_steps=TOTAL_STEPS, warmup_steps=1
         )
 
-    def test_legacy_fsdp_snapshot_into_resized_world_is_typed(
-        self, tiny_mae_cfg, images, schedule, tmp_path
+    @pytest.mark.parametrize(
+        ("strategy", "world_size", "grad_accum_steps"),
+        [("full_shard", 4, 1), ("full_shard", 2, 2), ("ddp", 2, 2)],
+        ids=["same_shape", "full_shard_W2_k2", "ddp_W2_k2"],
+    )
+    def test_legacy_snapshot_is_refused(
+        self, tiny_mae_cfg, images, schedule, tmp_path,
+        strategy, world_size, grad_accum_steps,
     ):
-        # FULL_SHARD W=4 snapshot, topology record stripped, loaded into
-        # a W=2 world: the structural failure deep in the optimizer must
-        # surface as the typed error pointing at elastic_resume, never a
-        # silent mis-stride.
+        # A FULL_SHARD W=4 snapshot with its topology record stripped has
+        # an unknown sharding shape: resume refuses it typed in every
+        # world — its own included — instead of guessing a reshard.
         first = _trainer(
             tiny_mae_cfg, images, "full_shard", 4, schedule=schedule,
             checkpoint_dir=str(tmp_path / "src"), save_every=1,
@@ -127,43 +131,22 @@ class TestLegacyCheckpointGuards:
         first.run(2)
         _strip_elastic_meta(tmp_path / "src", tmp_path / "legacy")
 
-        resized = _trainer(
-            tiny_mae_cfg, images, "full_shard", 2, schedule=schedule,
-            grad_accum_steps=2, init_seed=99,
-            checkpoint_dir=str(tmp_path / "legacy"), save_every=1,
-        )
-        with pytest.raises(
-            ElasticCompatibilityError, match="elastic_resume"
-        ):
-            resized.resume(TOTAL_STEPS)
-
-    def test_elastic_resume_refuses_legacy_snapshot(
-        self, tiny_mae_cfg, images, schedule, tmp_path
-    ):
-        # Even the resharding path cannot reshard without knowing the
-        # source topology; legacy snapshots get a typed refusal, not a
-        # guess.
-        first = _trainer(
-            tiny_mae_cfg, images, "full_shard", 4, schedule=schedule,
-            checkpoint_dir=str(tmp_path / "src"), save_every=1,
-        )
-        first.run(2)
-        _strip_elastic_meta(tmp_path / "src", tmp_path / "legacy")
-
-        resized = _trainer(
-            tiny_mae_cfg, images, "ddp", 2, schedule=schedule,
-            grad_accum_steps=2, init_seed=99,
+        target = _trainer(
+            tiny_mae_cfg, images, strategy, world_size, schedule=schedule,
+            grad_accum_steps=grad_accum_steps, init_seed=99,
             checkpoint_dir=str(tmp_path / "legacy"), save_every=1,
         )
         with pytest.raises(ElasticCompatibilityError, match="predates"):
-            elastic_resume(resized, TOTAL_STEPS)
+            target.resume(TOTAL_STEPS)
 
-    def test_modern_snapshot_topology_mismatch_is_typed(
+    def test_modern_snapshot_into_resized_world_reshards(
         self, tiny_mae_cfg, images, schedule, tmp_path
     ):
-        # With the topology record present, even a load that would
-        # succeed structurally (DDP replicates everything) is refused on
-        # a plain resume: the trajectory would differ.
+        # With the topology record present, DDP W=4 -> DDP W=2 k=2 keeps
+        # the reduction layout, so resume reshards and continues the
+        # uninterrupted trajectory bit-exact.
+        golden = _trainer(tiny_mae_cfg, images, "ddp", 4, schedule=schedule)
+        golden_losses = golden.run(TOTAL_STEPS).losses
         first = _trainer(
             tiny_mae_cfg, images, "ddp", 4, schedule=schedule,
             checkpoint_dir=str(tmp_path), save_every=1,
@@ -174,8 +157,9 @@ class TestLegacyCheckpointGuards:
             grad_accum_steps=2, init_seed=99,
             checkpoint_dir=str(tmp_path), save_every=1,
         )
-        with pytest.raises(
-            ElasticCompatibilityError, match="world_size"
-        ) as exc:
-            resized.resume(TOTAL_STEPS)
-        assert "elastic_resume" in str(exc.value)
+        assert resized.resume(TOTAL_STEPS).losses == golden_losses
+        for (n, p), (_, q) in zip(
+            resized.engine.model.named_parameters(),
+            golden.engine.model.named_parameters(),
+        ):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=n)

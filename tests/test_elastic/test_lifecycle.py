@@ -19,7 +19,6 @@ from repro.core.trainer import MAEPretrainer
 from repro.elastic.errors import PreemptedError
 from repro.elastic.layout import ReductionLayout
 from repro.elastic.preemption import PreemptionHandler, PreemptionToken
-from repro.elastic.requeue import elastic_resume
 from repro.models.mae import MaskedAutoencoder
 from repro.optim.schedules import CosineWithWarmup
 from repro.telemetry.bus import RecordingSink, TelemetryBus
@@ -160,7 +159,7 @@ class TestSignalDrivenRequeue:
             grad_accum_steps=2, init_seed=99,
             checkpoint_dir=str(tmp_path), save_every=1, telemetry=bus,
         )
-        resumed = elastic_resume(requeued, TOTAL_STEPS)
+        resumed = requeued.resume(TOTAL_STEPS)
 
         # The resumed result carries the restored history plus the tail.
         assert resumed.losses == golden.losses

@@ -263,13 +263,17 @@ class TestTypedRefusals:
     def test_plain_resume_refuses_resized_snapshot(
         self, tiny_mae_cfg, images, tmp_path
     ):
+        # A W=2 k=1 engine on its natural layout reduces 2 micros, not
+        # the snapshot's 4: no reshard can keep the trajectory.
         engine = _engine(tiny_mae_cfg, "full_shard", 4)
         trainer = _trainer(engine, images, checkpoint_dir=str(tmp_path), save_every=2)
         trainer.run(2)
 
-        resized = _engine(tiny_mae_cfg, "ddp", 2, grad_accum_steps=2, init_seed=99)
+        resized = make_engine(
+            _model(tiny_mae_cfg, 99), "ddp", world=World(size=2, ranks_per_node=2)
+        )
         fresh = _trainer(
             resized, images, checkpoint_dir=str(tmp_path), save_every=2
         )
-        with pytest.raises(ElasticCompatibilityError, match="elastic_resume"):
+        with pytest.raises(ElasticCompatibilityError, match="cannot reshard"):
             fresh.resume(TOTAL_STEPS)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.world import World
+from repro.core.engine import make_engine
 from repro.core.trainer import MAEPretrainer
 from repro.elastic.errors import ElasticCompatibilityError
 from repro.elastic.reshard import TopologySpec
@@ -14,6 +16,7 @@ from repro.telemetry import RecordingSink, RunReport, TelemetryBus
 from .helpers import (
     TINY,
     assert_states_equal,
+    build_model,
     mesh_engine,
     oracle_engine,
     run_steps,
@@ -265,17 +268,46 @@ def test_pretrainer_global_batch_divisibility_uses_dp_not_world():
         eng.close()
 
 
-def test_snapshot_topology_check_refuses_cross_mesh_resume():
+def _ddp_snapshot(images, checkpoint_dir, steps):
+    """Train a plain DDP W=2 run (no mesh), snapshotting every step when
+    given a directory; returns its losses and final parameters."""
+    eng = make_engine(build_model(7), "ddp", world=World(2))
+    trainer = MAEPretrainer(
+        eng, images, global_batch=4, seed=0,
+        checkpoint_dir=checkpoint_dir, save_every=1 if checkpoint_dir else 0,
+    )
+    losses = trainer.run(steps).losses
+    return losses, {k: np.array(v) for k, v in eng.model.state_dict().items()}
+
+
+def test_ddp_snapshot_resumes_onto_a_mesh_bit_exactly(tmp_path):
+    # A plain DDP snapshot (mesh=None) resumes on a dp=2 mesh: same
+    # reduction layout, so resume reshards and continues bit-exact.
     images = _corpus()
-    eng = mesh_engine(MeshSpec(dp=2), "ddp")
-    other = oracle_engine(2)
+    golden_losses, golden_state = _ddp_snapshot(images, None, 3)
+    _ddp_snapshot(images, str(tmp_path), 1)
+    eng = mesh_engine(MeshSpec(dp=2), "ddp", seed=99)
     try:
-        trainer = MAEPretrainer(eng, images, global_batch=4, seed=0)
-        # Same shape: accepted silently.
-        trainer._check_snapshot_topology({"elastic": eng.topology()})
-        # A plain-DDP snapshot (mesh=None) must not resume on a mesh.
-        with pytest.raises(ElasticCompatibilityError, match="mesh"):
-            trainer._check_snapshot_topology({"elastic": other.topology()})
+        trainer = MAEPretrainer(
+            eng, images, global_batch=4, seed=0, checkpoint_dir=str(tmp_path)
+        )
+        assert trainer.resume(3).losses == golden_losses
+        assert_states_equal(dict(eng.model.state_dict()), golden_state)
     finally:
         eng.close()
-        other.close()
+
+
+def test_snapshot_topology_check_refuses_cross_mesh_resume(tmp_path):
+    # dp=2 x k=2 reduces 4 micros where the DDP W=2 snapshot reduced 2:
+    # the layout differs, so no reshard keeps the trajectory.
+    images = _corpus()
+    _ddp_snapshot(images, str(tmp_path), 1)
+    eng = mesh_engine(MeshSpec(dp=2), "ddp", k=2)
+    try:
+        trainer = MAEPretrainer(
+            eng, images, global_batch=4, seed=0, checkpoint_dir=str(tmp_path)
+        )
+        with pytest.raises(ElasticCompatibilityError, match="cannot reshard"):
+            trainer.resume(3)
+    finally:
+        eng.close()
