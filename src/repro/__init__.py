@@ -32,174 +32,120 @@ Quick start::
 See ``examples/quickstart.py`` for a complete runnable walkthrough and
 the README's "API tour" for the blessed public surface re-exported
 here (engines, trainers, telemetry, data, eval).
+
+Every package re-exports through one :func:`lazy_exports` table: a
+name's submodule is imported the first time the name is read, so
+``import repro`` imports no submodule and a training job loads only the
+code it runs (an import error in a submodule surfaces at that first
+access).
 """
 
-from repro.backend import (
-    BACKEND_CHOICES,
-    WorkerCrashError,
-    WorkerStepError,
-)
-from repro.comm.world import Group, World, make_hybrid_mesh
-from repro.core.config import (
-    MAEConfig,
-    PROXY_VARIANTS,
-    VIT_VARIANTS,
-    ViTConfig,
-    count_mae_params,
-    count_vit_params,
-    get_mae_config,
-    get_vit_config,
-)
-from repro.core.engine import (
-    STRATEGY_CHOICES,
-    EngineConfig,
-    make_engine,
-)
-from repro.core.sharding import BackwardPrefetch, ShardingStrategy, parse_strategy
-from repro.core.simclr_trainer import SimCLRPretrainer
-from repro.core.trainer import MAEPretrainer, TrainResult
-from repro.data.dataloader import DataLoader
-from repro.elastic import (
-    Allocation,
-    ElasticCompatibilityError,
-    PreemptedError,
-    PreemptionHandler,
-    PreemptionToken,
-    ReductionLayout,
-    RequeueDriver,
-    ResizeScheduler,
-    TopologySpec,
-    compatible_allocations,
-    reshard_engine_state,
-    reshard_trainer_state,
-    run_resize_campaign,
-)
-from repro.eval.linear_probe import linear_probe
-from repro.hardware.frontier import FRONTIER, frontier_machine
-from repro.mesh import DeviceMesh, MeshSpec, TPContext
-from repro.models.mae import MaskedAutoencoder
-from repro.models.vit import VisionTransformer
-from repro.optim.adamw import AdamW
-from repro.perf.mesh_model import MeshTrafficPrediction, predict_mesh_traffic
-from repro.perf.simulator import PerfParams, TrainStepSimulator
-from repro.precision import LossScaler, bf16_round, from_bf16, to_bf16
-from repro.serve import (
-    AdmissionController,
-    Autoscaler,
-    AutoscalePolicy,
-    CapacityPlan,
-    FixedServiceModel,
-    InferenceServer,
-    LRUFeatureCache,
-    RateProfile,
-    ReplicaFaultPlan,
-    ServerStats,
-    ServiceTimeModel,
-    TenantSpec,
-    TenantTraffic,
-    VirtualClock,
-    generate_workload,
-    latency_stats,
-    plan_capacity,
-    reconcile_plan,
-    run_open_loop,
-)
-from repro.telemetry import (
-    NULL_BUS,
-    JsonlSink,
-    NullSink,
-    RecordingSink,
-    RunReport,
-    StepStats,
-    TelemetryBus,
-    TelemetryEvent,
-    write_span_trace,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "World",
-    "Group",
-    "make_hybrid_mesh",
-    "ViTConfig",
-    "MAEConfig",
-    "VIT_VARIANTS",
-    "PROXY_VARIANTS",
-    "get_vit_config",
-    "get_mae_config",
-    "count_vit_params",
-    "count_mae_params",
-    "ShardingStrategy",
-    "BackwardPrefetch",
-    "parse_strategy",
-    "EngineConfig",
-    "make_engine",
-    "STRATEGY_CHOICES",
-    "BACKEND_CHOICES",
-    "WorkerCrashError",
-    "WorkerStepError",
-    "DeviceMesh",
-    "MeshSpec",
-    "TPContext",
-    "MAEPretrainer",
-    "SimCLRPretrainer",
-    "TrainResult",
-    "DataLoader",
-    "ElasticCompatibilityError",
-    "PreemptedError",
-    "PreemptionHandler",
-    "PreemptionToken",
-    "ReductionLayout",
-    "TopologySpec",
-    "reshard_engine_state",
-    "reshard_trainer_state",
-    "Allocation",
-    "compatible_allocations",
-    "ResizeScheduler",
-    "RequeueDriver",
-    "run_resize_campaign",
-    "AdamW",
-    "VisionTransformer",
-    "MaskedAutoencoder",
-    "linear_probe",
-    "FRONTIER",
-    "frontier_machine",
-    "TrainStepSimulator",
-    "PerfParams",
-    "MeshTrafficPrediction",
-    "predict_mesh_traffic",
-    "LossScaler",
-    "bf16_round",
-    "to_bf16",
-    "from_bf16",
-    "InferenceServer",
-    "ServerStats",
-    "VirtualClock",
-    "ServiceTimeModel",
-    "FixedServiceModel",
-    "LRUFeatureCache",
-    "ReplicaFaultPlan",
-    "latency_stats",
-    "TenantSpec",
-    "AdmissionController",
-    "AutoscalePolicy",
-    "Autoscaler",
-    "RateProfile",
-    "TenantTraffic",
-    "generate_workload",
-    "run_open_loop",
-    "CapacityPlan",
-    "plan_capacity",
-    "reconcile_plan",
-    "TelemetryBus",
-    "TelemetryEvent",
-    "NullSink",
-    "RecordingSink",
-    "JsonlSink",
-    "StepStats",
-    "NULL_BUS",
-    "RunReport",
-    "write_span_trace",
-    "__version__",
-]
+
+def lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
+    """``(__getattr__, __dir__, __all__)`` for a package re-exporting the
+    names of its submodules on first access (PEP 562).
+
+    ``table`` maps a submodule, relative to ``package``, to the names it
+    exports; it is the package's one list of public names. A name is
+    imported when first read and then cached on the package.
+    """
+    home = {name: module for module, names in table.items() for name in names}
+
+    def __getattr__(name: str):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[package])) | set(home))
+
+    return __getattr__, __dir__, list(home)
+
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "comm.world": ("World", "Group", "make_hybrid_mesh"),
+        "core.config": (
+            "ViTConfig",
+            "MAEConfig",
+            "VIT_VARIANTS",
+            "PROXY_VARIANTS",
+            "get_vit_config",
+            "get_mae_config",
+            "count_vit_params",
+            "count_mae_params",
+        ),
+        "core.sharding": ("ShardingStrategy", "BackwardPrefetch", "parse_strategy"),
+        "core.engine": ("EngineConfig", "make_engine", "STRATEGY_CHOICES"),
+        "backend": ("BACKEND_CHOICES", "WorkerCrashError", "WorkerStepError"),
+        "mesh": ("DeviceMesh", "MeshSpec", "TPContext"),
+        "core.trainer": ("MAEPretrainer", "TrainResult"),
+        "core.simclr_trainer": ("SimCLRPretrainer",),
+        "data.dataloader": ("DataLoader",),
+        "elastic": (
+            "ElasticCompatibilityError",
+            "PreemptedError",
+            "PreemptionHandler",
+            "PreemptionToken",
+            "ReductionLayout",
+            "TopologySpec",
+            "reshard_engine_state",
+            "reshard_trainer_state",
+            "Allocation",
+            "compatible_allocations",
+            "ResizeScheduler",
+            "RequeueDriver",
+            "run_resize_campaign",
+        ),
+        "optim.adamw": ("AdamW",),
+        "models.vit": ("VisionTransformer",),
+        "models.mae": ("MaskedAutoencoder",),
+        "eval.linear_probe": ("linear_probe",),
+        "hardware.frontier": ("FRONTIER", "frontier_machine"),
+        "perf.simulator": ("TrainStepSimulator", "PerfParams"),
+        "perf.mesh_model": ("MeshTrafficPrediction", "predict_mesh_traffic"),
+        "precision": ("LossScaler", "bf16_round", "to_bf16", "from_bf16"),
+        "serve": (
+            "InferenceServer",
+            "ServerStats",
+            "VirtualClock",
+            "ServiceTimeModel",
+            "FixedServiceModel",
+            "LRUFeatureCache",
+            "ReplicaFaultPlan",
+            "latency_stats",
+            "TenantSpec",
+            "AdmissionController",
+            "AutoscalePolicy",
+            "Autoscaler",
+            "RateProfile",
+            "TenantTraffic",
+            "generate_workload",
+            "run_open_loop",
+            "CapacityPlan",
+            "plan_capacity",
+            "reconcile_plan",
+        ),
+        "telemetry": (
+            "TelemetryBus",
+            "TelemetryEvent",
+            "NullSink",
+            "RecordingSink",
+            "JsonlSink",
+            "StepStats",
+            "NULL_BUS",
+            "RunReport",
+            "write_span_trace",
+        ),
+    },
+)
+__all__.append("__version__")

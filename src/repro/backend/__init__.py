@@ -24,33 +24,13 @@ Select via config — engines call :func:`make_backend` internally::
     engine.close()   # join workers, unlink /dev/shm segments
 """
 
-from repro.backend.inline import ExecutionBackend, InlineBackend
-from repro.backend.process import ProcessBackend, WorkerCrashError, WorkerStepError
-from repro.backend.shm import ShmArena, sweep_segments
+from repro import lazy_exports
 
-__all__ = [
-    "BACKEND_CHOICES",
-    "ExecutionBackend",
-    "InlineBackend",
-    "ProcessBackend",
-    "ShmArena",
-    "WorkerCrashError",
-    "WorkerStepError",
-    "make_backend",
-    "sweep_segments",
-]
-
-#: Backend names accepted by ``EngineConfig(backend=...)``.
-BACKEND_CHOICES = ("inline", "process")
-
-
-def make_backend(engine) -> ExecutionBackend:
-    """Build the execution backend selected by ``engine.config.backend``."""
-    backend = engine.config.backend
-    if backend == "inline":
-        return InlineBackend(engine)
-    if backend == "process":
-        return ProcessBackend(engine)
-    raise ValueError(
-        f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
-    )
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "inline": ("BACKEND_CHOICES", "ExecutionBackend", "InlineBackend", "make_backend"),
+        "process": ("ProcessBackend", "WorkerCrashError", "WorkerStepError"),
+        "shm": ("ShmArena", "sweep_segments"),
+    },
+)

@@ -38,7 +38,10 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-__all__ = ["ExecutionBackend", "InlineBackend"]
+__all__ = ["BACKEND_CHOICES", "ExecutionBackend", "InlineBackend", "make_backend"]
+
+#: Backend names accepted by ``EngineConfig(backend=...)``.
+BACKEND_CHOICES = ("inline", "process")
 
 
 class ExecutionBackend:
@@ -94,3 +97,18 @@ class InlineBackend(ExecutionBackend):
         for micro, row in zip(micros, eng._outbound[round_index], strict=True):
             losses.append(eng.storage.run_rank(eng.model, micro, step_fn, row, scale))
         return losses
+
+
+def make_backend(engine) -> ExecutionBackend:
+    """Build the execution backend selected by ``engine.config.backend``."""
+    backend = engine.config.backend
+    if backend == "inline":
+        return InlineBackend(engine)
+    if backend == "process":
+        # Imported here so an inline job never loads the process machinery.
+        from repro.backend.process import ProcessBackend
+
+        return ProcessBackend(engine)
+    raise ValueError(
+        f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}"
+    )

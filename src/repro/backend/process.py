@@ -171,8 +171,13 @@ def _worker_main(spec: dict, conn) -> None:
     from repro.models.workspace import Workspace
 
     rank = spec["rank"]
+    # The replica follows the spawn launch on this pipe (see start()); a
+    # ("stop",) in its place means start() failed on another rank.
+    model = pickle.loads(conn.recv_bytes())
+    if isinstance(model, tuple):
+        conn.close()
+        return
     arena = ShmArena.attach(spec["arena"])
-    model = pickle.loads(spec["model"])
     # A private workspace: the worker's steady-state step then allocates
     # nothing activation-sized and takes no page faults, like an inline
     # one (tests/test_models/test_steady_state.py); numerics are unchanged.
@@ -335,7 +340,17 @@ class ProcessBackend(ExecutionBackend):
                 model.use_workspace(workspace)
 
     def start(self) -> None:
-        """Spawn one worker per rank and wait for the attach rendezvous."""
+        """Spawn one worker per rank, send each its model replica and
+        wait for the attach rendezvous.
+
+        Every process is started before any replica is sent. Spawn writes
+        a process's launch arguments into a pipe its child reads only
+        after re-importing ``__main__``; a replica there (megabytes) would
+        overflow the pipe buffer and hold each ``proc.start()`` until that
+        child had finished importing, so the ranks would start one after
+        another. Sent afterwards over the rank's own pipe, it is read by
+        every child once its imports are done, in parallel.
+        """
         if self._started:
             return
         ctx = multiprocessing.get_context("spawn")
@@ -348,32 +363,44 @@ class ProcessBackend(ExecutionBackend):
             "param_layout": self._param_layout,
             "grad_groups": self.engine.grad_groups,
             "grads": self._grads,
-            "model": blob,
         }
         # Spawned children inherit os.environ as it is at start(): pin the
         # pools the user left unset for exactly that long.
         pinned = [name for name in BLAS_THREAD_VARS if name not in os.environ]
         os.environ.update(dict.fromkeys(pinned, "1"))
         try:
+            try:
+                for r in range(self.world_size):
+                    parent_conn, child_conn = ctx.Pipe()
+                    proc = ctx.Process(
+                        target=_worker_main,
+                        args=(dict(spec_common, rank=r), child_conn),
+                        name=f"repro-rank{r}",
+                        daemon=True,
+                    )
+                    proc.start()
+                    child_conn.close()
+                    self._procs.append(proc)
+                    self._conns.append(parent_conn)
+            finally:
+                for name in pinned:
+                    del os.environ[name]
+            for r, conn in enumerate(self._conns):
+                try:
+                    conn.send_bytes(blob)
+                except OSError as err:  # the child died before reading it
+                    code = self._procs[r].exitcode
+                    self._broken = f"pipe closed before the replica was read (exitcode {code})"
+                    raise WorkerCrashError(r, self._broken) from err
             for r in range(self.world_size):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(dict(spec_common, rank=r), child_conn),
-                    name=f"repro-rank{r}",
-                    daemon=True,
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-        finally:
-            for name in pinned:
-                del os.environ[name]
-        for r in range(self.world_size):
-            msg = self._recv(r)
-            if msg != ("ready", r):
-                raise WorkerCrashError(r, f"bad rendezvous message {msg!r}")
+                msg = self._recv(r)
+                if msg != ("ready", r):
+                    raise WorkerCrashError(r, f"bad rendezvous message {msg!r}")
+        except BaseException:
+            # The engine is never returned: reclaim the workers and
+            # segments here, as close() would.
+            self.shutdown()
+            raise
         self._started = True
 
     def shutdown(self) -> None:

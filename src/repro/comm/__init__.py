@@ -17,31 +17,15 @@ This package plays the role MPI/RCCL plays under PyTorch distributed:
   retry-with-backoff policy the engines use to survive them.
 """
 
-from repro.comm.bucketing import Bucket, bucket_gradients
-from repro.comm.collectives import CommStats, SimComm
-from repro.comm.cost_model import CollectiveCostModel, GroupPlacement
-from repro.comm.faults import (
-    CollectiveError,
-    FaultPlan,
-    FaultSpec,
-    RetryPolicy,
-    call_with_retry,
-)
-from repro.comm.world import Group, World, make_hybrid_mesh
+from repro import lazy_exports
 
-__all__ = [
-    "World",
-    "Group",
-    "make_hybrid_mesh",
-    "SimComm",
-    "CommStats",
-    "CollectiveCostModel",
-    "GroupPlacement",
-    "Bucket",
-    "bucket_gradients",
-    "FaultSpec",
-    "FaultPlan",
-    "CollectiveError",
-    "RetryPolicy",
-    "call_with_retry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "world": ("World", "Group", "make_hybrid_mesh"),
+        "collectives": ("SimComm", "CommStats"),
+        "cost_model": ("CollectiveCostModel", "GroupPlacement"),
+        "bucketing": ("Bucket", "bucket_gradients"),
+        "faults": ("FaultSpec", "FaultPlan", "CollectiveError", "RetryPolicy", "call_with_retry"),
+    },
+)

@@ -18,49 +18,31 @@
   images-per-second, memory, and communication-share reports.
 """
 
-from repro.core.config import (
-    MAEConfig,
-    PROXY_VARIANTS,
-    VIT_VARIANTS,
-    ViTConfig,
-    count_mae_params,
-    count_vit_params,
-    get_mae_config,
-    get_vit_config,
-)
-from repro.core.engine import STRATEGY_CHOICES, EngineConfig, make_engine
-from repro.core.sharding import (
-    BackwardPrefetch,
-    ShardingStrategy,
-    ShardPlan,
-    flatten_params,
-    unflatten_params,
-)
-from repro.core.scaling import run_strategy_grid, run_strong_scaling, run_weak_scaling
-from repro.core.simclr_trainer import SimCLRPretrainer
-from repro.core.trainer import MAEPretrainer, TrainResult
+from repro import lazy_exports
 
-__all__ = [
-    "ViTConfig",
-    "MAEConfig",
-    "VIT_VARIANTS",
-    "PROXY_VARIANTS",
-    "get_vit_config",
-    "get_mae_config",
-    "count_vit_params",
-    "count_mae_params",
-    "ShardingStrategy",
-    "BackwardPrefetch",
-    "ShardPlan",
-    "flatten_params",
-    "unflatten_params",
-    "EngineConfig",
-    "make_engine",
-    "STRATEGY_CHOICES",
-    "MAEPretrainer",
-    "SimCLRPretrainer",
-    "TrainResult",
-    "run_weak_scaling",
-    "run_strong_scaling",
-    "run_strategy_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "config": (
+            "ViTConfig",
+            "MAEConfig",
+            "VIT_VARIANTS",
+            "PROXY_VARIANTS",
+            "get_vit_config",
+            "get_mae_config",
+            "count_vit_params",
+            "count_mae_params",
+        ),
+        "sharding": (
+            "ShardingStrategy",
+            "BackwardPrefetch",
+            "ShardPlan",
+            "flatten_params",
+            "unflatten_params",
+        ),
+        "engine": ("EngineConfig", "make_engine", "STRATEGY_CHOICES"),
+        "trainer": ("MAEPretrainer", "TrainResult"),
+        "simclr_trainer": ("SimCLRPretrainer",),
+        "scaling": ("run_weak_scaling", "run_strong_scaling", "run_strategy_grid"),
+    },
+)

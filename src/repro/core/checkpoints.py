@@ -138,8 +138,10 @@ def _norm_path(path: str) -> str:
 
 def _write_payload(fileobj, payload: dict[str, np.ndarray]) -> None:
     """Serialize the archive to an open file object (test seam for
-    simulating a crash mid-write)."""
-    np.savez_compressed(fileobj, **payload)
+    simulating a crash mid-write). Entries are stored, not deflated:
+    fp32 weights and optimizer moments barely compress, and deflate was
+    nearly all of a save's time. ``np.load`` reads either form."""
+    np.savez(fileobj, **payload)
 
 
 def _atomic_savez(path: str, payload: dict[str, np.ndarray]) -> None:

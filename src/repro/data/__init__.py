@@ -16,38 +16,27 @@ distributed sampler.
 - :mod:`repro.data.sampler` — rank-sharded sampling.
 """
 
-from repro.data.dataloader import DataLoader
-from repro.data.datasets import (
-    DATASET_SPECS,
-    ArrayDataset,
-    DatasetSpec,
-    SplitDataset,
-    build_dataset,
-    build_pretraining_corpus,
-)
-from repro.data.sampler import DistributedSampler
-from repro.data.segmentation import (
-    SegmentationDataset,
-    build_segmentation_dataset,
-    patch_majority_labels,
-)
-from repro.data.synthetic import SceneGenerator
-from repro.data.transforms import augment_view, normalize_images, random_flip
+from repro import lazy_exports
 
-__all__ = [
-    "SceneGenerator",
-    "ArrayDataset",
-    "SplitDataset",
-    "DatasetSpec",
-    "DATASET_SPECS",
-    "build_dataset",
-    "build_pretraining_corpus",
-    "DataLoader",
-    "DistributedSampler",
-    "normalize_images",
-    "random_flip",
-    "augment_view",
-    "SegmentationDataset",
-    "build_segmentation_dataset",
-    "patch_majority_labels",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "synthetic": ("SceneGenerator",),
+        "datasets": (
+            "ArrayDataset",
+            "SplitDataset",
+            "DatasetSpec",
+            "DATASET_SPECS",
+            "build_dataset",
+            "build_pretraining_corpus",
+        ),
+        "dataloader": ("DataLoader",),
+        "sampler": ("DistributedSampler",),
+        "transforms": ("normalize_images", "random_flip", "augment_view"),
+        "segmentation": (
+            "SegmentationDataset",
+            "build_segmentation_dataset",
+            "patch_majority_labels",
+        ),
+    },
+)

@@ -6,26 +6,16 @@ LARS (base LR 0.1, no weight decay), and report top-1 / top-5 scene
 classification accuracy per probing epoch.
 """
 
-from repro.eval.features import extract_features, standardize_features
-from repro.eval.few_shot import FewShotResult, few_shot_probe
-from repro.eval.finetune import FinetuneResult, finetune, vit_from_mae
-from repro.eval.linear_probe import LinearProbeResult, linear_probe
-from repro.eval.metrics import confusion_matrix, topk_accuracy
-from repro.eval.segmentation import SegProbeResult, mean_iou, segmentation_probe
+from repro import lazy_exports
 
-__all__ = [
-    "extract_features",
-    "standardize_features",
-    "linear_probe",
-    "LinearProbeResult",
-    "few_shot_probe",
-    "FewShotResult",
-    "finetune",
-    "FinetuneResult",
-    "vit_from_mae",
-    "segmentation_probe",
-    "SegProbeResult",
-    "mean_iou",
-    "topk_accuracy",
-    "confusion_matrix",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "features": ("extract_features", "standardize_features"),
+        "linear_probe": ("linear_probe", "LinearProbeResult"),
+        "few_shot": ("few_shot_probe", "FewShotResult"),
+        "finetune": ("finetune", "FinetuneResult", "vit_from_mae"),
+        "segmentation": ("segmentation_probe", "SegProbeResult", "mean_iou"),
+        "metrics": ("topk_accuracy", "confusion_matrix"),
+    },
+)

@@ -19,16 +19,13 @@ fig6       Fig. 6   — probe top-1/top-5 vs probing epoch
 =========  ==========================================================
 """
 
-from repro.experiments import report
-from repro.experiments.downstream import (
-    DownstreamRecipe,
-    PretrainedModel,
-    pretrain_suite,
+from repro import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__, {"downstream": ("DownstreamRecipe", "PretrainedModel", "pretrain_suite")}
 )
 
-__all__ = ["report", "DownstreamRecipe", "PretrainedModel", "pretrain_suite"]
-
-# Experiment modules (imported lazily by the CLI and benches):
+# Experiment modules (imported by the CLI and benches, never from here):
 #   table1, table2, fig1..fig6 — the paper's artifacts
 #   ablations, fewshot, adaptation, ssl_compare, segmentation_exp — extensions
 #   mesh_axes — per-axis comm breakdown across TP/PP/DP mesh compositions

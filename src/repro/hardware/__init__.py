@@ -11,18 +11,14 @@
   trace model (reproduces the paper's Fig. 4 rocm-smi panel).
 """
 
-from repro.hardware.frontier import FRONTIER, Machine, frontier_machine
-from repro.hardware.gpu import GpuSpec
-from repro.hardware.power import PowerModel, PowerTrace
-from repro.hardware.topology import build_machine_graph, min_path_bandwidth
+from repro import lazy_exports
 
-__all__ = [
-    "GpuSpec",
-    "Machine",
-    "FRONTIER",
-    "frontier_machine",
-    "build_machine_graph",
-    "min_path_bandwidth",
-    "PowerModel",
-    "PowerTrace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "gpu": ("GpuSpec",),
+        "frontier": ("Machine", "FRONTIER", "frontier_machine"),
+        "topology": ("build_machine_graph", "min_path_bandwidth"),
+        "power": ("PowerModel", "PowerTrace"),
+    },
+)

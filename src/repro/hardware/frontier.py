@@ -16,13 +16,15 @@ collective cost model with bandwidths derived from the same constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.comm.cost_model import CollectiveCostModel
 from repro.comm.world import World
 from repro.hardware.gpu import GpuSpec
 from repro.hardware.topology import build_machine_graph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["FrontierSpec", "FRONTIER", "Machine", "frontier_machine"]
 

@@ -17,7 +17,10 @@ supports arbitrary what-if machines (different node widths, link speeds).
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # networkx loads only when a graph is built or walked
+    import networkx as nx
 
 __all__ = [
     "build_machine_graph",
@@ -55,6 +58,8 @@ def build_machine_graph(
         raise ValueError(
             f"{gcds_per_node} GCDs/node not divisible by {gcds_per_package}/package"
         )
+    import networkx as nx
+
     g = nx.Graph()
     g.add_node("switch", kind="switch")
     packages_per_node = gcds_per_node // gcds_per_package
@@ -96,6 +101,8 @@ def build_machine_graph(
 
 def min_path_bandwidth(graph: nx.Graph, src: str, dst: str) -> float:
     """Bottleneck bandwidth on the shortest path between two components."""
+    import networkx as nx
+
     path = nx.shortest_path(graph, src, dst)
     if len(path) < 2:
         return float("inf")
@@ -106,6 +113,8 @@ def min_path_bandwidth(graph: nx.Graph, src: str, dst: str) -> float:
 
 def path_latency(graph: nx.Graph, src: str, dst: str) -> float:
     """Sum of link latencies on the shortest path between two components."""
+    import networkx as nx
+
     path = nx.shortest_path(graph, src, dst)
     return sum(
         graph.edges[path[i], path[i + 1]]["latency"] for i in range(len(path) - 1)

@@ -19,32 +19,23 @@ The mesh package generalizes the hard-coded 2-D replica x shard mesh of
   the ddp / full-shard row over the dp axis with the tp and pp axes
   composed around it; built only via
   ``make_engine(model, strategy, world=..., mesh=MeshSpec(...))`` and
-  not re-exported here (``repro.core.engine`` imports this package for
-  :class:`MeshSpec`, while ``mesh/engine.py`` imports ``repro.core``
-  back).
+  not re-exported here.
 """
 
-from repro.mesh.device_mesh import DeviceMesh
-from repro.mesh.pipeline import (
-    boundary_nbytes,
-    gpipe_schedule,
-    one_f_one_b_schedule,
-    partition_stages,
-    schedule_actions,
+from repro import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "device_mesh": ("DeviceMesh",),
+        "spec": ("MESH_AXIS_NAMES", "MeshSpec", "PIPELINE_SCHEDULES"),
+        "tp": ("TPContext",),
+        "pipeline": (
+            "boundary_nbytes",
+            "gpipe_schedule",
+            "one_f_one_b_schedule",
+            "partition_stages",
+            "schedule_actions",
+        ),
+    },
 )
-from repro.mesh.spec import MESH_AXIS_NAMES, PIPELINE_SCHEDULES, MeshSpec
-from repro.mesh.tp import TPContext
-
-__all__ = [
-    "DeviceMesh",
-    "MESH_AXIS_NAMES",
-    "MeshSpec",
-    "PIPELINE_SCHEDULES",
-    "TPContext",
-    "boundary_nbytes",
-    "gpipe_schedule",
-    "one_f_one_b_schedule",
-    "partition_stages",
-    "schedule_actions",
-]
-

@@ -26,32 +26,19 @@ Modules:
 - :mod:`repro.models.posembed` — fixed 2-D sin-cos position embeddings.
 """
 
-from repro.models.attention import MultiHeadSelfAttention
-from repro.models.blocks import TransformerBlock
-from repro.models.layers import GELU, MLP, Dropout, LayerNorm, Linear
-from repro.models.mae import MaskedAutoencoder
-from repro.models.module import Module, Parameter
-from repro.models.patch import PatchEmbed, patchify, unpatchify
-from repro.models.simclr import SimCLRModel, nt_xent
-from repro.models.vit import VisionTransformer
-from repro.models.workspace import Workspace
+from repro import lazy_exports
 
-__all__ = [
-    "Parameter",
-    "Module",
-    "Workspace",
-    "Linear",
-    "LayerNorm",
-    "GELU",
-    "Dropout",
-    "MLP",
-    "MultiHeadSelfAttention",
-    "TransformerBlock",
-    "PatchEmbed",
-    "patchify",
-    "unpatchify",
-    "VisionTransformer",
-    "MaskedAutoencoder",
-    "SimCLRModel",
-    "nt_xent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "module": ("Parameter", "Module"),
+        "workspace": ("Workspace",),
+        "layers": ("Linear", "LayerNorm", "GELU", "Dropout", "MLP"),
+        "attention": ("MultiHeadSelfAttention",),
+        "blocks": ("TransformerBlock",),
+        "patch": ("PatchEmbed", "patchify", "unpatchify"),
+        "vit": ("VisionTransformer",),
+        "mae": ("MaskedAutoencoder",),
+        "simclr": ("SimCLRModel", "nt_xent"),
+    },
+)

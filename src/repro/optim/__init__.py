@@ -13,19 +13,16 @@ tests).
 - :mod:`repro.optim.grad_clip` — global-norm gradient clipping.
 """
 
-from repro.optim.adamw import AdamW
-from repro.optim.base import Optimizer
-from repro.optim.grad_clip import clip_grad_norm, global_grad_norm
-from repro.optim.lars import LARS
-from repro.optim.schedules import CosineWithWarmup
-from repro.optim.sgd import SGD
+from repro import lazy_exports
 
-__all__ = [
-    "Optimizer",
-    "AdamW",
-    "LARS",
-    "SGD",
-    "CosineWithWarmup",
-    "clip_grad_norm",
-    "global_grad_norm",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("Optimizer",),
+        "adamw": ("AdamW",),
+        "lars": ("LARS",),
+        "sgd": ("SGD",),
+        "schedules": ("CosineWithWarmup",),
+        "grad_clip": ("clip_grad_norm", "global_grad_norm"),
+    },
+)

@@ -22,44 +22,23 @@ power/utilization traces.
   kernel microbenchmarks of the NumPy substrate itself.
 """
 
-from repro.perf.compute_model import UnitCost, mae_workload_units, vit_workload_units
-from repro.perf.events import Task, Timeline
-from repro.perf.hotpath import (
-    KernelTiming,
-    PairTiming,
-    time_kernel,
-    time_pair,
-)
-from repro.perf.io_model import IoModel
-from repro.perf.memory_model import MemoryBreakdown, memory_breakdown
-from repro.perf.mesh_model import (
-    AxisTraffic,
-    MeshTrafficPrediction,
-    predict_mesh_traffic,
-    tp_shardable_fraction,
-)
-from repro.perf.schedule import pipeline_bubble_fraction
-from repro.perf.simulator import PerfParams, StepBreakdown, TrainStepSimulator
+from repro import lazy_exports
 
-__all__ = [
-    "AxisTraffic",
-    "MeshTrafficPrediction",
-    "predict_mesh_traffic",
-    "tp_shardable_fraction",
-    "pipeline_bubble_fraction",
-    "KernelTiming",
-    "PairTiming",
-    "time_kernel",
-    "time_pair",
-    "Task",
-    "Timeline",
-    "UnitCost",
-    "vit_workload_units",
-    "mae_workload_units",
-    "MemoryBreakdown",
-    "memory_breakdown",
-    "IoModel",
-    "PerfParams",
-    "StepBreakdown",
-    "TrainStepSimulator",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "mesh_model": (
+            "AxisTraffic",
+            "MeshTrafficPrediction",
+            "predict_mesh_traffic",
+            "tp_shardable_fraction",
+        ),
+        "schedule": ("pipeline_bubble_fraction",),
+        "hotpath": ("KernelTiming", "PairTiming", "time_kernel", "time_pair"),
+        "events": ("Task", "Timeline"),
+        "compute_model": ("UnitCost", "vit_workload_units", "mae_workload_units"),
+        "memory_model": ("MemoryBreakdown", "memory_breakdown"),
+        "io_model": ("IoModel",),
+        "simulator": ("PerfParams", "StepBreakdown", "TrainStepSimulator"),
+    },
+)

@@ -18,28 +18,22 @@ Select it per engine via ``EngineConfig(precision="bf16",
 grad_accum_steps=k)``; see :mod:`repro.core.engine`.
 """
 
-from repro.precision.bf16 import (
-    BF16_EPS,
-    BF16_MAX,
-    DTYPE_BYTES,
-    PRECISIONS,
-    WIRE_FRACTION,
-    bf16_round,
-    from_bf16,
-    to_bf16,
-    wire_fraction,
-)
-from repro.precision.scaler import LossScaler
+from repro import lazy_exports
 
-__all__ = [
-    "BF16_EPS",
-    "BF16_MAX",
-    "DTYPE_BYTES",
-    "PRECISIONS",
-    "WIRE_FRACTION",
-    "LossScaler",
-    "bf16_round",
-    "from_bf16",
-    "to_bf16",
-    "wire_fraction",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bf16": (
+            "BF16_EPS",
+            "BF16_MAX",
+            "DTYPE_BYTES",
+            "PRECISIONS",
+            "WIRE_FRACTION",
+            "bf16_round",
+            "from_bf16",
+            "to_bf16",
+            "wire_fraction",
+        ),
+        "scaler": ("LossScaler",),
+    },
+)

@@ -33,84 +33,45 @@ Quick start::
     responses = server.run([(t, image) for t, image in workload])
 """
 
-from repro.serve.admission import (
-    AdmissionController,
-    FairRequestQueue,
-    TenantSpec,
-    TokenBucket,
-)
-from repro.serve.autoscale import Autoscaler, AutoscalePolicy, ScaleEvent
-from repro.serve.batcher import MicroBatcher
-from repro.serve.cache import LRUFeatureCache, image_digest
-from repro.serve.clock import VirtualClock
-from repro.serve.ledger import ServerStats, TenantCounts, latency_stats
-from repro.serve.planner import (
-    CapacityPlan,
-    PlanReconciliation,
-    ReconRow,
-    ReplicaType,
-    plan_capacity,
-    reconcile_plan,
-)
-from repro.serve.queue import Request, Response
-from repro.serve.replica import (
-    FixedServiceModel,
-    Replica,
-    ReplicaError,
-    ReplicaFaultPlan,
-    ReplicaFaultSpec,
-    ReplicaPool,
-    ServiceTimeModel,
-)
-from repro.serve.server import InferenceServer
-from repro.serve.traffic import (
-    OpenLoopResult,
-    RateProfile,
-    SyntheticEncoder,
-    TenantTraffic,
-    TrafficEvent,
-    generate_workload,
-    run_open_loop,
-    slo_attainment,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "VirtualClock",
-    "Request",
-    "Response",
-    "MicroBatcher",
-    "LRUFeatureCache",
-    "image_digest",
-    "ServiceTimeModel",
-    "FixedServiceModel",
-    "Replica",
-    "ReplicaPool",
-    "ReplicaError",
-    "ReplicaFaultSpec",
-    "ReplicaFaultPlan",
-    "InferenceServer",
-    "ServerStats",
-    "TenantCounts",
-    "latency_stats",
-    "TenantSpec",
-    "TokenBucket",
-    "FairRequestQueue",
-    "AdmissionController",
-    "AutoscalePolicy",
-    "ScaleEvent",
-    "Autoscaler",
-    "RateProfile",
-    "TenantTraffic",
-    "TrafficEvent",
-    "SyntheticEncoder",
-    "generate_workload",
-    "slo_attainment",
-    "OpenLoopResult",
-    "run_open_loop",
-    "ReplicaType",
-    "CapacityPlan",
-    "plan_capacity",
-    "ReconRow",
-    "PlanReconciliation",
-    "reconcile_plan",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "clock": ("VirtualClock",),
+        "queue": ("Request", "Response"),
+        "batcher": ("MicroBatcher",),
+        "cache": ("LRUFeatureCache", "image_digest"),
+        "replica": (
+            "ServiceTimeModel",
+            "FixedServiceModel",
+            "Replica",
+            "ReplicaPool",
+            "ReplicaError",
+            "ReplicaFaultSpec",
+            "ReplicaFaultPlan",
+        ),
+        "server": ("InferenceServer",),
+        "ledger": ("ServerStats", "TenantCounts", "latency_stats"),
+        "admission": ("TenantSpec", "TokenBucket", "FairRequestQueue", "AdmissionController"),
+        "autoscale": ("AutoscalePolicy", "ScaleEvent", "Autoscaler"),
+        "traffic": (
+            "RateProfile",
+            "TenantTraffic",
+            "TrafficEvent",
+            "SyntheticEncoder",
+            "generate_workload",
+            "slo_attainment",
+            "OpenLoopResult",
+            "run_open_loop",
+        ),
+        "planner": (
+            "ReplicaType",
+            "CapacityPlan",
+            "plan_capacity",
+            "ReconRow",
+            "PlanReconciliation",
+            "reconcile_plan",
+        ),
+    },
+)

@@ -21,41 +21,29 @@ is opt-in and near-free when off (guarded by the hot-path benchmark
 regression gate).
 """
 
-from repro.telemetry.bus import (
-    NULL_BUS,
-    JsonlSink,
-    NullSink,
-    RecordingSink,
-    Sink,
-    StepStats,
-    TelemetryBus,
-    TelemetryEvent,
-    read_jsonl,
-)
-from repro.telemetry.chrome import to_trace_events, write_span_trace
-from repro.telemetry.report import (
-    GaugeAgg,
-    RunReport,
-    SpanAgg,
-    comm_share_from_events,
-    gauge_series,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "TelemetryBus",
-    "TelemetryEvent",
-    "Sink",
-    "NullSink",
-    "RecordingSink",
-    "JsonlSink",
-    "StepStats",
-    "NULL_BUS",
-    "read_jsonl",
-    "RunReport",
-    "SpanAgg",
-    "GaugeAgg",
-    "gauge_series",
-    "comm_share_from_events",
-    "to_trace_events",
-    "write_span_trace",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "bus": (
+            "TelemetryBus",
+            "TelemetryEvent",
+            "Sink",
+            "NullSink",
+            "RecordingSink",
+            "JsonlSink",
+            "StepStats",
+            "NULL_BUS",
+            "read_jsonl",
+        ),
+        "report": (
+            "RunReport",
+            "SpanAgg",
+            "GaugeAgg",
+            "gauge_series",
+            "comm_share_from_events",
+        ),
+        "chrome": ("to_trace_events", "write_span_trace"),
+    },
+)

@@ -1,28 +1,21 @@
 """Shared utilities: deterministic RNG management and unit formatting."""
 
-from repro.utils.rng import RngPool, spawn_rng
-from repro.utils.units import (
-    GB,
-    GIB,
-    KB,
-    KIB,
-    MB,
-    MIB,
-    format_bytes,
-    format_count,
-    format_time,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "RngPool",
-    "spawn_rng",
-    "GB",
-    "GIB",
-    "KB",
-    "KIB",
-    "MB",
-    "MIB",
-    "format_bytes",
-    "format_count",
-    "format_time",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("RngPool", "spawn_rng"),
+        "units": (
+            "GB",
+            "GIB",
+            "KB",
+            "KIB",
+            "MB",
+            "MIB",
+            "format_bytes",
+            "format_count",
+            "format_time",
+        ),
+    },
+)

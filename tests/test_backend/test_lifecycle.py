@@ -10,12 +10,18 @@ never strand node-local resources that the next incarnation needs).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.reduction
 import os
 
+import numpy as np
 import pytest
 
 from repro.backend import WorkerCrashError
 from repro.backend.process import BLAS_THREAD_VARS
+from repro.comm.world import World
+from repro.core.config import get_mae_config
+from repro.core.engine import EngineConfig, make_engine
+from repro.models.mae import MaskedAutoencoder
 
 from tests.test_backend.helpers import (
     blas_threads_step,
@@ -25,6 +31,21 @@ from tests.test_backend.helpers import (
     mae_step,
     repro_shm_segments,
 )
+
+#: Linux's default pipe buffer: a spawn launch larger than this holds
+#: ``proc.start()`` until the child has re-imported ``__main__``.
+PIPE_BUFFER = 64 * 1024
+
+
+def _refuse_replica():
+    raise RuntimeError("this replica refuses to load")
+
+
+class UnloadableMAE(MaskedAutoencoder):
+    """A model the parent pickles fine and no worker can unpickle."""
+
+    def __reduce__(self):
+        return (_refuse_replica, ())
 
 
 @pytest.fixture(autouse=True)
@@ -96,3 +117,32 @@ def test_crash_before_any_step_still_reclaims():
     with pytest.raises(WorkerCrashError):
         eng.train_step(data, crash_step)
     eng.close()
+
+
+def test_worker_dying_during_startup_is_a_typed_failure():
+    model = UnloadableMAE(get_mae_config("proxy-base"), rng=np.random.default_rng(7))
+    with pytest.raises(WorkerCrashError):
+        make_engine(model, "ddp", world=World(2), config=EngineConfig(backend="process"))
+    # The fixture asserts no worker and no /dev/shm segment outlived it.
+
+
+def test_spawn_launch_fits_the_pipe_buffer(monkeypatch):
+    """The replica is not in the spawn launch, so starting rank r never
+    waits for rank r - 1's imports: every launch (preparation data plus
+    the pickled process and its args) fits a default pipe buffer."""
+    launches = []
+    dump = multiprocessing.reduction.dump
+
+    def measured_dump(obj, file, protocol=None):
+        dump(obj, file, protocol)
+        if isinstance(obj, multiprocessing.process.BaseProcess):
+            launches.append(file.tell())
+
+    monkeypatch.setattr(multiprocessing.reduction, "dump", measured_dump)
+    model = MaskedAutoencoder(get_mae_config("proxy-1b"), rng=np.random.default_rng(7))
+    eng = make_engine(
+        model, "full_shard", world=World(2), config=EngineConfig(backend="process")
+    )
+    eng.close()
+    assert len(launches) == 2
+    assert max(launches) < PIPE_BUFFER, launches
