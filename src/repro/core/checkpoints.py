@@ -125,7 +125,9 @@ def _state_checksum(arrays: dict[str, np.ndarray]) -> str:
         h.update(key.encode("utf-8"))
         h.update(str(a.dtype).encode("utf-8"))
         h.update(str(a.shape).encode("utf-8"))
-        h.update(a.tobytes())
+        # The buffer itself, not a ``tobytes`` copy; through a throwaway
+        # view so the array keeps no buffer-export info (cf. image_digest).
+        h.update(a.view())
     return h.hexdigest()
 
 

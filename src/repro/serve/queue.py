@@ -33,7 +33,7 @@ REQUEST_STATUSES = ("ok", "timeout", "rejected")
 REJECT_REASONS = ("queue_full", "replica_failure", "rate_limited")
 
 
-@dataclass
+@dataclass(slots=True)
 class Request:
     """One admitted inference request.
 
@@ -69,7 +69,7 @@ class Request:
     tenant: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response:
     """The single terminal record of one request.
 

@@ -88,7 +88,7 @@ from repro.telemetry import NULL_BUS, TelemetryBus
 __all__ = ["InferenceServer"]
 
 
-@dataclass(order=True)
+@dataclass(order=True, slots=True)
 class _Inflight:
     """One dispatched batch awaiting its virtual completion instant;
     orders by ``(finish_s, batch_id)``, the delivery order."""

@@ -36,6 +36,7 @@ planner reconciles against.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,7 +189,7 @@ class TenantTraffic:
             raise ValueError(f"image_shape must be (C, H, W), got {self.image_shape}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrafficEvent:
     """One generated arrival: when, who, what, and by-when."""
 
@@ -253,7 +254,7 @@ def _tenant_arrivals(
 
 
 def generate_workload(
-    traffics: list[TenantTraffic] | tuple,
+    traffics: Iterable[TenantTraffic],
     horizon_s: float,
     seed: int,
     start_s: float = 0.0,
@@ -269,20 +270,24 @@ def generate_workload(
     """
     if horizon_s <= 0:
         raise ValueError(f"horizon_s must be positive, got {horizon_s}")
+    # Read once: an iterator would be spent by the name check below
+    # before any tenant was generated.
+    traffics = list(traffics)
     names = [tr.spec.name for tr in traffics]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names in traffics: {names}")
     root = np.random.default_rng(seed)
-    children = root.spawn(len(list(traffics)))
+    children = root.spawn(len(traffics))
     events: list[tuple[float, int, int, TrafficEvent]] = []
     for ti, (traffic, rng) in enumerate(zip(traffics, children)):
         shape = (traffic.working_set, *traffic.image_shape)
-        # One small pool per tenant; requests hold views, so a
-        # million-request workload stores working_set images, not a
-        # million.
-        pool = rng.standard_normal(shape)
+        # One small pool per tenant, split once into one row object per
+        # working-set image; every event references one of those rows,
+        # so a million-request workload holds working_set arrays, not a
+        # million views.
+        rows = list(rng.standard_normal(shape))
         for si, t in enumerate(_tenant_arrivals(traffic, horizon_s, rng)):
-            image = pool[int(rng.integers(traffic.working_set))]
+            image = rows[int(rng.integers(traffic.working_set))]
             deadline = (
                 start_s + t + traffic.deadline_s
                 if traffic.deadline_s is not None
@@ -367,7 +372,7 @@ class OpenLoopResult:
 
 def run_open_loop(
     server,
-    traffics: list[TenantTraffic] | tuple,
+    traffics: Iterable[TenantTraffic],
     horizon_s: float,
     seed: int,
     slo_s: float,
@@ -381,6 +386,7 @@ def run_open_loop(
     server. Returns the :class:`OpenLoopResult` ledger; the cost column
     reads the replica pool's priced active time at the drained clock.
     """
+    traffics = list(traffics)  # read twice: by the generator and per tenant
     events = generate_workload(traffics, horizon_s, seed, start_s=server.clock.now())
     responses = server.run_traffic(events)
     end_s = max(server.clock.now(), horizon_s)

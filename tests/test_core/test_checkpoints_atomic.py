@@ -5,6 +5,7 @@ monkeypatched writer that emits partial bytes then dies) must leave the
 previous good snapshot untouched and loadable.
 """
 
+import hashlib
 import io
 import os
 
@@ -22,6 +23,7 @@ from repro.core.checkpoints import (
 )
 from repro.core.config import get_mae_config
 from repro.models.mae import MaskedAutoencoder
+from repro.precision.bf16 import bf16_round
 
 CFG = get_mae_config("proxy-base")
 
@@ -160,6 +162,36 @@ class TestModelCheckpointFormat:
         np.savez_compressed(path, **payload)
         with pytest.raises(CheckpointCorruptError, match="newer"):
             load_checkpoint(_model(0), path)
+
+
+def _tobytes_checksum(arrays):
+    """Format v2's digest as first written: every array through a
+    ``tobytes`` copy of its C-contiguous form."""
+    h = hashlib.sha256()
+    for key in sorted(arrays):
+        a = np.ascontiguousarray(arrays[key])
+        h.update(key.encode("utf-8"))
+        h.update(str(a.dtype).encode("utf-8"))
+        h.update(str(a.shape).encode("utf-8"))
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestStateChecksum:
+    def test_in_place_digest_equals_the_tobytes_formula(self, rng):
+        grid = rng.standard_normal((6, 8))
+        cases = {
+            "fp64": {"w": grid},
+            "bf16": {"w": bf16_round(grid.astype(np.float32))},
+            "bool": {"mask": rng.random((5, 3)) < 0.5},
+            "0d": {"t": np.array(7.25)},
+            "strided": {"w": grid[:, ::3], "wt": grid.T, "rows": grid[::2]},
+            "empty": {"z": np.zeros((0, 4))},
+        }
+        for name, arrays in cases.items():
+            assert ckpt_mod._state_checksum(arrays) == _tobytes_checksum(arrays), name
+        merged = {f"{n}/{k}": v for n, a in cases.items() for k, v in a.items()}
+        assert ckpt_mod._state_checksum(merged) == _tobytes_checksum(merged)
 
 
 class TestCheckpointManager:
