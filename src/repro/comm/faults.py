@@ -60,6 +60,7 @@ __all__ = [
     "FaultPlan",
     "RetryPolicy",
     "call_with_retry",
+    "retry_collective",
 ]
 
 #: Collective op classes a fault can target.
@@ -284,3 +285,34 @@ def call_with_retry(
                 raise
             if stats is not None:
                 stats.record_retry(err.op, policy.delay(attempt))
+
+
+def retry_collective(
+    fn: Callable[[], object],
+    policy: RetryPolicy | None,
+    stats,
+    bus,
+    op: str,
+    nbytes: float,
+    **span_tags,
+):
+    """:func:`call_with_retry` as an engine issues every collective.
+
+    With an enabled telemetry ``bus`` the call is wrapped in a
+    ``comm.<op>`` span (bytes and ``span_tags`` attached), and any
+    retries / backoff it incurred are emitted as ``comm.retries`` /
+    ``comm.backoff_s`` counters, also when the retry budget runs out and
+    the error propagates, so backoff is never dropped from the step's
+    account. ``bus=None`` or a disabled bus only retries.
+    """
+    if bus is None or not bus.enabled:
+        return call_with_retry(fn, policy, stats=stats)
+    retries0 = stats.total_retries
+    backoff0 = stats.backoff_seconds
+    try:
+        with bus.span(f"comm.{op}", bytes=float(nbytes), **span_tags):
+            return call_with_retry(fn, policy, stats=stats)
+    finally:
+        if stats.total_retries != retries0:
+            bus.counter("comm.retries", stats.total_retries - retries0, op=op)
+            bus.counter("comm.backoff_s", stats.backoff_seconds - backoff0, op=op)

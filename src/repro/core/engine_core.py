@@ -95,7 +95,7 @@ import numpy as np
 from repro.backend import make_backend
 from repro.comm.bucketing import bucket_gradients
 from repro.comm.collectives import SimComm
-from repro.comm.faults import call_with_retry
+from repro.comm.faults import retry_collective
 from repro.comm.world import Group, World, make_hybrid_mesh
 from repro.core.engine import EngineConfig
 from repro.core.sharding import (
@@ -341,32 +341,17 @@ class EngineCore:
     # -- collectives -------------------------------------------------------
 
     def _collective(self, fn, op: str = "collective", nbytes: float = 0.0, **span_tags):
-        """Issue one collective, retrying transient failures per policy.
+        """Issue one collective, retrying transient failures per policy
+        (span and retry counters: :func:`retry_collective`).
 
         Collectives are pure functions of buffers a failed attempt never
         wrote, so a retried step is bit-identical to an uninterrupted
-        one. With telemetry enabled the call is wrapped in a
-        ``comm.<op>`` span (bytes and ``span_tags`` attached) and any
-        retries/backoff incurred are emitted as step-attributed counters
-        — including when the retry budget is exhausted and the error
-        propagates, so backoff time is never silently dropped from the
-        step's account.
+        one.
         """
-        bus = self.telemetry
-        if not bus.enabled:
-            return call_with_retry(fn, self.retry_policy, stats=self.comm.stats)
-        stats = self.comm.stats
-        retries0 = stats.total_retries
-        backoff0 = stats.backoff_seconds
-        try:
-            with bus.span(f"comm.{op}", bytes=float(nbytes), **span_tags):
-                return call_with_retry(fn, self.retry_policy, stats=stats)
-        finally:
-            if stats.total_retries != retries0:
-                bus.counter("comm.retries", stats.total_retries - retries0, op=op)
-                bus.counter(
-                    "comm.backoff_s", stats.backoff_seconds - backoff0, op=op
-                )
+        return retry_collective(
+            fn, self.retry_policy, self.comm.stats, self.telemetry, op, nbytes,
+            **span_tags,
+        )
 
     def _gather_units(self, groups: Iterable, **span_tags) -> None:
         """All-gather every unit's shards over each of ``groups``.

@@ -207,6 +207,7 @@ class MeshEngine(EngineCore):
                 self._tp_group,
                 self.comm,
                 bus=self.telemetry if self.telemetry.enabled else None,
+                retry_policy=self.retry_policy,
             )
             model.use_tensor_parallel(self.tp_context)
         if self.pp > 1:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.comm.collectives import SimComm
+from repro.comm.faults import RetryPolicy, retry_collective
 from repro.comm.world import Group
 
 __all__ = ["TPContext"]
@@ -52,6 +53,10 @@ class TPContext:
     bus:
         Telemetry bus for ``comm.all_gather`` spans tagged
         ``axis="tp"``. ``None`` disables spans.
+    retry_policy:
+        The engine's :class:`~repro.comm.faults.RetryPolicy`: a tp
+        gather retries, and books its retries, like every other
+        collective (``None`` lets the first failure propagate).
 
     Pickling: ``comm`` and ``bus`` hold process-local state (lambdas in
     ``CommStats``, sink callbacks) and are dropped by ``__getstate__``;
@@ -61,7 +66,14 @@ class TPContext:
     so one ``rewire`` call fixes the whole tree.
     """
 
-    def __init__(self, size: int, group: Group, comm: SimComm | None, bus=None):
+    def __init__(
+        self,
+        size: int,
+        group: Group,
+        comm: SimComm | None,
+        bus=None,
+        retry_policy: RetryPolicy | None = None,
+    ):
         if size < 1:
             raise ValueError(f"tp size must be >= 1, got {size}")
         if group.size != size:
@@ -72,6 +84,7 @@ class TPContext:
         self.group = group
         self.comm = comm
         self.bus = bus
+        self.retry_policy = retry_policy
         # Send/receive staging rows, grown to the largest activation seen
         # and reused by every gather after it.
         self._staging: np.ndarray | None = None
@@ -124,12 +137,14 @@ class TPContext:
         for r, col in enumerate(cols):
             send[r] = arr2[:, col]
         shards = list(send.reshape(t, rows * c))
-        if self.bus is not None:
-            with self.bus.span(
-                "comm.all_gather", bytes=float(arr2.nbytes), axis="tp"
-            ):
-                self.comm.all_gather(shards, self.group, out=recv.reshape(n))
-        else:
-            self.comm.all_gather(shards, self.group, out=recv.reshape(n))
+        retry_collective(
+            lambda: self.comm.all_gather(shards, self.group, out=recv.reshape(n)),
+            self.retry_policy,
+            self.comm.stats,
+            self.bus,
+            "all_gather",
+            arr2.nbytes,
+            axis="tp",
+        )
         for r, col in enumerate(cols):
             arr2[:, col] = recv[r]

@@ -224,17 +224,16 @@ class FairRequestQueue:
     def _head_lane(self) -> _TenantLane | None:
         """The lane whose head request the scheduler picks next."""
         best: _TenantLane | None = None
-        best_key: tuple | None = None
-        for tenant in self._lanes:
-            lane = self._lanes[tenant]
+        for lane in self._lanes.values():
             if not lane.items:
                 continue
-            tag, req = lane.items[0]
             # Strict priority first, then smallest finish tag; req_id is
-            # the total deterministic tie-break.
-            key = (lane.spec.priority, tag, req.req_id)
-            if best_key is None or key < best_key:
-                best, best_key = lane, key
+            # the total deterministic tie-break (field by field, no tuple).
+            p, (tag, req) = lane.spec.priority, lane.items[0]
+            if best is None or p < bp or p == bp and (
+                tag < btag or tag == btag and req.req_id < bid
+            ):
+                best, bp, btag, bid = lane, p, tag, req.req_id
         return best
 
     def peek(self) -> Request:

@@ -43,6 +43,7 @@ counters ``serve.scale_up`` / ``serve.scale_down`` on transitions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -149,14 +150,14 @@ class Autoscaler:
     def window_p99_s(self) -> float:
         """p99 latency over the observation window (0 when empty).
 
-        ``method="higher"`` keeps the statistic an observed latency
-        (same rationale as :func:`repro.serve.ledger.latency_stats`).
+        The element ``np.percentile(..., 99, method="higher")`` returns
+        (rank ``ceil((n - 1) * 0.99)``, by partial sort), which keeps it
+        an observed latency (as :func:`repro.serve.ledger.latency_stats`).
         """
         if not self._latencies:
             return 0.0
-        return float(
-            np.percentile(np.array(self._latencies), 99, method="higher")
-        )
+        k = math.ceil((len(self._latencies) - 1) * 0.99)
+        return float(np.partition(np.array(self._latencies), k)[k])
 
     def tick(self, now_s: float, queue_depth: int, pool, telemetry) -> bool:
         """Run one evaluation if due; returns True when a tick fired.

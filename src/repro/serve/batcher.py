@@ -65,7 +65,4 @@ class MicroBatcher:
         decides *what*. Expired requests are the server's concern — it
         filters them against the clock before dispatching.
         """
-        batch = []
-        while len(queue) and len(batch) < self.max_batch_size:
-            batch.append(queue.pop())
-        return batch
+        return [queue.pop() for _ in range(min(len(queue), self.max_batch_size))]

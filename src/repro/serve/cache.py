@@ -26,10 +26,10 @@ __all__ = ["image_digest", "LRUFeatureCache"]
 
 
 @cache
-def _dtype_tag(dtype: np.dtype) -> bytes:
-    """``str(dtype)`` encoded; NumPy formats the name in Python on every
-    call, which cost as much per request as hashing a small image."""
-    return str(dtype).encode()
+def _header(dtype: np.dtype, shape: tuple) -> bytes:
+    """``str(dtype) + str(shape)`` encoded; NumPy formats a dtype's name
+    in Python on every call, as costly per request as hashing an image."""
+    return str(dtype).encode() + str(shape).encode()
 
 
 def image_digest(image: np.ndarray) -> str:
@@ -40,8 +40,7 @@ def image_digest(image: np.ndarray) -> str:
     collide on one key. The pixels are hashed from the array's own
     buffer (copied first only when it is not C-contiguous).
     """
-    h = hashlib.sha256(_dtype_tag(image.dtype))
-    h.update(str(image.shape).encode())
+    h = hashlib.sha256(_header(image.dtype, image.shape))
     # Through a throwaway view: NumPy keeps ~100 B of buffer-export info
     # on the exporting array object until that object dies.
     h.update(np.ascontiguousarray(image).view())

@@ -29,26 +29,20 @@ The loop processes one event per iteration in a fixed priority order
 (completions, then arrivals, then autoscale ticks, then dispatch, then
 expiry sweeps), so the entire schedule — every batch composition, every
 latency, every verdict — is a pure function of (workload,
-configuration). Finding the next event costs O(log n) in what is
-waiting, not a rescan of it: ``_inflight`` is a heap ordered
-``(finish_s, batch_id)`` (pushed at dispatch, popped at delivery — heap
-order *is* delivery order), the queue owns a
-:class:`~repro.serve.queue.DeadlineIndex` (kept at ``push`` /
-``push_front`` / ``pop`` / expiry; its docstring says why lazy deletion
-survives a requeue), and ``_next_event_s`` keeps a running minimum over
-their tops and the pool's one-pass ``earliest_free_s``, asking batcher,
-pool and deadlines only while something is queued. Equal instants still
-resolve in the handler order above (DESIGN.md §9 has the table).
-Numerics are schedule-independent by construction:
-whatever batches the policy forms, the delivered features are
+configuration). Each piece of per-request work is done once: a run's
+arrivals are checked in one pass at the door, each distinct image is
+hashed once a run, and the next event is a running minimum over indexed
+tops (the in-flight heap, the queue's
+:class:`~repro.serve.queue.DeadlineIndex`) whose dispatch instant the
+dispatch handler reuses (DESIGN.md §9). Numerics are
+schedule-independent by construction: the delivered features are
 bit-identical to :func:`repro.eval.features.extract_features` on the
-same images (tested in ``tests/test_serve``).
+same images, whatever batches the policy forms.
 
-Multi-tenant serving (PR 10): an optional
-:class:`~repro.serve.admission.AdmissionController` (token buckets, a
-lane per tenant) and an optional
+An optional :class:`~repro.serve.admission.AdmissionController`
+(token buckets, a lane per tenant) and an optional
 :class:`~repro.serve.autoscale.Autoscaler` (resizes the pool between
-events); see the constructor for what their absence means.
+events) compose in; the constructor says what their absence means.
 
 Telemetry: with a bus attached (ideally sharing the server's virtual
 clock), the loop publishes ``serve.queue_depth``/``serve.batch_size``
@@ -65,6 +59,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -227,22 +222,19 @@ class InferenceServer:
         ``rejected``; cache hit -> ``ok``); otherwise the request waits
         for the batcher. ``deadline_s`` is an *absolute* virtual time;
         ``tenant`` selects the admission lane (priority, weight, rate
-        limit) when an :class:`AdmissionController` is attached. A NaN
-        deadline is refused with a ``ValueError`` before anything is
-        counted; ``+inf`` is accepted and served best-effort, like
-        ``None``.
+        limit) when an :class:`AdmissionController` is attached. A NaN or
+        already-past deadline, or an image that is not ``(C, H, W)``, is
+        a ``ValueError`` before anything is counted; ``+inf`` is served
+        best-effort, like ``None``.
         """
-        if image.ndim != 3:
-            raise ValueError(f"image must be (C, H, W), got {image.shape}")
         now = self.clock.now()
-        # ``not >=`` rather than ``<``: NaN fails every comparison, and
-        # would otherwise be admitted and poison the deadline heap.
-        if deadline_s is not None and not deadline_s >= now:
-            if deadline_s != deadline_s:
-                raise ValueError("deadline_s must not be NaN")
-            raise ValueError(
-                f"deadline {deadline_s} is already past (now={now})"
-            )
+        self._check_door([(now, image, deadline_s, tenant)])
+        return self._admit(image, deadline_s, tenant, now, {})
+
+    def _admit(self, image, deadline_s, tenant: str, now: float, digests: dict) -> int:
+        """Admit one checked arrival. ``digests`` maps ``id(image)`` to its
+        digest while the caller holds the images (one ``run()``), so each
+        distinct image is hashed once."""
         req_id = len(self._decided)
         self._decided.append(0)
         self.stats.submitted += 1
@@ -261,7 +253,9 @@ class InferenceServer:
                 return req_id
         digest = ""
         if self.cache is not None:
-            digest = image_digest(image)
+            digest = digests.get(id(image))
+            if digest is None:
+                digest = digests[id(image)] = image_digest(image)
             row = self.cache.get(digest)
             if row is not None:
                 self.stats.cache_hits += 1
@@ -277,14 +271,7 @@ class InferenceServer:
             self.stats.cache_misses += 1
             if bus:
                 bus.counter("serve.cache_miss", **tattrs)
-        request = Request(
-            req_id=req_id,
-            image=image,
-            arrival_s=now,
-            deadline_s=deadline_s,
-            digest=digest,
-            tenant=tenant,
-        )
+        request = Request(req_id, image, now, deadline_s, digest, tenant=tenant)
         if not self.queue.push(request):
             self._finish(
                 Response(
@@ -305,36 +292,20 @@ class InferenceServer:
         ``(arrival_s, image, deadline_s)``, or
         ``(arrival_s, image, deadline_s, tenant)`` tuples with
         non-decreasing finite arrival times (absolute virtual seconds,
-        not before the clock's current time). A non-finite arrival or a
-        NaN deadline is refused with a ``ValueError`` before the clock
-        moves or anything is admitted. The loop drains everything —
-        queue and in-flight batches included — and returns this
-        workload's responses sorted by request id.
+        not before the clock's current time) and ``(C, H, W)`` images.
+        The whole workload passes :meth:`submit`'s checks in one pass
+        before the clock moves or anything is admitted: a non-finite
+        arrival, a NaN deadline or one before its arrival, or a
+        misshapen image is a ``ValueError`` that leaves the server
+        untouched. The loop drains everything — queue and in-flight
+        batches included — and returns this workload's responses sorted
+        by request id.
         """
-        arrivals = []
-        for item in workload:
-            if len(item) == 2:
-                t, image, deadline, tenant = *item, None, ""
-            elif len(item) == 3:
-                t, image, deadline, tenant = *item, ""
-            else:
-                t, image, deadline, tenant = item
-            if not math.isfinite(t):
-                raise ValueError(f"arrival time must be finite, got {t}")
-            if deadline is not None and deadline != deadline:
-                raise ValueError("deadline_s must not be NaN")
-            arrivals.append((float(t), image, deadline, tenant))
-        times = [a[0] for a in arrivals]
-        for t0, t1 in zip(times, times[1:]):
-            if t1 < t0:
-                raise ValueError(f"arrival times must be non-decreasing ({t1} < {t0})")
-        if arrivals and arrivals[0][0] < self.clock.now():
-            raise ValueError(
-                f"first arrival {arrivals[0][0]} is before now ({self.clock.now()})"
-            )
-        first_new = len(self.responses)
-        self._loop(arrivals)
-        return sorted(self.responses[first_new:], key=lambda r: r.req_id)
+        # Pad the short forms with the defaults they leave out.
+        return self._serve([
+            (float(t), image, *rest, *(None, "")[len(rest):])
+            for t, image, *rest in workload
+        ])
 
     def run_traffic(self, events) -> list[Response]:
         """Serve a generated open-loop workload to completion.
@@ -342,36 +313,66 @@ class InferenceServer:
         ``events`` is a time-ordered list of
         :class:`~repro.serve.traffic.TrafficEvent` (the output of
         :func:`~repro.serve.traffic.generate_workload`); each event's
-        tenant rides into :meth:`submit`, so admission and the per-tenant
-        ledger see the same stream the generator drew.
+        tenant rides into admission, so the token buckets and the
+        per-tenant ledger see the same stream the generator drew. The
+        events are checked as :meth:`run` checks its tuples.
         """
-        return self.run(
-            [(ev.t_s, ev.image, ev.deadline_s, ev.tenant) for ev in events]
+        return self._serve(
+            [(float(ev.t_s), ev.image, ev.deadline_s, ev.tenant) for ev in events]
         )
 
     def drain(self) -> list[Response]:
         """Run the loop with no new arrivals until queue and replicas are idle."""
         return self.run([])
 
+    def _serve(self, arrivals: list[tuple]) -> list[Response]:
+        self._check_door(arrivals)
+        first_new = len(self.responses)
+        self._loop(arrivals)
+        return sorted(self.responses[first_new:], key=attrgetter("req_id"))
+
+    def _check_door(self, arrivals: list[tuple]) -> None:
+        """One pass over ``(arrival_s, image, deadline_s, tenant)``: the
+        order of the instants, then each arrival at its own instant (the
+        clock reads ``arrival_s`` when it is admitted). ``not >=``
+        rather than ``<``: NaN fails every comparison, and would
+        otherwise be admitted and poison the deadline heap."""
+        prev = self.clock.now()
+        for i, (t, image, deadline, _) in enumerate(arrivals):
+            if not prev <= t < math.inf:
+                if not math.isfinite(t):
+                    raise ValueError(f"arrival time must be finite, got {t}")
+                if i == 0:
+                    raise ValueError(f"first arrival {t} is before now ({prev})")
+                raise ValueError(f"arrival times must be non-decreasing ({t} < {prev})")
+            if deadline is not None and not deadline >= t:
+                if deadline != deadline:
+                    raise ValueError("deadline_s must not be NaN")
+                raise ValueError(f"deadline {deadline} is already past (now={t})")
+            if image.ndim != 3:
+                raise ValueError(f"image must be (C, H, W), got {image.shape}")
+            prev = t
+
     def _loop(self, arrivals: list[tuple]) -> None:
+        digests: dict[int, str] = {}  # this run's images, by object
+        n = len(arrivals)
         i = 0
-        while i < len(arrivals) or len(self.queue) or self._inflight:
-            now = self.clock.now()
-            t_arr = arrivals[i][0] if i < len(arrivals) else None
-            t = self._next_event_s(t_arr, now)
+        while i < n or len(self.queue) or self._inflight:
+            t_arr = arrivals[i][0] if i < n else None
+            t, dispatch_s = self._next_event_s(t_arr, self.clock.now())
             self.clock.advance_to(t)
             if self._deliver_due(t):
                 continue
             if t_arr is not None and t_arr <= t:
                 _, image, deadline, tenant = arrivals[i]
                 i += 1
-                self.submit(image, deadline_s=deadline, tenant=tenant)
+                self._admit(image, deadline, tenant, t_arr, digests)
                 continue
             if self.autoscaler is not None and self.autoscaler.tick(
                 t, len(self.queue), self.pool, self.telemetry
             ):
                 continue
-            if self._dispatch_due(t):
+            if self._dispatch_due(t, dispatch_s):
                 continue
             if not self._sweep_expired(t):
                 raise RuntimeError(
@@ -379,16 +380,22 @@ class InferenceServer:
                     f"(queue={len(self.queue)}, inflight={len(self._inflight)})"
                 )
 
-    def _next_event_s(self, next_arrival_s: float | None, now: float) -> float:
+    def _next_event_s(self, next_arrival_s: float | None, now: float) -> tuple:
         """Earliest instant any event category can fire: a running
         minimum over the indexes' tops (the loop runs only while an
-        arrival, a queued request or an in-flight batch exists)."""
-        t = float("inf") if next_arrival_s is None else next_arrival_s
+        arrival, a queued request or an in-flight batch exists); and the
+        instant a batch can be dispatched (``None`` with nothing queued),
+        which ``_dispatch_due`` reuses: any event that fires before it
+        ends the iteration, so queue and pool are still as read here."""
+        t = math.inf if next_arrival_s is None else next_arrival_s
         if self._inflight:
             t = min(t, self._inflight[0].finish_s)
+        dispatch_s = None
         if len(self.queue):
-            ready = self.batcher.ready_at(self.queue, now)
-            t = min(t, max(ready, self.pool.earliest_free_s(now)))
+            dispatch_s = max(
+                self.batcher.ready_at(self.queue, now), self.pool.earliest_free_s(now)
+            )
+            t = min(t, dispatch_s)
             deadline = self.queue.min_deadline_s()
             if deadline is not None:
                 t = min(t, max(deadline, now))
@@ -397,16 +404,14 @@ class InferenceServer:
             # (and ticking stops) once queue, arrivals and flight are
             # all drained.
             t = min(t, max(self.autoscaler.next_eval_s(), now))
-        return t
+        return t, dispatch_s
 
     # -- event handlers ------------------------------------------------------
 
-    def _dispatch_due(self, now: float) -> bool:
-        """Close and dispatch one batch if the policy and a replica allow."""
-        ready = self.batcher.ready_at(self.queue, now)
-        if ready is None or ready > now:
-            return False
-        if self.pool.earliest_free_s(now) > now:
+    def _dispatch_due(self, now: float, dispatch_s: float | None) -> bool:
+        """Close and dispatch one batch if the policy and a replica allow
+        (both by ``dispatch_s``, the instant ``_next_event_s`` read)."""
+        if dispatch_s is None or dispatch_s > now:
             return False
         # Expired requests must not burn a replica window: time them out
         # before the batch forms.
@@ -426,7 +431,7 @@ class InferenceServer:
         fault = None
         if self.fault_plan is not None:
             fault = self.fault_plan.consult(replica.replica_id, replica.dispatches)
-        images = np.stack([r.image for r in batch])
+        images = np.array([r.image for r in batch])
         features = error = None
         try:
             features, service_s = replica.run_batch(

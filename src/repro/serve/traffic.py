@@ -36,6 +36,7 @@ planner reconciles against.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -132,10 +133,14 @@ class RateProfile:
 
     def rate_at(self, t_s: float) -> float:
         """Instantaneous offered rate at virtual time ``t_s``."""
-        diurnal = 1.0 + self.diurnal_amplitude * math.sin(
-            2.0 * math.pi * t_s / self.diurnal_period_s
-        )
-        return self.base_rate() * diurnal * self._flash_factor(t_s)
+        return self._rate_fn()(t_s)
+
+    def _rate_fn(self):
+        """:meth:`rate_at` with the constant factors read once (the same
+        operations in the same order, so the same bits)."""
+        base, amp, flash = self.base_rate(), self.diurnal_amplitude, self._flash_factor
+        two_pi, period, sin = 2.0 * math.pi, self.diurnal_period_s, math.sin
+        return lambda t: base * (1.0 + amp * sin(two_pi * t / period)) * flash(t)
 
     def max_rate(self) -> float:
         """Tight upper bound on ``rate_at`` (the thinning majorant, and
@@ -212,12 +217,17 @@ class SyntheticEncoder:
     width = 4
 
     def encode_features(self, images: np.ndarray) -> np.ndarray:
-        """Per-row reductions of each image: shape ``(B, 4)``."""
+        """Per-row reductions of each image: shape ``(B, 4)``, in the
+        dtype ``np.stack`` of the four would give. Sum and mean keep
+        their own accumulators (``out=`` would sum integers in float64);
+        min and max are exact in any dtype."""
         flat = images.reshape(images.shape[0], -1)
-        return np.stack(
-            [flat.sum(axis=1), flat.min(axis=1), flat.max(axis=1), flat.mean(axis=1)],
-            axis=1,
-        )
+        out = np.empty((len(flat), 4), flat.dtype if flat.dtype.kind in "fc" else float)
+        out[:, 0] = flat.sum(axis=1)
+        flat.min(axis=1, out=out[:, 1])
+        flat.max(axis=1, out=out[:, 2])
+        out[:, 3] = flat.mean(axis=1)
+        return out
 
 
 def _tenant_arrivals(
@@ -225,6 +235,7 @@ def _tenant_arrivals(
 ) -> list[float]:
     """Arrival instants of one tenant over ``[0, horizon_s)``."""
     profile = traffic.profile
+    rate_at = profile._rate_fn()
     out: list[float] = []
     t = 0.0
     if traffic.process == "poisson":
@@ -235,7 +246,7 @@ def _tenant_arrivals(
             t += rng.exponential(1.0 / majorant)
             if t >= horizon_s:
                 break
-            if rng.random() <= profile.rate_at(t) / majorant:
+            if rng.random() <= rate_at(t) / majorant:
                 out.append(t)
     else:  # pareto
         # Heavy-tailed renewal process: each gap is Pareto with mean
@@ -245,7 +256,7 @@ def _tenant_arrivals(
         mean_unit = alpha / (alpha - 1.0)  # mean of (1 + Lomax(alpha))
         while True:
             gap_unit = 1.0 + rng.pareto(alpha)
-            rate = profile.rate_at(t)
+            rate = rate_at(t)
             t += gap_unit / (mean_unit * rate)
             if t >= horizon_s:
                 break
@@ -286,27 +297,17 @@ def generate_workload(
         # so a million-request workload holds working_set arrays, not a
         # million views.
         rows = list(rng.standard_normal(shape))
-        for si, t in enumerate(_tenant_arrivals(traffic, horizon_s, rng)):
-            image = rows[int(rng.integers(traffic.working_set))]
-            deadline = (
-                start_s + t + traffic.deadline_s
-                if traffic.deadline_s is not None
-                else None
-            )
-            events.append(
-                (
-                    start_s + t,
-                    ti,
-                    si,
-                    TrafficEvent(
-                        t_s=start_s + t,
-                        tenant=traffic.spec.name,
-                        image=image,
-                        deadline_s=deadline,
-                    ),
-                )
-            )
-    events.sort(key=lambda e: (e[0], e[1], e[2]))
+        arrivals = _tenant_arrivals(traffic, horizon_s, rng)
+        # One draw for all picks: ``integers`` fills the array from the
+        # stream per-event scalar calls read, so both give these values.
+        picks = rng.integers(traffic.working_set, size=len(arrivals)).tolist()
+        name, relative = traffic.spec.name, traffic.deadline_s
+        for si, (t, pick) in enumerate(zip(arrivals, picks)):
+            t_s = start_s + t
+            deadline = None if relative is None else t_s + relative
+            events.append((t_s, ti, si, TrafficEvent(t_s, name, rows[pick], deadline)))
+    # (time, tenant position, sequence) is unique: no event is compared.
+    events.sort()
     return [e[3] for e in events]
 
 
@@ -396,9 +397,7 @@ def run_open_loop(
     }
     # Verdict counts come from this run's responses, not the server's
     # cumulative ledger, so reusing a server across runs stays honest.
-    n_ok = sum(1 for r in responses if r.status == "ok")
-    n_rej = sum(1 for r in responses if r.status == "rejected")
-    n_to = sum(1 for r in responses if r.status == "timeout")
+    verdicts = Counter(r.status for r in responses)
     autoscaler = getattr(server, "autoscaler", None)
     pool = server.pool
     # Mean fleet size over the horizon from priced-or-not active time.
@@ -408,9 +407,9 @@ def run_open_loop(
         responses=responses,
         horizon_s=end_s,
         offered=len(events),
-        served=n_ok,
-        rejected=n_rej,
-        timed_out=n_to,
+        served=verdicts["ok"],
+        rejected=verdicts["rejected"],
+        timed_out=verdicts["timeout"],
         slo_s=slo_s,
         attainment=slo_attainment(responses, slo_s),
         attainment_by_tenant=by_tenant,

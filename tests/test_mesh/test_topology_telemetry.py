@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.comm.collectives import SimComm
+from repro.comm.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.comm.world import World
 from repro.core.engine import make_engine
 from repro.core.trainer import MAEPretrainer
@@ -127,6 +129,35 @@ def test_comm_spans_are_tagged_with_their_mesh_axis():
     assert None not in by_axis
     # Spans carry wire bytes for the roofline reports.
     assert all(e.attrs.get("bytes", 0) > 0 for e in comm)
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_tp_gather_retries_like_every_collective(traced):
+    """A transient fault on a tp all-gather is retried under the
+    engine's policy, booked on its stats and, with a bus, as the same
+    ``comm.retries`` / ``comm.backoff_s`` counters a dp collective
+    books; the step is bit-identical to the unfaulted one."""
+    plan = FaultPlan([FaultSpec("all_gather", "transient", call_index=6)])
+    bus = TelemetryBus(RecordingSink()) if traced else None
+    eng = mesh_engine(
+        MeshSpec(tp=2), "ddp", k=2, comm=SimComm(fault_plan=plan), telemetry=bus
+    )
+    losses, state = run_steps(eng, 2)
+    assert plan.pending() == 0
+    assert eng.comm.stats.total_retries == 1
+    want_losses, want_state = run_steps(mesh_engine(MeshSpec(tp=2), "ddp", k=2), 2)
+    assert losses == want_losses
+    assert_states_equal(state, want_state)
+    if traced:
+        counters = {
+            e.name: (e.value, e.attrs)
+            for e in bus.sink.events
+            if e.name in ("comm.retries", "comm.backoff_s")
+        }
+        assert counters == {
+            "comm.retries": (1, {"op": "all_gather"}),
+            "comm.backoff_s": (RetryPolicy().delay(1), {"op": "all_gather"}),
+        }
 
 
 def test_full_shard_reduce_scatter_spans_ride_the_dp_axis():

@@ -23,6 +23,7 @@ from repro.serve import (
     Response,
     ServerStats,
     TenantCounts,
+    TrafficEvent,
     VirtualClock,
     latency_stats,
 )
@@ -241,6 +242,51 @@ class TestNonFiniteTimesAreRefusedAtTheDoor:
         server, _ = _server(stub_model)
         [r] = server.run([(0.0, stub_images(1)[0], float("inf"))])
         assert r.status == "ok" and server.stats.reconciles()
+
+
+class TestRunChecksEveryArrivalAtTheDoor:
+    """A deadline before its own arrival or a misshapen image used to
+    fail mid-run, after earlier arrivals were admitted and served and the
+    clock had moved; ``run`` now refuses the whole workload first."""
+
+    _untouched = staticmethod(TestNonFiniteTimesAreRefusedAtTheDoor._untouched)
+
+    def test_run_refuses_a_deadline_before_its_arrival_before_anything_is_admitted(
+        self, stub_model
+    ):
+        server, bus = _server(stub_model)
+        img = stub_images(1)[0]
+        with pytest.raises(ValueError, match=r"already past \(now=0.5\)"):
+            server.run([(0.0, img, 1.0), (0.5, img, 0.2)])
+        self._untouched(server)
+        assert bus.sink.events == []
+
+    def test_run_refuses_a_misshapen_image_before_anything_is_admitted(self, stub_model):
+        server, bus = _server(stub_model)
+        imgs = stub_images(2)
+        with pytest.raises(ValueError, match=r"must be \(C, H, W\)"):
+            server.run([(0.0, imgs[0]), (0.5, imgs[1][0])])
+        self._untouched(server)
+        assert bus.sink.events == []
+
+    def test_run_traffic_checks_its_events_at_the_same_door(self, stub_model):
+        server, _ = _server(stub_model)
+        img = stub_images(1)[0]
+        with pytest.raises(ValueError, match="already past"):
+            server.run_traffic(
+                [TrafficEvent(0.0, "a", img, 1.0), TrafficEvent(0.5, "a", img, 0.2)]
+            )
+        self._untouched(server)
+
+    def test_submit_keeps_its_own_checks(self, stub_model):
+        server, bus = _server(stub_model)
+        server.clock.advance_to(1.0)
+        with pytest.raises(ValueError, match=r"already past \(now=1.0\)"):
+            server.submit(stub_images(1)[0], deadline_s=0.5)
+        with pytest.raises(ValueError, match=r"must be \(C, H, W\)"):
+            server.submit(stub_images(1)[0][0])
+        assert server.stats == ServerStats() and server.responses == []
+        assert bus.sink.events == []
 
 
 class TestCache:
