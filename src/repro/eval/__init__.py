@@ -1,4 +1,6 @@
-"""Downstream evaluation: feature extraction, linear probing, metrics.
+"""Downstream evaluation: feature extraction, the probing and fine-tuning
+protocols (each a setup around one training loop,
+:func:`repro.eval.linear_probe.fit`), metrics.
 
 Implements the paper's Section V-C protocol: freeze the MAE-pretrained
 encoder, replace the head with a single linear classifier, train it with

@@ -33,10 +33,13 @@ def extract_features(
         # promote any float input).
         dtype = np.result_type(images.dtype, np.float64)
         return np.zeros((0, model.cfg.encoder.width), dtype=dtype)
-    chunks = [
-        model.encode_features(images[i : i + batch_size])
-        for i in range(0, len(images), batch_size)
-    ]
+    return _encode_batched(model.encode_features, images, batch_size)
+
+
+def _encode_batched(encode, images: np.ndarray, batch_size: int) -> np.ndarray:
+    """``encode`` over non-empty ``images`` in chunks, concatenated: the one
+    extraction loop (class tokens here, patch tokens for segmentation)."""
+    chunks = [encode(images[i : i + batch_size]) for i in range(0, len(images), batch_size)]
     return np.concatenate(chunks, axis=0)
 
 

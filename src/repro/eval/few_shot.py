@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.data.datasets import SplitDataset
 from repro.eval.features import extract_features
-from repro.eval.linear_probe import LinearProbeResult, probe_features
+from repro.eval.linear_probe import LinearProbeResult, check_split, probe_features
 from repro.models.mae import MaskedAutoencoder
 
 __all__ = ["FewShotResult", "few_shot_indices", "few_shot_probe"]
@@ -64,6 +64,7 @@ def few_shot_probe(
     """
     if not shots:
         raise ValueError("need at least one shot count")
+    check_split(len(data.train.images), data.train.labels, data.spec.n_classes, epochs)
     feats_train = extract_features(model, data.train.images)
     feats_test = extract_features(model, data.test.images)
     result = FewShotResult(dataset=data.spec.name, model=model_name)

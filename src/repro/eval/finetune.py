@@ -13,6 +13,11 @@ comparison can be made at proxy scale:
   (``freeze_blocks=k`` freezes the embeddings and the first k blocks;
   ``from_scratch=True`` skips the pretrained initialization entirely,
   giving the supervised baseline).
+
+Fine-tuning trains through the probes' loop,
+:func:`repro.eval.linear_probe.fit`, not an engine: a one-rank
+supervised loop with labels gains nothing from a ``World``, collectives
+or a ``Pretrainer``.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ import numpy as np
 
 from repro.core.config import ViTConfig
 from repro.data.datasets import SplitDataset
+from repro.eval.linear_probe import check_split, fit
 from repro.eval.metrics import topk_accuracy
 from repro.models.mae import MaskedAutoencoder
 from repro.models.vit import VisionTransformer
 from repro.optim.adamw import AdamW
-from repro.optim.schedules import CosineWithWarmup
 
 __all__ = ["FinetuneResult", "vit_from_mae", "finetune"]
 
@@ -100,16 +105,6 @@ def _trainable_params(vit: VisionTransformer, freeze_blocks: int):
     return out
 
 
-def _softmax_ce(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-    n = len(labels)
-    loss = -float(logp[np.arange(n), labels].mean())
-    grad = np.exp(logp)
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
-
-
 def finetune(
     source: MaskedAutoencoder | None,
     data: SplitDataset,
@@ -123,35 +118,20 @@ def finetune(
 ) -> FinetuneResult:
     """Fine-tune (or train from scratch) a classifier on one dataset.
 
-    ``source=None`` requires ``from_scratch=True``; otherwise the ViT is
-    initialized from the MAE encoder. Returns per-epoch test accuracy.
+    The ViT is initialized from ``source``'s encoder, or with
+    ``from_scratch=True`` only shaped by its config. Returns per-epoch
+    test accuracy.
     """
-    if epochs <= 0:
-        raise ValueError(f"epochs must be positive, got {epochs}")
+    check_split(len(data.train), data.train.labels, data.spec.n_classes, epochs)
+    if source is None:
+        raise ValueError("need a source MAE: pretrained weights, or its config if from_scratch")
+    rng = np.random.default_rng(seed + 17)
     if from_scratch:
-        if source is None:
-            raise ValueError("from_scratch=True requires a config source")
-        cfg = source.cfg.encoder
-        vit = VisionTransformer(
-            cfg, n_classes=data.spec.n_classes,
-            rng=np.random.default_rng(seed + 17),
-        )
+        vit = VisionTransformer(source.cfg.encoder, n_classes=data.spec.n_classes, rng=rng)
     else:
-        if source is None:
-            raise ValueError("need a pretrained MAE unless from_scratch")
-        vit = vit_from_mae(
-            source, data.spec.n_classes, rng=np.random.default_rng(seed + 17)
-        )
+        vit = vit_from_mae(source, data.spec.n_classes, rng=rng)
     params = _trainable_params(vit, freeze_blocks)
     opt = AdamW(params, lr=base_lr, weight_decay=0.05)
-    n_train = len(data.train)
-    batch_size = min(batch_size, n_train)
-    steps_per_epoch = max(1, n_train // batch_size)
-    schedule = CosineWithWarmup(
-        base_lr=base_lr,
-        total_steps=epochs * steps_per_epoch,
-        warmup_steps=steps_per_epoch,
-    )
     result = FinetuneResult(
         dataset=data.spec.name,
         model=model_name,
@@ -159,32 +139,18 @@ def finetune(
         from_scratch=from_scratch,
         n_trainable=sum(p.size for p in params),
     )
-    k5 = min(5, data.spec.n_classes)
-    step = 0
-    for epoch in range(epochs):
-        order = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, 23, epoch]))
-        ).permutation(n_train)
-        losses = []
-        for b in range(steps_per_epoch):
-            idx = order[b * batch_size : (b + 1) * batch_size]
-            imgs, labels = data.train.images[idx], data.train.labels[idx]
-            logits = vit(imgs)
-            loss, dlogits = _softmax_ce(logits, labels)
-            vit.zero_grad()
-            vit.backward(dlogits)
-            opt.lr = schedule(step)
-            opt.step()
-            step += 1
-            losses.append(loss)
-        result.train_losses.append(float(np.mean(losses)))
+    test = data.test
+
+    def evaluate(module: VisionTransformer) -> None:
         # Evaluate in minibatches to bound memory.
-        test_logits = np.concatenate(
-            [
-                vit(data.test.images[i : i + 128])
-                for i in range(0, len(data.test), 128)
-            ]
+        logits = np.concatenate(
+            [module(test.images[i : i + 128]) for i in range(0, len(test), 128)]
         )
-        result.top1.append(topk_accuracy(test_logits, data.test.labels, k=1))
-        result.top5.append(topk_accuracy(test_logits, data.test.labels, k=k5))
+        result.top1.append(topk_accuracy(logits, test.labels, k=1))
+        result.top5.append(topk_accuracy(logits, test.labels, k=min(5, data.spec.n_classes)))
+
+    result.train_losses = fit(
+        vit, opt, data.train.images, data.train.labels, data.spec.n_classes,
+        epochs, batch_size, base_lr, seed, order_salt=23, evaluate=evaluate,
+    )
     return result

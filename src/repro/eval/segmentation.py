@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.segmentation import SegmentationDataset
+from repro.eval.features import _encode_batched, standardize_features
+from repro.eval.linear_probe import check_split, fit
 from repro.models.layers import Linear
 from repro.models.mae import MaskedAutoencoder
 from repro.optim.lars import LARS
-from repro.optim.schedules import CosineWithWarmup
 
 __all__ = ["SegProbeResult", "mean_iou", "segmentation_probe"]
 
@@ -58,16 +59,6 @@ class SegProbeResult:
         return self.patch_acc[-1]
 
 
-def _extract_tokens(
-    model: MaskedAutoencoder, images: np.ndarray, batch: int = 32
-) -> np.ndarray:
-    chunks = [
-        model.encode_patch_tokens(images[i : i + batch])
-        for i in range(0, len(images), batch)
-    ]
-    return np.concatenate(chunks, axis=0)
-
-
 def segmentation_probe(
     model: MaskedAutoencoder,
     train: SegmentationDataset,
@@ -78,57 +69,30 @@ def segmentation_probe(
     seed: int = 0,
     model_name: str = "",
 ) -> SegProbeResult:
-    """Train a frozen-feature per-patch linear classifier; report mIoU."""
-    if epochs <= 0:
-        raise ValueError(f"epochs must be positive, got {epochs}")
+    """Train a frozen-feature per-patch linear classifier; report mIoU.
+
+    Minibatches are whole images (all of an image's patch tokens)."""
+    check_split(len(train.images), train.patch_labels, train.n_classes, epochs)
     if train.patch != test.patch:
         raise ValueError("train/test patch sizes differ")
-    tokens_tr = _extract_tokens(model, train.images)  # (N, P, W)
-    tokens_te = _extract_tokens(model, test.images)
-    n, p, w = tokens_tr.shape
-    # Standardize with train statistics (flattened over patches).
-    flat = tokens_tr.reshape(-1, w)
-    mu = flat.mean(axis=0, keepdims=True)
-    sd = flat.std(axis=0, keepdims=True) + 1e-6
-    tokens_tr = (tokens_tr - mu) / sd
-    tokens_te = (tokens_te - mu) / sd
-
-    head_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 19])))
-    head = Linear(w, train.n_classes, rng=head_rng)
+    tokens_tr = _encode_batched(model.encode_patch_tokens, train.images, 32)  # (N, P, W)
+    tokens_te = _encode_batched(model.encode_patch_tokens, test.images, 32)
+    # Standardize with train statistics, flattened over patches.
+    w = tokens_tr.shape[-1]
+    flat_tr, flat_te = standardize_features(tokens_tr.reshape(-1, w), tokens_te.reshape(-1, w))
+    head = Linear(w, train.n_classes)
     head.weight.data[...] = 0.0
     opt = LARS([head.weight, head.bias], lr=base_lr, weight_decay=0.0)
-    batch_size = min(batch_size, n)
-    steps_per_epoch = max(1, n // batch_size)
-    schedule = CosineWithWarmup(
-        base_lr, epochs * steps_per_epoch, warmup_steps=steps_per_epoch
-    )
     result = SegProbeResult(model=model_name)
-    step = 0
-    y_tr = train.patch_labels
-    for epoch in range(epochs):
-        order = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([seed, 29, epoch]))
-        ).permutation(n)
-        losses = []
-        for b in range(steps_per_epoch):
-            idx = order[b * batch_size : (b + 1) * batch_size]
-            x = tokens_tr[idx].reshape(-1, w)
-            y = y_tr[idx].reshape(-1)
-            logits = head(x)
-            z = logits - logits.max(axis=1, keepdims=True)
-            logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-            loss = -float(logp[np.arange(len(y)), y].mean())
-            grad = np.exp(logp)
-            grad[np.arange(len(y)), y] -= 1.0
-            head.zero_grad()
-            head.backward(grad / len(y))
-            opt.lr = schedule(step)
-            opt.step()
-            step += 1
-            losses.append(loss)
-        result.train_losses.append(float(np.mean(losses)))
-        pred = head(tokens_te.reshape(-1, w)).argmax(axis=1)
-        target = test.patch_labels.reshape(-1)
+    target = test.patch_labels.reshape(-1)
+
+    def evaluate(module: Linear) -> None:
+        pred = module(flat_te).argmax(axis=1)
         result.miou.append(mean_iou(pred, target, train.n_classes))
         result.patch_acc.append(float((pred == target).mean()))
+
+    result.train_losses = fit(
+        head, opt, flat_tr.reshape(tokens_tr.shape), train.patch_labels, train.n_classes,
+        epochs, batch_size, base_lr, seed, order_salt=29, evaluate=evaluate,
+    )
     return result

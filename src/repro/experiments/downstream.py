@@ -17,10 +17,9 @@ it is shared by all four models.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -28,10 +27,11 @@ from repro.comm.world import World
 from repro.core.checkpoints import checkpoint_exists, load_checkpoint, save_checkpoint
 from repro.core.config import PROXY_VARIANTS, get_mae_config
 from repro.core.engine import make_engine
-from repro.core.trainer import MAEPretrainer
+from repro.core.trainer import MAEPretrainer, Pretrainer
 from repro.data.datasets import build_pretraining_corpus
 from repro.data.transforms import normalize_images
 from repro.models.mae import MaskedAutoencoder
+from repro.models.module import Module
 from repro.optim.adamw import AdamW
 
 __all__ = ["DownstreamRecipe", "PretrainedModel", "pretrain_suite", "DEFAULT_CACHE_DIR"]
@@ -87,12 +87,28 @@ class PretrainedModel:
         return PAPER_NAME.get(self.name, self.name)
 
 
-def _pretrain_one(
-    name: str, corpus: np.ndarray, recipe: DownstreamRecipe
-) -> PretrainedModel:
-    cfg = get_mae_config(name)
-    model = MaskedAutoencoder(
-        cfg, rng=np.random.default_rng(recipe.seed + 1)
+def pretrain_or_load(
+    model: Module,
+    pretrainer: type[Pretrainer],
+    recipe: DownstreamRecipe,
+    cache_dir: str | None,
+    key: str,
+    verbose: bool = True,
+) -> dict:
+    """Load ``model`` from checkpoint ``key`` under ``cache_dir``, or
+    pretrain it with ``recipe`` (one no-shard rank, AdamW) and save it
+    there; ``cache_dir=None`` always pretrains and saves nothing. Returns
+    the checkpoint metadata: the loss history and steps per epoch of the
+    run that produced the weights."""
+    path = os.path.join(cache_dir, key) if cache_dir else None
+    if path and checkpoint_exists(path):
+        if verbose:
+            logger.info("loaded cached %s", key)
+        return load_checkpoint(model, path)
+    if verbose:
+        logger.info("pretraining %s (%d steps)...", key, recipe.steps)
+    corpus = build_pretraining_corpus(
+        n_images=recipe.corpus_images, img_size=recipe.img_size, seed=recipe.seed
     )
     engine = make_engine(
         model,
@@ -100,16 +116,17 @@ def _pretrain_one(
         world=World(1, ranks_per_node=1),
         optimizer_factory=lambda params: AdamW(params, lr=recipe.base_lr),
     )
-    trainer = MAEPretrainer(
-        engine, corpus, global_batch=recipe.global_batch, seed=recipe.seed
+    trainer = pretrainer(
+        engine, normalize_images(corpus.images), global_batch=recipe.global_batch, seed=recipe.seed
     )
-    result = trainer.run(n_steps=recipe.steps)
-    return PretrainedModel(
-        name=name,
-        model=model,
-        losses=result.losses,
-        steps_per_epoch=trainer.steps_per_epoch,
-    )
+    meta = {
+        "losses": trainer.run(recipe.steps).losses,
+        "steps_per_epoch": trainer.steps_per_epoch,
+        "recipe": {k: v for k, v in asdict(recipe).items() if k != "model_names"},
+    }
+    if path:
+        save_checkpoint(model, path, meta=meta)
+    return meta
 
 
 def pretrain_suite(
@@ -117,56 +134,18 @@ def pretrain_suite(
     cache_dir: str | None = DEFAULT_CACHE_DIR,
     verbose: bool = True,
 ) -> dict[str, PretrainedModel]:
-    """Pretrain (or load from cache) the whole proxy suite."""
+    """Pretrain (or load from ``cache_dir``; ``None``: no cache) the proxy suite."""
     recipe = recipe if recipe is not None else DownstreamRecipe()
-    corpus_raw = build_pretraining_corpus(
-        n_images=recipe.corpus_images, img_size=recipe.img_size, seed=recipe.seed
-    )
-    corpus = normalize_images(corpus_raw.images)
     out: dict[str, PretrainedModel] = {}
     for name in recipe.model_names:
-        ckpt = (
-            os.path.join(cache_dir, recipe.cache_key(name)) if cache_dir else None
+        model = MaskedAutoencoder(get_mae_config(name), rng=np.random.default_rng(recipe.seed + 1))
+        meta = pretrain_or_load(
+            model, MAEPretrainer, recipe, cache_dir, recipe.cache_key(name), verbose
         )
-        if ckpt and checkpoint_exists(ckpt):
-            cfg = get_mae_config(name)
-            model = MaskedAutoencoder(cfg, rng=np.random.default_rng(recipe.seed + 1))
-            meta = load_checkpoint(model, ckpt)
-            out[name] = PretrainedModel(
-                name=name,
-                model=model,
-                losses=list(meta["losses"]),
-                steps_per_epoch=int(meta["steps_per_epoch"]),
-            )
-            if verbose:
-                logger.info("loaded cached %s", name)
-            continue
-        if verbose:
-            logger.info("pretraining %s (%d steps)...", name, recipe.steps)
-        pm = _pretrain_one(name, corpus, recipe)
-        out[name] = pm
-        if ckpt:
-            save_checkpoint(
-                pm.model,
-                ckpt,
-                meta={
-                    "losses": pm.losses,
-                    "steps_per_epoch": pm.steps_per_epoch,
-                    "recipe": json.loads(
-                        json.dumps(
-                            {
-                                k: getattr(recipe, k)
-                                for k in (
-                                    "corpus_images",
-                                    "img_size",
-                                    "global_batch",
-                                    "steps",
-                                    "base_lr",
-                                    "seed",
-                                )
-                            }
-                        )
-                    ),
-                },
-            )
+        out[name] = PretrainedModel(
+            name=name,
+            model=model,
+            losses=list(meta["losses"]),
+            steps_per_epoch=int(meta["steps_per_epoch"]),
+        )
     return out

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.experiments.downstream import (
+    DEFAULT_CACHE_DIR,
     DownstreamRecipe,
     PretrainedModel,
     pretrain_suite,
@@ -56,11 +57,10 @@ class Fig5Result:
 
 
 def run_fig5(
-    recipe: DownstreamRecipe | None = None, cache_dir: str | None = None
+    recipe: DownstreamRecipe | None = None, cache_dir: str | None = DEFAULT_CACHE_DIR
 ) -> Fig5Result:
     """Pretrain (or load) the suite and package its loss curves."""
-    kwargs = {} if cache_dir is None else {"cache_dir": cache_dir}
-    return Fig5Result(suite=pretrain_suite(recipe, **kwargs))
+    return Fig5Result(suite=pretrain_suite(recipe, cache_dir))
 
 
 def render_fig5(result: Fig5Result | None = None) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.eval.linear_probe import LinearProbeResult
-from repro.experiments.downstream import DownstreamRecipe, pretrain_suite
+from repro.experiments.downstream import DEFAULT_CACHE_DIR, DownstreamRecipe, pretrain_suite
 from repro.experiments.report import render_series
 from repro.experiments.table3 import PROBE_EPOCHS, build_probe_datasets, probe_suite
 
@@ -48,12 +48,11 @@ class Fig6Result:
 def run_fig6(
     recipe: DownstreamRecipe | None = None,
     epochs: int = PROBE_EPOCHS,
-    cache_dir: str | None = None,
+    cache_dir: str | None = DEFAULT_CACHE_DIR,
 ) -> Fig6Result:
     """Probe the suite and collect per-epoch accuracy curves."""
     recipe = recipe if recipe is not None else DownstreamRecipe()
-    kwargs = {} if cache_dir is None else {"cache_dir": cache_dir}
-    suite = pretrain_suite(recipe, **kwargs)
+    suite = pretrain_suite(recipe, cache_dir)
     datasets = build_probe_datasets(img_size=recipe.img_size, seed=recipe.seed)
     probes = probe_suite(suite, datasets, epochs=epochs, seed=recipe.seed)
     return Fig6Result(

@@ -9,30 +9,24 @@ the design choice in a measurement.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.comm.world import World
-from repro.core.checkpoints import checkpoint_exists, load_checkpoint, save_checkpoint
 from repro.core.config import get_mae_config, get_vit_config
-from repro.core.engine import make_engine
 from repro.core.simclr_trainer import SimCLRPretrainer
-from repro.data.datasets import SplitDataset, build_pretraining_corpus
-from repro.data.transforms import normalize_images
-from repro.eval.features import extract_features
-from repro.eval.linear_probe import probe_features
+from repro.data.datasets import SplitDataset
+from repro.eval.linear_probe import linear_probe
 from repro.experiments.downstream import (
     DEFAULT_CACHE_DIR,
     DownstreamRecipe,
+    pretrain_or_load,
     pretrain_suite,
 )
 from repro.experiments.report import render_table
 from repro.experiments.table3 import build_probe_datasets
 from repro.models.mae import MaskedAutoencoder
 from repro.models.simclr import SimCLRModel
-from repro.optim.adamw import AdamW
 
 __all__ = ["SslCompareResult", "run_ssl_compare", "render_ssl_compare"]
 
@@ -51,48 +45,6 @@ class SslCompareResult:
         return self.top1[(method, dataset)]
 
 
-def _pretrain_simclr(
-    recipe: DownstreamRecipe, cache_dir: str | None
-) -> SimCLRModel:
-    cfg = get_vit_config(MODEL)
-    model = SimCLRModel(cfg, rng=np.random.default_rng(recipe.seed + 1))
-    ckpt = (
-        os.path.join(cache_dir, f"simclr-{recipe.cache_key(MODEL)}")
-        if cache_dir
-        else None
-    )
-    if ckpt and checkpoint_exists(ckpt):
-        load_checkpoint(model, ckpt)
-        return model
-    corpus = normalize_images(
-        build_pretraining_corpus(
-            n_images=recipe.corpus_images, img_size=recipe.img_size,
-            seed=recipe.seed,
-        ).images
-    )
-    engine = make_engine(
-        model,
-        "no_shard",
-        world=World(1, ranks_per_node=1),
-        optimizer_factory=lambda p: AdamW(p, lr=recipe.base_lr),
-    )
-    SimCLRPretrainer(
-        engine, corpus, global_batch=recipe.global_batch, seed=recipe.seed
-    ).run(recipe.steps)
-    if ckpt:
-        save_checkpoint(model, ckpt, meta={"method": "simclr"})
-    return model
-
-
-def _probe(encoder, data: SplitDataset, seed: int) -> float:
-    ftr = extract_features(encoder, data.train.images)
-    fte = extract_features(encoder, data.test.images)
-    return probe_features(
-        ftr, data.train.labels, fte, data.test.labels,
-        n_classes=data.spec.n_classes, epochs=30, seed=seed,
-    ).final_top1
-
-
 def run_ssl_compare(
     recipe: DownstreamRecipe | None = None,
     datasets: tuple[str, ...] = DATASETS,
@@ -105,14 +57,17 @@ def run_ssl_compare(
         probe_data = build_probe_datasets(
             img_size=recipe.img_size, seed=recipe.seed
         )
-    mae = pretrain_suite(recipe, cache_dir=cache_dir, verbose=False)[MODEL].model
-    simclr = _pretrain_simclr(recipe, cache_dir)
+    mae_recipe = replace(recipe, model_names=(MODEL,))
+    mae = pretrain_suite(mae_recipe, cache_dir, verbose=False)[MODEL].model
+    simclr = SimCLRModel(get_vit_config(MODEL), rng=np.random.default_rng(recipe.seed + 1))
+    key = f"simclr-{recipe.cache_key(MODEL)}"
+    pretrain_or_load(simclr, SimCLRPretrainer, recipe, cache_dir, key, verbose=False)
     random_init = MaskedAutoencoder(
         get_mae_config(MODEL), rng=np.random.default_rng(recipe.seed + 1)
     )
     methods = {"mae": mae, "simclr": simclr, "random-init": random_init}
     top1 = {
-        (method, ds): _probe(encoder, probe_data[ds], recipe.seed)
+        (method, ds): linear_probe(encoder, probe_data[ds], seed=recipe.seed).final_top1
         for method, encoder in methods.items()
         for ds in datasets
     }

@@ -20,6 +20,7 @@ from repro.data.datasets import DATASET_SPECS, SplitDataset, build_dataset
 from repro.data.transforms import normalize_images
 from repro.eval.linear_probe import LinearProbeResult, linear_probe
 from repro.experiments.downstream import (
+    DEFAULT_CACHE_DIR,
     DownstreamRecipe,
     PretrainedModel,
     pretrain_suite,
@@ -94,12 +95,11 @@ class Table3Result:
 def run_table3(
     recipe: DownstreamRecipe | None = None,
     epochs: int = PROBE_EPOCHS,
-    cache_dir: str | None = None,
+    cache_dir: str | None = DEFAULT_CACHE_DIR,
 ) -> Table3Result:
     """Pretrain/load the suite (plus the 4x-pretrained Base) and probe everything."""
     recipe = recipe if recipe is not None else DownstreamRecipe()
-    kwargs = {} if cache_dir is None else {"cache_dir": cache_dir}
-    suite = pretrain_suite(recipe, **kwargs)
+    suite = pretrain_suite(recipe, cache_dir)
     datasets = build_probe_datasets(img_size=recipe.img_size, seed=recipe.seed)
     probes = probe_suite(suite, datasets, epochs=epochs, seed=recipe.seed)
     # The "pretrained 4x longer" Base row.
@@ -108,7 +108,7 @@ def run_table3(
         steps=recipe.steps * LONG_PRETRAIN_FACTOR,
         model_names=("proxy-base",),
     )
-    long_suite = pretrain_suite(long_recipe, **kwargs)
+    long_suite = pretrain_suite(long_recipe, cache_dir)
     long_probes = probe_suite(long_suite, datasets, epochs=epochs, seed=recipe.seed)
     return Table3Result(
         probes=probes,

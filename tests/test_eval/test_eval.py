@@ -173,3 +173,28 @@ class TestLinearProbe:
                 rng.standard_normal((4, 2)), np.zeros(4, int),
                 n_classes=2, epochs=0,
             )
+
+
+class TestTopKTies:
+    @given(
+        n=st.integers(1, 30),
+        c=st.integers(2, 8),
+        k=st.integers(1, 8),
+        seed=st.integers(0, 10_000),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_ties_break_by_class_index(self, n, c, k, seed):
+        """Integer-valued logits tie often; the stable argsort is the oracle."""
+        k = min(k, c)
+        rng = np.random.default_rng(seed)
+        logits = rng.integers(-2, 3, size=(n, c)).astype(np.float64)
+        labels = rng.integers(0, c, n)
+        top = np.argsort(-logits, axis=1, kind="stable")[:, :k]
+        expected = float((top == labels[:, None]).any(axis=1).mean())
+        assert topk_accuracy(logits, labels, k=k) == expected
+
+    def test_label_out_of_range(self):
+        with pytest.raises(ValueError, match="class range"):
+            topk_accuracy(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(ValueError, match="class range"):
+            topk_accuracy(np.zeros((2, 3)), np.array([-1, 0]))
