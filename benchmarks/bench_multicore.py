@@ -7,8 +7,8 @@ host, and writes ``BENCH_multicore.json`` for
 - **worker scaling / speedup gate** — one DDP step of the proxy-1b MAE
   at world sizes {1, 2, 4}, inline vs process backend, on the wall
   clock. Both engines are built once per world size and timed as
-  interleaved pairs (``repro.perf.hotpath.time_pair``): each ratio
-  compares two steps taken at the same instant, and ``speedup_wall`` is
+  interleaved pairs (:func:`_time_pair`): each ratio compares two
+  steps taken at the same instant, and ``speedup_wall`` is
   the median of the per-pair ratios, all of which are recorded. The gate
   is ``speedup_wall >= GATE_FLOOR`` at ``GATE_WORKERS`` — the process
   backend must beat inline on the clock — and is skipped, with a printed
@@ -33,6 +33,8 @@ import json
 import multiprocessing
 import os
 import platform
+import statistics
+import time
 from pathlib import Path
 
 # One BLAS thread per process, unless the caller chose otherwise: the
@@ -49,7 +51,6 @@ from repro.core.trainer import _mae_step_fn
 from repro.comm.world import World
 from repro.models import MaskedAutoencoder
 from repro.models.workspace import Workspace
-from repro.perf.hotpath import time_pair
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_multicore.json"
 
@@ -90,6 +91,25 @@ def _micros(world: int, seed: int = 1) -> list:
 # -- phase 1: worker scaling ---------------------------------------------------
 
 
+def _time_pair(fn_a, fn_b) -> tuple[list[float], list[float]]:
+    """Seconds per call of ``fn_a`` and ``fn_b``, sampled a, b, a, b, ...
+
+    On a noisy shared host, timing all of A then all of B lets a load
+    spike land on one side; interleaved, each ratio ``a[i] / b[i]``
+    compares two calls made at the same instant.
+    """
+    for _ in range(WARMUP_PAIRS):
+        fn_a()
+        fn_b()
+    samples: tuple[list[float], list[float]] = ([], [])
+    for _ in range(TIMED_PAIRS):
+        for fn, out in zip((fn_a, fn_b), samples):
+            t0 = time.perf_counter()
+            fn()
+            out.append(time.perf_counter() - t0)
+    return samples
+
+
 def _worker_scaling() -> dict:
     out = {}
     for world in WORKER_COUNTS:
@@ -97,24 +117,19 @@ def _worker_scaling() -> dict:
         inline = _build_engine(world, "inline")
         process = _build_engine(world, "process")
         try:
-            pair = time_pair(
+            a, b = _time_pair(
                 lambda: inline.train_step(data, _mae_step_fn),
                 lambda: process.train_step(data, _mae_step_fn),
-                "inline",
-                "process",
-                warmup=WARMUP_PAIRS,
-                repeats=TIMED_PAIRS,
             )
         finally:
             process.close()
             inline.close()
+        ratios = [x / y for x, y in zip(a, b)]
         out[str(world)] = {
-            "inline_step_s": pair.a.median_us / 1e6,
-            "process_step_s": pair.b.median_us / 1e6,
-            "speedup_wall": pair.median_ratio,
-            "pair_ratios": [
-                a / b for a, b in zip(pair.a.samples_us, pair.b.samples_us)
-            ],
+            "inline_step_s": statistics.median(a),
+            "process_step_s": statistics.median(b),
+            "speedup_wall": statistics.median(ratios),
+            "pair_ratios": ratios,
         }
     return out
 

@@ -1,7 +1,6 @@
 """Check fresh bench artifacts against their own gates and baselines.
 
-Covers ``BENCH_hotpath.json`` (fused-vs-naive kernels),
-``BENCH_serving.json`` (online serving saturation and virtual-time
+Covers ``BENCH_serving.json`` (online serving saturation and virtual-time
 schedule), ``BENCH_multicore.json`` (process-backend wall-clock speedup
 and bit-identity), ``ELASTIC_campaign.json`` (resize chaos campaign
 bit-identity), and ``MESHPERF.json`` (mesh perf-model
@@ -9,7 +8,6 @@ predicted-vs-measured reconciliation).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_hotpath.py      # fresh run
     PYTHONPATH=src python benchmarks/bench_serving.py      # fresh run
     PYTHONPATH=src python benchmarks/bench_multicore.py    # fresh run
     PYTHONPATH=src python benchmarks/bench_elastic.py      # fresh run
@@ -21,8 +19,7 @@ No row diffs a wall-clock number against a committed one: a figure from
 another host is not a baseline, and absolute throughput is what
 ``benchmarks/e2e`` judges against a parent run on the same machine.
 *Machine-relative* gates are read from the fresh artifact's own gate
-block: fused-vs-naive equivalence (< 1e-6) and attention speedup
-(>= 1.3x), serving saturation (>= 0.9x offline inference on the same
+block: serving saturation (>= 0.9x offline inference on the same
 replica set), multicore wall-clock speedup (>= 1.2x inline at 4
 workers; skipped on a host with fewer than 2 CPUs). *Correctness* gates
 hold on any host: bit-identity and ``reconciled`` flags, open-loop SLO
@@ -50,22 +47,6 @@ HERE = Path(__file__).resolve().parent
 #: Serving blocks that are pure functions of (workload, configuration)
 #: on the virtual clock: equal to the baseline's on every host.
 SERVING_VIRTUAL_BLOCKS = ("latency", "cache", "open_loop")
-
-
-def compare_hotpath(fresh: dict, baseline: dict) -> list[str]:
-    """Failed gates of the hotpath artifact (empty = pass); both are
-    ratios and differences taken inside one run on one host."""
-    problems: list[str] = []
-    gate = fresh.get("gate", {})
-    diff = gate.get("equivalence_max_abs_diff", float("inf"))
-    if not diff < 1e-6:
-        problems.append(f"hotpath: fused-vs-naive max |diff| {diff:.2e} not < 1e-6")
-    if gate.get("attention_speedup_median", 0.0) < gate.get("threshold", 0.0):
-        problems.append(
-            f"attention speedup {gate['attention_speedup_median']:.2f}x "
-            f"below its own {gate['threshold']}x gate"
-        )
-    return problems
 
 
 def compare_serving(fresh: dict, baseline: dict) -> list[str]:
@@ -274,34 +255,18 @@ def render_multicore(fresh: dict, baseline: dict) -> str:
     return "\n".join(lines + _host_lines(fresh))
 
 
-def render_hotpath(fresh: dict, baseline: dict) -> str:
-    """One-line fused-vs-naive verdict."""
-    gate = fresh.get("gate", {})
-    lines = [
-        f"{'hotpath':<12} {gate.get('attention_speedup_median', 0.0):>9.2f}x fused "
-        f"attention vs naive   (gate {gate.get('threshold', 0.0)}x, max |diff| "
-        f"{gate.get('equivalence_max_abs_diff', float('nan')):.1e})"
-    ]
-    return "\n".join(lines + _host_lines(fresh))
-
-
 class Artifact(NamedTuple):
-    """One gated artifact. ``baseline`` is None when every gate is read
-    from the fresh file alone; ``compare(fresh, baseline)`` returns
-    problem messages, ``render(fresh, baseline)`` its report lines."""
+    """One gated artifact: ``compare(fresh, baseline)`` returns problem
+    messages, ``render(fresh, baseline)`` its report lines."""
 
     fresh: Path
-    baseline: Path | None
+    baseline: Path
     producer: str
     compare: Callable[[dict, dict], list[str]]
     render: Callable[[dict, dict], str]
 
 
 ARTIFACTS = {
-    "hotpath": Artifact(
-        HERE / "BENCH_hotpath.json", None, "bench_hotpath.py",
-        compare_hotpath, render_hotpath,
-    ),
     "serving": Artifact(
         HERE / "BENCH_serving.json", HERE / "BENCH_serving.baseline.json",
         "bench_serving.py", compare_serving, render_serving,
@@ -324,8 +289,8 @@ ARTIFACTS = {
 def update_baselines(names: list[str]) -> list[str]:
     """Bless the named fresh artifacts atomically; returns messages.
 
-    Each name is a key of :data:`ARTIFACTS` that has a baseline, and its
-    fresh artifact must exist. All staging copies are written first; the
+    Each name is a key of :data:`ARTIFACTS`, and its fresh artifact must
+    exist. All staging copies are written first; the
     renames happen only after every copy succeeded, so a failure
     mid-update leaves the committed baselines exactly as they were
     (rename within a directory is atomic on POSIX).
@@ -348,14 +313,13 @@ def update_baselines(names: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    blessable = [name for name, art in ARTIFACTS.items() if art.baseline is not None]
     parser.add_argument(
         "--update",
         nargs="+",
-        choices=blessable,
+        choices=list(ARTIFACTS),
         metavar="ARTIFACT",
         help="bless the named fresh artifacts ("
-        + ", ".join(blessable)
+        + ", ".join(ARTIFACTS)
         + ") as their baselines and exit 0",
     )
     args = parser.parse_args(argv)
@@ -373,11 +337,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, art in ARTIFACTS.items():
         if not art.fresh.exists():
             print(f"{name}: no fresh artifact; skipping (run {art.producer} first)")
-        elif art.baseline is not None and not art.baseline.exists():
+        elif not art.baseline.exists():
             print(f"{name}: no baseline; skipping (bless one with --update {name})")
         else:
             fresh = json.loads(art.fresh.read_text())
-            baseline = json.loads(art.baseline.read_text()) if art.baseline else {}
+            baseline = json.loads(art.baseline.read_text())
             print(art.render(fresh, baseline))
             problems += art.compare(fresh, baseline)
 

@@ -4,7 +4,8 @@ The scenario from the paper's introduction: you have a ViT variant and a
 node budget — which FSDP configuration should you submit? This example
 sweeps every strategy over a node grid with the performance simulator
 (publishing every grid point to a telemetry bus), prints the
-throughput/memory table, picks the winner per scale, exports a Chrome
+throughput/memory table, picks the winner per scale, shows how far one
+fixed-size job strong-scales, exports a Chrome
 trace of one simulated step for inspection (chrome://tracing or
 https://ui.perfetto.dev), and dumps the full telemetry stream — grid
 gauges plus a synthesized rocm-smi-style power trace of the winning
@@ -18,7 +19,7 @@ import sys
 
 from repro import JsonlSink, TelemetryBus
 from repro.core.config import get_vit_config
-from repro.core.scaling import run_strategy_grid
+from repro.core.scaling import run_strategy_grid, run_strong_scaling
 from repro.core.sharding import parse_strategy
 from repro.experiments.report import render_series
 from repro.hardware.frontier import frontier_machine
@@ -82,6 +83,12 @@ def main(model_name: str = "vit-3b", max_nodes: int = 64) -> None:
             continue
         best = max(feasible, key=feasible.get)
         print(f"  {n:>3} nodes: {best}  ({feasible[best]:.0f} ips)")
+
+    # The same job spread wider: a fixed global batch, shrinking per GPU.
+    strong = run_strong_scaling(cfg, "NO_SHARD", nodes, global_batch=2048)
+    print("\nstrong scaling efficiency, NO_SHARD at global batch 2048:")
+    for n, eff in zip(nodes, strong.efficiency()):
+        print(f"  {n:>3} nodes: {eff:.2f}")
 
     # Export a trace of the best large-scale configuration.
     best_label = max(grid, key=lambda s: grid[s].ips[-1])

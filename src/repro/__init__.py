@@ -31,7 +31,9 @@ Quick start::
 
 See ``examples/quickstart.py`` for a complete runnable walkthrough and
 the README's "API tour" for the blessed public surface re-exported
-here (engines, trainers, telemetry, data, eval).
+here: what the examples and ``benchmarks/e2e`` import, plus the
+exceptions those names raise. Every other public name is imported from
+its subpackage (``repro.core``, ``repro.perf``, ...).
 
 Every package re-exports through one :func:`lazy_exports` table: a
 name's submodule is imported the first time the name is read, so
@@ -73,55 +75,20 @@ def lazy_exports(package: str, table: dict[str, tuple[str, ...]]):
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "comm.world": ("World", "Group", "make_hybrid_mesh"),
-        "core.config": (
-            "ViTConfig",
-            "MAEConfig",
-            "VIT_VARIANTS",
-            "PROXY_VARIANTS",
-            "get_vit_config",
-            "get_mae_config",
-            "count_vit_params",
-            "count_mae_params",
-        ),
-        "core.sharding": ("ShardingStrategy", "BackwardPrefetch", "parse_strategy"),
-        "core.engine": ("EngineConfig", "make_engine", "STRATEGY_CHOICES"),
-        "backend": ("BACKEND_CHOICES", "WorkerCrashError", "WorkerStepError"),
-        "mesh": ("DeviceMesh", "MeshSpec", "TPContext"),
-        "core.trainer": ("MAEPretrainer", "TrainResult"),
-        "core.simclr_trainer": ("SimCLRPretrainer",),
-        "data.dataloader": ("DataLoader",),
-        "elastic": (
-            "ElasticCompatibilityError",
-            "PreemptedError",
-            "PreemptionHandler",
-            "PreemptionToken",
-            "ReductionLayout",
-            "TopologySpec",
-            "reshard_engine_state",
-            "reshard_trainer_state",
-            "Allocation",
-            "compatible_allocations",
-            "ResizeScheduler",
-            "RequeueDriver",
-            "run_resize_campaign",
-        ),
+        "comm.world": ("World",),
+        "core.config": ("get_mae_config",),
+        "core.engine": ("EngineConfig", "make_engine"),
+        "backend": ("WorkerCrashError", "WorkerStepError"),
+        "mesh": ("MeshSpec",),
+        "core.trainer": ("MAEPretrainer",),
+        "elastic": ("ElasticCompatibilityError", "PreemptedError"),
         "optim.adamw": ("AdamW",),
-        "models.vit": ("VisionTransformer",),
         "models.mae": ("MaskedAutoencoder",),
         "eval.linear_probe": ("linear_probe",),
-        "hardware.frontier": ("FRONTIER", "frontier_machine"),
-        "perf.simulator": ("TrainStepSimulator", "PerfParams"),
-        "perf.mesh_model": ("MeshTrafficPrediction", "predict_mesh_traffic"),
-        "precision": ("LossScaler", "bf16_round", "to_bf16", "from_bf16"),
         "serve": (
             "InferenceServer",
-            "ServerStats",
             "VirtualClock",
             "ServiceTimeModel",
-            "FixedServiceModel",
-            "LRUFeatureCache",
-            "ReplicaFaultPlan",
             "latency_stats",
             "TenantSpec",
             "AdmissionController",
@@ -131,21 +98,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "TenantTraffic",
             "generate_workload",
             "run_open_loop",
-            "CapacityPlan",
             "plan_capacity",
             "reconcile_plan",
         ),
-        "telemetry": (
-            "TelemetryBus",
-            "TelemetryEvent",
-            "NullSink",
-            "RecordingSink",
-            "JsonlSink",
-            "StepStats",
-            "NULL_BUS",
-            "RunReport",
-            "write_span_trace",
-        ),
+        "telemetry": ("TelemetryBus", "RecordingSink", "JsonlSink", "RunReport"),
     },
 )
 __all__.append("__version__")

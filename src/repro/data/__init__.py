@@ -6,14 +6,12 @@ the synthetic equivalent: a procedural remote-sensing scene generator
 with land-cover-like classes (fields, urban grids, water, forest, ...)
 whose parameters control intra-class variation and sensor noise, plus
 dataset builders matching each paper dataset's class count and
-train/test ratio (scaled down), a deterministic dataloader, and a
-distributed sampler.
+train/test ratio (scaled down).
 
 - :mod:`repro.data.synthetic` — the scene generator.
 - :mod:`repro.data.datasets` — MillionAID/UCM/AID/NWPU analogues.
-- :mod:`repro.data.dataloader` — batching and shuffling.
 - :mod:`repro.data.transforms` — normalization / augmentation.
-- :mod:`repro.data.sampler` — rank-sharded sampling.
+- :mod:`repro.data.segmentation` — per-patch land-cover labels.
 """
 
 from repro import lazy_exports
@@ -30,8 +28,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "build_dataset",
             "build_pretraining_corpus",
         ),
-        "dataloader": ("DataLoader",),
-        "sampler": ("DistributedSampler",),
         "transforms": ("normalize_images", "random_flip", "augment_view"),
         "segmentation": (
             "SegmentationDataset",

@@ -10,7 +10,6 @@ import numpy as np
 
 __all__ = [
     "normalize_images",
-    "denormalize_images",
     "random_flip",
     "augment_view",
     "IMAGENET_MEAN",
@@ -41,15 +40,6 @@ def normalize_images(
             f"channel count {images.shape[-3]} does not match stats ({len(mean)})"
         )
     return (images - _bcast(mean, images.ndim)) / _bcast(std, images.ndim)
-
-
-def denormalize_images(
-    images: np.ndarray,
-    mean: np.ndarray = IMAGENET_MEAN,
-    std: np.ndarray = IMAGENET_STD,
-) -> np.ndarray:
-    """Inverse of :func:`normalize_images`."""
-    return images * _bcast(std, images.ndim) + _bcast(mean, images.ndim)
 
 
 def random_flip(images: np.ndarray, rng: np.random.Generator) -> np.ndarray:

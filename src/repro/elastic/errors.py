@@ -14,9 +14,8 @@ class ElasticCompatibilityError(ValueError):
     """A checkpoint cannot be restored into this world as-is.
 
     Raised instead of letting a structurally-plausible load proceed and
-    silently diverge (e.g. a sampler cursor striding over a different
-    world size, or an optimizer slot count from a different shard
-    layout). The message always says what mismatched and, where there
+    silently diverge (e.g. a snapshot of another data stream, or an
+    optimizer slot count from a different shard layout). The message always says what mismatched and, where there
     is one, the way out — "pick a target from
     ``repro.elastic.compatible_allocations``" or "restart from an epoch
     boundary". :meth:`~repro.core.trainer.Pretrainer.resume` raises it

@@ -18,6 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "few_shot": ("few_shot_probe", "FewShotResult"),
         "finetune": ("finetune", "FinetuneResult", "vit_from_mae"),
         "segmentation": ("segmentation_probe", "SegProbeResult", "mean_iou"),
-        "metrics": ("topk_accuracy", "confusion_matrix"),
+        "metrics": ("topk_accuracy",),
     },
 )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["topk_accuracy", "confusion_matrix"]
+__all__ = ["topk_accuracy"]
 
 
 def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
@@ -31,20 +31,3 @@ def topk_accuracy(logits: np.ndarray, labels: np.ndarray, k: int = 1) -> float:
     earlier = np.arange(c) < labels[:, None]
     rank = (logits > own).sum(axis=1) + ((logits == own) & earlier).sum(axis=1)
     return float((rank < k).mean())
-
-
-def confusion_matrix(
-    pred: np.ndarray, labels: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """(n_classes, n_classes) counts; rows = true class, cols = predicted."""
-    pred = np.asarray(pred, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if pred.shape != labels.shape:
-        raise ValueError("pred/labels shape mismatch")
-    if ((pred < 0) | (pred >= n_classes)).any():
-        raise ValueError("prediction out of class range")
-    if ((labels < 0) | (labels >= n_classes)).any():
-        raise ValueError("label out of class range")
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(cm, (labels, pred), 1)
-    return cm

@@ -18,7 +18,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "gpu": ("GpuSpec",),
         "frontier": ("Machine", "FRONTIER", "frontier_machine"),
-        "topology": ("build_machine_graph", "min_path_bandwidth"),
+        "topology": ("build_machine_graph",),
         "power": ("PowerModel", "PowerTrace"),
     },
 )

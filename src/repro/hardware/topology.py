@@ -19,15 +19,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # networkx loads only when a graph is built or walked
+if TYPE_CHECKING:  # networkx loads only when a graph is built
     import networkx as nx
 
-__all__ = [
-    "build_machine_graph",
-    "min_path_bandwidth",
-    "path_latency",
-    "gcd_name",
-]
+__all__ = ["build_machine_graph", "gcd_name"]
 
 
 def gcd_name(node: int, gcd: int) -> str:
@@ -97,25 +92,3 @@ def build_machine_graph(
                     kind="in_package",
                 )
     return g
-
-
-def min_path_bandwidth(graph: nx.Graph, src: str, dst: str) -> float:
-    """Bottleneck bandwidth on the shortest path between two components."""
-    import networkx as nx
-
-    path = nx.shortest_path(graph, src, dst)
-    if len(path) < 2:
-        return float("inf")
-    return min(
-        graph.edges[path[i], path[i + 1]]["bandwidth"] for i in range(len(path) - 1)
-    )
-
-
-def path_latency(graph: nx.Graph, src: str, dst: str) -> float:
-    """Sum of link latencies on the shortest path between two components."""
-    import networkx as nx
-
-    path = nx.shortest_path(graph, src, dst)
-    return sum(
-        graph.edges[path[i], path[i + 1]]["latency"] for i in range(len(path) - 1)
-    )

@@ -12,11 +12,10 @@ Modules:
 - :mod:`repro.models.module` — Parameter / Module base machinery.
 - :mod:`repro.models.workspace` — scratch-buffer pool: attached, a steady
   step allocates nothing activation-sized (``test_steady_state.py``).
-- :mod:`repro.models.functional` — fused gelu / softmax / layernorm
-  primitives with paired backward functions (``out=``-aware).
-- :mod:`repro.models.reference` — the original allocating kernels, kept
-  verbatim as the numerical oracle and benchmark baseline.
-- :mod:`repro.models.layers` — Linear, LayerNorm, GELU, Dropout, MLP.
+- :mod:`repro.models.functional` — single-pass gelu / layernorm
+  primitives with paired backward functions (``out=``-aware); their
+  original allocating twins are the oracle in ``tests/test_models/``.
+- :mod:`repro.models.layers` — Linear, LayerNorm, GELU, MLP.
 - :mod:`repro.models.attention` — multi-head self-attention.
 - :mod:`repro.models.blocks` — pre-norm transformer encoder block.
 - :mod:`repro.models.patch` — patchify / unpatchify, patch embedding.
@@ -33,7 +32,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "module": ("Parameter", "Module"),
         "workspace": ("Workspace",),
-        "layers": ("Linear", "LayerNorm", "GELU", "Dropout", "MLP"),
+        "layers": ("Linear", "LayerNorm", "GELU", "MLP"),
         "attention": ("MultiHeadSelfAttention",),
         "blocks": ("TransformerBlock",),
         "patch": ("PatchEmbed", "patchify", "unpatchify"),

@@ -1,22 +1,16 @@
 """Multi-head self-attention with a hand-derived backward pass.
 
-Two implementations live side by side:
-
-- the **fused** path (default): head split/merge are pure strided views
-  of the ``(B, N, 3W)`` qkv projection (zero copies), every contraction
-  is a ``matmul``/``einsum`` with ``out=`` into workspace buffers, the
-  softmax and its backward run in place, and the 1/sqrt(d) scale is
-  folded into ``q`` so no ``(B, H, N, N)``-sized scaling pass exists.
-  The backward builds ``dqkv`` directly inside one preallocated
-  ``(B, N, 3W)`` buffer instead of concatenating per-head gradients.
-  Only two tensors are cached (``qkv`` and ``attn``) — q/k/v are
-  recovered as views, halving peak activation memory vs. caching the
-  split heads.
-- the **naive** path (``fused=False``): the original textbook
-  implementation with explicit ``_split_heads``/``_merge_heads``
-  copies, kept as the numerical oracle and the benchmark baseline
-  (see :mod:`repro.models.reference` and
-  ``benchmarks/bench_hotpath.py``).
+Head split/merge are pure strided views of the ``(B, N, 3W)`` qkv
+projection (zero copies), every contraction is a ``matmul``/``einsum``
+with ``out=`` into workspace buffers, the softmax and its backward run
+in place, and the 1/sqrt(d) scale is folded into ``q`` so no
+``(B, H, N, N)``-sized scaling pass exists. The backward builds
+``dqkv`` directly inside one preallocated ``(B, N, 3W)`` buffer instead
+of concatenating per-head gradients. Only two tensors are cached
+(``qkv`` and ``attn``) — q/k/v are recovered as views, halving peak
+activation memory vs. caching the split heads. The textbook
+implementation it must match (explicit head copies) is the oracle in
+``tests/test_models/reference.py``.
 
 Input/output shape ``(B, N, W)``. The attention matrix is materialized
 (``(B, H, N, N)``) — fine at the proxy scales this substrate trains; the
@@ -28,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models import reference as R
 from repro.models.layers import Linear
 from repro.models.module import DEFAULT_DTYPE, Module
 
@@ -36,7 +29,7 @@ __all__ = ["MultiHeadSelfAttention"]
 
 
 class MultiHeadSelfAttention(Module):
-    """Standard ViT attention: fused qkv projection, softmax, output proj."""
+    """Standard ViT attention: one qkv projection, softmax, output proj."""
 
     _cache_attrs = ("_cache",)
 
@@ -46,7 +39,6 @@ class MultiHeadSelfAttention(Module):
         heads: int,
         rng: np.random.Generator | None = None,
         dtype=DEFAULT_DTYPE,
-        fused: bool = True,
     ):
         super().__init__()
         if width % heads != 0:
@@ -55,25 +47,12 @@ class MultiHeadSelfAttention(Module):
         self.heads = heads
         self.head_dim = width // heads
         self.scale = 1.0 / np.sqrt(self.head_dim)
-        self.fused = fused
         rng = rng if rng is not None else np.random.default_rng(0)
         # tp_shard: qkv is the column-parallel half of the megatron pair
         # (per-head column blocks), proj the row-parallel half.
         self.qkv = Linear(width, 3 * width, rng=rng, dtype=dtype, tp_shard=True)
         self.proj = Linear(width, width, rng=rng, dtype=dtype, tp_shard=True)
         self._cache = None
-
-    # -- head reshaping (naive path only; the fused path uses views) -------
-
-    def _split_heads(self, x: np.ndarray) -> np.ndarray:
-        """(B, N, W) -> (B, H, N, Dh)."""
-        b, n, _ = x.shape
-        return x.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
-
-    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
-        """(B, H, N, Dh) -> (B, N, W)."""
-        b, h, n, d = x.shape
-        return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
 
     def _qkv_views(
         self, qkv: np.ndarray, b: int, n: int
@@ -93,8 +72,6 @@ class MultiHeadSelfAttention(Module):
         b, n, w = x.shape
         if w != self.width:
             raise ValueError(f"expected width {self.width}, got {w}")
-        if not self.fused:
-            return self._forward_naive(x)
         h = self.heads
         qkv = self.qkv(x)  # (B, N, 3W)
         q, k, v = self._qkv_views(qkv, b, n)
@@ -119,26 +96,12 @@ class MultiHeadSelfAttention(Module):
         self._cache = (qkv, attn, b, n)
         return out
 
-    def _forward_naive(self, x: np.ndarray) -> np.ndarray:
-        """Original attention forward; caches q/k/v/attn (the oracle path)."""
-        qkv = R.linear_forward(self.qkv.weight.data, self.qkv.bias.data, x)
-        q, k, v = (self._split_heads(t) for t in np.split(qkv, 3, axis=-1))
-        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, N, N)
-        attn = R.softmax(scores, axis=-1)
-        ctx = attn @ v  # (B, H, N, Dh)
-        merged = self._merge_heads(ctx)
-        out = R.linear_forward(self.proj.weight.data, self.proj.bias.data, merged)
-        self._cache = (x, merged, q, k, v, attn)
-        return out
-
     # -- backward ----------------------------------------------------------
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         """Hand-derived attention backward; returns d(input)."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        if not self.fused:
-            return self._backward_naive(dout)
         qkv, attn, b, n = self._cache
         self._cache = None
         h, d, w = self.heads, self.head_dim, self.width
@@ -169,24 +132,3 @@ class MultiHeadSelfAttention(Module):
             out=dq5[:, :, 1].transpose(0, 2, 1, 3),
         )
         return self.qkv.backward(dqkv)
-
-    def _backward_naive(self, dout: np.ndarray) -> np.ndarray:
-        """Original attention backward (the oracle path)."""
-        x, merged, q, k, v, attn = self._cache
-        self._cache = None
-        dm, dwp, dbp = R.linear_backward(self.proj.weight.data, merged, dout)
-        self.proj.weight.accumulate(dwp)
-        self.proj.bias.accumulate(dbp)
-        dctx = self._split_heads(dm)  # (B, H, N, Dh)
-        dattn = dctx @ v.transpose(0, 1, 3, 2)  # (B, H, N, N)
-        dv = attn.transpose(0, 1, 3, 2) @ dctx  # (B, H, N, Dh)
-        dscores = R.softmax_backward(dattn, attn) * self.scale
-        dq = dscores @ k
-        dk = dscores.transpose(0, 1, 3, 2) @ q
-        dqkv = np.concatenate(
-            [self._merge_heads(t) for t in (dq, dk, dv)], axis=-1
-        )
-        dx, dwqkv, dbqkv = R.linear_backward(self.qkv.weight.data, x, dqkv)
-        self.qkv.weight.accumulate(dwqkv)
-        self.qkv.bias.accumulate(dbqkv)
-        return dx

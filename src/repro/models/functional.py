@@ -1,6 +1,6 @@
 """Stateless numeric primitives with paired backward functions.
 
-Every kernel here is *fused and buffer-aware*: it computes through
+Every kernel here is *single-pass and buffer-aware*: it computes through
 in-place ufunc chains (one pass per logical term, no expression-tree
 temporaries) and accepts optional ``out=`` buffers, which is how a layer
 holding a :class:`~repro.models.workspace.Workspace` keeps a steady-state
@@ -8,8 +8,8 @@ step free of activation-sized allocations (``test_steady_state.py``).
 Without ``out`` the kernels allocate their results like plain functions.
 
 The original allocating implementations live on as the oracle in
-:mod:`repro.models.reference`; the equivalence tests assert these fused
-versions agree with them to float rounding.
+``tests/test_models/reference.py``; the equivalence tests assert these
+kernels agree with them to float rounding.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 __all__ = [
     "gelu",
     "gelu_backward",
-    "softmax",
-    "softmax_backward",
     "layernorm",
     "layernorm_backward",
 ]
@@ -84,36 +82,6 @@ def gelu_backward(
     g += tmp
     g *= dout
     return g
-
-
-def softmax(
-    x: np.ndarray, axis: int = -1, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Numerically stable softmax along ``axis`` (in place when ``out is x``)."""
-    y = out if out is not None else np.empty_like(x)
-    mx = x.max(axis=axis, keepdims=True)
-    np.subtract(x, mx, out=y)
-    np.exp(y, out=y)
-    y /= y.sum(axis=axis, keepdims=True)
-    return y
-
-
-def softmax_backward(
-    dout: np.ndarray,
-    y: np.ndarray,
-    axis: int = -1,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Backward of softmax given its output ``y`` (in place when ``out is dout``)."""
-    dx = out if out is not None else np.empty_like(y)
-    if axis in (-1, y.ndim - 1):
-        # Single-pass reduction: no (dout * y)-sized temporary.
-        s = np.einsum("...i,...i->...", dout, y)[..., None]
-    else:
-        s = (dout * y).sum(axis=axis, keepdims=True)
-    np.subtract(dout, s, out=dx)
-    dx *= y
-    return dx
 
 
 def layernorm(

@@ -1,4 +1,4 @@
-"""Core layers: Linear, LayerNorm, GELU, Dropout, MLP.
+"""Core layers: Linear, LayerNorm, GELU, MLP.
 
 Each layer's ``forward`` caches exactly what its hand-derived ``backward``
 needs; ``backward`` accumulates parameter gradients and returns the input
@@ -12,7 +12,7 @@ allocates nothing activation-sized (``test_models/test_steady_state.py``).
 Matmuls flatten leading axes first: one ``(B·N, in) @ (in, out)`` GEMM is
 substantially faster than a stacked batch of ``(N, in)`` GEMMs. The
 original allocating implementations survive as the oracle in
-:mod:`repro.models.reference`.
+``tests/test_models/reference.py``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from repro.models import functional as F
 from repro.models import init
 from repro.models.module import DEFAULT_DTYPE, Module, Parameter
 
-__all__ = ["Linear", "LayerNorm", "GELU", "Dropout", "MLP"]
+__all__ = ["Linear", "LayerNorm", "GELU", "MLP"]
 
 
 class Linear(Module):
@@ -185,46 +185,6 @@ class GELU(Module):
         dx = self._buf("dx", x.shape, x.dtype)
         scratch = self._buf("scratch", x.shape, x.dtype)
         return F.gelu_backward(dout, x, t, out=dx, scratch=scratch)
-
-
-class Dropout(Module):
-    """Inverted dropout. Identity when ``p == 0`` or in eval mode.
-
-    The mask RNG is supplied per call (or at construction) so distributed
-    engines can make dropout a function of the *sample*, keeping sharded
-    and unsharded training bit-identical.
-    """
-
-    _cache_attrs = ("_mask",)
-
-    def __init__(self, p: float = 0.0, rng: np.random.Generator | None = None):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout p must be in [0, 1), got {p}")
-        self.p = p
-        self.rng = rng
-        self._mask: np.ndarray | None = None
-
-    def forward(
-        self, x: np.ndarray, rng: np.random.Generator | None = None
-    ) -> np.ndarray:
-        """Apply inverted dropout (identity when p=0 or eval)."""
-        if self.p == 0.0 or not self.training:
-            self._mask = None
-            return x
-        gen = rng or self.rng
-        if gen is None:
-            raise RuntimeError("Dropout with p > 0 requires an RNG")
-        keep = 1.0 - self.p
-        self._mask = (gen.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Propagate gradients through the kept units only."""
-        if self._mask is None:
-            return dout
-        mask, self._mask = self._mask, None
-        return dout * mask
 
 
 class MLP(Module):

@@ -8,9 +8,7 @@ tests).
 
 - :mod:`repro.optim.adamw` — AdamW (used for MAE pretraining, paper §V-B).
 - :mod:`repro.optim.lars` — LARS (used for linear probing, paper §V-C).
-- :mod:`repro.optim.sgd` — SGD with momentum (baseline/regression tests).
 - :mod:`repro.optim.schedules` — cosine decay with linear warmup.
-- :mod:`repro.optim.grad_clip` — global-norm gradient clipping.
 """
 
 from repro import lazy_exports
@@ -21,8 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "base": ("Optimizer",),
         "adamw": ("AdamW",),
         "lars": ("LARS",),
-        "sgd": ("SGD",),
         "schedules": ("CosineWithWarmup",),
-        "grad_clip": ("clip_grad_norm", "global_grad_norm"),
     },
 )

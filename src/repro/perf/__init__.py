@@ -18,8 +18,6 @@ power/utilization traces.
   strategy + prefetch policy, and composes the pipeline bubble.
 - :mod:`repro.perf.simulator` — end-to-end step timing and reports.
 - :mod:`repro.perf.tracing` — Chrome-trace export of simulated steps.
-- :mod:`repro.perf.hotpath` — *measured* (not modeled) wall-clock
-  kernel microbenchmarks of the NumPy substrate itself.
 """
 
 from repro import lazy_exports
@@ -34,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "tp_shardable_fraction",
         ),
         "schedule": ("pipeline_bubble_fraction",),
-        "hotpath": ("KernelTiming", "PairTiming", "time_kernel", "time_pair"),
         "events": ("Task", "Timeline"),
         "compute_model": ("UnitCost", "vit_workload_units", "mae_workload_units"),
         "memory_model": ("MemoryBreakdown", "memory_breakdown"),

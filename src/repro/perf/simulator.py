@@ -47,7 +47,7 @@ from repro.perf.schedule import (
 
 __all__ = ["PerfParams", "StepBreakdown", "TrainStepSimulator"]
 
-#: Bytes touched per parameter by a fused AdamW step (read p/g/m/v, write
+#: Bytes touched per parameter by a single-pass AdamW step (read p/g/m/v, write
 #: p/m/v at fp32).
 _ADAMW_BYTES_PER_PARAM = 28
 #: Fixed per-step host-side overhead (python loop, dataloader handoff).

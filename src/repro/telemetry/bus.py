@@ -26,7 +26,8 @@ Design rules:
   :class:`NullSink`; with it attached, ``bus.span(...)`` returns a
   cached no-op context manager and ``counter``/``gauge`` return
   immediately — the hot path pays one attribute check per call site
-  (guarded by the ``bench_hotpath`` regression gate).
+  (guarded by ``tests/test_telemetry/test_bus.py::
+  test_nullsink_per_step_overhead_under_5_percent``).
 - **Step attribution.** Engines call :meth:`TelemetryBus.set_step` at
   the top of every optimizer step, so every event — including retry
   backoff charged deep inside the collective layer — lands on the step

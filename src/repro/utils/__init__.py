@@ -1,21 +1,10 @@
-"""Shared utilities: deterministic RNG management and unit formatting."""
+"""Shared utilities: byte unit constants."""
 
 from repro import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "rng": ("RngPool", "spawn_rng"),
-        "units": (
-            "GB",
-            "GIB",
-            "KB",
-            "KIB",
-            "MB",
-            "MIB",
-            "format_bytes",
-            "format_count",
-            "format_time",
-        ),
+        "units": ("GB", "GIB", "KB", "KIB", "MB", "MIB"),
     },
 )

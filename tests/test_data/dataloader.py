@@ -3,6 +3,9 @@
 A minimal analogue of ``torch.utils.data.DataLoader`` for NumPy arrays:
 per-epoch shuffling from an explicit seed, optional last-batch dropping,
 and fancy-indexed (vectorized) batch assembly.
+
+No program loads through it (the trainers gather their own batches);
+it lives here with its tests.
 """
 
 from __future__ import annotations

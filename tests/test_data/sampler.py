@@ -13,6 +13,9 @@ skipped that epoch) while ``drop_last=False`` pads it by wrapping around
 to the front of the permutation (some samples repeat), again matching
 ``DistributedSampler``. Either way every rank draws the same per-epoch
 count, so lockstep collectives never see ragged batches.
+
+No program samples through it; it lives here with its tests, which
+also pin the elastic cursor rule below.
 """
 
 from __future__ import annotations

@@ -3,15 +3,29 @@
 import numpy as np
 import pytest
 
-from repro.data.dataloader import DataLoader
 from repro.data.datasets import (
     DATASET_SPECS,
     ArrayDataset,
     build_dataset,
     build_pretraining_corpus,
 )
-from repro.data.sampler import DistributedSampler
-from repro.data.transforms import denormalize_images, normalize_images, random_flip
+from repro.data.transforms import (
+    IMAGENET_MEAN,
+    IMAGENET_STD,
+    normalize_images,
+    random_flip,
+)
+from tests.test_data.dataloader import DataLoader
+from tests.test_data.sampler import DistributedSampler
+
+
+def denormalize_images(
+    images: np.ndarray,
+    mean: np.ndarray = IMAGENET_MEAN,
+    std: np.ndarray = IMAGENET_STD,
+) -> np.ndarray:
+    """Inverse of :func:`normalize_images` over ``(..., C, H, W)``."""
+    return images * std[:, None, None] + mean[:, None, None]
 
 
 class TestDatasetSpecs:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.data.dataloader import DataLoader
 from repro.data.datasets import ArrayDataset
+from tests.test_data.dataloader import DataLoader
 
 
 def _loader(seed=5, shuffle=True):

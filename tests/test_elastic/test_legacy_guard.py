@@ -15,11 +15,11 @@ from repro.comm.world import World
 from repro.core.checkpoints import CheckpointManager
 from repro.core.engine import EngineConfig, make_engine
 from repro.core.trainer import MAEPretrainer
-from repro.data.sampler import DistributedSampler
 from repro.elastic.errors import ElasticCompatibilityError
 from repro.elastic.layout import ReductionLayout
 from repro.models.mae import MaskedAutoencoder
 from repro.optim.schedules import CosineWithWarmup
+from tests.test_data.sampler import DistributedSampler
 
 LAYOUT = ReductionLayout(total=4, chunk=4)
 TOTAL_STEPS = 4

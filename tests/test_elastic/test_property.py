@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.sampler import DistributedSampler
 from repro.elastic.errors import ElasticCompatibilityError
 from repro.elastic.layout import ReductionLayout
 from repro.elastic.requeue import Allocation, compatible_allocations
@@ -21,6 +20,7 @@ from repro.elastic.reshard import engine_topology, reshard_engine_state
 from repro.core.config import MAEConfig, ViTConfig
 from repro.core.trainer import MAEPretrainer
 from repro.models.mae import MaskedAutoencoder
+from tests.test_data.sampler import DistributedSampler
 
 LAYOUTS = {
     "single": ReductionLayout(total=4, chunk=4),

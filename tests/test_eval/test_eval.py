@@ -9,8 +9,25 @@ from repro.core.config import get_mae_config
 from repro.data.datasets import ArrayDataset, DatasetSpec, SplitDataset
 from repro.eval.features import extract_features, standardize_features
 from repro.eval.linear_probe import linear_probe, probe_features
-from repro.eval.metrics import confusion_matrix, topk_accuracy
+from repro.eval.metrics import topk_accuracy
 from repro.models.mae import MaskedAutoencoder
+
+
+def confusion_matrix(
+    pred: np.ndarray, labels: np.ndarray, n_classes: int
+) -> np.ndarray:
+    """(n_classes, n_classes) counts; rows = true class, cols = predicted."""
+    pred = np.asarray(pred, dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if pred.shape != labels.shape:
+        raise ValueError("pred/labels shape mismatch")
+    if ((pred < 0) | (pred >= n_classes)).any():
+        raise ValueError("prediction out of class range")
+    if ((labels < 0) | (labels >= n_classes)).any():
+        raise ValueError("label out of class range")
+    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+    np.add.at(cm, (labels, pred), 1)
+    return cm
 
 
 class TestTopK:

@@ -173,7 +173,9 @@ def test_committed_meshperf_baseline_is_reconciled():
 
 def test_repro_facade_exports_mesh_prediction():
     import repro
+    from repro import perf
 
-    assert "predict_mesh_traffic" in repro.__all__
-    assert "MeshTrafficPrediction" in repro.__all__
-    assert repro.predict_mesh_traffic is not None
+    # repro.perf exports it; the top-level facade keeps what programs import.
+    assert {"predict_mesh_traffic", "MeshTrafficPrediction"} <= set(perf.__all__)
+    assert "predict_mesh_traffic" not in repro.__all__
+    assert perf.predict_mesh_traffic is not None

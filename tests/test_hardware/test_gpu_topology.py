@@ -4,12 +4,25 @@ import networkx as nx
 import pytest
 
 from repro.hardware.gpu import GpuSpec
-from repro.hardware.topology import (
-    build_machine_graph,
-    gcd_name,
-    min_path_bandwidth,
-    path_latency,
-)
+from repro.hardware.topology import build_machine_graph, gcd_name
+
+
+def min_path_bandwidth(graph: nx.Graph, src: str, dst: str) -> float:
+    """Bottleneck bandwidth on the shortest path between two components."""
+    path = nx.shortest_path(graph, src, dst)
+    if len(path) < 2:
+        return float("inf")
+    return min(
+        graph.edges[path[i], path[i + 1]]["bandwidth"] for i in range(len(path) - 1)
+    )
+
+
+def path_latency(graph: nx.Graph, src: str, dst: str) -> float:
+    """Sum of link latencies on the shortest path between two components."""
+    path = nx.shortest_path(graph, src, dst)
+    return sum(
+        graph.edges[path[i], path[i + 1]]["latency"] for i in range(len(path) - 1)
+    )
 
 
 class TestGpuSpec:

@@ -1,15 +1,15 @@
-"""Naive reference kernels: the numerical oracle for the fused hot path.
+"""Naive reference kernels: the numerical oracle for the hot path.
 
 These are the substrate's original (pre-optimization) implementations,
 kept verbatim. They allocate freely, never write in place, and follow
 the textbook formulas — which makes them slow, obviously correct, and
-the ideal oracle: the equivalence gate in
-``tests/test_models/test_hotpath_equivalence.py`` asserts that the fused
-kernels in :mod:`repro.models.functional` / :mod:`repro.models.layers` /
-:mod:`repro.models.attention` match these bit-for-bit-ish (atol=1e-6,
-observed ~1e-15), so an optimization can never silently change training
-math. ``benchmarks/bench_hotpath.py`` also times them as the "naive"
-baseline of its speedup gate.
+the ideal oracle: ``test_hotpath_equivalence.py`` asserts that the
+buffer-aware kernels in :mod:`repro.models.functional` /
+:mod:`repro.models.layers` / :mod:`repro.models.attention` match these
+bit-for-bit-ish (atol=1e-6, observed ~1e-15), so an optimization can
+never silently change training math. :class:`NaiveAttention` is the
+textbook attention with explicit head split/merge copies, run over the
+same parameters as the production module.
 
 Do not optimize this module.
 """
@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.models.attention import MultiHeadSelfAttention
+
 __all__ = [
+    "NaiveAttention",
     "gelu",
     "gelu_backward",
     "softmax",
@@ -111,3 +114,49 @@ def linear_backward(
     dbias = d2.sum(axis=0)
     dx = dout @ weight.T
     return dx, dweight, dbias
+
+
+class NaiveAttention(MultiHeadSelfAttention):
+    """The original attention forward / backward over the same
+    parameters; caches q/k/v/attn and copies every head split and merge."""
+
+    def _split_heads(self, x: np.ndarray) -> np.ndarray:
+        """(B, N, W) -> (B, H, N, Dh)."""
+        b, n, _ = x.shape
+        return x.reshape(b, n, self.heads, self.head_dim).transpose(0, 2, 1, 3)
+
+    def _merge_heads(self, x: np.ndarray) -> np.ndarray:
+        """(B, H, N, Dh) -> (B, N, W)."""
+        b, h, n, d = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(b, n, h * d)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        qkv = linear_forward(self.qkv.weight.data, self.qkv.bias.data, x)
+        q, k, v = (self._split_heads(t) for t in np.split(qkv, 3, axis=-1))
+        scores = (q @ k.transpose(0, 1, 3, 2)) * self.scale  # (B, H, N, N)
+        attn = softmax(scores, axis=-1)
+        ctx = attn @ v  # (B, H, N, Dh)
+        merged = self._merge_heads(ctx)
+        out = linear_forward(self.proj.weight.data, self.proj.bias.data, merged)
+        self._cache = (x, merged, q, k, v, attn)
+        return out
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        x, merged, q, k, v, attn = self._cache
+        self._cache = None
+        dm, dwp, dbp = linear_backward(self.proj.weight.data, merged, dout)
+        self.proj.weight.accumulate(dwp)
+        self.proj.bias.accumulate(dbp)
+        dctx = self._split_heads(dm)  # (B, H, N, Dh)
+        dattn = dctx @ v.transpose(0, 1, 3, 2)  # (B, H, N, N)
+        dv = attn.transpose(0, 1, 3, 2) @ dctx  # (B, H, N, Dh)
+        dscores = softmax_backward(dattn, attn) * self.scale
+        dq = dscores @ k
+        dk = dscores.transpose(0, 1, 3, 2) @ q
+        dqkv = np.concatenate(
+            [self._merge_heads(t) for t in (dq, dk, dv)], axis=-1
+        )
+        dx, dwqkv, dbqkv = linear_backward(self.qkv.weight.data, x, dqkv)
+        self.qkv.weight.accumulate(dwqkv)
+        self.qkv.bias.accumulate(dbqkv)
+        return dx

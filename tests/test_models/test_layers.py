@@ -3,9 +3,49 @@
 import numpy as np
 import pytest
 
-from repro.models.layers import GELU, MLP, Dropout, LayerNorm, Linear
+from repro.models.layers import GELU, MLP, LayerNorm, Linear
 from repro.models.module import Module, Parameter
 from tests.conftest import central_difference_check
+
+
+class Dropout(Module):
+    """Inverted dropout. Identity when ``p == 0`` or in eval mode.
+
+    No model trains with dropout, so the layer lives here with its tests.
+    The mask RNG is supplied per call (or at construction), so dropout
+    can be a function of the *sample*.
+    """
+
+    _cache_attrs = ("_mask",)
+
+    def __init__(self, p: float = 0.0, rng: np.random.Generator | None = None):
+        super().__init__()
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"dropout p must be in [0, 1), got {p}")
+        self.p = p
+        self.rng = rng
+        self._mask: np.ndarray | None = None
+
+    def forward(
+        self, x: np.ndarray, rng: np.random.Generator | None = None
+    ) -> np.ndarray:
+        """Apply inverted dropout (identity when p=0 or eval)."""
+        if self.p == 0.0 or not self.training:
+            self._mask = None
+            return x
+        gen = rng or self.rng
+        if gen is None:
+            raise RuntimeError("Dropout with p > 0 requires an RNG")
+        keep = 1.0 - self.p
+        self._mask = (gen.random(x.shape) < keep) / keep
+        return x * self._mask
+
+    def backward(self, dout: np.ndarray) -> np.ndarray:
+        """Propagate gradients through the kept units only."""
+        if self._mask is None:
+            return dout
+        mask, self._mask = self._mask, None
+        return dout * mask
 
 
 class TestModuleBase:

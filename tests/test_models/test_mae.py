@@ -129,7 +129,7 @@ class TestBackward:
 
     def test_loss_decreases_under_sgd(self, mae, rng):
         """A few gradient steps on one batch reduce the loss (sanity)."""
-        from repro.optim.sgd import SGD
+        from tests.test_optim.sgd import SGD
 
         imgs = rng.standard_normal((4, 3, 16, 16))
         noise = rng.random((4, 4))

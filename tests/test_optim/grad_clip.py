@@ -1,4 +1,7 @@
-"""Global-norm gradient clipping (``torch.nn.utils.clip_grad_norm_``)."""
+"""Global-norm gradient clipping (``torch.nn.utils.clip_grad_norm_``).
+
+No program clips gradients; the helper lives here with its tests.
+"""
 
 from __future__ import annotations
 

@@ -1,4 +1,8 @@
-"""SGD with momentum and optional (coupled) weight decay."""
+"""SGD with momentum and optional (coupled) weight decay.
+
+No program trains with it; tests use it as the simplest optimizer on
+the shared :class:`~repro.optim.base.Optimizer` base.
+"""
 
 from __future__ import annotations
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.models.module import Parameter
-from repro.optim import LARS, SGD, AdamW
+from repro.optim import LARS, AdamW
+from tests.test_optim.sgd import SGD
 
 
 def _params(rng, n=3):

@@ -6,14 +6,9 @@ import numpy as np
 import pytest
 
 from repro.models.module import Parameter
-from repro.optim import (
-    LARS,
-    SGD,
-    AdamW,
-    CosineWithWarmup,
-    clip_grad_norm,
-    global_grad_norm,
-)
+from repro.optim import LARS, AdamW, CosineWithWarmup
+from tests.test_optim.grad_clip import clip_grad_norm, global_grad_norm
+from tests.test_optim.sgd import SGD
 
 
 def _param(rng, shape=(4, 3)) -> Parameter:

@@ -20,7 +20,6 @@ from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
 from repro.core.scaling import publish_breakdown, run_weak_scaling
 from repro.core.trainer import MAEPretrainer
-from repro.data.dataloader import DataLoader
 from repro.data.datasets import ArrayDataset
 from repro.hardware.power import PowerModel
 from repro.models.mae import MaskedAutoencoder
@@ -32,6 +31,7 @@ from repro.telemetry import (
     to_trace_events,
     write_span_trace,
 )
+from tests.test_data.dataloader import DataLoader
 
 N_STEPS = 3
 

@@ -24,26 +24,21 @@ def test_named_update_blesses_only_that_artifact(tmp_path, monkeypatch):
         fresh.write_text(f'"fresh {name}"')
         baseline.write_text('"old"')
         table[name] = cr.ARTIFACTS[name]._replace(fresh=fresh, baseline=baseline)
-    # An artifact with no baseline (every gate read from the fresh file)
-    # has nothing to bless and is not a valid name.
-    table["hotpath"] = cr.ARTIFACTS["hotpath"]._replace(fresh=tmp_path / "absent.json")
     monkeypatch.setattr(cr, "ARTIFACTS", table)
     assert cr.main(["--update", "meshperf"]) == 0
     assert table["meshperf"].baseline.read_text() == '"fresh meshperf"'
     assert table["serving"].baseline.read_text() == '"old"'
     # Bare --update blesses nothing: argparse wants at least one name.
-    for argv in (["--update"], ["--update", "hotpath"]):
-        with pytest.raises(SystemExit):
-            cr.main(argv)
+    with pytest.raises(SystemExit):
+        cr.main(["--update"])
     assert table["serving"].baseline.read_text() == '"old"'
 
 
 def test_every_artifact_is_one_row_and_none_is_required(tmp_path, monkeypatch, capsys):
     cr = _load()
-    assert list(cr.ARTIFACTS) == ["hotpath", "serving", "multicore", "elastic", "meshperf"]
+    assert list(cr.ARTIFACTS) == ["serving", "multicore", "elastic", "meshperf"]
     for art in cr.ARTIFACTS.values():
         assert art.fresh.parent == CHECK.parent and callable(art.compare)
-    assert cr.ARTIFACTS["hotpath"].baseline is None
     # With no fresh artifact anywhere the gate names each producer and
     # passes: nothing was measured, so nothing regressed.
     absent = {
@@ -55,23 +50,6 @@ def test_every_artifact_is_one_row_and_none_is_required(tmp_path, monkeypatch, c
     out = capsys.readouterr().out
     for name, art in absent.items():
         assert f"{name}: no fresh artifact; skipping (run {art.producer} first)" in out
-
-
-def test_hotpath_gates_are_read_from_the_fresh_artifact_alone():
-    cr = _load()
-    gate = {
-        "threshold": 1.3,
-        "attention_speedup_median": 1.5,
-        "equivalence_max_abs_diff": 2e-15,
-    }
-    # A throughput table in the artifact, whatever it says, is not a gate.
-    steps = {"proxy-1b": {"images_per_sec": 1.0}}
-    assert cr.compare_hotpath({"gate": gate, "steps": steps}, {}) == []
-    (slow,) = cr.compare_hotpath({"gate": {**gate, "attention_speedup_median": 1.1}}, {})
-    assert "1.10x" in slow and "1.3x gate" in slow
-    (wrong,) = cr.compare_hotpath({"gate": {**gate, "equivalence_max_abs_diff": 1e-3}}, {})
-    assert "max |diff|" in wrong
-    assert len(cr.compare_hotpath({}, {})) == 1  # no gate block: not equivalent
 
 
 def test_serving_virtual_time_blocks_must_equal_the_baseline():

@@ -10,6 +10,9 @@ never interact through hidden RNG state.
 ``numpy.random.SeedSequence`` spawning, which guarantees statistical
 independence between streams (e.g. one stream per dataloader worker, or
 per data-parallel rank).
+
+No program draws from these helpers (components take an explicit
+``Generator``); they live here with their tests.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import RngPool
+from tests.test_utils.rng import RngPool
 
 
 def test_mid_sequence_restore_continues_exactly():

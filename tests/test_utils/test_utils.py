@@ -3,15 +3,39 @@
 import numpy as np
 import pytest
 
-from repro.utils import (
-    GIB,
-    MIB,
-    RngPool,
-    format_bytes,
-    format_count,
-    format_time,
-    spawn_rng,
-)
+from repro.utils import GIB, KIB, MIB
+from tests.test_utils.rng import RngPool, spawn_rng
+
+
+def format_bytes(n: float) -> str:
+    """Format a byte count using binary units (matches GPU memory reporting)."""
+    n = float(n)
+    for unit, div in (("GiB", GIB), ("MiB", MIB), ("KiB", KIB)):
+        if abs(n) >= div:
+            return f"{n / div:.2f} {unit}"
+    return f"{n:.0f} B"
+
+
+def format_count(n: float) -> str:
+    """Format a large count, e.g. parameter totals (3.07e9 -> '3.07B')."""
+    n = float(n)
+    if abs(n) >= 1e9:
+        return f"{n / 1e9:.2f}B"
+    if abs(n) >= 1e6:
+        return f"{n / 1e6:.2f}M"
+    if abs(n) >= 1e3:
+        return f"{n / 1e3:.0f}K"
+    return f"{n:.0f}"
+
+
+def format_time(seconds: float) -> str:
+    """Format a duration in the most readable unit."""
+    s = float(seconds)
+    if abs(s) >= 1.0:
+        return f"{s:.3f} s"
+    if abs(s) >= 1e-3:
+        return f"{s * 1e3:.3f} ms"
+    return f"{s * 1e6:.1f} us"
 
 
 class TestSpawnRng:

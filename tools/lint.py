@@ -42,9 +42,21 @@ then sees the trees in its scope. The rules, and why each exists:
     ``TRAINER_STATE_KEYS``; an unmapped field would load in a same-shape
     world and vanish on the first resize. A listed file that is missing
     or defines no ``state_dict`` is a violation, not a pass.
+``reachability``
+    Every public top-level ``def`` / ``class`` is named by a program: a
+    module of the tree (its own included; ``__all__`` lists and
+    ``lazy_exports`` tables do not count), a non-test file under
+    :data:`PROGRAM_DIRS`, or a ``[project.scripts]`` entry. Code only
+    tests reach belongs in ``tests/``. A name is an identifier, an
+    attribute, an imported name or an identifier-valued string (the
+    experiment table dispatches by name); methods are not checked, so
+    the rule is a floor. :data:`REACHABILITY_ALLOWLIST` holds the
+    exceptions, each with its reason; an entry with no reason, for a
+    definition that does not exist, or for one a program now names is a
+    violation.
 
-README.md and DESIGN.md are looked up two levels above the root (the
-repo, for ``src/repro``).
+README.md, DESIGN.md, pyproject.toml and :data:`PROGRAM_DIRS` are
+looked up two levels above the root (the repo, for ``src/repro``).
 
 Usage::
 
@@ -60,6 +72,7 @@ from __future__ import annotations
 
 import ast
 import sys
+from collections import Counter
 from functools import cached_property
 from pathlib import Path
 
@@ -78,6 +91,18 @@ ALLOWED_GROUP_SITES = ("mesh/", "comm/world.py")
 ENGINE_FILES = ("core/engine_core.py",)
 TRAINER_FILES = ("core/trainer.py",)
 RESHARD_FILE = "elastic/reshard.py"
+#: Trees beside ``src/`` whose non-test files are programs.
+PROGRAM_DIRS = ("examples", "benchmarks", "tools")
+#: ``"path::name" -> reason`` for public definitions no program names.
+REACHABILITY_ALLOWLIST = {
+    "elastic/preemption.py::PreemptionHandler": (
+        "no entry point installs a signal handler yet; the preemptible-job "
+        "item on ROADMAP.md decides whether one does or the class leaves"
+    ),
+    "perf/compute_model.py::mae_forward_flops": (
+        "the FLOP-count reconciliation on ROADMAP.md gives it its caller"
+    ),
+}
 
 ALLOC_CALLS = frozenset({"empty", "zeros", "ones", "full"})
 PROCESS_FACTORIES = frozenset({"Process", "Pool"})
@@ -447,6 +472,106 @@ def check_elastic_state(ctx: Tree) -> list[str]:
     return violations
 
 
+# -- reachability --------------------------------------------------------------
+
+
+def _is_table(node: ast.AST) -> bool:
+    """An ``__all__`` assignment or a ``lazy_exports(...)`` call."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "lazy_exports"
+    targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+    return isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and any(
+        getattr(t, "id", None) == "__all__" for t in targets
+    )
+
+
+def names_used(tree: ast.AST) -> set[str]:
+    """Every identifier ``tree`` names outside its export tables, per the
+    ``reachability`` rule."""
+    names = set()
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if _is_table(node):
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _program_names(repo: Path) -> set[str]:
+    names = set()
+    for d in PROGRAM_DIRS:
+        for py in sorted((repo / d).rglob("*.py")):
+            if not py.name.startswith("test_") and py.name != "conftest.py":
+                names |= names_used(ast.parse(py.read_text(encoding="utf-8")))
+    pyproject = repo / "pyproject.toml"
+    if pyproject.is_file():
+        import tomllib
+
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+        for target in scripts.get("project", {}).get("scripts", {}).values():
+            names.add(target.rpartition(":")[2])
+    return names
+
+
+def check_reachability(
+    ctx: Tree, allowlist: dict[str, str] = REACHABILITY_ALLOWLIST
+) -> list[str]:
+    program = _program_names(ctx.root.parent.parent)
+    # Per top-level statement, so a definition naming itself (recursion,
+    # a method's ``-> "Cls"``) does not reach itself.
+    uses: Counter[str] = Counter()
+    defs: dict[str, tuple[int, bool]] = {}
+    for rel, tree in ctx.trees.items():
+        for node in tree.body:
+            names = names_used(node)
+            uses.update(names)
+            if isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) and not node.name.startswith("_"):
+                defs[f"{rel}::{node.name}"] = (node.lineno, node.name in names)
+    named = {
+        key for key, (_, self_named) in defs.items()
+        if (name := key.partition("::")[2]) in program or uses[name] > self_named
+    }
+    violations = []
+    for key, reason in allowlist.items():
+        rel, _, name = key.partition("::")
+        if key not in defs:
+            violations.append(
+                f"{rel}:1: reachability allowlist names {name!r}, which this file "
+                "does not define — drop the entry"
+            )
+        elif not reason.strip():
+            violations.append(
+                f"{rel}:{defs[key][0]}: reachability allowlist entry for {name!r} "
+                "gives no reason"
+            )
+        elif key in named:
+            violations.append(
+                f"{rel}:{defs[key][0]}: {name!r} is allowlisted but a program "
+                "names it now — drop the entry"
+            )
+    for key, (lineno, _) in defs.items():
+        rel, _, name = key.partition("::")
+        if key not in named and key not in allowlist:
+            violations.append(
+                f"{rel}:{lineno}: public {name!r} is named by no program, only "
+                "by tests or nothing — move it into tests/, give it a caller, "
+                "or allowlist it with a reason"
+            )
+    return violations
+
+
 # -- the runner ----------------------------------------------------------------
 
 
@@ -463,6 +588,7 @@ RULES = {
     "facade": ("tree", check_facade),
     "telemetry_names": ("file", check_telemetry_names),
     "elastic_state": ("tree", check_elastic_state),
+    "reachability": ("tree", check_reachability),
 }
 
 
