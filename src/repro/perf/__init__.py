@@ -7,8 +7,9 @@ power/utilization traces.
 
 - :mod:`repro.perf.events` — deterministic list-scheduling event engine
   (streams = resources; tasks with dependencies).
-- :mod:`repro.perf.compute_model` — ViT/MAE FLOP counts and per-unit
-  compute costs.
+- :mod:`repro.perf.compute_model` — the unit table every predictor
+  reads (per-unit parameters, tp GEMM parameters and FLOPs of a ViT/MAE
+  workload) and the per-unit compute costs.
 - :mod:`repro.perf.memory_model` — per-strategy resident-memory model.
 - :mod:`repro.perf.io_model` — dataloader/filesystem throughput model.
 - :mod:`repro.perf.mesh_model` — closed-form per-axis (tp/pp/dp)
@@ -33,7 +34,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "schedule": ("pipeline_bubble_fraction",),
         "events": ("Task", "Timeline"),
-        "compute_model": ("UnitCost", "vit_workload_units", "mae_workload_units"),
+        "compute_model": ("UnitCost", "workload_units"),
         "memory_model": ("MemoryBreakdown", "memory_breakdown"),
         "io_model": ("IoModel",),
         "simulator": ("PerfParams", "StepBreakdown", "TrainStepSimulator"),

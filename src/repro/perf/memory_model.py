@@ -23,7 +23,10 @@ becomes ``2 P + 14 P / W``); the per-dtype split is reported in
 
 Transient: strategies that reshard keep ~2 units materialized at a time
 (current + prefetched), each costing params (+ grads in backward) at the
-*working* parameter width — these buffers halve under bf16.
+*working* parameter width — these buffers halve under bf16. A unit is
+priced by the largest block's GEMM weight matrices alone
+(:attr:`~repro.perf.compute_model.UnitRow.gemm_weights`, no biases or
+norms).
 
 Activations follow the paper's evident configuration (a 3B model plus
 activations fits in 64 GB only with activation checkpointing): stored
@@ -44,10 +47,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.config import MAEConfig, ViTConfig, count_mae_params, count_vit_params
+from repro.core.config import MAEConfig, ViTConfig
 from repro.core.sharding import STRATEGY_TABLE, ShardingStrategy, resolve_shard_size
 from repro.mesh.spec import MeshSpec
-from repro.perf.compute_model import BYTES_PER_PARAM
+from repro.perf.compute_model import BYTES_PER_PARAM, unit_table
 from repro.perf.mesh_model import tp_shardable_fraction
 from repro.precision.bf16 import DTYPE_BYTES, PRECISIONS
 
@@ -117,26 +120,6 @@ def activation_bytes(
     return depth * live_block + block_inputs
 
 
-def _workload_dims(model: ViTConfig | MAEConfig):
-    """(total params, [(width, depth, heads, seq), ...]) for a workload."""
-    if isinstance(model, MAEConfig):
-        enc = model.encoder
-        total = count_mae_params(model)
-        stacks = [
-            (enc.width, enc.depth, enc.heads, model.n_visible + 1),
-            (model.dec_width, model.dec_depth, model.dec_heads, enc.n_patches + 1),
-        ]
-        max_block = max(
-            enc.width * enc.width * 4 + 2 * enc.width * enc.mlp,
-            model.dec_width**2 * 4 + 8 * model.dec_width**2,
-        )
-    else:
-        total = count_vit_params(model)
-        stacks = [(model.width, model.depth, model.heads, model.seq_len)]
-        max_block = model.width * model.width * 4 + 2 * model.width * model.mlp
-    return total, stacks, max_block
-
-
 def _state_components(precision: str) -> list[tuple[str, float, str]]:
     """(component, bytes per param, dtype label) of the model states.
 
@@ -196,7 +179,10 @@ def memory_breakdown(
         raise ValueError(f"grad_accum_steps must be >= 1, got {grad_accum_steps}")
     if pipeline_micros < 1:
         raise ValueError(f"pipeline_micros must be >= 1, got {pipeline_micros}")
-    total_params, stacks, max_block_params = _workload_dims(model)
+    table = unit_table(model)
+    stacks = table[1:]
+    total_params = sum(r.depth * r.params for r in table)
+    max_block_params = max(r.gemm_weights for r in stacks)
     param_width = float(DTYPE_BYTES["bf16" if precision == "bf16" else "fp32"])
 
     pp = tp = 1
@@ -251,18 +237,21 @@ def memory_breakdown(
         # scores are all head-/column-parallel). In-flight microbatches
         # multiply the stored inputs, not the single live block.
         acts = 0.0
-        for w, d, h, s in stacks:
-            local_depth = math.ceil(d / pp)
-            block_inputs = local_batch * s * act_width * w * local_depth
-            live_block = local_batch * s * act_width * (12 * w + h * s) / tp
+        for r in stacks:
+            w, h, n = r.width, r.heads, r.seq
+            local_depth = math.ceil(r.depth / pp)
+            block_inputs = local_batch * n * act_width * w * local_depth
+            live_block = local_batch * n * act_width * (12 * w + h * n) / tp
             if checkpointing:
                 acts += block_inputs * live_micros + live_block
             else:
                 acts += (local_depth * live_block + block_inputs) * live_micros
     else:
         acts = sum(
-            activation_bytes(w, d, h, s, local_batch, checkpointing, act_width)
-            for (w, d, h, s) in stacks
+            activation_bytes(
+                r.width, r.depth, r.heads, r.seq, local_batch, checkpointing, act_width
+            )
+            for r in stacks
         )
     by_dtype[precision] = by_dtype.get(precision, 0.0) + acts
 

@@ -40,11 +40,12 @@ data parallel
     sequence (booked even at ``dp == 1``, matching the engine). On a
     mesh, ``ddp`` reduces one concatenated full-model gradient.
 
-The second half of the module feeds the *analytic* simulator
-(:class:`repro.perf.TrainStepSimulator` with ``PerfParams.mesh``): per
-workload-unit tensor-parallel gather payloads, stage-boundary activation
-sizes, tp-shardable parameter fractions, mesh-aware group placements,
-and a point-to-point transfer time (the collective cost model has no p2p
+Every closed form reads the workload's unit table
+(:func:`repro.perf.compute_model.unit_table`). The second half of the
+module feeds the *analytic* simulator
+(:class:`repro.perf.TrainStepSimulator` with ``PerfParams.mesh``):
+tp-shardable parameter fractions, mesh-aware group placements, and a
+point-to-point transfer time (the collective cost model has no p2p
 primitive; a boundary send is one alpha plus the payload over the link).
 """
 
@@ -54,13 +55,7 @@ from dataclasses import dataclass
 
 from repro.comm.cost_model import CollectiveCostModel, GroupPlacement
 from repro.comm.world import World
-from repro.core.config import (
-    MAEConfig,
-    ViTConfig,
-    count_mae_params,
-    count_vit_params,
-    vit_block_params,
-)
+from repro.core.config import MAEConfig, ViTConfig
 from repro.core.sharding import (
     STRATEGY_TABLE,
     ShardingStrategy,
@@ -69,19 +64,18 @@ from repro.core.sharding import (
 )
 from repro.mesh.pipeline import partition_stages
 from repro.mesh.spec import MeshSpec
-from repro.perf.compute_model import BYTES_PER_PARAM
+from repro.perf.compute_model import UnitRow, unit_table
 
 __all__ = [
     "AxisTraffic",
     "MeshTrafficPrediction",
-    "UnitMeshProfile",
     "predict_mesh_traffic",
     "tp_traffic_per_micro",
     "pp_traffic_per_micro",
     "dp_traffic_by_op",
     "dp_traffic_per_step",
     "dp_unit_numels",
-    "unit_mesh_profiles",
+    "tp_gather_values",
     "tp_shardable_fraction",
     "mesh_axis_placements",
     "pp_boundary_crosses_nodes",
@@ -119,44 +113,26 @@ class MeshTrafficPrediction:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class _BlockStack:
-    """A contiguous run of identical transformer blocks."""
-
-    width: int
-    mlp: int
-    heads: int
-    seq: int
-    depth: int
-
-
-def _stacks(model: ViTConfig | MAEConfig) -> list[_BlockStack]:
-    """Block stacks of a workload, in pipeline order."""
-    if isinstance(model, MAEConfig):
-        enc = model.encoder
-        return [
-            _BlockStack(enc.width, enc.mlp, enc.heads, model.n_visible + 1, enc.depth),
-            _BlockStack(
-                model.dec_width,
-                4 * model.dec_width,
-                model.dec_heads,
-                enc.n_patches + 1,
-                model.dec_depth,
-            ),
-        ]
-    return [_BlockStack(model.width, model.mlp, model.heads, model.seq_len, model.depth)]
-
-
-def _block_gemm_params(width: int, mlp: int) -> int:
-    """Parameters of the four tp-flagged GEMMs of one block (with biases)."""
-    qkv = 3 * width * width + 3 * width
-    proj = width * width + width
-    fc1 = width * mlp + mlp
-    fc2 = mlp * width + width
-    return qkv + proj + fc1 + fc2
-
-
 # -- engine-exact traffic (the reconciliation targets) ---------------------
+
+
+def tp_gather_values(row: UnitRow, batch: int) -> tuple[tuple[int, ...], ...]:
+    """Per-gather reassembly values of one unit of ``row``: ``(forward,
+    backward)``, one entry per flagged GEMM; both empty for the root,
+    whose GEMMs are not tp-sharded.
+
+    Forward gathers the qkv ``R x 3W``, proj ``R x W``, fc1 ``R x M`` and
+    fc2 ``R x W`` outputs (``R = batch * seq``); backward their ``dx``:
+    ``R x W`` each, except fc2's ``R x M``.
+    """
+    if not row.gemm_params:
+        return (), ()
+    rows = batch * row.seq
+    w, m = row.width, row.mlp
+    return (
+        tuple(rows * n for n in (3 * w, w, m, w)),
+        tuple(rows * n for n in (w, w, w, m)),
+    )
 
 
 def tp_traffic_per_micro(
@@ -164,21 +140,15 @@ def tp_traffic_per_micro(
     batch: int,
     itemsize: int = ENGINE_ITEMSIZE,
 ) -> AxisTraffic:
-    """Tensor-parallel reassembly traffic of one microbatch.
-
-    Each flagged GEMM's full (post-gather) output crosses the tp group
-    once per pass: qkv ``R x 3W``, proj ``R x W``, fc1 ``R x M``, fc2
-    ``R x W`` forward; each ``dx`` (``R x W`` except fc1's input grad
-    fc2-side ``R x M``) backward — eight gathers per block.
-    """
+    """Tensor-parallel reassembly traffic of one microbatch: each
+    flagged GEMM's full (post-gather) output crosses the tp group once
+    per pass (:func:`tp_gather_values`), eight gathers per block."""
     total_values = 0
     calls = 0
-    for st in _stacks(model):
-        rows = batch * st.seq
-        fwd = rows * (5 * st.width + st.mlp)
-        bwd = rows * (3 * st.width + st.mlp)
-        total_values += st.depth * (fwd + bwd)
-        calls += st.depth * 8
+    for r in unit_table(model):
+        fwd, bwd = tp_gather_values(r, batch)
+        total_values += r.depth * (sum(fwd) + sum(bwd))
+        calls += r.depth * (len(fwd) + len(bwd))
     return AxisTraffic(bytes=float(total_values * itemsize), calls=calls)
 
 
@@ -186,14 +156,13 @@ def pipeline_op_values(model: MAEConfig, batch: int) -> list[int]:
     """Output-activation value counts of each pipeline op, in order.
 
     Mirrors ``MaskedAutoencoder.pipeline_ops()``: ``[head] + enc blocks
-    + [bridge] + dec blocks + [tail]``; head/encoder ops emit ``(B,
-    1 + n_visible, W)``, bridge/decoder ops ``(B, 1 + n_patches,
-    dec_width)``, and the tail terminates the pipeline (no output).
+    + [bridge] + dec blocks + [tail]``. The op before each block stack
+    (head, bridge) emits that stack's activation, as do its blocks; the
+    tail terminates the pipeline (no output).
     """
-    enc = model.encoder
-    enc_v = batch * (model.n_visible + 1) * enc.width
-    dec_v = batch * (enc.n_patches + 1) * model.dec_width
-    return [enc_v] * (1 + enc.depth) + [dec_v] * (1 + model.dec_depth) + [0]
+    stacks = unit_table(model)[1:]
+    values = [r.activation_values(batch) for r in stacks for _ in range(1 + r.depth)]
+    return values + [0]
 
 
 def pp_traffic_per_micro(
@@ -218,17 +187,7 @@ def dp_unit_numels(model: ViTConfig | MAEConfig) -> list[int]:
     .default_wrap_units`): one unit per transformer block, everything
     else in the root unit.
     """
-    if isinstance(model, MAEConfig):
-        total = count_mae_params(model)
-        enc = model.encoder
-        blocks = [vit_block_params(enc.width, enc.mlp)] * enc.depth
-        blocks += [
-            vit_block_params(model.dec_width, 4 * model.dec_width)
-        ] * model.dec_depth
-    else:
-        total = count_vit_params(model)
-        blocks = [vit_block_params(model.width, model.mlp)] * model.depth
-    return [total - sum(blocks)] + blocks
+    return [r.params for r in unit_table(model) for _ in range(r.depth)]
 
 
 def dp_traffic_by_op(
@@ -340,77 +299,11 @@ def predict_mesh_traffic(
 # -- analytic-simulator inputs (Frontier-scale extrapolation) --------------
 
 
-@dataclass(frozen=True)
-class UnitMeshProfile:
-    """Mesh-relevant shape data of one workload unit (fp32 bytes).
-
-    ``tp_fwd_payloads`` / ``tp_bwd_payloads`` are the per-gather
-    reassembly payloads of one forward / backward pass over the unit
-    (empty for the root unit — its GEMMs are not tp-sharded).
-    ``out_bytes`` is the unit's output activation (what crosses a stage
-    boundary placed after it); ``tp_param_fraction`` the share of the
-    unit's parameters living in tp-sharded GEMMs.
-    """
-
-    tp_fwd_payloads: tuple[float, ...]
-    tp_bwd_payloads: tuple[float, ...]
-    out_bytes: float
-    tp_param_fraction: float
-
-
-def _block_profile(
-    st: _BlockStack, local_batch: int, itemsize: int
-) -> UnitMeshProfile:
-    rows = local_batch * st.seq
-    fwd = tuple(
-        float(rows * n * itemsize)
-        for n in (3 * st.width, st.width, st.mlp, st.width)
-    )
-    bwd = tuple(
-        float(rows * n * itemsize)
-        for n in (st.width, st.width, st.width, st.mlp)
-    )
-    return UnitMeshProfile(
-        tp_fwd_payloads=fwd,
-        tp_bwd_payloads=bwd,
-        out_bytes=float(local_batch * st.seq * st.width * itemsize),
-        tp_param_fraction=_block_gemm_params(st.width, st.mlp)
-        / vit_block_params(st.width, st.mlp),
-    )
-
-
-def unit_mesh_profiles(
-    model: ViTConfig | MAEConfig,
-    local_batch: int,
-    itemsize: int = BYTES_PER_PARAM,
-) -> list[UnitMeshProfile]:
-    """Per-unit mesh profiles, aligned with the ``*_workload_units`` order
-    (root first, then every block in pipeline order)."""
-    stacks = _stacks(model)
-    first = stacks[0]
-    root = UnitMeshProfile(
-        tp_fwd_payloads=(),
-        tp_bwd_payloads=(),
-        out_bytes=float(local_batch * first.seq * first.width * itemsize),
-        tp_param_fraction=0.0,
-    )
-    profiles = [root]
-    for st in stacks:
-        profiles.extend(_block_profile(st, local_batch, itemsize) for _ in range(st.depth))
-    return profiles
-
-
 def tp_shardable_fraction(model: ViTConfig | MAEConfig) -> float:
     """Share of all parameters living in tp-sharded GEMM weights."""
-    total = (
-        count_mae_params(model)
-        if isinstance(model, MAEConfig)
-        else count_vit_params(model)
-    )
-    shardable = sum(
-        st.depth * _block_gemm_params(st.width, st.mlp) for st in _stacks(model)
-    )
-    return shardable / total
+    table = unit_table(model)
+    shardable = sum(r.depth * r.gemm_params for r in table)
+    return shardable / sum(r.depth * r.params for r in table)
 
 
 def mesh_axis_placements(world: World, spec: MeshSpec) -> dict[str, GroupPlacement]:

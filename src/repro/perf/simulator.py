@@ -22,18 +22,14 @@ from repro.hardware.frontier import Machine
 from repro.hardware.power import PowerModel, PowerTrace
 from repro.mesh.pipeline import partition_stages
 from repro.mesh.spec import MeshSpec
-from repro.perf.compute_model import (
-    BYTES_PER_PARAM,
-    mae_workload_units,
-    vit_workload_units,
-)
+from repro.perf.compute_model import BYTES_PER_PARAM, workload_units
 from repro.perf.io_model import IoModel
 from repro.perf.memory_model import MemoryBreakdown, memory_breakdown
 from repro.perf.mesh_model import (
     mesh_axis_placements,
     p2p_seconds,
     pp_boundary_crosses_nodes,
-    unit_mesh_profiles,
+    tp_gather_values,
 )
 from repro.perf.schedule import (
     MeshCommPlan,
@@ -236,14 +232,7 @@ class TrainStepSimulator:
         self.params = params if params is not None else PerfParams()
         self.io = io if io is not None else IoModel()
         self.world = machine.world()
-        if isinstance(model, MAEConfig):
-            self.units = mae_workload_units(
-                model, self.params.local_batch, machine.gpu
-            )
-        else:
-            self.units = vit_workload_units(
-                model, self.params.local_batch, machine.gpu
-            )
+        self.units = workload_units(model, self.params.local_batch, machine.gpu)
         self.mesh = self.params.mesh
         if self.mesh is not None:
             if self.mesh.size != self.world.size:
@@ -289,7 +278,7 @@ class TrainStepSimulator:
         if self.mesh is not None:
             # This rank holds one stage's tp shard; dp sharding divides
             # further below.
-            stage_units, _, _ = self._mesh_stage()
+            stage_units, _ = self._mesh_stage()
             total = sum(u.param_bytes for u in stage_units) / BYTES_PER_PARAM
             dp_size = self.mesh.dp
         else:
@@ -310,7 +299,7 @@ class TrainStepSimulator:
         )
 
     def _mesh_stage(self):
-        """(scaled units, profiles, boundary bytes) of the heaviest stage.
+        """(scaled units, boundary bytes) of the heaviest stage.
 
         Stage selection partitions the workload units exactly as the
         engine partitions pipeline ops (earlier stages take the
@@ -327,11 +316,10 @@ class TrainStepSimulator:
         sums = [sum(u.fwd_seconds for u in self.units[a:b]) for a, b in bounds]
         idx = max(range(len(bounds)), key=lambda s: sums[s])
         a, b = bounds[idx]
-        profiles = unit_mesh_profiles(self.model, self.params.local_batch)
-        stage_units, stage_profiles = [], []
-        for u, prof in zip(self.units[a:b], profiles[a:b]):
-            if mesh.tp > 1 and prof.tp_fwd_payloads:
-                f = prof.tp_param_fraction
+        stage_units = []
+        for u in self.units[a:b]:
+            if mesh.tp > 1 and u.row.gemm_params:
+                f = u.row.gemm_params / u.row.params
                 u = replace(
                     u,
                     fwd_seconds=u.fwd_seconds / mesh.tp,
@@ -340,35 +328,38 @@ class TrainStepSimulator:
                     ),
                 )
             stage_units.append(u)
-            stage_profiles.append(prof)
-        in_bytes = profiles[a - 1].out_bytes if idx > 0 else 0.0
-        out_bytes = profiles[b - 1].out_bytes if idx < mesh.pp - 1 else 0.0
-        self._mesh_stage_cache = (stage_units, stage_profiles, (in_bytes, out_bytes))
+
+        def emitted(i: int) -> float:
+            """fp32 bytes of the activation unit ``i`` emits."""
+            values = self.units[i].row.activation_values(self.params.local_batch)
+            return float(values * BYTES_PER_PARAM)
+
+        in_bytes = emitted(a - 1) if idx > 0 else 0.0
+        out_bytes = emitted(b - 1) if idx < mesh.pp - 1 else 0.0
+        self._mesh_stage_cache = (stage_units, (in_bytes, out_bytes))
         return self._mesh_stage_cache
 
     def _build_mesh_schedule(self) -> StepSchedule:
         """One pipelined mesh step: dp graph + injected tp/pp comm + bubble."""
         mesh = self.mesh
-        stage_units, stage_profiles, (in_bytes, out_bytes) = self._mesh_stage()
+        stage_units, (in_bytes, out_bytes) = self._mesh_stage()
         cost = self.machine.cost_model
         wire = self.params.precision
         tp_units: tuple[TpUnitComm, ...] = ()
         if mesh.tp > 1:
             tp_pl = mesh_axis_placements(self.world, mesh)["tp"]
-            tp_units = tuple(
-                TpUnitComm(
-                    fwd_seconds=sum(
-                        cost.all_gather(pb, tp_pl, wire)
-                        for pb in prof.tp_fwd_payloads
-                    ),
-                    bwd_seconds=sum(
-                        cost.all_gather(pb, tp_pl, wire)
-                        for pb in prof.tp_bwd_payloads
-                    ),
-                    fwd_calls=len(prof.tp_fwd_payloads),
-                    bwd_calls=len(prof.tp_bwd_payloads),
+
+            def gathers(values: tuple[int, ...]) -> float:
+                """Seconds of one fp32 tp gather per reassembled output."""
+                return sum(
+                    cost.all_gather(float(v * BYTES_PER_PARAM), tp_pl, wire)
+                    for v in values
                 )
-                for prof in stage_profiles
+
+            lb = self.params.local_batch
+            tp_units = tuple(
+                TpUnitComm(gathers(fwd), gathers(bwd), len(fwd), len(bwd))
+                for fwd, bwd in (tp_gather_values(u.row, lb) for u in stage_units)
             )
         crosses = pp_boundary_crosses_nodes(self.world, mesh)
         plan = MeshCommPlan(

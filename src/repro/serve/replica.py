@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.config import ViTConfig
 from repro.hardware.gpu import GpuSpec
-from repro.perf.compute_model import vit_forward_flops
+from repro.perf.compute_model import forward_flops
 
 __all__ = [
     "REPLICA_FAULT_KINDS",
@@ -184,7 +184,7 @@ class ServiceTimeModel:
         """Virtual seconds to serve a batch of ``batch_size`` images."""
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        flops = vit_forward_flops(self.encoder) * batch_size
+        flops = forward_flops(self.encoder) * batch_size
         return self.overhead_s + self.gpu.time_for_flops(flops, self.encoder.width)
 
 

@@ -18,7 +18,7 @@ from repro.core.sharding import STRATEGY_TABLE, ShardingStrategy
 from repro.core.trainer import MAEPretrainer
 from repro.hardware.frontier import frontier_machine
 from repro.models.mae import MaskedAutoencoder
-from repro.perf.compute_model import mae_workload_units
+from repro.perf.compute_model import workload_units
 from repro.perf.mesh_model import dp_traffic_by_op, dp_unit_numels
 from repro.perf.schedule import build_step_schedule
 from repro.telemetry import RecordingSink, TelemetryBus
@@ -128,7 +128,7 @@ class TestPredictedTrafficEqualsBooked:
 
         # -- the priced schedule: one rank's view of one round -------------
         machine = frontier_machine(1)
-        units = mae_workload_units(CFG, 2, machine.gpu)
+        units = workload_units(CFG, 2, machine.gpu)
         schedule = build_step_schedule(
             units, strategy, world, machine.cost_model, shard_size=shard_size
         )

@@ -2,16 +2,19 @@
 
 import pytest
 
-from repro.core.config import get_mae_config, get_vit_config
+from repro.core.config import (
+    count_mae_params,
+    count_vit_params,
+    get_mae_config,
+    get_vit_config,
+)
 from repro.core.sharding import ShardingStrategy
 from repro.hardware.gpu import GpuSpec
 from repro.perf.compute_model import (
     BYTES_PER_PARAM,
     block_forward_flops,
-    mae_forward_flops,
-    mae_workload_units,
-    vit_forward_flops,
-    vit_workload_units,
+    forward_flops,
+    workload_units,
 )
 from repro.perf.io_model import IoModel
 from repro.perf.memory_model import activation_bytes, memory_breakdown
@@ -27,13 +30,13 @@ class TestComputeModel:
     def test_vit_flops_scale_with_depth(self):
         base = get_vit_config("vit-base")
         huge = get_vit_config("vit-huge")
-        assert vit_forward_flops(huge) > 5 * vit_forward_flops(base)
+        assert forward_flops(huge) > 5 * forward_flops(base)
 
     def test_mae_encoder_sees_only_visible_tokens(self):
         """75% masking: the MAE encoder FLOPs are far below the full ViT."""
         cfg = get_mae_config("vit-base", img_size=224)
-        full = vit_forward_flops(cfg.encoder)
-        mae = mae_forward_flops(cfg)
+        full = forward_flops(cfg.encoder)
+        mae = forward_flops(cfg)
         assert mae < 0.65 * full  # decoder adds back some, still much less
 
     def test_mae_decoder_is_small_fraction(self):
@@ -42,41 +45,43 @@ class TestComputeModel:
         At 75% masking the decoder runs on 4x the tokens, so compare
         total decoder FLOPs against the *unmasked* encoder."""
         cfg = get_mae_config("vit-1b", img_size=224)
-        enc_only = vit_forward_flops(cfg.encoder)
-        total = mae_forward_flops(cfg)
+        enc_only = forward_flops(cfg.encoder)
+        total = forward_flops(cfg)
         enc_masked = total_enc = None
         del enc_masked, total_enc
         assert total < enc_only  # masking saving exceeds decoder cost
 
     def test_units_cover_all_parameters(self):
         gpu = GpuSpec()
-        cfg = get_vit_config("vit-base")
-        units = vit_workload_units(cfg, 32, gpu)
-        from repro.core.config import count_vit_params
-
-        assert len(units) == cfg.depth + 1
-        total = sum(u.param_bytes for u in units) / BYTES_PER_PARAM
-        # Unit accounting ignores only sub-percent odds and ends.
-        assert total == pytest.approx(count_vit_params(cfg), rel=0.01)
+        for name in ("vit-base", "vit-3b", "proxy-3b"):
+            cfg = get_vit_config(name)
+            units = workload_units(cfg, 32, gpu)
+            assert len(units) == cfg.depth + 1
+            total = sum(u.param_bytes for u in units) // BYTES_PER_PARAM
+            assert total == count_vit_params(cfg)
+        cfg = get_mae_config("proxy-3b")
+        units = workload_units(cfg, 32, gpu)
+        total = sum(u.param_bytes for u in units) // BYTES_PER_PARAM
+        assert total == count_mae_params(cfg)
 
     def test_mae_units_include_decoder(self):
         gpu = GpuSpec()
         cfg = get_mae_config("vit-base", img_size=224)
-        units = mae_workload_units(cfg, 32, gpu)
+        units = workload_units(cfg, 32, gpu)
         assert len(units) == 1 + cfg.encoder.depth + cfg.dec_depth
         assert any(u.name.startswith("dec_") for u in units)
 
     def test_fwd_seconds_positive_and_scale_with_batch(self):
         gpu = GpuSpec()
         cfg = get_vit_config("vit-base")
-        u32 = vit_workload_units(cfg, 32, gpu)[1]
-        u64 = vit_workload_units(cfg, 64, gpu)[1]
+        u32 = workload_units(cfg, 32, gpu)[1]
+        u64 = workload_units(cfg, 64, gpu)[1]
         assert u64.fwd_seconds == pytest.approx(2 * u32.fwd_seconds)
         assert u32.bwd_seconds == pytest.approx(2 * u32.fwd_seconds)
 
     def test_local_batch_validated(self):
         with pytest.raises(ValueError):
-            vit_workload_units(get_vit_config("vit-base"), 0, GpuSpec())
+            workload_units(get_vit_config("vit-base"), 0, GpuSpec())
 
 
 class TestMemoryModel:

@@ -16,13 +16,13 @@ import pytest
 from repro.core.config import get_vit_config
 from repro.experiments.mesh_axes import BATCH, MICRO_SLOTS, PROXY, STEPS
 from repro.mesh.spec import MeshSpec
-from repro.perf.compute_model import mae_workload_units
+from repro.perf.compute_model import workload_units
 from repro.perf.mesh_model import (
     dp_traffic_per_step,
     pp_traffic_per_micro,
     predict_mesh_traffic,
+    tp_gather_values,
     tp_shardable_fraction,
-    unit_mesh_profiles,
 )
 
 #: (label, spec, strategy) -> {axis: (bytes, calls)} measured at
@@ -94,18 +94,17 @@ def test_dp_ddp_books_one_all_reduce_even_unsharded():
 def test_unit_profiles_align_with_workload_units():
     from repro.hardware.frontier import frontier_machine
 
-    units = mae_workload_units(PROXY, 2, frontier_machine(1).gpu)
-    profiles = unit_mesh_profiles(PROXY, 2)
-    assert len(profiles) == len(units)
+    units = workload_units(PROXY, 2, frontier_machine(1).gpu)
     # Root unit (embeddings/norms/heads) is not tp-sharded.
-    assert profiles[0].tp_fwd_payloads == ()
-    assert profiles[0].tp_param_fraction == 0.0
+    assert tp_gather_values(units[0].row, 2) == ((), ())
+    assert units[0].row.gemm_params == 0
     # Every block unit gathers 4 GEMM outputs each way.
-    for prof in profiles[1:]:
-        assert len(prof.tp_fwd_payloads) == 4
-        assert len(prof.tp_bwd_payloads) == 4
-        assert 0.0 < prof.tp_param_fraction <= 1.0
-        assert prof.out_bytes > 0
+    for u in units[1:]:
+        fwd, bwd = tp_gather_values(u.row, 2)
+        assert len(fwd) == 4
+        assert len(bwd) == 4
+        assert 0.0 < u.row.gemm_params / u.row.params <= 1.0
+        assert u.row.activation_values(2) > 0
 
 
 def test_tp_shardable_fraction_bounds():

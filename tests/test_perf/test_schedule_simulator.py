@@ -58,9 +58,9 @@ class TestScheduleStructure:
     def _schedule(self, strategy, shard_size=None, **kwargs):
         m = frontier_machine(2)
         cfg = get_vit_config("vit-base")
-        from repro.perf.compute_model import vit_workload_units
+        from repro.perf.compute_model import workload_units
 
-        units = vit_workload_units(cfg, 32, m.gpu)
+        units = workload_units(cfg, 32, m.gpu)
         return build_step_schedule(
             units, strategy, m.world(), m.cost_model, shard_size=shard_size,
             params=ScheduleParams(**kwargs),

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import ViTConfig
 from repro.hardware.gpu import GpuSpec
-from repro.perf.compute_model import vit_forward_flops
+from repro.perf.compute_model import forward_flops
 from repro.serve.replica import (
     FixedServiceModel,
     ReplicaError,
@@ -25,7 +25,7 @@ class TestServiceTimeModel:
         gpu = GpuSpec()
         svc = ServiceTimeModel(ENC, gpu, overhead_s=1e-4)
         for b in (1, 4, 32):
-            want = 1e-4 + gpu.time_for_flops(vit_forward_flops(ENC) * b, ENC.width)
+            want = 1e-4 + gpu.time_for_flops(forward_flops(ENC) * b, ENC.width)
             assert svc.estimate(b) == pytest.approx(want)
 
     def test_monotone_in_batch_and_amortizes_overhead(self):

@@ -81,10 +81,7 @@ def test_library_tree_is_reachable():
 
 def test_allowlist_holds_at_most_two_reasoned_entries():
     allowlist = _lint().REACHABILITY_ALLOWLIST
-    assert set(allowlist) <= {
-        "elastic/preemption.py::PreemptionHandler",
-        "perf/compute_model.py::mae_forward_flops",
-    }
+    assert set(allowlist) <= {"elastic/preemption.py::PreemptionHandler"}
     assert all(reason.strip() for reason in allowlist.values())
 
 

@@ -99,9 +99,6 @@ REACHABILITY_ALLOWLIST = {
         "no entry point installs a signal handler yet; the preemptible-job "
         "item on ROADMAP.md decides whether one does or the class leaves"
     ),
-    "perf/compute_model.py::mae_forward_flops": (
-        "the FLOP-count reconciliation on ROADMAP.md gives it its caller"
-    ),
 }
 
 ALLOC_CALLS = frozenset({"empty", "zeros", "ones", "full"})
