@@ -130,7 +130,7 @@ def unit_table(model: ViTConfig | MAEConfig) -> tuple[UnitRow, ...]:
         )
         head_flops = (
             2 * enc_seq * enc.width * model.dec_width  # decoder embed
-            + 2 * enc.seq_len * model.dec_width * enc.patch_dim  # prediction head
+            + 2 * enc.n_patches * model.dec_width * enc.patch_dim  # prediction head
         )
     else:
         enc = model
