@@ -2,12 +2,15 @@
 
 Thin wrapper over
 :func:`repro.experiments.mesh_crossover.run_mesh_reconciliation`: trains
-the proxy MAE under every ``mesh_axes.CONFIGS`` composition, compares
+the proxy MAE under every ``mesh_axes.CONFIGS`` composition and settles
 the measured per-axis wire traffic against the closed-form predictions
-from ``repro.perf.mesh_model``, and writes ``MESHPERF.json`` next to
-this file for ``benchmarks/check_regression.py`` — whose gate is
-correctness, not throughput: ``reconciled`` must hold (tp and dp match
-to the byte and to the call; pp within the documented tolerance).
+from ``repro.perf.mesh_model`` through the one
+``repro.telemetry.report.reconcile`` (one ``Reconciliation`` per mesh,
+a bytes and a calls row per axis). It writes ``MESHPERF.json`` next to
+this file, one entry per (mesh, axis), for
+``benchmarks/check_regression.py`` — whose gate is correctness, not
+throughput: ``reconciled`` must hold (tp and dp match to the byte and to
+the call; pp within the documented tolerance).
 
 Usage::
 
@@ -30,36 +33,37 @@ def main(out_path: str | None = None) -> dict:
     from repro.experiments.mesh_axes import STEPS
     from repro.experiments.mesh_crossover import (
         PP_TOLERANCE,
+        axis_rows,
         run_mesh_reconciliation,
     )
 
-    rows = run_mesh_reconciliation(STEPS)
+    results = run_mesh_reconciliation(STEPS)
     summary = {
         "schema": 1,
         "host": host_record(),
         "steps": STEPS,
         "pp_tolerance": PP_TOLERANCE,
-        "reconciled": all(r.ok for r in rows),
+        "reconciled": all(recon.reconciled for _, recon in results),
         "axes": [
             {
-                "mesh": r.label,
-                "axis": r.axis,
-                "predicted_bytes": r.predicted_bytes,
-                "measured_bytes": r.measured_bytes,
-                "predicted_calls": r.predicted_calls,
-                "measured_calls": r.measured_calls,
-                "tolerance": r.tolerance,
-                "ok": r.ok,
+                "mesh": label,
+                "axis": axis,
+                "predicted_bytes": b.predicted,
+                "measured_bytes": b.measured,
+                "predicted_calls": c.predicted,
+                "measured_calls": c.measured,
+                "tolerance": tol,
+                "ok": b.ok and c.ok,
             }
-            for r in rows
+            for label, axis, tol, b, c in axis_rows(results)
         ],
     }
     path = Path(out_path) if out_path is not None else HERE / "MESHPERF.json"
     path.write_text(json.dumps(summary, indent=2) + "\n")
     verdict = "reconciled" if summary["reconciled"] else "DRIFTED"
     print(
-        f"meshperf: {len(rows)} axis rows over "
-        f"{len({r.label for r in rows})} meshes -> {verdict} ({path})"
+        f"meshperf: {len(summary['axes'])} axis rows over "
+        f"{len(results)} meshes -> {verdict} ({path})"
     )
     return summary
 

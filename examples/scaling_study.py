@@ -17,7 +17,7 @@ Usage: python examples/scaling_study.py [model] [max_nodes]
 
 import sys
 
-from repro import JsonlSink, TelemetryBus
+from repro import JsonlSink, RecordingSink, TelemetryBus
 from repro.core.config import get_vit_config
 from repro.core.scaling import run_strategy_grid, run_strong_scaling
 from repro.core.sharding import parse_strategy
@@ -25,7 +25,8 @@ from repro.experiments.report import render_series
 from repro.hardware.frontier import frontier_machine
 from repro.hardware.power import PowerModel
 from repro.perf.simulator import TrainStepSimulator
-from repro.perf.tracing import write_chrome_trace
+from repro.serve.clock import VirtualClock
+from repro.telemetry import write_span_trace
 from repro.utils.units import GIB
 
 STRATEGIES = [
@@ -97,7 +98,11 @@ def main(model_name: str = "vit-3b", max_nodes: int = 64) -> None:
         cfg, frontier_machine(nodes[-1]), strategy, shard_size=shard_size
     )
     out = f"step_trace_{model_name}_{best_label}.json"
-    write_chrome_trace(sim.build_schedule().timeline, out)
+    step = RecordingSink()
+    step_bus = TelemetryBus(step, clock=VirtualClock().now)
+    sim.build_schedule().record(step_bus)
+    sim.memory().emit(step_bus)
+    write_span_trace(step.events, out, process_name="simulated")
     print(f"\nwrote one simulated step of {best_label} to {out}")
 
     # Synthesize a rocm-smi-style power/util trace of the winner and

@@ -175,7 +175,8 @@ class CommStats:
 
 def _reduce_to(dst: np.ndarray, parts: list[np.ndarray], op: str) -> None:
     """``dst[...] = np.stack(parts).<op>(0)`` bit for bit, with no stack:
-    ``parts`` are combined in order, then a mean divides once. (One
+    ``parts`` are combined in order, then a mean divides once — not for
+    one part, where ``x / 1 == x`` and the divide is a wasted pass. (One
     exception: NumPy sums a stack of eight or more *one-element* parts
     pairwise; this stays sequential at every size.)"""
     combine = np.maximum if op == "max" else np.add
@@ -185,8 +186,8 @@ def _reduce_to(dst: np.ndarray, parts: list[np.ndarray], op: str) -> None:
         combine(parts[0], parts[1], out=dst)
         for part in parts[2:]:
             combine(dst, part, out=dst)
-    if op == "mean":
-        np.true_divide(dst, len(parts), out=dst)
+        if op == "mean":
+            np.true_divide(dst, len(parts), out=dst)
 
 
 class SimComm:

@@ -80,23 +80,19 @@ class MeshAxisPoint:
     """Per-axis communication totals for one mesh configuration.
 
     ``*_bytes``/``*_calls`` are the exact measured telemetry totals the
-    reconciliation harness compares against; ``*_mib`` are the rendered
-    columns.
+    reconciliation harness compares against.
     """
 
     label: str
     shape: str
     strategy: str
-    tp_mib: float
-    pp_mib: float
-    dp_mib: float
+    tp_bytes: int
+    pp_bytes: int
+    dp_bytes: int
     tp_calls: int
     pp_calls: int
     dp_calls: int
     loss: float
-    tp_bytes: int = 0
-    pp_bytes: int = 0
-    dp_bytes: int = 0
 
 
 def _micros(n: int, seed: int) -> list:
@@ -144,24 +140,18 @@ def run_mesh_axes(steps: int = STEPS) -> list[MeshAxisPoint]:
         finally:
             engine.close()
         report = RunReport.from_events(bus.sink.events)
-        tp_b = report.axis_bytes("tp")
-        pp_b = report.axis_bytes("pp")
-        dp_b = report.axis_bytes("dp")
         points.append(
             MeshAxisPoint(
                 label=label,
                 shape=f"{spec.pp}x{spec.dp}x{spec.tp}",
                 strategy=strategy,
-                tp_mib=tp_b / MIB,
-                pp_mib=pp_b / MIB,
-                dp_mib=dp_b / MIB,
+                tp_bytes=int(report.axis_bytes("tp")),
+                pp_bytes=int(report.axis_bytes("pp")),
+                dp_bytes=int(report.axis_bytes("dp")),
                 tp_calls=report.axis_calls("tp"),
                 pp_calls=report.axis_calls("pp"),
                 dp_calls=report.axis_calls("dp"),
                 loss=loss,
-                tp_bytes=int(tp_b),
-                pp_bytes=int(pp_b),
-                dp_bytes=int(dp_b),
             )
         )
     return points
@@ -175,9 +165,9 @@ def render_mesh_axes(steps: int = STEPS) -> str:
             p.label,
             p.shape,
             p.strategy,
-            round(p.tp_mib, 3),
-            round(p.pp_mib, 3),
-            round(p.dp_mib, 3),
+            round(p.tp_bytes / MIB, 3),
+            round(p.pp_bytes / MIB, 3),
+            round(p.dp_bytes / MIB, 3),
             p.tp_calls,
             p.pp_calls,
             p.dp_calls,

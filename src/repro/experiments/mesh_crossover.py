@@ -20,6 +20,7 @@ curves — which axis composition wins at which world size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from repro.core.config import get_mae_config
 from repro.core.sharding import ShardingStrategy
@@ -36,20 +37,24 @@ from repro.hardware.frontier import frontier_machine
 from repro.mesh.spec import MeshSpec
 from repro.perf.mesh_model import predict_mesh_traffic
 from repro.perf.simulator import PerfParams, TrainStepSimulator
+from repro.telemetry.report import Check, Reconciliation, reconcile
 from repro.utils.units import GIB, MIB
 
 __all__ = [
-    "AxisReconciliation",
     "CrossoverPoint",
+    "AXES",
     "PP_TOLERANCE",
     "EXACT_AXES",
     "run_mesh_reconciliation",
+    "axis_rows",
     "run_mesh_crossover",
     "render_mesh_crossover",
     "CROSSOVER_NODE_GRID",
     "CROSSOVER_MESHES",
 ]
 
+#: The mesh axes, in reconciliation row order.
+AXES = ("tp", "pp", "dp")
 #: Axes whose predictions must match measured telemetry exactly —
 #: SimComm books exact data movement, so any drift is a bug.
 EXACT_AXES = ("tp", "dp")
@@ -59,66 +64,40 @@ EXACT_AXES = ("tp", "dp")
 PP_TOLERANCE = 0.02
 
 
-@dataclass(frozen=True)
-class AxisReconciliation:
-    """Predicted-vs-measured traffic for one (mesh, axis) pair."""
-
-    label: str
-    axis: str
-    predicted_bytes: float
-    measured_bytes: int
-    predicted_calls: int
-    measured_calls: int
-    tolerance: float
-
-    @property
-    def bytes_ok(self) -> bool:
-        """Whether predicted bytes land within this axis's tolerance."""
-        if self.tolerance == 0.0:
-            return self.predicted_bytes == self.measured_bytes
-        scale = max(abs(self.measured_bytes), 1.0)
-        return abs(self.predicted_bytes - self.measured_bytes) <= self.tolerance * scale
-
-    @property
-    def calls_ok(self) -> bool:
-        """Whether predicted call counts land within tolerance."""
-        if self.tolerance == 0.0:
-            return self.predicted_calls == self.measured_calls
-        scale = max(abs(self.measured_calls), 1.0)
-        return abs(self.predicted_calls - self.measured_calls) <= self.tolerance * scale
-
-    @property
-    def ok(self) -> bool:
-        """Bytes and calls both reconcile."""
-        return self.bytes_ok and self.calls_ok
-
-
-def run_mesh_reconciliation(steps: int = STEPS) -> list[AxisReconciliation]:
+def run_mesh_reconciliation(steps: int = STEPS) -> list[tuple[str, Reconciliation]]:
     """Reconcile predictions against measured traffic for every CONFIGS row.
 
-    Returns three rows (tp/pp/dp) per mesh configuration, in CONFIGS
-    order.
+    Returns one ``(label, reconciliation)`` per mesh configuration, in
+    CONFIGS order; its rows are ``<axis>_bytes`` then ``<axis>_calls``
+    for each of :data:`AXES`.
     """
     measured = run_mesh_axes(steps)
-    rows: list[AxisReconciliation] = []
+    out: list[tuple[str, Reconciliation]] = []
     for (label, spec, strategy), point in zip(CONFIGS, measured):
         pred = predict_mesh_traffic(
             PROXY, spec, strategy, steps=steps, batch=BATCH, micro_slots=MICRO_SLOTS
         )
-        for axis in ("tp", "pp", "dp"):
-            traffic = pred.axis(axis)
-            rows.append(
-                AxisReconciliation(
-                    label=label,
-                    axis=axis,
-                    predicted_bytes=traffic.bytes,
-                    measured_bytes=getattr(point, f"{axis}_bytes"),
-                    predicted_calls=traffic.calls,
-                    measured_calls=getattr(point, f"{axis}_calls"),
-                    tolerance=0.0 if axis in EXACT_AXES else PP_TOLERANCE,
-                )
+        rows = (
+            (
+                f"{axis}_{what}",
+                getattr(pred.axis(axis), what),
+                getattr(point, f"{axis}_{what}"),
+                "==" if axis in EXACT_AXES else f"rel<={PP_TOLERANCE}",
             )
-    return rows
+            for axis in AXES
+            for what in ("bytes", "calls")
+        )
+        out.append((label, reconcile(rows)))
+    return out
+
+
+def axis_rows(
+    results: list[tuple[str, Reconciliation]],
+) -> Iterator[tuple[str, str, float, Check, Check]]:
+    """``(label, axis, tolerance, bytes row, calls row)`` per mesh and axis."""
+    for label, recon in results:
+        for axis, b, c in zip(AXES, recon.rows[0::2], recon.rows[1::2]):
+            yield label, axis, 0.0 if axis in EXACT_AXES else PP_TOLERANCE, b, c
 
 
 # -- Frontier-scale extrapolation ------------------------------------------
@@ -203,21 +182,22 @@ def run_mesh_crossover(
 # -- rendering -------------------------------------------------------------
 
 
-def _render_reconciliation(rows: list[AxisReconciliation]) -> str:
+def _render_reconciliation(results: list[tuple[str, Reconciliation]]) -> str:
+    rows = list(axis_rows(results))
     body = render_table(
         ["mesh", "axis", "pred MiB", "meas MiB", "pred #", "meas #", "tol", "ok"],
         [
             [
-                r.label,
-                r.axis,
-                round(r.predicted_bytes / MIB, 6),
-                round(r.measured_bytes / MIB, 6),
-                r.predicted_calls,
-                r.measured_calls,
-                r.tolerance,
-                "yes" if r.ok else "NO",
+                label,
+                axis,
+                round(b.predicted / MIB, 6),
+                round(b.measured / MIB, 6),
+                c.predicted,
+                c.measured,
+                tol,
+                "yes" if b.ok and c.ok else "NO",
             ]
-            for r in rows
+            for label, axis, tol, b, c in rows
         ],
         title=(
             "Predicted vs measured per-axis wire traffic "
@@ -225,12 +205,11 @@ def _render_reconciliation(rows: list[AxisReconciliation]) -> str:
         ),
         precision=6,
     )
-    bad = [r for r in rows if not r.ok]
+    bad = [f"{label}/{axis}" for label, axis, _, b, c in rows if not (b.ok and c.ok)]
     footer = (
         "all axes reconcile: the analytic mesh model matches the executed bytes"
         if not bad
-        else "RECONCILIATION FAILED: "
-        + ", ".join(f"{r.label}/{r.axis}" for r in bad)
+        else "RECONCILIATION FAILED: " + ", ".join(bad)
     )
     return body + "\n" + footer
 

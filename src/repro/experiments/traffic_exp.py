@@ -30,7 +30,6 @@ from repro.serve import (
     FixedServiceModel,
     InferenceServer,
     OpenLoopResult,
-    PlanReconciliation,
     RateProfile,
     ReplicaType,
     SyntheticEncoder,
@@ -41,6 +40,7 @@ from repro.serve import (
     reconcile_plan,
     run_open_loop,
 )
+from repro.telemetry.report import Reconciliation
 
 __all__ = [
     "HORIZON_S",
@@ -135,7 +135,7 @@ def _server(services, prices, traffics, autoscaler=None) -> InferenceServer:
     )
 
 
-def run_traffic_plan() -> tuple[CapacityPlan, OpenLoopResult, PlanReconciliation]:
+def run_traffic_plan() -> tuple[CapacityPlan, OpenLoopResult, Reconciliation]:
     """Plan a fleet for the forecast peak, serve, and reconcile."""
     traffics = tenant_traffics()
     plan = plan_capacity(
@@ -207,7 +207,7 @@ def run_user_extrapolation() -> list[tuple[int, float, CapacityPlan]]:
 
 
 def _render_plan(
-    plan: CapacityPlan, result: OpenLoopResult, recon: PlanReconciliation
+    plan: CapacityPlan, result: OpenLoopResult, recon: Reconciliation
 ) -> str:
     per_tenant = render_table(
         ["tenant", "attainment"],

@@ -16,9 +16,10 @@ power/utilization traces.
   collective payloads of a mesh run, reconciled byte-for-byte against
   the executable engines' telemetry.
 - :mod:`repro.perf.schedule` — builds the per-step task graph for a
-  strategy + prefetch policy, and composes the pipeline bubble.
+  strategy + prefetch policy, composes the pipeline bubble, and replays
+  a step onto a telemetry bus as the events the engines emit (exported
+  to Chrome traces by :mod:`repro.telemetry.chrome`).
 - :mod:`repro.perf.simulator` — end-to-end step timing and reports.
-- :mod:`repro.perf.tracing` — Chrome-trace export of simulated steps.
 """
 
 from repro import lazy_exports

@@ -165,14 +165,16 @@ class UnitCost:
     """One FSDP wrapping unit's static cost profile.
 
     ``fwd_seconds`` is the forward compute time of this unit for one
-    *local* microbatch; backward costs ``BACKWARD_RATIO`` times more.
-    ``row`` is the table row the unit belongs to (its shape).
+    *local* microbatch, ``flops`` its forward FLOPs; backward costs
+    ``BACKWARD_RATIO`` times more. ``row`` is the table row the unit
+    belongs to (its shape).
     """
 
     name: str
     param_bytes: int
     fwd_seconds: float
     row: UnitRow
+    flops: float
 
     @property
     def bwd_seconds(self) -> float:
@@ -189,8 +191,9 @@ def workload_units(
     root, *stacks = unit_table(model)
 
     def cost(name: str, r: UnitRow) -> UnitCost:
-        fwd_s = gpu.time_for_flops(r.flops * local_batch, r.width)
-        return UnitCost(name, r.params * BYTES_PER_PARAM, fwd_s, r)
+        flops = r.flops * local_batch
+        fwd_s = gpu.time_for_flops(flops, r.width)
+        return UnitCost(name, r.params * BYTES_PER_PARAM, fwd_s, r, flops)
 
     blocks = [cost(f"{r.name}{i}", r) for r in stacks for i in range(r.depth)]
     return [cost(root.name, root)] + blocks

@@ -22,12 +22,23 @@ __all__ = ["Task", "Timeline", "ScheduledTask"]
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of work bound to a resource."""
+    """One unit of work bound to a resource.
+
+    ``kind`` onward say what the work is (``"comm"``, ``"compute"``,
+    ``"optim"``, ``"stall"``, ``"contention"``), for a replay as telemetry
+    (:meth:`repro.perf.schedule.StepSchedule.record`).
+    """
 
     name: str
     resource: str
     duration: float
     deps: tuple[int, ...] = ()
+    kind: str = ""
+    op: str = ""
+    axis: str = ""
+    bytes: float = 0.0
+    calls: int = 0
+    flops: float = 0.0
 
     def __post_init__(self) -> None:
         if self.duration < 0:
@@ -47,17 +58,16 @@ class Timeline:
 
     tasks: list[Task] = field(default_factory=list)
 
-    def add(
-        self, name: str, resource: str, duration: float, deps: tuple[int, ...] | list[int] = ()
-    ) -> int:
-        """Append a task; returns its id for use in later ``deps``."""
+    def add(self, name: str, resource: str, duration: float, deps=(), **what) -> int:
+        """Append a task; returns its id for use in later ``deps``.
+        ``what`` sets the :class:`Task` fields after ``deps``."""
         for d in deps:
             if not 0 <= d < len(self.tasks):
                 raise ValueError(
                     f"task {name}: dependency {d} does not exist yet "
                     f"(tasks must be added after their dependencies)"
                 )
-        self.tasks.append(Task(name, resource, float(duration), tuple(deps)))
+        self.tasks.append(Task(name, resource, float(duration), tuple(deps), **what))
         return len(self.tasks) - 1
 
     def run(self) -> list[ScheduledTask]:

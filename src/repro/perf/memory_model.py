@@ -45,7 +45,7 @@ validated against actually-allocated NumPy bytes in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.config import MAEConfig, ViTConfig
 from repro.core.sharding import STRATEGY_TABLE, ShardingStrategy, resolve_shard_size
@@ -53,6 +53,7 @@ from repro.mesh.spec import MeshSpec
 from repro.perf.compute_model import BYTES_PER_PARAM, unit_table
 from repro.perf.mesh_model import tp_shardable_fraction
 from repro.precision.bf16 import DTYPE_BYTES, PRECISIONS
+from repro.telemetry.bus import TelemetryBus
 
 __all__ = ["MemoryBreakdown", "memory_breakdown", "activation_bytes"]
 
@@ -95,6 +96,12 @@ class MemoryBreakdown:
             + self.allocator_overhead
             + self.grad_accum
         )
+
+    def emit(self, telemetry: TelemetryBus) -> None:
+        """Publish each category as a ``mem.<category>`` gauge (bytes)."""
+        for f in fields(self):
+            if f.name != "by_dtype":
+                telemetry.gauge(f"mem.{f.name}", getattr(self, f.name))
 
 
 def activation_bytes(

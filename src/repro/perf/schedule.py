@@ -53,7 +53,7 @@ tail (reduction + optimizer) once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.comm.bucketing import DEFAULT_BUCKET_CAP_BYTES, bucket_gradients
 from repro.comm.cost_model import CollectiveCostModel, GroupPlacement
@@ -64,13 +64,15 @@ from repro.core.sharding import (
     ShardingStrategy,
     resolve_shard_size,
 )
-from repro.perf.compute_model import UnitCost
-from repro.perf.events import Timeline
+from repro.perf.compute_model import BACKWARD_RATIO, UnitCost
+from repro.perf.events import Task, Timeline
+from repro.precision.bf16 import wire_fraction
+from repro.telemetry.bus import TelemetryBus
 
 __all__ = [
     "ScheduleParams",
     "StepSchedule",
-    "TpUnitComm",
+    "Burst",
     "MeshCommPlan",
     "build_step_schedule",
     "compose_pipeline",
@@ -122,65 +124,95 @@ class ScheduleParams:
 
 
 @dataclass(frozen=True)
-class TpUnitComm:
-    """Tensor-parallel reassembly cost of one unit, one microbatch."""
+class Burst:
+    """``calls`` collectives of ``nbytes`` native (fp32) bytes in all,
+    priced at ``seconds``."""
 
-    fwd_seconds: float = 0.0
-    bwd_seconds: float = 0.0
-    fwd_calls: int = 0
-    bwd_calls: int = 0
+    seconds: float = 0.0
+    calls: int = 0
+    nbytes: float = 0.0
 
 
 @dataclass(frozen=True)
 class MeshCommPlan:
     """Per-microbatch tp/pp communication injected into the dp graph.
 
-    ``tp_units`` aligns with the builder's ``units`` (empty disables tp
-    injection). ``pp_in_seconds``/``pp_in_bytes`` describe the boundary
-    activation arriving from the previous stage, ``pp_out_*`` the one
-    leaving toward the next; the same payloads cross back as gradients
-    in backward. ``reduce_per_step`` moves the gradient reduction out of
-    the microbatch graph into the step tail (gradient accumulation
-    reduces once per optimizer step). ``dp_nic_share`` inflates the
-    dp collectives' NIC contention by the concurrent sibling rings of
-    the inner tp axis.
+    ``tp_units`` aligns with the builder's ``units``: each unit's
+    ``(forward, backward)`` tp reassembly gathers (empty disables tp
+    injection). ``pp_in`` is the boundary activation arriving from the
+    previous stage, ``pp_out`` the one leaving toward the next; the same
+    payloads cross back as gradients in backward. ``reduce_per_step``
+    moves the gradient reduction out of the microbatch graph into the
+    step tail (gradient accumulation reduces once per optimizer step).
+    ``dp_nic_share`` inflates the dp collectives' NIC contention by the
+    concurrent sibling rings of the inner tp axis.
     """
 
-    tp_units: tuple[TpUnitComm, ...] = ()
-    pp_in_seconds: float = 0.0
-    pp_out_seconds: float = 0.0
+    tp_units: tuple[tuple[Burst, Burst], ...] = ()
+    pp_in: Burst = Burst()
+    pp_out: Burst = Burst()
     reduce_per_step: bool = False
     dp_nic_share: int = 1
 
 
+def _total(tasks, kinds: tuple[str, ...], attr: str = "duration"):
+    """``attr`` summed over the ``tasks`` of ``kinds``, in task order."""
+    total = 0
+    for t in tasks:
+        if t.kind in kinds:
+            total += getattr(t, attr)
+    return total
+
+
 @dataclass
 class StepSchedule:
-    """Built task graph plus aggregate accounting.
+    """A step's task records, and every tally read off them.
 
-    The timeline and the ``comm_/compute_/stall_seconds`` aggregates
-    describe *one microbatch round*; ``rounds``, ``bubble_rounds`` and
-    the tail fields (set by :func:`compose_pipeline`) lift them to a
-    full optimizer step. The defaults (one round, no bubble, no tail)
-    keep the historical single-round semantics unchanged.
+    ``timeline`` is *one microbatch round*, and the ``comm_`` /
+    ``compute_`` / ``stall_`` tallies are per round; ``rounds``,
+    ``bubble_rounds`` and ``tail`` (set by :func:`compose_pipeline` and
+    deferred reductions) lift them to a full optimizer step. ``tail``
+    runs once after the last round: deferred gradient reductions, then
+    the optimizer. The defaults (one round, no bubble, no tail) are the
+    single-round step.
     """
 
     timeline: Timeline
-    comm_seconds: float = 0.0
-    comm_calls: int = 0
-    compute_seconds: float = 0.0  # pure compute incl. optimizer, no stalls
-    stall_seconds: float = 0.0
-    notes: dict = field(default_factory=dict)
     #: Microbatch rounds per optimizer step (pipeline: micros in flight).
     rounds: int = 1
     #: Extra fill/drain rounds of the pipeline bubble (``pp - 1``).
     bubble_rounds: int = 0
-    #: Per-step compute tail (optimizer) appended after the last round.
-    tail_seconds: float = 0.0
-    #: Per-step communication tail (deferred gradient reduction).
-    tail_comm_seconds: float = 0.0
-    tail_comm_calls: int = 0
-    #: Per-round comm seconds by mesh axis ("tp"/"pp"/"dp").
-    axis_comm_seconds: dict = field(default_factory=dict)
+    tail: tuple[Task, ...] = ()
+
+    @property
+    def comm_seconds(self) -> float:
+        """Collective seconds of one round."""
+        return _total(self.timeline.tasks, ("comm",))
+
+    @property
+    def comm_calls(self) -> int:
+        """Collective calls of one round."""
+        return _total(self.timeline.tasks, ("comm",), "calls")
+
+    @property
+    def compute_seconds(self) -> float:
+        """Pure compute of one round, optimizer included, no stalls."""
+        return _total(self.timeline.tasks, ("compute", "optim"))
+
+    @property
+    def stall_seconds(self) -> float:
+        """Allocator stalls and bucket copies of one round."""
+        return _total(self.timeline.tasks, ("stall",))
+
+    @property
+    def tail_comm_seconds(self) -> float:
+        """Deferred gradient reduction seconds, once per step."""
+        return _total(self.tail, ("comm",))
+
+    @property
+    def tail_seconds(self) -> float:
+        """Optimizer seconds appended once per step."""
+        return _total(self.tail, ("optim",))
 
     @property
     def pipeline_rounds(self) -> int:
@@ -219,7 +251,7 @@ class StepSchedule:
     @property
     def step_comm_calls(self) -> int:
         """Collective calls of a full step."""
-        return self.comm_calls * self.rounds + self.tail_comm_calls
+        return self.comm_calls * self.rounds + _total(self.tail, ("comm",), "calls")
 
     @property
     def step_compute_seconds(self) -> float:
@@ -228,12 +260,53 @@ class StepSchedule:
 
     def step_axis_comm_seconds(self) -> dict:
         """Per-step comm seconds by mesh axis (tail counts toward dp)."""
-        out = {
-            axis: s * self.rounds for axis, s in self.axis_comm_seconds.items()
-        }
+        per_round: dict[str, float] = {}
+        for t in self.timeline.tasks:
+            if t.kind == "comm":
+                per_round[t.axis] = per_round.get(t.axis, 0.0) + t.duration
+        out = {axis: s * self.rounds for axis, s in per_round.items()}
         if self.tail_comm_seconds:
             out["dp"] = out.get("dp", 0.0) + self.tail_comm_seconds
         return out
+
+    def record(self, bus: TelemetryBus) -> None:
+        """Replay the step onto ``bus`` as the events the engines emit.
+
+        Each round's tasks, then the tail, become spans stamped at their
+        scheduled start as a reading of the bus clock: on a virtual clock
+        at 0 (``TelemetryBus(sink, clock=VirtualClock().now)``) the step
+        starts at 0. The bubble rounds idle after the live ones. Every
+        span carries its ``stream`` (resource) and ``task`` (name):
+        ``comm.<op>`` with ``axis``, wire ``bytes`` and ``calls``;
+        ``compute.<op>`` (``fwd`` / ``bwd``) with ``flops``;
+        ``optim.step``; and ``perf.<kind>`` for the compute-stream time
+        the model adds, ``perf.stall`` (allocator stalls, bucket copies)
+        and ``perf.contention`` (a collective's serialized share).
+        """
+        one_round = self.timeline.run()
+        span = max((s.end for s in one_round), default=0.0)
+        placed = [
+            (s.task, r * span + s.start) for r in range(self.rounds) for s in one_round
+        ]
+        t = span * self.pipeline_rounds
+        for task in self.tail:
+            placed.append((task, t))
+            t += task.duration
+        for task, start in placed:
+            tags = {"stream": task.resource, "task": task.name}
+            if task.kind == "comm":
+                bus.record_span(
+                    f"comm.{task.op}", start, task.duration, axis=task.axis,
+                    bytes=task.bytes, calls=task.calls, **tags,
+                )
+            elif task.kind == "compute":
+                bus.record_span(
+                    f"compute.{task.op}", start, task.duration, flops=task.flops, **tags
+                )
+            elif task.kind == "optim":
+                bus.record_span("optim.step", start, task.duration, **tags)
+            else:
+                bus.record_span(f"perf.{task.kind}", start, task.duration, **tags)
 
 
 def pipeline_bubble_fraction(n_micro: int, pp: int) -> float:
@@ -260,12 +333,10 @@ def compose_pipeline(
     that); validation is delegated to :func:`pipeline_bubble_fraction`.
     """
     pipeline_bubble_fraction(n_micro, pp)  # validates arguments
-    return replace(
-        sched,
-        rounds=n_micro,
-        bubble_rounds=pp - 1,
-        tail_seconds=sched.tail_seconds + optimizer_seconds,
-    )
+    tail = sched.tail
+    if optimizer_seconds > 0:
+        tail += (Task("optimizer", "compute", optimizer_seconds, kind="optim"),)
+    return replace(sched, rounds=n_micro, bubble_rounds=pp - 1, tail=tail)
 
 
 def shard_group_placement(world: World, shard_size: int) -> GroupPlacement:
@@ -301,36 +372,31 @@ def world_placement(world: World) -> GroupPlacement:
 
 
 class _StepBuilder:
-    def __init__(
-        self,
-        world: World,
-        cost_model: CollectiveCostModel,
-        params: ScheduleParams,
-    ):
+    def __init__(self, params: ScheduleParams, deferred: bool):
         self.tl = Timeline()
-        self.world = world
-        self.cost = cost_model
-        self.p = params
-        self.comm_seconds = 0.0
-        self.comm_calls = 0
-        self.compute_seconds = 0.0
-        self.stall_seconds = 0.0
-        self.tail_comm_seconds = 0.0
-        self.tail_comm_calls = 0
-        self.axis_seconds: dict[str, float] = {}
+        self.tail: list[Task] = []
+        self.kappa = params.comm_compute_contention
+        self.wire = wire_fraction(params.wire_dtype)
+        self.deferred = deferred
 
-    def add_compute(self, name: str, duration: float, deps=()) -> int:
-        self.compute_seconds += duration
-        return self.tl.add(name, "compute", duration, deps)
+    def add_compute(self, name: str, duration: float, deps=(), **what) -> int:
+        return self.tl.add(name, "compute", duration, deps, kind="compute", **what)
 
     def add_stall(self, name: str, duration: float) -> int:
-        self.stall_seconds += duration
-        return self.tl.add(name, "compute", duration)
+        return self.tl.add(name, "compute", duration, kind="stall")
 
     def add_comm(
-        self, name: str, duration: float, deps=(), axis: str = "dp", calls: int = 1
+        self,
+        name: str,
+        op: str,
+        nbytes: float,
+        duration: float,
+        deps=(),
+        axis: str = "dp",
+        calls: int = 1,
     ) -> int:
-        """Add a collective; returns the id its consumers must depend on.
+        """Add a collective of ``nbytes`` native bytes; returns the id its
+        consumers must depend on.
 
         The collective occupies the comm stream for its full duration
         (consumers wait on that). Its HBM/CU contention is modeled as an
@@ -340,24 +406,26 @@ class _StepBuilder:
         the wire transfer itself. ``calls`` lets one task stand for a
         burst of collectives (tp issues one gather per sharded GEMM).
         """
-        self.comm_seconds += duration
-        self.comm_calls += calls
-        self.axis_seconds[axis] = self.axis_seconds.get(axis, 0.0) + duration
-        wire = self.tl.add(name, "comm", duration, deps)
-        kappa = self.p.comm_compute_contention
-        if kappa > 0.0:
-            self.tl.add(f"{name}#x", "compute", duration * kappa)
+        wire = self.tl.add(
+            name, "comm", duration, deps, kind="comm", op=op, axis=axis,
+            bytes=nbytes * self.wire, calls=calls,
+        )
+        if self.kappa > 0.0:
+            self.tl.add(f"{name}#x", "compute", duration * self.kappa, kind="contention")
         return wire
 
-    def add_tail_comm(self, duration: float, calls: int = 1) -> None:
-        """Book a per-step collective into the tail (no per-round task).
-
-        Used for the deferred gradient reduction under accumulation: it
-        runs once after the last microbatch round, fully exposed (the
-        backward it could overlap with is already done).
-        """
-        self.tail_comm_seconds += duration
-        self.tail_comm_calls += calls
+    def reduce(self, name: str, op: str, nbytes: float, duration: float, after: int) -> int:
+        """A gradient reduction after ``after``; returns what its consumers
+        depend on. Deferred (accumulation reduces once per optimizer
+        step), it joins the step tail: it runs after the last round,
+        fully exposed, and nothing in the round waits on it."""
+        if not self.deferred:
+            return self.add_comm(name, op, nbytes, duration, (after,))
+        self.tail.append(
+            Task(name, "comm", float(duration), kind="comm", op=op, axis="dp",
+                 bytes=nbytes * self.wire, calls=1)
+        )
+        return after
 
 
 def build_step_schedule(
@@ -390,7 +458,7 @@ def build_step_schedule(
     row = STRATEGY_TABLE[strategy]
     s = resolve_shard_size(strategy, shard_size, world.size)
 
-    b = _StepBuilder(world, cost_model, p)
+    b = _StepBuilder(p, deferred=mesh is not None and mesh.reduce_per_step)
     sharded = s > 1
     regather_in_backward = row.gathers(s, backward=True)
     shard_pl = shard_group_placement(world, s) if sharded else None
@@ -408,20 +476,21 @@ def build_step_schedule(
         world_pl = _contended(world_pl)
     gather_infl = 1.0 if p.limit_all_gathers else 1.0 + p.congestion_factor
     tp_units = mesh.tp_units if mesh is not None else ()
-    reduce_per_step = mesh is not None and mesh.reduce_per_step
 
     def tp_after(i: int, kind: str, cid: int) -> int:
         """Serialize unit ``i``'s tp reassembly gathers behind its compute."""
         if not tp_units:
             return cid
-        tc = tp_units[i]
-        dur = tc.fwd_seconds if kind == "f" else tc.bwd_seconds
-        calls = tc.fwd_calls if kind == "f" else tc.bwd_calls
-        if dur <= 0.0 and calls == 0:
+        burst = tp_units[i][0 if kind == "f" else 1]
+        if burst.seconds <= 0.0 and burst.calls == 0:
             return cid
         return b.add_comm(
-            f"TP{kind}:{units[i].name}", dur, (cid,), axis="tp", calls=max(1, calls)
+            f"TP{kind}:{units[i].name}", "all_gather", burst.nbytes, burst.seconds,
+            (cid,), axis="tp", calls=max(1, burst.calls),
         )
+
+    def pp(name: str, op: str, burst: Burst, deps: tuple[int, ...]) -> int:
+        return b.add_comm(name, op, burst.nbytes, burst.seconds, deps, axis="pp")
 
     def t_ag(u: UnitCost) -> float:
         return (
@@ -432,9 +501,9 @@ def build_step_schedule(
     # ---- forward ---------------------------------------------------------
     fwd_ids: list[int] = []
     pp_in_id: int | None = None
-    if mesh is not None and mesh.pp_in_seconds > 0.0:
+    if mesh is not None and mesh.pp_in.seconds > 0.0:
         # Boundary activation from the previous stage gates the first unit.
-        pp_in_id = b.add_comm("PPrecv:f", mesh.pp_in_seconds, (), axis="pp")
+        pp_in_id = pp("PPrecv:f", "recv", mesh.pp_in, ())
     for i, u in enumerate(units):
         deps: list[int] = []
         if i == 0 and pp_in_id is not None:
@@ -443,14 +512,18 @@ def build_step_schedule(
             ag_deps: list[int] = []
             if p.limit_all_gathers and i >= p.gather_window:
                 ag_deps.append(fwd_ids[i - p.gather_window])
-            agid = b.add_comm(f"AGf:{u.name}", t_ag(u), tuple(ag_deps))
+            agid = b.add_comm(
+                f"AGf:{u.name}", "all_gather", u.param_bytes, t_ag(u), tuple(ag_deps)
+            )
             if not p.limit_all_gathers:
                 b.add_stall(f"stall_f:{u.name}", p.alloc_stall_s)
             deps.append(agid)
-        cid = b.add_compute(f"F:{u.name}", u.fwd_seconds, tuple(deps))
+        cid = b.add_compute(
+            f"F:{u.name}", u.fwd_seconds, tuple(deps), op="fwd", flops=u.flops
+        )
         fwd_ids.append(tp_after(i, "f", cid))
-    if mesh is not None and mesh.pp_out_seconds > 0.0:
-        b.add_comm("PPsend:f", mesh.pp_out_seconds, (fwd_ids[-1],), axis="pp")
+    if mesh is not None and mesh.pp_out.seconds > 0.0:
+        pp("PPsend:f", "send", mesh.pp_out, (fwd_ids[-1],))
 
     # ---- backward --------------------------------------------------------
     n = len(units)
@@ -458,28 +531,31 @@ def build_step_schedule(
     if regather_in_backward:
         u_last = units[n - 1]
         agb_ids[n - 1] = b.add_comm(
-            f"AGb:{u_last.name}", t_ag(u_last), (fwd_ids[-1],)
+            f"AGb:{u_last.name}", "all_gather", u_last.param_bytes, t_ag(u_last),
+            (fwd_ids[-1],),
         )
         if not p.limit_all_gathers:
             b.add_stall(f"stall_b:{u_last.name}", p.alloc_stall_s)
     grad_final_ids: list[int] = []
     bwd_ids: dict[int, int] = {}
     pp_grad_id: int | None = None
-    if mesh is not None and mesh.pp_out_seconds > 0.0:
+    if mesh is not None and mesh.pp_out.seconds > 0.0:
         # The gradient w.r.t. our boundary output arrives from the next
         # stage before the deepest unit can run its backward.
-        pp_grad_id = b.add_comm(
-            "PPrecv:b", mesh.pp_out_seconds, (fwd_ids[-1],), axis="pp"
+        pp_grad_id = pp("PPrecv:b", "recv", mesh.pp_out, (fwd_ids[-1],))
+
+    def backward(i: int, deps: tuple[int, ...]) -> int:
+        u = units[i]
+        cid = b.add_compute(
+            f"B:{u.name}", u.bwd_seconds, deps, op="bwd", flops=u.flops * BACKWARD_RATIO
         )
+        return tp_after(i, "b", cid)
 
     if strategy is ShardingStrategy.DDP:
         # Backward computes first (ids known), buckets attach to readiness.
         for i in range(n - 1, -1, -1):
-            u = units[i]
             deps = (pp_grad_id,) if i == n - 1 and pp_grad_id is not None else ()
-            bwd_ids[i] = tp_after(
-                i, "b", b.add_compute(f"B:{u.name}", u.bwd_seconds, deps)
-            )
+            bwd_ids[i] = backward(i, deps)
         pseudo: list[tuple[int, int]] = []  # (unit index, nbytes), fwd order
         for idx, u in enumerate(units):
             remaining = u.param_bytes
@@ -498,13 +574,12 @@ def build_step_schedule(
             )
             # Coalesce grads into the bucket's flat buffer and back out.
             b.add_stall(f"copy_bucket{k}", 2 * bucket.nbytes / p.ddp_copy_bw)
-            if reduce_per_step:
-                b.add_tail_comm(dur)
-                grad_final_ids.append(bwd_ids[ready_unit])
-            else:
-                grad_final_ids.append(
-                    b.add_comm(f"ARbucket{k}", dur, (bwd_ids[ready_unit],))
+            grad_final_ids.append(
+                b.reduce(
+                    f"ARbucket{k}", "all_reduce", bucket.nbytes, dur,
+                    bwd_ids[ready_unit],
                 )
+            )
     else:
         prev_bid: int | None = None
         for i in range(n - 1, -1, -1):
@@ -512,14 +587,14 @@ def build_step_schedule(
             deps = [agb_ids[i]] if regather_in_backward else []
             if i == n - 1 and pp_grad_id is not None:
                 deps.append(pp_grad_id)
-            bid = tp_after(
-                i, "b", b.add_compute(f"B:{u.name}", u.bwd_seconds, tuple(deps))
-            )
+            bid = backward(i, tuple(deps))
             bwd_ids[i] = bid
 
             def issue_next_gather(dep_ids: tuple[int, ...]) -> None:
                 nxt = units[i - 1]
-                agb_ids[i - 1] = b.add_comm(f"AGb:{nxt.name}", t_ag(nxt), dep_ids)
+                agb_ids[i - 1] = b.add_comm(
+                    f"AGb:{nxt.name}", "all_gather", nxt.param_bytes, t_ag(nxt), dep_ids
+                )
                 if not p.limit_all_gathers:
                     b.add_stall(f"stall_b:{nxt.name}", p.alloc_stall_s)
 
@@ -542,30 +617,22 @@ def build_step_schedule(
                     d_rep = cost_model.all_reduce(
                         u.param_bytes / s, replica_pl, p.wire_dtype
                     )
-                if reduce_per_step:
-                    b.add_tail_comm(d_rs)
-                    if d_rep:
-                        b.add_tail_comm(d_rep)
-                    rsid = bid
-                    grad_final_ids.append(bid)
-                else:
-                    rsid = b.add_comm(f"RS:{u.name}", d_rs, (bid,))
-                    last = rsid
-                    if d_rep:
-                        last = b.add_comm(f"ARrep:{u.name}", d_rep, (rsid,))
-                    grad_final_ids.append(last)
+                rsid = b.reduce(
+                    f"RS:{u.name}", "reduce_scatter", u.param_bytes, d_rs, bid
+                )
+                last = rsid
+                if d_rep:
+                    last = b.reduce(
+                        f"ARrep:{u.name}", "all_reduce", u.param_bytes / s, d_rep, rsid
+                    )
+                grad_final_ids.append(last)
             else:
                 # NO_SHARD or HYBRID_1GPU: full-gradient all-reduce.
                 d_ar = cost_model.all_reduce(u.param_bytes, world_pl, p.wire_dtype)
                 if strategy is ShardingStrategy.NO_SHARD:
                     d_ar *= p.noshard_comm_inflation
-                if reduce_per_step:
-                    b.add_tail_comm(d_ar)
-                    grad_final_ids.append(bid)
-                    rsid = bid
-                else:
-                    grad_final_ids.append(b.add_comm(f"AR:{u.name}", d_ar, (bid,)))
-                    rsid = grad_final_ids[-1]
+                rsid = b.reduce(f"AR:{u.name}", "all_reduce", u.param_bytes, d_ar, bid)
+                grad_final_ids.append(rsid)
 
             if want_prefetch and p.prefetch is not BackwardPrefetch.BACKWARD_PRE:
                 if p.prefetch is BackwardPrefetch.BACKWARD_POST:
@@ -575,21 +642,14 @@ def build_step_schedule(
             prev_bid = bid
 
     # ---- pipeline gradient send / optimizer --------------------------------
-    if mesh is not None and mesh.pp_in_seconds > 0.0:
+    if mesh is not None and mesh.pp_in.seconds > 0.0:
         # Gradient w.r.t. our boundary input leaves toward the previous
         # stage once the shallowest unit finished its backward.
-        b.add_comm("PPsend:b", mesh.pp_in_seconds, (bwd_ids[0],), axis="pp")
+        pp("PPsend:b", "send", mesh.pp_in, (bwd_ids[0],))
     if p.optimizer_seconds > 0:
-        b.add_compute("optimizer", p.optimizer_seconds, tuple(grad_final_ids))
+        b.tl.add(
+            "optimizer", "compute", p.optimizer_seconds, tuple(grad_final_ids),
+            kind="optim",
+        )
 
-    return StepSchedule(
-        timeline=b.tl,
-        comm_seconds=b.comm_seconds,
-        comm_calls=b.comm_calls,
-        compute_seconds=b.compute_seconds,
-        stall_seconds=b.stall_seconds,
-        notes={"strategy": strategy.value, "shard_size": s},
-        tail_comm_seconds=b.tail_comm_seconds,
-        tail_comm_calls=b.tail_comm_calls,
-        axis_comm_seconds=b.axis_seconds,
-    )
+    return StepSchedule(timeline=b.tl, tail=tuple(b.tail))

@@ -32,10 +32,10 @@ from repro.perf.mesh_model import (
     tp_gather_values,
 )
 from repro.perf.schedule import (
+    Burst,
     MeshCommPlan,
     ScheduleParams,
     StepSchedule,
-    TpUnitComm,
     build_step_schedule,
     compose_pipeline,
     pipeline_bubble_fraction,
@@ -323,6 +323,7 @@ class TrainStepSimulator:
                 u = replace(
                     u,
                     fwd_seconds=u.fwd_seconds / mesh.tp,
+                    flops=u.flops / mesh.tp,
                     param_bytes=int(
                         round(u.param_bytes * ((1.0 - f) + f / mesh.tp))
                     ),
@@ -345,27 +346,35 @@ class TrainStepSimulator:
         stage_units, (in_bytes, out_bytes) = self._mesh_stage()
         cost = self.machine.cost_model
         wire = self.params.precision
-        tp_units: tuple[TpUnitComm, ...] = ()
+        tp_units: tuple[tuple[Burst, Burst], ...] = ()
         if mesh.tp > 1:
             tp_pl = mesh_axis_placements(self.world, mesh)["tp"]
 
-            def gathers(values: tuple[int, ...]) -> float:
-                """Seconds of one fp32 tp gather per reassembled output."""
-                return sum(
-                    cost.all_gather(float(v * BYTES_PER_PARAM), tp_pl, wire)
-                    for v in values
+            def gathers(values: tuple[int, ...]) -> Burst:
+                """One fp32 tp gather per reassembled output."""
+                return Burst(
+                    sum(
+                        cost.all_gather(float(v * BYTES_PER_PARAM), tp_pl, wire)
+                        for v in values
+                    ),
+                    len(values),
+                    float(sum(values) * BYTES_PER_PARAM),
                 )
 
             lb = self.params.local_batch
             tp_units = tuple(
-                TpUnitComm(gathers(fwd), gathers(bwd), len(fwd), len(bwd))
+                (gathers(fwd), gathers(bwd))
                 for fwd, bwd in (tp_gather_values(u.row, lb) for u in stage_units)
             )
         crosses = pp_boundary_crosses_nodes(self.world, mesh)
+
+        def send(nbytes: float) -> Burst:
+            return Burst(p2p_seconds(cost, nbytes, crosses, wire), 1, nbytes)
+
         plan = MeshCommPlan(
             tp_units=tp_units,
-            pp_in_seconds=p2p_seconds(cost, in_bytes, crosses, wire),
-            pp_out_seconds=p2p_seconds(cost, out_bytes, crosses, wire),
+            pp_in=send(in_bytes),
+            pp_out=send(out_bytes),
             reduce_per_step=True,
             dp_nic_share=(
                 min(mesh.tp, self.world.ranks_per_node) if mesh.tp > 1 else 1

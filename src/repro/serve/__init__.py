@@ -69,8 +69,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ReplicaType",
             "CapacityPlan",
             "plan_capacity",
-            "ReconRow",
-            "PlanReconciliation",
             "reconcile_plan",
         ),
     },

@@ -26,7 +26,8 @@ tie-break (cost, then fleet size, then counts) is deterministic.
 
 **Reconciliation.** :func:`reconcile_plan` takes the plan and the
 :class:`~repro.serve.traffic.OpenLoopResult` of actually serving the
-forecast traffic on the planned fleet, and checks, row by row:
+forecast traffic on the planned fleet, and settles, row by row, into
+the one :class:`~repro.telemetry.report.Reconciliation`:
 
 - measured SLO attainment ≥ the plan's target (the SLO holds in fact,
   not just in algebra);
@@ -48,13 +49,12 @@ from dataclasses import dataclass
 from repro.hardware.pricing import DEFAULT_FLEET, GcdPrice
 from repro.serve.replica import ServiceTimeModel
 from repro.serve.traffic import OpenLoopResult
+from repro.telemetry.report import Reconciliation, reconcile
 
 __all__ = [
     "ReplicaType",
     "CapacityPlan",
     "plan_capacity",
-    "ReconRow",
-    "PlanReconciliation",
     "reconcile_plan",
 ]
 
@@ -223,65 +223,17 @@ def plan_capacity(
     )
 
 
-@dataclass(frozen=True)
-class ReconRow:
-    """One predicted-vs-measured comparison of the reconciliation."""
-
-    quantity: str
-    predicted: float
-    measured: float
-    ok: bool
-    gate: str  # how `ok` was decided, e.g. ">=", "rel<=0.10"
-
-
-@dataclass(frozen=True)
-class PlanReconciliation:
-    """The full reconciliation verdict (rows + one flag CI gates on)."""
-
-    rows: tuple
-    reconciled: bool
-
-    def to_json(self) -> dict:
-        """JSON-ready form for the bench artifact."""
-        return {
-            "reconciled": self.reconciled,
-            "rows": [
-                {
-                    "quantity": r.quantity,
-                    "predicted": r.predicted,
-                    "measured": r.measured,
-                    "ok": r.ok,
-                    "gate": r.gate,
-                }
-                for r in self.rows
-            ],
-        }
-
-    def render(self) -> str:
-        """Aligned predicted-vs-measured table."""
-        lines = [
-            f"{'quantity':<22} {'predicted':>12} {'measured':>12} {'gate':>12} ok"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.quantity:<22} {r.predicted:>12.4f} {r.measured:>12.4f} "
-                f"{r.gate:>12} {'yes' if r.ok else 'NO'}"
-            )
-        verdict = "reconciled" if self.reconciled else "DRIFTED"
-        lines.append(f"-> {verdict}")
-        return "\n".join(lines)
-
-
 def reconcile_plan(
     plan: CapacityPlan,
     result: OpenLoopResult,
     cost_tolerance: float = 0.10,
-) -> PlanReconciliation:
+) -> Reconciliation:
     """Settle the plan against a measured open-loop run on the planned fleet.
 
     Gates: measured attainment ≥ the plan's target, measured cost/hour
-    within ``cost_tolerance`` (relative) of predicted, and measured
-    offered load within the planned capacity (utilization ≤ 1).
+    within ``cost_tolerance`` (relative, applied as printed in the gate:
+    two decimals) of predicted, and measured offered load within the
+    planned capacity (utilization ≤ 1).
 
     Attainment is scored over *admitted* requests
     (:attr:`OpenLoopResult.admitted_attainment`): the plan is sized for
@@ -290,38 +242,20 @@ def reconcile_plan(
     """
     if cost_tolerance < 0:
         raise ValueError(f"cost_tolerance must be >= 0, got {cost_tolerance}")
-    att_ok = result.admitted_attainment >= plan.attainment_target
-    predicted_cost = plan.predicted_cost_per_hour
-    measured_cost = result.measured_cost_per_hour
-    cost_drift = (
-        abs(measured_cost - predicted_cost) / predicted_cost
-        if predicted_cost > 0
-        else 0.0
-    )
-    cost_ok = cost_drift <= cost_tolerance
     measured_util = (
         result.served_rate_ips / plan.predicted_capacity_ips
         if plan.predicted_capacity_ips > 0
         else 0.0
     )
-    util_ok = measured_util <= 1.0 + 1e-9
-    rows = (
-        ReconRow(
-            "slo_attainment",
-            plan.attainment_target,
-            result.admitted_attainment,
-            att_ok,
-            ">=",
-        ),
-        ReconRow(
-            "cost_per_hour_usd",
-            predicted_cost,
-            measured_cost,
-            cost_ok,
-            f"rel<={cost_tolerance:.2f}",
-        ),
-        ReconRow(
-            "utilization", plan.utilization_target, measured_util, util_ok, "<=1"
-        ),
+    return reconcile(
+        (
+            ("slo_attainment", plan.attainment_target, result.admitted_attainment, ">="),
+            (
+                "cost_per_hour_usd",
+                plan.predicted_cost_per_hour,
+                result.measured_cost_per_hour,
+                f"rel<={cost_tolerance:.2f}",
+            ),
+            ("utilization", plan.utilization_target, measured_util, "<=1"),
+        )
     )
-    return PlanReconciliation(rows=rows, reconciled=all(r.ok for r in rows))

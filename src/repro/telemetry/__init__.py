@@ -1,9 +1,10 @@
 """Telemetry: measured observability for every training step.
 
 The in-process instrumentation bus (:mod:`repro.telemetry.bus`) the hot
-layers publish spans/counters/gauges to, the run-level aggregation
+layers publish spans/counters/gauges to, the run-level aggregation and
+the one predicted-vs-measured reconciliation
 (:mod:`repro.telemetry.report`), and the Perfetto/Chrome-trace exporter
-for measured runs (:mod:`repro.telemetry.chrome`).
+for measured and simulated streams (:mod:`repro.telemetry.chrome`).
 
 Attach a sink to turn it on::
 
@@ -43,6 +44,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "GaugeAgg",
             "gauge_series",
             "comm_share_from_events",
+            "Reconciliation",
+            "reconcile",
         ),
         "chrome": ("to_trace_events", "write_span_trace"),
     },

@@ -1,19 +1,21 @@
-"""Chrome-trace export of *measured* telemetry spans.
+"""Chrome-trace export of telemetry streams, measured and simulated.
 
 Converts a recorded :class:`~repro.telemetry.bus.TelemetryEvent` stream
-into the Trace Event JSON format, reusing the writer that already serves
-the simulated timelines (:mod:`repro.perf.tracing`) — so a measured DDP
-or FSDP run opens in ``chrome://tracing`` / Perfetto exactly like the
-simulated step schedules do.
+into the Trace Event JSON format, so a measured DDP or FSDP run and a
+simulated step (:meth:`repro.perf.schedule.StepSchedule.record`) open
+side by side in ``chrome://tracing`` / Perfetto.
 
-Spans become complete (``"X"``) events on one thread per nesting depth
-(Perfetto renders properly-nested same-thread slices as a flame stack);
-gauges and counters become counter (``"C"``) events so loss, images/s,
-and power traces plot as counter tracks under the slices.
+Spans become complete (``"X"``) events. A measured span runs on the one
+``train`` lane (Perfetto renders properly-nested same-lane slices as a
+flame stack); a span with a ``stream`` attribute, as every simulated one
+has, runs on that stream's own lane, so compute and comm sit on separate
+lanes. Gauges and counters become counter (``"C"``) events, so loss,
+images/s, memory and power plot as counter tracks under the slices.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Iterable
 
 from repro.telemetry.bus import TelemetryEvent
@@ -27,27 +29,19 @@ def to_trace_events(
     events: Iterable[TelemetryEvent], process_name: str = "measured"
 ) -> list[dict]:
     """Convert bus events into Chrome Trace Event dicts."""
-    out: list[dict] = [
-        {"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}},
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": 0,
-            "tid": 0,
-            "args": {"name": "train"},
-        },
-    ]
+    lanes: dict[str, int] = {}
+    body: list[dict] = []
     for e in events:
         if e.kind == "span":
             args = dict(e.attrs)
             if e.step is not None:
                 args["step"] = e.step
-            out.append(
+            body.append(
                 {
                     "name": e.name,
                     "ph": "X",
                     "pid": 0,
-                    "tid": 0,
+                    "tid": lanes.setdefault(e.attrs.get("stream", "train"), len(lanes)),
                     "ts": e.t_s * _US,
                     "dur": e.value * _US,
                     "cat": e.name.split(".", 1)[0],
@@ -55,7 +49,7 @@ def to_trace_events(
                 }
             )
         else:  # counter / gauge -> Perfetto counter track
-            out.append(
+            body.append(
                 {
                     "name": e.name,
                     "ph": "C",
@@ -64,16 +58,17 @@ def to_trace_events(
                     "args": {e.name: e.value},
                 }
             )
-    return out
+    head = [{"name": "process_name", "ph": "M", "pid": 0, "args": {"name": process_name}}]
+    head.extend(
+        {"name": "thread_name", "ph": "M", "pid": 0, "tid": tid, "args": {"name": lane}}
+        for lane, tid in (lanes or {"train": 0}).items()
+    )
+    return head + body
 
 
 def write_span_trace(
     events: Iterable[TelemetryEvent], path: str, process_name: str = "measured"
 ) -> None:
-    """Write a measured-run trace JSON to ``path`` (open with Perfetto)."""
-    # Imported here, not at module level: repro.perf pulls in repro.core,
-    # whose engines import repro.backend, which imports this package —
-    # a top-level import would close that cycle.
-    from repro.perf.tracing import write_trace_json
-
-    write_trace_json(to_trace_events(events, process_name), path)
+    """Write a trace JSON of ``events`` to ``path`` (open with Perfetto)."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump({"traceEvents": to_trace_events(events, process_name)}, f)

@@ -1,4 +1,5 @@
-"""Aggregation of telemetry event streams into run-level summaries.
+"""Aggregation of telemetry event streams into run-level summaries, and
+the one predicted-vs-measured reconciliation.
 
 :class:`RunReport` folds a recorded event stream into exactly the
 quantities the paper reports per run: throughput (images/second), the
@@ -6,11 +7,14 @@ communication share of a step, per-collective byte/retry totals, and
 loss/LR trajectories. The experiment drivers (``experiments/fig1.py``,
 ``fig2.py``) compute their communication-share numbers from bus events
 through :func:`comm_share_from_events` instead of ad-hoc accumulation.
+:func:`reconcile` settles every predicted-vs-measured comparison (the
+MESHPERF and BENCH_serving artifacts, a simulated step against an
+engine's) into one :class:`Reconciliation`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -22,12 +26,19 @@ __all__ = [
     "RunReport",
     "gauge_series",
     "comm_share_from_events",
+    "Check",
+    "Reconciliation",
+    "reconcile",
 ]
 
 
 @dataclass
 class SpanAgg:
-    """Accumulated statistics of one span name."""
+    """Accumulated statistics of one span name.
+
+    A span standing for a burst of collectives (a simulated step's tp
+    gathers) carries ``calls=`` and counts as that many.
+    """
 
     name: str
     count: int = 0
@@ -37,7 +48,7 @@ class SpanAgg:
 
     def add(self, event: TelemetryEvent) -> None:
         """Fold one span event in."""
-        self.count += 1
+        self.count += int(event.attrs.get("calls", 1))
         self.total_s += event.value
         self.max_s = max(self.max_s, event.value)
         self.bytes += float(event.attrs.get("bytes", 0.0))
@@ -255,3 +266,70 @@ def comm_share_from_events(events: Iterable[TelemetryEvent], **attr_filter) -> f
     step = sum(gauge_series(events, "perf.step_time_s", **attr_filter))
     comm = sum(gauge_series(events, "perf.exposed_comm_s", **attr_filter))
     return comm / step if step > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class Check:
+    """One predicted-vs-measured row: ``ok`` when ``measured`` passes
+    ``gate`` against ``predicted``."""
+
+    quantity: str
+    predicted: float
+    measured: float
+    ok: bool
+    gate: str
+
+
+@dataclass(frozen=True)
+class Reconciliation:
+    """Predicted-vs-measured rows and the one flag a gate reads."""
+
+    rows: tuple[Check, ...]
+
+    @property
+    def reconciled(self) -> bool:
+        """Every row passes its gate."""
+        return all(r.ok for r in self.rows)
+
+    def to_json(self) -> dict:
+        """JSON-ready form for a bench artifact."""
+        return {"reconciled": self.reconciled, "rows": [asdict(r) for r in self.rows]}
+
+    def render(self) -> str:
+        """Aligned predicted-vs-measured table with the verdict."""
+        lines = [
+            f"{'quantity':<22} {'predicted':>12} {'measured':>12} {'gate':>12} ok"
+        ]
+        for r in self.rows:
+            lines.append(
+                f"{r.quantity:<22} {r.predicted:>12.4f} {r.measured:>12.4f} "
+                f"{r.gate:>12} {'yes' if r.ok else 'NO'}"
+            )
+        lines.append(f"-> {'reconciled' if self.reconciled else 'DRIFTED'}")
+        return "\n".join(lines)
+
+
+def _passes(gate: str, predicted: float, measured: float) -> bool:
+    if gate == "==":
+        return measured == predicted
+    if gate == ">=":
+        return measured >= predicted
+    if gate.startswith("rel<="):
+        return abs(measured - predicted) <= float(gate[5:]) * abs(predicted)
+    if gate.startswith("<="):
+        # The bound absorbs the rounding of a measured ratio.
+        return measured <= float(gate[2:]) + 1e-9
+    raise ValueError(f"unknown gate {gate!r}")
+
+
+def reconcile(rows: Iterable[tuple[str, float, float, str]]) -> Reconciliation:
+    """Gate each ``(quantity, predicted, measured, gate)`` row.
+
+    Gates: ``"=="`` (exact), ``">="`` (measured at least predicted),
+    ``"rel<=t"`` (measured within ``t`` of predicted, relative to
+    predicted) and ``"<=x"`` (measured at most ``x``). Values keep their
+    types, so an artifact written from the rows is unchanged by them.
+    """
+    return Reconciliation(
+        tuple(Check(q, p, m, _passes(g, p, m), g) for q, p, m, g in rows)
+    )

@@ -21,7 +21,7 @@ from repro.models.mae import MaskedAutoencoder
 from repro.perf.compute_model import workload_units
 from repro.perf.mesh_model import dp_traffic_by_op, dp_unit_numels
 from repro.perf.schedule import build_step_schedule
-from repro.telemetry import RecordingSink, TelemetryBus
+from repro.telemetry import RecordingSink, RunReport, TelemetryBus, reconcile
 
 CFG = get_mae_config("proxy-base")
 
@@ -93,7 +93,8 @@ ROW_IDS = ["DDP", "NO_SHARD", "FULL_SHARD", "SHARD_GRAD_OP", "HYBRID_1", "HYBRID
 
 class TestPredictedTrafficEqualsBooked:
     """What the row says a step moves is what the engine books and what
-    the step schedule prices: three readers of one table."""
+    the simulated step records: three readers of one table, the last two
+    compared as the same kind of record (a ``RunReport``)."""
 
     @pytest.mark.parametrize("k", [1, 2])
     @pytest.mark.parametrize("strategy,shard_size", ROWS, ids=ROW_IDS)
@@ -126,38 +127,48 @@ class TestPredictedTrafficEqualsBooked:
         assert {op: t.calls for op, t in plan.items()} == engine.comm.stats.calls_by_op
         assert {op: t.bytes for op, t in plan.items()} == booked_bytes
 
-        # -- the priced schedule: one rank's view of one round -------------
+        # -- the simulated step: one rank's view of one round -------------
         machine = frontier_machine(1)
         units = workload_units(CFG, 2, machine.gpu)
-        schedule = build_step_schedule(
+        simulated_sink = RecordingSink()
+        build_step_schedule(
             units, strategy, world, machine.cost_model, shard_size=shard_size
-        )
-        tasks = Counter(
-            t.name.split(":")[0].rstrip("0123456789")
-            for t in schedule.timeline.tasks
-            if t.resource == "comm"
-        )
+        ).record(TelemetryBus(simulated_sink, clock=lambda: 0.0))
+        simulated = RunReport.from_events(simulated_sink.events)
+        measured = RunReport.from_events(sink.events)
+
+        def calls(report: RunReport, op: str) -> int:
+            agg = report.spans.get(f"comm.{op}")
+            return agg.count if agg is not None else 0
+
+        # The engine books every group's collectives in every round; the
+        # rank records its own group's, in one round.
         row = STRATEGY_TABLE[strategy]
         s = engine.shard_size or 1
-        calls = engine.comm.stats.calls_by_op
         if len(row.reduce) == 1:
             # One group, and one deferred reduce per step.
-            n_groups, stages = 1, [(calls[row.reduce[0]], world.size)]
+            n_groups = 1
+            stages = [(row.reduce[0], calls(measured, row.reduce[0]), world.size)]
         else:
             n_groups = world.size // s
             stages = [
-                (calls["reduce_scatter"] // (k * n_groups), s),
-                (calls.get("all_reduce", 0) // s, n_groups),
+                ("reduce_scatter", calls(measured, "reduce_scatter") // (k * n_groups), s),
+                ("all_reduce", calls(measured, "all_reduce") // s, n_groups),
             ]
-        assert tasks["AGf"] + tasks["AGb"] == calls.get("all_gather", 0) // (k * n_groups)
-        assert tasks["AGb"] == (len(units) if row.gathers(s, backward=True) else 0)
+        per_rank = Counter(all_gather=calls(measured, "all_gather") // (k * n_groups))
         # A collective over a one-rank group moves nothing; the engine
         # books the call, the schedule does not price it.
-        wire = Counter()
-        for op, (per_group, group_size) in zip(row.reduce, stages):
-            wire[op] += per_group if group_size > 1 else 0
-        assert tasks["RS"] == wire["reduce_scatter"]
-        assert tasks["AR"] + tasks["ARrep"] + tasks["ARbucket"] == wire["all_reduce"]
+        for op, per_group, group_size in stages:
+            per_rank[op] += per_group if group_size > 1 else 0
+        gathers = row.gathers(s) + row.gathers(s, backward=True)
+        recon = reconcile(
+            [("gathers", calls(simulated, "all_gather"), gathers * len(units), "==")]
+            + [
+                (op, calls(simulated, op), per_rank[op], "==")
+                for op in ("all_gather", "reduce_scatter", "all_reduce")
+            ]
+        )
+        assert recon.reconciled, recon.render()
 
 
 class TestOptimizerStateSharding:

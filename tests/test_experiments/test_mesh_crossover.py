@@ -12,10 +12,11 @@ import pytest
 from repro.experiments import mesh_axes
 from repro.experiments.mesh_axes import MicroSlotError
 from repro.experiments.mesh_crossover import (
+    AXES,
     CROSSOVER_MESHES,
     EXACT_AXES,
     PP_TOLERANCE,
-    AxisReconciliation,
+    axis_rows,
     run_mesh_crossover,
     run_mesh_reconciliation,
 )
@@ -33,25 +34,31 @@ def reconciliation():
 
 class TestReconciliation:
     def test_every_configs_row_covered_on_all_axes(self, reconciliation):
-        assert len(reconciliation) == 3 * len(mesh_axes.CONFIGS)
-        labels = {r.label for r in reconciliation}
-        assert labels == {label for label, _, _ in mesh_axes.CONFIGS}
+        assert [label for label, _ in reconciliation] == [
+            label for label, _, _ in mesh_axes.CONFIGS
+        ]
+        for _, recon in reconciliation:
+            assert [r.quantity for r in recon.rows] == [
+                f"{axis}_{what}" for axis in AXES for what in ("bytes", "calls")
+            ]
+        assert len(list(axis_rows(reconciliation))) == 3 * len(mesh_axes.CONFIGS)
 
     def test_tp_and_dp_match_exactly(self, reconciliation):
-        for r in reconciliation:
-            if r.axis in EXACT_AXES:
-                assert r.tolerance == 0.0
-                assert r.predicted_bytes == r.measured_bytes, (r.label, r.axis)
-                assert r.predicted_calls == r.measured_calls, (r.label, r.axis)
+        for label, axis, tol, b, c in axis_rows(reconciliation):
+            if axis in EXACT_AXES:
+                assert tol == 0.0 and b.gate == c.gate == "=="
+                assert b.predicted == b.measured, (label, axis)
+                assert c.predicted == c.measured, (label, axis)
 
     def test_pp_within_documented_tolerance(self, reconciliation):
-        for r in reconciliation:
-            if r.axis == "pp":
-                assert r.tolerance == PP_TOLERANCE
-                assert r.ok, (r.label, r.predicted_bytes, r.measured_bytes)
+        for label, axis, tol, b, c in axis_rows(reconciliation):
+            if axis == "pp":
+                assert tol == PP_TOLERANCE
+                assert b.gate == c.gate == f"rel<={PP_TOLERANCE}"
+                assert b.ok and c.ok, (label, b.predicted, b.measured)
 
     def test_all_rows_reconcile(self, reconciliation):
-        assert all(r.ok for r in reconciliation)
+        assert all(recon.reconciled for _, recon in reconciliation)
 
 
 class TestMicroSlotContract:

@@ -14,6 +14,7 @@ from repro.perf.compute_model import (
     BYTES_PER_PARAM,
     block_forward_flops,
     forward_flops,
+    unit_table,
     workload_units,
 )
 from repro.perf.io_model import IoModel
@@ -42,14 +43,20 @@ class TestComputeModel:
     def test_mae_decoder_is_small_fraction(self):
         """The paper (after He et al.): decoder <10% of per-token FLOPs.
 
-        At 75% masking the decoder runs on 4x the tokens, so compare
-        total decoder FLOPs against the *unmasked* encoder."""
-        cfg = get_mae_config("vit-1b", img_size=224)
-        enc_only = forward_flops(cfg.encoder)
-        total = forward_flops(cfg)
-        enc_masked = total_enc = None
-        del enc_masked, total_enc
-        assert total < enc_only  # masking saving exceeds decoder cost
+        Read from the unit table's block rows: the decoder stack's FLOPs
+        per token (it runs on every patch) against the encoder stack's
+        (visible tokens only), 3.0 % on ViT-1B, 0.9 % on 3B and 0.7 % on
+        5B at 224 px. At 75% masking the decoder runs on 4x the tokens,
+        so the whole MAE still costs less than the *unmasked* encoder."""
+
+        def per_token(row):
+            return row.depth * row.flops / row.seq
+
+        for name in ("vit-1b", "vit-3b", "vit-5b"):
+            cfg = get_mae_config(name, img_size=224)
+            _, enc, dec = unit_table(cfg)
+            assert per_token(dec) < 0.10 * per_token(enc), name
+            assert forward_flops(cfg) < forward_flops(cfg.encoder), name
 
     def test_units_cover_all_parameters(self):
         gpu = GpuSpec()

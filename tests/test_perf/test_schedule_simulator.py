@@ -1,10 +1,13 @@
 """Tests for the schedule builder and end-to-end step simulator."""
 
+import json
+
 import pytest
 
 from repro.core.config import get_mae_config, get_vit_config
 from repro.core.sharding import BackwardPrefetch, ShardingStrategy
 from repro.hardware.frontier import frontier_machine
+from repro.mesh.spec import MeshSpec
 from repro.perf.schedule import (
     ScheduleParams,
     build_step_schedule,
@@ -12,7 +15,13 @@ from repro.perf.schedule import (
     shard_group_placement,
 )
 from repro.perf.simulator import PerfParams, TrainStepSimulator
-from repro.perf.tracing import to_chrome_trace
+from repro.telemetry import (
+    RecordingSink,
+    RunReport,
+    TelemetryBus,
+    to_trace_events,
+    write_span_trace,
+)
 
 
 def _sim(model_name="vit-base", n_nodes=4, strategy=ShardingStrategy.NO_SHARD,
@@ -175,16 +184,54 @@ class TestSimulator:
         assert tr.mean_utilization > 90  # paper: ~100%
 
     def test_chrome_trace_export(self, tmp_path):
+        """A simulated step exports through the measured-run writer: one
+        X event per scheduled task, each on its stream's own lane."""
         sim = _sim()
         sched = sim.build_schedule()
-        events = to_chrome_trace(sched.timeline)
+        sink = RecordingSink()
+        bus = TelemetryBus(sink, clock=lambda: 0.0)
+        sched.record(bus)
+        sim.memory().emit(bus)
+        events = to_trace_events(sink.events, "simulated")
         xs = [e for e in events if e.get("ph") == "X"]
         assert len(xs) == len(sched.timeline.tasks)
-        from repro.perf.tracing import write_chrome_trace
-
+        lanes = {
+            e["args"]["name"]: e["tid"] for e in events if e["name"] == "thread_name"
+        }
+        assert {"compute", "comm"} <= set(lanes)
+        assert lanes["compute"] != lanes["comm"]
+        for x, s in zip(xs, sched.timeline.run()):
+            assert x["tid"] == lanes[s.task.resource]
+            assert x["args"]["task"] == s.task.name
+            assert x["ts"] == s.start * 1e6
+        gauges = {e["name"]: e["args"][e["name"]] for e in events if e["ph"] == "C"}
+        assert sum(gauges.values()) == pytest.approx(sim.memory().total)
+        assert all(name.startswith("mem.") for name in gauges)
         path = tmp_path / "trace.json"
-        write_chrome_trace(sched.timeline, str(path))
-        import json
-
+        write_span_trace(sink.events, str(path), process_name="simulated")
         data = json.loads(path.read_text())
         assert "traceEvents" in data
+
+    @pytest.mark.parametrize(
+        "mesh", [None, MeshSpec(pp=2, tp=2, dp=8, schedule="1f1b")], ids=["dp", "mesh"]
+    )
+    def test_recorded_step_matches_its_tallies(self, mesh):
+        """The replayed stream is the step: its RunReport gives back the
+        schedule's per-step calls, seconds and makespan."""
+        sim = _sim("vit-3b", 4, ShardingStrategy.FULL_SHARD, mesh=mesh, pipeline_micros=4)
+        sched = sim.build_schedule()
+        sink = RecordingSink()
+        sched.record(TelemetryBus(sink, clock=lambda: 0.0))
+        report = RunReport.from_events(sink.events)
+        assert sum(a.count for n, a in report.spans.items() if n.startswith("comm.")) == (
+            sched.step_comm_calls
+        )
+        assert report.comm_seconds == pytest.approx(sched.step_comm_seconds)
+        assert report.compute_seconds + report.span_seconds("optim.") == pytest.approx(
+            sched.step_compute_seconds
+        )
+        for axis, seconds in sched.step_axis_comm_seconds().items():
+            assert report.axis_spans[axis].total_s == pytest.approx(seconds)
+        assert max(e.t_s + e.value for e in sink.events) == pytest.approx(
+            sched.step_time
+        )

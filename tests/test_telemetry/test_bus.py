@@ -7,6 +7,7 @@ overhead).
 
 from __future__ import annotations
 
+import hashlib
 import json
 from time import perf_counter
 
@@ -230,6 +231,29 @@ def test_chrome_trace_export(tmp_path):
     loaded = json.loads(path.read_text())
     assert isinstance(loaded["traceEvents"], list)
     assert len(loaded["traceEvents"]) == len(trace)
+
+
+def test_measured_trace_export_is_pinned(tmp_path):
+    """A measured stream (no ``stream`` attrs) exports byte-for-byte as
+    it did before the writer also served simulated steps: one ``train``
+    lane, the same keys in the same order."""
+    sink = RecordingSink()
+    bus = TelemetryBus(sink, clock=FakeClock(tick=0.25))
+    bus.set_step(0)
+    with bus.span("compute.fwd_bwd"):
+        with bus.span("comm.all_reduce", bytes=128.0, axis="dp"):
+            pass
+    bus.counter("comm.retries", 2.0, op="all_reduce")
+    bus.set_step(1)
+    with bus.span("optim.step"):
+        bus.gauge("step.loss", 1.5)
+    bus.set_step(None)
+    bus.record_span("serve.batch", 0.5, 0.125, size=4)
+    path = tmp_path / "trace.json"
+    write_span_trace(sink.events, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "60ddf6f8b8f410497e29676b1cd38f0b59a177e69b252486a1437396bc849f54"
+    )
 
 
 def test_run_report_render_mentions_core_quantities():

@@ -72,6 +72,24 @@ def test_linter_ignores_dynamic_names_and_non_emits(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_linter_checks_fstring_names_by_their_literal_parts(tmp_path):
+    pkg = _planted_pkg(tmp_path)
+    (pkg / "mod.py").write_text(
+        "def f(bus, op, kind):\n"
+        '    with bus.span(f"comm.{op}", bytes=1.0):\n'
+        "        pass\n"
+        '    bus.counter(f"serve.bogus_{kind}", 1)\n'
+        '    bus.gauge(f"{kind}.queue_depth", 0)\n'  # no literal prefix: ignored
+    )
+    design = tmp_path / "DESIGN.md"
+    design.write_text("Documented: `comm.<op>` spans.\n")
+    proc = _run(pkg)
+    assert proc.returncode == 1
+    assert "serve.bogus_<kind>" in proc.stderr
+    assert "comm." not in proc.stderr
+    assert "queue_depth" not in proc.stderr
+
+
 def test_missing_inputs_are_usage_errors(tmp_path):
     assert _run(tmp_path / "missing").returncode == 2
     pkg = _planted_pkg(tmp_path)

@@ -34,7 +34,9 @@ then sees the trees in its scope. The rules, and why each exists:
     Every string-literal name passed to ``counter`` / ``gauge`` /
     ``span`` / ``record_span`` appears verbatim in DESIGN.md: a metric CI
     gates on but the design never mentions is an undocumented contract.
-    (Dynamically built names cannot be collected and are ignored.)
+    An f-string name with a literal prefix is checked by its literal
+    parts: ``f"comm.{op}"`` needs a ``comm.<...>`` form in DESIGN.md.
+    (Names built any other way cannot be collected and are ignored.)
 ``elastic_state``
     Every top-level string key an engine / trainer ``state_dict``
     returns (:data:`ENGINE_FILES`, :data:`TRAINER_FILES`) is enumerated
@@ -71,6 +73,7 @@ Wired into tier-1 via ``tests/test_tooling/``.
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from collections import Counter
 from functools import cached_property
@@ -360,24 +363,50 @@ def check_facade(ctx: Tree) -> list[str]:
 # -- telemetry_names -----------------------------------------------------------
 
 
+def _literal_name(arg: ast.expr) -> str | None:
+    """A string literal, or an f-string with a literal prefix written
+    with ``<expr>`` for each placeholder (``f"comm.{op}"`` ->
+    ``"comm.<op>"``); ``None`` for any other argument."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    if (
+        isinstance(arg, ast.JoinedStr)
+        and arg.values
+        and isinstance(arg.values[0], ast.Constant)
+    ):
+        return "".join(
+            v.value if isinstance(v, ast.Constant) else f"<{ast.unparse(v.value)}>"
+            for v in arg.values
+        )
+    return None
+
+
 def emitted_names(tree: ast.AST) -> list[tuple[str, int]]:
-    """``(name, lineno)`` of every string-literal telemetry emission."""
+    """``(name, lineno)`` of every literal-named telemetry emission."""
     return [
-        (node.args[0].value, node.args[0].lineno)
+        (name, node.args[0].lineno)
         for node in _calls(tree)
         if node.args
         and isinstance(node.func, ast.Attribute)
         and node.func.attr in EMIT_METHODS
-        and isinstance(node.args[0], ast.Constant)
-        and isinstance(node.args[0].value, str)
+        and (name := _literal_name(node.args[0])) is not None
     ]
+
+
+def _documented(name: str, design: str) -> bool:
+    """Whether DESIGN.md holds ``name``; each ``<expr>`` placeholder
+    matches any ``<...>`` placeholder there."""
+    parts = re.split(r"<[^<>]*>", name)
+    if len(parts) == 1:
+        return name in design
+    return re.search(r"<[^<>\s]+>".join(map(re.escape, parts)), design) is not None
 
 
 def check_telemetry_names(tree: ast.Module, rel: str, ctx: Tree) -> Hits:
     return [
         (lineno, f"telemetry name {name!r} is emitted but not documented in DESIGN.md")
         for name, lineno in emitted_names(tree)
-        if name not in ctx.design
+        if not _documented(name, ctx.design)
     ]
 
 
