@@ -1,39 +1,15 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one of the paper's tables or figures, prints
-the paper-comparable report (run with ``-s`` or capture the output file),
-and asserts the qualitative shapes the paper reports. Long-running
-artifacts (the pretrained proxy suite) are cached under
-``.pretrain_cache/`` and shared across bench processes.
+The pytest-run benches (``bench_serving.py``, ``bench_multicore.py``)
+print their report through :func:`emit` (run with ``-s`` to see it).
+The paper's tables and figures are regenerated, and their shapes
+checked, by ``python -m repro.experiments``.
 """
 
 from __future__ import annotations
-
-import pytest
 
 
 def emit(title: str, body: str) -> None:
     """Print a labelled report block (shows up in bench output)."""
     bar = "=" * 78
     print(f"\n{bar}\n{title}\n{bar}\n{body}\n")
-
-
-@pytest.fixture(scope="session")
-def probe_datasets():
-    from repro.experiments.table3 import build_probe_datasets
-
-    return build_probe_datasets(img_size=32, seed=0)
-
-
-@pytest.fixture(scope="session")
-def pretrained_suite():
-    from repro.experiments.downstream import pretrain_suite
-
-    return pretrain_suite()
-
-
-@pytest.fixture(scope="session")
-def probe_results(pretrained_suite, probe_datasets):
-    from repro.experiments.table3 import PROBE_EPOCHS, probe_suite
-
-    return probe_suite(pretrained_suite, probe_datasets, epochs=PROBE_EPOCHS)

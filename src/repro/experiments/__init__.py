@@ -1,22 +1,13 @@
-"""Experiment drivers: one module per paper table / figure.
+"""Experiment drivers: one module per paper table / figure / extension.
 
-Each module exposes ``run_*`` returning structured results and a
-``render`` producing the paper-comparable text report. The benchmark
-harness under ``benchmarks/`` is a thin wrapper over these.
-
-=========  ==========================================================
-module     reproduces
-=========  ==========================================================
-table1     Table I  — ViT architecture inventory & parameter counts
-fig1       Fig. 1   — MAE ViT-3B weak scaling (io/syn/no-comm/real)
-fig2       Fig. 2   — ViT-5B sharding x prefetch x limit_all_gathers
-fig3       Fig. 3   — weak scaling, models that fit on one GPU
-fig4       Fig. 4   — weak scaling, 5B/15B + memory + power traces
-table2     Table II — dataset inventory (analogues + paper originals)
-fig5       Fig. 5   — MAE pretraining loss vs step, four model sizes
-table3     Table III— linear-probe top-1 across datasets and sizes
-fig6       Fig. 6   — probe top-1/top-5 vs probing epoch
-=========  ==========================================================
+Each module exposes ``run_*`` (callable without arguments; returns the
+structured result), ``render_*`` (the result's paper-comparable text
+report) and ``claims_*`` (the paper's shapes on the result, as
+``(sentence, holds)`` pairs). ``python -m repro.experiments`` is the one
+driver: its ``EXPERIMENTS`` table is the index of every module, row by
+row, and README's "Reproducing the paper" says which artifact each row
+reproduces. ``downstream`` pretrains and caches the proxy suite the
+probing rows share; ``report`` and ``asciiplot`` format the reports.
 """
 
 from repro import lazy_exports
@@ -24,8 +15,3 @@ from repro import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__, {"downstream": ("DownstreamRecipe", "PretrainedModel", "pretrain_suite")}
 )
-
-# Experiment modules (imported by the CLI and benches, never from here):
-#   table1, table2, fig1..fig6 — the paper's artifacts
-#   ablations, fewshot, adaptation, ssl_compare, segmentation_exp — extensions
-#   mesh_axes — per-axis comm breakdown across TP/PP/DP mesh compositions

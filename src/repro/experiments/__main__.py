@@ -1,11 +1,15 @@
 """Command-line experiment runner.
 
-Regenerate any paper artifact directly::
+Regenerate any paper artifact and check the paper's shapes on it::
 
     python -m repro.experiments table1
     python -m repro.experiments fig3
     python -m repro.experiments all        # everything but the slow ones
     python -m repro.experiments fig5       # pretrains (cached) proxy suite
+
+After each report it prints ``paper shapes: k/n hold`` and one
+``FAILED: <sentence>`` line per claim that does not hold; the exit
+status is 1 when any claim failed.
 """
 
 from __future__ import annotations
@@ -15,34 +19,33 @@ import sys
 import time
 
 #: The one experiment table, in listing order: ``name -> (module under
-#: repro.experiments, render chains, in the fast set?)``. A chain is
-#: applied left to right — ``("render_x",)`` is ``render_x()``,
-#: ``("run_x", "render_x")`` is ``render_x(run_x())`` — and a row's
-#: chains print blank-line separated.
-EXPERIMENTS: dict[str, tuple[str, tuple[tuple[str, ...], ...], bool]] = {
-    "table1": ("table1", (("render_table1",),), True),
-    "table2": ("table2", (("render_table2",),), True),
-    "fig1": ("fig1", (("render_fig1",),), True),
-    "fig2": ("fig2", (("render_fig2",),), True),
-    "fig3": ("fig3", (("render_fig3",),), True),
-    "fig4": ("fig4", (("render_fig4",),), True),
-    "ablations": (
-        "ablations",
-        (("render_bucket_sweep",), ("render_shard_group_sweep",), ("render_contention_sweep",)),
-        True,
-    ),
-    "mesh": ("mesh_axes", (("render_mesh_axes",),), True),
-    "mesh-crossover": ("mesh_crossover", (("render_mesh_crossover",),), True),
-    "traffic": ("traffic_exp", (("render_traffic",),), True),
-    "fig5": ("fig5", (("render_fig5",),), False),
-    "table3": ("table3", (("render_table3",),), False),
-    "fig6": ("fig6", (("render_fig6",),), False),
-    "fewshot": ("fewshot", (("run_fewshot", "render_fewshot"),), False),
-    "adaptation": ("adaptation", (("run_adaptation", "render_adaptation"),), False),
-    "ssl": ("ssl_compare", (("run_ssl_compare", "render_ssl_compare"),), False),
-    "segmentation": ("segmentation_exp", (("run_segmentation", "render_segmentation"),), False),
+#: repro.experiments, run, render, claims, in the fast set?)``. ``run()``
+#: returns the result, ``render(result)`` its report and
+#: ``claims(result)`` the paper's shapes as ``(sentence, holds)`` pairs.
+EXPERIMENTS: dict[str, tuple[str, str, str, str, bool]] = {
+    "table1": ("table1", "run_table1", "render_table1", "claims_table1", True),
+    "table2": ("table2", "run_table2", "render_table2", "claims_table2", True),
+    "fig1": ("fig1", "run_fig1", "render_fig1", "claims_fig1", True),
+    "fig2": ("fig2", "run_fig2", "render_fig2", "claims_fig2", True),
+    "fig3": ("fig3", "run_fig3", "render_fig3", "claims_fig3", True),
+    "fig4": ("fig4", "run_fig4", "render_fig4", "claims_fig4", True),
+    "ablations": ("ablations", "run_ablations", "render_ablations", "claims_ablations", True),
+    "mesh": ("mesh_axes", "run_mesh_axes", "render_mesh_axes", "claims_mesh_axes", True),
+    "mesh-crossover": ("mesh_crossover", "run_mesh_crossover", "render_mesh_crossover",
+                       "claims_mesh_crossover", True),
+    "traffic": ("traffic_exp", "run_traffic", "render_traffic", "claims_traffic", True),
+    "fig5": ("fig5", "run_fig5", "render_fig5", "claims_fig5", False),
+    "table3": ("table3", "run_table3", "render_table3", "claims_table3", False),
+    "fig6": ("fig6", "run_fig6", "render_fig6", "claims_fig6", False),
+    "fewshot": ("fewshot", "run_fewshot", "render_fewshot", "claims_fewshot", False),
+    "adaptation": ("adaptation", "run_adaptation", "render_adaptation", "claims_adaptation",
+                   False),
+    "ssl": ("ssl_compare", "run_ssl_compare", "render_ssl_compare", "claims_ssl_compare",
+            False),
+    "segmentation": ("segmentation_exp", "run_segmentation", "render_segmentation",
+                     "claims_segmentation", False),
 }
-_FAST = [name for name, row in EXPERIMENTS.items() if row[2]]
+_FAST = [name for name, row in EXPERIMENTS.items() if row[4]]
 
 
 def _echo(text: str) -> None:
@@ -50,17 +53,12 @@ def _echo(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _render(name: str) -> str:
-    module, chains, _ = EXPERIMENTS[name]
+def _run(name: str) -> tuple[str, list[tuple[str, bool]]]:
+    module, run, render, claims, _ = EXPERIMENTS[name]
     # Imported here so `--help` stays instant.
     mod = importlib.import_module(f"repro.experiments.{module}")
-    parts = []
-    for first, *rest in chains:
-        value = getattr(mod, first)()
-        for fn in rest:
-            value = getattr(mod, fn)(value)
-        parts.append(value)
-    return "\n\n".join(parts)
+    result = getattr(mod, run)()
+    return getattr(mod, render)(result), getattr(mod, claims)(result)
 
 
 def main(argv: list[str]) -> int:
@@ -70,18 +68,25 @@ def main(argv: list[str]) -> int:
         _echo(__doc__)
         _echo(f"experiments: {', '.join(known)}, all (= fast set)")
         return 0
-    targets = _FAST if argv == ["all"] else argv
+    targets = list(dict.fromkeys(t for a in argv for t in (_FAST if a == "all" else [a])))
     unknown = [t for t in targets if t not in known]
     if unknown:
         _echo(f"unknown experiment(s): {unknown}; known: {known}")
         return 2
+    failed = False
     for name in targets:
         t0 = time.perf_counter()
-        body = _render(name)
+        body, claims = _run(name)
         dt = time.perf_counter() - t0
+        misses = [sentence for sentence, holds in claims if not holds]
+        failed = failed or bool(misses)
+        verdict = "\n".join(
+            [f"paper shapes: {len(claims) - len(misses)}/{len(claims)} hold"]
+            + [f"FAILED: {sentence}" for sentence in misses]
+        )
         bar = "=" * 78
-        _echo(f"{bar}\n{name}  ({dt:.1f}s)\n{bar}\n{body}\n")
-    return 0
+        _echo(f"{bar}\n{name}  ({dt:.1f}s)\n{bar}\n{body}\n{verdict}\n")
+    return 1 if failed else 0
 
 
 def cli() -> None:

@@ -19,7 +19,7 @@ from repro.experiments.downstream import PretrainedModel, pretrain_suite
 from repro.experiments.report import render_table
 from repro.experiments.table3 import build_probe_datasets
 
-__all__ = ["AdaptationResult", "run_adaptation", "render_adaptation"]
+__all__ = ["AdaptationResult", "run_adaptation", "render_adaptation", "claims_adaptation"]
 
 DEFAULT_MODELS = ("proxy-base", "proxy-3b")
 DEFAULT_DATASET = "ucm"
@@ -113,3 +113,21 @@ def render_adaptation(result: AdaptationResult) -> str:
         f"{body}\n(the paper's Section II spectrum: scratch < probe <= "
         "fine-tuning, with pretrained initialization carrying the gain)"
     )
+
+
+def claims_adaptation(result: AdaptationResult) -> list[tuple[str, bool]]:
+    """Pretraining pays, fine-tuning keeps up with probing, scale helps."""
+    claims = []
+    for model in result.models:
+        full = result.top1(model, "finetune-full")
+        claims += [
+            (f"{model}: full fine-tuning beats training from scratch",
+             full > result.top1(model, "scratch")),
+            (f"{model}: full fine-tuning is at most 2 points below the linear probe",
+             full >= result.top1(model, "probe") - 0.02),
+        ]
+    return claims + [
+        (f"{protocol}: proxy-3b beats proxy-base",
+         result.top1("proxy-3b", protocol) > result.top1("proxy-base", protocol))
+        for protocol in result.protocols
+    ]

@@ -1,8 +1,8 @@
 """Terminal line charts for figure output.
 
-The benchmark reports render each paper figure both as a data table and
+The experiment reports render each paper figure both as a data table and
 as an ASCII chart so the *shape* (crossovers, flattening, separation) is
-visible directly in the bench log without a plotting stack.
+visible directly in the terminal without a plotting stack.
 """
 
 from __future__ import annotations

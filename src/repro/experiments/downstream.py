@@ -5,7 +5,7 @@ models ("proxy-base/huge/1b/3b" standing in for ViT-Base/Huge/1B/3B; see
 DESIGN.md). This module pretrains them with one shared recipe —
 hyper-parameters identical across sizes, as the paper requires for a
 fair scale comparison — and caches checkpoints + loss histories on disk
-so every bench process reuses them.
+so every experiment run reuses them.
 
 Recipe (the proxy-scale analogue of the paper's Section V-B settings):
 AdamW with cosine schedule and 10% warmup, global batch 64, 75% mask

@@ -21,7 +21,9 @@ from repro.experiments.downstream import (
 from repro.experiments.report import render_series
 from repro.experiments.table3 import build_probe_datasets
 
-__all__ = ["FewShotExperiment", "run_fewshot", "render_fewshot", "DEFAULT_SHOTS"]
+__all__ = [
+    "FewShotExperiment", "run_fewshot", "render_fewshot", "claims_fewshot", "DEFAULT_SHOTS",
+]
 
 DEFAULT_SHOTS = [1, 2, 5, 10]
 DEFAULT_DATASET = "aid"
@@ -75,3 +77,16 @@ def render_fewshot(exp: FewShotExperiment) -> str:
         f"{body}\n(extension of the paper's future-work direction: does "
         "the scale benefit survive label scarcity?)"
     )
+
+
+def claims_fewshot(exp: FewShotExperiment) -> list[tuple[str, bool]]:
+    """More shots help every model, and scale still helps at the most shots."""
+    most, fewest = exp.shots[-1], exp.shots[0]
+    return [
+        (f"{model}: the {most}-shot probe beats the {fewest}-shot probe",
+         result.top1[-1] > result.top1[0])
+        for model, result in exp.results.items()
+    ] + [
+        (f"at {most} shots proxy-3b beats proxy-base",
+         exp.top1("proxy-3b")[-1] > exp.top1("proxy-base")[-1]),
+    ]

@@ -28,7 +28,7 @@ from repro.telemetry import (
     comm_share_from_events,
 )
 
-__all__ = ["Fig1Result", "run_fig1", "render_fig1", "DEFAULT_NODE_GRID"]
+__all__ = ["Fig1Result", "run_fig1", "render_fig1", "claims_fig1", "DEFAULT_NODE_GRID"]
 
 DEFAULT_NODE_GRID = [1, 2, 4, 8, 16, 32, 64]
 
@@ -100,11 +100,10 @@ def run_fig1(node_counts: list[int] | None = None) -> Fig1Result:
     return Fig1Result(mae=mae, series=series, events=list(bus.sink.events))
 
 
-def render_fig1(result: Fig1Result | None = None) -> str:
+def render_fig1(result: Fig1Result) -> str:
     """Render Fig. 1 as a table, chart, and communication-share line."""
     from repro.experiments.asciiplot import line_chart
 
-    result = result if result is not None else run_fig1()
     curves = result.curves()
     body = render_series(
         "nodes",
@@ -132,3 +131,22 @@ def render_fig1(result: Fig1Result | None = None) -> str:
         "(paper: ~22% at 64 nodes)\n"
         f"memory footprint per GCD: {mem}"
     )
+
+
+def claims_fig1(result: Fig1Result) -> list[tuple[str, bool]]:
+    """Fig. 1's shapes (paper Section IV-A)."""
+    curves = result.curves()
+    gaps = [io - syn for io, syn in zip(curves["io"], curves["syn"])]
+    fracs = result.comm_fractions()
+    return [
+        ("io is faster than syn at every node count (never IO-bound)",
+         all(io > syn for io, syn in zip(curves["io"], curves["syn"]))),
+        ("the io - syn gap is wider at the largest node count than at the smallest",
+         gaps[-1] > gaps[0]),
+        ("the communication share is larger at the largest node count than at the smallest",
+         fracs[-1] > fracs[0]),
+        ("the communication share at the largest node count is between 15% and 35% "
+         "(paper: ~22% at 64 nodes)", 0.15 < fracs[-1] < 0.35),
+        ("real never exceeds syn",
+         all(r <= s for r, s in zip(curves["real"], curves["syn"]))),
+    ]

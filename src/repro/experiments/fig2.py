@@ -25,7 +25,7 @@ from repro.perf.simulator import PerfParams, TrainStepSimulator
 from repro.telemetry import RecordingSink, TelemetryBus, comm_share_from_events
 from repro.utils.units import GIB
 
-__all__ = ["Fig2Point", "run_fig2", "render_fig2"]
+__all__ = ["Fig2Point", "run_fig2", "render_fig2", "claims_fig2"]
 
 STRATEGY_LABELS = ["HYBRID_2GPUs", "FULL_SHARD", "SHARD_GRAD_OP"]
 N_NODES = 8
@@ -102,9 +102,8 @@ def best_configuration(points: list[Fig2Point]) -> Fig2Point:
     )
 
 
-def render_fig2(points: list[Fig2Point] | None = None) -> str:
+def render_fig2(points: list[Fig2Point]) -> str:
     """Render Fig. 2 as a text table plus the best configuration."""
-    points = points if points is not None else run_fig2()
     body = render_table(
         headers=[
             "strategy", "prefetch", "limit_all_gathers", "ips", "comm %",
@@ -130,3 +129,16 @@ def render_fig2(points: list[Fig2Point] | None = None) -> str:
         f"limit_all_gathers={best.limit_all_gathers} "
         f"(paper: BACKWARD_PRE + limit_all_gathers)"
     )
+
+
+def claims_fig2(points: list[Fig2Point]) -> list[tuple[str, bool]]:
+    """Fig. 2's shapes (paper Section IV-B)."""
+    best = best_configuration(points)
+    by_key = {(p.strategy, p.prefetch, p.limit_all_gathers): p.ips for p in points}
+    return [
+        ("the best configuration uses BACKWARD_PRE",
+         best.prefetch is BackwardPrefetch.BACKWARD_PRE),
+        ("the best configuration uses limit_all_gathers", best.limit_all_gathers),
+        ("limit_all_gathers never lowers ips (per strategy and prefetch)",
+         all(ips >= by_key[(s, pf, False)] for (s, pf, lim), ips in by_key.items() if lim)),
+    ]

@@ -25,7 +25,7 @@ from repro.experiments.fig1 import DEFAULT_NODE_GRID
 from repro.experiments.report import render_series
 from repro.utils.units import GIB
 
-__all__ = ["Fig3Result", "run_fig3", "render_fig3", "MODELS", "STRATEGIES"]
+__all__ = ["Fig3Result", "run_fig3", "render_fig3", "claims_fig3", "MODELS", "STRATEGIES"]
 
 MODELS = ["vit-base", "vit-huge", "vit-1b", "vit-3b"]
 STRATEGIES = ["DDP", "NO_SHARD", "HYBRID_1GPU", "HYBRID_2GPUs", "FULL_SHARD"]
@@ -60,11 +60,10 @@ def run_fig3(
     return Fig3Result(node_counts=nodes, grids=grids)
 
 
-def render_fig3(result: Fig3Result | None = None) -> str:
+def render_fig3(result: Fig3Result) -> str:
     """Render Fig. 3's throughput and memory panels."""
     from repro.experiments.asciiplot import line_chart
 
-    result = result if result is not None else run_fig3()
     blocks = []
     for model, grid in result.grids.items():
         series = {label: s.ips for label, s in grid.items()}
@@ -101,3 +100,29 @@ def render_fig3(result: Fig3Result | None = None) -> str:
             )
         )
     return "\n\n".join(blocks)
+
+
+def claims_fig3(result: Fig3Result) -> list[tuple[str, bool]]:
+    """Fig. 3's shapes (paper Section IV-C), at the largest node count
+    unless a memory claim says otherwise."""
+    claims = []
+    for model in MODELS:
+        at_scale = {s: result.ips(model, s)[-1] for s in result.grids[model]}
+        fsdp = {k: v for k, v in at_scale.items() if k != "DDP"}
+        claims += [
+            (f"{model}: HYBRID_1GPU has the highest ips",
+             at_scale["HYBRID_1GPU"] == max(at_scale.values())),
+            (f"{model}: FULL_SHARD has the lowest ips of the FSDP strategies",
+             at_scale["FULL_SHARD"] == min(fsdp.values())),
+            (f"{model}: DDP is slower than HYBRID_1GPU",
+             at_scale["DDP"] < at_scale["HYBRID_1GPU"]),
+        ]
+    gap = {m: result.ips(m, "HYBRID_1GPU")[-1] / result.ips(m, "DDP")[-1] for m in MODELS}
+    return claims + [
+        ("the HYBRID_1GPU / DDP ips ratio is larger for vit-3b than for vit-base",
+         gap["vit-3b"] > gap["vit-base"]),
+        ("vit-3b NO_SHARD needs more than 55 GiB per GPU at the smallest node count",
+         result.memory_gib("vit-3b", "NO_SHARD")[0] > 55),
+        ("vit-3b FULL_SHARD needs less than 10 GiB per GPU",
+         result.memory_gib("vit-3b", "FULL_SHARD")[-1] < 10),
+    ]

@@ -35,7 +35,9 @@ from repro.hardware.power import PowerTrace
 from repro.perf.simulator import TrainStepSimulator
 from repro.utils.units import GIB
 
-__all__ = ["Fig4Result", "run_fig4", "render_fig4", "STRATEGIES_5B", "STRATEGIES_15B"]
+__all__ = [
+    "Fig4Result", "run_fig4", "render_fig4", "claims_fig4", "STRATEGIES_5B", "STRATEGIES_15B",
+]
 
 STRATEGIES_5B = [
     "HYBRID_2GPUs", "HYBRID_4GPUs", "HYBRID_8GPUs", "HYBRID_16GPUs",
@@ -104,9 +106,8 @@ def run_fig4(
     )
 
 
-def render_fig4(result: Fig4Result | None = None) -> str:
+def render_fig4(result: Fig4Result) -> str:
     """Render Fig. 4's panels and the rocm-smi trace summary."""
-    result = result if result is not None else run_fig4()
     blocks = []
     for name, grid, nodes in (
         ("vit-5b", result.grid_5b, result.nodes_5b),
@@ -151,3 +152,26 @@ def render_fig4(result: Fig4Result | None = None) -> str:
         f"(x{result.sgo_over_full:.3f}; paper: 1509 vs 1307 = x1.155)"
     )
     return "\n\n".join(blocks)
+
+
+def claims_fig4(result: Fig4Result) -> list[tuple[str, bool]]:
+    """Fig. 4's shapes (paper Section IV-D), at the largest node count
+    unless a claim says otherwise."""
+    at_scale_15b = {s: g.ips[-1] for s, g in result.grid_15b.items()}
+    traces = result.power_traces
+    return [
+        ("vit-15b: SHARD_GRAD_OP has the highest ips",
+         at_scale_15b["SHARD_GRAD_OP"] == max(at_scale_15b.values())),
+        (f"vit-5b: SHARD_GRAD_OP / FULL_SHARD ips at {POWER_TRACE_NODES} nodes is "
+         "between 1.02 and 1.3 (paper: 1509 / 1307 = 1.155)",
+         1.02 < result.sgo_over_full < 1.3),
+        ("vit-5b: HYBRID_8GPUs is faster than HYBRID_2GPUs",
+         result.grid_5b["HYBRID_8GPUs"].ips[-1] > result.grid_5b["HYBRID_2GPUs"].ips[-1]),
+        ("vit-15b: SHARD_GRAD_OP needs more memory than FULL_SHARD",
+         result.grid_15b["SHARD_GRAD_OP"].points[-1].memory.total
+         > result.grid_15b["FULL_SHARD"].points[-1].memory.total),
+        ("every rocm-smi trace shows mean utilization above 90%",
+         all(t.mean_utilization > 90 for t in traces.values())),
+        ("SHARD_GRAD_OP draws more mean power than FULL_SHARD",
+         traces["SHARD_GRAD_OP"].mean_power > traces["FULL_SHARD"].mean_power),
+    ]

@@ -19,7 +19,7 @@ from repro.experiments.downstream import DEFAULT_CACHE_DIR, DownstreamRecipe, pr
 from repro.experiments.report import render_series
 from repro.experiments.table3 import PROBE_EPOCHS, build_probe_datasets, probe_suite
 
-__all__ = ["Fig6Result", "run_fig6", "render_fig6"]
+__all__ = ["Fig6Result", "run_fig6", "render_fig6", "claims_fig6"]
 
 
 @dataclass
@@ -35,13 +35,14 @@ class Fig6Result:
         return r.top1 if k == 1 else r.top5
 
     def epoch_of_separation(self, dataset: str) -> int | None:
-        """First epoch at which the largest model's top-1 leads the
-        smallest's and keeps leading to the end (None if never)."""
+        """First probe epoch (1-based, as the rendered tables count) from
+        which the largest model's top-1 leads the smallest's to the end
+        (None if never)."""
         small = self.curve(self.model_order[0], dataset)
         large = self.curve(self.model_order[-1], dataset)
         for e in range(len(small)):
             if all(lg > sm for lg, sm in zip(large[e:], small[e:])):
-                return e
+                return e + 1
         return None
 
 
@@ -63,9 +64,8 @@ def run_fig6(
     )
 
 
-def render_fig6(result: Fig6Result | None = None) -> str:
+def render_fig6(result: Fig6Result) -> str:
     """Render Fig. 6's per-dataset accuracy-vs-epoch tables."""
-    result = result if result is not None else run_fig6()
     blocks = []
     epochs = list(range(1, result.epochs + 1))
     for ds in result.datasets:
@@ -87,3 +87,21 @@ def render_fig6(result: Fig6Result | None = None) -> str:
             f"[{ds}] smallest-vs-largest separation persists from epoch: {sep}"
         )
     return "\n\n".join(blocks)
+
+
+def claims_fig6(result: Fig6Result) -> list[tuple[str, bool]]:
+    """Fig. 6's shapes per dataset, smallest vs largest model."""
+    smallest, largest = result.model_order[0], result.model_order[-1]
+    claims = []
+    for ds in result.datasets:
+        small, large = result.curve(smallest, ds), result.curve(largest, ds)
+        top5 = result.curve(largest, ds, k=5)
+        claims += [
+            (f"[{ds}] the largest model ends ahead of the smallest in top-1",
+             large[-1] > small[-1]),
+            (f"[{ds}] from some probe epoch on, the largest model's top-1 leads the "
+             "smallest's to the end", result.epoch_of_separation(ds) is not None),
+            (f"[{ds}] the largest model's top-5 is never below its top-1",
+             all(b >= a for a, b in zip(large, top5))),
+        ]
+    return claims

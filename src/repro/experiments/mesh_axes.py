@@ -10,7 +10,7 @@ crossover: which axis dominates communication at which composition.
 
 Because every mesh is fp32 bit-identical to the single-rank oracle (the
 differential suites), the loss column doubles as a correctness readout:
-all rows must print the same number.
+all rows must print the same number (:func:`claims_mesh_axes`).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ __all__ = [
     "MICRO_SLOTS",
     "run_mesh_axes",
     "render_mesh_axes",
+    "claims_mesh_axes",
 ]
 
 #: Proxy model for the axis sweep: 4 heads so tp in {2, 4} divides, 7
@@ -80,7 +81,8 @@ class MeshAxisPoint:
     """Per-axis communication totals for one mesh configuration.
 
     ``*_bytes``/``*_calls`` are the exact measured telemetry totals the
-    reconciliation harness compares against.
+    reconciliation harness compares against, over ``steps`` training
+    steps; ``loss`` is the last step's.
     """
 
     label: str
@@ -93,6 +95,7 @@ class MeshAxisPoint:
     pp_calls: int
     dp_calls: int
     loss: float
+    steps: int
 
 
 def _micros(n: int, seed: int) -> list:
@@ -152,14 +155,14 @@ def run_mesh_axes(steps: int = STEPS) -> list[MeshAxisPoint]:
                 pp_calls=report.axis_calls("pp"),
                 dp_calls=report.axis_calls("dp"),
                 loss=loss,
+                steps=steps,
             )
         )
     return points
 
 
-def render_mesh_axes(steps: int = STEPS) -> str:
+def render_mesh_axes(points: list[MeshAxisPoint]) -> str:
     """ASCII table of per-axis wire traffic across mesh compositions."""
-    points = run_mesh_axes(steps)
     rows = [
         [
             p.label,
@@ -175,17 +178,21 @@ def render_mesh_axes(steps: int = STEPS) -> str:
         ]
         for p in points
     ]
-    table = render_table(
+    return render_table(
         ["mesh", "pp x dp x tp", "dp strat", "tp MiB", "pp MiB", "dp MiB",
          "tp#", "pp#", "dp#", "loss (bit-identical)"],
         rows,
-        title=f"Per-axis communication, proxy MAE, {steps} steps, 4 micro slots",
+        title=(
+            f"Per-axis communication, proxy MAE, {points[0].steps} steps, "
+            f"{MICRO_SLOTS} micro slots"
+        ),
         precision=3,
     )
-    losses = {f"{p.loss:.17g}" for p in points}
-    footer = (
-        "all meshes reproduce the oracle trajectory bit-for-bit"
-        if len(losses) == 1
-        else f"WARNING: losses diverged across meshes: {sorted(losses)}"
-    )
-    return table + "\n" + footer
+
+
+def claims_mesh_axes(points: list[MeshAxisPoint]) -> list[tuple[str, bool]]:
+    """Every mesh reproduces the oracle trajectory."""
+    return [
+        ("every mesh's final loss is bit-identical (the oracle trajectory)",
+         len({f"{p.loss:.17g}" for p in points}) == 1),
+    ]

@@ -47,8 +47,10 @@ __all__ = [
     "EXACT_AXES",
     "run_mesh_reconciliation",
     "axis_rows",
+    "predict_crossover",
     "run_mesh_crossover",
     "render_mesh_crossover",
+    "claims_mesh_crossover",
     "CROSSOVER_NODE_GRID",
     "CROSSOVER_MESHES",
 ]
@@ -136,7 +138,7 @@ class CrossoverPoint:
     memory_gib: float
 
 
-def run_mesh_crossover(
+def predict_crossover(
     node_grid: list[int] | None = None,
 ) -> list[CrossoverPoint]:
     """Sweep the predicted mesh compositions across Frontier-scale worlds."""
@@ -260,11 +262,25 @@ def _render_crossover(points: list[CrossoverPoint]) -> str:
     return body + "\n\n" + chart
 
 
-def render_mesh_crossover(steps: int = STEPS) -> str:
+MeshCrossover = tuple[list[tuple[str, Reconciliation]], list[CrossoverPoint]]
+
+
+def run_mesh_crossover() -> MeshCrossover:
+    """Both halves: the proxy-scale reconciliation, then the predicted sweep."""
+    return run_mesh_reconciliation(), predict_crossover()
+
+
+def render_mesh_crossover(result: MeshCrossover) -> str:
     """Reconciliation table + Frontier-scale predicted crossover curves."""
-    recon = run_mesh_reconciliation(steps)
-    return (
-        _render_reconciliation(recon)
-        + "\n\n"
-        + _render_crossover(run_mesh_crossover())
-    )
+    recon, points = result
+    return _render_reconciliation(recon) + "\n\n" + _render_crossover(points)
+
+
+def claims_mesh_crossover(result: MeshCrossover) -> list[tuple[str, bool]]:
+    """Every mesh's predicted traffic reconciles with the executed bytes."""
+    recon, _ = result
+    return [
+        (f"{label}: predicted per-axis bytes and calls reconcile with the measured "
+         f"(tp / dp exact, pp within {PP_TOLERANCE:.0%})", r.reconciled)
+        for label, r in recon
+    ]

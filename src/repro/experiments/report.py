@@ -1,7 +1,7 @@
 """Plain-text rendering of experiment results.
 
 Every experiment module renders its results as the rows/series the
-paper's corresponding table or figure reports, so benchmark output can be
+paper's corresponding table or figure reports, so experiment output can be
 compared against the paper side by side.
 """
 

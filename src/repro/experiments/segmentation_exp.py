@@ -14,7 +14,7 @@ from repro.eval.segmentation import SegProbeResult, segmentation_probe
 from repro.experiments.downstream import PretrainedModel, pretrain_suite
 from repro.experiments.report import render_table
 
-__all__ = ["SegExperiment", "run_segmentation", "render_segmentation"]
+__all__ = ["SegExperiment", "run_segmentation", "render_segmentation", "claims_segmentation"]
 
 
 @dataclass
@@ -76,3 +76,14 @@ def render_segmentation(exp: SegExperiment) -> str:
     return (
         f"{body}\n(paper future work: dense prediction across model scales)"
     )
+
+
+def claims_segmentation(exp: SegExperiment) -> list[tuple[str, bool]]:
+    """The scale-quality trend carries to dense prediction."""
+    mious = [exp.miou(m) for m in exp.model_order]
+    return [
+        ("mIoU never falls with model size (1e-9 slack)",
+         all(a <= b + 1e-9 for a, b in zip(mious, mious[1:]))),
+        ("the largest model's mIoU beats the smallest's by more than 1 point",
+         mious[-1] > mious[0] + 0.01),
+    ]

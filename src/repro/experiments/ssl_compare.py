@@ -28,7 +28,7 @@ from repro.experiments.table3 import build_probe_datasets
 from repro.models.mae import MaskedAutoencoder
 from repro.models.simclr import SimCLRModel
 
-__all__ = ["SslCompareResult", "run_ssl_compare", "render_ssl_compare"]
+__all__ = ["SslCompareResult", "run_ssl_compare", "render_ssl_compare", "claims_ssl_compare"]
 
 MODEL = "proxy-base"
 DATASETS = ("millionaid", "ucm")
@@ -93,3 +93,13 @@ def render_ssl_compare(result: SslCompareResult) -> str:
         "objectives beat random features; the ordering between them is "
         "the interesting part)"
     )
+
+
+def claims_ssl_compare(result: SslCompareResult) -> list[tuple[str, bool]]:
+    """Either SSL objective beats random features on every dataset."""
+    return [
+        (f"[{ds}] {method} features beat random-init features",
+         result.get(method, ds) > result.get("random-init", ds))
+        for ds in result.datasets
+        for method in ("mae", "simclr")
+    ]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.core.config import VIT_VARIANTS, ViTConfig, count_vit_params
 from repro.experiments.report import render_table
 
-__all__ = ["Table1Row", "run_table1", "render_table1"]
+__all__ = ["Table1Row", "run_table1", "render_table1", "claims_table1"]
 
 
 @dataclass(frozen=True)
@@ -42,9 +42,8 @@ def run_table1() -> list[Table1Row]:
     ]
 
 
-def render_table1(rows: list[Table1Row] | None = None) -> str:
+def render_table1(rows: list[Table1Row]) -> str:
     """Render Table I with the paper-vs-computed comparison."""
-    rows = rows if rows is not None else run_table1()
     table = render_table(
         headers=[
             "Model", "Width", "Depth", "MLP", "Heads",
@@ -66,3 +65,15 @@ def render_table1(rows: list[Table1Row] | None = None) -> str:
         "(see DESIGN.md); all other variants match within ~2%."
     )
     return f"{table}\n{note}"
+
+
+def claims_table1(rows: list[Table1Row]) -> list[tuple[str, bool]]:
+    """Table I's shapes: counts match the paper everywhere but the 5B."""
+    by_name = {r.cfg.name: r for r in rows}
+    return [
+        (f"{name}: computed parameters within 2% of the paper's", abs(r.relative_error) < 0.02)
+        for name, r in by_name.items() if name != "vit-5b"
+    ] + [
+        ("vit-15b: more than 14,000 M computed parameters",
+         by_name["vit-15b"].computed_params_m > 14_000),
+    ]

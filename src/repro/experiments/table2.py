@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from repro.data.datasets import DATASET_SPECS, SplitDataset, build_dataset
 from repro.experiments.report import render_table
 
-__all__ = ["Table2Row", "run_table2", "render_table2"]
+__all__ = ["Table2Row", "run_table2", "render_table2", "claims_table2"]
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,8 @@ def run_table2(img_size: int = 32, seed: int = 0) -> list[Table2Row]:
     return rows
 
 
-def render_table2(rows: list[Table2Row] | None = None) -> str:
+def render_table2(rows: list[Table2Row]) -> str:
     """Render Table II (analogue vs paper splits)."""
-    rows = rows if rows is not None else run_table2()
     return render_table(
         headers=[
             "dataset", "cls", "train", "test", "TR%",
@@ -68,3 +67,13 @@ def render_table2(rows: list[Table2Row] | None = None) -> str:
         title="Table II: probe datasets (scaled analogues; TR preserved)",
         precision=1,
     )
+
+
+def claims_table2(rows: list[Table2Row]) -> list[tuple[str, bool]]:
+    """Table II's shapes: the paper's training ratios are kept."""
+    names = {"millionaid", "ucm", "aid", "nwpu"}
+    return [
+        (f"{r.name}: training ratio within 0.005 of the paper's",
+         abs(r.train_ratio - r.paper_train_ratio) <= 0.005)
+        for r in rows
+    ] + [("the datasets are millionaid, ucm, aid and nwpu", {r.name for r in rows} == names)]

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.data.datasets import DATASET_SPECS, SplitDataset, build_dataset
 from repro.data.transforms import normalize_images
 from repro.eval.linear_probe import LinearProbeResult, linear_probe
@@ -31,6 +33,7 @@ __all__ = [
     "Table3Result",
     "run_table3",
     "render_table3",
+    "claims_table3",
     "build_probe_datasets",
     "probe_suite",
     "PROBE_EPOCHS",
@@ -118,9 +121,8 @@ def run_table3(
     )
 
 
-def render_table3(result: Table3Result | None = None) -> str:
+def render_table3(result: Table3Result) -> str:
     """Render Table III plus the base-to-largest gains."""
-    result = result if result is not None else run_table3()
     rows = []
     long_row = ["proxy-base (4x pretrain)"]
     for ds in result.datasets:
@@ -145,3 +147,24 @@ def render_table3(result: Table3Result | None = None) -> str:
         f"{body}\nbase -> largest gain (points): {gains}\n"
         "(paper: >30-point gains from ViT-Base to ViT-3B on all datasets)"
     )
+
+
+def claims_table3(result: Table3Result) -> list[tuple[str, bool]]:
+    """Table III's shapes: top-1 grows with scale and with longer
+    pretraining (means are over datasets)."""
+    smallest, largest = result.model_order[0], result.model_order[-1]
+    datasets = result.datasets
+    means = [np.mean([result.top1(m, ds) for ds in datasets]) for m in result.model_order]
+    long_mean = np.mean([result.long_base[("proxy-base", ds)].final_top1 for ds in datasets])
+    return [
+        (f"[{ds}] the largest model's top-1 beats the smallest's",
+         result.top1(largest, ds) > result.top1(smallest, ds))
+        for ds in datasets
+    ] + [
+        ("mean top-1 rises strictly with model size",
+         all(a < b for a, b in zip(means, means[1:]))),
+        ("the smallest-to-largest mean top-1 gain exceeds 8 points",
+         means[-1] - means[0] > 0.08),
+        (f"proxy-base pretrained {LONG_PRETRAIN_FACTOR}x longer beats proxy-base on "
+         "mean top-1", long_mean > means[0]),
+    ]

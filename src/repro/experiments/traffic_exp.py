@@ -51,7 +51,9 @@ __all__ = [
     "run_traffic_plan",
     "run_traffic_autoscale",
     "run_user_extrapolation",
+    "run_traffic",
     "render_traffic",
+    "claims_traffic",
 ]
 
 HORIZON_S = 8.0
@@ -292,14 +294,31 @@ def _render_extrapolation(rows) -> str:
     )
 
 
-def render_traffic() -> str:
+Traffic = tuple[tuple[CapacityPlan, OpenLoopResult, Reconciliation],
+                tuple[OpenLoopResult, Autoscaler], list[tuple[int, float, CapacityPlan]]]
+
+
+def run_traffic() -> Traffic:
+    """All three parts: the planned run, the autoscaled run, the user sweep."""
+    return run_traffic_plan(), run_traffic_autoscale(), run_user_extrapolation()
+
+
+def render_traffic(result: Traffic) -> str:
     """Planned-vs-measured serving report plus the million-user sweep."""
-    plan, result, recon = run_traffic_plan()
-    auto_result, autoscaler = run_traffic_autoscale()
+    planned, autoscaled, extrapolation = result
     return (
-        _render_plan(plan, result, recon)
+        _render_plan(*planned)
         + "\n\n"
-        + _render_autoscale(auto_result, autoscaler)
+        + _render_autoscale(*autoscaled)
         + "\n\n"
-        + _render_extrapolation(run_user_extrapolation())
+        + _render_extrapolation(extrapolation)
     )
+
+
+def claims_traffic(result: Traffic) -> list[tuple[str, bool]]:
+    """The planned fleet's predictions hold when it serves the traffic."""
+    (_, _, recon), _, _ = result
+    return [
+        ("the capacity plan reconciles with serving the forecast traffic "
+         "(every reconcile_plan row passes its gate)", recon.reconciled),
+    ]

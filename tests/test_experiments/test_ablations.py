@@ -22,7 +22,7 @@ class TestBucketSweep:
         assert points[400] > points[25]
 
     def test_render(self):
-        out = render_bucket_sweep(caps_mb=(25, 100), n_nodes=4)
+        out = render_bucket_sweep(ddp_bucket_sweep(caps_mb=(25, 100), n_nodes=4))
         assert "bucket" in out and "25" in out
 
 
@@ -42,7 +42,7 @@ class TestShardGroupSweep:
 
     def test_render(self):
         assert "shard group" in render_shard_group_sweep(
-            shard_sizes=(1, 2), n_nodes=2
+            shard_group_sweep(shard_sizes=(1, 2), n_nodes=2)
         )
 
 

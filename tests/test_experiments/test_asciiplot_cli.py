@@ -1,9 +1,12 @@
 """Tests for the ASCII chart renderer and the experiment CLI."""
 
+import importlib
+
 import pytest
 
+from repro.experiments import __main__ as cli
 from repro.experiments.asciiplot import line_chart
-from repro.experiments.__main__ import main as cli_main
+from repro.experiments.__main__ import EXPERIMENTS, main as cli_main
 
 
 class TestLineChart:
@@ -66,3 +69,33 @@ class TestCli:
     def test_runs_fig2(self, capsys):
         assert cli_main(["fig2"]) == 0
         assert "BACKWARD_PRE" in capsys.readouterr().out
+
+    def test_all_expands_among_names_without_duplicates(self, monkeypatch, capsys):
+        ran = []
+        monkeypatch.setattr(cli, "_run", lambda name: ran.append(name) or ("", []))
+        fast = [name for name, row in EXPERIMENTS.items() if row[4]]
+        assert "fig2" in fast and "fig5" not in fast
+        assert cli_main(["fig2", "all", "fig5", "all", "fig5"]) == 0
+        assert ran == ["fig2"] + [n for n in fast if n != "fig2"] + ["fig5"]
+
+    def test_a_failing_claim_exits_1_and_is_listed(self, monkeypatch, capsys):
+        table1 = importlib.import_module("repro.experiments.table1")
+        monkeypatch.setattr(
+            table1, "claims_table1",
+            lambda rows: [("a planted shape", False), ("a kept shape", True)],
+        )
+        assert cli_main(["table1", "fig2"]) == 1
+        out = capsys.readouterr().out
+        assert "paper shapes: 1/2 hold\nFAILED: a planted shape\n" in out
+        assert "a kept shape" not in out
+        assert "BACKWARD_PRE" in out  # the rows after a failure still run
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_row_names_resolve_in_its_module(self, name):
+        module, run, render, claims, fast = EXPERIMENTS[name]
+        mod = importlib.import_module(f"repro.experiments.{module}")
+        for fn in (run, render, claims):
+            assert callable(getattr(mod, fn)), (name, fn)
+        assert isinstance(fast, bool)

@@ -1,19 +1,21 @@
 """Tests for the downstream pipeline and the Fig5/Table3/Fig6 drivers.
 
 Uses a deliberately tiny recipe (few steps, one or two models) so these
-run in seconds; the full-scale runs live in the benchmarks.
+run in seconds; the full-scale runs are the slow rows of
+``python -m repro.experiments``.
 """
 
 import numpy as np
 import pytest
 
+from repro.eval.linear_probe import LinearProbeResult
 from repro.experiments.downstream import (
     DownstreamRecipe,
     pretrain_suite,
 )
 from repro.experiments.fewshot import render_fewshot, run_fewshot
 from repro.experiments.fig5 import Fig5Result, render_fig5, run_fig5
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.fig6 import Fig6Result, render_fig6, run_fig6
 from repro.experiments.table3 import run_table3
 
 TINY = DownstreamRecipe(
@@ -89,6 +91,22 @@ class TestTable3AndFig6Drivers:
         assert len(curve) == 2
         t5 = f6.curve("proxy-base", "ucm", k=5)
         assert all(b >= a for a, b in zip(curve, t5))
+
+
+class TestFig6Separation:
+    def test_separation_epoch_counts_like_the_table(self):
+        # Table epochs 1..4: the largest model leads at 1, trails at 2 and
+        # leads from 3 to the end, so the lead persists from epoch 3.
+        small = LinearProbeResult("ucm", "s", top1=[0.2, 0.4, 0.4, 0.5], top5=[0.5] * 4)
+        large = LinearProbeResult("ucm", "l", top1=[0.3, 0.3, 0.5, 0.6], top5=[0.7] * 4)
+        result = Fig6Result(
+            probes={("small", "ucm"): small, ("large", "ucm"): large},
+            model_order=["small", "large"],
+            datasets=["ucm"],
+            epochs=4,
+        )
+        assert result.epoch_of_separation("ucm") == 3
+        assert "separation persists from epoch: 3" in render_fig6(result)
 
 
 class TestFewShotDriver:

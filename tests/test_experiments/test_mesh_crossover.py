@@ -17,7 +17,7 @@ from repro.experiments.mesh_crossover import (
     EXACT_AXES,
     PP_TOLERANCE,
     axis_rows,
-    run_mesh_crossover,
+    predict_crossover,
     run_mesh_reconciliation,
 )
 from repro.mesh.spec import MeshSpec
@@ -77,7 +77,7 @@ class TestMicroSlotContract:
 
 class TestCrossoverSweep:
     def test_sweep_covers_every_mesh_at_every_node_count(self):
-        points = run_mesh_crossover(node_grid=[4])
+        points = predict_crossover(node_grid=[4])
         assert len(points) == len(CROSSOVER_MESHES)
         for p in points:
             assert p.world == 32
@@ -87,7 +87,7 @@ class TestCrossoverSweep:
             assert p.memory_gib > 0
 
     def test_pp_compositions_report_bubble_and_axis_seconds(self):
-        points = run_mesh_crossover(node_grid=[4])
+        points = predict_crossover(node_grid=[4])
         by_mesh = {p.mesh: p for p in points}
         assert by_mesh["dp"].bubble_fraction == 0.0
         assert by_mesh["pp8 x dp"].bubble_fraction > 0.0

@@ -5,15 +5,23 @@ These are the repository's headline assertions: each test encodes one
 sentence of the paper's evaluation section.
 """
 
+import copy
+import dataclasses
+import importlib
+
 import pytest
 
 from repro.core.sharding import BackwardPrefetch
+from repro.experiments import ablations as ablations_exp
+from repro.experiments import mesh_axes, mesh_crossover as crossover_exp, traffic_exp
+from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.fig1 import render_fig1, run_fig1
 from repro.experiments.fig2 import best_configuration, render_fig2, run_fig2
 from repro.experiments.fig3 import render_fig3, run_fig3
 from repro.experiments.fig4 import render_fig4, run_fig4
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table2 import render_table2, run_table2
+from repro.telemetry.report import reconcile
 
 NODES = [1, 4, 16, 64]
 
@@ -46,7 +54,7 @@ class TestTable1:
             assert abs(row.relative_error) < 0.02, row.cfg.name
 
     def test_render_mentions_inconsistency(self):
-        assert "inconsistent" in render_table1()
+        assert "inconsistent" in render_table1(run_table1())
 
 
 class TestTable2:
@@ -219,3 +227,130 @@ class TestFig4:
     def test_render(self, fig4):
         out = render_fig4(fig4)
         assert "SHARD_GRAD_OP vs FULL_SHARD" in out and "rocm-smi" in out
+
+
+# -- the experiment table's claims ---------------------------------------------
+# Each fast row's ``claims`` must hold on the results above (the assertions
+# of the classes above are the independent pin that no claim was weakened)
+# and must notice a planted violation.
+
+
+@pytest.fixture(scope="module")
+def table1():
+    return run_table1()
+
+
+@pytest.fixture(scope="module")
+def table2():
+    return run_table2(img_size=16)
+
+
+@pytest.fixture(scope="module")
+def ablations():
+    return ablations_exp.run_ablations()
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    return mesh_axes.run_mesh_axes()
+
+
+@pytest.fixture(scope="module")
+def mesh_crossover():
+    return crossover_exp.run_mesh_crossover()
+
+
+@pytest.fixture(scope="module")
+def traffic():
+    return traffic_exp.run_traffic()
+
+
+def _claims(name, result):
+    module, _, _, claims, _ = EXPERIMENTS[name]
+    return getattr(importlib.import_module(f"repro.experiments.{module}"), claims)(result)
+
+
+def _flips(name, real, planted):
+    """Sentences that hold on ``real`` and fail on ``planted``."""
+    after = dict(_claims(name, planted))
+    return [s for s, holds in _claims(name, real) if holds and not after[s]]
+
+
+_DRIFTED = reconcile([("planted", 1.0, 2.0, "==")])
+
+
+class TestPaperShapes:
+    @pytest.mark.parametrize("name", [n for n, row in EXPERIMENTS.items() if row[4]])
+    def test_every_fast_claim_holds(self, name, request):
+        claims = _claims(name, request.getfixturevalue(name.replace("-", "_")))
+        assert claims
+        assert [s for s, holds in claims if not holds] == []
+
+    def test_table1_flips(self, table1):
+        planted = [
+            dataclasses.replace(r, computed_params_m=1_000.0)
+            if r.cfg.name == "vit-15b" else r
+            for r in table1
+        ]
+        assert _flips("table1", table1, planted) == [
+            "vit-15b: computed parameters within 2% of the paper's",
+            "vit-15b: more than 14,000 M computed parameters",
+        ]
+
+    def test_table2_flips(self, table2):
+        planted = [dataclasses.replace(table2[0], train_ratio=0.9)] + table2[1:]
+        assert _flips("table2", table2, planted) == [
+            f"{table2[0].name}: training ratio within 0.005 of the paper's"
+        ]
+
+    def test_fig1_flips(self, fig1):
+        c = fig1.curves()
+        planted = copy.copy(fig1)
+        planted.curves = lambda: {**c, "real": [1.01 * s for s in c["syn"]]}
+        assert _flips("fig1", fig1, planted) == ["real never exceeds syn"]
+
+    def test_fig2_flips_where_backward_pre_loses(self, fig2):
+        planted = [
+            dataclasses.replace(p, ips=0.0)
+            if p.prefetch is BackwardPrefetch.BACKWARD_PRE else p
+            for p in fig2
+        ]
+        assert _flips("fig2", fig2, planted) == ["the best configuration uses BACKWARD_PRE"]
+
+    def test_fig3_flips(self, fig3):
+        planted = copy.copy(fig3)
+        planted.memory_gib = lambda model, strategy: [64.0] * len(NODES)
+        assert _flips("fig3", fig3, planted) == [
+            "vit-3b FULL_SHARD needs less than 10 GiB per GPU"
+        ]
+
+    def test_fig4_flips(self, fig4):
+        planted = dataclasses.replace(fig4, sgo_ips_32n=fig4.full_ips_32n)
+        (flipped,) = _flips("fig4", fig4, planted)
+        assert flipped.startswith("vit-5b: SHARD_GRAD_OP / FULL_SHARD ips")
+
+    def test_ablations_flip(self, ablations):
+        buckets, groups, contention = ablations
+        planted = (buckets, groups, contention[::-1])
+        assert "the exposed communication share never falls as contention grows" in (
+            _flips("ablations", ablations, planted)
+        )
+
+    def test_mesh_flips(self, mesh):
+        planted = [dataclasses.replace(mesh[0], loss=mesh[0].loss + 1e-12)] + mesh[1:]
+        assert _flips("mesh", mesh, planted) == [
+            "every mesh's final loss is bit-identical (the oracle trajectory)"
+        ]
+
+    def test_mesh_crossover_flips(self, mesh_crossover):
+        recon, points = mesh_crossover
+        (label, _), *rest = recon
+        (flipped,) = _flips(
+            "mesh-crossover", mesh_crossover, ([(label, _DRIFTED), *rest], points)
+        )
+        assert flipped.startswith(f"{label}: predicted per-axis bytes and calls reconcile")
+
+    def test_traffic_flips(self, traffic):
+        (plan, served, _), autoscaled, users = traffic
+        planted = ((plan, served, _DRIFTED), autoscaled, users)
+        assert len(_flips("traffic", traffic, planted)) == 1

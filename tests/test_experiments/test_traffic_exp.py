@@ -7,6 +7,7 @@ from repro.experiments.__main__ import main as cli_main
 from repro.experiments.traffic_exp import (
     USER_GRID,
     render_traffic,
+    run_traffic,
     run_traffic_autoscale,
     run_traffic_plan,
     run_user_extrapolation,
@@ -44,7 +45,7 @@ class TestUserExtrapolation:
 
 class TestRendering:
     def test_render_is_complete_and_cli_runs(self, capsys):
-        text = render_traffic()
+        text = render_traffic(run_traffic())
         assert "-> reconciled" in text
         assert "Scale decisions" in text
         assert "virtual users" in text
