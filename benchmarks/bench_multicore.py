@@ -1,8 +1,7 @@
 """Benchmark: multiprocess backend wall-clock speedup and identity.
 
 Measures what ``EngineConfig(backend="process")`` buys on a multi-core
-host, and writes ``BENCH_multicore.json`` for
-``benchmarks/check_regression.py``. Two phases:
+host. Two phases, each a gate taken inside one run:
 
 - **worker scaling / speedup gate** — one DDP step of the proxy-1b MAE
   at world sizes {1, 2, 4}, inline vs process backend, on the wall
@@ -22,18 +21,19 @@ host, and writes ``BENCH_multicore.json`` for
 Threading inside a rank is the BLAS's job (``OPENBLAS_NUM_THREADS``);
 this script pins it to 1 unless the caller exported a value.
 
-Run directly (``python benchmarks/bench_multicore.py``) or through
-pytest. Keep the ``__main__`` guard if you copy this file: spawn workers
-re-import the main module.
+Run directly (``python benchmarks/bench_multicore.py``: prints the
+report and the host, exits 1 when a gate fails) or through pytest. Keep
+the ``__main__`` guard if you copy this file: spawn workers re-import
+the main module.
 """
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 
@@ -51,8 +51,6 @@ from repro.core.trainer import _mae_step_fn
 from repro.comm.world import World
 from repro.models import MaskedAutoencoder
 from repro.models.workspace import Workspace
-
-OUT_PATH = Path(__file__).resolve().parent / "BENCH_multicore.json"
 
 BENCH_MODEL = "proxy-1b"
 MICRO_BATCH = 16
@@ -172,7 +170,7 @@ def _cpu_model() -> str:
 
 
 def host_record() -> dict:
-    """Where an artifact was measured (ROADMAP: recorded in every one)."""
+    """Where a bench ran: its reports print this beside every figure."""
     return {
         "cpu_count": multiprocessing.cpu_count(),
         "cpu_model": _cpu_model(),
@@ -181,12 +179,19 @@ def host_record() -> dict:
     }
 
 
+def render_host(host: dict) -> str:
+    """One report line naming the host a figure was measured on."""
+    return (
+        f"host: {host['cpu_count']} x {host['cpu_model']}, python "
+        f"{host['python']}, numpy {host['numpy']}"
+    )
+
+
 def run_multicore() -> dict:
-    """Run all phases; returns the JSON-ready result dict."""
+    """Run both phases; returns the result dict."""
     workers = _worker_scaling()
     identical = _bit_identity()
     return {
-        "schema": 2,
         "host": host_record(),
         "config": {
             "model": BENCH_MODEL,
@@ -208,9 +213,9 @@ def render_multicore(result: dict) -> str:
     """Human-readable report of one run."""
     cfg = result["config"]
     lines = [
-        f"host cores: {result['host']['cpu_count']}  model: {cfg['model']}  "
-        f"micro batch: {cfg['micro_batch']}  interleaved pairs: "
-        f"{cfg['timed_pairs']}",
+        render_host(result["host"]),
+        f"model: {cfg['model']}  micro batch: {cfg['micro_batch']}  "
+        f"interleaved pairs: {cfg['timed_pairs']}",
         "",
         f"{'workers':<8} {'inline':>9} {'process':>9} {'wall x':>7} "
         f"{'quartiles':>12}",
@@ -232,21 +237,22 @@ def render_multicore(result: dict) -> str:
     return "\n".join(lines)
 
 
-def _write(result: dict) -> None:
-    OUT_PATH.write_text(json.dumps(result, indent=2) + "\n")
-
-
-def _assert_gates(result: dict) -> None:
+def gate_failures(result: dict) -> list[str]:
+    """Both gates' verdicts: empty when they hold. The speedup gate is
+    skipped, with a printed reason, on a host with fewer than 2 CPUs."""
     g = result["gate"]
-    assert g["bit_identical"], "process backend diverged from inline (fp32)"
+    failures = []
+    if not g["bit_identical"]:
+        failures.append("process backend diverged from inline (fp32)")
     cpus = result["host"]["cpu_count"]
     if cpus < 2:
         print(f"speedup gate skipped: {cpus} CPU, workers can only take turns")
-        return
-    assert g["speedup_wall"] >= g["floor"], (
-        f"wall-clock speedup {g['speedup_wall']:.2f}x at {g['workers']} workers "
-        f"below the {g['floor']}x floor"
-    )
+    elif g["speedup_wall"] < g["floor"]:
+        failures.append(
+            f"wall-clock speedup {g['speedup_wall']:.2f}x at {g['workers']} "
+            f"workers below the {g['floor']}x floor"
+        )
+    return failures
 
 
 def test_multicore(benchmark):
@@ -254,13 +260,13 @@ def test_multicore(benchmark):
     from benchmarks.conftest import emit
 
     emit("Multicore", render_multicore(result))
-    _write(result)
-    _assert_gates(result)
+    assert gate_failures(result) == []
 
 
 if __name__ == "__main__":
     res = run_multicore()
     print(render_multicore(res))
-    _write(res)
-    _assert_gates(res)
-    print(f"\nwrote {OUT_PATH}")
+    failures = gate_failures(res)
+    for line in failures:
+        print(f"GATE FAILED: {line}")
+    sys.exit(1 if failures else 0)

@@ -10,14 +10,14 @@ resharding the previous segment's final snapshot.
 
 The campaign passes iff the stitched loss history and the final
 parameters are **bit-identical** to the oracle: elasticity must be
-invisible to the trajectory. ``main()`` writes the summary to
-``benchmarks/ELASTIC_campaign.json`` for the regression gate.
+invisible to the trajectory. The ``elastic`` row of
+``python -m repro.experiments`` runs the default campaign (seed 0) and
+claims that verdict, and ``tests/test_elastic/test_chaos_resize.py``
+asserts it, with the requeue coverage, in tier-1.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 from time import perf_counter
 
 import numpy as np
@@ -29,7 +29,7 @@ from repro.elastic.requeue import (
     ResizeScheduler,
 )
 
-__all__ = ["run_resize_campaign", "main"]
+__all__ = ["run_resize_campaign"]
 
 #: The world the oracle trains in; every resize must continue its layout.
 ORACLE_ALLOCATION = Allocation(strategy="FULL_SHARD", world_size=16)
@@ -186,29 +186,3 @@ def run_resize_campaign(
         "bit_identical": bool(losses_equal and params_equal),
         "wall_s": round(perf_counter() - t0, 3),
     }
-
-
-def _echo(text: str) -> None:
-    """CLI output helper (library code never calls bare print())."""
-    sys.stdout.write(text + "\n")
-
-
-def main(out_path: str = "benchmarks/ELASTIC_campaign.json") -> dict:
-    """CLI entry: run the campaign and write the summary artifact."""
-    summary = run_resize_campaign()
-    with open(out_path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
-    status = "BIT-IDENTICAL" if summary["bit_identical"] else "DIVERGED"
-    _echo(
-        f"resize campaign: {summary['requeues']} requeues over "
-        f"{summary['total_steps']} steps -> {status} "
-        f"(max |dp| = {summary['max_abs_param_diff']:.1e})"
-    )
-    for t in summary["transitions"]:
-        _echo(f"  step {t['step']:>3}: {t['from']} -> {t['to']}")
-    return summary
-
-
-if __name__ == "__main__":
-    main()

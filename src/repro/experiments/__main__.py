@@ -9,7 +9,8 @@ Regenerate any paper artifact and check the paper's shapes on it::
 
 After each report it prints ``paper shapes: k/n hold`` and one
 ``FAILED: <sentence>`` line per claim that does not hold; the exit
-status is 1 when any claim failed.
+status is 1 when any claim failed. Rows that share a run (``table3`` and
+``fig6``) run it once per invocation.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import time
 #: repro.experiments, run, render, claims, in the fast set?)``. ``run()``
 #: returns the result, ``render(result)`` its report and
 #: ``claims(result)`` the paper's shapes as ``(sentence, holds)`` pairs.
+#: Rows naming the same ``(module, run)`` render one result.
 EXPERIMENTS: dict[str, tuple[str, str, str, str, bool]] = {
     "table1": ("table1", "run_table1", "render_table1", "claims_table1", True),
     "table2": ("table2", "run_table2", "render_table2", "claims_table2", True),
@@ -36,7 +38,7 @@ EXPERIMENTS: dict[str, tuple[str, str, str, str, bool]] = {
     "traffic": ("traffic_exp", "run_traffic", "render_traffic", "claims_traffic", True),
     "fig5": ("fig5", "run_fig5", "render_fig5", "claims_fig5", False),
     "table3": ("table3", "run_table3", "render_table3", "claims_table3", False),
-    "fig6": ("fig6", "run_fig6", "render_fig6", "claims_fig6", False),
+    "fig6": ("table3", "run_table3", "render_fig6", "claims_fig6", False),
     "fewshot": ("fewshot", "run_fewshot", "render_fewshot", "claims_fewshot", False),
     "adaptation": ("adaptation", "run_adaptation", "render_adaptation", "claims_adaptation",
                    False),
@@ -44,6 +46,7 @@ EXPERIMENTS: dict[str, tuple[str, str, str, str, bool]] = {
             False),
     "segmentation": ("segmentation_exp", "run_segmentation", "render_segmentation",
                      "claims_segmentation", False),
+    "elastic": ("elastic_exp", "run_elastic", "render_elastic", "claims_elastic", False),
 }
 _FAST = [name for name, row in EXPERIMENTS.items() if row[4]]
 
@@ -53,11 +56,15 @@ def _echo(text: str) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _run(name: str) -> tuple[str, list[tuple[str, bool]]]:
+def _run(name: str, results: dict) -> tuple[str, list[tuple[str, bool]]]:
+    """Report and claims of one row; ``results`` holds this invocation's
+    run results by ``(module, run)``, so a shared run runs once."""
     module, run, render, claims, _ = EXPERIMENTS[name]
     # Imported here so `--help` stays instant.
     mod = importlib.import_module(f"repro.experiments.{module}")
-    result = getattr(mod, run)()
+    if (module, run) not in results:
+        results[module, run] = getattr(mod, run)()
+    result = results[module, run]
     return getattr(mod, render)(result), getattr(mod, claims)(result)
 
 
@@ -74,9 +81,10 @@ def main(argv: list[str]) -> int:
         _echo(f"unknown experiment(s): {unknown}; known: {known}")
         return 2
     failed = False
+    results: dict = {}
     for name in targets:
         t0 = time.perf_counter()
-        body, claims = _run(name)
+        body, claims = _run(name, results)
         dt = time.perf_counter() - t0
         misses = [sentence for sentence, holds in claims if not holds]
         failed = failed or bool(misses)

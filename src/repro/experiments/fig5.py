@@ -22,6 +22,10 @@ from repro.experiments.report import render_series
 
 __all__ = ["Fig5Result", "run_fig5", "render_fig5", "claims_fig5"]
 
+#: The mid-training window the report prints and the claim reads.
+MID_WINDOW = slice(20, 120)
+_MID_STEPS = f"steps {MID_WINDOW.start}-{MID_WINDOW.stop - 1}"
+
 
 @dataclass
 class Fig5Result:
@@ -45,7 +49,7 @@ class Fig5Result:
             for pm in self.suite.values()
         }
 
-    def early_losses(self, window: slice = slice(20, 60)) -> dict[str, float]:
+    def early_losses(self, window: slice = MID_WINDOW) -> dict[str, float]:
         """Mean loss over a mid-training window, per model."""
         out = {}
         for pm in self.suite.values():
@@ -77,7 +81,7 @@ def render_fig5(result: Fig5Result) -> str:
     finals = ", ".join(f"{k}={v:.4f}" for k, v in result.final_losses().items())
     earlies = ", ".join(f"{k}={v:.4f}" for k, v in result.early_losses().items())
     return (
-        f"{body}\nmid-training loss: {earlies}\nfinal loss: {finals}\n"
+        f"{body}\nmid-training loss ({_MID_STEPS}): {earlies}\nfinal loss: {finals}\n"
         "(paper: larger models reach lower pretraining loss)"
     )
 
@@ -86,10 +90,10 @@ def claims_fig5(result: Fig5Result) -> list[tuple[str, bool]]:
     """Larger models reach lower loss (suite order is size order). The
     cosine schedule converges the tails, so the end only asks that the
     largest model is not worse than the smallest."""
-    mid = list(result.early_losses(slice(20, 120)).values())
+    mid = list(result.early_losses().values())
     final = list(result.final_losses(tail=20).values())
     return [
-        ("mean loss over steps 20-119 is non-increasing with model size",
+        (f"mean loss over {_MID_STEPS} is non-increasing with model size",
          all(a >= b for a, b in zip(mid, mid[1:]))),
         ("the largest model's mean loss over the last 20 steps is at most the "
          "smallest's + 1e-3", final[-1] <= final[0] + 1e-3),

@@ -1,15 +1,21 @@
-"""Table III — linear-probe top-1 accuracy across datasets and sizes.
+"""Table III and Fig. 6 — linear-probe accuracy across datasets and sizes.
 
 Probes the MAE-pretrained proxy suite on all four dataset analogues with
 the paper's protocol (LARS, base LR 0.1, no weight decay, identical
 hyper-parameters everywhere), plus the paper's extra row: the Base model
-pretrained 4x longer (the "400 epochs vs 100 epochs" comparison).
+pretrained 4x longer (the "400 epochs vs 100 epochs" comparison). One
+run serves both artifacts: Table III reads each probe's final top-1,
+Fig. 6 its per-epoch top-1 / top-5 curves.
 
 Expected shapes (paper Section V-C):
 
 - top-1 improves monotonically with model scale on every dataset;
 - the Base->3B gain is large (paper: >30 points; proxy scale: >12);
-- Base pretrained 4x longer beats Base at 1x on every dataset.
+- Base pretrained 4x longer beats Base at 1x on every dataset;
+- (Fig. 6) the size ordering in top-1 is visible early in probing for
+  the shifted-domain datasets (UCM/AID/NWPU analogues), top-5 improves
+  more slowly, and the MillionAID probe, whose samples share the
+  pretraining distribution, separates later.
 """
 
 from __future__ import annotations
@@ -27,13 +33,15 @@ from repro.experiments.downstream import (
     PretrainedModel,
     pretrain_suite,
 )
-from repro.experiments.report import render_table
+from repro.experiments.report import render_series, render_table
 
 __all__ = [
     "Table3Result",
     "run_table3",
     "render_table3",
     "claims_table3",
+    "render_fig6",
+    "claims_fig6",
     "build_probe_datasets",
     "probe_suite",
     "PROBE_EPOCHS",
@@ -93,6 +101,22 @@ class Table3Result:
         return self.top1(self.model_order[-1], dataset) - self.top1(
             self.model_order[0], dataset
         )
+
+    def curve(self, model: str, dataset: str, k: int = 1) -> list[float]:
+        """Per-epoch top-k accuracies of (model, dataset)."""
+        r = self.probes[(model, dataset)]
+        return r.top1 if k == 1 else r.top5
+
+    def epoch_of_separation(self, dataset: str) -> int | None:
+        """First probe epoch (1-based, as the rendered tables count) from
+        which the largest model's top-1 leads the smallest's to the end
+        (None if never)."""
+        small = self.curve(self.model_order[0], dataset)
+        large = self.curve(self.model_order[-1], dataset)
+        for e in range(len(small)):
+            if all(lg > sm for lg, sm in zip(large[e:], small[e:])):
+                return e + 1
+        return None
 
 
 def run_table3(
@@ -168,3 +192,47 @@ def claims_table3(result: Table3Result) -> list[tuple[str, bool]]:
         (f"proxy-base pretrained {LONG_PRETRAIN_FACTOR}x longer beats proxy-base on "
          "mean top-1", long_mean > means[0]),
     ]
+
+
+def render_fig6(result: Table3Result) -> str:
+    """Render Fig. 6's per-dataset accuracy-vs-epoch tables."""
+    blocks = []
+    n_epochs = len(result.curve(result.model_order[0], result.datasets[0]))
+    epochs = list(range(1, n_epochs + 1))
+    for ds in result.datasets:
+        for k in (1, 5):
+            series = {
+                m: [round(100 * v, 1) for v in result.curve(m, ds, k)]
+                for m in result.model_order
+            }
+            blocks.append(
+                render_series(
+                    "epoch",
+                    epochs,
+                    series,
+                    title=f"Fig 6 [{ds}] top-{k} accuracy (%) vs probe epoch",
+                )
+            )
+        sep = result.epoch_of_separation(ds)
+        blocks.append(
+            f"[{ds}] smallest-vs-largest separation persists from epoch: {sep}"
+        )
+    return "\n\n".join(blocks)
+
+
+def claims_fig6(result: Table3Result) -> list[tuple[str, bool]]:
+    """Fig. 6's shapes per dataset, smallest vs largest model."""
+    smallest, largest = result.model_order[0], result.model_order[-1]
+    claims = []
+    for ds in result.datasets:
+        small, large = result.curve(smallest, ds), result.curve(largest, ds)
+        top5 = result.curve(largest, ds, k=5)
+        claims += [
+            (f"[{ds}] the largest model ends ahead of the smallest in top-1",
+             large[-1] > small[-1]),
+            (f"[{ds}] from some probe epoch on, the largest model's top-1 leads the "
+             "smallest's to the end", result.epoch_of_separation(ds) is not None),
+            (f"[{ds}] the largest model's top-5 is never below its top-1",
+             all(b >= a for a, b in zip(large, top5))),
+        ]
+    return claims

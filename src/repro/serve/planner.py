@@ -3,8 +3,8 @@
 Sizing a serving fleet is the inference-side twin of the paper's
 training-throughput planning: pick hardware, predict capacity from the
 cost model, then *check the prediction against a measured run* (the
-MESHPERF reconciliation pattern from PR 9, applied to traffic instead
-of collective bytes).
+mesh perf model's reconciliation pattern, applied to traffic instead of
+collective bytes).
 
 **Formulation.** Given a traffic forecast (the peak offered rate of the
 :class:`~repro.serve.traffic.RateProfile` mix), an SLO (latency bound +
@@ -37,9 +37,10 @@ the one :class:`~repro.telemetry.report.Reconciliation`:
 - measured peak utilization ≤ 1 (the fleet was never asked for more
   than it has).
 
-``check_regression.py`` gates on the resulting ``reconciled`` flag, so
-a planner whose predictions drift from the measured open-loop behaviour
-fails CI the same way a drifting perf model does.
+The ``traffic`` row of ``python -m repro.experiments`` claims the
+resulting ``reconciled`` flag, and tier-1 pins the planned run by value,
+so a planner whose predictions drift from the measured open-loop
+behaviour fails the same way a drifting perf model does.
 """
 
 from __future__ import annotations

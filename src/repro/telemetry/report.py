@@ -8,8 +8,9 @@ loss/LR trajectories. The experiment drivers (``experiments/fig1.py``,
 ``fig2.py``) compute their communication-share numbers from bus events
 through :func:`comm_share_from_events` instead of ad-hoc accumulation.
 :func:`reconcile` settles every predicted-vs-measured comparison (the
-MESHPERF and BENCH_serving artifacts, a simulated step against an
-engine's) into one :class:`Reconciliation`.
+mesh perf model against measured traffic, a capacity plan against its
+served run, a simulated step against an engine's) into one
+:class:`Reconciliation`.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.elastic.campaign import run_resize_campaign
+from repro.experiments.elastic_exp import claims_elastic, render_elastic
 from repro.telemetry.bus import RecordingSink, TelemetryBus
 
 pytestmark = pytest.mark.chaos
@@ -61,6 +62,15 @@ class TestDefaultCampaign:
         segments = [n for n in names if n == "elastic.segment"]
         # One span per scheduled segment (requeues + the final one).
         assert len(segments) == summary["requeues"] + 1
+
+
+    def test_experiment_claims_hold_and_flip(self, campaign):
+        summary, _ = campaign
+        assert [holds for _, holds in claims_elastic(summary)] == [True] * 3
+        assert "5 requeues over 8 steps -> bit-identical" in render_elastic(summary)
+        planted = {**summary, "bit_identical": False, "backends_exercised": ["inline"]}
+        assert [holds for _, holds in claims_elastic(planted)] == [False, True, False]
+        assert "DIVERGED" in render_elastic(planted)
 
 
 def test_alternate_seed_campaign(tmp_path):

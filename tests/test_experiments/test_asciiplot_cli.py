@@ -72,7 +72,7 @@ class TestCli:
 
     def test_all_expands_among_names_without_duplicates(self, monkeypatch, capsys):
         ran = []
-        monkeypatch.setattr(cli, "_run", lambda name: ran.append(name) or ("", []))
+        monkeypatch.setattr(cli, "_run", lambda name, results: ran.append(name) or ("", []))
         fast = [name for name, row in EXPERIMENTS.items() if row[4]]
         assert "fig2" in fast and "fig5" not in fast
         assert cli_main(["fig2", "all", "fig5", "all", "fig5"]) == 0

@@ -12,7 +12,6 @@ import numpy as np
 from repro.data.datasets import ArrayDataset, DatasetSpec, SplitDataset
 from repro.experiments.downstream import DEFAULT_CACHE_DIR, DownstreamRecipe, pretrain_suite
 from repro.experiments.fig5 import run_fig5
-from repro.experiments.fig6 import run_fig6
 from repro.experiments.ssl_compare import run_ssl_compare
 from repro.experiments.table3 import run_table3
 
@@ -26,7 +25,7 @@ def _listing(root):
 
 
 def test_every_driver_defaults_to_the_default_cache():
-    for driver in (pretrain_suite, run_fig5, run_table3, run_fig6, run_ssl_compare):
+    for driver in (pretrain_suite, run_fig5, run_table3, run_ssl_compare):
         default = inspect.signature(driver).parameters["cache_dir"].default
         assert default == DEFAULT_CACHE_DIR, driver.__name__
 
