@@ -18,6 +18,7 @@ asserts it, with the requeue coverage, in tier-1.
 
 from __future__ import annotations
 
+import tempfile
 from time import perf_counter
 
 import numpy as np
@@ -83,15 +84,23 @@ def run_resize_campaign(
 ) -> dict:
     """Run the campaign; returns a JSON-serializable summary.
 
-    ``checkpoint_dir`` defaults to a fresh temporary directory (removed
-    by the OS eventually; pass one explicitly to inspect snapshots).
+    ``checkpoint_dir`` defaults to a temporary directory removed before
+    the call returns (pass one explicitly to inspect snapshots).
     The summary's ``bit_identical`` is the pass/fail verdict: stitched
     losses and final parameters exactly equal to the oracle's.
     """
-    import tempfile
-
     if checkpoint_dir is None:
-        checkpoint_dir = tempfile.mkdtemp(prefix="elastic-campaign-")
+        with tempfile.TemporaryDirectory(prefix="elastic-campaign-") as tmp:
+            return run_resize_campaign(
+                seed,
+                total_steps=total_steps,
+                n_resizes=n_resizes,
+                global_batch=global_batch,
+                checkpoint_dir=tmp,
+                init_seed=init_seed,
+                data_seed=data_seed,
+                telemetry=telemetry,
+            )
 
     layout = ReductionLayout(
         total=ORACLE_ALLOCATION.world_size * ORACLE_ALLOCATION.grad_accum_steps,

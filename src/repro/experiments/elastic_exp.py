@@ -11,8 +11,6 @@ compared with the uninterrupted oracle bit for bit.
 
 from __future__ import annotations
 
-import tempfile
-
 from repro.elastic.campaign import run_resize_campaign
 
 __all__ = ["run_elastic", "render_elastic", "claims_elastic"]
@@ -22,9 +20,8 @@ MIN_REQUEUES = 5
 
 
 def run_elastic() -> dict:
-    """The default campaign, its snapshots in a directory removed after."""
-    with tempfile.TemporaryDirectory(prefix="elastic-campaign-") as checkpoint_dir:
-        return run_resize_campaign(checkpoint_dir=checkpoint_dir)
+    """The default campaign (its snapshots are removed before it returns)."""
+    return run_resize_campaign()
 
 
 def render_elastic(summary: dict) -> str:

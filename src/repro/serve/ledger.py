@@ -5,16 +5,16 @@ the conservation law ``submitted == served + rejected + timed_out``, in
 aggregate and per tenant (:class:`TenantCounts`) — and
 :meth:`ServerStats.book` is the only code in the package that moves an
 outcome field: given a terminal :class:`~repro.serve.queue.Response` it
-picks the ledger field, the tenant slice and the one telemetry counter
-(``serve.served`` / ``serve.timeout`` / ``serve.rejected``) from the
-response alone. The event loop calls it from a single site
-(``InferenceServer._finish``), so a request is accounted once by
-construction. :func:`latency_stats` is the read side: latency
-percentiles recomputed from responses.
+picks the ledger field and the tenant slice from the response alone.
+The event loop calls it from a single site (``InferenceServer._finish``),
+so a request is accounted once by construction; :func:`book_counters`
+puts a run's verdicts on the bus, one counter per cell, and
+:func:`latency_stats` recomputes latency percentiles from responses.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from repro.serve.queue import Response
 from repro.telemetry import TelemetryBus
 
-__all__ = ["TenantCounts", "ServerStats", "latency_stats"]
+__all__ = ["TenantCounts", "ServerStats", "book_counters", "latency_stats"]
 
 
 def tenant_attrs(tenant: str) -> dict:
@@ -90,23 +90,16 @@ class ServerStats:
             counts = self.tenants[name] = TenantCounts()
         return counts
 
-    def book(self, response: Response, bus: TelemetryBus | None = None) -> None:
-        """Account one terminal verdict: aggregate field, tenant slice
-        and — on an enabled ``bus`` — the one counter, all read off the
-        response (``batch_id is None`` means it never left the queue)."""
+    def book(self, response: Response) -> None:
+        """Account one terminal verdict: aggregate field and tenant
+        slice, both read off the response."""
         tenant = self.tenant(response.tenant)
-        tattrs = tenant_attrs(response.tenant) if bus else None
         if response.status == "ok":
             self.served += 1
             tenant.served += 1
-            if bus:
-                bus.counter("serve.served", **tattrs)
         elif response.status == "timeout":
             self.timed_out += 1
             tenant.timed_out += 1
-            if bus:
-                where = "queued" if response.batch_id is None else "inflight"
-                bus.counter("serve.timeout", where=where, **tattrs)
         else:
             if response.reason == "queue_full":
                 self.rejected_queue_full += 1
@@ -115,8 +108,6 @@ class ServerStats:
             else:
                 self.rejected_rate_limited += 1
             tenant.rejected += 1
-            if bus:
-                bus.counter("serve.rejected", reason=response.reason, **tattrs)
 
     def reconciles(self) -> bool:
         """True iff submitted == served + rejected + timed_out, both in
@@ -133,6 +124,50 @@ class ServerStats:
         if tenants:
             out["tenants"] = {name: t.to_json() for name, t in sorted(tenants.items())}
         return out
+
+
+class _Cells(dict):
+    """``(name, *attrs) -> count`` in first-occurrence order; ``counter``
+    mirrors :meth:`TelemetryBus.counter` so each name stays a literal at
+    one call site, where ``tools/lint.py`` checks it."""
+
+    def counter(self, name: str, value: int, **attrs) -> None:
+        key = (name, *attrs.items())
+        self[key] = self.get(key, 0) + value
+
+
+def book_counters(bus: TelemetryBus, responses: list[Response], cached: bool) -> None:
+    """One ``bus.counter(name, count, **attrs)`` per distinct cell of
+    ``responses`` (in decision order), in first-occurrence order.
+
+    A response counts as submitted; then, with the cache on (``cached``)
+    and past the rate limit (the order ``_admit`` checks them in), as a
+    cache hit or miss; then as served, timed out (``where``: ``batch_id
+    is None`` never left the queue) or rejected (``reason``). Responses
+    are folded by the fields read first: a few calls a run, not three a
+    request.
+    """
+    kinds = Counter(
+        (r.tenant, r.status, r.reason, r.cache_hit, r.batch_id is None)
+        for r in responses
+    )
+    cells = _Cells()
+    for (tenant, status, reason, hit, queued), n in kinds.items():
+        t = tenant_attrs(tenant)
+        cells.counter("serve.submitted", n, **t)
+        if hit:
+            cells.counter("serve.cache_hit", n, **t)
+        elif cached and reason != "rate_limited":
+            cells.counter("serve.cache_miss", n, **t)
+        if status == "ok":
+            cells.counter("serve.served", n, **t)
+        elif status == "timeout":
+            where = "queued" if queued else "inflight"
+            cells.counter("serve.timeout", n, where=where, **t)
+        else:
+            cells.counter("serve.rejected", n, reason=reason, **t)
+    for (name, *attrs), n in cells.items():
+        bus.counter(name, n, **dict(attrs))
 
 
 def _latency_block(ok: list[Response]) -> dict:

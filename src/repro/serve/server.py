@@ -22,7 +22,7 @@ loop on virtual time:
 This module is the event kernel only. Every handler that ends a request
 builds its :class:`~repro.serve.queue.Response` and hands it to
 ``_finish``, the single site where a verdict is booked; which ledger
-field, tenant slice and counter that moves is
+field and tenant slice that moves is
 :meth:`repro.serve.ledger.ServerStats.book`'s rule, not the loop's.
 
 The loop processes one event per iteration in a fixed priority order
@@ -45,13 +45,13 @@ An optional :class:`~repro.serve.admission.AdmissionController`
 events) compose in; the constructor says what their absence means.
 
 Telemetry: with a bus attached (ideally sharing the server's virtual
-clock), the loop publishes ``serve.queue_depth``/``serve.batch_size``
-gauges, ``serve.batch``/``serve.infer`` spans, and
-``serve.submitted``/``serve.served``/``serve.rejected``/``serve.timeout``
-/``serve.cache_hit``/``serve.cache_miss``/``serve.requeued``/
-``serve.replica_fault`` counters that reconcile exactly:
-``submitted == served + rejected + timed out`` — in aggregate and,
-via the ``tenant=`` attribute, per tenant.
+clock), the loop publishes queue-depth and batch-size gauges, batch and
+infer spans and the fault path's requeue / replica-fault counters; a
+request makes no call of its own. When a run returns, the verdicts
+decided since the last one are booked once, a counter per cell
+(:func:`repro.serve.ledger.book_counters`), and they reconcile exactly:
+``submitted == served + rejected + timed out`` — in aggregate and, via
+the ``tenant=`` attribute, per tenant.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from repro.serve.autoscale import Autoscaler
 from repro.serve.batcher import MicroBatcher
 from repro.serve.cache import LRUFeatureCache, image_digest
 from repro.serve.clock import VirtualClock
-from repro.serve.ledger import ServerStats, tenant_attrs
+from repro.serve.ledger import ServerStats, book_counters, tenant_attrs
 from repro.serve.queue import Request, Response
 from repro.serve.replica import (
     Replica,
@@ -205,6 +205,7 @@ class InferenceServer:
         # One flag per req_id (ids are dense from 0): set once it holds
         # its verdict. A byte a request, where a set cost ~90.
         self._decided = bytearray()
+        self._booked = 0  # responses[:_booked] have had their counters booked
         self._inflight: list[_Inflight] = []  # heap, earliest finish first
         self._next_batch_id = 0
 
@@ -225,7 +226,8 @@ class InferenceServer:
         limit) when an :class:`AdmissionController` is attached. A NaN or
         already-past deadline, or an image that is not ``(C, H, W)``, is
         a ``ValueError`` before anything is counted; ``+inf`` is served
-        best-effort, like ``None``.
+        best-effort, like ``None``. A verdict decided here is booked on
+        the bus by the next :meth:`run` / :meth:`drain`.
         """
         now = self.clock.now()
         self._check_door([(now, image, deadline_s, tenant)])
@@ -239,11 +241,6 @@ class InferenceServer:
         self._decided.append(0)
         self.stats.submitted += 1
         self.stats.tenant(tenant).submitted += 1
-        # The default, disabled bus is not called at all on this path.
-        bus = self.telemetry if self.telemetry.enabled else None
-        tattrs = tenant_attrs(tenant) if bus else None
-        if bus:
-            bus.counter("serve.submitted", **tattrs)
         if self.admission is not None:
             reason = self.admission.admit_reason(tenant, now)
             if reason is not None:
@@ -259,8 +256,6 @@ class InferenceServer:
             row = self.cache.get(digest)
             if row is not None:
                 self.stats.cache_hits += 1
-                if bus:
-                    bus.counter("serve.cache_hit", **tattrs)
                 self._finish(
                     Response(
                         req_id, "ok", now, now, features=row, cache_hit=True,
@@ -269,8 +264,6 @@ class InferenceServer:
                 )
                 return req_id
             self.stats.cache_misses += 1
-            if bus:
-                bus.counter("serve.cache_miss", **tattrs)
         request = Request(req_id, image, now, deadline_s, digest, tenant=tenant)
         if not self.queue.push(request):
             self._finish(
@@ -279,8 +272,8 @@ class InferenceServer:
                 )
             )
             return req_id
-        if bus:
-            bus.gauge("serve.queue_depth", len(self.queue))
+        if self.telemetry.enabled:  # the default bus is not called per request
+            self.telemetry.gauge("serve.queue_depth", len(self.queue))
         return req_id
 
     # -- the event loop ------------------------------------------------------
@@ -329,6 +322,9 @@ class InferenceServer:
         self._check_door(arrivals)
         first_new = len(self.responses)
         self._loop(arrivals)
+        decided, self._booked = self.responses[self._booked:], len(self.responses)
+        if self.telemetry.enabled:
+            book_counters(self.telemetry, decided, self.cache is not None)
         return sorted(self.responses[first_new:], key=attrgetter("req_id"))
 
     def _check_door(self, arrivals: list[tuple]) -> None:
@@ -552,16 +548,15 @@ class InferenceServer:
 
     def _finish(self, response: Response) -> None:
         """The one place a verdict is booked: every handler above only
-        builds the :class:`Response`; ledger, tenant slice and counter
-        follow from it (:meth:`ServerStats.book`)."""
+        builds the :class:`Response`; ledger field and tenant slice
+        follow from it (:meth:`ServerStats.book`), counters from ``_serve``."""
         if self._decided[response.req_id]:
             raise RuntimeError(
                 f"request {response.req_id} already has a terminal response"
             )
         self._decided[response.req_id] = 1
         self.responses.append(response)
-        # The default, disabled bus is not called at all per request.
-        self.stats.book(response, self.telemetry if self.telemetry.enabled else None)
+        self.stats.book(response)
         # Feed the autoscaler's p99 window: serves and timeouts carry a
         # real time-to-verdict; instant door rejections would read as
         # zero latency and mask the very overload that caused them.

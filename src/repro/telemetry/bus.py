@@ -32,9 +32,11 @@ Design rules:
   the top of every optimizer step, so every event — including retry
   backoff charged deep inside the collective layer — lands on the step
   that incurred it.
-- **Plain data out.** Events are frozen dataclasses that serialize to
-  one JSON object each; :class:`JsonlSink` streams them to disk and
-  :func:`read_jsonl` round-trips them back.
+- **Plain data out.** Events are slotted dataclasses (not frozen: a
+  frozen ``__init__`` pays one ``object.__setattr__`` per field, ~4x
+  the cost of a slotted one) that serialize to one JSON object each;
+  :class:`JsonlSink` streams them to disk and :func:`read_jsonl`
+  round-trips them back. Nothing mutates an emitted event.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ __all__ = [
 EVENT_KINDS = ("span", "counter", "gauge")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TelemetryEvent:
     """One bus emission (a finished span, a counter bump, or a reading).
 
@@ -225,17 +227,10 @@ class _Span:
         bus = self._bus
         t1 = bus._clock()
         bus._depth -= 1
-        bus.sink.emit(
-            TelemetryEvent(
-                kind="span",
-                name=self._name,
-                value=t1 - self._t0,
-                t_s=self._t0 - bus._epoch,
-                step=bus.step,
-                depth=bus._depth,
-                attrs=self._attrs,
-            )
-        )
+        bus.sink.emit(TelemetryEvent(
+            "span", self._name, t1 - self._t0, self._t0 - bus._epoch, bus.step,
+            bus._depth, self._attrs,
+        ))
         return False
 
 
@@ -283,31 +278,19 @@ class TelemetryBus:
         """Accumulate ``value`` onto counter ``name``."""
         if not self._enabled:
             return
-        self.sink.emit(
-            TelemetryEvent(
-                kind="counter",
-                name=name,
-                value=float(value),
-                t_s=self._clock() - self._epoch,
-                step=self.step,
-                attrs=attrs,
-            )
-        )
+        self.sink.emit(TelemetryEvent(
+            "counter", name, float(value), self._clock() - self._epoch, self.step, 0,
+            attrs,
+        ))
 
     def gauge(self, name: str, value: float, **attrs) -> None:
         """Record a point-in-time reading of ``name``."""
         if not self._enabled:
             return
-        self.sink.emit(
-            TelemetryEvent(
-                kind="gauge",
-                name=name,
-                value=float(value),
-                t_s=self._clock() - self._epoch,
-                step=self.step,
-                attrs=attrs,
-            )
-        )
+        self.sink.emit(TelemetryEvent(
+            "gauge", name, float(value), self._clock() - self._epoch, self.step, 0,
+            attrs,
+        ))
 
     def record_span(
         self, name: str, start_s: float, duration_s: float, **attrs
@@ -325,17 +308,10 @@ class TelemetryBus:
             return
         if duration_s < 0:
             raise ValueError(f"duration_s must be non-negative, got {duration_s}")
-        self.sink.emit(
-            TelemetryEvent(
-                kind="span",
-                name=name,
-                value=float(duration_s),
-                t_s=start_s - self._epoch,
-                step=self.step,
-                depth=self._depth,
-                attrs=attrs,
-            )
-        )
+        self.sink.emit(TelemetryEvent(
+            "span", name, float(duration_s), start_s - self._epoch, self.step,
+            self._depth, attrs,
+        ))
 
     def merge(self, events, **attrs) -> None:
         """Replay events recorded on another bus (e.g. a worker rank's).
@@ -354,17 +330,10 @@ class TelemetryBus:
             return
         now = self._clock() - self._epoch
         for ev in events:
-            self.sink.emit(
-                TelemetryEvent(
-                    kind=ev.kind,
-                    name=ev.name,
-                    value=ev.value,
-                    t_s=now,
-                    step=self.step,
-                    depth=ev.depth,
-                    attrs={**ev.attrs, **attrs},
-                )
-            )
+            self.sink.emit(TelemetryEvent(
+                ev.kind, ev.name, ev.value, now, self.step, ev.depth,
+                {**ev.attrs, **attrs},
+            ))
 
     def close(self) -> None:
         """Close the attached sink."""

@@ -9,6 +9,8 @@ the existing fault-injection suites.
 
 from __future__ import annotations
 
+import tempfile
+
 import pytest
 
 from repro.elastic.campaign import run_resize_campaign
@@ -83,3 +85,11 @@ def test_alternate_seed_campaign(tmp_path):
     )
     assert summary["bit_identical"], summary
     assert summary["requeues"] == 3
+
+
+def test_default_snapshot_directory_is_removed_before_return(tmp_path, monkeypatch):
+    """Without ``checkpoint_dir`` the campaign leaves no directory behind."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    summary = run_resize_campaign(total_steps=4, n_resizes=2)
+    assert summary["bit_identical"], summary
+    assert list(tmp_path.iterdir()) == []

@@ -27,6 +27,7 @@ from repro.serve import (
     VirtualClock,
     latency_stats,
 )
+from repro.serve.ledger import book_counters
 from repro.telemetry import RecordingSink, TelemetryBus
 
 from tests.test_serve.conftest import stub_images
@@ -498,6 +499,16 @@ def _method_calls(attr):
             yield file, fn, call
 
 
+#: The counters a run books off its decided responses.
+VERDICT_COUNTERS = (
+    "serve.submitted",
+    "serve.cache_hit",
+    "serve.cache_miss",
+    "serve.served",
+    "serve.timeout",
+    "serve.rejected",
+)
+
 #: Ledger fields a terminal verdict moves (``rejected`` is the tenant slice's).
 OUTCOME_FIELDS = {
     "served",
@@ -522,14 +533,29 @@ class TestOneBookingSite:
             ("server.py", "_finish")
         }
 
-    def test_each_verdict_counter_is_one_literal_in_one_counter_call(self):
-        names = [
-            call.args[0].value
-            for _, _, call in _method_calls("counter")
+    def test_per_request_code_makes_no_counter_call_and_the_run_books_each_name(
+        self,
+    ):
+        sites = {(file, fn) for file, fn, _ in _method_calls("counter")}
+        for per_request in (
+            ("server.py", "_admit"),
+            ("server.py", "_finish"),
+            ("server.py", "_deliver_ok"),
+            ("server.py", "_sweep_expired"),
+            ("ledger.py", "book"),
+        ):
+            assert per_request not in sites, per_request
+        # Each verdict name is a literal at one counter call, the
+        # booking's, where tools/lint.py's telemetry_names rule reads it.
+        literal = [
+            (call.args[0].value, (file, fn))
+            for file, fn, call in _method_calls("counter")
             if call.args and isinstance(call.args[0], ast.Constant)
         ]
-        for verdict in ("serve.served", "serve.timeout", "serve.rejected"):
-            assert names.count(verdict) == 1, verdict
+        for verdict in VERDICT_COUNTERS:
+            assert [site for name, site in literal if name == verdict] == [
+                ("ledger.py", "book_counters")
+            ], verdict
 
     def test_a_second_verdict_for_one_request_still_raises(self, stub_model):
         server, _ = _server(stub_model)
@@ -572,24 +598,24 @@ class TestOneBookingSite:
     def test_book_reads_field_slice_and_counter_off_the_response(
         self, fields, aggregate, tenant_field, counter, attrs
     ):
-        bus = TelemetryBus(RecordingSink(), clock=VirtualClock().now)
         response = Response(req_id=0, arrival_s=0.0, done_s=1.0, tenant="t", **fields)
         stats = ServerStats()
-        stats.book(response, bus)
+        stats.book(response)
         assert stats.to_json() == {
             **ServerStats().to_json(),
             aggregate: 1,
             "tenants": {"t": {**TenantCounts().to_json(), tenant_field: 1}},
         }
-        [event] = bus.sink.events
-        assert (event.name, list(event.attrs.items())) == (
-            counter,
-            [*attrs.items(), ("tenant", "t")],
-        )
-        # Without a bus the ledger moves the same way and nothing is emitted.
-        quiet = ServerStats()
-        quiet.book(response)
-        assert quiet == stats and len(bus.sink.events) == 1
+        # The run's booking reads the same response: submitted, then its
+        # verdict (the cache is off, so no hit or miss).
+        bus = TelemetryBus(RecordingSink(), clock=VirtualClock().now)
+        book_counters(bus, [response, response], cached=False)
+        assert [
+            (e.name, e.value, list(e.attrs.items())) for e in bus.sink.events
+        ] == [
+            ("serve.submitted", 2.0, [("tenant", "t")]),
+            (counter, 2.0, [*attrs.items(), ("tenant", "t")]),
+        ]
 
 
 class TestOneQueueAndNoDeadSurface:
