@@ -68,7 +68,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend.inline import ExecutionBackend
-from repro.backend.shm import ALIGN, ShmArena, plan_blocks
+from repro.backend.shm import ShmArena, _align, plan_blocks
 from repro.telemetry.bus import RecordingSink, TelemetryBus
 
 __all__ = ["ProcessBackend", "WorkerCrashError", "WorkerStepError"]
@@ -98,10 +98,6 @@ class WorkerStepError(RuntimeError):
         super().__init__(
             f"step_fn failed on worker rank {rank}:\n{worker_traceback}"
         )
-
-
-def _align(n: int) -> int:
-    return -(-n // ALIGN) * ALIGN
 
 
 # -- microbatch staging ------------------------------------------------------
@@ -270,7 +266,8 @@ class ProcessBackend(ExecutionBackend):
     def __init__(self, engine):
         super().__init__(engine)
         # One worker per rank that runs distinct microbatches: a mesh
-        # engine's tp/pp axes are folded into each dp rank's step.
+        # engine's tp axis is folded into each dp rank's step (a mesh
+        # with pp > 1 is refused before it gets here).
         self.world_size = engine.data_parallel_size
         self._storage = engine.storage
         arrays = self._storage.arrays()

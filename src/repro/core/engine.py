@@ -113,7 +113,8 @@ class EngineConfig:
         process per rank over shared-memory parameter/gradient blocks —
         :mod:`repro.backend`). fp32 training is bit-identical across
         backends; call ``engine.close()`` when done with a process
-        backend to join workers and unlink the segments.
+        backend to join workers and unlink the segments. A mesh with
+        ``pp > 1`` runs only inline (``"process"`` is refused).
     reduction_layout:
         The logical :class:`~repro.elastic.layout.ReductionLayout` the
         gradient reduction must realize (``None`` — the default — keeps

@@ -5,10 +5,8 @@ Two halves, one discipline. First, *reconciliation*: every mesh row of
 wire traffic (``RunReport.axis_bytes``/``axis_calls``) is compared
 against the closed-form prediction from
 :func:`repro.perf.mesh_model.predict_mesh_traffic`. SimComm is exact
-data movement, so the tensor- and data-axis predictions must match the
-telemetry **to the byte and to the call**; the pipeline axis is allowed
-the documented :data:`PP_TOLERANCE` (the analytic model books boundary
-activations off the op partition, the engine measures executed sends).
+data movement, so every axis's prediction must match the telemetry
+**to the byte and to the call**.
 
 Second, *extrapolation*: once the model is reconciled at proxy scale,
 the mesh-aware :class:`~repro.perf.simulator.TrainStepSimulator` sweeps
@@ -43,8 +41,6 @@ from repro.utils.units import GIB, MIB
 __all__ = [
     "CrossoverPoint",
     "AXES",
-    "PP_TOLERANCE",
-    "EXACT_AXES",
     "run_mesh_reconciliation",
     "axis_rows",
     "predict_crossover",
@@ -57,13 +53,6 @@ __all__ = [
 
 #: The mesh axes, in reconciliation row order.
 AXES = ("tp", "pp", "dp")
-#: Axes whose predictions must match measured telemetry exactly —
-#: SimComm books exact data movement, so any drift is a bug.
-EXACT_AXES = ("tp", "dp")
-#: Relative tolerance on the pipeline axis (bytes and calls): the
-#: analytic model derives boundary payloads from the closed-form op
-#: partition while the engine measures the sends it actually executed.
-PP_TOLERANCE = 0.02
 
 
 def run_mesh_reconciliation(steps: int = STEPS) -> list[tuple[str, Reconciliation]]:
@@ -84,7 +73,7 @@ def run_mesh_reconciliation(steps: int = STEPS) -> list[tuple[str, Reconciliatio
                 f"{axis}_{what}",
                 getattr(pred.axis(axis), what),
                 getattr(point, f"{axis}_{what}"),
-                "==" if axis in EXACT_AXES else f"rel<={PP_TOLERANCE}",
+                "==",
             )
             for axis in AXES
             for what in ("bytes", "calls")
@@ -95,11 +84,11 @@ def run_mesh_reconciliation(steps: int = STEPS) -> list[tuple[str, Reconciliatio
 
 def axis_rows(
     results: list[tuple[str, Reconciliation]],
-) -> Iterator[tuple[str, str, float, Check, Check]]:
-    """``(label, axis, tolerance, bytes row, calls row)`` per mesh and axis."""
+) -> Iterator[tuple[str, str, Check, Check]]:
+    """``(label, axis, bytes row, calls row)`` per mesh and axis."""
     for label, recon in results:
         for axis, b, c in zip(AXES, recon.rows[0::2], recon.rows[1::2]):
-            yield label, axis, 0.0 if axis in EXACT_AXES else PP_TOLERANCE, b, c
+            yield label, axis, b, c
 
 
 # -- Frontier-scale extrapolation ------------------------------------------
@@ -187,7 +176,7 @@ def predict_crossover(
 def _render_reconciliation(results: list[tuple[str, Reconciliation]]) -> str:
     rows = list(axis_rows(results))
     body = render_table(
-        ["mesh", "axis", "pred MiB", "meas MiB", "pred #", "meas #", "tol", "ok"],
+        ["mesh", "axis", "pred MiB", "meas MiB", "pred #", "meas #", "ok"],
         [
             [
                 label,
@@ -196,18 +185,14 @@ def _render_reconciliation(results: list[tuple[str, Reconciliation]]) -> str:
                 round(b.measured / MIB, 6),
                 c.predicted,
                 c.measured,
-                tol,
                 "yes" if b.ok and c.ok else "NO",
             ]
-            for label, axis, tol, b, c in rows
+            for label, axis, b, c in rows
         ],
-        title=(
-            "Predicted vs measured per-axis wire traffic "
-            f"(tp/dp exact, pp within {PP_TOLERANCE:.0%})"
-        ),
+        title="Predicted vs measured per-axis wire traffic (exact on every axis)",
         precision=6,
     )
-    bad = [f"{label}/{axis}" for label, axis, _, b, c in rows if not (b.ok and c.ok)]
+    bad = [f"{label}/{axis}" for label, axis, b, c in rows if not (b.ok and c.ok)]
     footer = (
         "all axes reconcile: the analytic mesh model matches the executed bytes"
         if not bad
@@ -280,7 +265,7 @@ def claims_mesh_crossover(result: MeshCrossover) -> list[tuple[str, bool]]:
     """Every mesh's predicted traffic reconciles with the executed bytes."""
     recon, _ = result
     return [
-        (f"{label}: predicted per-axis bytes and calls reconcile with the measured "
-         f"(tp / dp exact, pp within {PP_TOLERANCE:.0%})", r.reconciled)
+        (f"{label}: predicted per-axis bytes and calls reconcile exactly with the "
+         "measured", r.reconciled)
         for label, r in recon
     ]

@@ -2,11 +2,10 @@
 
 - :mod:`repro.hardware.gpu` — one accelerator die (GCD): peak FLOP/s,
   HBM capacity, and a matmul-efficiency curve.
-- :mod:`repro.hardware.topology` — hierarchical topology graph
-  (GCD <-> MI250X package <-> node <-> interconnect) built on networkx.
 - :mod:`repro.hardware.frontier` — published Frontier constants and the
-  factory that assembles a :class:`Machine` plus the calibrated
-  :class:`~repro.comm.cost_model.CollectiveCostModel`.
+  factory that assembles a :class:`Machine`: the GCD spec plus the
+  calibrated :class:`~repro.comm.cost_model.CollectiveCostModel`, whose
+  link numbers are the only machine model the simulator prices.
 - :mod:`repro.hardware.power` — occupancy-driven GPU power/utilization
   trace model (reproduces the paper's Fig. 4 rocm-smi panel).
 """
@@ -18,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "gpu": ("GpuSpec",),
         "frontier": ("Machine", "FRONTIER", "frontier_machine"),
-        "topology": ("build_machine_graph",),
         "power": ("PowerModel", "PowerTrace"),
     },
 )

@@ -9,22 +9,18 @@ Published characteristics (OLCF, and Section III-B of the paper):
 - Slingshot-11 interconnect at 100 GB/s per node.
 
 :func:`frontier_machine` assembles a :class:`Machine` scoped to the node
-count of one experiment, wiring the topology graph, the GCD spec, and a
-collective cost model with bandwidths derived from the same constants.
+count of one experiment: the GCD spec and a collective cost model whose
+bandwidths and per-hop alphas are derived from these constants. Those
+numbers are the whole machine model; nothing else prices a link.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.comm.cost_model import CollectiveCostModel
 from repro.comm.world import World
 from repro.hardware.gpu import GpuSpec
-from repro.hardware.topology import build_machine_graph
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["FrontierSpec", "FRONTIER", "Machine", "frontier_machine"]
 
@@ -36,14 +32,9 @@ class FrontierSpec:
     total_nodes: int = 9408
     gcds_per_node: int = 8
     gcds_per_package: int = 2
-    in_package_bw: float = 200e9
     intra_node_bw: float = 50e9
     nic_bw: float = 100e9
-    in_package_latency: float = 1e-6
-    intra_node_latency: float = 5e-6
-    inter_node_latency: float = 12e-6
-    #: Per-hop alphas of the pipelined ring collectives (smaller than the
-    #: one-shot link latencies above because chunks are pipelined).
+    #: Per-hop alphas of the pipelined ring collectives.
     intra_hop_alpha: float = 1.5e-6
     inter_hop_alpha: float = 12e-6
     #: Achieved fraction of NIC line rate for RCCL traffic (the
@@ -63,7 +54,6 @@ class Machine:
 
     spec: FrontierSpec
     n_nodes: int
-    graph: nx.Graph = field(compare=False, hash=False)
     cost_model: CollectiveCostModel = field(compare=False)
 
     @property
@@ -95,17 +85,11 @@ def frontier_machine(n_nodes: int, spec: FrontierSpec = FRONTIER) -> Machine:
         raise ValueError(
             f"requested {n_nodes} nodes but the machine has only {spec.total_nodes}"
         )
-    graph = build_machine_graph(
-        n_nodes=n_nodes,
-        gcds_per_node=spec.gcds_per_node,
-        gcds_per_package=spec.gcds_per_package,
-        in_package_bw=spec.in_package_bw,
-        intra_node_bw=spec.intra_node_bw,
-        nic_bw=spec.nic_bw,
-        in_package_latency=spec.in_package_latency,
-        intra_node_latency=spec.intra_node_latency,
-        inter_node_latency=spec.inter_node_latency,
-    )
+    if spec.gcds_per_node % spec.gcds_per_package != 0:
+        raise ValueError(
+            f"{spec.gcds_per_node} GCDs/node not divisible by "
+            f"{spec.gcds_per_package}/package"
+        )
     packages_per_node = spec.gcds_per_node // spec.gcds_per_package
     cost_model = CollectiveCostModel(
         intra_node_bw=spec.intra_node_bw,
@@ -113,4 +97,4 @@ def frontier_machine(n_nodes: int, spec: FrontierSpec = FRONTIER) -> Machine:
         intra_node_alpha=spec.intra_hop_alpha,
         inter_node_alpha=spec.inter_hop_alpha,
     )
-    return Machine(spec=spec, n_nodes=n_nodes, graph=graph, cost_model=cost_model)
+    return Machine(spec=spec, n_nodes=n_nodes, cost_model=cost_model)

@@ -13,8 +13,7 @@ The mesh package generalizes the hard-coded 2-D replica x shard mesh of
 - :mod:`repro.mesh.tp` — :class:`TPContext`, megatron-style tensor
   parallelism as load-bearing column-shard all-gathers.
 - :mod:`repro.mesh.pipeline` — GPipe / 1F1B schedules over
-  layer-partitioned op stages, plus closed-form boundary byte
-  accounting.
+  layer-partitioned op stages.
 - :mod:`repro.mesh.engine` — ``MeshEngine``, the core engine running
   the ddp / full-shard row over the dp axis with the tp and pp axes
   composed around it; built only via
@@ -31,7 +30,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "spec": ("MESH_AXIS_NAMES", "MeshSpec", "PIPELINE_SCHEDULES"),
         "tp": ("TPContext",),
         "pipeline": (
-            "boundary_nbytes",
             "gpipe_schedule",
             "one_f_one_b_schedule",
             "partition_stages",

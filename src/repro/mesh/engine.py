@@ -7,7 +7,7 @@ retried/telemetered collectives, checkpoint state, the step skeleton
 and the whole dp axis (storage, gathers, reduce: the strategy's row run
 over the mesh's dp group, spans tagged ``axis="dp"``) — plus what is the
 mesh's own: tp wiring, stage runs and the stash, and the pipeline
-schedule that replaces the core's round loop for inline ``pp > 1``. One
+schedule that replaces the core's round loop for ``pp > 1``. One
 parallelism layer per axis:
 
 ``tp`` (innermost)
@@ -38,21 +38,20 @@ under the cached arrays), so any valid schedule equals depth-first
 execution. Composed, a
 ``(pp, dp, tp)`` engine trains fp32 bit-identically to the world-1 DDP
 oracle on the same global batch (differential-tested per axis and
-jointly, on both backends). The engine is therefore fp32-only: bf16
-emulation would need a per-axis rounding story this substrate does not
-model yet.
+jointly; the dp and tp axes on both backends). The engine is therefore
+fp32-only: bf16 emulation would need a per-axis rounding story this
+substrate does not model yet.
 
 **SPMD economy.** As everywhere in this codebase, all ranks share one
 process and one model instance. The tp/pp axes are *data-movement*
 axes: computation happens once, and the collectives move the real
-bytes so wire accounting is honest. Under the process backend, workers
-run microbatches depth-first (numerically identical); the parent books
-the schedule's boundary traffic analytically from
-:func:`~repro.mesh.pipeline.boundary_nbytes`, and tp gather bytes live
-in each worker's own ``SimComm`` ledger, fanned in through the
-telemetry bus. Both backends run one forward and one backward per
-(stage, micro), so per-axis bytes *and* calls agree across them
-(asserted by the cross-backend differential test).
+bytes so wire accounting is honest. The process backend runs the dp
+and tp axes — its workers are the dp ranks, and their tp gather bytes
+live in each worker's own ``SimComm`` ledger, fanned in through the
+telemetry bus, so per-axis bytes *and* calls agree across backends
+(asserted by the cross-backend differential test). It refuses
+``pp > 1`` at construction: its workers would run every micro
+depth-first and never cross a stage boundary.
 
 **Pipeline work is done once.** The inline schedule interleaves
 microbatches on one set of layers, whose activation caches (and the
@@ -93,7 +92,7 @@ from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore, StepFn
 from repro.core.sharding import ShardingStrategy
 from repro.mesh.device_mesh import DeviceMesh
-from repro.mesh.pipeline import boundary_nbytes, partition_stages, schedule_actions
+from repro.mesh.pipeline import partition_stages, schedule_actions
 from repro.mesh.spec import MESH_AXIS_NAMES, MeshSpec
 from repro.mesh.tp import TPContext
 from repro.models.module import Module
@@ -171,6 +170,11 @@ class MeshEngine(EngineCore):
                 f"world has {world.size}; pp * dp * tp must equal the world "
                 "size"
             )
+        if spec.pp > 1 and config.backend == "process":
+            raise ValueError(
+                f"mesh {spec.describe()} needs backend='inline': the process "
+                "backend runs only the dp and tp axes, not pipeline stages"
+            )
         if config.shard_size not in (None, spec.dp):
             raise ValueError(
                 f"config.shard_size={config.shard_size} conflicts with the "
@@ -182,7 +186,6 @@ class MeshEngine(EngineCore):
         self.device_mesh = DeviceMesh(world, spec.shape, MESH_AXIS_NAMES)
         self._tp_group = self.device_mesh.groups("tp")[0]
         self._pp_group = self.device_mesh.groups("pp")[0]
-        self._param_dtype = model.parameters()[0].dtype
         # tp and pp are data-movement axes over the one shared model:
         # only the dp axis runs distinct microbatches (and workers).
         super().__init__(
@@ -437,39 +440,11 @@ class MeshEngine(EngineCore):
                 out[i][index] = src
                 src[...] = 0.0
 
-    def _book_pipeline_transfers(self, micros: Sequence[Any]) -> None:
-        """Analytic stage-boundary byte accounting (process backend).
-
-        Workers run each microbatch depth-first — numerically identical
-        to any schedule — so no activation is ever materialized on a
-        boundary. The parent books the traffic the inline schedule
-        would move: per micro, per boundary, one forward activation and
-        one backward gradient of the same size.
-        """
-        bus = self.telemetry
-        for micro in micros:
-            imgs = micro[0] if isinstance(micro, tuple) else micro
-            batch = int(imgs.shape[0])
-            itemsize = np.result_type(imgs.dtype, self._param_dtype).itemsize
-            sizes = boundary_nbytes(self._ops, self._stage_bounds, batch, itemsize)
-            for nbytes in sizes:
-                for _direction in ("fwd", "bwd"):
-                    self.comm.stats.record("send", 2, float(nbytes))
-                    if bus.enabled:
-                        with bus.span(
-                            "comm.send", bytes=float(nbytes), axis="pp"
-                        ):
-                            pass
-
     # -- the step ----------------------------------------------------------
 
     def _forward_backward(self, micros: Sequence[Any], step_fn: StepFn):
-        """The core's round loop, except that inline pipeline stages run
-        their schedule in its place (and process workers, which run each
-        micro depth-first, have the boundary traffic booked for them)."""
-        if self.pp > 1 and self.backend == "inline":
-            return self._run_pipeline(micros, self.grad_accum_steps)
-        out = super()._forward_backward(micros, step_fn)
+        """The core's round loop, except that pipeline stages run their
+        schedule in its place."""
         if self.pp > 1:
-            self._book_pipeline_transfers(micros)
-        return out
+            return self._run_pipeline(micros, self.grad_accum_steps)
+        return super()._forward_backward(micros, step_fn)

@@ -25,11 +25,9 @@ liveness — the engine holds exactly the in-flight micros' activations,
 bubble structure, which is exactly what the telemetry layer measures.
 
 Byte accounting: the activation crossing each stage boundary (and its
-gradient, backward) moves through ``SimComm.send``.
-:func:`boundary_nbytes` computes those payload sizes in closed form so
-the process backend — whose workers run depth-first and never
-materialize the send — can book identical wire bytes to the inline
-schedule (asserted by the cross-backend differential tests).
+gradient, backward) moves through ``SimComm.send``, so the ledger counts
+the bytes the schedule really moved. Only the inline backend runs a
+schedule; the process backend refuses ``pp > 1``.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "gpipe_schedule",
     "one_f_one_b_schedule",
     "schedule_actions",
-    "boundary_nbytes",
 ]
 
 Action = tuple[str, int, int]  # ("fwd" | "bwd", stage, micro)
@@ -170,24 +167,3 @@ def _check_schedule(actions: list[Action], n_micro: int, pp: int) -> None:
     expect = {(s, j) for s in range(pp) for j in range(n_micro)}
     if fwd_seen != expect or bwd_seen != expect:
         raise RuntimeError("schedule did not execute every (stage, micro) once")
-
-
-def boundary_nbytes(
-    ops: list, bounds: list[tuple[int, int]], batch: int, itemsize: int
-) -> list[int]:
-    """Payload bytes of each stage boundary's activation tensor.
-
-    ``bounds`` is the :func:`partition_stages` result; boundary ``s``
-    carries the output of the last op of stage ``s`` (shape from the
-    op's ``out_shape``). The same payload crosses back as a gradient,
-    so one micro moves ``2 * sum(boundary_nbytes)`` bytes total.
-    """
-    sizes = []
-    for s in range(len(bounds) - 1):
-        last_op = ops[bounds[s][1] - 1]
-        shape = last_op.out_shape(batch)
-        n = 1
-        for dim in shape:
-            n *= dim
-        sizes.append(n * itemsize)
-    return sizes

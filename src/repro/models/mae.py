@@ -85,8 +85,6 @@ def _centered_var(x: np.ndarray, xc: np.ndarray, sq: np.ndarray) -> np.ndarray:
 class _HeadOp:
     """Patchify, embed, mask, prepend cls: ``(imgs, noise) -> (B, 1+Lv, W)``."""
 
-    kind = "head"
-
     def __init__(self, model: "MaskedAutoencoder"):
         self.m = model
 
@@ -123,10 +121,6 @@ class _HeadOp:
         dimgs = m._buf("dimgs", shape, dpatches.dtype)
         return unpatchify(dpatches, enc.patch, enc.in_chans, out=dimgs)
 
-    def out_shape(self, batch: int) -> tuple[int, ...]:
-        enc = self.m.cfg.encoder
-        return (batch, 1 + self.m.cfg.n_visible, enc.width)
-
     def params(self) -> list[Parameter]:
         return self.m.patch_proj.parameters() + [self.m.cls_token]
 
@@ -137,22 +131,14 @@ class _HeadOp:
 class _BlockOp:
     """One transformer block (encoder or decoder)."""
 
-    def __init__(self, model: "MaskedAutoencoder", blk, kind: str):
-        self.m = model
+    def __init__(self, blk):
         self.blk = blk
-        self.kind = kind
 
     def forward(self, x, ctx: dict):
         return self.blk(x)
 
     def backward(self, d, ctx: dict):
         return self.blk.backward(d)
-
-    def out_shape(self, batch: int) -> tuple[int, ...]:
-        m = self.m
-        if self.kind == "enc":
-            return (batch, 1 + m.cfg.n_visible, m.cfg.encoder.width)
-        return (batch, 1 + m.cfg.encoder.n_patches, m.cfg.dec_width)
 
     def params(self) -> list[Parameter]:
         return self.blk.parameters()
@@ -163,8 +149,6 @@ class _BlockOp:
 
 class _BridgeOp:
     """Encoder norm, decoder embed, mask-token fill, un-shuffle, dec pos."""
-
-    kind = "bridge"
 
     def __init__(self, model: "MaskedAutoencoder"):
         self.m = model
@@ -202,10 +186,6 @@ class _BridgeOp:
         dx = m.dec_embed.backward(dy_enc_out)
         return m.enc_norm.backward(dx)
 
-    def out_shape(self, batch: int) -> tuple[int, ...]:
-        m = self.m
-        return (batch, 1 + m.cfg.encoder.n_patches, m.cfg.dec_width)
-
     def params(self) -> list[Parameter]:
         m = self.m
         return (
@@ -220,8 +200,6 @@ class _BridgeOp:
 
 class _TailOp:
     """Decoder norm, pixel prediction, masked per-patch-normalized MSE."""
-
-    kind = "tail"
 
     def __init__(self, model: "MaskedAutoencoder"):
         self.m = model
@@ -273,9 +251,6 @@ class _TailOp:
         dy_full[:, 0] = 0.0
         dy_full[:, 1:] = dy_tail
         return m.dec_norm.backward(dy_full)
-
-    def out_shape(self, batch: int) -> None:
-        return None  # the loss: nothing crosses a stage boundary after this
 
     def params(self) -> list[Parameter]:
         return self.m.dec_norm.parameters() + self.m.pred.parameters()
@@ -339,9 +314,9 @@ class MaskedAutoencoder(Module):
         # The pipeline op sequence (single source of truth for fwd/bwd).
         self._ops = (
             [_HeadOp(self)]
-            + [_BlockOp(self, blk, "enc") for blk in self.enc_blocks]
+            + [_BlockOp(blk) for blk in self.enc_blocks]
             + [_BridgeOp(self)]
-            + [_BlockOp(self, blk, "dec") for blk in self.dec_blocks]
+            + [_BlockOp(blk) for blk in self.dec_blocks]
             + [_TailOp(self)]
         )
 

@@ -6,12 +6,9 @@ traffic by tagging every collective span with its mesh axis; this module
 the two can be reconciled row-by-row (``python -m repro.experiments
 mesh-crossover``). Because :class:`repro.comm.sim.SimComm` is exact data
 movement — every booked byte is an actually-copied NumPy byte — the
-tensor- and data-parallel predictions must match the measured telemetry
-*exactly*; pipeline boundary bytes are analytic on both sides (the
-process backend books them through
-:func:`repro.mesh.pipeline.boundary_nbytes`) and are compared within a
-documented tolerance to leave room for backends that pad boundary
-tensors.
+predictions must match the measured telemetry *exactly* on every axis:
+the pipeline's boundary sends are real copies too (only the inline
+backend runs ``pp > 1``).
 
 Where the numbers come from (all derived, none fitted):
 

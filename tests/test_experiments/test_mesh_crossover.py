@@ -10,8 +10,6 @@ from repro.experiments.mesh_axes import MicroSlotError
 from repro.experiments.mesh_crossover import (
     AXES,
     CROSSOVER_MESHES,
-    EXACT_AXES,
-    PP_TOLERANCE,
     axis_rows,
     predict_crossover,
     run_mesh_reconciliation,
@@ -37,19 +35,11 @@ class TestReconciliation:
             ]
         assert len(list(axis_rows(reconciliation))) == 3 * len(mesh_axes.CONFIGS)
 
-    def test_tp_and_dp_match_exactly(self, reconciliation):
-        for label, axis, tol, b, c in axis_rows(reconciliation):
-            if axis in EXACT_AXES:
-                assert tol == 0.0 and b.gate == c.gate == "=="
-                assert b.predicted == b.measured, (label, axis)
-                assert c.predicted == c.measured, (label, axis)
-
-    def test_pp_within_documented_tolerance(self, reconciliation):
-        for label, axis, tol, b, c in axis_rows(reconciliation):
-            if axis == "pp":
-                assert tol == PP_TOLERANCE
-                assert b.gate == c.gate == f"rel<={PP_TOLERANCE}"
-                assert b.ok and c.ok, (label, b.predicted, b.measured)
+    def test_every_axis_matches_exactly(self, reconciliation):
+        for label, axis, b, c in axis_rows(reconciliation):
+            assert b.gate == c.gate == "=="
+            assert b.predicted == b.measured, (label, axis)
+            assert c.predicted == c.measured, (label, axis)
 
     def test_all_rows_reconcile(self, reconciliation):
         assert all(recon.reconciled for _, recon in reconciliation)

@@ -1,5 +1,7 @@
 """Tests for the Frontier machine factory and power model."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,11 @@ class TestFrontierMachine:
             frontier_machine(0)
         with pytest.raises(ValueError, match="only"):
             frontier_machine(10_000)
+
+    def test_gcds_per_node_must_split_into_packages(self):
+        # The NIC split divides by packages per node.
+        with pytest.raises(ValueError, match="not divisible"):
+            frontier_machine(1, spec=replace(FRONTIER, gcds_per_node=7))
 
 
 class TestPowerModel:

@@ -81,9 +81,5 @@ def test_tp_only_process_backend_matches_oracle():
     _compare(MeshSpec(tp=2), "ddp", k=2, backend="process")
 
 
-def test_tp_pp_dp_full_shard_process_backend_matches_oracle():
-    _compare(MeshSpec(pp=2, dp=2, tp=2), "full_shard", k=2, backend="process")
-
-
-def test_pp_1f1b_process_backend_matches_oracle():
-    _compare(MeshSpec(pp=2, dp=2, schedule="1f1b"), "ddp", backend="process")
+def test_dp_tp_full_shard_process_backend_matches_oracle():
+    _compare(MeshSpec(dp=2, tp=2), "full_shard", k=2, backend="process")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import multiprocessing
 import re
 
 import numpy as np
 import pytest
 
+from repro.backend.shm import sweep_segments
 from repro.comm.world import World
 from repro.core.engine import EngineConfig, make_engine
 from repro.elastic.layout import ReductionLayout, natural_layout
@@ -74,6 +76,16 @@ def test_pp_needs_a_pipeline_capable_model():
             vit, "ddp", world=World(2),
             config=EngineConfig(mesh=MeshSpec(pp=2)),
         )
+
+
+def test_process_backend_refuses_a_pipeline_before_starting_workers():
+    with pytest.raises(ValueError, match="backend='inline'"):
+        make_engine(
+            build_model(), "ddp", world=World(4),
+            config=EngineConfig(mesh=MeshSpec(pp=2, dp=2), backend="process"),
+        )
+    assert multiprocessing.active_children() == []
+    assert sweep_segments() == []
 
 
 def test_mesh_engine_is_fp32_only():

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.mesh.pipeline import (
-    boundary_nbytes,
     gpipe_schedule,
     one_f_one_b_schedule,
     partition_stages,
     schedule_actions,
 )
-
-from .helpers import build_model
 
 
 def test_partition_stages_contiguous_cover():
@@ -81,15 +77,3 @@ def test_1f1b_backward_order_is_micro_order_per_stage():
     for s in range(3):
         bwds = [j for kind, stage, j in actions if kind == "bwd" and stage == s]
         assert bwds == sorted(bwds)
-
-
-def test_boundary_nbytes_matches_op_out_shapes():
-    model = build_model()
-    ops = model.pipeline_ops()
-    bounds = partition_stages(len(ops), 3)
-    batch = 2
-    sizes = boundary_nbytes(ops, bounds, batch, itemsize=8)
-    assert len(sizes) == 2
-    for s, nbytes in enumerate(sizes):
-        shape = ops[bounds[s][1] - 1].out_shape(batch)
-        assert nbytes == int(np.prod(shape)) * 8
