@@ -25,7 +25,8 @@ bit-for-bit under fp32):
   copy of ``grad_buffers[i]`` — same size and dtype, never aliasing it,
   the same array for the engine's life;
 - ranks run in ascending order within a round, each against the rank's
-  already-cast microbatch, with local gradients zeroed first;
+  already-cast microbatch, with local gradients marked unwritten first
+  (a micro's first contribution writes each one);
 - when ``run_round(j, ...)`` returns, row ``[j][r]`` holds rank ``r``'s
   contribution (already loss-scaled/quantized for the wire), ready for
   the engine's deterministic reduction — which writes its result into

@@ -54,6 +54,7 @@ __all__ = [
     "flatten_params",
     "unflatten_params",
     "install_grad_views",
+    "grad_views",
     "default_wrap_units",
     "unit_param_specs",
 ]
@@ -294,11 +295,20 @@ def install_grad_views(
     if flat is None:
         dtype = np.result_type(*(p.dtype for p in params))
         flat = np.zeros(sum(p.size for p in params), dtype)
+    for p, view in zip(params, grad_views(params, flat)):
+        p.grad = view
+    return flat
+
+
+def grad_views(params: list[Parameter], flat: np.ndarray) -> list[np.ndarray]:
+    """Each parameter's reshaped run of ``flat``, runs laid end to end in
+    ``params`` order (what :func:`install_grad_views` points at)."""
+    views = []
     offset = 0
     for p in params:
-        p.grad = flat[offset : offset + p.size].reshape(p.shape)
+        views.append(flat[offset : offset + p.size].reshape(p.shape))
         offset += p.size
-    return flat
+    return views
 
 
 class FlatShard:
@@ -399,7 +409,8 @@ class Storage:
     and ``units`` is set — this class is where that fork lives.
     ``grad_buffers`` are the rank's flat gradient buffers in outbound
     order; every ``p.grad`` is a view into one of them, so backward
-    writes where the collective reads. ``shards`` are each unit's
+    writes where the collective reads. ``grad_params`` are each buffer's
+    parameters, laid end to end in it. ``shards`` are each unit's
     optimizer targets once :meth:`make_slots` has laid them down.
     """
 
@@ -408,23 +419,36 @@ class Storage:
     grad_groups: list[list[int]] | None
     grad_buffers: list[np.ndarray]
     shards: list[list[FlatShard]] = field(default_factory=list)
+    grad_params: list[list[Parameter]] = field(init=False, repr=False)
 
-    def zero_grads(self) -> None:
-        """Zero the rank's gradient buffers (every ``p.grad`` with them)."""
-        for buf in self.grad_buffers:
-            buf[...] = 0.0
+    def __post_init__(self) -> None:
+        if self.units is not None:
+            self.grad_params = [u.params for u in self.units]
+        else:
+            self.grad_params = [[self.params[i] for i in g] for g in self.grad_groups]
 
     def run_rank(self, model: Module, micro, step_fn, row, scale: float | None) -> float:
         """One rank's share of an accumulation round, wherever it runs
-        (the inline backend's loop, a process worker): zero the gradient
-        buffers, run ``step_fn(model, micro)`` — forward and backward —
-        and copy each buffer into ``row[i]``, the rank's outbound
-        contribution (never the buffer itself: the reduce writes where
-        the buffer lives). ``scale`` is ``None`` on the fp32 wire, else
-        the loss scale of the bf16 one
+        (the inline backend's loop, a process worker): mark every
+        parameter unwritten (nothing is zeroed: a micro's first
+        contribution writes its gradient, and one still unwritten is
+        zeroed after), run ``step_fn(model, micro)`` — forward and
+        backward — and copy each buffer into ``row[i]``, the rank's
+        outbound contribution (never the buffer itself: the reduce
+        writes where the buffer lives). That copy is the one place the
+        bf16 wire is scaled and quantized: ``scale`` is ``None`` on the
+        fp32 wire, else the loss scale of the bf16 one
         (:func:`~repro.precision.bf16.bf16_outbound`). Returns the loss."""
-        self.zero_grads()
-        loss = float(step_fn(model, micro))
+        for group in self.grad_params:
+            for p in group:
+                p.unwritten = True
+        try:
+            loss = float(step_fn(model, micro))
+        finally:
+            for group in self.grad_params:
+                for p in group:
+                    if p.unwritten:
+                        p.zero_grad()
         for out, buf in zip(row, self.grad_buffers, strict=True):
             np.copyto(out, buf if scale is None else bf16_outbound(buf, scale))
         return loss

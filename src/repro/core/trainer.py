@@ -31,6 +31,9 @@ from repro.telemetry import StepStats, TelemetryBus
 
 __all__ = ["Pretrainer", "MAEPretrainer", "TrainResult"]
 
+#: Steps of loss / LR history a trainer holds before its storage doubles.
+_HISTORY_CAPACITY = 1024
+
 
 @dataclass
 class TrainResult:
@@ -179,7 +182,11 @@ class Pretrainer:
         )
         self.save_every = save_every
         self.preemption = preemption
-        self._hist_losses, self._hist_lrs = [], []
+        # Loss / LR history: float64 rows allocated here and grown by
+        # doubling, so a step stores no float object and a block never
+        # copies a history that grows with the run.
+        self._history = np.empty((2, _HISTORY_CAPACITY), np.float64)
+        self._n_history = 0
         # An explicit bus wins, and is shared down into the engine unless
         # the engine already has a live one; otherwise inherit the engine's.
         if telemetry is not None and not engine.telemetry.enabled:
@@ -263,21 +270,33 @@ class Pretrainer:
             self._record_step(step, loss, engine.lr)
         return result
 
+    @property
+    def _hist_losses(self) -> list[float]:
+        """Every recorded step's loss."""
+        return self._history[0, : self._n_history].tolist()
+
+    @property
+    def _hist_lrs(self) -> list[float]:
+        """Every recorded step's learning rate."""
+        return self._history[1, : self._n_history].tolist()
+
     def state_dict(self) -> dict:
         """Everything the trajectory depends on: engine + loss/LR history."""
+        n = self._n_history
         return {
             "engine": self.engine.state_dict(),
             "history": {
-                "losses": np.asarray(self._hist_losses, dtype=np.float64),
-                "lrs": np.asarray(self._hist_lrs, dtype=np.float64),
+                "losses": self._history[0, :n].copy(),
+                "lrs": self._history[1, :n].copy(),
             },
         }
 
     def load_state_dict(self, sd: dict) -> None:
         """Restore a :meth:`state_dict` snapshot (engine + history)."""
         self.engine.load_state_dict(sd["engine"])
-        self._hist_losses = [float(x) for x in sd["history"]["losses"]]
-        self._hist_lrs = [float(x) for x in sd["history"]["lrs"]]
+        history = sd["history"]
+        self._history = np.stack([history["losses"], history["lrs"]]).astype(np.float64)
+        self._n_history = self._history.shape[1]
 
     def _record_step(self, step: int, loss: float, lr: float) -> None:
         """Append one step to the history; snapshot on the save cadence.
@@ -289,8 +308,13 @@ class Pretrainer:
         :class:`~repro.elastic.errors.PreemptedError` unwinds the run so
         a requeue driver can rebuild the next allocation.
         """
-        self._hist_losses.append(loss)
-        self._hist_lrs.append(lr)
+        n = self._n_history
+        if n == self._history.shape[1]:
+            more = np.empty((2, max(n, _HISTORY_CAPACITY)), np.float64)
+            self._history = np.concatenate([self._history, more], axis=1)
+        self._history[0, n] = loss
+        self._history[1, n] = lr
+        self._n_history = n + 1
         saved: str | None = None
         if self.checkpoints is not None and self.save_every:
             if (step + 1) % self.save_every == 0:
@@ -378,8 +402,8 @@ class Pretrainer:
         if total_steps > start:
             self.run(total_steps - start, start_step=start)
         return TrainResult(
-            losses=list(self._hist_losses),
-            lrs=list(self._hist_lrs),
+            losses=self._hist_losses,
+            lrs=self._hist_lrs,
             steps_per_epoch=self.steps_per_epoch,
         )
 

@@ -68,14 +68,19 @@ are therefore the schedule's in-flight peak — ``min(k, pp - s)`` under
 (``TransformerBlock(checkpoint=True)``) stays the memory lever and
 composes: the stash then holds only each block's input. Each
 stage-backward writes its gradients straight into that micro's outbound
-contribution and re-zeroes just those slices.
+contribution: before it runs, the stage's parameters' ``.grad`` point
+at their runs of ``_outbound[j][r]`` (the engine is fp32-only, so the
+row needs no wire scaling) and are marked unwritten, so the first
+contribution writes and nothing is zeroed, copied or re-zeroed; after
+the step every ``.grad`` points home again.
 
 **What stays resident.** The outbound contributions are the core's
 ``_outbound`` rows, as for every engine (:mod:`repro.core.engine_core`):
 ``k * dp`` sets (one unsharded gradient per round and dp rank), handed
 over by the backend at construction and rewritten in full by every step
-— here by the stage-backwards — so nothing a failed step left behind is
-ever read. The dp collectives write in place: parameter gathers into
+— here by the stage-backwards, and a unit's dp padding tail, which no
+gradient lands in, by a zeroing — so nothing a failed step left behind
+is ever read. The dp collectives write in place: parameter gathers into
 ``unit.flat`` (whose shards are views of it — nothing moves),
 reduce-scatter chunks into each shard's ``grad``, the ddp all-reduce
 into the gradient buffer.
@@ -90,7 +95,7 @@ import numpy as np
 from repro.comm.world import World
 from repro.core.engine import EngineConfig
 from repro.core.engine_core import EngineCore, StepFn
-from repro.core.sharding import ShardingStrategy
+from repro.core.sharding import ShardingStrategy, grad_views
 from repro.mesh.device_mesh import DeviceMesh
 from repro.mesh.pipeline import partition_stages, schedule_actions
 from repro.mesh.spec import MESH_AXIS_NAMES, MeshSpec
@@ -238,8 +243,14 @@ class MeshEngine(EngineCore):
             self._stash: list[dict[int, list[tuple]]] = [
                 {} for _ in range(self.pp)
             ]
-            self._stage_grad_runs = self._stage_grad_run_lists()
         super()._launch()
+        if self.pp > 1:
+            self._stage_grads, self._padding = self._stage_grad_views()
+            # Where .grad points between steps: the ddp row's reduce
+            # lands there, and the optimizer and every caller read it.
+            self._home_grads = [
+                (p, p.grad) for params in self.storage.grad_params for p in params
+            ]
 
     def topology(self) -> dict:
         """The core's record plus the mesh shape and schedule."""
@@ -296,36 +307,33 @@ class MeshEngine(EngineCore):
             )
         return stages
 
-    def _stage_grad_run_lists(self) -> list[list[tuple[int, slice]]]:
-        """Where each stage's gradients live in the outbound buffers.
+    def _stage_grad_views(self) -> tuple[list, list[np.ndarray]]:
+        """Where each stage-backward writes its gradients.
 
-        ``runs[s]`` lists ``(i, slice)`` pairs: stage ``s`` owns
-        ``buffer[i][slice]`` of both ``grad_buffers`` and a micro's
-        outbound contribution. The stage's parameters are merged into
-        contiguous slices of each buffer (a unit's flat gradient under
-        ``full_shard``, the one full-model buffer under ``ddp``), the dp
-        padding tail riding with the buffer's last parameter so the
-        stages' slices cover every buffer exactly.
+        Returns ``(views, padding)``. ``views[j][r][s]`` pairs every
+        parameter of stage ``s`` with its run of the ``_outbound[j][r]``
+        contribution — the run its ``.grad`` has in the gradient
+        buffers, so a row is laid out as a rank's buffers are.
+        ``padding`` lists the rows' dp padding tails, which take no
+        gradient and are zeroed each step.
         """
-        groups = [self.params] if self.units is None else [u.params for u in self.units]
-        span_of: dict[int, tuple[int, int, int]] = {}
-        for i, params in enumerate(groups):
-            offset = 0
-            for p in params:
-                stop = offset + p.size
-                padded = self.grad_buffers[i].size if p is params[-1] else stop
-                span_of[id(p)] = (i, offset, padded)
-                offset = stop
-        runs: list[list[tuple[int, slice]]] = []
-        for stage in self._stage_params:
-            merged: list[list[int]] = []
-            for i, start, stop in sorted(span_of[id(p)] for p in stage):
-                if merged and merged[-1][0] == i and merged[-1][2] == start:
-                    merged[-1][2] = stop
-                else:
-                    merged.append([i, start, stop])
-            runs.append([(i, slice(start, stop)) for i, start, stop in merged])
-        return runs
+        stage_of = {
+            id(p): s for s, params in enumerate(self._stage_params) for p in params
+        }
+        views, padding = [], []
+        for rows in self._outbound:
+            per_rank = []
+            for row in rows:
+                per_stage: list[list[tuple]] = [[] for _ in range(self.pp)]
+                for params, out in zip(self.storage.grad_params, row, strict=True):
+                    for p, view in zip(params, grad_views(params, out)):
+                        per_stage[stage_of[id(p)]].append((p, view))
+                    tail = out[sum(p.size for p in params) :]
+                    if tail.size:
+                        padding.append(tail)
+                per_rank.append(per_stage)
+            views.append(per_rank)
+        return views, padding
 
     def _run_pipeline(
         self, micros: Sequence[Any], k: int
@@ -346,9 +354,8 @@ class MeshEngine(EngineCore):
             self._materialize_params()
             self._materialize_params(backward=True)
         losses = [0.0] * (k * self.dp)
-        # Every stage-backward moves its gradients out and re-zeroes
-        # them, so one zeroing per step covers all ranks and micros.
-        self.storage.zero_grads()
+        for tail in self._padding:
+            tail[...] = 0.0
         ws = self.model.workspace
         try:
             for r in range(self.dp):
@@ -364,6 +371,10 @@ class MeshEngine(EngineCore):
                 parked.clear()
             if ws is not None:
                 ws.use_lane(0)
+            # Stage-backwards re-pointed .grad at the outbound rows.
+            for p, grad in self._home_grads:
+                p.grad = grad
+                p.unwritten = False
         return losses, self._outbound
 
     def _run_pipeline_rank(
@@ -393,7 +404,6 @@ class MeshEngine(EngineCore):
         # send from stage s-1); grad_inbox mirrors it for backward.
         inbox: list[list] = [[None] * n_micro for _ in range(pp)]
         grad_inbox: list[list] = [[None] * n_micro for _ in range(pp)]
-        storage = self.grad_buffers
         ws = self.model.workspace
         for j, micro in enumerate(rank_micros):
             inbox[0][j] = micro if isinstance(micro, tuple) else (micro, None)
@@ -426,19 +436,21 @@ class MeshEngine(EngineCore):
                     m.put_caches(caches)
             if ws is not None:
                 ws.use_lane(lanes[s].pop(j))
+            # The stage backpropagates straight into micro j's
+            # contribution, so in-flight micros never mix.
+            grads = self._stage_grads[j][r][s]
+            for p, view in grads:
+                p.grad = view
+                p.unwritten = True
             d, grad_inbox[s][j] = grad_inbox[s][j], None  # None: tail seeds it
             for op in reversed(ops[start:stop]):
                 d = op.backward(d, ctx)
+            for p, _ in grads:
+                if p.unwritten:
+                    p.zero_grad()
             resident[s] = None  # backward consumed the caches
             if s > 0:
                 grad_inbox[s - 1][j] = self._send(d, ranks[s], ranks[s - 1])
-            # Move this stage's gradients into micro j's contribution
-            # and re-zero them, so in-flight micros never mix.
-            out = self._outbound[j][r]
-            for i, index in self._stage_grad_runs[s]:
-                src = storage[i][index]
-                out[i][index] = src
-                src[...] = 0.0
 
     # -- the step ----------------------------------------------------------
 

@@ -133,9 +133,10 @@ class TPContext:
             staging = self._staging = np.empty((2, n), arr2.dtype)
         send = staging[0, :n].reshape(t, rows, c)
         recv = staging[1, :n].reshape(t, rows, c)
-        cols = [slice(r * c, (r + 1) * c) for r in range(t)]
-        for r, col in enumerate(cols):
-            send[r] = arr2[:, col]
+        # (rows, t, c) splits only the feature axis, so it is a view of
+        # arr2 whatever its strides: each direction is one strided copy.
+        blocks = arr2.reshape(rows, t, c).transpose(1, 0, 2)
+        np.copyto(send, blocks)
         shards = list(send.reshape(t, rows * c))
         retry_collective(
             lambda: self.comm.all_gather(shards, self.group, out=recv.reshape(n)),
@@ -146,5 +147,4 @@ class TPContext:
             arr2.nbytes,
             axis="tp",
         )
-        for r, col in enumerate(cols):
-            arr2[:, col] = recv[r]
+        np.copyto(blocks, recv)

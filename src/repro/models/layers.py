@@ -1,7 +1,9 @@
 """Core layers: Linear, LayerNorm, GELU, MLP.
 
 Each layer's ``forward`` caches exactly what its hand-derived ``backward``
-needs; ``backward`` accumulates parameter gradients and returns the input
+needs; ``backward`` hands its parameter gradients to the parameters —
+written on a micro's first contribution, added after it (see
+:class:`~repro.models.module.Parameter`) — and returns the input
 gradient. Batch (leading) dimensions are arbitrary: every layer operates
 on the trailing feature axis.
 
@@ -92,14 +94,20 @@ class Linear(Module):
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """Accumulate dW/db; return ``dout @ W.T``."""
+        """Contribute dW/db; return ``dout @ W.T``."""
         if self._x2 is None:
             raise RuntimeError("backward called before forward")
         x2 = self._x2
         d2 = dout.reshape(-1, self.out_features)
-        gw = self._buf("gw", self.weight.shape, self.weight.dtype)
-        np.matmul(x2.T, d2, out=gw)
-        self.weight.accumulate(gw)
+        w = self.weight
+        if w.unwritten:
+            # A micro's first contribution: the GEMM writes the gradient.
+            np.matmul(x2.T, d2, out=w.grad)
+            w.unwritten = False
+        else:
+            gw = self._buf("gw", w.shape, w.dtype)
+            np.matmul(x2.T, d2, out=gw)
+            w.accumulate(gw)
         if self.has_bias:
             gb = self._buf("gb", self.bias.shape, self.bias.dtype)
             d2.sum(axis=0, out=gb)
@@ -145,7 +153,7 @@ class LayerNorm(Module):
         return y
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        """LayerNorm backward; accumulates dgamma/dbeta."""
+        """LayerNorm backward; contributes dgamma/dbeta."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         dx = self._buf("dx", dout.shape, dout.dtype)

@@ -25,14 +25,24 @@ DEFAULT_DTYPE = np.float64
 
 
 class Parameter:
-    """A trainable tensor with a gradient accumulator."""
+    """A trainable tensor with a gradient accumulator.
 
-    __slots__ = ("data", "grad", "name")
+    ``unwritten`` is the "nothing written yet this micro" state an engine
+    sets in place of zeroing ``grad`` (PyTorch's ``AccumulateGrad`` rule,
+    and why its ``zero_grad(set_to_none=True)`` is the default): ``grad``
+    then holds stale bits, the first contribution *writes* it and clears
+    the flag, later ones add. The engine zeroes a parameter still
+    unwritten when the micro's gradients leave, so no stale bit is read.
+    A new parameter, and one after :meth:`zero_grad`, adds.
+    """
+
+    __slots__ = ("data", "grad", "name", "unwritten")
 
     def __init__(self, data: np.ndarray, name: str = ""):
         self.data = np.asarray(data)
         self.grad = np.zeros_like(self.data)
         self.name = name
+        self.unwritten = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -50,17 +60,25 @@ class Parameter:
         return self.data.dtype
 
     def zero_grad(self) -> None:
-        """Zero this parameter's gradient in place."""
+        """Zero this parameter's gradient in place (later contributions add)."""
         self.grad[...] = 0.0
+        self.unwritten = False
 
     def accumulate(self, g: np.ndarray) -> None:
-        """Add an incoming gradient contribution (broadcast-checked)."""
+        """Take an incoming gradient contribution (shape-checked): the
+        first one of a micro is written, later ones add."""
         if g.shape != self.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match parameter "
                 f"{self.name or '<unnamed>'} shape {self.data.shape}"
             )
-        self.grad += g
+        if self.unwritten:
+            # The bits of 0.0 + g, a -0.0 included: what adding onto a
+            # zeroed gradient wrote.
+            np.add(g, 0.0, out=self.grad)
+            self.unwritten = False
+        else:
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Parameter({self.name or '<unnamed>'}, shape={self.data.shape})"

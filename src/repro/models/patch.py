@@ -9,6 +9,8 @@ reshape/transpose — views plus one final copy (into a C-contiguous
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.models.layers import Linear
@@ -41,7 +43,7 @@ def unpatchify(
         raise ValueError(
             f"patch dim {d} != patch*patch*chans = {patch * patch * in_chans}"
         )
-    g = int(round(np.sqrt(n)))
+    g = math.isqrt(n)
     if g * g != n:
         raise ValueError(f"patch count {n} is not a perfect square")
     x = patches.reshape(b, g, g, patch, patch, in_chans)
