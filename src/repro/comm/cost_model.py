@@ -89,9 +89,9 @@ class GroupPlacement:
 class CollectiveCostModel:
     """Alpha-beta collective timing for one machine configuration.
 
-    All bandwidths in bytes/second, latencies in seconds. Defaults are
-    calibrated for Frontier (see :mod:`repro.hardware.frontier`, which
-    constructs this model from the machine description).
+    All bandwidths in bytes/second, latencies in seconds. The link
+    constants' one home is :class:`~repro.hardware.frontier.FrontierSpec`,
+    from which :func:`~repro.hardware.frontier.frontier_machine` builds it.
 
     Latency is counted per ring *hop*, split by hop type: a contiguous
     ring over a group spanning ``m`` nodes crosses a node boundary ``m``
@@ -102,10 +102,10 @@ class CollectiveCostModel:
     by its intra-node hops, matching observed RCCL behaviour.
     """
 
-    intra_node_bw: float = 50e9  # Infinity Fabric GPU-GPU, per direction
-    inter_node_bw: float = 25e9  # Slingshot-11 NIC share per MI250X/pair of GCDs
-    intra_node_alpha: float = 1.5e-6
-    inter_node_alpha: float = 12e-6
+    intra_node_bw: float  # Infinity Fabric GPU-GPU, per direction
+    inter_node_bw: float  # Slingshot-11 NIC share per MI250X/pair of GCDs
+    intra_node_alpha: float
+    inter_node_alpha: float
     launch_overhead: float = 25e-6  # host-side cost of issuing one collective
 
     def _effective_bandwidth(self, placement: GroupPlacement) -> float:

@@ -68,6 +68,15 @@ def _run(name: str, results: dict) -> tuple[str, list[tuple[str, bool]]]:
     return getattr(mod, render)(result), getattr(mod, claims)(result)
 
 
+def _verdict(claims: list[tuple[str, bool]]) -> str:
+    """``paper shapes: k/n hold``, then a ``FAILED:`` line per claim missed."""
+    misses = [sentence for sentence, holds in claims if not holds]
+    return "\n".join(
+        [f"paper shapes: {len(claims) - len(misses)}/{len(claims)} hold"]
+        + [f"FAILED: {sentence}" for sentence in misses]
+    )
+
+
 def main(argv: list[str]) -> int:
     """Run the named experiments; returns a process exit code."""
     known = list(EXPERIMENTS)
@@ -86,14 +95,9 @@ def main(argv: list[str]) -> int:
         t0 = time.perf_counter()
         body, claims = _run(name, results)
         dt = time.perf_counter() - t0
-        misses = [sentence for sentence, holds in claims if not holds]
-        failed = failed or bool(misses)
-        verdict = "\n".join(
-            [f"paper shapes: {len(claims) - len(misses)}/{len(claims)} hold"]
-            + [f"FAILED: {sentence}" for sentence in misses]
-        )
+        failed = failed or not all(holds for _, holds in claims)
         bar = "=" * 78
-        _echo(f"{bar}\n{name}  ({dt:.1f}s)\n{bar}\n{body}\n{verdict}\n")
+        _echo(f"{bar}\n{name}  ({dt:.1f}s)\n{bar}\n{body}\n{_verdict(claims)}\n")
     return 1 if failed else 0
 
 

@@ -11,7 +11,7 @@ Expected shapes (paper Section IV-A):
   with scale -> the application is never IO-bound;
 - syn-no-comm tracks ideal; syn falls away as communication grows,
   reaching ~22% of the step at 64 nodes;
-- real sits just below syn.
+- real sits just below syn (this and "IO faster" hold by construction).
 """
 
 from __future__ import annotations
@@ -139,7 +139,8 @@ def claims_fig1(result: Fig1Result) -> list[tuple[str, bool]]:
     gaps = [io - syn for io, syn in zip(curves["io"], curves["syn"])]
     fracs = result.comm_fractions()
     return [
-        ("io is faster than syn at every node count (never IO-bound)",
+        ("io is faster than syn at every node count (never IO-bound; by construction: "
+         "IoModel's 4 workers x 30 img/s per rank were tuned to outpace the step)",
          all(io > syn for io, syn in zip(curves["io"], curves["syn"]))),
         ("the io - syn gap is wider at the largest node count than at the smallest",
          gaps[-1] > gaps[0]),
@@ -147,6 +148,7 @@ def claims_fig1(result: Fig1Result) -> list[tuple[str, bool]]:
          fracs[-1] > fracs[0]),
         ("the communication share at the largest node count is between 15% and 35% "
          "(paper: ~22% at 64 nodes)", 0.15 < fracs[-1] < 0.35),
-        ("real never exceeds syn",
+        ("real never exceeds syn (by construction: the real step is max(syn, io) "
+         "x (1 + _DATALOADER_OVERHEAD))",
          all(r <= s for r, s in zip(curves["real"], curves["syn"]))),
     ]

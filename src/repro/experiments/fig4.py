@@ -1,10 +1,10 @@
 """Fig. 4 — weak scaling of the models that do NOT fit on one GPU.
 
-ViT-5B (fits on 2 GPUs) and ViT-15B (needs 4) under HYBRID_{2,4,8,16},
+ViT-5B (2+ GPUs in the paper) and ViT-15B (4+; its memory panel puts
+HYBRID_4GPUs over a GCD's HBM, ROADMAP item 21) under HYBRID_{2,4,8,16},
 FULL_SHARD and SHARD_GRAD_OP; memory panels; the rocm-smi-style
-power/memory/utilization trace for the 5B on 32 nodes; and the
-SHARD_GRAD_OP vs FULL_SHARD throughput comparison the paper quotes
-(1509 vs 1307 ips).
+power/utilization trace for the 5B on 32 nodes; and the SHARD_GRAD_OP
+vs FULL_SHARD throughput comparison the paper quotes (1509 vs 1307 ips).
 
 Expected shapes (paper Section IV-D):
 

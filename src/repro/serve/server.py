@@ -45,13 +45,13 @@ An optional :class:`~repro.serve.admission.AdmissionController`
 events) compose in; the constructor says what their absence means.
 
 Telemetry: with a bus attached (ideally sharing the server's virtual
-clock), the loop publishes queue-depth and batch-size gauges, batch and
-infer spans and the fault path's requeue / replica-fault counters; a
-request makes no call of its own. When a run returns, the verdicts
-decided since the last one are booked once, a counter per cell
-(:func:`repro.serve.ledger.book_counters`), and they reconcile exactly:
-``submitted == served + rejected + timed out`` — in aggregate and, via
-the ``tenant=`` attribute, per tenant.
+clock), the loop publishes batch-size gauges, batch and infer spans and
+the fault path's requeue / replica-fault counters; a request makes no
+call of its own. When a run returns, it gauges the queue's high-water
+depth since the last run and books the verdicts decided since then, a
+counter per cell (:func:`repro.serve.ledger.book_counters`); they
+reconcile exactly, ``submitted == served + rejected + timed out``, in
+aggregate and, via the ``tenant=`` attribute, per tenant.
 """
 
 from __future__ import annotations
@@ -206,6 +206,7 @@ class InferenceServer:
         # its verdict. A byte a request, where a set cost ~90.
         self._decided = bytearray()
         self._booked = 0  # responses[:_booked] have had their counters booked
+        self._queue_high = 0  # queue high-water since the last booking
         self._inflight: list[_Inflight] = []  # heap, earliest finish first
         self._next_batch_id = 0
 
@@ -272,8 +273,7 @@ class InferenceServer:
                 )
             )
             return req_id
-        if self.telemetry.enabled:  # the default bus is not called per request
-            self.telemetry.gauge("serve.queue_depth", len(self.queue))
+        self._queue_high = max(self._queue_high, len(self.queue))
         return req_id
 
     # -- the event loop ------------------------------------------------------
@@ -324,7 +324,9 @@ class InferenceServer:
         self._loop(arrivals)
         decided, self._booked = self.responses[self._booked:], len(self.responses)
         if self.telemetry.enabled:
+            self.telemetry.gauge("serve.queue_depth", self._queue_high)
             book_counters(self.telemetry, decided, self.cache is not None)
+        self._queue_high = 0  # the loop returns with the queue drained
         return sorted(self.responses[first_new:], key=attrgetter("req_id"))
 
     def _check_door(self, arrivals: list[tuple]) -> None:
@@ -413,7 +415,6 @@ class InferenceServer:
         # before the batch forms.
         self._sweep_expired(now)
         batch = self.batcher.take(self.queue)
-        self.telemetry.gauge("serve.queue_depth", len(self.queue))
         if not batch:
             return True  # the sweep consumed the event
         replica = self.pool.select(now, len(batch))
@@ -532,7 +533,7 @@ class InferenceServer:
                         tenant=req.tenant,
                     )
                 )
-        self.telemetry.gauge("serve.queue_depth", len(self.queue))
+        self._queue_high = max(self._queue_high, len(self.queue))
 
     def _sweep_expired(self, now: float) -> bool:
         """Time out every queued request whose deadline has arrived."""
@@ -542,8 +543,6 @@ class InferenceServer:
             self._finish(
                 Response(req.req_id, "timeout", req.arrival_s, done, tenant=req.tenant)
             )
-        if expired:
-            self.telemetry.gauge("serve.queue_depth", len(self.queue))
         return bool(expired)
 
     def _finish(self, response: Response) -> None:

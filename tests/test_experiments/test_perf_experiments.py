@@ -307,7 +307,8 @@ class TestPaperShapes:
         c = fig1.curves()
         planted = copy.copy(fig1)
         planted.curves = lambda: {**c, "real": [1.01 * s for s in c["syn"]]}
-        assert _flips("fig1", fig1, planted) == ["real never exceeds syn"]
+        (flipped,) = _flips("fig1", fig1, planted)
+        assert flipped.startswith("real never exceeds syn (by construction")
 
     def test_fig2_flips_where_backward_pre_loses(self, fig2):
         planted = [

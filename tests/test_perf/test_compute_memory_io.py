@@ -148,14 +148,9 @@ class TestMemoryModel:
 
 
 class TestIoModel:
-    def test_linear_until_fs_cap(self):
+    def test_linear_in_ranks(self):
         io = IoModel()
         assert io.total_ips(16) == pytest.approx(2 * io.total_ips(8))
-
-    def test_fs_cap_binds_at_extreme_scale(self):
-        io = IoModel(fs_aggregate_bw=1e9, bytes_per_image=1e6)
-        # 1 GB/s over 1 MB images = 1000 img/s total, regardless of ranks.
-        assert io.total_ips(100) == pytest.approx(1000.0)
 
     def test_step_time(self):
         io = IoModel(workers_per_rank=4, decode_rate_imgs_per_s=30.0)
