@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from repro.core.config import MAEConfig, ViTConfig
 from repro.core.sharding import parse_strategy
-from repro.hardware.frontier import FRONTIER, FrontierSpec, frontier_machine
-from repro.perf.io_model import IoModel
+from repro.hardware.frontier import frontier_machine
 from repro.perf.memory_model import MemoryBreakdown
-from repro.perf.simulator import PerfParams, StepBreakdown, TrainStepSimulator
+from repro.perf.schedule import PerfParams
+from repro.perf.simulator import StepBreakdown, TrainStepSimulator
 from repro.telemetry import NULL_BUS, TelemetryBus
 
 __all__ = [
@@ -102,18 +102,10 @@ def _make_simulator(
     n_nodes: int,
     strategy_label: str,
     params: PerfParams,
-    io: IoModel | None,
-    spec: FrontierSpec,
 ) -> TrainStepSimulator:
     strategy, shard_size = parse_strategy(strategy_label)
-    machine = frontier_machine(n_nodes, spec=spec)
     return TrainStepSimulator(
-        model,
-        machine,
-        strategy,
-        shard_size=shard_size,
-        params=params,
-        io=io,
+        model, frontier_machine(n_nodes), strategy, shard_size=shard_size, params=params
     )
 
 
@@ -122,8 +114,6 @@ def run_weak_scaling(
     strategy_label: str,
     node_counts: list[int],
     params: PerfParams | None = None,
-    io: IoModel | None = None,
-    spec: FrontierSpec = FRONTIER,
     telemetry: TelemetryBus | None = None,
 ) -> ScalingSeries:
     """One strategy across ``node_counts`` (paper-style labels accepted:
@@ -140,7 +130,7 @@ def run_weak_scaling(
     bus = telemetry if telemetry is not None else NULL_BUS
     series = ScalingSeries(strategy=strategy_label)
     for n in node_counts:
-        sim = _make_simulator(model, n, strategy_label, params, io, spec)
+        sim = _make_simulator(model, n, strategy_label, params)
         breakdown = sim.simulate()
         publish_breakdown(bus, breakdown, nodes=n, strategy=strategy_label)
         series.points.append(
@@ -155,8 +145,6 @@ def run_strong_scaling(
     node_counts: list[int],
     global_batch: int,
     params: PerfParams | None = None,
-    io: IoModel | None = None,
-    spec: FrontierSpec = FRONTIER,
     telemetry: TelemetryBus | None = None,
 ) -> ScalingSeries:
     """Strong scaling: fixed *global* batch, shrinking local batch.
@@ -175,7 +163,7 @@ def run_strong_scaling(
     from dataclasses import replace as _replace
 
     for n in node_counts:
-        world = frontier_machine(n, spec=spec).world()
+        world = frontier_machine(n).world()
         if global_batch % world.size != 0:
             raise ValueError(
                 f"global batch {global_batch} not divisible by {world.size} ranks"
@@ -186,7 +174,7 @@ def run_strong_scaling(
                 f"global batch {global_batch} too small for {world.size} ranks"
             )
         point_params = _replace(base, local_batch=local)
-        sim = _make_simulator(model, n, strategy_label, point_params, io, spec)
+        sim = _make_simulator(model, n, strategy_label, point_params)
         breakdown = sim.simulate()
         publish_breakdown(bus, breakdown, nodes=n, strategy=series.strategy)
         series.points.append(
@@ -200,12 +188,10 @@ def run_strategy_grid(
     strategy_labels: list[str],
     node_counts: list[int],
     params: PerfParams | None = None,
-    io: IoModel | None = None,
-    spec: FrontierSpec = FRONTIER,
     telemetry: TelemetryBus | None = None,
 ) -> dict[str, ScalingSeries]:
     """Several strategies over the same node grid (one Fig. 3/4 panel)."""
     return {
-        label: run_weak_scaling(model, label, node_counts, params, io, spec, telemetry)
+        label: run_weak_scaling(model, label, node_counts, params, telemetry)
         for label in strategy_labels
     }

@@ -16,14 +16,14 @@ findings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.config import ViTConfig, get_mae_config, get_vit_config
 from repro.core.sharding import ShardingStrategy
 from repro.experiments.report import render_table
 from repro.hardware.frontier import frontier_machine
-from repro.perf.schedule import ScheduleParams
-from repro.perf.simulator import PerfParams, TrainStepSimulator
+from repro.perf.schedule import PerfParams
+from repro.perf.simulator import TrainStepSimulator
 
 __all__ = [
     "BucketPoint",
@@ -57,9 +57,7 @@ def ddp_bucket_sweep(
     machine = frontier_machine(n_nodes)
     out = []
     for cap in caps_mb:
-        params = PerfParams(
-            schedule=ScheduleParams(ddp_bucket_cap_bytes=cap * 1024 * 1024)
-        )
+        params = PerfParams(ddp_bucket_cap_bytes=cap * 1024 * 1024)
         sim = TrainStepSimulator(cfg, machine, ShardingStrategy.DDP, params=params)
         sched = sim.build_schedule()
         out.append(
@@ -140,9 +138,7 @@ def contention_sweep(
     machine = frontier_machine(n_nodes)
     out = []
     for kappa in kappas:
-        params = PerfParams(
-            schedule=replace(ScheduleParams(), comm_compute_contention=kappa)
-        )
+        params = PerfParams(comm_compute_contention=kappa)
         bd = TrainStepSimulator(
             mae, machine, ShardingStrategy.NO_SHARD, params=params
         ).simulate()

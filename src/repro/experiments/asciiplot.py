@@ -79,7 +79,7 @@ def line_chart(
     pad = max(len(top_label), len(bot_label))
     for i, row in enumerate(grid):
         label = top_label if i == 0 else (bot_label if i == height - 1 else "")
-        lines.append(f"{label.rjust(pad)} |{''.join(row)}")
+        lines.append(f"{label.rjust(pad)} |{''.join(row)}".rstrip())
     lines.append(" " * pad + " +" + "-" * width)
     left = f"{x_values[0]:.4g}"
     right = f"{x_values[-1]:.4g}"

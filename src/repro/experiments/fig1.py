@@ -140,7 +140,7 @@ def claims_fig1(result: Fig1Result) -> list[tuple[str, bool]]:
     fracs = result.comm_fractions()
     return [
         ("io is faster than syn at every node count (never IO-bound; by construction: "
-         "IoModel's 4 workers x 30 img/s per rank were tuned to outpace the step)",
+         "the dataloader's 4 workers x 30 img/s per rank were tuned to outpace the step)",
          all(io > syn for io, syn in zip(curves["io"], curves["syn"]))),
         ("the io - syn gap is wider at the largest node count than at the smallest",
          gaps[-1] > gaps[0]),

@@ -21,7 +21,8 @@ from repro.core.scaling import publish_breakdown
 from repro.core.sharding import BackwardPrefetch, ShardingStrategy, parse_strategy
 from repro.experiments.report import render_table
 from repro.hardware.frontier import frontier_machine
-from repro.perf.simulator import PerfParams, TrainStepSimulator
+from repro.perf.schedule import PerfParams
+from repro.perf.simulator import TrainStepSimulator
 from repro.telemetry import RecordingSink, TelemetryBus, comm_share_from_events
 from repro.utils.units import GIB
 

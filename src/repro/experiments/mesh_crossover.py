@@ -34,7 +34,8 @@ from repro.experiments.report import render_table
 from repro.hardware.frontier import frontier_machine
 from repro.mesh.spec import MeshSpec
 from repro.perf.mesh_model import predict_mesh_traffic
-from repro.perf.simulator import PerfParams, TrainStepSimulator
+from repro.perf.schedule import PerfParams
+from repro.perf.simulator import TrainStepSimulator
 from repro.telemetry.report import Check, Reconciliation, reconcile
 from repro.utils.units import GIB, MIB
 

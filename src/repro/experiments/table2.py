@@ -1,55 +1,25 @@
 """Table II — dataset inventory (paper originals vs our analogues).
 
-Builds every dataset and verifies/reports the realized sizes, class
-counts, and training ratios against both the scaled recipe and the
-paper's originals.
+Reports every probe dataset's class count, split sizes and training
+ratio from its recipe in :data:`~repro.data.datasets.DATASET_SPECS`
+beside the paper's originals (``build_dataset`` realizes exactly these
+sizes; tier-1 checks one).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from repro.data.datasets import DATASET_SPECS, SplitDataset, build_dataset
+from repro.data.datasets import DATASET_SPECS, DatasetSpec
 from repro.experiments.report import render_table
 
-__all__ = ["Table2Row", "run_table2", "render_table2", "claims_table2"]
+__all__ = ["run_table2", "render_table2", "claims_table2"]
 
 
-@dataclass(frozen=True)
-class Table2Row:
-    name: str
-    classes: int
-    train: int
-    test: int
-    train_ratio: float
-    paper_classes: int
-    paper_train: int
-    paper_test: int
-    paper_train_ratio: float
+def run_table2() -> list[DatasetSpec]:
+    """Every probe dataset's recipe, in table order."""
+    return list(DATASET_SPECS.values())
 
 
-def run_table2(img_size: int = 32, seed: int = 0) -> list[Table2Row]:
-    """Build every probe dataset and collect its realized sizes."""
-    rows = []
-    for name, spec in DATASET_SPECS.items():
-        data: SplitDataset = build_dataset(name, img_size=img_size, seed=seed)
-        rows.append(
-            Table2Row(
-                name=name,
-                classes=data.train.n_classes,
-                train=len(data.train),
-                test=len(data.test),
-                train_ratio=data.spec.train_ratio,
-                paper_classes=spec.paper_classes,
-                paper_train=spec.paper_train,
-                paper_test=spec.paper_test,
-                paper_train_ratio=spec.paper_train_ratio,
-            )
-        )
-    return rows
-
-
-def render_table2(rows: list[Table2Row]) -> str:
+def render_table2(rows: list[DatasetSpec]) -> str:
     """Render Table II (analogue vs paper splits)."""
     return render_table(
         headers=[
@@ -58,7 +28,7 @@ def render_table2(rows: list[Table2Row]) -> str:
         ],
         rows=[
             [
-                r.name, r.classes, r.train, r.test, round(100 * r.train_ratio, 1),
+                r.name, r.n_classes, r.n_train, r.n_test, round(100 * r.train_ratio, 1),
                 r.paper_classes, r.paper_train, r.paper_test,
                 round(100 * r.paper_train_ratio, 1),
             ]
@@ -69,7 +39,7 @@ def render_table2(rows: list[Table2Row]) -> str:
     )
 
 
-def claims_table2(rows: list[Table2Row]) -> list[tuple[str, bool]]:
+def claims_table2(rows: list[DatasetSpec]) -> list[tuple[str, bool]]:
     """Table II's shapes: the paper's training ratios are kept."""
     names = {"millionaid", "ucm", "aid", "nwpu"}
     return [

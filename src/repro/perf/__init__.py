@@ -11,11 +11,11 @@ power/utilization traces.
   reads (per-unit parameters, tp GEMM parameters and FLOPs of a ViT/MAE
   workload) and the per-unit compute costs.
 - :mod:`repro.perf.memory_model` — per-strategy resident-memory model.
-- :mod:`repro.perf.io_model` — dataloader/filesystem throughput model.
 - :mod:`repro.perf.mesh_model` — closed-form per-axis (tp/pp/dp)
   collective payloads of a mesh run, reconciled byte-for-byte against
   the executable engines' telemetry.
-- :mod:`repro.perf.schedule` — builds the per-step task graph for a
+- :mod:`repro.perf.schedule` — the simulated step's settings
+  (``PerfParams``); builds the per-step task graph for a
   strategy + prefetch policy, composes the pipeline bubble, and replays
   a step onto a telemetry bus as the events the engines emit (exported
   to Chrome traces by :mod:`repro.telemetry.chrome`).
@@ -33,11 +33,10 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "predict_mesh_traffic",
             "tp_shardable_fraction",
         ),
-        "schedule": ("pipeline_bubble_fraction",),
+        "schedule": ("PerfParams", "pipeline_bubble_fraction"),
         "events": ("Task", "Timeline"),
         "compute_model": ("UnitCost", "workload_units"),
         "memory_model": ("MemoryBreakdown", "memory_breakdown"),
-        "io_model": ("IoModel",),
-        "simulator": ("PerfParams", "StepBreakdown", "TrainStepSimulator"),
+        "simulator": ("StepBreakdown", "TrainStepSimulator"),
     },
 )

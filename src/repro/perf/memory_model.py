@@ -61,6 +61,11 @@ __all__ = ["MemoryBreakdown", "memory_breakdown", "activation_bytes"]
 MODEL_STATE_MULTIPLIER = 4  # x BYTES_PER_PARAM: 4+4+8 = 16 bytes/param
 #: Units kept materialized by resharding strategies (current + prefetch).
 TRANSIENT_UNITS = 2
+#: Fixed per-GPU runtime workspace (communication and BLAS scratch).
+WORKSPACE_BYTES = 1.0e9
+#: Caching-allocator slack as a share of the dynamic categories; fitted
+#: so an unsharded ViT-3B needs "more than 60 GB" (EXPERIMENTS.md).
+ALLOCATOR_OVERHEAD_FRAC = 0.18
 
 
 @dataclass(frozen=True)
@@ -155,8 +160,6 @@ def memory_breakdown(
     shard_size: int | None = None,
     local_batch: int = 32,
     checkpointing: bool = True,
-    workspace_bytes: float = 1.0e9,
-    allocator_overhead_frac: float = 0.18,
     precision: str = "fp32",
     grad_accum_steps: int = 1,
     mesh: MeshSpec | None = None,
@@ -273,8 +276,8 @@ def memory_breakdown(
         model_states=states,
         transient=transient,
         activations=acts,
-        workspace=workspace_bytes,
-        allocator_overhead=allocator_overhead_frac
+        workspace=WORKSPACE_BYTES,
+        allocator_overhead=ALLOCATOR_OVERHEAD_FRAC
         * (states + transient + acts + grad_accum),
         grad_accum=grad_accum,
         by_dtype=by_dtype,

@@ -34,7 +34,7 @@ soon as the previous gather completed (most overlap), ``BACKWARD_POST``
 after the reduce-scatter enqueue, ``NONE`` only after the reduce-scatter
 finished. ``limit_all_gathers`` rate-limits in-flight gathers; running
 without it trades rate-limit delays for allocator stalls on the compute
-stream plus congestion on the oversubscribed gathers.
+stream.
 
 Mesh composition: with a :class:`MeshCommPlan` the same per-microbatch
 graph additionally carries the tensor-parallel reassembly gathers (one
@@ -64,13 +64,14 @@ from repro.core.sharding import (
     ShardingStrategy,
     resolve_shard_size,
 )
+from repro.mesh.spec import MeshSpec
 from repro.perf.compute_model import BACKWARD_RATIO, UnitCost
 from repro.perf.events import Task, Timeline
 from repro.precision.bf16 import wire_fraction
 from repro.telemetry.bus import TelemetryBus
 
 __all__ = [
-    "ScheduleParams",
+    "PerfParams",
     "StepSchedule",
     "Burst",
     "MeshCommPlan",
@@ -87,18 +88,55 @@ _DDP_PSEUDO_TENSOR_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    """Calibration knobs of the step schedule (rationale in DESIGN.md)."""
+class PerfParams:
+    """Every setting of the simulated step (calibration rationale in
+    DESIGN.md §7).
 
+    The reallocation-pressure parameters model a measured Frontier
+    pathology the paper's Fig. 4 observations hinge on: strategies that
+    re-materialize parameters every step (FULL_SHARD and HYBRID with
+    shard groups > 1) continuously allocate and free large buffers; when
+    resident memory is a large fraction of HBM, the caching allocator
+    falls back to slow synchronous frees and the whole step slows down.
+    Statically-allocated strategies (NO_SHARD, DDP, HYBRID_1GPU, and
+    SHARD_GRAD_OP's resident parameters) are immune — which is exactly
+    why the paper can run a 60 GB-resident ViT-3B fastest with
+    HYBRID_1GPU (Fig. 3) while the ViT-5B's HYBRID_2GPUs (memory-tight)
+    loses to HYBRID_8GPUs (memory-light) at scale (Fig. 4).
+    """
+
+    local_batch: int = 32
     prefetch: BackwardPrefetch = BackwardPrefetch.BACKWARD_PRE
     limit_all_gathers: bool = True
+    #: Training precision: "fp32" or "bf16". bf16 halves every collective
+    #: payload on the wire (the latency/launch terms stay put, so small
+    #: collectives stay launch-bound) and the activation/transient widths
+    #: in the memory model; the optimizer step stays fp32-bound
+    #: (master-weight update traffic is unchanged).
+    precision: str = "fp32"
+    #: Microbatch rounds per optimizer step. Affects the memory model
+    #: only (the unsharded fp32 accumulation buffer): per-step comm and
+    #: compute are modeled per microbatch round, which accumulation does
+    #: not change.
+    grad_accum_steps: int = 1
+    #: HBM-occupancy fraction above which reallocation slowdown kicks in.
+    realloc_pressure_threshold: float = 0.55
+    #: Compute-time inflation at 100% HBM occupancy (quadratic ramp).
+    realloc_penalty: float = 6.0
+    #: Mesh composition (tp x pp x dp). ``None`` keeps the historical
+    #: dp-only model. When set, ``mesh.size`` must equal the machine's
+    #: world size and the dp sharding ``strategy`` applies over the dp
+    #: axis only.
+    mesh: MeshSpec | None = None
+    #: Microbatches in flight per pipelined step; ``0`` resolves to
+    #: ``max(pp, grad_accum_steps)`` (enough micros to fill the pipe).
+    pipeline_micros: int = 0
     #: Fraction of each collective's duration serialized onto compute
     #: (HBM/CU contention); calibrated against Fig. 1's exposed ~22%.
     comm_compute_contention: float = 0.90
-    #: Host allocator stall per unrestricted in-flight gather.
+    #: Host allocator stall per unrestricted in-flight gather (what
+    #: running without limit_all_gathers costs).
     alloc_stall_s: float = 4.0e-4
-    #: Gather-duration inflation when limit_all_gathers is off.
-    congestion_factor: float = 0.18
     #: Duration inflation of NO_SHARD's all-reduces relative to the
     #: HYBRID_1GPU path (the paper finds HYBRID_1GPU consistently faster
     #: than the algorithmically-identical NO_SHARD; we attribute the
@@ -112,15 +150,25 @@ class ScheduleParams:
     #: HBM bandwidth used for DDP's bucket coalesce/scatter copies
     #: (grads are copied into and out of each bucket's flat buffer).
     ddp_copy_bw: float = 1.6e12
-    #: Seconds of optimizer compute appended at the end of the step
-    #: (set by the simulator from the sharded state size).
-    optimizer_seconds: float = 0.0
-    #: On-wire dtype of parameter gathers and gradient reductions
-    #: ("fp32" or "bf16"; bf16 halves every collective payload while the
-    #: latency/launch terms stay put — small collectives stay
-    #: launch-bound, matching why bf16 helps bandwidth-bound strategies
-    #: most).
-    wire_dtype: str = "fp32"
+
+    def __post_init__(self) -> None:
+        # The realloc ramp divides by 1 - threshold.
+        if not 0.0 <= self.realloc_pressure_threshold < 1.0:
+            raise ValueError(
+                "realloc_pressure_threshold must be in [0, 1), got "
+                f"{self.realloc_pressure_threshold}"
+            )
+        if self.realloc_penalty < 0.0:
+            raise ValueError(
+                f"realloc_penalty must be >= 0, got {self.realloc_penalty}"
+            )
+
+    def resolved_micros(self) -> int:
+        """Microbatch rounds of one optimizer step under the mesh."""
+        if self.pipeline_micros:
+            return self.pipeline_micros
+        pp = self.mesh.pp if self.mesh is not None else 1
+        return max(pp, self.grad_accum_steps)
 
 
 @dataclass(frozen=True)
@@ -372,11 +420,11 @@ def world_placement(world: World) -> GroupPlacement:
 
 
 class _StepBuilder:
-    def __init__(self, params: ScheduleParams, deferred: bool):
+    def __init__(self, params: PerfParams, deferred: bool):
         self.tl = Timeline()
         self.tail: list[Task] = []
         self.kappa = params.comm_compute_contention
-        self.wire = wire_fraction(params.wire_dtype)
+        self.wire = wire_fraction(params.precision)
         self.deferred = deferred
 
     def add_compute(self, name: str, duration: float, deps=(), **what) -> int:
@@ -434,8 +482,9 @@ def build_step_schedule(
     world: World,
     cost_model: CollectiveCostModel,
     shard_size: int | None = None,
-    params: ScheduleParams | None = None,
+    params: PerfParams | None = None,
     mesh: MeshCommPlan | None = None,
+    optimizer_seconds: float = 0.0,
 ) -> StepSchedule:
     """Assemble the task graph of one training step.
 
@@ -447,9 +496,10 @@ def build_step_schedule(
     ``mesh`` plan the graph describes one *microbatch round* of one
     pipeline stage (``units`` are that stage's slice; ``world`` is the
     dp axis), carrying the injected tp/pp communication; compose it into
-    a full step with :func:`compose_pipeline`.
+    a full step with :func:`compose_pipeline`. ``optimizer_seconds``
+    appends the optimizer after the last gradient reduction.
     """
-    p = params if params is not None else ScheduleParams()
+    p = params if params is not None else PerfParams()
     if mesh is not None and mesh.tp_units and len(mesh.tp_units) != len(units):
         raise ValueError(
             f"mesh plan has {len(mesh.tp_units)} tp unit entries for "
@@ -474,7 +524,6 @@ def build_step_schedule(
         shard_pl = _contended(shard_pl)
         replica_pl = _contended(replica_pl)
         world_pl = _contended(world_pl)
-    gather_infl = 1.0 if p.limit_all_gathers else 1.0 + p.congestion_factor
     tp_units = mesh.tp_units if mesh is not None else ()
 
     def tp_after(i: int, kind: str, cid: int) -> int:
@@ -493,10 +542,7 @@ def build_step_schedule(
         return b.add_comm(name, op, burst.nbytes, burst.seconds, deps, axis="pp")
 
     def t_ag(u: UnitCost) -> float:
-        return (
-            cost_model.all_gather(u.param_bytes, shard_pl, p.wire_dtype)
-            * gather_infl
-        )
+        return cost_model.all_gather(u.param_bytes, shard_pl, p.precision)
 
     # ---- forward ---------------------------------------------------------
     fwd_ids: list[int] = []
@@ -569,7 +615,7 @@ def build_step_schedule(
         for k, bucket in enumerate(buckets):
             ready_unit = min(pseudo[j][0] for j in bucket.param_indices)
             dur = (
-                cost_model.all_reduce(bucket.nbytes, world_pl, p.wire_dtype)
+                cost_model.all_reduce(bucket.nbytes, world_pl, p.precision)
                 * p.ddp_comm_inflation
             )
             # Coalesce grads into the bucket's flat buffer and back out.
@@ -611,11 +657,11 @@ def build_step_schedule(
                 issue_next_gather(dep)
 
             if sharded:
-                d_rs = cost_model.reduce_scatter(u.param_bytes, shard_pl, p.wire_dtype)
+                d_rs = cost_model.reduce_scatter(u.param_bytes, shard_pl, p.precision)
                 d_rep = 0.0
                 if replica_pl is not None and replica_pl.group_size > 1:
                     d_rep = cost_model.all_reduce(
-                        u.param_bytes / s, replica_pl, p.wire_dtype
+                        u.param_bytes / s, replica_pl, p.precision
                     )
                 rsid = b.reduce(
                     f"RS:{u.name}", "reduce_scatter", u.param_bytes, d_rs, bid
@@ -628,7 +674,7 @@ def build_step_schedule(
                 grad_final_ids.append(last)
             else:
                 # NO_SHARD or HYBRID_1GPU: full-gradient all-reduce.
-                d_ar = cost_model.all_reduce(u.param_bytes, world_pl, p.wire_dtype)
+                d_ar = cost_model.all_reduce(u.param_bytes, world_pl, p.precision)
                 if strategy is ShardingStrategy.NO_SHARD:
                     d_ar *= p.noshard_comm_inflation
                 rsid = b.reduce(f"AR:{u.name}", "all_reduce", u.param_bytes, d_ar, bid)
@@ -646,9 +692,9 @@ def build_step_schedule(
         # Gradient w.r.t. our boundary input leaves toward the previous
         # stage once the shallowest unit finished its backward.
         pp("PPsend:b", "send", mesh.pp_in, (bwd_ids[0],))
-    if p.optimizer_seconds > 0:
+    if optimizer_seconds > 0:
         b.tl.add(
-            "optimizer", "compute", p.optimizer_seconds, tuple(grad_final_ids),
+            "optimizer", "compute", optimizer_seconds, tuple(grad_final_ids),
             kind="optim",
         )
 

@@ -36,6 +36,11 @@ class TestLineChart:
         with pytest.raises(ValueError, match="positive"):
             line_chart([0, 1], {"a": [1, 2]}, logx=True)
 
+    def test_rows_end_in_their_last_mark(self):
+        # An editor that strips trailing spaces must not change a report.
+        out = line_chart([1, 2, 4], {"a": [1.0, 2.0, 4.0]}, title="t")
+        assert all(line == line.rstrip() for line in out.splitlines())
+
     def test_flat_series_ok(self):
         out = line_chart([1, 2], {"a": [3.0, 3.0]})
         assert "o" in out

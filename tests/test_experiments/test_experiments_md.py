@@ -18,13 +18,12 @@ EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 BLOCK = re.compile(r"<!-- row: (\S+) -->\n```\n(.*?)\n```\n<!-- /row -->", re.S)
 
 
-def test_each_fast_row_report_is_quoted_verbatim():
+def test_each_fast_row_report_is_quoted_verbatim(experiment_results):
     blocks = BLOCK.findall(EXPERIMENTS_MD.read_text(encoding="utf-8"))
     assert [name for name, _ in blocks] == _FAST
-    results: dict = {}
     stale = []
     for name, quoted in blocks:
-        body, claims = _run(name, results)
+        body, claims = _run(name, experiment_results)
         printed = f"{body}\n{_verdict(claims)}"
         if quoted != printed:
             stale.append(f"<!-- row: {name} -->\n```\n{printed}\n```\n<!-- /row -->")

@@ -12,15 +12,14 @@ import importlib
 import pytest
 
 from repro.core.sharding import BackwardPrefetch
-from repro.experiments import ablations as ablations_exp
-from repro.experiments import mesh_axes, mesh_crossover as crossover_exp, traffic_exp
+from repro.data.datasets import DATASET_SPECS, build_dataset
 from repro.experiments.__main__ import EXPERIMENTS
 from repro.experiments.fig1 import render_fig1, run_fig1
-from repro.experiments.fig2 import best_configuration, render_fig2, run_fig2
+from repro.experiments.fig2 import best_configuration, render_fig2
 from repro.experiments.fig3 import render_fig3, run_fig3
 from repro.experiments.fig4 import render_fig4, run_fig4
-from repro.experiments.table1 import render_table1, run_table1
-from repro.experiments.table2 import render_table2, run_table2
+from repro.experiments.table1 import render_table1
+from repro.experiments.table2 import render_table2
 from repro.telemetry.report import reconcile
 
 NODES = [1, 4, 16, 64]
@@ -32,8 +31,8 @@ def fig1():
 
 
 @pytest.fixture(scope="module")
-def fig2():
-    return run_fig2()
+def fig2(default_result):
+    return default_result("fig2")
 
 
 @pytest.fixture(scope="module")
@@ -47,26 +46,33 @@ def fig4():
 
 
 class TestTable1:
-    def test_all_but_5b_match_paper(self):
-        for row in run_table1():
+    def test_all_but_5b_match_paper(self, table1):
+        for row in table1:
             if row.cfg.name == "vit-5b":
                 continue
             assert abs(row.relative_error) < 0.02, row.cfg.name
 
-    def test_render_mentions_inconsistency(self):
-        assert "inconsistent" in render_table1(run_table1())
+    def test_render_mentions_inconsistency(self, table1):
+        assert "inconsistent" in render_table1(table1)
 
 
 class TestTable2:
-    def test_train_ratios_match_paper(self):
-        for row in run_table2(img_size=16):
+    def test_train_ratios_match_paper(self, table2):
+        for row in table2:
             assert row.train_ratio == pytest.approx(
                 row.paper_train_ratio, abs=0.005
             )
 
-    def test_render(self):
-        out = render_table2(run_table2(img_size=16))
+    def test_render(self, table2):
+        out = render_table2(table2)
         assert "millionaid" in out and "TR%" in out
+
+    def test_built_dataset_has_its_specs_sizes(self):
+        # Table II prints the recipe; a built dataset realizes it.
+        spec = DATASET_SPECS["ucm"]
+        data = build_dataset("ucm", img_size=16)
+        assert (data.train.n_classes, data.test.n_classes) == (spec.n_classes,) * 2
+        assert (len(data.train), len(data.test)) == (spec.n_train, spec.n_test)
 
 
 class TestFig1:
@@ -143,7 +149,13 @@ class TestFig3:
     def test_hybrid1_best_for_every_model_at_scale(self, fig3):
         for model in fig3.grids:
             at_scale = {s: fig3.ips(model, s)[-1] for s in fig3.grids[model]}
-            assert at_scale["HYBRID_1GPU"] == max(at_scale.values()), model
+            h1 = at_scale.pop("HYBRID_1GPU")
+            assert h1 > max(at_scale.values()), model
+
+    def test_no_shard_beats_ddp_everywhere(self, fig3):
+        for model in fig3.grids:
+            for ns, ddp in zip(fig3.ips(model, "NO_SHARD"), fig3.ips(model, "DDP")):
+                assert ns > ddp, model
 
     def test_fsdp_beats_ddp_gap_grows_with_size(self, fig3):
         gaps = []
@@ -236,33 +248,33 @@ class TestFig4:
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return run_table1()
+def table1(default_result):
+    return default_result("table1")
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return run_table2(img_size=16)
+def table2(default_result):
+    return default_result("table2")
 
 
 @pytest.fixture(scope="module")
-def ablations():
-    return ablations_exp.run_ablations()
+def ablations(default_result):
+    return default_result("ablations")
 
 
 @pytest.fixture(scope="module")
-def mesh():
-    return mesh_axes.run_mesh_axes()
+def mesh(default_result):
+    return default_result("mesh")
 
 
 @pytest.fixture(scope="module")
-def mesh_crossover():
-    return crossover_exp.run_mesh_crossover()
+def mesh_crossover(default_result):
+    return default_result("mesh-crossover")
 
 
 @pytest.fixture(scope="module")
-def traffic():
-    return traffic_exp.run_traffic()
+def traffic(default_result):
+    return default_result("traffic")
 
 
 def _claims(name, result):
@@ -298,7 +310,7 @@ class TestPaperShapes:
         ]
 
     def test_table2_flips(self, table2):
-        planted = [dataclasses.replace(table2[0], train_ratio=0.9)] + table2[1:]
+        planted = [dataclasses.replace(table2[0], n_test=table2[0].n_train)] + table2[1:]
         assert _flips("table2", table2, planted) == [
             f"{table2[0].name}: training ratio within 0.005 of the paper's"
         ]
@@ -323,6 +335,22 @@ class TestPaperShapes:
         planted.memory_gib = lambda model, strategy: [64.0] * len(NODES)
         assert _flips("fig3", fig3, planted) == [
             "vit-3b FULL_SHARD needs less than 10 GiB per GPU"
+        ]
+
+    def test_fig3_flips_on_the_ties_its_inflations_prevent(self, fig3):
+        # NO_SHARD tying HYBRID_1GPU (noshard_comm_inflation at 1.0) ...
+        planted = copy.copy(fig3)
+        planted.ips = lambda m, s: fig3.ips(m, "HYBRID_1GPU" if s == "NO_SHARD" else s)
+        assert _flips("fig3", fig3, planted) == [
+            f"{m}: HYBRID_1GPU has the highest ips" for m in fig3.grids
+        ]
+        # ... and DDP catching NO_SHARD at one node count (ddp_comm_inflation).
+        planted.ips = lambda m, s: (
+            [fig3.ips(m, "NO_SHARD")[0], *fig3.ips(m, s)[1:]]
+            if (m, s) == ("vit-base", "DDP") else fig3.ips(m, s)
+        )
+        assert _flips("fig3", fig3, planted) == [
+            "NO_SHARD is faster than DDP at every node count"
         ]
 
     def test_fig4_flips(self, fig4):

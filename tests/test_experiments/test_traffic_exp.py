@@ -1,24 +1,23 @@
 """The traffic experiment: planned fleet reconciles, autoscaler moves,
 both open-loop runs are pinned by value, the million-user sweep is
-closed-form, and the CLI runs it."""
+closed-form, and the report is complete. Every test reads the row's one
+default run (``default_result`` in conftest.py)."""
 
 from __future__ import annotations
 
-from repro.experiments.__main__ import main as cli_main
-from repro.experiments.traffic_exp import (
-    SLO_S,
-    USER_GRID,
-    render_traffic,
-    run_traffic,
-    run_traffic_autoscale,
-    run_traffic_plan,
-    run_user_extrapolation,
-)
+import pytest
+
+from repro.experiments.traffic_exp import SLO_S, USER_GRID, render_traffic
+
+
+@pytest.fixture(scope="module")
+def traffic(default_result):
+    return default_result("traffic")
 
 
 class TestTrafficPlan:
-    def test_planned_fleet_reconciles(self):
-        plan, result, recon = run_traffic_plan()
+    def test_planned_fleet_reconciles(self, traffic):
+        plan, result, recon = traffic[0]
         assert recon.reconciled
         assert result.offered > 0
         assert result.admitted_attainment >= plan.attainment_target
@@ -27,8 +26,8 @@ class TestTrafficPlan:
         assert result.rejected > 0
         assert result.attainment < result.admitted_attainment
 
-    def test_autoscaler_exercises_both_directions(self):
-        result, autoscaler = run_traffic_autoscale()
+    def test_autoscaler_exercises_both_directions(self, traffic):
+        result, autoscaler = traffic[1]
         actions = {e.action for e in autoscaler.events}
         assert actions == {"up", "down"}
         assert result.max_replicas > 1
@@ -76,9 +75,8 @@ OPEN_LOOP_PINS = {
 }
 
 
-def _open_loop_summary() -> dict:
-    plan, result, recon = run_traffic_plan()
-    auto_result, autoscaler = run_traffic_autoscale()
+def _open_loop_summary(traffic) -> dict:
+    (plan, result, recon), (auto_result, autoscaler), _ = traffic
     return {
         "slo_s": SLO_S,
         "planned": {
@@ -108,8 +106,8 @@ def _open_loop_summary() -> dict:
     }
 
 
-def test_open_loop_summary_is_pinned():
-    summary = _open_loop_summary()
+def test_open_loop_summary_is_pinned(traffic):
+    summary = _open_loop_summary(traffic)
     assert summary == OPEN_LOOP_PINS
     p, a = summary["planned"], summary["autoscale"]
     assert p["reconciled"] and p["admitted_attainment"] >= p["attainment_target"]
@@ -118,8 +116,8 @@ def test_open_loop_summary_is_pinned():
 
 
 class TestUserExtrapolation:
-    def test_sweep_covers_grid_and_scales_monotonically(self):
-        rows = run_user_extrapolation()
+    def test_sweep_covers_grid_and_scales_monotonically(self, traffic):
+        rows = traffic[2]
         assert [users for users, _, _ in rows] == USER_GRID
         costs = [plan.predicted_cost_per_hour for _, _, plan in rows]
         assert costs == sorted(costs)
@@ -128,10 +126,8 @@ class TestUserExtrapolation:
 
 
 class TestRendering:
-    def test_render_is_complete_and_cli_runs(self, capsys):
-        text = render_traffic(run_traffic())
+    def test_render_is_complete(self, traffic):
+        text = render_traffic(traffic)
         assert "-> reconciled" in text
         assert "Scale decisions" in text
         assert "virtual users" in text
-        assert cli_main(["traffic"]) == 0
-        assert "traffic" in capsys.readouterr().out

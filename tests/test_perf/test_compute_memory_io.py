@@ -1,4 +1,4 @@
-"""Tests for the compute, memory, and IO models."""
+"""Tests for the compute and memory models."""
 
 import pytest
 
@@ -17,7 +17,6 @@ from repro.perf.compute_model import (
     unit_table,
     workload_units,
 )
-from repro.perf.io_model import IoModel
 from repro.perf.memory_model import activation_bytes, memory_breakdown
 from repro.utils.units import GIB
 
@@ -145,21 +144,3 @@ class TestMemoryModel:
             memory_breakdown(cfg, ShardingStrategy.NO_SHARD, world_size=0)
         with pytest.raises(ValueError, match="shard_size"):
             memory_breakdown(cfg, ShardingStrategy.HYBRID_SHARD, world_size=8)
-
-
-class TestIoModel:
-    def test_linear_in_ranks(self):
-        io = IoModel()
-        assert io.total_ips(16) == pytest.approx(2 * io.total_ips(8))
-
-    def test_step_time(self):
-        io = IoModel(workers_per_rank=4, decode_rate_imgs_per_s=30.0)
-        assert io.step_time(120, 8) == pytest.approx(1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IoModel(workers_per_rank=0)
-        with pytest.raises(ValueError):
-            IoModel().rank_ips(0)
-        with pytest.raises(ValueError):
-            IoModel().step_time(0, 4)

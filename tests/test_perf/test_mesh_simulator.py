@@ -9,8 +9,8 @@ from repro.core.sharding import ShardingStrategy
 from repro.hardware.frontier import frontier_machine
 from repro.mesh.spec import MeshSpec
 from repro.perf.memory_model import memory_breakdown
-from repro.perf.schedule import pipeline_bubble_fraction
-from repro.perf.simulator import PerfParams, StepBreakdown, TrainStepSimulator
+from repro.perf.schedule import PerfParams, pipeline_bubble_fraction
+from repro.perf.simulator import StepBreakdown, TrainStepSimulator
 
 MODEL = get_mae_config("vit-3b")
 

@@ -9,12 +9,12 @@ from repro.core.sharding import BackwardPrefetch, ShardingStrategy
 from repro.hardware.frontier import frontier_machine
 from repro.mesh.spec import MeshSpec
 from repro.perf.schedule import (
-    ScheduleParams,
+    PerfParams,
     build_step_schedule,
     replica_group_placement,
     shard_group_placement,
 )
-from repro.perf.simulator import PerfParams, TrainStepSimulator
+from repro.perf.simulator import TrainStepSimulator
 from repro.telemetry import (
     RecordingSink,
     RunReport,
@@ -64,7 +64,7 @@ class TestPlacements:
 
 
 class TestScheduleStructure:
-    def _schedule(self, strategy, shard_size=None, **kwargs):
+    def _schedule(self, strategy, shard_size=None, optimizer_seconds=0.0, **kwargs):
         m = frontier_machine(2)
         cfg = get_vit_config("vit-base")
         from repro.perf.compute_model import workload_units
@@ -72,7 +72,7 @@ class TestScheduleStructure:
         units = workload_units(cfg, 32, m.gpu)
         return build_step_schedule(
             units, strategy, m.world(), m.cost_model, shard_size=shard_size,
-            params=ScheduleParams(**kwargs),
+            params=PerfParams(**kwargs), optimizer_seconds=optimizer_seconds,
         )
 
     def test_no_shard_one_allreduce_per_unit(self):
@@ -177,6 +177,15 @@ class TestSimulator:
         free = _sim("vit-5b", 8, ShardingStrategy.HYBRID_SHARD, 8)
         assert tight._realloc_multiplier() > 1.0
         assert free._realloc_multiplier() == 1.0
+
+    def test_realloc_ramp_settings_validated(self):
+        # The ramp divides by 1 - threshold: at 1.0 a memory-tight
+        # resharding run (ViT-15B HYBRID_4GPUs, pressure ~1.28) divided by 0.
+        for threshold in (1.0, 1.5, -0.1):
+            with pytest.raises(ValueError, match="realloc_pressure_threshold"):
+                PerfParams(realloc_pressure_threshold=threshold)
+        with pytest.raises(ValueError, match="realloc_penalty"):
+            PerfParams(realloc_penalty=-1.0)
 
     def test_power_trace_reasonable(self):
         tr = _sim("vit-5b", 4, ShardingStrategy.FULL_SHARD).power_trace()
