@@ -85,24 +85,30 @@ __all__ = [
 #: Granularity used to emulate per-tensor gradient readiness inside DDP
 #: buckets (real tensors are finer than whole transformer blocks).
 _DDP_PSEUDO_TENSOR_BYTES = 4 * 1024 * 1024
+#: Host allocator stall per unrestricted in-flight gather (what running
+#: without limit_all_gathers costs).
+_ALLOC_STALL_S = 4.0e-4
+#: In-flight gather window when limit_all_gathers is on.
+_GATHER_WINDOW = 2
+#: Duration inflation of NO_SHARD's all-reduces relative to the
+#: HYBRID_1GPU path (the paper finds HYBRID_1GPU consistently faster than
+#: the algorithmically-identical NO_SHARD; we attribute the measured gap
+#: to NO_SHARD's legacy flat-parameter reduce path).
+_NOSHARD_COMM_INFLATION = 1.10
+#: Same-spirit inflation for DDP's hook-driven bucket all-reduce path.
+_DDP_COMM_INFLATION = 1.18
+#: HBM bandwidth used for DDP's bucket coalesce/scatter copies (grads are
+#: copied into and out of each bucket's flat buffer).
+_DDP_COPY_BW = 1.6e12
 
 
 @dataclass(frozen=True)
 class PerfParams:
-    """Every setting of the simulated step (calibration rationale in
-    DESIGN.md §7).
+    """Every setting a caller chooses for the simulated step.
 
-    The reallocation-pressure parameters model a measured Frontier
-    pathology the paper's Fig. 4 observations hinge on: strategies that
-    re-materialize parameters every step (FULL_SHARD and HYBRID with
-    shard groups > 1) continuously allocate and free large buffers; when
-    resident memory is a large fraction of HBM, the caching allocator
-    falls back to slow synchronous frees and the whole step slows down.
-    Statically-allocated strategies (NO_SHARD, DDP, HYBRID_1GPU, and
-    SHARD_GRAD_OP's resident parameters) are immune — which is exactly
-    why the paper can run a 60 GB-resident ViT-3B fastest with
-    HYBRID_1GPU (Fig. 3) while the ViT-5B's HYBRID_2GPUs (memory-tight)
-    loses to HYBRID_8GPUs (memory-light) at scale (Fig. 4).
+    The fitted calibration values are module constants, not fields:
+    the ones above, and those in ``perf/simulator.py`` and
+    ``perf/memory_model.py`` (rationale in DESIGN.md §7).
     """
 
     local_batch: int = 32
@@ -119,10 +125,6 @@ class PerfParams:
     #: compute are modeled per microbatch round, which accumulation does
     #: not change.
     grad_accum_steps: int = 1
-    #: HBM-occupancy fraction above which reallocation slowdown kicks in.
-    realloc_pressure_threshold: float = 0.55
-    #: Compute-time inflation at 100% HBM occupancy (quadratic ramp).
-    realloc_penalty: float = 6.0
     #: Mesh composition (tp x pp x dp). ``None`` keeps the historical
     #: dp-only model. When set, ``mesh.size`` must equal the machine's
     #: world size and the dp sharding ``strategy`` applies over the dp
@@ -134,34 +136,7 @@ class PerfParams:
     #: Fraction of each collective's duration serialized onto compute
     #: (HBM/CU contention); calibrated against Fig. 1's exposed ~22%.
     comm_compute_contention: float = 0.90
-    #: Host allocator stall per unrestricted in-flight gather (what
-    #: running without limit_all_gathers costs).
-    alloc_stall_s: float = 4.0e-4
-    #: Duration inflation of NO_SHARD's all-reduces relative to the
-    #: HYBRID_1GPU path (the paper finds HYBRID_1GPU consistently faster
-    #: than the algorithmically-identical NO_SHARD; we attribute the
-    #: measured gap to NO_SHARD's legacy flat-parameter reduce path).
-    noshard_comm_inflation: float = 1.10
-    #: Same-spirit inflation for DDP's hook-driven bucket all-reduce path.
-    ddp_comm_inflation: float = 1.18
-    #: In-flight gather window when limit_all_gathers is on.
-    gather_window: int = 2
     ddp_bucket_cap_bytes: int = DEFAULT_BUCKET_CAP_BYTES
-    #: HBM bandwidth used for DDP's bucket coalesce/scatter copies
-    #: (grads are copied into and out of each bucket's flat buffer).
-    ddp_copy_bw: float = 1.6e12
-
-    def __post_init__(self) -> None:
-        # The realloc ramp divides by 1 - threshold.
-        if not 0.0 <= self.realloc_pressure_threshold < 1.0:
-            raise ValueError(
-                "realloc_pressure_threshold must be in [0, 1), got "
-                f"{self.realloc_pressure_threshold}"
-            )
-        if self.realloc_penalty < 0.0:
-            raise ValueError(
-                f"realloc_penalty must be >= 0, got {self.realloc_penalty}"
-            )
 
     def resolved_micros(self) -> int:
         """Microbatch rounds of one optimizer step under the mesh."""
@@ -556,13 +531,13 @@ def build_step_schedule(
             deps.append(pp_in_id)
         if sharded:
             ag_deps: list[int] = []
-            if p.limit_all_gathers and i >= p.gather_window:
-                ag_deps.append(fwd_ids[i - p.gather_window])
+            if p.limit_all_gathers and i >= _GATHER_WINDOW:
+                ag_deps.append(fwd_ids[i - _GATHER_WINDOW])
             agid = b.add_comm(
                 f"AGf:{u.name}", "all_gather", u.param_bytes, t_ag(u), tuple(ag_deps)
             )
             if not p.limit_all_gathers:
-                b.add_stall(f"stall_f:{u.name}", p.alloc_stall_s)
+                b.add_stall(f"stall_f:{u.name}", _ALLOC_STALL_S)
             deps.append(agid)
         cid = b.add_compute(
             f"F:{u.name}", u.fwd_seconds, tuple(deps), op="fwd", flops=u.flops
@@ -581,7 +556,7 @@ def build_step_schedule(
             (fwd_ids[-1],),
         )
         if not p.limit_all_gathers:
-            b.add_stall(f"stall_b:{u_last.name}", p.alloc_stall_s)
+            b.add_stall(f"stall_b:{u_last.name}", _ALLOC_STALL_S)
     grad_final_ids: list[int] = []
     bwd_ids: dict[int, int] = {}
     pp_grad_id: int | None = None
@@ -616,10 +591,10 @@ def build_step_schedule(
             ready_unit = min(pseudo[j][0] for j in bucket.param_indices)
             dur = (
                 cost_model.all_reduce(bucket.nbytes, world_pl, p.precision)
-                * p.ddp_comm_inflation
+                * _DDP_COMM_INFLATION
             )
             # Coalesce grads into the bucket's flat buffer and back out.
-            b.add_stall(f"copy_bucket{k}", 2 * bucket.nbytes / p.ddp_copy_bw)
+            b.add_stall(f"copy_bucket{k}", 2 * bucket.nbytes / _DDP_COPY_BW)
             grad_final_ids.append(
                 b.reduce(
                     f"ARbucket{k}", "all_reduce", bucket.nbytes, dur,
@@ -642,7 +617,7 @@ def build_step_schedule(
                     f"AGb:{nxt.name}", "all_gather", nxt.param_bytes, t_ag(nxt), dep_ids
                 )
                 if not p.limit_all_gathers:
-                    b.add_stall(f"stall_b:{nxt.name}", p.alloc_stall_s)
+                    b.add_stall(f"stall_b:{nxt.name}", _ALLOC_STALL_S)
 
             want_prefetch = regather_in_backward and i > 0
             if want_prefetch and p.prefetch is BackwardPrefetch.BACKWARD_PRE:
@@ -676,7 +651,7 @@ def build_step_schedule(
                 # NO_SHARD or HYBRID_1GPU: full-gradient all-reduce.
                 d_ar = cost_model.all_reduce(u.param_bytes, world_pl, p.precision)
                 if strategy is ShardingStrategy.NO_SHARD:
-                    d_ar *= p.noshard_comm_inflation
+                    d_ar *= _NOSHARD_COMM_INFLATION
                 rsid = b.reduce(f"AR:{u.name}", "all_reduce", u.param_bytes, d_ar, bid)
                 grad_final_ids.append(rsid)
 

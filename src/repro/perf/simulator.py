@@ -50,6 +50,20 @@ _DATALOADER_OVERHEAD = 0.04
 #: Frontier has. The paper finds the application never IO-bound; this
 #: rate reproduces that by construction (Fig. 1's claim says so).
 _IO_IMAGES_PER_S = 4 * 30.0
+#: Allocator churn under HBM pressure, a measured Frontier pathology the
+#: paper's Fig. 4 observations hinge on: strategies that re-materialize
+#: parameters every step (FULL_SHARD and HYBRID with shard groups > 1)
+#: continuously allocate and free large buffers; when resident memory is
+#: a large fraction of HBM, the caching allocator falls back to slow
+#: synchronous frees and the whole step slows down. Statically-allocated
+#: strategies (NO_SHARD, DDP, HYBRID_1GPU, and SHARD_GRAD_OP's resident
+#: parameters) are immune, which is why the paper can run a 60 GB-resident
+#: ViT-3B fastest with HYBRID_1GPU (Fig. 3) while the ViT-5B's
+#: HYBRID_2GPUs (memory-tight) loses to HYBRID_8GPUs (memory-light) at
+#: scale (Fig. 4). The slowdown starts at this HBM-occupancy fraction ...
+_REALLOC_PRESSURE_THRESHOLD = 0.55
+#: ... and ramps quadratically to this compute-time inflation at 100%.
+_REALLOC_PENALTY = 6.0
 
 
 @dataclass(frozen=True)
@@ -195,11 +209,14 @@ class TrainStepSimulator:
         ):
             return 1.0
         pressure = self.memory().total / self.machine.gpu.hbm_bytes
-        thresh = self.params.realloc_pressure_threshold
-        if pressure <= thresh:
+        if pressure <= _REALLOC_PRESSURE_THRESHOLD:
             return 1.0
-        x = min(1.0, (pressure - thresh) / (1.0 - thresh))
-        return 1.0 + self.params.realloc_penalty * x * x
+        x = min(
+            1.0,
+            (pressure - _REALLOC_PRESSURE_THRESHOLD)
+            / (1.0 - _REALLOC_PRESSURE_THRESHOLD),
+        )
+        return 1.0 + _REALLOC_PENALTY * x * x
 
     # -- pieces --------------------------------------------------------------
 

@@ -113,7 +113,7 @@ STRATEGY_COMPARISONS = {
     # The simulator's DDP bucket-readiness graph: buckets attach to the
     # backward's readiness order, a different task graph, not a flag.
     ("perf/schedule.py", "DDP"),
-    # The fitted ``noshard_comm_inflation`` constant (EXPERIMENTS.md).
+    # The fitted ``_NOSHARD_COMM_INFLATION`` constant (EXPERIMENTS.md).
     ("perf/schedule.py", "NO_SHARD"),
 }
 

@@ -15,15 +15,46 @@ def experiment_results() -> dict:
     return {}
 
 
+def _default(name: str, results: dict):
+    """Row ``name``'s result at its default arguments."""
+    module, run, *_ = EXPERIMENTS[name]
+    _run(name, results)
+    return results[module, run]
+
+
+# The fast rows the tests read at their default arguments.
+
+
 @pytest.fixture(scope="session")
-def default_result(experiment_results):
-    """``default_result(name)``: row ``name``'s result at its default
-    arguments, from :func:`experiment_results`."""
+def table1(experiment_results):
+    return _default("table1", experiment_results)
 
-    def result(name: str):
-        module, run, *_ = EXPERIMENTS[name]
-        if (module, run) not in experiment_results:
-            _run(name, experiment_results)
-        return experiment_results[module, run]
 
-    return result
+@pytest.fixture(scope="session")
+def table2(experiment_results):
+    return _default("table2", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def fig2(experiment_results):
+    return _default("fig2", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def ablations(experiment_results):
+    return _default("ablations", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def mesh(experiment_results):
+    return _default("mesh", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def mesh_crossover(experiment_results):
+    return _default("mesh-crossover", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def traffic(experiment_results):
+    return _default("traffic", experiment_results)

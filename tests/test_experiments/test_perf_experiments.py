@@ -31,11 +31,6 @@ def fig1():
 
 
 @pytest.fixture(scope="module")
-def fig2(default_result):
-    return default_result("fig2")
-
-
-@pytest.fixture(scope="module")
 def fig3():
     return run_fig3(NODES)
 
@@ -242,39 +237,10 @@ class TestFig4:
 
 
 # -- the experiment table's claims ---------------------------------------------
-# Each fast row's ``claims`` must hold on the results above (the assertions
-# of the classes above are the independent pin that no claim was weakened)
-# and must notice a planted violation.
-
-
-@pytest.fixture(scope="module")
-def table1(default_result):
-    return default_result("table1")
-
-
-@pytest.fixture(scope="module")
-def table2(default_result):
-    return default_result("table2")
-
-
-@pytest.fixture(scope="module")
-def ablations(default_result):
-    return default_result("ablations")
-
-
-@pytest.fixture(scope="module")
-def mesh(default_result):
-    return default_result("mesh")
-
-
-@pytest.fixture(scope="module")
-def mesh_crossover(default_result):
-    return default_result("mesh-crossover")
-
-
-@pytest.fixture(scope="module")
-def traffic(default_result):
-    return default_result("traffic")
+# Each fast row's ``claims`` must hold on the row fixtures (this module's and
+# conftest.py's default runs; the assertions of the classes above are the
+# independent pin that no claim was weakened) and must notice a planted
+# violation.
 
 
 def _claims(name, result):

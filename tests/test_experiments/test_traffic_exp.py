@@ -1,18 +1,11 @@
 """The traffic experiment: planned fleet reconciles, autoscaler moves,
 both open-loop runs are pinned by value, the million-user sweep is
 closed-form, and the report is complete. Every test reads the row's one
-default run (``default_result`` in conftest.py)."""
+default run (the ``traffic`` fixture in conftest.py)."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.experiments.traffic_exp import SLO_S, USER_GRID, render_traffic
-
-
-@pytest.fixture(scope="module")
-def traffic(default_result):
-    return default_result("traffic")
 
 
 class TestTrafficPlan:
