@@ -340,13 +340,14 @@ def p2p_seconds(
     cost_model: CollectiveCostModel,
     nbytes: float,
     crosses_nodes: bool,
-    wire_dtype: str = "fp32",
+    precision: str,
 ) -> float:
     """Point-to-point activation transfer time (pipeline boundary send).
 
     The collective cost model has no p2p primitive; a boundary send is
     one launch, one hop latency, and the payload over the link — NIC for
-    cross-node neighbours, Infinity Fabric otherwise.
+    cross-node neighbours, Infinity Fabric otherwise. bf16 ``precision``
+    halves the payload on the wire.
     """
     from repro.precision.bf16 import wire_fraction
 
@@ -356,4 +357,4 @@ def p2p_seconds(
     alpha = (
         cost_model.inter_node_alpha if crosses_nodes else cost_model.intra_node_alpha
     )
-    return cost_model.launch_overhead + alpha + wire_fraction(wire_dtype) * nbytes / bw
+    return cost_model.launch_overhead + alpha + wire_fraction(precision) * nbytes / bw
