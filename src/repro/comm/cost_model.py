@@ -32,9 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.comm.world import Group, World
-from repro.precision.bf16 import wire_fraction
-
 __all__ = ["GroupPlacement", "CollectiveCostModel"]
 
 
@@ -68,16 +65,6 @@ class GroupPlacement:
             )
         if self.nic_share < 1:
             raise ValueError(f"nic_share must be >= 1, got {self.nic_share}")
-
-    @classmethod
-    def from_group(
-        cls, world: World, group: Group, nic_share: int = 1
-    ) -> "GroupPlacement":
-        return cls(
-            group_size=group.size,
-            nodes_spanned=world.nodes_spanned(group),
-            nic_share=nic_share,
-        )
 
     @property
     def crosses_nodes(self) -> bool:
@@ -134,46 +121,17 @@ class CollectiveCostModel:
             + wire_bytes / bw
         )
 
-    def all_gather(
-        self, nbytes: float, placement: GroupPlacement, wire_dtype: str = "fp32"
-    ) -> float:
-        """Time to all-gather a tensor of ``nbytes`` total (unsharded) size.
-
-        ``nbytes`` is the native (fp32) size; ``wire_dtype`` scales the
-        on-wire payload (bf16 halves it), leaving latency terms alone.
-        """
+    def all_gather(self, nbytes: float, placement: GroupPlacement) -> float:
+        """Time to all-gather a tensor of ``nbytes`` total (unsharded) size."""
         g = placement.group_size
-        wire = wire_fraction(wire_dtype) * nbytes
-        return self._ring(1, (g - 1) / g * wire, placement)
+        return self._ring(1, (g - 1) / g * nbytes, placement)
 
-    def reduce_scatter(
-        self, nbytes: float, placement: GroupPlacement, wire_dtype: str = "fp32"
-    ) -> float:
-        """Time to reduce-scatter a tensor of ``nbytes`` total size (native
-        fp32; ``wire_dtype`` scales the on-wire payload)."""
+    def reduce_scatter(self, nbytes: float, placement: GroupPlacement) -> float:
+        """Time to reduce-scatter a tensor of ``nbytes`` total size."""
         g = placement.group_size
-        wire = wire_fraction(wire_dtype) * nbytes
-        return self._ring(1, (g - 1) / g * wire, placement)
+        return self._ring(1, (g - 1) / g * nbytes, placement)
 
-    def all_reduce(
-        self, nbytes: float, placement: GroupPlacement, wire_dtype: str = "fp32"
-    ) -> float:
-        """Time to all-reduce a tensor of ``nbytes`` size (RS + AG ring;
-        ``wire_dtype`` scales the on-wire payload)."""
+    def all_reduce(self, nbytes: float, placement: GroupPlacement) -> float:
+        """Time to all-reduce a tensor of ``nbytes`` size (RS + AG ring)."""
         g = placement.group_size
-        wire = wire_fraction(wire_dtype) * nbytes
-        return self._ring(2, 2 * (g - 1) / g * wire, placement)
-
-    def broadcast(self, nbytes: float, placement: GroupPlacement) -> float:
-        """Binomial-tree broadcast (used only for initial parameter sync)."""
-        import math
-
-        g = placement.group_size
-        if g == 1:
-            return 0.0
-        steps = math.ceil(math.log2(g))
-        bw = self._effective_bandwidth(placement)
-        alpha = (
-            self.inter_node_alpha if placement.crosses_nodes else self.intra_node_alpha
-        )
-        return self.launch_overhead + steps * (alpha + nbytes / bw)
+        return self._ring(2, 2 * (g - 1) / g * nbytes, placement)

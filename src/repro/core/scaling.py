@@ -101,7 +101,7 @@ def _make_simulator(
     model: ViTConfig | MAEConfig,
     n_nodes: int,
     strategy_label: str,
-    params: PerfParams,
+    params: PerfParams | None = None,
 ) -> TrainStepSimulator:
     strategy, shard_size = parse_strategy(strategy_label)
     return TrainStepSimulator(
@@ -113,7 +113,6 @@ def run_weak_scaling(
     model: ViTConfig | MAEConfig,
     strategy_label: str,
     node_counts: list[int],
-    params: PerfParams | None = None,
     telemetry: TelemetryBus | None = None,
 ) -> ScalingSeries:
     """One strategy across ``node_counts`` (paper-style labels accepted:
@@ -126,11 +125,10 @@ def run_weak_scaling(
         raise ValueError("need at least one node count")
     if sorted(node_counts) != list(node_counts):
         raise ValueError("node_counts must be ascending (ideal uses the first)")
-    params = params if params is not None else PerfParams()
     bus = telemetry if telemetry is not None else NULL_BUS
     series = ScalingSeries(strategy=strategy_label)
     for n in node_counts:
-        sim = _make_simulator(model, n, strategy_label, params)
+        sim = _make_simulator(model, n, strategy_label)
         breakdown = sim.simulate()
         publish_breakdown(bus, breakdown, nodes=n, strategy=strategy_label)
         series.points.append(
@@ -144,7 +142,6 @@ def run_strong_scaling(
     strategy_label: str,
     node_counts: list[int],
     global_batch: int,
-    params: PerfParams | None = None,
     telemetry: TelemetryBus | None = None,
 ) -> ScalingSeries:
     """Strong scaling: fixed *global* batch, shrinking local batch.
@@ -157,11 +154,8 @@ def run_strong_scaling(
         raise ValueError("need at least one node count")
     if sorted(node_counts) != list(node_counts):
         raise ValueError("node_counts must be ascending (ideal uses the first)")
-    base = params if params is not None else PerfParams()
     bus = telemetry if telemetry is not None else NULL_BUS
     series = ScalingSeries(strategy=f"{strategy_label} (strong, gb={global_batch})")
-    from dataclasses import replace as _replace
-
     for n in node_counts:
         world = frontier_machine(n).world()
         if global_batch % world.size != 0:
@@ -173,8 +167,7 @@ def run_strong_scaling(
             raise ValueError(
                 f"global batch {global_batch} too small for {world.size} ranks"
             )
-        point_params = _replace(base, local_batch=local)
-        sim = _make_simulator(model, n, strategy_label, point_params)
+        sim = _make_simulator(model, n, strategy_label, PerfParams(local_batch=local))
         breakdown = sim.simulate()
         publish_breakdown(bus, breakdown, nodes=n, strategy=series.strategy)
         series.points.append(
@@ -187,11 +180,10 @@ def run_strategy_grid(
     model: ViTConfig | MAEConfig,
     strategy_labels: list[str],
     node_counts: list[int],
-    params: PerfParams | None = None,
     telemetry: TelemetryBus | None = None,
 ) -> dict[str, ScalingSeries]:
     """Several strategies over the same node grid (one Fig. 3/4 panel)."""
     return {
-        label: run_weak_scaling(model, label, node_counts, params, telemetry)
+        label: run_weak_scaling(model, label, node_counts, telemetry)
         for label in strategy_labels
     }

@@ -340,21 +340,17 @@ def p2p_seconds(
     cost_model: CollectiveCostModel,
     nbytes: float,
     crosses_nodes: bool,
-    precision: str,
 ) -> float:
     """Point-to-point activation transfer time (pipeline boundary send).
 
     The collective cost model has no p2p primitive; a boundary send is
     one launch, one hop latency, and the payload over the link — NIC for
-    cross-node neighbours, Infinity Fabric otherwise. bf16 ``precision``
-    halves the payload on the wire.
+    cross-node neighbours, Infinity Fabric otherwise.
     """
-    from repro.precision.bf16 import wire_fraction
-
     if nbytes <= 0:
         return 0.0
     bw = cost_model.inter_node_bw if crosses_nodes else cost_model.intra_node_bw
     alpha = (
         cost_model.inter_node_alpha if crosses_nodes else cost_model.intra_node_alpha
     )
-    return cost_model.launch_overhead + alpha + wire_fraction(precision) * nbytes / bw
+    return cost_model.launch_overhead + alpha + nbytes / bw

@@ -67,7 +67,6 @@ from repro.core.sharding import (
 from repro.mesh.spec import MeshSpec
 from repro.perf.compute_model import BACKWARD_RATIO, UnitCost
 from repro.perf.events import Task, Timeline
-from repro.precision.bf16 import wire_fraction
 from repro.telemetry.bus import TelemetryBus
 
 __all__ = [
@@ -114,24 +113,13 @@ class PerfParams:
     local_batch: int = 32
     prefetch: BackwardPrefetch = BackwardPrefetch.BACKWARD_PRE
     limit_all_gathers: bool = True
-    #: Training precision: "fp32" or "bf16". bf16 halves every collective
-    #: payload on the wire (the latency/launch terms stay put, so small
-    #: collectives stay launch-bound) and the activation/transient widths
-    #: in the memory model; the optimizer step stays fp32-bound
-    #: (master-weight update traffic is unchanged).
-    precision: str = "fp32"
-    #: Microbatch rounds per optimizer step. Affects the memory model
-    #: only (the unsharded fp32 accumulation buffer): per-step comm and
-    #: compute are modeled per microbatch round, which accumulation does
-    #: not change.
-    grad_accum_steps: int = 1
     #: Mesh composition (tp x pp x dp). ``None`` keeps the historical
     #: dp-only model. When set, ``mesh.size`` must equal the machine's
     #: world size and the dp sharding ``strategy`` applies over the dp
     #: axis only.
     mesh: MeshSpec | None = None
     #: Microbatches in flight per pipelined step; ``0`` resolves to
-    #: ``max(pp, grad_accum_steps)`` (enough micros to fill the pipe).
+    #: ``pp`` (enough micros to fill the pipe).
     pipeline_micros: int = 0
     #: Fraction of each collective's duration serialized onto compute
     #: (HBM/CU contention); calibrated against Fig. 1's exposed ~22%.
@@ -140,16 +128,14 @@ class PerfParams:
 
     def resolved_micros(self) -> int:
         """Microbatch rounds of one optimizer step under the mesh."""
-        if self.pipeline_micros:
-            return self.pipeline_micros
         pp = self.mesh.pp if self.mesh is not None else 1
-        return max(pp, self.grad_accum_steps)
+        return self.pipeline_micros or pp
 
 
 @dataclass(frozen=True)
 class Burst:
-    """``calls`` collectives of ``nbytes`` native (fp32) bytes in all,
-    priced at ``seconds``."""
+    """``calls`` collectives of ``nbytes`` bytes in all, priced at
+    ``seconds``."""
 
     seconds: float = 0.0
     calls: int = 0
@@ -399,7 +385,6 @@ class _StepBuilder:
         self.tl = Timeline()
         self.tail: list[Task] = []
         self.kappa = params.comm_compute_contention
-        self.wire = wire_fraction(params.precision)
         self.deferred = deferred
 
     def add_compute(self, name: str, duration: float, deps=(), **what) -> int:
@@ -418,7 +403,7 @@ class _StepBuilder:
         axis: str = "dp",
         calls: int = 1,
     ) -> int:
-        """Add a collective of ``nbytes`` native bytes; returns the id its
+        """Add a collective of ``nbytes`` bytes; returns the id its
         consumers must depend on.
 
         The collective occupies the comm stream for its full duration
@@ -429,13 +414,13 @@ class _StepBuilder:
         the wire transfer itself. ``calls`` lets one task stand for a
         burst of collectives (tp issues one gather per sharded GEMM).
         """
-        wire = self.tl.add(
+        tid = self.tl.add(
             name, "comm", duration, deps, kind="comm", op=op, axis=axis,
-            bytes=nbytes * self.wire, calls=calls,
+            bytes=nbytes, calls=calls,
         )
         if self.kappa > 0.0:
             self.tl.add(f"{name}#x", "compute", duration * self.kappa, kind="contention")
-        return wire
+        return tid
 
     def reduce(self, name: str, op: str, nbytes: float, duration: float, after: int) -> int:
         """A gradient reduction after ``after``; returns what its consumers
@@ -446,7 +431,7 @@ class _StepBuilder:
             return self.add_comm(name, op, nbytes, duration, (after,))
         self.tail.append(
             Task(name, "comm", float(duration), kind="comm", op=op, axis="dp",
-                 bytes=nbytes * self.wire, calls=1)
+                 bytes=nbytes, calls=1)
         )
         return after
 
@@ -517,7 +502,7 @@ def build_step_schedule(
         return b.add_comm(name, op, burst.nbytes, burst.seconds, deps, axis="pp")
 
     def t_ag(u: UnitCost) -> float:
-        return cost_model.all_gather(u.param_bytes, shard_pl, p.precision)
+        return cost_model.all_gather(u.param_bytes, shard_pl)
 
     # ---- forward ---------------------------------------------------------
     fwd_ids: list[int] = []
@@ -590,7 +575,7 @@ def build_step_schedule(
         for k, bucket in enumerate(buckets):
             ready_unit = min(pseudo[j][0] for j in bucket.param_indices)
             dur = (
-                cost_model.all_reduce(bucket.nbytes, world_pl, p.precision)
+                cost_model.all_reduce(bucket.nbytes, world_pl)
                 * _DDP_COMM_INFLATION
             )
             # Coalesce grads into the bucket's flat buffer and back out.
@@ -632,12 +617,10 @@ def build_step_schedule(
                 issue_next_gather(dep)
 
             if sharded:
-                d_rs = cost_model.reduce_scatter(u.param_bytes, shard_pl, p.precision)
+                d_rs = cost_model.reduce_scatter(u.param_bytes, shard_pl)
                 d_rep = 0.0
                 if replica_pl is not None and replica_pl.group_size > 1:
-                    d_rep = cost_model.all_reduce(
-                        u.param_bytes / s, replica_pl, p.precision
-                    )
+                    d_rep = cost_model.all_reduce(u.param_bytes / s, replica_pl)
                 rsid = b.reduce(
                     f"RS:{u.name}", "reduce_scatter", u.param_bytes, d_rs, bid
                 )
@@ -649,7 +632,7 @@ def build_step_schedule(
                 grad_final_ids.append(last)
             else:
                 # NO_SHARD or HYBRID_1GPU: full-gradient all-reduce.
-                d_ar = cost_model.all_reduce(u.param_bytes, world_pl, p.precision)
+                d_ar = cost_model.all_reduce(u.param_bytes, world_pl)
                 if strategy is ShardingStrategy.NO_SHARD:
                     d_ar *= _NOSHARD_COMM_INFLATION
                 rsid = b.reduce(f"AR:{u.name}", "all_reduce", u.param_bytes, d_ar, bid)

@@ -296,7 +296,6 @@ class TrainStepSimulator:
         mesh = self.mesh
         stage_units, (in_bytes, out_bytes) = self._mesh_stage()
         cost = self.machine.cost_model
-        wire = self.params.precision
         tp_units: tuple[tuple[Burst, Burst], ...] = ()
         if mesh.tp > 1:
             tp_pl = mesh_axis_placements(self.world, mesh)["tp"]
@@ -305,7 +304,7 @@ class TrainStepSimulator:
                 """One fp32 tp gather per reassembled output."""
                 return Burst(
                     sum(
-                        cost.all_gather(float(v * BYTES_PER_PARAM), tp_pl, wire)
+                        cost.all_gather(float(v * BYTES_PER_PARAM), tp_pl)
                         for v in values
                     ),
                     len(values),
@@ -320,7 +319,7 @@ class TrainStepSimulator:
         crosses = pp_boundary_crosses_nodes(self.world, mesh)
 
         def send(nbytes: float) -> Burst:
-            return Burst(p2p_seconds(cost, nbytes, crosses, wire), 1, nbytes)
+            return Burst(p2p_seconds(cost, nbytes, crosses), 1, nbytes)
 
         plan = MeshCommPlan(
             tp_units=tp_units,
@@ -375,8 +374,6 @@ class TrainStepSimulator:
             world_size=self.world.size,
             shard_size=self.shard_size,
             local_batch=self.params.local_batch,
-            precision=self.params.precision,
-            grad_accum_steps=self.params.grad_accum_steps,
             mesh=self.mesh,
             pipeline_micros=(
                 self.params.resolved_micros() if self.mesh is not None else 1

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.comm.cost_model import CollectiveCostModel, GroupPlacement
-from repro.comm.world import World
 
 
 @pytest.fixture
@@ -26,13 +25,6 @@ class TestGroupPlacement:
         with pytest.raises(ValueError):
             GroupPlacement(group_size=2, nodes_spanned=1, nic_share=0)
 
-    def test_from_group(self):
-        w = World(size=16, ranks_per_node=8)
-        pl = GroupPlacement.from_group(w, w.new_group([0, 1, 8]))
-        assert pl.group_size == 3
-        assert pl.nodes_spanned == 2
-        assert pl.crosses_nodes
-
     def test_intra_node(self):
         assert not GroupPlacement(group_size=4, nodes_spanned=1).crosses_nodes
 
@@ -42,7 +34,6 @@ class TestCostModel:
         pl = GroupPlacement(group_size=1, nodes_spanned=1)
         assert model.all_reduce(1e6, pl) == 0.0
         assert model.all_gather(1e6, pl) == 0.0
-        assert model.broadcast(1e6, pl) == 0.0
 
     def test_bandwidth_term_dominates_large_messages(self, model):
         pl = GroupPlacement(group_size=8, nodes_spanned=1)
@@ -82,12 +73,6 @@ class TestCostModel:
         pl = GroupPlacement(group_size=64, nodes_spanned=8)
         alpha = model._alpha_per_pass(pl)
         assert alpha == pytest.approx(8 * 10e-6 + 55 * 1e-6)
-
-    def test_broadcast_log_steps(self, model):
-        pl9 = GroupPlacement(group_size=9, nodes_spanned=1)
-        pl8 = GroupPlacement(group_size=8, nodes_spanned=1)
-        # ceil(log2(9)) = 4 > ceil(log2(8)) = 3
-        assert model.broadcast(1e3, pl9) > model.broadcast(1e3, pl8)
 
     def test_launch_overhead_floor(self, model):
         pl = GroupPlacement(group_size=2, nodes_spanned=1)
