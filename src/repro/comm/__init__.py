@@ -8,7 +8,7 @@ This package plays the role MPI/RCCL plays under PyTorch distributed:
   NumPy buffers (ring all-gather / reduce-scatter / all-reduce /
   broadcast), with per-operation call and byte accounting. These run the
   real data movement of the mini-FSDP engine in-process (SPMD style).
-- :mod:`repro.comm.cost_model` — alpha-beta-gamma time model for the same
+- :mod:`repro.comm.cost_model` — alpha-beta time model for the same
   collectives on a hierarchical machine topology; used by the
   performance simulator.
 - :mod:`repro.comm.bucketing` — DDP-style gradient bucketing.

@@ -3,7 +3,7 @@
 The performance simulator times every collective with the classic
 alpha-beta (latency-bandwidth) model of the ring algorithms RCCL uses:
 
-``T = steps * alpha_eff + wire_bytes / B_eff + launch``
+``T = steps * alpha_eff + wire_bytes / B_eff``
 
 where
 
@@ -16,11 +16,7 @@ where
   nodes exactly one ring edge crosses each node boundary and the NIC is
   the bottleneck. When several groups run the *same* collective
   concurrently (e.g. the per-shard-index all-reduces of HYBRID_SHARD),
-  they share each NIC, dividing its bandwidth (``nic_share``);
-- ``launch`` is a fixed host-side cost per collective call. This term is
-  what makes strategies issuing many small collectives (DDP with small
-  buckets, FULL_SHARD on huge worlds) flatten in the paper's weak-scaling
-  plots.
+  they share each NIC, dividing its bandwidth (``nic_share``).
 
 Ring latency grows *linearly* in group size, matching the flattening the
 paper observes for world-spanning FULL_SHARD groups (RCCL's tree variants
@@ -93,7 +89,6 @@ class CollectiveCostModel:
     inter_node_bw: float  # Slingshot-11 NIC share per MI250X/pair of GCDs
     intra_node_alpha: float
     inter_node_alpha: float
-    launch_overhead: float = 25e-6  # host-side cost of issuing one collective
 
     def _effective_bandwidth(self, placement: GroupPlacement) -> float:
         if not placement.crosses_nodes:
@@ -115,11 +110,7 @@ class CollectiveCostModel:
         if placement.group_size == 1:
             return 0.0
         bw = self._effective_bandwidth(placement)
-        return (
-            self.launch_overhead
-            + passes * self._alpha_per_pass(placement)
-            + wire_bytes / bw
-        )
+        return passes * self._alpha_per_pass(placement) + wire_bytes / bw
 
     def all_gather(self, nbytes: float, placement: GroupPlacement) -> float:
         """Time to all-gather a tensor of ``nbytes`` total (unsharded) size."""

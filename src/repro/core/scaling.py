@@ -148,7 +148,7 @@ def run_strong_scaling(
 
     An extension beyond the paper (which only weak-scales): how far can
     one fixed-size pretraining job spread before per-step communication
-    and launch overheads eat the shrinking per-GPU compute?
+    eats the shrinking per-GPU compute?
     """
     if not node_counts:
         raise ValueError("need at least one node count")

@@ -8,10 +8,9 @@ compute/communication occupancies to rocm-smi-like observables:
 - *utilization* reports near 100% whenever kernels are resident (the
   paper notes ~100% for all strategies on synthetic data) — rocm-smi
   utilization counts "any kernel active", not FLOP efficiency;
-- *power* scales with true arithmetic occupancy plus a smaller
-  contribution from communication (link SerDes + DMA engines burn less
-  than the matrix cores), so strategies that spend more wall time
-  computing per byte moved draw more power, matching the paper's
+- *power* scales with true arithmetic occupancy alone (exposed
+  communication draws idle power), so strategies that spend more wall
+  time computing per byte moved draw more power, matching the paper's
   SHARD_GRAD_OP > FULL_SHARD ordering and HYBRID_2GPUs having the
   smallest footprint (fewest communication calls, shortest step);
 - *memory* is the strategy's resident footprint from the memory model.
@@ -76,6 +75,11 @@ class PowerTrace:
         return n
 
 
+def _check_occupancy(name: str, v: float) -> None:
+    if not 0.0 <= v <= 1.0 + 1e-9:
+        raise ValueError(f"{name} occupancy must be in [0, 1], got {v}")
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Maps occupancies to rocm-smi-style observables for one GCD.
@@ -87,30 +91,21 @@ class PowerModel:
     max_power_w:
         Package power at full matrix-core occupancy (MI250X is 500 W per
         package; we report per GCD).
-    comm_power_fraction:
-        Fraction of the dynamic range drawn by communication-only phases.
     """
 
     idle_power_w: float = 90.0
     max_power_w: float = 280.0
-    comm_power_fraction: float = 0.45
 
-    def power(self, compute_occupancy: float, comm_occupancy: float) -> float:
-        """Average power for one step with given stream occupancies in [0,1]."""
-        for name, v in (("compute", compute_occupancy), ("comm", comm_occupancy)):
-            if not 0.0 <= v <= 1.0 + 1e-9:
-                raise ValueError(f"{name} occupancy must be in [0, 1], got {v}")
+    def power(self, compute_occupancy: float) -> float:
+        """Average power for one step with compute occupancy in [0, 1]."""
+        _check_occupancy("compute", compute_occupancy)
         dynamic = self.max_power_w - self.idle_power_w
-        # Overlapped portions count once at the higher (compute) rate.
-        comm_only = max(0.0, comm_occupancy - compute_occupancy)
-        return (
-            self.idle_power_w
-            + dynamic * compute_occupancy
-            + dynamic * self.comm_power_fraction * comm_only
-        )
+        return self.idle_power_w + dynamic * compute_occupancy
 
     def utilization(self, compute_occupancy: float, comm_occupancy: float) -> float:
         """rocm-smi 'GPU use' percentage: any-kernel-resident time share."""
+        _check_occupancy("compute", compute_occupancy)
+        _check_occupancy("comm", comm_occupancy)
         busy = min(1.0, compute_occupancy + max(0.0, comm_occupancy - compute_occupancy))
         return 100.0 * busy
 
@@ -135,7 +130,7 @@ class PowerModel:
         n = n_steps * samples_per_step
         rng = np.random.Generator(np.random.PCG64(jitter_seed))
         t = np.arange(n) * (step_time_s / samples_per_step)
-        p = self.power(compute_occupancy, comm_occupancy)
+        p = self.power(compute_occupancy)
         u = self.utilization(compute_occupancy, comm_occupancy)
         power = p * (1.0 + 0.02 * rng.standard_normal(n))
         util = np.clip(u * (1.0 + 0.005 * rng.standard_normal(n)), 0.0, 100.0)

@@ -344,8 +344,8 @@ def p2p_seconds(
     """Point-to-point activation transfer time (pipeline boundary send).
 
     The collective cost model has no p2p primitive; a boundary send is
-    one launch, one hop latency, and the payload over the link — NIC for
-    cross-node neighbours, Infinity Fabric otherwise.
+    one hop latency and the payload over the link — NIC for cross-node
+    neighbours, Infinity Fabric otherwise.
     """
     if nbytes <= 0:
         return 0.0
@@ -353,4 +353,4 @@ def p2p_seconds(
     alpha = (
         cost_model.inter_node_alpha if crosses_nodes else cost_model.intra_node_alpha
     )
-    return cost_model.launch_overhead + alpha + nbytes / bw
+    return alpha + nbytes / bw

@@ -96,9 +96,6 @@ _GATHER_WINDOW = 2
 _NOSHARD_COMM_INFLATION = 1.10
 #: Same-spirit inflation for DDP's hook-driven bucket all-reduce path.
 _DDP_COMM_INFLATION = 1.18
-#: HBM bandwidth used for DDP's bucket coalesce/scatter copies (grads are
-#: copied into and out of each bucket's flat buffer).
-_DDP_COPY_BW = 1.6e12
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ class StepSchedule:
 
     @property
     def stall_seconds(self) -> float:
-        """Allocator stalls and bucket copies of one round."""
+        """Allocator stalls of one round."""
         return _total(self.timeline.tasks, ("stall",))
 
     @property
@@ -289,8 +286,8 @@ class StepSchedule:
         ``comm.<op>`` with ``axis``, wire ``bytes`` and ``calls``;
         ``compute.<op>`` (``fwd`` / ``bwd``) with ``flops``;
         ``optim.step``; and ``perf.<kind>`` for the compute-stream time
-        the model adds, ``perf.stall`` (allocator stalls, bucket copies)
-        and ``perf.contention`` (a collective's serialized share).
+        the model adds, ``perf.stall`` (allocator stalls) and
+        ``perf.contention`` (a collective's serialized share).
         """
         one_round = self.timeline.run()
         span = max((s.end for s in one_round), default=0.0)
@@ -578,8 +575,6 @@ def build_step_schedule(
                 cost_model.all_reduce(bucket.nbytes, world_pl)
                 * _DDP_COMM_INFLATION
             )
-            # Coalesce grads into the bucket's flat buffer and back out.
-            b.add_stall(f"copy_bucket{k}", 2 * bucket.nbytes / _DDP_COPY_BW)
             grad_final_ids.append(
                 b.reduce(
                     f"ARbucket{k}", "all_reduce", bucket.nbytes, dur,

@@ -39,8 +39,6 @@ __all__ = ["StepBreakdown", "TrainStepSimulator"]
 #: Bytes touched per parameter by a single-pass AdamW step (read p/g/m/v, write
 #: p/m/v at fp32).
 _ADAMW_BYTES_PER_PARAM = 28
-#: Fixed per-step host-side overhead (python loop, dataloader handoff).
-_HOST_OVERHEAD_S = 5e-3
 #: Throughput tax of the real data pipeline vs cached synthetic inputs.
 _DATALOADER_OVERHEAD = 0.04
 #: Per-rank dataloader images/second (paper Fig. 1 'IO'): 4 worker
@@ -78,14 +76,12 @@ class StepBreakdown:
     exposed_comm_seconds: float
     comm_calls: int
     compute_seconds: float
-    world_size: int
     local_batch: int
     memory: MemoryBreakdown
-    #: Images consumed per optimizer step; ``0`` means the historical
-    #: dp-only convention (``world_size * local_batch``). Mesh steps set
-    #: it explicitly (only dp replicas consume data, times the
-    #: microbatch rounds in flight).
-    images_per_step: int = 0
+    #: Images consumed per optimizer step: every rank's ``local_batch``
+    #: without a mesh; under one only the dp replicas consume data,
+    #: times the microbatch rounds in flight.
+    images_per_step: int
     #: Pipeline fill/drain share of the step (0.0 without a mesh).
     bubble_fraction: float = 0.0
     #: Predicted per-axis communication seconds ("tp"/"pp"/"dp").
@@ -97,8 +93,7 @@ class StepBreakdown:
         # stay finite.
         if t <= 0:
             return 0.0
-        images = self.images_per_step or self.world_size * self.local_batch
-        return images / t
+        return self.images_per_step / t
 
     @property
     def ips(self) -> float:
@@ -385,8 +380,7 @@ class TrainStepSimulator:
     def simulate(self) -> StepBreakdown:
         """Time one training step; returns the full breakdown."""
         sched = self.build_schedule()
-        syn = sched.step_time + _HOST_OVERHEAD_S
-        no_comm = sched.step_time_no_comm + _HOST_OVERHEAD_S
+        syn = sched.step_time
         if self.mesh is not None:
             # Only dp-replica ranks consume data; a step drains
             # resolved_micros() microbatches per replica.
@@ -395,20 +389,19 @@ class TrainStepSimulator:
             io_t = micros * self.params.local_batch / _IO_IMAGES_PER_S
             bubble = pipeline_bubble_fraction(micros, self.mesh.pp)
         else:
-            images = 0  # historical world * local_batch convention
+            images = self.world.size * self.params.local_batch
             io_t = self.params.local_batch / _IO_IMAGES_PER_S
             bubble = 0.0
         real = max(syn, io_t) * (1.0 + _DATALOADER_OVERHEAD)
         return StepBreakdown(
             step_time_s=syn,
-            step_time_no_comm_s=no_comm,
+            step_time_no_comm_s=sched.step_time_no_comm,
             io_step_time_s=io_t,
             real_step_time_s=real,
             comm_seconds=sched.step_comm_seconds,
             exposed_comm_seconds=sched.exposed_comm_seconds,
             comm_calls=sched.step_comm_calls,
             compute_seconds=sched.step_compute_seconds,
-            world_size=self.world.size,
             local_batch=self.params.local_batch,
             memory=self.memory(),
             images_per_step=images,

@@ -12,7 +12,6 @@ def model() -> CollectiveCostModel:
         inter_node_bw=25e9,
         intra_node_alpha=1e-6,
         inter_node_alpha=10e-6,
-        launch_overhead=20e-6,
     )
 
 
@@ -74,6 +73,30 @@ class TestCostModel:
         alpha = model._alpha_per_pass(pl)
         assert alpha == pytest.approx(8 * 10e-6 + 55 * 1e-6)
 
-    def test_launch_overhead_floor(self, model):
-        pl = GroupPlacement(group_size=2, nodes_spanned=1)
-        assert model.all_gather(1, pl) >= model.launch_overhead
+    @pytest.mark.parametrize(
+        "pl, alpha, bw",
+        [
+            # 8 ranks on one node: 7 Infinity Fabric hops per pass.
+            (GroupPlacement(group_size=8, nodes_spanned=1), 7 * 1e-6, 50e9),
+            # 16 ranks on 2 nodes, two rings per NIC: 2 node-boundary hops
+            # at 2x alpha, 13 on-node hops, half the NIC bandwidth.
+            (
+                GroupPlacement(group_size=16, nodes_spanned=2, nic_share=2),
+                2 * (2 * 10e-6) + 13 * 1e-6,
+                25e9 / 2,
+            ),
+        ],
+        ids=["intra-node", "inter-node"],
+    )
+    def test_ring_law_is_exact(self, model, pl, alpha, bw):
+        # T = passes * alpha_per_pass + wire / bw, with no other term.
+        g, nbytes = pl.group_size, 3e6
+        wire = (g - 1) / g * nbytes
+        rel = 1e-12
+        assert model.all_gather(nbytes, pl) == pytest.approx(alpha + wire / bw, rel=rel)
+        assert model.reduce_scatter(nbytes, pl) == pytest.approx(
+            alpha + wire / bw, rel=rel
+        )
+        assert model.all_reduce(nbytes, pl) == pytest.approx(
+            2 * alpha + 2 * wire / bw, rel=rel
+        )

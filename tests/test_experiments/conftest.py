@@ -36,8 +36,23 @@ def table2(experiment_results):
 
 
 @pytest.fixture(scope="session")
+def fig1(experiment_results):
+    return _default("fig1", experiment_results)
+
+
+@pytest.fixture(scope="session")
 def fig2(experiment_results):
     return _default("fig2", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def fig3(experiment_results):
+    return _default("fig3", experiment_results)
+
+
+@pytest.fixture(scope="session")
+def fig4(experiment_results):
+    return _default("fig4", experiment_results)
 
 
 @pytest.fixture(scope="session")

@@ -14,31 +14,13 @@ import pytest
 from repro.core.sharding import BackwardPrefetch
 from repro.data.datasets import DATASET_SPECS, build_dataset
 from repro.experiments.__main__ import EXPERIMENTS
-from repro.experiments.fig1 import render_fig1, run_fig1
+from repro.experiments.fig1 import render_fig1
 from repro.experiments.fig2 import best_configuration, render_fig2
-from repro.experiments.fig3 import render_fig3, run_fig3
-from repro.experiments.fig4 import render_fig4, run_fig4
+from repro.experiments.fig3 import render_fig3
+from repro.experiments.fig4 import render_fig4
 from repro.experiments.table1 import render_table1
 from repro.experiments.table2 import render_table2
 from repro.telemetry.report import reconcile
-
-NODES = [1, 4, 16, 64]
-
-
-@pytest.fixture(scope="module")
-def fig1():
-    return run_fig1(NODES)
-
-
-@pytest.fixture(scope="module")
-def fig3():
-    return run_fig3(NODES)
-
-
-@pytest.fixture(scope="module")
-def fig4():
-    return run_fig4(nodes_5b=[2, 8, 32], nodes_15b=[4, 16, 64])
-
 
 class TestTable1:
     def test_all_but_5b_match_paper(self, table1):
@@ -90,9 +72,8 @@ class TestFig1:
         for syn, nc in zip(c["syn"], c["syn_no_comm"]):
             assert syn <= nc * (1 + 1e-9)
         # The ideal curve is linear from the first point.
-        assert c["ideal"][-1] == pytest.approx(
-            c["syn"][0] * NODES[-1] / NODES[0]
-        )
+        nodes = fig1.node_counts
+        assert c["ideal"][-1] == pytest.approx(c["syn"][0] * nodes[-1] / nodes[0])
 
     def test_real_tracks_syn(self, fig1):
         c = fig1.curves()
@@ -298,7 +279,7 @@ class TestPaperShapes:
 
     def test_fig3_flips(self, fig3):
         planted = copy.copy(fig3)
-        planted.memory_gib = lambda model, strategy: [64.0] * len(NODES)
+        planted.memory_gib = lambda model, strategy: [64.0] * len(fig3.node_counts)
         assert _flips("fig3", fig3, planted) == [
             "vit-3b FULL_SHARD needs less than 10 GiB per GPU"
         ]

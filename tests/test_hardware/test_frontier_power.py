@@ -46,20 +46,27 @@ class TestFrontierMachine:
 class TestPowerModel:
     def test_idle_floor(self):
         pm = PowerModel()
-        assert pm.power(0.0, 0.0) == pm.idle_power_w
+        assert pm.power(0.0) == pm.idle_power_w
 
     def test_full_compute_hits_max(self):
         pm = PowerModel()
-        assert pm.power(1.0, 0.0) == pytest.approx(pm.max_power_w)
+        assert pm.power(1.0) == pytest.approx(pm.max_power_w)
 
     def test_comm_only_draws_less_than_compute(self):
         pm = PowerModel()
-        assert pm.power(0.0, 1.0) < pm.power(1.0, 0.0)
+        comm = pm.trace(1.0, compute_occupancy=0.0, comm_occupancy=1.0, memory_bytes=0)
+        compute = pm.trace(1.0, compute_occupancy=1.0, comm_occupancy=0.0, memory_bytes=0)
+        # A comm-only step keeps the GPU "in use" but draws idle power.
+        assert comm.mean_power == pytest.approx(pm.idle_power_w, rel=0.01)
+        assert comm.mean_power < compute.mean_power
+        assert comm.mean_utilization == compute.mean_utilization
 
     def test_overlap_does_not_double_count(self):
         pm = PowerModel()
         # Fully-overlapped comm adds nothing beyond the compute draw.
-        assert pm.power(1.0, 1.0) == pytest.approx(pm.power(1.0, 0.0))
+        both = pm.trace(1.0, compute_occupancy=1.0, comm_occupancy=1.0, memory_bytes=0)
+        alone = pm.trace(1.0, compute_occupancy=1.0, comm_occupancy=0.0, memory_bytes=0)
+        assert both.mean_power == alone.mean_power
 
     def test_utilization_counts_any_kernel(self):
         pm = PowerModel()
@@ -68,7 +75,9 @@ class TestPowerModel:
 
     def test_occupancy_bounds(self):
         with pytest.raises(ValueError):
-            PowerModel().power(1.5, 0.0)
+            PowerModel().power(1.5)
+        with pytest.raises(ValueError, match="comm"):
+            PowerModel().utilization(0.5, 1.5)
 
     def test_trace_shape_and_means(self):
         pm = PowerModel()
@@ -81,7 +90,7 @@ class TestPowerModel:
             samples_per_step=4,
         )
         assert len(tr.times_s) == 40
-        assert tr.mean_power == pytest.approx(pm.power(0.8, 0.5), rel=0.05)
+        assert tr.mean_power == pytest.approx(pm.power(0.8), rel=0.05)
         assert np.all(tr.memory_bytes == 1e9)
         assert 0 <= tr.mean_utilization <= 100
 

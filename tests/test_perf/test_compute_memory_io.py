@@ -144,3 +144,60 @@ class TestMemoryModel:
             memory_breakdown(cfg, ShardingStrategy.NO_SHARD, world_size=0)
         with pytest.raises(ValueError, match="shard_size"):
             memory_breakdown(cfg, ShardingStrategy.HYBRID_SHARD, world_size=8)
+
+
+def _fig1_mae():
+    return get_mae_config("vit-3b", img_size=504)
+
+
+#: (config, strategy, world size, shard size, fp32 GiB, bf16 GiB) of the
+#: cells ROADMAP item 21 quotes: Fig. 1's MAE ViT-3B NO_SHARD at 504 px
+#: and Fig. 4's ViT-15B SHARD_GRAD_OP (4 / 16 / 64 nodes) and HYBRID_4.
+_PINNED_CELLS = {
+    "fig1-mae3b-no_shard": (_fig1_mae, ShardingStrategy.NO_SHARD, 8, None, 66.79, 60.90),
+    "vit15b-sgo-4n": (
+        lambda: get_vit_config("vit-15b"), ShardingStrategy.SHARD_GRAD_OP, 32, None,
+        85.37, 47.17,
+    ),
+    "vit15b-sgo-16n": (
+        lambda: get_vit_config("vit-15b"), ShardingStrategy.SHARD_GRAD_OP, 128, None,
+        80.84, 41.89,
+    ),
+    "vit15b-sgo-64n": (
+        lambda: get_vit_config("vit-15b"), ShardingStrategy.SHARD_GRAD_OP, 512, None,
+        79.71, 40.57,
+    ),
+    "vit15b-hybrid4": (
+        lambda: get_vit_config("vit-15b"), ShardingStrategy.HYBRID_SHARD, 32, 4,
+        82.01, 73.64,
+    ),
+}
+
+
+class TestMemoryModelPins:
+    """The memory model's precision, accumulation and checkpointing
+    branches, pinned in GiB on the cells the capacity item quotes. No
+    simulated step reaches these branches (the simulator runs fp32,
+    one round, checkpointed), so only these pins hold them still."""
+
+    @pytest.mark.parametrize("cell", list(_PINNED_CELLS))
+    @pytest.mark.parametrize("precision", ["fp32", "bf16"])
+    def test_cell_gib(self, cell, precision):
+        make, strategy, world, shard, fp32, bf16 = _PINNED_CELLS[cell]
+        mb = memory_breakdown(
+            make(), strategy, world_size=world, shard_size=shard, precision=precision
+        )
+        want = fp32 if precision == "fp32" else bf16
+        assert mb.total / GIB == pytest.approx(want, abs=0.005)
+
+    def test_accumulation_adds_the_fp32_buffer(self):
+        mb = memory_breakdown(
+            _fig1_mae(), ShardingStrategy.NO_SHARD, world_size=8, grad_accum_steps=4
+        )
+        assert mb.total / GIB == pytest.approx(80.31, abs=0.005)
+
+    def test_no_checkpointing_keeps_every_activation(self):
+        mb = memory_breakdown(
+            _fig1_mae(), ShardingStrategy.NO_SHARD, world_size=8, checkpointing=False
+        )
+        assert mb.total / GIB == pytest.approx(163.77, abs=0.005)

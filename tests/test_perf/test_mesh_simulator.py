@@ -39,9 +39,9 @@ def _degenerate(**overrides) -> StepBreakdown:
         exposed_comm_seconds=0.0,
         comm_calls=0,
         compute_seconds=0.0,
-        world_size=8,
         local_batch=32,
         memory=MemoryBreakdown(0.0, 0.0, 0.0, 0.0),
+        images_per_step=8 * 32,
     )
     base.update(overrides)
     return StepBreakdown(**base)
@@ -89,7 +89,7 @@ def test_mesh_pp_must_fit_workload_units():
 def test_legacy_path_unchanged_without_mesh():
     b = _sim(nodes=4, spec=None).simulate()
     assert b.bubble_fraction == 0.0
-    assert b.images_per_step == 0  # historical world*local_batch convention
+    assert b.images_per_step == 32 * 8  # world * local_batch
     assert set(b.axis_comm_seconds) == {"dp"}
     assert b.ips == pytest.approx(32 * 8 / b.step_time_s)
 
